@@ -174,8 +174,11 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 def _cmd_pairing(args: argparse.Namespace) -> int:
     spec, bindings = _load(args)
     session = ReportSession(spec, bindings)
-    doc = pairing_document(session, session.sl.pairing_matrix(args.p))
     n2 = 2 * session.cx.n
+    if not 0 <= args.p <= n2:
+        print(f"error: --p {args.p}: expected a degree in 0..{n2}", file=sys.stderr)
+        return EXIT_PARSE
+    doc = pairing_document(session, session.sl.pairing_matrix(args.p))
     print(f"pairing of H_BC({doc['p']}) with H_AE({n2 - doc['p']}): "
           + ("invertible" if doc["invertible"] else "SINGULAR"))
     for i, row in enumerate(doc["matrix"]):

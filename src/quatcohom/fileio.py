@@ -15,7 +15,7 @@ from fractions import Fraction
 from importlib import resources
 from typing import Dict, List, Sequence
 
-from .errors import CoefficientParseError, SchemaError
+from .errors import CoefficientParseError, DivisionByZero, SchemaError
 from .model import AlgebraSpec
 from .scalars import ParamExpr, parse_coefficient, parse_rational
 
@@ -149,7 +149,7 @@ def _read_coefficient(raw: object, path: str,
     if isinstance(raw, str):
         try:
             return parse_coefficient(raw, parameters)
-        except CoefficientParseError as exc:
+        except (CoefficientParseError, DivisionByZero) as exc:
             raise SchemaError(f"{path}: {exc}") from None
     raise SchemaError(f"{path}: expected an integer or a coefficient string")
 
@@ -247,7 +247,7 @@ def parse_binding_args(pairs: Sequence[str], spec: AlgebraSpec) -> Dict[str, Fra
             raise SchemaError(f"--param '{name}': bound twice")
         try:
             parsed = parse_rational(value.strip())
-        except CoefficientParseError as exc:
+        except (CoefficientParseError, DivisionByZero) as exc:
             raise SchemaError(f"--param '{pair}': {exc}") from None
         if not parsed.is_real():
             raise SchemaError(f"--param '{pair}': parameter values must be real")

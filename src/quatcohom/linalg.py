@@ -1,21 +1,30 @@
 """Small exact linear algebra over Q(i).
 
-Matrices are immutable, stored densely as tuples of row tuples.  The sizes
-appearing in this engine are tiny (the largest spaces have dimension
-binomial(2n, p) for 4n at most 12), so simple Gaussian elimination with
-the first nonzero entry of each column as pivot is used throughout.  That
-pivot rule, together with full reduction above pivots and scaling pivots
-to one, makes the reduced echelon form of a matrix canonical; subspaces
-are compared and hashed through it.
+Matrices are immutable, stored densely as tuples of row tuples of
+Gaussian rationals.  The sizes appearing in this engine are tiny (the
+largest spaces have dimension binomial(2n, p) for 4n at most 12).
+
+All elimination goes through one routine, `_eliminate`: fraction-free
+Gauss-Jordan elimination (Bareiss) on Gaussian integers.  Each row is
+multiplied once by the lcm of its denominators and held as two lists of
+plain ints, real and imaginary parts; every step divides exactly in Z[i],
+and Gaussian rationals are built again only for the result.  `rref`,
+`rank`, `right_nullspace`, `solve`, `inverse`, `det` and
+`leading_principal_minors` are all read off that routine.  The pivot of
+each column is the first row at or below the current one with a nonzero
+entry there.  That pivot rule, together with full reduction above pivots
+and scaling pivots to one, makes the reduced echelon form of a matrix
+canonical; subspaces are compared and hashed through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Sequence, Tuple
+from math import lcm, prod
+from typing import Iterable, List, NamedTuple, Sequence, Tuple
 
-from .errors import NotASubspace
+from .errors import InternalInconsistency, NotASubspace
 from .scalars import ONE, ZERO, GaussianRational, ScalarLike
 
 Row = Tuple[GaussianRational, ...]
@@ -174,6 +183,121 @@ class Mat:
         )
 
 
+# ---------------------------------------------------------------------------
+# Elimination.  Every routine below that reduces a matrix goes through
+# `_eliminate`, which works on Gaussian integers: each row is cleared of
+# denominators once and held as a list of real parts and a list of
+# imaginary parts, all plain ints.
+# ---------------------------------------------------------------------------
+
+_GaussInt = Tuple[int, int]
+_IntRow = Tuple[List[int], List[int]]
+
+
+class _Reduction(NamedTuple):
+    rows: List[_IntRow]  # den times the reduced echelon form, pivot rows first
+    pivots: List[int]  # pivot column of each elimination step
+    den: _GaussInt  # the value every pivot entry ends with; 1 without pivots
+    steps: List[Tuple[_GaussInt, bool]]  # pivot of each step, and whether a swap preceded it
+    scales: List[int]  # the positive integer each input row was multiplied by
+
+
+def _integer_row(row: Row) -> Tuple[int, _IntRow]:
+    """The row times the lcm of its denominators, split into re and im."""
+    scale = lcm(*(x.re.denominator for x in row), *(x.im.denominator for x in row))
+    return scale, ([x.re.numerator * (scale // x.re.denominator) for x in row],
+                   [x.im.numerator * (scale // x.im.denominator) for x in row])
+
+
+def _exact_quotient(re: List[int], im: List[int], dr: int, di: int) -> _IntRow:
+    """Divide a row by dr + di*i, which must divide every entry in Z[i]."""
+    if di:
+        # multiply by the conjugate, then divide by the norm
+        norm = dr * dr + di * di
+        re, im = ([x * dr + y * di for x, y in zip(re, im)],
+                  [y * dr - x * di for x, y in zip(re, im)])
+    else:
+        norm = dr
+    q_re = [x // norm for x in re]
+    q_im = [y // norm for y in im]
+    # Floor remainders all carry the divisor's sign, so they vanish one by
+    # one exactly when they vanish in total.
+    if sum(q_re) * norm != sum(re) or sum(q_im) * norm != sum(im):
+        raise InternalInconsistency(
+            f"fraction-free elimination: inexact division by {dr}{di:+d}*i"
+        )
+    return q_re, q_im
+
+
+def _eliminate(matrix: Mat) -> _Reduction:
+    """Fraction-free Gauss-Jordan elimination over Z[i] (Bareiss, 1968).
+
+    Step k takes the pivot p in the first row at or below the k-th that is
+    nonzero in the current column, and replaces every other row by
+    (p * row - f * pivot_row) / d, where f is the row's entry in the pivot
+    column and d the previous step's pivot.  The division is exact: each
+    entry is then a minor of the integer matrix.  After the last step
+    every pivot entry equals the last pivot and the rows are that pivot
+    times the reduced echelon form.  Before any step is taken, each row is
+    scaled by the lcm of its denominators, which leaves the row space, and
+    so the reduced form, unchanged.
+    """
+    scales: List[int] = []
+    rows: List[_IntRow] = []
+    for row in matrix.data:
+        scale, int_row = _integer_row(row)
+        scales.append(scale)
+        rows.append(int_row)
+    nrows = matrix.nrows
+    pivots: List[int] = []
+    steps: List[Tuple[_GaussInt, bool]] = []
+    dr, di = 1, 0
+    i = 0
+    for col in range(matrix.ncols):
+        if i == nrows:
+            break
+        for found in range(i, nrows):
+            if rows[found][0][col] or rows[found][1][col]:
+                break
+        else:
+            continue
+        swapped = found != i
+        if swapped:
+            rows[i], rows[found] = rows[found], rows[i]
+        b_re, b_im = rows[i]
+        pr, pi = b_re[col], b_im[col]
+        divide = (dr, di) != (1, 0)
+        for r in range(nrows):
+            a_re, a_im = rows[r]
+            if r == i or not (any(a_re) or any(a_im)):
+                continue
+            fr, fi = a_re[col], a_im[col]
+            if pi or fi:
+                re = [pr * x - pi * y - fr * u + fi * v
+                      for x, y, u, v in zip(a_re, a_im, b_re, b_im)]
+                im = [pr * y + pi * x - fr * v - fi * u
+                      for x, y, u, v in zip(a_re, a_im, b_re, b_im)]
+            else:
+                re = [pr * x - fr * u for x, u in zip(a_re, b_re)]
+                im = [pr * y - fr * v for y, v in zip(a_im, b_im)]
+            rows[r] = _exact_quotient(re, im, dr, di) if divide else (re, im)
+        pivots.append(col)
+        steps.append(((pr, pi), swapped))
+        dr, di = pr, pi
+        i += 1
+    return _Reduction(rows, pivots, (dr, di), steps, scales)
+
+
+def _quotient(value: _GaussInt, by: _GaussInt) -> GaussianRational:
+    """(a + b*i) / (c + d*i) as a Gaussian rational."""
+    (a, b), (c, d) = value, by
+    if d:
+        a, b, c = a * c + b * d, b * c - a * d, c * c + d * d
+    if not (a or b):
+        return ZERO
+    return GaussianRational(Fraction(a, c), Fraction(b, c))
+
+
 def rref(matrix: Mat) -> Tuple[Mat, List[int]]:
     """Reduced row echelon form and the list of pivot columns.
 
@@ -182,30 +306,15 @@ def rref(matrix: Mat) -> Tuple[Mat, List[int]]:
     keeping the rule positional makes the output reproducible entry for
     entry across runs and platforms.
     """
-    rows = [list(row) for row in matrix.data]
-    pivots: List[int] = []
-    pivot_row = 0
-    for col in range(matrix.ncols):
-        found = None
-        for r in range(pivot_row, len(rows)):
-            if rows[r][col]:
-                found = r
-                break
-        if found is None:
-            continue
-        rows[pivot_row], rows[found] = rows[found], rows[pivot_row]
-        inv = rows[pivot_row][col].inverse()
-        rows[pivot_row] = [inv * x for x in rows[pivot_row]]
-        for r in range(len(rows)):
-            if r != pivot_row and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[pivot_row])]
-        pivots.append(col)
-        pivot_row += 1
-        if pivot_row == len(rows):
-            break
-    reduced = Mat(matrix.nrows, matrix.ncols, tuple(tuple(r) for r in rows))
-    return reduced, pivots
+    reduction = _eliminate(matrix)
+    den = reduction.den
+    rank_ = len(reduction.pivots)
+    data = [
+        tuple(_quotient((x, y), den) for x, y in zip(re, im))
+        for re, im in reduction.rows[:rank_]
+    ]
+    data.extend([(ZERO,) * matrix.ncols] * (matrix.nrows - rank_))
+    return Mat(matrix.nrows, matrix.ncols, tuple(data)), reduction.pivots
 
 
 def rank(matrix: Mat) -> int:
@@ -259,36 +368,37 @@ def inverse(matrix: Mat) -> Mat:
 def det(matrix: Mat) -> GaussianRational:
     if matrix.nrows != matrix.ncols:
         raise ValueError("determinant of a non-square matrix")
-    rows = [list(row) for row in matrix.data]
-    n = matrix.nrows
-    result = ONE
-    for col in range(n):
-        found = None
-        for r in range(col, n):
-            if rows[r][col]:
-                found = r
-                break
-        if found is None:
-            return ZERO
-        if found != col:
-            rows[col], rows[found] = rows[found], rows[col]
-            result = -result
-        result = result * rows[col][col]
-        inv = rows[col][col].inverse()
-        for r in range(col + 1, n):
-            if rows[r][col]:
-                factor = rows[r][col] * inv
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
-    return result
+    reduction = _eliminate(matrix)
+    if len(reduction.pivots) < matrix.nrows:
+        return ZERO
+    # the last pivot is the determinant of the row-scaled, row-swapped matrix
+    swaps = sum(swapped for _, swapped in reduction.steps)
+    return _quotient(reduction.den, ((-1) ** swaps * prod(reduction.scales), 0))
 
 
 def leading_principal_minors(matrix: Mat) -> List[GaussianRational]:
+    """Determinants of the top-left k x k blocks, k = 1..n.
+
+    While elimination pivots down the diagonal without a swap, the pivot
+    of step k is the (k+1)-th leading minor of the row-scaled matrix, so
+    one pass yields every minor up to the first that vanishes.  That one
+    is zero (its diagonal entry was zero when its step came); each later
+    minor takes an elimination of its own.
+    """
     if matrix.nrows != matrix.ncols:
         raise ValueError("principal minors of a non-square matrix")
-    out = []
-    for k in range(1, matrix.nrows + 1):
-        sub = Mat.from_rows([row[:k] for row in matrix.data[:k]], ncols=k)
-        out.append(det(sub))
+    reduction = _eliminate(matrix)
+    out: List[GaussianRational] = []
+    scale = 1
+    for k, (col, (value, swapped)) in enumerate(zip(reduction.pivots, reduction.steps)):
+        if col != k or swapped:
+            break
+        scale *= reduction.scales[k]
+        out.append(_quotient(value, (scale, 0)))
+    if len(out) < matrix.nrows:
+        out.append(ZERO)
+    for k in range(len(out) + 1, matrix.nrows + 1):
+        out.append(det(Mat.from_rows([row[:k] for row in matrix.data[:k]], ncols=k)))
     return out
 
 

@@ -1,9 +1,10 @@
 """Shared builders for the test suite.
 
 Houses the deliberately broken structures, the generators of validated
-random variants (coefficient scalings and rational coframe changes), and
-the brute-force harness producing random double-differential complexes
-directly as matrices.
+random variants (coefficient scalings and rational coframe changes), the
+brute-force harness producing random double-differential complexes
+directly as matrices, and a reference Gauss-Jordan elimination on
+Gaussian rationals that the fraction-free kernel is checked against.
 """
 
 from fractions import Fraction
@@ -15,6 +16,7 @@ from quatcohom import AlgebraSpec, GaussianRational, MatrixComplex
 from quatcohom.exterior import Form
 from quatcohom.linalg import Mat, inverse
 from quatcohom.model import instantiate
+from quatcohom.scalars import ONE, ZERO
 
 
 def skew_pairs(dim: int, pairs: Sequence[Tuple[int, int, int]]) -> List[List[int]]:
@@ -230,3 +232,69 @@ def direct_sum_complex(a: MatrixComplex, b: MatrixComplex) -> MatrixComplex:
     del_mats = [block(a.delta(p), b.delta(p)) for p in range(a.top)]
     delj_mats = [block(a.delta_j(p), b.delta_j(p)) for p in range(a.top)]
     return MatrixComplex(dims, del_mats, delj_mats)
+
+
+# ---------------------------------------------------------------------------
+# Reference elimination: plain Gauss-Jordan in GaussianRational arithmetic,
+# pivot scaled to one at every step.  Slow, but shares no code with the
+# fraction-free kernel of quatcohom.linalg.
+# ---------------------------------------------------------------------------
+
+
+def reference_rref(matrix: Mat) -> Tuple[Mat, List[int]]:
+    rows = [list(row) for row in matrix.data]
+    pivots: List[int] = []
+    pivot_row = 0
+    for col in range(matrix.ncols):
+        found = None
+        for r in range(pivot_row, len(rows)):
+            if rows[r][col]:
+                found = r
+                break
+        if found is None:
+            continue
+        rows[pivot_row], rows[found] = rows[found], rows[pivot_row]
+        inv = rows[pivot_row][col].inverse()
+        rows[pivot_row] = [inv * x for x in rows[pivot_row]]
+        for r in range(len(rows)):
+            if r != pivot_row and rows[r][col]:
+                factor = rows[r][col]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[pivot_row])]
+        pivots.append(col)
+        pivot_row += 1
+        if pivot_row == len(rows):
+            break
+    reduced = Mat(matrix.nrows, matrix.ncols, tuple(tuple(r) for r in rows))
+    return reduced, pivots
+
+
+def reference_det(matrix: Mat) -> GaussianRational:
+    assert matrix.nrows == matrix.ncols
+    rows = [list(row) for row in matrix.data]
+    n = matrix.nrows
+    result = ONE
+    for col in range(n):
+        found = None
+        for r in range(col, n):
+            if rows[r][col]:
+                found = r
+                break
+        if found is None:
+            return ZERO
+        if found != col:
+            rows[col], rows[found] = rows[found], rows[col]
+            result = -result
+        result = result * rows[col][col]
+        inv = rows[col][col].inverse()
+        for r in range(col + 1, n):
+            if rows[r][col]:
+                factor = rows[r][col] * inv
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
+    return result
+
+
+def reference_minors(matrix: Mat) -> List[GaussianRational]:
+    return [
+        reference_det(Mat.from_rows([row[:k] for row in matrix.data[:k]], ncols=k))
+        for k in range(1, matrix.nrows + 1)
+    ]

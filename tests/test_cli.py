@@ -4,7 +4,7 @@ import pytest
 
 from quatcohom import load_corpus, serialize_spec
 from quatcohom.cli import main
-from quatcohom.errors import TheoremViolation
+from quatcohom.errors import DivisionByZero, TheoremViolation
 
 from support import jacobi_broken_spec
 
@@ -105,6 +105,53 @@ def test_pairing(capsys):
     code, out, _ = run(capsys, "pairing", "example1", "--p", "1")
     assert code == 0
     assert "invertible" in out
+
+
+@pytest.mark.parametrize("degree", ["9", "-1", "5"])
+def test_pairing_degree_out_of_range_exits_two(capsys, degree):
+    code, out, err = run(capsys, "pairing", "example1", "--p", degree)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --p {degree}: expected a degree in 0..4\n"
+
+
+def test_pairing_degree_range_ends_accepted(capsys):
+    for degree in ("0", "4"):
+        code, out, _ = run(capsys, "pairing", "example1", "--p", degree)
+        assert code == 0
+        assert out.startswith(f"pairing of H_BC({degree}) with H_AE({4 - int(degree)}): ")
+
+
+def test_division_by_zero_in_binding_exits_two(capsys):
+    code, out, err = run(capsys, "validate", "example2", "--param", "t=1/0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --param 't=1/0': ")
+    assert len(err.splitlines()) == 1
+
+
+def test_division_by_zero_in_coefficient_exits_two(capsys, tmp_path):
+    doc = json.loads(serialize_spec(load_corpus("example1")))
+    doc["structure"][0]["terms"][0]["coeff"] = "1/0"
+    path = tmp_path / "pole.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: structure[0].terms[0].coeff: ")
+    assert len(err.splitlines()) == 1
+
+
+def test_engine_division_by_zero_stays_exit_three(capsys, monkeypatch):
+    import quatcohom.cli as cli
+
+    def boom(args):
+        raise DivisionByZero("inverse of zero in Q(i)")
+
+    monkeypatch.setitem(cli._COMMANDS, "report", boom)
+    code, _, err = run(capsys, "report", "example1")
+    assert code == 3
+    assert "DivisionByZero" in err
 
 
 def test_suite_command(capsys):

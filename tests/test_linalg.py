@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quatcohom import GaussianRational
-from quatcohom.errors import NotASubspace
+from quatcohom.errors import InternalInconsistency, NotASubspace
 from quatcohom.linalg import (
     Mat,
     Subspace,
+    _exact_quotient,
     complement_representatives,
     complexify_vector,
     det,
@@ -21,6 +22,13 @@ from quatcohom.linalg import (
     rref,
     right_nullspace,
     solve,
+)
+
+from support import (
+    random_double_complex,
+    reference_det,
+    reference_minors,
+    reference_rref,
 )
 
 small = st.fractions(min_value=-6, max_value=6, max_denominator=4)
@@ -143,3 +151,139 @@ def test_realify_round_trip_and_antilinear_sign():
     # antilinear i*conj: (re, im) -> (im, re)
     assert anti.apply([1, 0]) == (GaussianRational(0), GaussianRational(1))
     assert anti.apply([0, 1]) == (GaussianRational(1), GaussianRational(0))
+
+
+# ---------------------------------------------------------------------------
+# The fraction-free kernel against the reference Gauss-Jordan elimination.
+# ---------------------------------------------------------------------------
+
+ZERO_ENTRY = GaussianRational()
+sparse_entries = st.one_of(st.just(ZERO_ENTRY), entries)
+huge = st.fractions(min_value=-10**9, max_value=10**9, max_denominator=10**15)
+huge_entries = st.builds(GaussianRational, huge, huge)
+
+
+@st.composite
+def matrices(draw, values=sparse_entries, max_side=5, square=False):
+    """Any shape from 0 x 0 up, optionally of low rank, with zeroed lines."""
+    nrows = draw(st.integers(0, max_side))
+    ncols = nrows if square else draw(st.integers(0, max_side))
+    if draw(st.booleans()):
+        inner = draw(st.integers(0, 2))  # rank at most inner
+        left = [[draw(values) for _ in range(inner)] for _ in range(nrows)]
+        right = [[draw(values) for _ in range(ncols)] for _ in range(inner)]
+        rows = [[sum((a * b[c] for a, b in zip(row, right)), ZERO_ENTRY)
+                 for c in range(ncols)] for row in left]
+    else:
+        rows = [[draw(values) for _ in range(ncols)] for _ in range(nrows)]
+    for r in draw(st.sets(st.integers(0, max(nrows - 1, 0)), max_size=2)):
+        if r < nrows:
+            rows[r] = [ZERO_ENTRY] * ncols
+    for c in draw(st.sets(st.integers(0, max(ncols - 1, 0)), max_size=2)):
+        for row in rows:
+            if c < ncols:
+                row[c] = ZERO_ENTRY
+    return Mat.from_rows(rows, ncols=ncols)
+
+
+def _reference_solve(m, rhs):
+    reduced, pivots = reference_rref(m.hstack(Mat.column(rhs)))
+    if m.ncols in pivots:
+        return None
+    solution = [ZERO_ENTRY] * m.ncols
+    for r, pcol in enumerate(pivots):
+        solution[pcol] = reduced.data[r][m.ncols]
+    return tuple(solution)
+
+
+def _check_against_reference(m):
+    reduced, pivots = rref(m)
+    expected, expected_pivots = reference_rref(m)
+    assert reduced == expected
+    assert pivots == expected_pivots
+    assert rank(m) == len(expected_pivots)
+    rhs = [sum(row, ZERO_ENTRY) + 1 for row in m.data]
+    assert solve(m, rhs) == _reference_solve(m, rhs)
+    if m.nrows == m.ncols:
+        d = reference_det(m)
+        assert det(m) == d
+        assert leading_principal_minors(m) == reference_minors(m)
+        if d.is_zero():
+            with pytest.raises(ValueError):
+                inverse(m)
+        else:
+            both = reference_rref(m.hstack(Mat.identity(m.nrows)))[0]
+            assert inverse(m) == Mat(m.nrows, m.nrows,
+                                     tuple(row[m.nrows:] for row in both.data))
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+def test_kernel_matches_reference(m):
+    _check_against_reference(m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices(square=True))
+def test_kernel_matches_reference_square(m):
+    _check_against_reference(m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(matrices(values=huge_entries, max_side=4))
+def test_kernel_matches_reference_large_denominators(m):
+    _check_against_reference(m)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, 10**6), st.integers(3, 5))
+def test_kernel_matches_reference_on_conjugated_wedge_blocks(seed, k):
+    mc = random_double_complex(Random(seed), k=k, conjugate=True)
+    for p in range(k):
+        _check_against_reference(mc.delta(p))
+        _check_against_reference(mc.delta(p).vstack(mc.delta_j(p)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(square=True).filter(lambda m: m.nrows >= 2))
+def test_minors_after_a_zero_leading_minor(m):
+    rows = [list(row) for row in m.data]
+    rows[0][0] = ZERO_ENTRY
+    m = Mat.from_rows(rows)
+    minors = leading_principal_minors(m)
+    assert minors[0].is_zero()
+    assert minors == reference_minors(m)
+    assert det(m) == reference_det(m)
+
+
+def test_minors_past_zero_leading_minors():
+    # minors 1 and 2 vanish; 3 and 4 do not, and need a swap to compute
+    m = Mat.from_rows([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
+    assert leading_principal_minors(m) == [0, -1, 0, 1]
+    assert reference_minors(m) == [0, -1, 0, 1]
+    m = Mat.from_rows([[0, 1, 2], [0, 3, 4], [5, 6, GaussianRational(0, 1)]])
+    assert leading_principal_minors(m) == reference_minors(m)
+    assert [x.is_zero() for x in leading_principal_minors(m)] == [True, True, False]
+
+
+def test_empty_shapes():
+    for shape in ((0, 3), (3, 0), (0, 0)):
+        m = Mat.zeros(*shape)
+        assert rref(m) == (m, [])
+        assert right_nullspace(m) == [
+            tuple(GaussianRational(int(i == j)) for i in range(shape[1]))
+            for j in range(shape[1])
+        ]
+    empty = Mat.zeros(0, 0)
+    assert det(empty) == 1
+    assert leading_principal_minors(empty) == []
+    assert inverse(empty) == empty
+
+
+def test_inexact_division_is_an_internal_inconsistency():
+    assert _exact_quotient([6, -4], [2, 0], 2, 0) == ([3, -2], [1, 0])
+    assert _exact_quotient([1], [1], 1, 1) == ([1], [0])
+    with pytest.raises(InternalInconsistency):
+        _exact_quotient([3, 1], [0, -1], 2, 0)
+    with pytest.raises(InternalInconsistency):
+        _exact_quotient([1], [0], 1, 1)
