@@ -2,9 +2,14 @@
 
 The object of study is a graded space with two degree-one operators del
 and del_J satisfying del^2 = del_J^2 = del del_J + del_J del = 0, given
-concretely as exact matrices per degree.  Everything downstream (the four
-cohomology theories, the six Varouchas spaces, the spectral sequence
-pages) is subspace arithmetic over Q(i).
+concretely as exact matrices per degree.  Every dimension in the table
+(the four cohomology theories, the six Varouchas spaces, the E2 page) is
+a sum of ranks of a few operators per degree: del, del_J, del del_J, the
+stacked and side-by-side pairs, and two 2x2 block operators for E2.  The
+ranks are cached per complex, so no subspace is built, intersected or
+compared to count one.  The second route to E2 is independent: it
+iterates the first page on explicit representatives, which is subspace
+arithmetic over Q(i), and must agree with the rank formula.
 
 A MatrixComplex built from a hypercomplex structure carries the extra
 Jbar symmetry between del and del_J; the symmetry-dependent identities
@@ -18,13 +23,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .errors import InternalInconsistency, TheoremViolation
-from .linalg import (
-    Mat,
-    Subspace,
-    complement_representatives,
-    rank,
-    solve,
-)
+from .linalg import Mat, Subspace, complement_representatives, rank, rref
 
 if TYPE_CHECKING:
     from .quaternionic import QuaternionicComplex
@@ -52,6 +51,7 @@ class MatrixComplex:
         self.quaternionic_dim = quaternionic_dim
         self.has_jbar_symmetry = has_jbar_symmetry
         self._subspaces: Dict[Tuple[str, int], Subspace] = {}
+        self._ranks: Dict[Tuple[str, int], int] = {}
         self._pages: Optional[List[int]] = None
         self._table: Optional["CohomologyTable"] = None
         if check:
@@ -145,71 +145,111 @@ class MatrixComplex:
     def im_ddj(self, p: int) -> Subspace:
         return self._space("im_ddj", p)
 
+    # -- ranks ---------------------------------------------------------------
+
+    def _operator(self, name: str, p: int) -> Mat:
+        if name == "del":
+            return self.delta(p)
+        if name == "del_J":
+            return self.delta_j(p)
+        if name == "ddj":
+            return self.ddj(p)
+        if name == "stacked":  # [del; del_J], kernel ker del ∩ ker del_J
+            return self.delta(p).vstack(self.delta_j(p))
+        if name == "side":  # [del | del_J], image im del + im del_J
+            return self.delta(p).hstack(self.delta_j(p))
+        zero = Mat.zeros(self.dim(p + 1), self.dim(p))
+        if name == "e2_num":  # (v, w) -> (del v, del_J v - del w)
+            return self.delta(p).hstack(zero).vstack(
+                self.delta_j(p).hstack(-self.delta(p)))
+        if name == "e2_den":  # (x, y) -> (del y, del x + del_J y)
+            return zero.hstack(self.delta(p)).vstack(
+                self.delta(p).hstack(self.delta_j(p)))
+        raise KeyError(name)
+
+    def _rank(self, name: str, p: int) -> int:
+        """Rank of one operator out of degree p; zero outside 0..top-1."""
+        if not 0 <= p < self.top:
+            return 0
+        key = (name, p)
+        if key not in self._ranks:
+            self._ranks[key] = rank(self._operator(name, p))
+        return self._ranks[key]
+
     # -- cohomology dimensions ----------------------------------------------
+    #
+    # Every dimension is a sum of ranks.  Kernels and images have dimension
+    # dim - rank and rank; dim(U ∩ V) = dim U + dim V - dim(U + V); and
+    # del del_J = -del_J del gives dim(ker del ∩ im del_J) = rank del_J -
+    # rank del del_J one degree down, and likewise with del and del_J
+    # exchanged.
 
     def h_del(self, p: int) -> int:
-        return self.ker_del(p).quotient_dim(self.im_del(p))
+        return self.dim(p) - self._rank("del", p) - self._rank("del", p - 1)
 
     def h_delj(self, p: int) -> int:
-        return self.ker_delj(p).quotient_dim(self.im_delj(p))
+        return self.dim(p) - self._rank("del_J", p) - self._rank("del_J", p - 1)
 
     def h_bc(self, p: int) -> int:
-        closed = self.ker_del(p).intersect(self.ker_delj(p))
-        return closed.quotient_dim(self.im_ddj(p))
+        return self.dim(p) - self._rank("stacked", p) - self._rank("ddj", p - 2)
 
     def h_ae(self, p: int) -> int:
-        exact = self.im_del(p).sum(self.im_delj(p))
-        return self.ker_ddj(p).quotient_dim(exact)
+        return self.dim(p) - self._rank("ddj", p) - self._rank("side", p - 1)
 
     def varouchas(self, p: int) -> Tuple[int, int, int, int, int, int]:
         """The six defect dimensions (a, b, c, d, e, f) at degree p."""
-        im_ddj = self.im_ddj(p)
-        ker_ddj = self.ker_ddj(p)
-        a = self.im_del(p).intersect(self.im_delj(p)).quotient_dim(im_ddj)
-        b = self.ker_del(p).intersect(self.im_delj(p)).quotient_dim(im_ddj)
-        c = ker_ddj.quotient_dim(self.ker_del(p).sum(self.im_delj(p)))
-        d = self.im_del(p).intersect(self.ker_delj(p)).quotient_dim(im_ddj)
-        e = ker_ddj.quotient_dim(self.im_del(p).sum(self.ker_delj(p)))
-        f = ker_ddj.quotient_dim(self.ker_del(p).sum(self.ker_delj(p)))
+        r = self._rank
+        ddj0, ddj1, ddj2 = r("ddj", p), r("ddj", p - 1), r("ddj", p - 2)
+        a = r("del", p - 1) + r("del_J", p - 1) - r("side", p - 1) - ddj2
+        b = r("del_J", p - 1) - ddj1 - ddj2
+        c = r("del", p) - ddj0 - ddj1
+        d = r("del", p - 1) - ddj1 - ddj2
+        e = r("del_J", p) - ddj0 - ddj1
+        f = r("del", p) + r("del_J", p) - r("stacked", p) - ddj0
         return a, b, c, d, e, f
 
     # -- the spectral sequence, both routes ---------------------------------
 
     def e2_formula(self, p: int) -> int:
-        """dim E2 from the closed subspace description.
+        """dim E2 from the closed subspace description, by ranks.
 
-        Numerator: del-closed v with del_J v del-exact.  Denominator:
-        del-exact forms plus del_J of del-closed forms one degree down.
+        Numerator: del-closed v with del_J v del-exact, the projection of
+        the kernel of (v, w) -> (del v, del_J v - del w), whose kernel on
+        v = 0 is ker del.  Denominator: del-exact forms plus del_J of
+        del-closed forms one degree down, the second component of the image
+        of (x, y) -> (del y, del x + del_J y) over the zero first one.
         """
-        dp = self.dim(p)
-        top_block = self.delta(p).hstack(Mat.zeros(self.dim(p + 1), dp))
-        bottom_block = self.delta_j(p).hstack(-self.delta(p))
-        stacked = top_block.vstack(bottom_block)
-        numerator = Subspace.from_vectors(
-            [vec[:dp] for vec in Subspace.kernel(stacked).rows], dp
-        )
-        pushed = [self.delta_j(p - 1).apply(v) for v in self.ker_del(p - 1).rows]
-        denominator = self.im_del(p).sum(Subspace.from_vectors(pushed, dp))
-        return numerator.quotient_dim(denominator)
+        numerator = self.dim(p) - self._rank("e2_num", p) + self._rank("del", p)
+        denominator = self._rank("e2_den", p - 1) - self._rank("del", p - 1)
+        return numerator - denominator
 
-    def _class_coords(self, vector, p: int,
-                      reps: Dict[int, List]) -> Tuple:
-        """Coordinates of a del-closed vector in the page-one basis at p."""
+    def _class_coords(self, vectors: Sequence[Sequence], p: int,
+                      reps: Dict[int, List]) -> List[Tuple]:
+        """Coordinates of del-closed vectors in the page-one basis at p.
+
+        The representatives and the basis of Im del are independent, so
+        one elimination of [reps | Im del | vectors] gives every vector's
+        unique coordinates at once.
+        """
+        if not vectors:
+            return []
         rep_list = reps.get(p, [])
         columns = list(rep_list) + list(self.im_del(p).rows)
         if not columns:
-            if any(x for x in vector):
+            if any(x for vector in vectors for x in vector):
                 raise InternalInconsistency(
                     "nonzero del-closed vector with no page-one expansion"
                 )
-            return ()
-        mat = Mat.from_rows(columns, ncols=self.dim(p)).transpose()
-        solution = solve(mat, vector)
-        if solution is None:
+            return [() for _ in vectors]
+        k = len(columns)
+        augmented = Mat.from_rows(columns + list(vectors), ncols=self.dim(p))
+        reduced, pivots = rref(augmented.transpose())
+        if pivots != list(range(k)):
             raise InternalInconsistency(
                 "del_J image failed to land in ker del at the page-one level"
             )
-        return solution[: len(rep_list)]
+        return [tuple(reduced.data[r][k + j] for r in range(len(rep_list)))
+                for j in range(len(vectors))]
 
     def e2_pages_all(self) -> List[int]:
         """dim E2 for every degree, by explicit page iteration.
@@ -217,8 +257,8 @@ class MatrixComplex:
         Page one is modeled on complement representatives of Im del inside
         ker del; the induced differential is del_J followed by reduction to
         those representatives.  Page two is the homology of that matrix.
-        This route shares no subspace formulas with e2_formula, which is
-        the point: the two must agree.
+        This route shares nothing with the rank formula of e2_formula,
+        which is the point: the two must agree.
         """
         if self._pages is not None:
             return self._pages
@@ -230,8 +270,9 @@ class MatrixComplex:
         for p in range(self.top + 1):
             src = reps[p]
             tgt = reps.get(p + 1, [])
-            cols = [self._class_coords(self.delta_j(p).apply(v), p + 1, reps)
-                    for v in src]
+            # del_J of every representative at once, one per column
+            pushed = self.delta_j(p) @ Mat.from_rows(src, ncols=self.dim(p)).transpose()
+            cols = self._class_coords(pushed.columns(), p + 1, reps)
             rows = [[cols[c][r] for c in range(len(src))] for r in range(len(tgt))]
             d1[p] = Mat.from_rows(rows, ncols=len(src)) if rows else Mat.zeros(0, len(src))
         pages = []
@@ -247,7 +288,7 @@ class MatrixComplex:
         by_pages = self.e2_pages_all()[p] if 0 <= p <= self.top else 0
         if by_formula != by_pages:
             raise InternalInconsistency(
-                f"E2 at degree {p}: subspace formula gives {by_formula}, "
+                f"E2 at degree {p}: rank formula gives {by_formula}, "
                 f"page iteration gives {by_pages}"
             )
         return by_formula

@@ -30,6 +30,8 @@ def parse_spec(text: str) -> AlgebraSpec:
         raise SchemaError(
             f"not valid JSON: {exc.msg} (line {exc.lineno}, column {exc.colno})"
         ) from None
+    except RecursionError:
+        raise SchemaError("not valid JSON: nested too deeply") from None
     return spec_from_document(doc)
 
 
@@ -217,7 +219,13 @@ def load_spec_file(path: str) -> AlgebraSpec:
     """
     if os.path.exists(path):
         with open(path, "r", encoding="utf-8") as handle:
-            return parse_spec(handle.read())
+            try:
+                text = handle.read()
+            except UnicodeDecodeError as exc:
+                raise SchemaError(
+                    f"not valid UTF-8: {exc.reason} at byte {exc.start}"
+                ) from None
+        return parse_spec(text)
     base = os.path.basename(path)
     if base == path:
         name = base[: -len(".json")] if base.endswith(".json") else base

@@ -10,11 +10,18 @@ multiplied once by the lcm of its denominators and held as two lists of
 plain ints, real and imaginary parts; every step divides exactly in Z[i],
 and Gaussian rationals are built again only for the result.  `rref`,
 `rank`, `right_nullspace`, `solve`, `inverse`, `det` and
-`leading_principal_minors` are all read off that routine.  The pivot of
+`leading_principal_minors` are all read off that routine; `rank`, `det`
+and the minors need only the pivots and their values, so they skip the
+reduction above the pivots and build no reduced matrix.  The pivot of
 each column is the first row at or below the current one with a nonzero
 entry there.  That pivot rule, together with full reduction above pivots
 and scaling pivots to one, makes the reduced echelon form of a matrix
 canonical; subspaces are compared and hashed through it.
+
+Products work the same way: `Mat.__matmul__` clears each operand of
+denominators once, accumulates in Gaussian integers over the nonzero
+entries, and builds one Gaussian rational per nonzero entry of the
+result.
 """
 
 from __future__ import annotations
@@ -107,10 +114,16 @@ class Mat:
         ))
 
     def __sub__(self, other: "Mat") -> "Mat":
-        return self + (-other)
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ValueError("shape mismatch in matrix subtraction")
+        return Mat(self.nrows, self.ncols, tuple(
+            tuple(a - b for a, b in zip(ra, rb))
+            for ra, rb in zip(self.data, other.data)
+        ))
 
     def __neg__(self) -> "Mat":
-        return self.scale(-1)
+        return Mat(self.nrows, self.ncols,
+                   tuple(tuple(-x for x in row) for row in self.data))
 
     def scale(self, factor: ScalarLike) -> "Mat":
         factor = _coerce_entry(factor)
@@ -124,17 +137,31 @@ class Mat:
                 f"shape mismatch: ({self.nrows}x{self.ncols}) @ "
                 f"({other.nrows}x{other.ncols})"
             )
-        # row-times-matrix accumulation, skipping zero entries; the
-        # matrices here are overwhelmingly sparse
+        # Accumulate in Z[i] over nonzero entries only; the matrices here
+        # are overwhelmingly sparse.  Each row of self is cleared of
+        # denominators by its own lcm and all of other by one lcm, so each
+        # output entry is one Gaussian integer over the product of the two.
+        b_rows = [_nonzero_entries(row) for row in other.data]
+        b_scale = lcm(*(x.denominator for row in b_rows for _, re, im in row
+                        for x in (re, im)))
+        b_rows = [[(j, re.numerator * (b_scale // re.denominator),
+                    im.numerator * (b_scale // im.denominator))
+                   for j, re, im in row] for row in b_rows]
+        n = other.ncols
         rows = []
         for row in self.data:
-            acc = [ZERO] * other.ncols
-            for k, a in enumerate(row):
-                if not a.is_zero():
-                    for j, b in enumerate(other.data[k]):
-                        if not b.is_zero():
-                            acc[j] = acc[j] + a * b
-            rows.append(tuple(acc))
+            a_row = _nonzero_entries(row)
+            a_scale = lcm(*(x.denominator for _, re, im in a_row for x in (re, im)))
+            acc_re = [0] * n
+            acc_im = [0] * n
+            for k, re, im in a_row:
+                ar = re.numerator * (a_scale // re.denominator)
+                ai = im.numerator * (a_scale // im.denominator)
+                for j, br, bi in b_rows[k]:
+                    acc_re[j] += ar * br - ai * bi
+                    acc_im[j] += ar * bi + ai * br
+            den = (a_scale * b_scale, 0)
+            rows.append(tuple(_quotient(x, den) for x in zip(acc_re, acc_im)))
         return Mat(self.nrows, other.ncols, tuple(rows))
 
     def apply(self, vector: Sequence[ScalarLike]) -> Tuple[GaussianRational, ...]:
@@ -195,18 +222,30 @@ _IntRow = Tuple[List[int], List[int]]
 
 
 class _Reduction(NamedTuple):
-    rows: List[_IntRow]  # den times the reduced echelon form, pivot rows first
+    # den times the reduced echelon form, pivot rows first; without
+    # reduce_above the entries above the pivots are left unreduced
+    rows: List[_IntRow]
     pivots: List[int]  # pivot column of each elimination step
     den: _GaussInt  # the value every pivot entry ends with; 1 without pivots
     steps: List[Tuple[_GaussInt, bool]]  # pivot of each step, and whether a swap preceded it
     scales: List[int]  # the positive integer each input row was multiplied by
 
 
+def _nonzero_entries(row: Row) -> List[Tuple[int, Fraction, Fraction]]:
+    """(column, real part, imaginary part) of each nonzero entry."""
+    return [(j, x.re, x.im) for j, x in enumerate(row) if x.re or x.im]
+
+
 def _integer_row(row: Row) -> Tuple[int, _IntRow]:
     """The row times the lcm of its denominators, split into re and im."""
-    scale = lcm(*(x.re.denominator for x in row), *(x.im.denominator for x in row))
-    return scale, ([x.re.numerator * (scale // x.re.denominator) for x in row],
-                   [x.im.numerator * (scale // x.im.denominator) for x in row])
+    entries = _nonzero_entries(row)
+    scale = lcm(*(x.denominator for _, re, im in entries for x in (re, im)))
+    re_part = [0] * len(row)
+    im_part = [0] * len(row)
+    for j, re, im in entries:
+        re_part[j] = re.numerator * (scale // re.denominator)
+        im_part[j] = im.numerator * (scale // im.denominator)
+    return scale, (re_part, im_part)
 
 
 def _exact_quotient(re: List[int], im: List[int], dr: int, di: int) -> _IntRow:
@@ -229,7 +268,7 @@ def _exact_quotient(re: List[int], im: List[int], dr: int, di: int) -> _IntRow:
     return q_re, q_im
 
 
-def _eliminate(matrix: Mat) -> _Reduction:
+def _eliminate(matrix: Mat, reduce_above: bool = True) -> _Reduction:
     """Fraction-free Gauss-Jordan elimination over Z[i] (Bareiss, 1968).
 
     Step k takes the pivot p in the first row at or below the k-th that is
@@ -241,6 +280,11 @@ def _eliminate(matrix: Mat) -> _Reduction:
     times the reduced echelon form.  Before any step is taken, each row is
     scaled by the lcm of its denominators, which leaves the row space, and
     so the reduced form, unchanged.
+
+    With `reduce_above` false only the rows below each pivot are updated:
+    plain Bareiss elimination, which finds the same pivots and the same
+    pivot values at about half the work, but leaves the rows above
+    unreduced.  Rank, determinant and minors need no more.
     """
     scales: List[int] = []
     rows: List[_IntRow] = []
@@ -267,7 +311,7 @@ def _eliminate(matrix: Mat) -> _Reduction:
         b_re, b_im = rows[i]
         pr, pi = b_re[col], b_im[col]
         divide = (dr, di) != (1, 0)
-        for r in range(nrows):
+        for r in range(0 if reduce_above else i + 1, nrows):
             a_re, a_im = rows[r]
             if r == i or not (any(a_re) or any(a_im)):
                 continue
@@ -318,7 +362,8 @@ def rref(matrix: Mat) -> Tuple[Mat, List[int]]:
 
 
 def rank(matrix: Mat) -> int:
-    return len(rref(matrix)[1])
+    """The number of pivots; no reduced matrix is built."""
+    return len(_eliminate(matrix, reduce_above=False).pivots)
 
 
 def right_nullspace(matrix: Mat) -> List[Tuple[GaussianRational, ...]]:
@@ -368,7 +413,7 @@ def inverse(matrix: Mat) -> Mat:
 def det(matrix: Mat) -> GaussianRational:
     if matrix.nrows != matrix.ncols:
         raise ValueError("determinant of a non-square matrix")
-    reduction = _eliminate(matrix)
+    reduction = _eliminate(matrix, reduce_above=False)
     if len(reduction.pivots) < matrix.nrows:
         return ZERO
     # the last pivot is the determinant of the row-scaled, row-swapped matrix
@@ -387,7 +432,7 @@ def leading_principal_minors(matrix: Mat) -> List[GaussianRational]:
     """
     if matrix.nrows != matrix.ncols:
         raise ValueError("principal minors of a non-square matrix")
-    reduction = _eliminate(matrix)
+    reduction = _eliminate(matrix, reduce_above=False)
     out: List[GaussianRational] = []
     scale = 1
     for k, (col, (value, swapped)) in enumerate(zip(reduction.pivots, reduction.steps)):
@@ -507,17 +552,19 @@ class Subspace:
 def complement_representatives(big: Subspace, small: Subspace) -> List[Row]:
     """Vectors of `big` completing a basis of `small` to one of `big`.
 
-    Greedy over the canonical rows of `big`, so the output is deterministic.
+    Greedy over the canonical rows of `big`: a row is kept when it is not
+    in the span of `small` and the rows before it.  Those are exactly the
+    pivot columns among the `big` columns of [small^T | big^T], so one
+    elimination picks them all.  The same elimination checks containment:
+    the rows of `big` are independent, so `small` lies in `big` exactly
+    when the rank of both together is dim `big`.
     """
-    if not big.contains_space(small):
+    big._check_ambient(small)
+    columns = Mat.from_rows(small.rows + big.rows, ncols=big.ambient_dim).transpose()
+    pivots = _eliminate(columns, reduce_above=False).pivots
+    if len(pivots) != big.dim:
         raise NotASubspace("complement requested inside a non-subspace")
-    current = small
-    out = []
-    for row in big.rows:
-        if not current.contains(row):
-            out.append(row)
-            current = current.sum(Subspace.from_vectors([row], big.ambient_dim))
-    return out
+    return [big.rows[c - small.dim] for c in pivots if c >= small.dim]
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence, Tuple, Union
+from typing import Callable, Iterator, Mapping, Sequence, Tuple, Union
 
 from .errors import (
     CoefficientParseError,
@@ -395,6 +395,12 @@ def _tokenize(text: str) -> Iterator[Tuple[str, str, int]]:
     yield ("end", "", size)
 
 
+# Parentheses and prefix signs nest at most this deep.  Each level costs
+# the recursive descent a handful of stack frames, so the limit keeps any
+# input well inside the interpreter's recursion limit.
+MAX_NESTING = 50
+
+
 class _Parser:
     """Recursive descent over the +,-,*,/,^ grammar with parentheses."""
 
@@ -403,6 +409,18 @@ class _Parser:
         self.params = tuple(params)
         self.tokens = list(_tokenize(text))
         self.index = 0
+        self.depth = 0
+
+    def nested(self, parse: Callable[[], ParamExpr], pos: int) -> ParamExpr:
+        """Run one nested parse, refusing nesting beyond MAX_NESTING."""
+        if self.depth == MAX_NESTING:
+            raise CoefficientParseError(
+                f"nesting deeper than {MAX_NESTING} levels at position {pos}"
+            )
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
 
     def peek(self) -> Tuple[str, str, int]:
         return self.tokens[self.index]
@@ -444,10 +462,10 @@ class _Parser:
                 return node
 
     def unary(self) -> ParamExpr:
-        kind, value, _ = self.peek()
+        kind, value, pos = self.peek()
         if kind == "op" and value in "+-":
             self.advance()
-            node = self.unary()
+            node = self.nested(self.unary, pos)
             return node if value == "+" else -node
         return self.power()
 
@@ -486,7 +504,7 @@ class _Parser:
                 f"declared parameters: {list(self.params) or 'none'}"
             )
         if kind == "op" and value == "(":
-            node = self.expression()
+            node = self.nested(self.expression, pos)
             kind, value, pos = self.advance()
             if not (kind == "op" and value == ")"):
                 raise CoefficientParseError(f"expected ')' at position {pos}")

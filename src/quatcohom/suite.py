@@ -446,8 +446,26 @@ def run_property_suite(
                  "closed (anti-)self-dual images split the middle cohomology",
                  self_dual_split))
 
+        hkt_outcome: list = []
+
+        def hkt_verdict():
+            """The HKT verdict, decided once for the two checks that read it.
+
+            An engine error is kept too and raised again, so both checks
+            fail with the same detail as when each decided on its own.
+            """
+            if not hkt_outcome:
+                try:
+                    hkt_outcome.append(hkt_existence(
+                        cx, mc, den_bound, coeff_bound, probe_limit))
+                except EngineError as exc:
+                    hkt_outcome.append(exc)
+            if isinstance(hkt_outcome[0], EngineError):
+                raise hkt_outcome[0]
+            return hkt_outcome[0]
+
         def three_way() -> Outcome:
-            verdict = hkt_existence(cx, mc, den_bound, coeff_bound, probe_limit)
+            verdict = hkt_verdict()
             return "pass", (
                 f"answer {'yes' if verdict.answer else 'no'} "
                 f"({verdict.method})"
@@ -458,7 +476,7 @@ def run_property_suite(
                  three_way))
 
         def sg_matches() -> Outcome:
-            hkt = hkt_existence(cx, mc, den_bound, coeff_bound, probe_limit)
+            hkt = hkt_verdict()
             sg = sg_existence(cx, mc, den_bound, coeff_bound, probe_limit)
             if hkt.answer != sg.answer:
                 return "fail", f"hkt {hkt.answer} vs strongly Gauduchon {sg.answer}"

@@ -1,10 +1,12 @@
 """Shared builders for the test suite.
 
 Houses the deliberately broken structures, the generators of validated
-random variants (coefficient scalings and rational coframe changes), the
-brute-force harness producing random double-differential complexes
-directly as matrices, and a reference Gauss-Jordan elimination on
-Gaussian rationals that the fraction-free kernel is checked against.
+random variants (coefficient scalings, rational coframe changes and
+direct sums), the brute-force harness producing random double-differential
+complexes directly as matrices, a reference Gauss-Jordan elimination and
+matrix product on Gaussian rationals that the fraction-free kernel is
+checked against, and a reference cohomology table computed by subspace
+arithmetic that the rank formulas are checked against.
 """
 
 from fractions import Fraction
@@ -12,9 +14,10 @@ from itertools import combinations
 from random import Random
 from typing import Dict, List, Sequence, Tuple
 
-from quatcohom import AlgebraSpec, GaussianRational, MatrixComplex
+from quatcohom import AlgebraSpec, CohomologyTable, GaussianRational, MatrixComplex
+from quatcohom.errors import InternalInconsistency, NotASubspace
 from quatcohom.exterior import Form
-from quatcohom.linalg import Mat, inverse
+from quatcohom.linalg import Mat, Row, Subspace, inverse, solve
 from quatcohom.model import instantiate
 from quatcohom.scalars import ONE, ZERO
 
@@ -101,6 +104,36 @@ def scaled_variant(spec: AlgebraSpec, factor: Fraction,
         _constant_matrix(spec, "i", bindings),
         _constant_matrix(spec, "j", bindings),
         name=f"{spec.name}-scaled",
+    )
+
+
+def direct_sum_spec(*specs: AlgebraSpec) -> AlgebraSpec:
+    """The direct sum of parameter-free structures.
+
+    Each summand's coframe is shifted past the earlier ones and I, J act
+    block-diagonally, so the sum is again hypercomplex and nilpotent.  A
+    sum with a torus R^{4k} is a product with a complex whose differentials
+    vanish, so every dimension row of the sum is the other summand's row
+    convolved with binomial(2k, .).
+    """
+    m = sum(spec.dimension for spec in specs)
+    structure: Dict[int, List[Tuple[int, int, Fraction]]] = {}
+    tables = {"i": [[Fraction(0)] * m for _ in range(m)],
+              "j": [[Fraction(0)] * m for _ in range(m)]}
+    offset = 0
+    for spec in specs:
+        for k, terms in spec.structure:
+            structure[k + offset] = [
+                (i + offset, j + offset, Fraction(c.constant_value().re))
+                for i, j, c in terms
+            ]
+        for which, table in tables.items():
+            for r, row in enumerate(_constant_matrix(spec, which)):
+                table[r + offset][offset:offset + spec.dimension] = row
+        offset += spec.dimension
+    return AlgebraSpec.create(
+        m, structure, tables["i"], tables["j"],
+        name="+".join(spec.name for spec in specs),
     )
 
 
@@ -298,3 +331,105 @@ def reference_minors(matrix: Mat) -> List[GaussianRational]:
         reference_det(Mat.from_rows([row[:k] for row in matrix.data[:k]], ncols=k))
         for k in range(1, matrix.nrows + 1)
     ]
+
+
+def reference_matmul(a: Mat, b: Mat) -> Mat:
+    """The textbook product, summed entry by entry in Gaussian rationals."""
+    return Mat(a.nrows, b.ncols, tuple(
+        tuple(sum((row[k] * b.data[k][j] for k in range(a.ncols)), ZERO)
+              for j in range(b.ncols))
+        for row in a.data
+    ))
+
+
+# ---------------------------------------------------------------------------
+# Reference cohomology: every column of the table by subspace arithmetic,
+# building, intersecting and summing the actual subspaces.  The engine reads
+# the same numbers off ranks, where the two exactness sums hold by algebra;
+# here they do not, so this is where the lattice operations stay checked.
+# ---------------------------------------------------------------------------
+
+
+def reference_complement_representatives(big: Subspace, small: Subspace) -> List[Row]:
+    """Greedy over the canonical rows of big, one containment test per row."""
+    if not big.contains_space(small):
+        raise NotASubspace("complement requested inside a non-subspace")
+    current = small
+    out = []
+    for row in big.rows:
+        if not current.contains(row):
+            out.append(row)
+            current = current.sum(Subspace.from_vectors([row], big.ambient_dim))
+    return out
+
+
+def reference_class_coords(mc: MatrixComplex, vector, p: int,
+                           reps: Dict[int, List]) -> Tuple:
+    """Page-one coordinates of one del-closed vector, by its own solve."""
+    rep_list = reps.get(p, [])
+    columns = list(rep_list) + list(mc.im_del(p).rows)
+    if not columns:
+        assert not any(x for x in vector)
+        return ()
+    solution = solve(Mat.from_rows(columns, ncols=mc.dim(p)).transpose(), vector)
+    if solution is None:
+        raise InternalInconsistency("vector outside ker del")
+    return solution[: len(rep_list)]
+
+
+def reference_e2(mc: MatrixComplex, p: int) -> int:
+    """dim E2 as the quotient of two subspaces.
+
+    Numerator: del-closed v with del_J v del-exact.  Denominator:
+    del-exact forms plus del_J of del-closed forms one degree down.
+    """
+    dp = mc.dim(p)
+    top_block = mc.delta(p).hstack(Mat.zeros(mc.dim(p + 1), dp))
+    bottom_block = mc.delta_j(p).hstack(-mc.delta(p))
+    stacked = top_block.vstack(bottom_block)
+    numerator = Subspace.from_vectors(
+        [vec[:dp] for vec in Subspace.kernel(stacked).rows], dp
+    )
+    pushed = [mc.delta_j(p - 1).apply(v) for v in mc.ker_del(p - 1).rows]
+    denominator = mc.im_del(p).sum(Subspace.from_vectors(pushed, dp))
+    return numerator.quotient_dim(denominator)
+
+
+def reference_table(mc: MatrixComplex) -> CohomologyTable:
+    """The cohomology table of mc by subspace arithmetic alone."""
+    degrees = range(mc.top + 1)
+    h_del = [mc.ker_del(p).quotient_dim(mc.im_del(p)) for p in degrees]
+    h_delj = [mc.ker_delj(p).quotient_dim(mc.im_delj(p)) for p in degrees]
+    h_bc = [mc.ker_del(p).intersect(mc.ker_delj(p)).quotient_dim(mc.im_ddj(p))
+            for p in degrees]
+    h_ae = [mc.ker_ddj(p).quotient_dim(mc.im_del(p).sum(mc.im_delj(p)))
+            for p in degrees]
+    var = []
+    for p in degrees:
+        im_ddj, ker_ddj = mc.im_ddj(p), mc.ker_ddj(p)
+        var.append((
+            mc.im_del(p).intersect(mc.im_delj(p)).quotient_dim(im_ddj),
+            mc.ker_del(p).intersect(mc.im_delj(p)).quotient_dim(im_ddj),
+            ker_ddj.quotient_dim(mc.ker_del(p).sum(mc.im_delj(p))),
+            mc.im_del(p).intersect(mc.ker_delj(p)).quotient_dim(im_ddj),
+            ker_ddj.quotient_dim(mc.im_del(p).sum(mc.ker_delj(p))),
+            ker_ddj.quotient_dim(mc.ker_del(p).sum(mc.ker_delj(p))),
+        ))
+    e2 = [reference_e2(mc, p) for p in degrees]
+    return CohomologyTable(
+        top_degree=mc.top,
+        quaternionic_dim=mc.quaternionic_dim,
+        h_del=tuple(h_del),
+        h_delj=tuple(h_delj),
+        h_bc=tuple(h_bc),
+        h_ae=tuple(h_ae),
+        a=tuple(v[0] for v in var),
+        b=tuple(v[1] for v in var),
+        c=tuple(v[2] for v in var),
+        d=tuple(v[3] for v in var),
+        e=tuple(v[4] for v in var),
+        f=tuple(v[5] for v in var),
+        dim_e1=tuple(h_del),
+        dim_e2=tuple(e2),
+        delta=tuple(h_bc[p] + h_ae[p] - 2 * e2[p] for p in degrees),
+    )

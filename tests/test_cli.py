@@ -177,3 +177,43 @@ def test_theorem_violation_maps_to_exit_three(capsys, monkeypatch):
     code, _, err = run(capsys, "report", "example1")
     assert code == 3
     assert "cross-check failed" in err
+
+
+def test_file_that_is_not_utf8_exits_two(capsys, tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + serialize_spec(load_corpus("example1")).encode("utf-16-le"))
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: not valid UTF-8: invalid start byte at byte 0\n"
+
+
+@pytest.mark.parametrize("coeff", ["(" * 5000 + "1" + ")" * 5000, "-" * 5000 + "1"])
+def test_deeply_nested_coefficient_exits_two(capsys, tmp_path, coeff):
+    doc = json.loads(serialize_spec(load_corpus("example1")))
+    doc["structure"][0]["terms"][0]["coeff"] = coeff
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == ("error: structure[0].terms[0].coeff: "
+                   "nesting deeper than 50 levels at position 50\n")
+
+
+def test_nesting_up_to_the_limit_accepted(capsys, tmp_path):
+    doc = json.loads(serialize_spec(load_corpus("example1")))
+    doc["structure"][0]["terms"][0]["coeff"] = "(" * 50 + "1" + ")" * 50
+    path = tmp_path / "nested.json"
+    path.write_text(json.dumps(doc))
+    code, _, _ = run(capsys, "validate", str(path))
+    assert code == 0
+
+
+def test_deeply_nested_json_exits_two(capsys, tmp_path):
+    path = tmp_path / "arrays.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: not valid JSON: nested too deeply\n"

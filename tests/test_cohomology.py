@@ -2,6 +2,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quatcohom import (
     MatrixComplex,
@@ -12,13 +13,16 @@ from quatcohom import (
     non_hkt_degrees,
 )
 from quatcohom.exterior import Form
-from quatcohom.linalg import Mat
+from quatcohom.linalg import Mat, complement_representatives
 
 from support import (
     coframe_variant,
     direct_sum_complex,
+    direct_sum_spec,
     random_double_complex,
     random_gl,
+    reference_class_coords,
+    reference_table,
     scaled_variant,
 )
 
@@ -195,3 +199,98 @@ def test_lemma_equivalence_is_cross_checked(corpus_sessions):
         want = expected[session.spec.name]
         if want is not None:
             assert value is want
+
+
+# -- the rank formulas against subspace arithmetic ---------------------------
+
+
+def _assert_matches_reference(mc):
+    ref = reference_table(mc)
+    for p in range(mc.top + 1):
+        # by subspaces the exactness sums are theorems, not identities
+        assert ref.a[p] - ref.b[p] + ref.h_del[p] - ref.h_ae[p] + ref.c[p] == 0
+        assert ref.d[p] - ref.h_bc[p] + ref.h_del[p] - ref.e[p] + ref.f[p] == 0
+    assert mc.table() == ref
+
+
+complexes = st.builds(
+    lambda seed, k, conjugate: random_double_complex(Random(seed), k, conjugate),
+    st.integers(0, 10**6), st.integers(2, 4), st.booleans(),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(complexes)
+def test_table_matches_subspace_reference(mc):
+    _assert_matches_reference(mc)
+
+
+@settings(max_examples=10, deadline=None)
+@given(complexes)
+def test_table_matches_subspace_reference_with_one_zero_differential(mc):
+    zeros = [Mat.zeros(mc.dim(p + 1), mc.dim(p)) for p in range(mc.top)]
+    dels = [mc.delta(p) for p in range(mc.top)]
+    _assert_matches_reference(MatrixComplex(mc.dims, dels, zeros))
+    _assert_matches_reference(MatrixComplex(mc.dims, zeros, dels))
+
+
+@settings(max_examples=10, deadline=None)
+@given(complexes, st.integers(0, 10**6), st.booleans())
+def test_table_matches_subspace_reference_on_direct_sums(mc, seed, conjugate):
+    other = random_double_complex(Random(seed), mc.top, conjugate)
+    _assert_matches_reference(direct_sum_complex(mc, other))
+
+
+def test_table_matches_subspace_reference_on_corpus(corpus_sessions):
+    for session in corpus_sessions:
+        _assert_matches_reference(session.mc)
+
+
+@settings(max_examples=20, deadline=None)
+@given(complexes, st.integers(0, 10**6))
+def test_page_one_coordinates_match_per_vector_solves(mc, seed):
+    rng = Random(seed)
+    reps = {p: complement_representatives(mc.ker_del(p), mc.im_del(p))
+            for p in range(mc.top + 1)}
+    for p in range(mc.top + 1):
+        closed = Mat.from_rows(mc.ker_del(p).rows, ncols=mc.dim(p))
+        vectors = [mc.delta_j(p - 1).apply(v) for v in reps.get(p - 1, [])]
+        vectors += list(closed.data)
+        for _ in range(2 if closed.nrows else 0):
+            weights = [rng.randint(-2, 2) for _ in range(closed.nrows)]
+            vectors.append(closed.transpose().apply(weights))
+        assert mc._class_coords(vectors, p, reps) == [
+            reference_class_coords(mc, v, p, reps) for v in vectors
+        ]
+
+
+# -- real dimension 16: a product with a torus --------------------------------
+
+
+def _binomial_row(n):
+    row = [1]
+    for _ in range(n):
+        row = [a + b for a, b in zip([0] + row, row + [0])]
+    return row
+
+
+def _convolve(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+def test_product_with_torus_convolves_every_row(ex1):
+    # example1 + R^8 is example1's complex tensored with one whose
+    # differentials vanish, so every rank, and so every row, convolves
+    # with the torus's (p,0) dimensions binomial(4, p)
+    spec = direct_sum_spec(load_corpus("example1"), load_corpus("torus8"))
+    table = ReportSession(spec).mc.table()
+    small = ex1.mc.table()
+    torus = _binomial_row(4)
+    assert table.h_bc == (1, 6, 19, 40, 56, 50, 27, 8, 1)
+    for column in ("h_del", "h_delj", "h_bc", "h_ae", "a", "b", "c", "d",
+                   "e", "f", "dim_e1", "dim_e2", "delta"):
+        assert getattr(table, column) == _convolve(getattr(small, column), torus)

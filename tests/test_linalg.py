@@ -26,7 +26,9 @@ from quatcohom.linalg import (
 
 from support import (
     random_double_complex,
+    reference_complement_representatives,
     reference_det,
+    reference_matmul,
     reference_minors,
     reference_rref,
 )
@@ -287,3 +289,64 @@ def test_inexact_division_is_an_internal_inconsistency():
         _exact_quotient([3, 1], [0, -1], 2, 0)
     with pytest.raises(InternalInconsistency):
         _exact_quotient([1], [0], 1, 1)
+
+
+@st.composite
+def products(draw, values=sparse_entries, max_side=5):
+    """Two matrices that can be multiplied, any shapes from zero up."""
+    n, k, m = (draw(st.integers(0, max_side)) for _ in range(3))
+    a = [[draw(values) for _ in range(k)] for _ in range(n)]
+    b = [[draw(values) for _ in range(m)] for _ in range(k)]
+    return Mat.from_rows(a, ncols=k), Mat.from_rows(b, ncols=m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(products(), products(values=huge_entries, max_side=4)))
+def test_product_matches_reference(pair):
+    a, b = pair
+    assert a @ b == reference_matmul(a, b)
+    for column in b.columns():
+        assert a.apply(column) == reference_matmul(a, Mat.column(column)).col(0)
+
+
+def vectors(amb, max_size):
+    return st.lists(st.lists(sparse_entries, min_size=amb, max_size=amb),
+                    max_size=max_size)
+
+
+@st.composite
+def nested_subspaces(draw):
+    """A subspace, a subspace of it, and an arbitrary one, in one ambient."""
+    amb = draw(st.integers(0, 5))
+    big = Subspace.from_vectors(draw(vectors(amb, 5)), amb)
+    basis = Mat.from_rows(big.rows, ncols=amb).transpose()
+    inner = [basis.apply(w) for w in draw(vectors(big.dim, 3))]
+    return (big, Subspace.from_vectors(inner, amb),
+            Subspace.from_vectors(draw(vectors(amb, 3)), amb))
+
+
+@settings(max_examples=80, deadline=None)
+@given(nested_subspaces())
+def test_complement_matches_greedy_reference(spaces):
+    big, small_space, other = spaces
+    assert complement_representatives(big, small_space) == \
+        reference_complement_representatives(big, small_space)
+    if big.contains_space(other):
+        assert complement_representatives(big, other) == \
+            reference_complement_representatives(big, other)
+    else:
+        with pytest.raises(NotASubspace):
+            complement_representatives(big, other)
+        with pytest.raises(NotASubspace):
+            reference_complement_representatives(big, other)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, 10**6), st.integers(2, 4), st.booleans())
+def test_complement_matches_greedy_reference_on_complexes(seed, k, conjugate):
+    mc = random_double_complex(Random(seed), k=k, conjugate=conjugate)
+    for p in range(k + 1):
+        for big, small_space in ((mc.ker_del(p), mc.im_del(p)),
+                                 (mc.ker_ddj(p), mc.im_del(p).sum(mc.im_delj(p)))):
+            assert complement_representatives(big, small_space) == \
+                reference_complement_representatives(big, small_space)

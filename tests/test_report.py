@@ -53,3 +53,39 @@ def test_table_mode_renders_without_loss():
     assert "property suite:" in text
     for entry in doc["suite"]:
         assert entry["name"] in text
+
+
+def _suite_with_counted_hkt(monkeypatch, session, verdict):
+    import quatcohom.suite as suite
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return verdict(*args)
+
+    monkeypatch.setattr(suite, "hkt_existence", counted)
+    results = suite.run_property_suite(session.cx, session.mc, session.sl)
+    return {r.name: r for r in results}, len(calls)
+
+
+def test_suite_decides_hkt_once(monkeypatch, ex1):
+    from quatcohom.suite import hkt_existence
+
+    results, calls = _suite_with_counted_hkt(monkeypatch, ex1, hkt_existence)
+    assert calls == 1
+    assert results["hkt-three-way"].detail == "answer no (delta2-criterion)"
+    assert results["sg-equivalence"].detail == "both no"
+
+
+def test_suite_shares_an_hkt_failure(monkeypatch, ex1):
+    from quatcohom.errors import TheoremViolation
+
+    def broken(*args):
+        raise TheoremViolation("middle defect disagrees")
+
+    results, calls = _suite_with_counted_hkt(monkeypatch, ex1, broken)
+    assert calls == 1
+    for name in ("hkt-three-way", "sg-equivalence"):
+        assert results[name].status == "fail"
+        assert results[name].detail == "TheoremViolation: middle defect disagrees"
