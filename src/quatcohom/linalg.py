@@ -8,7 +8,11 @@ All elimination goes through one routine, `_eliminate`: fraction-free
 Gauss-Jordan elimination (Bareiss) on Gaussian integers.  Each row is
 multiplied once by the lcm of its denominators and held as two lists of
 plain ints, real and imaginary parts; every step divides exactly in Z[i],
-and Gaussian rationals are built again only for the result.  `rref`,
+and Gaussian rationals are built again only for the result.  Entries
+are read as integers through `GaussianRational.numerator` (the Gaussian
+integer a + b*i) and `denominator` (the positive d of (a + b*i)/d), and
+results are built through `GaussianRational.from_integers`, which
+brings them to lowest terms.  `rref`,
 `rank`, `right_nullspace`, `solve`, `inverse`, `det` and
 `leading_principal_minors` are all read off that routine; `rank`, `det`
 and the minors need only the pivots and their values, so they skip the
@@ -27,7 +31,6 @@ result.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm, prod
 from typing import Iterable, List, NamedTuple, Sequence, Tuple
 
@@ -142,21 +145,19 @@ class Mat:
         # denominators by its own lcm and all of other by one lcm, so each
         # output entry is one Gaussian integer over the product of the two.
         b_rows = [_nonzero_entries(row) for row in other.data]
-        b_scale = lcm(*(x.denominator for row in b_rows for _, re, im in row
-                        for x in (re, im)))
-        b_rows = [[(j, re.numerator * (b_scale // re.denominator),
-                    im.numerator * (b_scale // im.denominator))
-                   for j, re, im in row] for row in b_rows]
+        b_scale = lcm(*(d for row in b_rows for _, _, d in row))
+        b_rows = [[(j, a * (b_scale // d), b * (b_scale // d))
+                   for j, (a, b), d in row] for row in b_rows]
         n = other.ncols
         rows = []
         for row in self.data:
             a_row = _nonzero_entries(row)
-            a_scale = lcm(*(x.denominator for _, re, im in a_row for x in (re, im)))
+            a_scale = lcm(*(d for _, _, d in a_row))
             acc_re = [0] * n
             acc_im = [0] * n
-            for k, re, im in a_row:
-                ar = re.numerator * (a_scale // re.denominator)
-                ai = im.numerator * (a_scale // im.denominator)
+            for k, (a, b), d in a_row:
+                ar = a * (a_scale // d)
+                ai = b * (a_scale // d)
                 for j, br, bi in b_rows[k]:
                     acc_re[j] += ar * br - ai * bi
                     acc_im[j] += ar * bi + ai * br
@@ -231,20 +232,20 @@ class _Reduction(NamedTuple):
     scales: List[int]  # the positive integer each input row was multiplied by
 
 
-def _nonzero_entries(row: Row) -> List[Tuple[int, Fraction, Fraction]]:
-    """(column, real part, imaginary part) of each nonzero entry."""
-    return [(j, x.re, x.im) for j, x in enumerate(row) if x.re or x.im]
+def _nonzero_entries(row: Row) -> List[Tuple[int, _GaussInt, int]]:
+    """(column, numerator, denominator) of each nonzero entry."""
+    return [(j, x.numerator, x.denominator) for j, x in enumerate(row) if x]
 
 
 def _integer_row(row: Row) -> Tuple[int, _IntRow]:
     """The row times the lcm of its denominators, split into re and im."""
     entries = _nonzero_entries(row)
-    scale = lcm(*(x.denominator for _, re, im in entries for x in (re, im)))
+    scale = lcm(*(d for _, _, d in entries))
     re_part = [0] * len(row)
     im_part = [0] * len(row)
-    for j, re, im in entries:
-        re_part[j] = re.numerator * (scale // re.denominator)
-        im_part[j] = im.numerator * (scale // im.denominator)
+    for j, (a, b), d in entries:
+        re_part[j] = a * (scale // d)
+        im_part[j] = b * (scale // d)
     return scale, (re_part, im_part)
 
 
@@ -339,7 +340,7 @@ def _quotient(value: _GaussInt, by: _GaussInt) -> GaussianRational:
         a, b, c = a * c + b * d, b * c - a * d, c * c + d * d
     if not (a or b):
         return ZERO
-    return GaussianRational(Fraction(a, c), Fraction(b, c))
+    return GaussianRational.from_integers(a, b, c)
 
 
 def rref(matrix: Mat) -> Tuple[Mat, List[int]]:

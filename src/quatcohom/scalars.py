@@ -1,11 +1,17 @@
 """Exact scalar arithmetic: Gaussian rationals and parametric coefficients.
 
 All arithmetic in the engine is exact.  Plain scalars live in Q(i) and are
-stored as a pair of `fractions.Fraction` values, which keeps every number
-in lowest terms with a positive denominator by construction.  Coefficients
-read from input files may mention declared formal parameters; those are
-kept symbolically as a ratio of polynomials and only turned into Gaussian
-rationals once a rational value is bound to every parameter.
+stored as one Gaussian integer over one positive integer, (a + b*i)/d with
+gcd(a, b, d) = 1.  That form is canonical, so equality compares three ints,
+and each ring operation is integer arithmetic followed by at most one gcd;
+`Fraction` values are built only when the real or imaginary part is asked
+for.  Other modules read a scalar's integers through `numerator` and
+`denominator` and build one from integers through `from_integers`.
+
+Coefficients read from input files may mention declared formal
+parameters; those are kept symbolically as a ratio of polynomials and
+only turned into Gaussian rationals once a rational value is bound to
+every parameter.
 
 The accepted literal syntax is small: integers, fractions ``p/q``, the
 imaginary unit ``i``, declared parameter names, the four arithmetic
@@ -16,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable, Iterator, Mapping, Sequence, Tuple, Union
 
 from .errors import (
@@ -37,32 +44,83 @@ def _as_fraction(value: RationalLike) -> Fraction:
     raise TypeError(f"expected a rational value, got {value!r}")
 
 
-@dataclass(frozen=True, eq=False)
 class GaussianRational:
-    """An element of Q(i), held as exact real and imaginary parts."""
+    """An element of Q(i), held as (a + b*i)/d in lowest terms.
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    a, b and d are plain ints with d > 0 and gcd(a, b, d) = 1, so the form
+    is canonical: two values are equal exactly when their three ints are,
+    and zero is 0/1.  `numerator` and `denominator` give the Gaussian
+    integer a + b*i and the integer d; `re` and `im` give the real and
+    imaginary parts as `Fraction`s.  Instances are immutable.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "re", _as_fraction(self.re))
-        object.__setattr__(self, "im", _as_fraction(self.im))
+    __slots__ = ("_a", "_b", "_d")
+
+    def __init__(self, re: RationalLike = 0, im: RationalLike = 0) -> None:
+        for part in (re, im):
+            if not isinstance(part, (int, Fraction)):
+                raise TypeError(f"expected a rational value, got {part!r}")
+        # Both parts are in lowest terms, so over the lcm of their
+        # denominators gcd(a, b, d) = 1 already.
+        p, q = re.denominator, im.denominator
+        d = lcm(p, q)
+        _set_a(self, re.numerator * (d // p))
+        _set_b(self, im.numerator * (d // q))
+        _set_d(self, d)
+
+    @staticmethod
+    def from_integers(a: int, b: int, d: int) -> "GaussianRational":
+        """(a + b*i)/d, brought to lowest terms with a positive denominator."""
+        if not d:
+            raise DivisionByZero("zero denominator in Q(i)")
+        if d < 0:
+            a, b, d = -a, -b, -d
+        return _reduced(a, b, d)
+
+    @property
+    def numerator(self) -> Tuple[int, int]:
+        """The Gaussian integer a + b*i of (a + b*i)/d, as the pair (a, b)."""
+        return self._a, self._b
+
+    @property
+    def denominator(self) -> int:
+        """The positive integer d of (a + b*i)/d."""
+        return self._d
+
+    @property
+    def re(self) -> Fraction:
+        """The real part a/d."""
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        """The imaginary part b/d."""
+        return Fraction(self._b, self._d)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"GaussianRational is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"GaussianRational is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        return GaussianRational, (self.re, self.im)
 
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not (self._a or self._b)
 
     def is_real(self) -> bool:
-        return not self.im
+        return not self._b
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return bool(self._a or self._b)
 
     # -- involutions -------------------------------------------------------
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _canonical(self._a, -self._b, self._d)
 
     # -- ring operations ---------------------------------------------------
 
@@ -71,95 +129,144 @@ class GaussianRational:
         if isinstance(value, GaussianRational):
             return value
         if isinstance(value, (int, Fraction)):
-            return GaussianRational(_as_fraction(value))
+            return _canonical(value.numerator, 0, value.denominator)
         return NotImplemented  # type: ignore[return-value]
 
     def __add__(self, other: ScalarLike) -> "GaussianRational":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        d, f = self._d, other._d
+        if d == f:
+            return _reduced(self._a + other._a, self._b + other._b, d)
+        return _reduced(self._a * f + other._a * d, self._b * f + other._b * d,
+                        d * f)
 
     __radd__ = __add__
 
     def __sub__(self, other: ScalarLike) -> "GaussianRational":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        d, f = self._d, other._d
+        if d == f:
+            return _reduced(self._a - other._a, self._b - other._b, d)
+        return _reduced(self._a * f - other._a * d, self._b * f - other._b * d,
+                        d * f)
 
     def __rsub__(self, other: ScalarLike) -> "GaussianRational":
-        other = self._coerce(other)
+        other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return other - self
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
+        return _canonical(-self._a, -self._b, self._d)
 
     def __mul__(self, other: ScalarLike) -> "GaussianRational":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if not self.im and not other.im:
-            return GaussianRational(self.re * other.re)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b, c, e = self._a, self._b, other._a, other._b
+        if not (b or e):
+            return _reduced(a * c, 0, self._d * other._d)
+        return _reduced(a * c - b * e, a * e + b * c, self._d * other._d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "GaussianRational":
-        norm = self.re * self.re + self.im * self.im
+        a, b, d = self._a, self._b, self._d
+        norm = a * a + b * b
         if not norm:
             raise DivisionByZero("inverse of zero in Q(i)")
-        return GaussianRational(self.re / norm, -self.im / norm)
+        return _reduced(a * d, -b * d, norm)
 
     def __truediv__(self, other: ScalarLike) -> "GaussianRational":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b, c, e, f = self._a, self._b, other._a, other._b, other._d
+        if e:
+            # multiply through by the conjugate of c + e*i
+            norm = c * c + e * e
+            return _reduced((a * c + b * e) * f, (b * c - a * e) * f,
+                            self._d * norm)
+        if not c:
+            raise DivisionByZero("inverse of zero in Q(i)")
+        if c < 0:
+            c, f = -c, -f
+        return _reduced(a * f, b * f, self._d * c)
 
     def __rtruediv__(self, other: ScalarLike) -> "GaussianRational":
-        other = self._coerce(other)
+        other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other * self.inverse()
+        return other / self
 
     # -- equality and display ----------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, GaussianRational):
-            return self.re == other.re and self.im == other.im
+            return (self._a == other._a and self._b == other._b
+                    and self._d == other._d)
         if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
+            return (not self._b and self._a == other.numerator
+                    and self._d == other.denominator)
         return NotImplemented
 
     def __hash__(self) -> int:
-        if not self.im:
-            return hash(self.re)
+        if not self._b:
+            return hash(self._a) if self._d == 1 else hash(self.re)
         return hash((self.re, self.im))
 
     def __str__(self) -> str:
-        if not self.im:
-            return str(self.re)
-        if self.im == 1:
+        re, im = self.re, self.im
+        if not im:
+            return str(re)
+        if im == 1:
             imag = "i"
-        elif self.im == -1:
+        elif im == -1:
             imag = "-i"
         else:
-            imag = f"{self.im}*i"
-        if not self.re:
+            imag = f"{im}*i"
+        if not re:
             return imag
-        sign = "+" if self.im > 0 else "-"
-        mag = abs(self.im)
+        sign = "+" if im > 0 else "-"
+        mag = abs(im)
         imag = "i" if mag == 1 else f"{mag}*i"
-        return f"{self.re}{sign}{imag}"
+        return f"{re}{sign}{imag}"
 
     def __repr__(self) -> str:
         return f"GaussianRational({self.re!r}, {self.im!r})"
+
+
+_new = object.__new__
+_set_a = GaussianRational._a.__set__  # type: ignore[attr-defined]
+_set_b = GaussianRational._b.__set__  # type: ignore[attr-defined]
+_set_d = GaussianRational._d.__set__  # type: ignore[attr-defined]
+_coerce = GaussianRational._coerce
+
+
+def _canonical(a: int, b: int, d: int) -> GaussianRational:
+    """The value (a + b*i)/d of three ints already in canonical form."""
+    value = _new(GaussianRational)
+    _set_a(value, a)
+    _set_b(value, b)
+    _set_d(value, d)
+    return value
+
+
+def _reduced(a: int, b: int, d: int) -> GaussianRational:
+    """(a + b*i)/d for d > 0, divided through by gcd(a, b, d)."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
+    return _canonical(a, b, d)
 
 
 ZERO = GaussianRational()
@@ -400,6 +507,11 @@ def _tokenize(text: str) -> Iterator[Tuple[str, str, int]]:
 # input well inside the interpreter's recursion limit.
 MAX_NESTING = 50
 
+# Exponents are at most this large in absolute value.  Powers are expanded
+# into polynomials whose size and coefficients grow with the exponent, so
+# the limit bounds the work one literal can ask for.
+MAX_EXPONENT = 64
+
 
 class _Parser:
     """Recursive descent over the +,-,*,/,^ grammar with parentheses."""
@@ -479,6 +591,7 @@ class _Parser:
 
     def exponent(self) -> int:
         kind, value, pos = self.advance()
+        start = pos
         negative = False
         if kind == "op" and value == "-":
             negative = True
@@ -488,6 +601,11 @@ class _Parser:
                 f"exponent must be an integer literal at position {pos}"
             )
         n = int(value)
+        if n > MAX_EXPONENT:
+            raise CoefficientParseError(
+                f"exponent {'-' if negative else ''}{n} at position {start} "
+                f"exceeds {MAX_EXPONENT} in absolute value"
+            )
         return -n if negative else n
 
     def atom(self) -> ParamExpr:

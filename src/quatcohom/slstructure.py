@@ -16,7 +16,7 @@ in complex dimensions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -96,6 +96,8 @@ class SLStructure:
         self.cx = cx
         self.mc = mc if mc is not None else MatrixComplex.from_quaternionic(cx)
         self._stars: Dict[int, Mat] = {}
+        self._sd_asd: Optional[Tuple[int, int, bool]] = None
+        self._jbar: Optional[DecompositionReport] = None
         self._top_mono = tuple(range(cx.dimension))
         self.phi = Form.monomial(tuple(range(cx.half)))
         self.phi_bar = cx.conj(self.phi)
@@ -247,7 +249,13 @@ class SLStructure:
 
         Only available in quaternionic dimension 2, where the star squares
         to +1 on (2,0) and splits it into honest complex eigenspaces.
+        Computed once per structure.
         """
+        if self._sd_asd is None:
+            self._sd_asd = self._decompose_sd_asd()
+        return self._sd_asd
+
+    def _decompose_sd_asd(self) -> Tuple[int, int, bool]:
         if self.cx.n != 2:
             raise NotSL2(
                 f"the middle self-dual decomposition needs quaternionic "
@@ -287,8 +295,13 @@ class SLStructure:
 
         The plus and minus loci are swapped into each other by i, so both
         have equal real dimension; the supports of purity and fullness are
-        the complex intersection and sum.
+        the complex intersection and sum.  Computed once per structure.
         """
+        if self._jbar is None:
+            self._jbar = self._decompose_jbar()
+        return self._jbar
+
+    def _decompose_jbar(self) -> DecompositionReport:
         cx = self.cx
         ambient = len(cx.hol_basis(2))
         ker_real = self._realified_complex_subspace(self.mc.ker_del(2))
@@ -346,22 +359,8 @@ class SLStructure:
         if self.cx.n != 2:
             return report
         dim_plus, dim_minus, direct = self.sd_asd_decomposition()
-        return DecompositionReport(
-            phi_plus_dim=dim_plus,
-            phi_minus_dim=dim_minus,
-            phi_direct=direct,
-            jbar_plus_real_dim=report.jbar_plus_real_dim,
-            jbar_minus_real_dim=report.jbar_minus_real_dim,
-            jbar_plus_dim=report.jbar_plus_dim,
-            jbar_minus_dim=report.jbar_minus_dim,
-            intersection_dim=report.intersection_dim,
-            sum_dim=report.sum_dim,
-            complement_dim=report.complement_dim,
-            pure=report.pure,
-            full=report.full,
-            representatives_plus=report.representatives_plus,
-            representatives_minus=report.representatives_minus,
-        )
+        return replace(report, phi_plus_dim=dim_plus, phi_minus_dim=dim_minus,
+                       phi_direct=direct)
 
     # -- the degree map on first Aeppli classes ------------------------------
 

@@ -3,19 +3,21 @@
 Houses the deliberately broken structures, the generators of validated
 random variants (coefficient scalings, rational coframe changes and
 direct sums), the brute-force harness producing random double-differential
-complexes directly as matrices, a reference Gauss-Jordan elimination and
-matrix product on Gaussian rationals that the fraction-free kernel is
-checked against, and a reference cohomology table computed by subspace
-arithmetic that the rank formulas are checked against.
+complexes directly as matrices, a reference Gaussian rational held as a
+pair of Fractions that the engine's scalar is checked against, a reference
+Gauss-Jordan elimination and matrix product on Gaussian rationals that the
+fraction-free kernel is checked against, and a reference cohomology table
+computed by subspace arithmetic that the rank formulas are checked against.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from random import Random
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple, Union
 
 from quatcohom import AlgebraSpec, CohomologyTable, GaussianRational, MatrixComplex
-from quatcohom.errors import InternalInconsistency, NotASubspace
+from quatcohom.errors import DivisionByZero, InternalInconsistency, NotASubspace
 from quatcohom.exterior import Form
 from quatcohom.linalg import Mat, Row, Subspace, inverse, solve
 from quatcohom.model import instantiate
@@ -265,6 +267,148 @@ def direct_sum_complex(a: MatrixComplex, b: MatrixComplex) -> MatrixComplex:
     del_mats = [block(a.delta(p), b.delta(p)) for p in range(a.top)]
     delj_mats = [block(a.delta_j(p), b.delta_j(p)) for p in range(a.top)]
     return MatrixComplex(dims, del_mats, delj_mats)
+
+
+# ---------------------------------------------------------------------------
+# Reference scalar: Q(i) as a pair of normalised Fractions, the engine's
+# former representation.  Every operation of quatcohom's GaussianRational
+# is checked against it.
+# ---------------------------------------------------------------------------
+
+_ReferenceScalar = Union[int, Fraction, "ReferenceGaussianRational"]
+
+
+def _as_fraction(value) -> Fraction:
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    raise TypeError(f"expected a rational value, got {value!r}")
+
+
+@dataclass(frozen=True, eq=False)
+class ReferenceGaussianRational:
+    """An element of Q(i) as a pair of Fractions: the engine's former scalar."""
+
+    re: Fraction = Fraction(0)
+    im: Fraction = Fraction(0)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "re", _as_fraction(self.re))
+        object.__setattr__(self, "im", _as_fraction(self.im))
+
+    # -- predicates --------------------------------------------------------
+
+    def is_zero(self) -> bool:
+        return not self.re and not self.im
+
+    def is_real(self) -> bool:
+        return not self.im
+
+    def __bool__(self) -> bool:
+        return not self.is_zero()
+
+    # -- involutions -------------------------------------------------------
+
+    def conjugate(self) -> "ReferenceGaussianRational":
+        return ReferenceGaussianRational(self.re, -self.im)
+
+    # -- ring operations ---------------------------------------------------
+
+    @staticmethod
+    def _coerce(value: _ReferenceScalar) -> "ReferenceGaussianRational":
+        if isinstance(value, ReferenceGaussianRational):
+            return value
+        if isinstance(value, (int, Fraction)):
+            return ReferenceGaussianRational(_as_fraction(value))
+        return NotImplemented  # type: ignore[return-value]
+
+    def __add__(self, other: _ReferenceScalar) -> "ReferenceGaussianRational":
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return ReferenceGaussianRational(self.re + other.re, self.im + other.im)
+
+    __radd__ = __add__
+
+    def __sub__(self, other: _ReferenceScalar) -> "ReferenceGaussianRational":
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return ReferenceGaussianRational(self.re - other.re, self.im - other.im)
+
+    def __rsub__(self, other: _ReferenceScalar) -> "ReferenceGaussianRational":
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other - self
+
+    def __neg__(self) -> "ReferenceGaussianRational":
+        return ReferenceGaussianRational(-self.re, -self.im)
+
+    def __mul__(self, other: _ReferenceScalar) -> "ReferenceGaussianRational":
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        if not self.im and not other.im:
+            return ReferenceGaussianRational(self.re * other.re)
+        return ReferenceGaussianRational(
+            self.re * other.re - self.im * other.im,
+            self.re * other.im + self.im * other.re,
+        )
+
+    __rmul__ = __mul__
+
+    def inverse(self) -> "ReferenceGaussianRational":
+        norm = self.re * self.re + self.im * self.im
+        if not norm:
+            raise DivisionByZero("inverse of zero in Q(i)")
+        return ReferenceGaussianRational(self.re / norm, -self.im / norm)
+
+    def __truediv__(self, other: _ReferenceScalar) -> "ReferenceGaussianRational":
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self * other.inverse()
+
+    def __rtruediv__(self, other: _ReferenceScalar) -> "ReferenceGaussianRational":
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other * self.inverse()
+
+    # -- equality and display ----------------------------------------------
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, ReferenceGaussianRational):
+            return self.re == other.re and self.im == other.im
+        if isinstance(other, (int, Fraction)):
+            return self.im == 0 and self.re == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        if not self.im:
+            return hash(self.re)
+        return hash((self.re, self.im))
+
+    def __str__(self) -> str:
+        if not self.im:
+            return str(self.re)
+        if self.im == 1:
+            imag = "i"
+        elif self.im == -1:
+            imag = "-i"
+        else:
+            imag = f"{self.im}*i"
+        if not self.re:
+            return imag
+        sign = "+" if self.im > 0 else "-"
+        mag = abs(self.im)
+        imag = "i" if mag == 1 else f"{mag}*i"
+        return f"{self.re}{sign}{imag}"
+
+    def __repr__(self) -> str:
+        return f"ReferenceGaussianRational({self.re!r}, {self.im!r})"
 
 
 # ---------------------------------------------------------------------------

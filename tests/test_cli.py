@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -210,6 +212,32 @@ def test_nesting_up_to_the_limit_accepted(capsys, tmp_path):
     assert code == 0
 
 
+def _example2_with_entry(tmp_path, coeff):
+    doc = json.loads(serialize_spec(load_corpus("example2")))
+    doc["I"][0][1] = coeff
+    path = tmp_path / "powers.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("power", ["65", "-65"])
+def test_exponent_beyond_the_limit_exits_two(capsys, tmp_path, power):
+    # t/(1-t) written through a power of 1+t
+    path = _example2_with_entry(tmp_path, f"t*(1+t)^{power}/((1-t)*(1+t)^{power})")
+    code, out, err = run(capsys, "validate", path, "--param", "t=1/3")
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: I[0][1]: exponent {power} at position 8 "
+                   "exceeds 64 in absolute value\n")
+
+
+@pytest.mark.parametrize("power", ["64", "-64"])
+def test_exponent_up_to_the_limit_accepted(capsys, tmp_path, power):
+    path = _example2_with_entry(tmp_path, f"t*(1+t)^{power}/((1-t)*(1+t)^{power})")
+    code, _, err = run(capsys, "validate", path, "--param", "t=1/3")
+    assert (code, err) == (0, "")
+
+
 def test_deeply_nested_json_exits_two(capsys, tmp_path):
     path = tmp_path / "arrays.json"
     path.write_text("[" * 100000 + "]" * 100000)
@@ -217,3 +245,17 @@ def test_deeply_nested_json_exits_two(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err == "error: not valid JSON: nested too deeply\n"
+
+
+# stdout digests of every subcommand on every bundled structure, recorded
+# at a commit whose outputs are known to be right; read only
+CORPUS_DIGESTS = json.loads(
+    (Path(__file__).resolve().parent.parent / "perfbench" / "corpus_digests.json")
+    .read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("label", sorted(CORPUS_DIGESTS))
+def test_corpus_output_byte_identical(capsys, label):
+    code, out, err = run(capsys, *label.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CORPUS_DIGESTS[label]

@@ -89,3 +89,21 @@ def test_suite_shares_an_hkt_failure(monkeypatch, ex1):
     for name in ("hkt-three-way", "sg-equivalence"):
         assert results[name].status == "fail"
         assert results[name].detail == "TheoremViolation: middle defect disagrees"
+
+
+def test_report_decomposes_the_middle_cohomology_once(monkeypatch):
+    from quatcohom.report import ReportSession, build_report_from_session
+    from quatcohom.slstructure import SLStructure
+
+    calls = {"_decompose_jbar": 0, "_decompose_sd_asd": 0}
+    for name in calls:
+        def counted(self, _name=name, _body=getattr(SLStructure, name)):
+            calls[_name] += 1
+            return _body(self)
+
+        monkeypatch.setattr(SLStructure, name, counted)
+    session = ReportSession(load_corpus("example1"))
+    doc = build_report_from_session(session)
+    # the suite and the decomposition section read the same results
+    assert calls == {"_decompose_jbar": 1, "_decompose_sd_asd": 1}
+    assert doc["decomposition"]["self_dual"]["plus_dim"] == 2

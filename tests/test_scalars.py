@@ -1,10 +1,16 @@
+import copy
+import operator
+import pickle
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from quatcohom import GaussianRational, ParamExpr, parse_coefficient, parse_rational
 from quatcohom.errors import CoefficientParseError, DivisionByZero, PoleAtBinding
+
+from support import ReferenceGaussianRational
 
 fractions = st.fractions(
     min_value=-100, max_value=100, max_denominator=12)
@@ -88,3 +94,123 @@ def test_real_fast_path_matches_general_product(a, b):
     assert x * y == GaussianRational(a * b)
     assert (x * GaussianRational(0, 1)) * (y * GaussianRational(0, 1)) == \
         GaussianRational(-a * b)
+
+
+# ---------------------------------------------------------------------------
+# The scalar against the reference pair-of-Fractions implementation.
+# ---------------------------------------------------------------------------
+
+# small values hit zero, units and equal denominators; large ones carry
+# denominators up to 10^15 and numerators sharing factors with them
+parts = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2),
+                     Fraction(-3, 2), Fraction(2, 3)]),
+    st.builds(Fraction, st.integers(-10**18, 10**18), st.integers(1, 10**15)),
+)
+plain = st.one_of(parts, st.integers(-10**6, 10**6), st.sampled_from([0, 1, -1]))
+pairs = st.builds(lambda re, im: (GaussianRational(re, im),
+                                  ReferenceGaussianRational(re, im)),
+                  parts, parts)
+# an operand: a scalar with its reference twin, or an int or Fraction as is
+operands = st.one_of(pairs, plain.map(lambda x: (x, x)))
+
+
+def assert_matches(value, ref):
+    assert type(value) is GaussianRational
+    (a, b), d = value.numerator, value.denominator
+    assert d > 0 and gcd(a, b, d) == 1
+    assert (type(value.re), type(value.im)) == (Fraction, Fraction)
+    assert (value.re, value.im) == (ref.re, ref.im)
+
+
+OPERATORS = [operator.add, operator.sub, operator.mul, operator.truediv]
+
+
+@pytest.mark.parametrize("op", OPERATORS, ids=lambda op: op.__name__)
+@given(operands, operands)
+def test_binary_operators_match_reference(op, x, y):
+    (x, x_ref), (y, y_ref) = x, y
+    # int and Fraction operands on the left exercise the reflected operators
+    assume(isinstance(x, GaussianRational) or isinstance(y, GaussianRational))
+    try:
+        expected = op(x_ref, y_ref)
+    except DivisionByZero:
+        with pytest.raises(DivisionByZero):
+            op(x, y)
+        return
+    assert_matches(op(x, y), expected)
+
+
+@given(pairs)
+def test_unary_operations_match_reference(x):
+    x, ref = x
+    assert_matches(-x, -ref)
+    assert_matches(x.conjugate(), ref.conjugate())
+    if ref.is_zero():
+        for divide in (x.inverse, lambda: 1 / x, lambda: Fraction(1, 3) / x):
+            with pytest.raises(DivisionByZero):
+                divide()
+    else:
+        assert_matches(x.inverse(), ref.inverse())
+    assert (x.is_zero(), x.is_real(), bool(x)) == (ref.is_zero(), ref.is_real(), bool(ref))
+    assert str(x) == str(ref)
+    assert repr(x) == repr(ref).replace("ReferenceGaussianRational", "GaussianRational")
+    assert hash(x) == hash(ref)
+
+
+@given(pairs, operands)
+def test_equality_and_hash_match_reference(x, y):
+    (x, x_ref), (y, y_ref) = x, y
+    assert (x == y) == (x_ref == y_ref)
+    assert (y == x) == (y_ref == x_ref)
+    assert (x != y) == (x_ref != y_ref)
+    if x == y:
+        assert hash(x) == hash(y)
+    assert x == GaussianRational(x_ref.re, x_ref.im)
+
+
+@given(parts)
+def test_real_values_equal_and_hash_as_their_fraction(value):
+    x = GaussianRational(value)
+    assert x == value and value == x
+    assert hash(x) == hash(value)
+    if value.denominator == 1:
+        assert x == int(value) and hash(x) == hash(int(value))
+
+
+def test_equal_numerators_over_other_denominators_differ():
+    half = GaussianRational(Fraction(1, 2))
+    assert half != Fraction(1, 3) and Fraction(1, 3) != half
+    assert GaussianRational(1) != Fraction(1, 2) and half != 1
+
+
+@given(st.integers(-10**18, 10**18), st.integers(-10**18, 10**18),
+       st.integers(-10**15, 10**15))
+def test_from_integers_normalises(a, b, d):
+    if not d:
+        with pytest.raises(DivisionByZero):
+            GaussianRational.from_integers(a, b, d)
+        return
+    value = GaussianRational.from_integers(a, b, d)
+    assert_matches(value, ReferenceGaussianRational(Fraction(a, d), Fraction(b, d)))
+
+
+def test_constructor_takes_rationals_only():
+    assert GaussianRational() == 0 and GaussianRational(True) == 1
+    assert GaussianRational(re=Fraction(4, 6), im=3) == GaussianRational(Fraction(2, 3), 3)
+    for bad in (0.5, "1", None, GaussianRational(1)):
+        with pytest.raises(TypeError):
+            GaussianRational(bad)
+        with pytest.raises(TypeError):
+            GaussianRational(0, bad)
+
+
+def test_scalars_are_immutable():
+    x = GaussianRational(Fraction(1, 2), 3)
+    for name in ("re", "im", "numerator", "denominator", "_a", "_b", "_d", "other"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, 1)
+    with pytest.raises(AttributeError):
+        del x._a
+    assert x == GaussianRational(Fraction(1, 2), 3)
+    assert copy.deepcopy(x) == x and pickle.loads(pickle.dumps(x)) == x
