@@ -1,40 +1,42 @@
 """Small exact linear algebra over Q(i).
 
-Matrices are immutable, stored densely as tuples of row tuples of
-Gaussian rationals.  The sizes appearing in this engine are tiny (the
-largest spaces have dimension binomial(2n, p) for 4n at most 12).
+Matrices are immutable, stored as tuples of row tuples of Gaussian
+rationals.  Most of them are nearly all zeros: at real dimension 20 the
+operators hold one or two nonzero entries per row.
 
-All elimination goes through one routine, `_eliminate`: fraction-free
-Gauss-Jordan elimination (Bareiss) on Gaussian integers.  Each row is
-multiplied once by the lcm of its denominators and held as two lists of
-plain ints, real and imaginary parts; every step divides exactly in Z[i],
-and Gaussian rationals are built again only for the result.  Entries
-are read as integers through `GaussianRational.numerator` (the Gaussian
+All elimination goes through one routine, `_eliminate`: sparse
+fraction-free Gauss-Jordan elimination on Gaussian integers.  Each row is
+multiplied once by the lcm of its denominators and held as a dict from
+column to Gaussian integer (re, im), zeros left out.  The pivot of each
+column comes from the sparsest row that can supply it, and an update
+touches only the rows nonzero in the pivot column, and only their
+nonzero entries; each updated row is divided by its content in Z[i],
+which keeps the integers as small as Bareiss elimination's.  Entries are
+read as integers through `GaussianRational.numerator` (the Gaussian
 integer a + b*i) and `denominator` (the positive d of (a + b*i)/d), and
-results are built through `GaussianRational.from_integers`, which
-brings them to lowest terms.  `rref`,
-`rank`, `right_nullspace`, `solve`, `inverse`, `det` and
-`leading_principal_minors` are all read off that routine; `rank`, `det`
-and the minors need only the pivots and their values, so they skip the
-reduction above the pivots and build no reduced matrix.  The pivot of
-each column is the first row at or below the current one with a nonzero
-entry there.  That pivot rule, together with full reduction above pivots
-and scaling pivots to one, makes the reduced echelon form of a matrix
-canonical; subspaces are compared and hashed through it.
+results are built through `GaussianRational.from_integers`, which brings
+them to lowest terms.  `rref`, `rank`, `right_nullspace`, `solve`,
+`inverse`, `det`, `leading_principal_minors` and
+`complement_representatives` are all read off that routine; `rank`,
+`det` and the complement pick need only the pivots, so they skip the
+reduction above the pivots and build no reduced matrix.  Which row
+supplies a pivot does not change the pivot columns or the reduced
+echelon form, which is unique, so the reduced form is canonical;
+subspaces are compared and hashed through it.
 
 Products work the same way: `Mat.__matmul__` clears each operand of
 denominators once, accumulates in Gaussian integers over the nonzero
 entries, and builds one Gaussian rational per nonzero entry of the
 result.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm, prod
-from typing import Iterable, List, NamedTuple, Sequence, Tuple
+from itertools import chain
+from math import gcd, lcm, prod
+from typing import Dict, Iterable, List, NamedTuple, Sequence, Set, Tuple
 
-from .errors import InternalInconsistency, NotASubspace
+from .errors import NotASubspace
 from .scalars import ONE, ZERO, GaussianRational, ScalarLike
 
 Row = Tuple[GaussianRational, ...]
@@ -213,124 +215,188 @@ class Mat:
 
 # ---------------------------------------------------------------------------
 # Elimination.  Every routine below that reduces a matrix goes through
-# `_eliminate`, which works on Gaussian integers: each row is cleared of
-# denominators once and held as a list of real parts and a list of
-# imaginary parts, all plain ints.
+# `_eliminate`, which works on sparse rows of Gaussian integers: each row is
+# cleared of denominators once and held as a dict from column to (re, im),
+# with zero entries left out.
 # ---------------------------------------------------------------------------
 
 _GaussInt = Tuple[int, int]
-_IntRow = Tuple[List[int], List[int]]
+_SparseRow = Dict[int, _GaussInt]
 
 
 class _Reduction(NamedTuple):
-    # den times the reduced echelon form, pivot rows first; without
-    # reduce_above the entries above the pivots are left unreduced
-    rows: List[_IntRow]
-    pivots: List[int]  # pivot column of each elimination step
-    den: _GaussInt  # the value every pivot entry ends with; 1 without pivots
-    steps: List[Tuple[_GaussInt, bool]]  # pivot of each step, and whether a swap preceded it
+    # the pivot rows in step order; with reduce_above they are multiples
+    # of the rows of the reduced echelon form, without it the entries
+    # above the pivots are left unreduced
+    rows: List[_SparseRow]
+    pivots: List[int]  # pivot column of each step
+    sources: List[int]  # the input row that supplied each step's pivot
     scales: List[int]  # the positive integer each input row was multiplied by
+    # the multiplier p and the content g of every update that left a
+    # nonzero row: row <- (p * row - f * pivot_row) / g
+    updates: List[Tuple[_GaussInt, _GaussInt]]
 
 
 def _nonzero_entries(row: Row) -> List[Tuple[int, _GaussInt, int]]:
     """(column, numerator, denominator) of each nonzero entry."""
-    return [(j, x.numerator, x.denominator) for j, x in enumerate(row) if x]
+    # most zero entries are the shared ZERO, which the identity test
+    # passes over without a method call
+    return [(j, x.numerator, x.denominator) for j, x in enumerate(row)
+            if x is not ZERO and x]
 
 
-def _integer_row(row: Row) -> Tuple[int, _IntRow]:
-    """The row times the lcm of its denominators, split into re and im."""
+def _integer_row(row: Row) -> Tuple[int, _SparseRow]:
+    """The row times the lcm of its denominators, as a sparse row."""
     entries = _nonzero_entries(row)
     scale = lcm(*(d for _, _, d in entries))
-    re_part = [0] * len(row)
-    im_part = [0] * len(row)
-    for j, (a, b), d in entries:
-        re_part[j] = a * (scale // d)
-        im_part[j] = b * (scale // d)
-    return scale, (re_part, im_part)
+    if scale == 1:
+        return 1, {j: x for j, x, _ in entries}
+    return scale, {j: (a * (scale // d), b * (scale // d))
+                   for j, (a, b), d in entries}
 
 
-def _exact_quotient(re: List[int], im: List[int], dr: int, di: int) -> _IntRow:
-    """Divide a row by dr + di*i, which must divide every entry in Z[i]."""
-    if di:
-        # multiply by the conjugate, then divide by the norm
-        norm = dr * dr + di * di
-        re, im = ([x * dr + y * di for x, y in zip(re, im)],
-                  [y * dr - x * di for x, y in zip(re, im)])
-    else:
-        norm = dr
-    q_re = [x // norm for x in re]
-    q_im = [y // norm for y in im]
-    # Floor remainders all carry the divisor's sign, so they vanish one by
-    # one exactly when they vanish in total.
-    if sum(q_re) * norm != sum(re) or sum(q_im) * norm != sum(im):
-        raise InternalInconsistency(
-            f"fraction-free elimination: inexact division by {dr}{di:+d}*i"
-        )
-    return q_re, q_im
+def _gaussian_gcd(ar: int, ai: int, br: int, bi: int) -> _GaussInt:
+    """A gcd of ar + ai*i and br + bi*i in Z[i]: Euclid, quotients rounded."""
+    while br or bi:
+        n = br * br + bi * bi
+        xr, xi = ar * br + ai * bi, ai * br - ar * bi  # (a/b) * n
+        qr, qi = (2 * xr + n) // (2 * n), (2 * xi + n) // (2 * n)
+        ar, ai, br, bi = br, bi, ar - qr * br + qi * bi, ai - qr * bi - qi * br
+    return ar, ai
+
+
+def _make_primitive(row: _SparseRow, norms: int) -> _GaussInt:
+    """Divide a row by its content in Z[i], and return the content.
+
+    `norms` is the gcd of the norms of the entries, which the norm of the
+    content divides.  The integer content g is divided out first, in one
+    gcd.  What is left of the content divides norms / g^2 in Z[i], so
+    Euclid starts from that integer and runs again only for an entry the
+    current candidate does not divide.
+    """
+    g = gcd(*chain.from_iterable(row.values()))
+    if g != 1:
+        for j, (x, y) in row.items():
+            row[j] = (x // g, y // g)
+    cr, ci = norms // (g * g), 0
+    if cr == 1:
+        return g, 0
+    n = cr * cr
+    for x, y in row.values():
+        # (x + y*i) / (cr + ci*i) is (x + y*i)(cr - ci*i) / n
+        if (x * cr + y * ci) % n or (y * cr - x * ci) % n:
+            cr, ci = _gaussian_gcd(x, y, cr, ci)
+            n = cr * cr + ci * ci
+            if n == 1:
+                return g, 0
+    for j, (x, y) in row.items():
+        row[j] = ((x * cr + y * ci) // n, (y * cr - x * ci) // n)
+    return g * cr, g * ci
 
 
 def _eliminate(matrix: Mat, reduce_above: bool = True) -> _Reduction:
-    """Fraction-free Gauss-Jordan elimination over Z[i] (Bareiss, 1968).
+    """Sparse fraction-free Gauss-Jordan elimination over Z[i].
 
-    Step k takes the pivot p in the first row at or below the k-th that is
-    nonzero in the current column, and replaces every other row by
-    (p * row - f * pivot_row) / d, where f is the row's entry in the pivot
-    column and d the previous step's pivot.  The division is exact: each
-    entry is then a minor of the integer matrix.  After the last step
-    every pivot entry equals the last pivot and the rows are that pivot
-    times the reduced echelon form.  Before any step is taken, each row is
-    scaled by the lcm of its denominators, which leaves the row space, and
-    so the reduced form, unchanged.
+    Columns are taken left to right.  The pivot of a column comes from the
+    rows not yet used as pivots that are nonzero there; among them the one
+    with the fewest nonzero entries is taken, ties going to the lowest
+    input row (Markowitz's rule, restricted to the column).  Every other
+    such row becomes p * row - f * pivot_row, where p is the pivot entry
+    and f the row's entry in the pivot column, both first divided by their
+    common integer factor, and is then divided by its content, the gcd in
+    Z[i] of its entries.  A column index lists the rows nonzero in each
+    column, so a step touches only the rows that hold the pivot column,
+    and only their nonzero entries.
 
-    With `reduce_above` false only the rows below each pivot are updated:
-    plain Bareiss elimination, which finds the same pivots and the same
-    pivot values at about half the work, but leaves the rows above
-    unreduced.  Rank, determinant and minors need no more.
+    The content keeps coefficients as small as Bareiss's.  A row not yet
+    used as a pivot is zero in every earlier pivot column and lies in the
+    span of its input row and the input rows of the earlier pivots; that
+    fixes it up to a scalar, and the primitive vector on that line divides
+    the vector of minors of the input that Bareiss elimination would hold.
+    Dividing by the integer content alone is not enough: a factor such as
+    2 + i can stay behind and grows with every step.
+
+    With `reduce_above` the rows already used as pivots are cleared in the
+    pivot column too, which leaves each pivot row a multiple of a row of
+    the reduced echelon form.  Without it the pivot rows are never
+    touched again, which finds the same pivots at less cost: rank,
+    determinant and the complement pick need no more.
+
+    The pivot columns, the lexicographically first independent columns,
+    and the reduced echelon form do not depend on which row supplies a
+    pivot.  The determinant does, by the recorded factors: each update
+    multiplies it by p/g, and the pivot rows in step order are triangular.
     """
     scales: List[int] = []
-    rows: List[_IntRow] = []
+    rows: List[_SparseRow] = []
     for row in matrix.data:
         scale, int_row = _integer_row(row)
         scales.append(scale)
         rows.append(int_row)
-    nrows = matrix.nrows
+    index: List[Set[int]] = [set() for _ in range(matrix.ncols)]
+    for r, row in enumerate(rows):
+        for j in row:
+            index[j].add(r)
+    live = [True] * len(rows)
+    remaining = sum(1 for row in rows if row)  # live rows that are nonzero
     pivots: List[int] = []
-    steps: List[Tuple[_GaussInt, bool]] = []
-    dr, di = 1, 0
-    i = 0
-    for col in range(matrix.ncols):
-        if i == nrows:
+    sources: List[int] = []
+    updates: List[Tuple[_GaussInt, _GaussInt]] = []
+    for col, hits in enumerate(index):
+        if not remaining:
             break
-        for found in range(i, nrows):
-            if rows[found][0][col] or rows[found][1][col]:
-                break
-        else:
+        candidates = [r for r in hits if live[r]]
+        if not candidates:
             continue
-        swapped = found != i
-        if swapped:
-            rows[i], rows[found] = rows[found], rows[i]
-        b_re, b_im = rows[i]
-        pr, pi = b_re[col], b_im[col]
-        divide = (dr, di) != (1, 0)
-        for r in range(0 if reduce_above else i + 1, nrows):
-            a_re, a_im = rows[r]
-            if r == i or not (any(a_re) or any(a_im)):
+        _, source = min((len(rows[r]), r) for r in candidates)
+        live[source] = False
+        remaining -= 1
+        pivot_row = rows[source]
+        pr, pi = pivot_row[col]
+        for r in hits if reduce_above else candidates:
+            if r == source:
                 continue
-            fr, fi = a_re[col], a_im[col]
-            if pi or fi:
-                re = [pr * x - pi * y - fr * u + fi * v
-                      for x, y, u, v in zip(a_re, a_im, b_re, b_im)]
-                im = [pr * y + pi * x - fr * v - fi * u
-                      for x, y, u, v in zip(a_re, a_im, b_re, b_im)]
-            else:
-                re = [pr * x - fr * u for x, u in zip(a_re, b_re)]
-                im = [pr * y - fr * v for y, v in zip(a_im, b_im)]
-            rows[r] = _exact_quotient(re, im, dr, di) if divide else (re, im)
+            row = rows[r]
+            fr, fi = row.pop(col)
+            g = gcd(pr, pi, fr, fi)
+            ar, ai, br, bi = pr // g, pi // g, fr // g, fi // g
+            if ai:
+                for j, (x, y) in row.items():
+                    row[j] = (ar * x - ai * y, ar * y + ai * x)
+            elif ar != 1:
+                for j, (x, y) in row.items():
+                    row[j] = (ar * x, ar * y)
+            for j, (u, v) in pivot_row.items():
+                if j == col:
+                    continue
+                if bi:
+                    u, v = br * u - bi * v, br * v + bi * u
+                else:
+                    u, v = br * u, br * v
+                old = row.get(j)
+                if old is None:
+                    row[j] = (-u, -v)
+                    index[j].add(r)
+                else:
+                    x, y = old[0] - u, old[1] - v
+                    if x or y:
+                        row[j] = (x, y)
+                    else:
+                        del row[j]
+                        index[j].discard(r)
+            if not row:
+                if live[r]:
+                    remaining -= 1
+                continue
+            # the content's norm divides every entry's norm, so mostly this
+            # one gcd shows that the row is primitive already
+            norms = gcd(*[x * x + y * y for x, y in row.values()])
+            content = (1, 0) if norms == 1 else _make_primitive(row, norms)
+            updates.append(((ar, ai), content))
         pivots.append(col)
-        steps.append(((pr, pi), swapped))
-        dr, di = pr, pi
-        i += 1
-    return _Reduction(rows, pivots, (dr, di), steps, scales)
+        sources.append(source)
+    return _Reduction([rows[r] for r in sources], pivots, sources, scales,
+                      updates)
 
 
 def _quotient(value: _GaussInt, by: _GaussInt) -> GaussianRational:
@@ -346,19 +412,19 @@ def _quotient(value: _GaussInt, by: _GaussInt) -> GaussianRational:
 def rref(matrix: Mat) -> Tuple[Mat, List[int]]:
     """Reduced row echelon form and the list of pivot columns.
 
-    The pivot for each column is the first row with a nonzero entry there;
-    no magnitude-based pivot choice is ever useful in exact arithmetic and
-    keeping the rule positional makes the output reproducible entry for
-    entry across runs and platforms.
+    The reduced echelon form is unique, so neither the row that supplies
+    each pivot nor the order of the updates shows in the result: it is
+    reproducible entry for entry across runs and platforms.
     """
     reduction = _eliminate(matrix)
-    den = reduction.den
-    rank_ = len(reduction.pivots)
-    data = [
-        tuple(_quotient((x, y), den) for x, y in zip(re, im))
-        for re, im in reduction.rows[:rank_]
-    ]
-    data.extend([(ZERO,) * matrix.ncols] * (matrix.nrows - rank_))
+    data = []
+    for row, col in zip(reduction.rows, reduction.pivots):
+        pivot = row[col]
+        dense = [ZERO] * matrix.ncols
+        for j, x in row.items():
+            dense[j] = _quotient(x, pivot)
+        data.append(tuple(dense))
+    data.extend([(ZERO,) * matrix.ncols] * (matrix.nrows - len(data)))
     return Mat(matrix.nrows, matrix.ncols, tuple(data)), reduction.pivots
 
 
@@ -371,7 +437,8 @@ def right_nullspace(matrix: Mat) -> List[Tuple[GaussianRational, ...]]:
     """A basis of {v : M v = 0}, one vector per free column.
 
     Each basis vector has a 1 in its free column and zeros in the other
-    free columns, so the output is canonical given the pivot rule.
+    free columns, so the output is canonical: it depends only on the
+    kernel.
     """
     reduced, pivots = rref(matrix)
     pivot_set = set(pivots)
@@ -381,7 +448,9 @@ def right_nullspace(matrix: Mat) -> List[Tuple[GaussianRational, ...]]:
         vec = [ZERO] * matrix.ncols
         vec[j] = ONE
         for r, pcol in enumerate(pivots):
-            vec[pcol] = -reduced.data[r][j]
+            x = reduced.data[r][j]
+            if x:
+                vec[pcol] = -x
         basis.append(tuple(vec))
     return basis
 
@@ -411,41 +480,53 @@ def inverse(matrix: Mat) -> Mat:
     return Mat(n, n, tuple(row[n:] for row in reduced.data))
 
 
+def _gaussian_product(factors: Iterable[_GaussInt]) -> _GaussInt:
+    re, im = 1, 0
+    for x, y in factors:
+        re, im = re * x - im * y, re * y + im * x
+    return re, im
+
+
+def _permutation_sign(perm: Sequence[int]) -> int:
+    sign = 1
+    seen = [False] * len(perm)
+    for start in range(len(perm)):
+        j = start
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            if j != start:
+                sign = -sign
+    return sign
+
+
 def det(matrix: Mat) -> GaussianRational:
+    """The determinant, read off one elimination without reduction above.
+
+    The pivot rows, taken in step order, form an upper triangular matrix
+    whose determinant is the product of the pivots.  It differs from the
+    determinant of the input by the order of the rows, the lcm that
+    cleared each row of denominators, and the factor p/g of each update.
+    """
     if matrix.nrows != matrix.ncols:
         raise ValueError("determinant of a non-square matrix")
     reduction = _eliminate(matrix, reduce_above=False)
     if len(reduction.pivots) < matrix.nrows:
         return ZERO
-    # the last pivot is the determinant of the row-scaled, row-swapped matrix
-    swaps = sum(swapped for _, swapped in reduction.steps)
-    return _quotient(reduction.den, ((-1) ** swaps * prod(reduction.scales), 0))
+    diagonal = [row[col] for row, col in zip(reduction.rows, reduction.pivots)]
+    multipliers = [p for p, _ in reduction.updates]
+    contents = [g for _, g in reduction.updates]
+    sign = _permutation_sign(reduction.sources)
+    return _quotient(_gaussian_product([(sign, 0)] + diagonal + contents),
+                     _gaussian_product([(prod(reduction.scales), 0)] + multipliers))
 
 
 def leading_principal_minors(matrix: Mat) -> List[GaussianRational]:
-    """Determinants of the top-left k x k blocks, k = 1..n.
-
-    While elimination pivots down the diagonal without a swap, the pivot
-    of step k is the (k+1)-th leading minor of the row-scaled matrix, so
-    one pass yields every minor up to the first that vanishes.  That one
-    is zero (its diagonal entry was zero when its step came); each later
-    minor takes an elimination of its own.
-    """
+    """Determinants of the top-left k x k blocks, k = 1..n."""
     if matrix.nrows != matrix.ncols:
         raise ValueError("principal minors of a non-square matrix")
-    reduction = _eliminate(matrix, reduce_above=False)
-    out: List[GaussianRational] = []
-    scale = 1
-    for k, (col, (value, swapped)) in enumerate(zip(reduction.pivots, reduction.steps)):
-        if col != k or swapped:
-            break
-        scale *= reduction.scales[k]
-        out.append(_quotient(value, (scale, 0)))
-    if len(out) < matrix.nrows:
-        out.append(ZERO)
-    for k in range(len(out) + 1, matrix.nrows + 1):
-        out.append(det(Mat.from_rows([row[:k] for row in matrix.data[:k]], ncols=k)))
-    return out
+    return [det(Mat(k, k, tuple(row[:k] for row in matrix.data[:k])))
+            for k in range(1, matrix.nrows + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -323,6 +323,10 @@ def _poly_mul(a: PolyTerms, b: PolyTerms) -> PolyTerms:
     return tuple(sorted(acc.items()))
 
 
+def _poly_degree(a: PolyTerms) -> int:
+    return max((sum(exps) for exps, _ in a), default=0)
+
+
 def _poly_eval(a: PolyTerms, values: Sequence[Fraction]) -> GaussianRational:
     total = ZERO
     for exps, coeff in a:
@@ -424,6 +428,10 @@ class ParamExpr:
 
     # -- inspection and evaluation -----------------------------------------
 
+    def degrees(self) -> Tuple[int, int]:
+        """Total degrees of the numerator and of the denominator."""
+        return _poly_degree(self.num), _poly_degree(self.den)
+
     def used_parameters(self) -> Tuple[str, ...]:
         used = set()
         for terms in (self.num, self.den):
@@ -512,6 +520,17 @@ MAX_NESTING = 50
 # the limit bounds the work one literal can ask for.
 MAX_EXPONENT = 64
 
+# Numerators and denominators of a coefficient have total degree at most
+# this.  Powers of powers multiply their exponents, so the exponent budget
+# alone lets ((1+t)^64)^64 ask for degree 4096; each product is checked
+# before it is expanded.  Without declared parameters every expression is
+# a constant, and nothing is checked.
+MAX_DEGREE = 128
+
+# Integer literals have at most this many digits, well inside the limit
+# Python puts on converting digit strings to int.
+MAX_DIGITS = 1000
+
 
 class _Parser:
     """Recursive descent over the +,-,*,/,^ grammar with parentheses."""
@@ -534,6 +553,22 @@ class _Parser:
         self.depth -= 1
         return node
 
+    def integer(self, value: str, pos: int) -> int:
+        """An integer literal, refusing more than MAX_DIGITS digits."""
+        if len(value) > MAX_DIGITS:
+            raise CoefficientParseError(
+                f"integer literal at position {pos} has {len(value)} digits, "
+                f"more than {MAX_DIGITS}"
+            )
+        return int(value)
+
+    def checked(self, degree: int, pos: int) -> None:
+        """Refuse an operation whose result would exceed MAX_DEGREE."""
+        if degree > MAX_DEGREE:
+            raise CoefficientParseError(
+                f"degree {degree} at position {pos} exceeds {MAX_DEGREE}"
+            )
+
     def peek(self) -> Tuple[str, str, int]:
         return self.tokens[self.index]
 
@@ -554,10 +589,13 @@ class _Parser:
     def expression(self) -> ParamExpr:
         node = self.term()
         while True:
-            kind, value, _ = self.peek()
+            kind, value, pos = self.peek()
             if kind == "op" and value in "+-":
                 self.advance()
                 right = self.term()
+                if self.params:
+                    (an, ad), (bn, bd) = node.degrees(), right.degrees()
+                    self.checked(max(an + bd, bn + ad, ad + bd), pos)
                 node = node + right if value == "+" else node - right
             else:
                 return node
@@ -565,10 +603,15 @@ class _Parser:
     def term(self) -> ParamExpr:
         node = self.unary()
         while True:
-            kind, value, _ = self.peek()
+            kind, value, pos = self.peek()
             if kind == "op" and value in "*/":
                 self.advance()
                 right = self.unary()
+                if self.params:
+                    (an, ad), (bn, bd) = node.degrees(), right.degrees()
+                    if value == "/":
+                        bn, bd = bd, bn
+                    self.checked(max(an + bn, ad + bd), pos)
                 node = node * right if value == "*" else node / right
             else:
                 return node
@@ -583,10 +626,13 @@ class _Parser:
 
     def power(self) -> ParamExpr:
         node = self.atom()
-        kind, value, _ = self.peek()
+        kind, value, pos = self.peek()
         if kind == "op" and value == "^":
             self.advance()
-            node = node ** self.exponent()
+            n = self.exponent()
+            if self.params:
+                self.checked(max(node.degrees()) * abs(n), pos)
+            node = node ** n
         return node
 
     def exponent(self) -> int:
@@ -600,7 +646,7 @@ class _Parser:
             raise CoefficientParseError(
                 f"exponent must be an integer literal at position {pos}"
             )
-        n = int(value)
+        n = self.integer(value, pos)
         if n > MAX_EXPONENT:
             raise CoefficientParseError(
                 f"exponent {'-' if negative else ''}{n} at position {start} "
@@ -611,7 +657,7 @@ class _Parser:
     def atom(self) -> ParamExpr:
         kind, value, pos = self.advance()
         if kind == "int":
-            return ParamExpr.constant(int(value), self.params)
+            return ParamExpr.constant(self.integer(value, pos), self.params)
         if kind == "name":
             if value == "i":
                 return ParamExpr.constant(I_UNIT, self.params)

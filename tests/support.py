@@ -4,17 +4,20 @@ Houses the deliberately broken structures, the generators of validated
 random variants (coefficient scalings, rational coframe changes and
 direct sums), the brute-force harness producing random double-differential
 complexes directly as matrices, a reference Gaussian rational held as a
-pair of Fractions that the engine's scalar is checked against, a reference
-Gauss-Jordan elimination and matrix product on Gaussian rationals that the
-fraction-free kernel is checked against, and a reference cohomology table
-computed by subspace arithmetic that the rank formulas are checked against.
+pair of Fractions that the engine's scalar is checked against, two
+reference eliminations that the sparse kernel is checked against (plain
+Gauss-Jordan on Gaussian rationals, and dense fraction-free Bareiss
+elimination over Z[i]), a reference matrix product, and a
+reference cohomology table computed by subspace arithmetic that the rank
+formulas are checked against.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm, prod
 from random import Random
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Sequence, Tuple, Union
 
 from quatcohom import AlgebraSpec, CohomologyTable, GaussianRational, MatrixComplex
 from quatcohom.errors import DivisionByZero, InternalInconsistency, NotASubspace
@@ -484,6 +487,177 @@ def reference_matmul(a: Mat, b: Mat) -> Mat:
               for j in range(b.ncols))
         for row in a.data
     ))
+
+
+# ---------------------------------------------------------------------------
+# Reference fraction-free elimination: dense Bareiss elimination over Z[i].
+# Every row is updated at every step and each update divides exactly by
+# the previous pivot; the pivot of a column is the first row with a nonzero
+# entry there.  It shares no code with the sparse kernel, and unlike it
+# each step's pivot is a minor of the row-scaled input.
+# ---------------------------------------------------------------------------
+
+GaussInt = Tuple[int, int]
+DenseIntRow = Tuple[List[int], List[int]]
+
+
+class BareissReduction(NamedTuple):
+    # den times the reduced echelon form, pivot rows first; without
+    # reduce_above the entries above the pivots are left unreduced
+    rows: List[DenseIntRow]
+    pivots: List[int]  # pivot column of each elimination step
+    den: GaussInt  # the value every pivot entry ends with; 1 without pivots
+    steps: List[Tuple[GaussInt, bool]]  # pivot of each step, and whether a swap preceded it
+    scales: List[int]  # the positive integer each input row was multiplied by
+
+
+def _dense_integer_row(row: Row) -> Tuple[int, DenseIntRow]:
+    """The row times the lcm of its denominators, split into re and im."""
+    scale = lcm(*(x.denominator for x in row))
+    re_part = [x.numerator[0] * (scale // x.denominator) for x in row]
+    im_part = [x.numerator[1] * (scale // x.denominator) for x in row]
+    return scale, (re_part, im_part)
+
+
+def exact_quotient(re: List[int], im: List[int], dr: int, di: int) -> DenseIntRow:
+    """Divide a row by dr + di*i, which must divide every entry in Z[i]."""
+    if di:
+        # multiply by the conjugate, then divide by the norm
+        norm = dr * dr + di * di
+        re, im = ([x * dr + y * di for x, y in zip(re, im)],
+                  [y * dr - x * di for x, y in zip(re, im)])
+    else:
+        norm = dr
+    q_re = [x // norm for x in re]
+    q_im = [y // norm for y in im]
+    # Floor remainders all carry the divisor's sign, so they vanish one by
+    # one exactly when they vanish in total.
+    if sum(q_re) * norm != sum(re) or sum(q_im) * norm != sum(im):
+        raise InternalInconsistency(
+            f"fraction-free elimination: inexact division by {dr}{di:+d}*i"
+        )
+    return q_re, q_im
+
+
+def reference_eliminate(matrix: Mat, reduce_above: bool = True) -> BareissReduction:
+    """Fraction-free Gauss-Jordan elimination over Z[i] (Bareiss, 1968).
+
+    Step k takes the pivot p in the first row at or below the k-th that is
+    nonzero in the current column, and replaces every other row by
+    (p * row - f * pivot_row) / d, where f is the row's entry in the pivot
+    column and d the previous step's pivot.  The division is exact: each
+    entry is then a minor of the integer matrix.  After the last step
+    every pivot entry equals the last pivot and the rows are that pivot
+    times the reduced echelon form.  With `reduce_above` false only the
+    rows below each pivot are updated: plain Bareiss elimination.
+    """
+    scales: List[int] = []
+    rows: List[DenseIntRow] = []
+    for row in matrix.data:
+        scale, int_row = _dense_integer_row(row)
+        scales.append(scale)
+        rows.append(int_row)
+    nrows = matrix.nrows
+    pivots: List[int] = []
+    steps: List[Tuple[GaussInt, bool]] = []
+    dr, di = 1, 0
+    i = 0
+    for col in range(matrix.ncols):
+        if i == nrows:
+            break
+        for found in range(i, nrows):
+            if rows[found][0][col] or rows[found][1][col]:
+                break
+        else:
+            continue
+        swapped = found != i
+        if swapped:
+            rows[i], rows[found] = rows[found], rows[i]
+        b_re, b_im = rows[i]
+        pr, pi = b_re[col], b_im[col]
+        divide = (dr, di) != (1, 0)
+        for r in range(0 if reduce_above else i + 1, nrows):
+            a_re, a_im = rows[r]
+            if r == i or not (any(a_re) or any(a_im)):
+                continue
+            fr, fi = a_re[col], a_im[col]
+            if pi or fi:
+                re = [pr * x - pi * y - fr * u + fi * v
+                      for x, y, u, v in zip(a_re, a_im, b_re, b_im)]
+                im = [pr * y + pi * x - fr * v - fi * u
+                      for x, y, u, v in zip(a_re, a_im, b_re, b_im)]
+            else:
+                re = [pr * x - fr * u for x, u in zip(a_re, b_re)]
+                im = [pr * y - fr * v for y, v in zip(a_im, b_im)]
+            rows[r] = exact_quotient(re, im, dr, di) if divide else (re, im)
+        pivots.append(col)
+        steps.append(((pr, pi), swapped))
+        dr, di = pr, pi
+        i += 1
+    return BareissReduction(rows, pivots, (dr, di), steps, scales)
+
+
+def _gauss_quotient(value: GaussInt, by: GaussInt) -> GaussianRational:
+    """(a + b*i) / (c + d*i) as a Gaussian rational."""
+    return GaussianRational(*value) / GaussianRational(*by)
+
+
+def bareiss_rref(matrix: Mat) -> Tuple[Mat, List[int]]:
+    reduction = reference_eliminate(matrix)
+    rank_ = len(reduction.pivots)
+    data = [
+        tuple(_gauss_quotient((x, y), reduction.den) for x, y in zip(re, im))
+        for re, im in reduction.rows[:rank_]
+    ]
+    data.extend([(ZERO,) * matrix.ncols] * (matrix.nrows - rank_))
+    return Mat(matrix.nrows, matrix.ncols, tuple(data)), reduction.pivots
+
+
+def bareiss_det(matrix: Mat) -> GaussianRational:
+    assert matrix.nrows == matrix.ncols
+    reduction = reference_eliminate(matrix, reduce_above=False)
+    if len(reduction.pivots) < matrix.nrows:
+        return ZERO
+    # the last pivot is the determinant of the row-scaled, row-swapped matrix
+    swaps = sum(swapped for _, swapped in reduction.steps)
+    return _gauss_quotient(reduction.den, ((-1) ** swaps * prod(reduction.scales), 0))
+
+
+def bareiss_minors(matrix: Mat) -> List[GaussianRational]:
+    """Leading principal minors from one Bareiss pass where it suffices.
+
+    While elimination pivots down the diagonal without a swap, the pivot
+    of step k is the (k+1)-th leading minor of the row-scaled matrix.  The
+    first minor that breaks that run is zero; each later one takes a
+    determinant of its own.
+    """
+    assert matrix.nrows == matrix.ncols
+    reduction = reference_eliminate(matrix, reduce_above=False)
+    out: List[GaussianRational] = []
+    scale = 1
+    for k, (col, (value, swapped)) in enumerate(zip(reduction.pivots, reduction.steps)):
+        if col != k or swapped:
+            break
+        scale *= reduction.scales[k]
+        out.append(_gauss_quotient(value, (scale, 0)))
+    if len(out) < matrix.nrows:
+        out.append(ZERO)
+    for k in range(len(out) + 1, matrix.nrows + 1):
+        out.append(bareiss_det(Mat.from_rows([row[:k] for row in matrix.data[:k]], ncols=k)))
+    return out
+
+
+def reference_nullspace(reduced: Mat, pivots: List[int]) -> List[Tuple[GaussianRational, ...]]:
+    """Kernel basis read densely off a reduced echelon form."""
+    free = [j for j in range(reduced.ncols) if j not in pivots]
+    basis = []
+    for j in free:
+        vec = [ZERO] * reduced.ncols
+        vec[j] = ONE
+        for r, pcol in enumerate(pivots):
+            vec[pcol] = -reduced.data[r][j]
+        basis.append(tuple(vec))
+    return basis
 
 
 # ---------------------------------------------------------------------------

@@ -238,6 +238,52 @@ def test_exponent_up_to_the_limit_accepted(capsys, tmp_path, power):
     assert (code, err) == (0, "")
 
 
+# t/(1-t) through factors of 1+t whose degrees reach MAX_DEGREE = 128 exactly
+DEGREE_128 = "t*(1+t)*((1+t)^2)^63/((1-t)*(1+t)*((1+t)^2)^63)"
+
+
+def test_degree_up_to_the_limit_accepted(capsys, tmp_path):
+    path = _example2_with_entry(tmp_path, DEGREE_128)
+    code, _, err = run(capsys, "validate", path, "--param", "t=1/3")
+    assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize("coeff, message", [
+    (DEGREE_128.replace("t*(1+t)*", "t*(1+t)^2*"),
+     "degree 129 at position 9 exceeds 128"),
+    ("t*((1+t)^64)^64/((1-t)*((1+t)^64)^64)",
+     "degree 4096 at position 12 exceeds 128"),
+])
+def test_degree_beyond_the_limit_exits_two(capsys, tmp_path, coeff, message):
+    path = _example2_with_entry(tmp_path, coeff)
+    code, out, err = run(capsys, "validate", path, "--param", "t=1/3")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: I[0][1]: {message}\n"
+
+
+@pytest.mark.parametrize("coeff, position", [("1" * 5000, 0), ("2^" + "1" * 5000, 2)])
+def test_integer_literal_beyond_the_digit_limit_exits_two(capsys, tmp_path, coeff, position):
+    # past Python's own 4300-digit limit on int(), which would raise
+    doc = json.loads(serialize_spec(load_corpus("example1")))
+    doc["structure"][0]["terms"][0]["coeff"] = coeff
+    path = tmp_path / "digits.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == ("error: structure[0].terms[0].coeff: integer literal at "
+                   f"position {position} has 5000 digits, more than 1000\n")
+
+
+def test_integer_literal_up_to_the_digit_limit_accepted(capsys, tmp_path):
+    # 10^999 / 10^999, written out in full
+    one = "1" + "0" * 999
+    path = _example2_with_entry(tmp_path, f"t*{one}/((1-t)*{one})")
+    code, _, err = run(capsys, "validate", path, "--param", "t=1/3")
+    assert (code, err) == (0, "")
+
+
 def test_deeply_nested_json_exits_two(capsys, tmp_path):
     path = tmp_path / "arrays.json"
     path.write_text("[" * 100000 + "]" * 100000)

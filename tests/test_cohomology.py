@@ -294,3 +294,19 @@ def test_product_with_torus_convolves_every_row(ex1):
     for column in ("h_del", "h_delj", "h_bc", "h_ae", "a", "b", "c", "d",
                    "e", "f", "dim_e1", "dim_e2", "delta"):
         assert getattr(table, column) == _convolve(getattr(small, column), torus)
+
+
+def test_square_of_example1_convolves_the_single_differential_rows(ex1):
+    # Over a field, the cohomology of a tensor product of complexes is the
+    # tensor product of their cohomologies (Kunneth), for del and del_J
+    # alone and for E1 with its tensor differential d1, so those rows of
+    # example1 + example1 are example1's convolved with themselves.  The
+    # Bott-Chern row mixes both differentials and is no such product.
+    spec = direct_sum_spec(load_corpus("example1"), load_corpus("example1"))
+    table = ReportSession(spec).mc.table()
+    small = ex1.mc.table()
+    for column in ("h_del", "h_delj", "dim_e1", "dim_e2"):
+        assert getattr(table, column) == _convolve(getattr(small, column),
+                                                   getattr(small, column))
+    assert table.h_bc == (1, 4, 14, 30, 44, 40, 25, 8, 1)
+    assert _convolve(small.h_bc, small.h_bc) != table.h_bc

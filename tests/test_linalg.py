@@ -9,7 +9,7 @@ from quatcohom.errors import InternalInconsistency, NotASubspace
 from quatcohom.linalg import (
     Mat,
     Subspace,
-    _exact_quotient,
+    _eliminate,
     complement_representatives,
     complexify_vector,
     det,
@@ -25,11 +25,17 @@ from quatcohom.linalg import (
 )
 
 from support import (
+    bareiss_det,
+    bareiss_minors,
+    bareiss_rref,
+    exact_quotient,
     random_double_complex,
     reference_complement_representatives,
     reference_det,
+    reference_eliminate,
     reference_matmul,
     reference_minors,
+    reference_nullspace,
     reference_rref,
 )
 
@@ -199,17 +205,25 @@ def _reference_solve(m, rhs):
 
 
 def _check_against_reference(m):
+    """Every kernel routine against Gauss-Jordan and against dense Bareiss."""
     reduced, pivots = rref(m)
     expected, expected_pivots = reference_rref(m)
     assert reduced == expected
     assert pivots == expected_pivots
+    assert bareiss_rref(m) == (expected, expected_pivots)
+    assert reference_eliminate(m, reduce_above=False).pivots == expected_pivots
+    assert _eliminate(m, reduce_above=False).pivots == expected_pivots
     assert rank(m) == len(expected_pivots)
+    assert right_nullspace(m) == reference_nullspace(expected, expected_pivots)
     rhs = [sum(row, ZERO_ENTRY) + 1 for row in m.data]
     assert solve(m, rhs) == _reference_solve(m, rhs)
     if m.nrows == m.ncols:
         d = reference_det(m)
         assert det(m) == d
-        assert leading_principal_minors(m) == reference_minors(m)
+        assert bareiss_det(m) == d
+        minors = reference_minors(m)
+        assert leading_principal_minors(m) == minors
+        assert bareiss_minors(m) == minors
         if d.is_zero():
             with pytest.raises(ValueError):
                 inverse(m)
@@ -255,6 +269,7 @@ def test_minors_after_a_zero_leading_minor(m):
     minors = leading_principal_minors(m)
     assert minors[0].is_zero()
     assert minors == reference_minors(m)
+    assert minors == bareiss_minors(m)
     assert det(m) == reference_det(m)
 
 
@@ -283,12 +298,13 @@ def test_empty_shapes():
 
 
 def test_inexact_division_is_an_internal_inconsistency():
-    assert _exact_quotient([6, -4], [2, 0], 2, 0) == ([3, -2], [1, 0])
-    assert _exact_quotient([1], [1], 1, 1) == ([1], [0])
+    # the exact division of the dense Bareiss reference kernel
+    assert exact_quotient([6, -4], [2, 0], 2, 0) == ([3, -2], [1, 0])
+    assert exact_quotient([1], [1], 1, 1) == ([1], [0])
     with pytest.raises(InternalInconsistency):
-        _exact_quotient([3, 1], [0, -1], 2, 0)
+        exact_quotient([3, 1], [0, -1], 2, 0)
     with pytest.raises(InternalInconsistency):
-        _exact_quotient([1], [0], 1, 1)
+        exact_quotient([1], [0], 1, 1)
 
 
 @st.composite
@@ -350,3 +366,109 @@ def test_complement_matches_greedy_reference_on_complexes(seed, k, conjugate):
                                  (mc.ker_ddj(p), mc.im_del(p).sum(mc.im_delj(p)))):
             assert complement_representatives(big, small_space) == \
                 reference_complement_representatives(big, small_space)
+
+
+# ---------------------------------------------------------------------------
+# The sparse kernel: the shapes of the large operators, and the pivot row
+# choice, which must not show in any output.
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def sparse_matrices(draw):
+    """At most 3% nonzero: one or two entries per row, as at dimension 16-20."""
+    ncols = draw(st.integers(67, 90))
+    nrows = draw(st.integers(0, 40))
+    rows = []
+    for _ in range(nrows):
+        row = [ZERO_ENTRY] * ncols
+        for c in draw(st.lists(st.integers(0, ncols - 1), min_size=1,
+                               max_size=2, unique=True)):
+            row[c] = draw(entries.filter(bool))
+        rows.append(row)
+    if nrows and draw(st.booleans()):
+        # a row repeated up to a multiple, so that the rank drops
+        rows.append([2 * x for x in rows[draw(st.integers(0, nrows - 1))]])
+    return Mat.from_rows(rows, ncols=ncols)
+
+
+@settings(max_examples=20, deadline=None)
+@given(sparse_matrices())
+def test_kernel_matches_reference_on_sparse_matrices(m):
+    _check_against_reference(m)
+    _check_against_reference(m.transpose())
+
+
+def _sign(perm):
+    inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
+    return -1 if inversions % 2 else 1
+
+
+@st.composite
+def row_permuted(draw, strategy):
+    m = draw(strategy)
+    perm = draw(st.permutations(range(m.nrows)))
+    return m, perm, Mat(m.nrows, m.ncols, tuple(m.data[i] for i in perm))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(row_permuted(matrices()), row_permuted(matrices(square=True)),
+                 row_permuted(sparse_matrices())))
+def test_row_order_does_not_show_in_the_output(case):
+    m, perm, permuted = case
+    assert rref(permuted) == rref(m)
+    assert rank(permuted) == rank(m)
+    if m.nrows == m.ncols:
+        assert det(permuted) == _sign(perm) * det(m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 6).flatmap(
+    lambda amb: st.tuples(st.just(amb), st.permutations(range(amb)))),
+    st.data())
+def test_coordinate_order_does_not_show_in_the_complement(shape, data):
+    # Permuting coordinates permutes the rows of the matrix whose pivots
+    # pick the complement, so the same rows of big must be picked.
+    amb, perm = shape
+    big = Subspace.from_vectors(data.draw(vectors(amb, 5)), amb)
+    basis = Mat.from_rows(big.rows, ncols=amb).transpose()
+    inner = [basis.apply(w) for w in data.draw(vectors(big.dim, 3))]
+    small_space = Subspace.from_vectors(inner, amb)
+
+    def permuted(space):
+        return Subspace(amb, tuple(tuple(row[i] for i in perm) for row in space.rows))
+
+    picked = complement_representatives(permuted(big), permuted(small_space))
+    expected = complement_representatives(big, small_space)
+    assert picked == [tuple(row[i] for i in perm) for row in expected]
+
+
+def test_sparsest_candidate_row_supplies_the_pivot():
+    # rows 0 and 1 both hold column 0; row 1 is sparser and is taken, and
+    # the outputs are those of the first-row rule all the same
+    m = Mat.from_rows([[1, 1, 1, 2], [3, 0, 0, 0], [0, 1, 0, 1], [1, 0, 2, 0]])
+    reduction = _eliminate(m, reduce_above=False)
+    assert reduction.sources[0] == 1
+    assert reference_eliminate(m, reduce_above=False).steps[0] == ((1, 0), False)
+    _check_against_reference(m)
+    assert det(m) == -6
+
+
+gaussian_integers = st.builds(GaussianRational, st.integers(-3, 3), st.integers(-3, 3))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 10).flatmap(lambda n: st.lists(
+    st.lists(gaussian_integers, min_size=n, max_size=n), min_size=n, max_size=n)),
+    st.booleans())
+def test_coefficients_stay_within_the_hadamard_bound(rows, reduce_above):
+    # Each row the kernel keeps is primitive in Z[i] on a line through a
+    # vector of minors, so no entry outgrows Hadamard's bound on minors:
+    # the product of the squared lengths of the nonzero input rows.
+    m = Mat.from_rows(rows)
+    bound = 1
+    for row in rows:
+        bound *= max(1, sum(x.numerator[0] ** 2 + x.numerator[1] ** 2 for x in row))
+    for row in _eliminate(m, reduce_above).rows:
+        for x, y in row.values():
+            assert x * x + y * y <= bound
