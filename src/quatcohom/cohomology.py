@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .errors import InternalInconsistency, TheoremViolation
-from .linalg import Mat, Subspace, complement_representatives, rank, rref
+from .linalg import Mat, Subspace, kernel_basis, pivot_columns, rank, rref
 
 if TYPE_CHECKING:
     from .quaternionic import QuaternionicComplex
@@ -223,33 +223,45 @@ class MatrixComplex:
         denominator = self._rank("e2_den", p - 1) - self._rank("del", p - 1)
         return numerator - denominator
 
-    def _class_coords(self, vectors: Sequence[Sequence], p: int,
-                      reps: Dict[int, List]) -> List[Tuple]:
-        """Coordinates of del-closed vectors in the page-one basis at p.
+    def _page_one(self, p: int) -> Tuple[Mat, Mat]:
+        """Page-one representatives at degree p and a basis of Im del.
 
-        The representatives and the basis of Im del are independent, so
-        one elimination of [reps | Im del | vectors] gives every vector's
-        unique coordinates at once.
+        The rows of the kernel basis of del span ker del, and the columns
+        of del one degree down span Im del inside it.  One pivot pick over
+        [del | kernel basis^T] keeps the independent columns of del, a
+        basis of Im del, and completes it to a basis of ker del with rows
+        of the kernel basis: those are the representatives.  Both come
+        back as the rows of a matrix.
         """
-        if not vectors:
-            return []
-        rep_list = reps.get(p, [])
-        columns = list(rep_list) + list(self.im_del(p).rows)
-        if not columns:
-            if any(x for vector in vectors for x in vector):
-                raise InternalInconsistency(
-                    "nonzero del-closed vector with no page-one expansion"
-                )
-            return [() for _ in vectors]
-        k = len(columns)
-        augmented = Mat.from_rows(columns + list(vectors), ncols=self.dim(p))
-        reduced, pivots = rref(augmented.transpose())
+        kernel = kernel_basis(self.delta(p))
+        image = self.delta(p - 1)
+        k = image.ncols
+        pivots = pivot_columns(image.hstack(kernel.transpose()))
+        if len(pivots) != kernel.nrows:
+            raise InternalInconsistency(f"Im del is not inside ker del at degree {p}")
+        reps = kernel.block([c - k for c in pivots if c >= k], range(self.dim(p)))
+        exact = image.transpose().block([c for c in pivots if c < k], range(self.dim(p)))
+        return reps, exact
+
+    def _class_coords(self, vectors: Mat, p: int, page: Tuple[Mat, Mat]) -> Mat:
+        """Coordinates of del-closed vectors on the page-one representatives.
+
+        `vectors` holds one vector per column and `page` is `_page_one(p)`.
+        The representatives and the basis of Im del are independent, so one
+        elimination of [reps | Im del | vectors] gives every vector's
+        unique coordinates at once.  Row r of the result holds the
+        coordinates on representative r.
+        """
+        reps, exact = page
+        if not vectors.ncols:
+            return Mat.zeros(reps.nrows, 0)
+        k = reps.nrows + exact.nrows
+        reduced, pivots = rref(reps.vstack(exact).transpose().hstack(vectors))
         if pivots != list(range(k)):
             raise InternalInconsistency(
                 "del_J image failed to land in ker del at the page-one level"
             )
-        return [tuple(reduced.data[r][k + j] for r in range(len(rep_list)))
-                for j in range(len(vectors))]
+        return reduced.block(range(reps.nrows), range(k, k + vectors.ncols))
 
     def e2_pages_all(self) -> List[int]:
         """dim E2 for every degree, by explicit page iteration.
@@ -262,24 +274,21 @@ class MatrixComplex:
         """
         if self._pages is not None:
             return self._pages
-        reps: Dict[int, List] = {
-            p: complement_representatives(self.ker_del(p), self.im_del(p))
-            for p in range(self.top + 1)
-        }
+        page_one = [self._page_one(p) for p in range(self.top + 1)]
         d1: Dict[int, Mat] = {}
         for p in range(self.top + 1):
-            src = reps[p]
-            tgt = reps.get(p + 1, [])
-            # del_J of every representative at once, one per column
-            pushed = self.delta_j(p) @ Mat.from_rows(src, ncols=self.dim(p)).transpose()
-            cols = self._class_coords(pushed.columns(), p + 1, reps)
-            rows = [[cols[c][r] for c in range(len(src))] for r in range(len(tgt))]
-            d1[p] = Mat.from_rows(rows, ncols=len(src)) if rows else Mat.zeros(0, len(src))
+            src = page_one[p][0]
+            if p == self.top:
+                d1[p] = Mat.zeros(0, src.nrows)
+            else:
+                # del_J of every representative at once, one per column
+                pushed = self.delta_j(p) @ src.transpose()
+                d1[p] = self._class_coords(pushed, p + 1, page_one[p + 1])
         pages = []
         for p in range(self.top + 1):
             incoming = rank(d1[p - 1]) if p - 1 in d1 else 0
             outgoing = rank(d1[p])
-            pages.append(len(reps[p]) - outgoing - incoming)
+            pages.append(page_one[p][0].nrows - outgoing - incoming)
         self._pages = pages
         return pages
 

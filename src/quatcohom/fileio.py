@@ -17,7 +17,13 @@ from typing import Dict, List, Sequence
 
 from .errors import CoefficientParseError, DivisionByZero, SchemaError
 from .model import AlgebraSpec
-from .scalars import ParamExpr, parse_coefficient, parse_rational
+from .scalars import (
+    MAX_DIGITS,
+    ParamExpr,
+    exceeds_digits,
+    parse_coefficient,
+    parse_rational,
+)
 
 _TOP_FIELDS = {"name", "dimension", "parameters", "structure", "I", "J", "K", "metadata"}
 
@@ -147,6 +153,8 @@ def _read_coefficient(raw: object, path: str,
             "use integers or rational strings"
         )
     if isinstance(raw, int):
+        if exceeds_digits(raw):
+            raise SchemaError(f"{path}: integer has more than {MAX_DIGITS} digits")
         return ParamExpr.constant(raw, parameters)
     if isinstance(raw, str):
         try:

@@ -164,8 +164,8 @@ def sg_candidate_space(cx: QuaternionicComplex) -> Subspace:
     wide = 2 * ambient
     top = d_real.hstack(-dj_real)
     bottom = (jbar - Mat.identity(wide)).hstack(Mat.zeros(wide, wide))
-    paired = Subspace.kernel(top.vstack(bottom))
-    return Subspace.from_vectors([row[:wide] for row in paired.rows], wide)
+    paired = Subspace.kernel(top.vstack(bottom)).basis
+    return Subspace.row_space(paired.block(range(paired.nrows), range(wide)))
 
 
 def _value_sequence(den_bound: int, coeff_bound: int) -> List[Fraction]:
@@ -219,7 +219,7 @@ def _project_standard(cx: QuaternionicComplex, space: Subspace) -> Optional[Form
     if space.dim == 0:
         return None
     target = realify_vector(cx.coords(standard_omega(cx), 2))
-    basis = Mat.from_rows(space.rows, ncols=space.ambient_dim)
+    basis = space.basis
     coeffs = solve(basis @ basis.transpose(), basis.apply(target))
     if coeffs is None:
         return None

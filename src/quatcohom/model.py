@@ -15,9 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import (
+    CoefficientParseError,
     DimensionMismatch,
     EigenspaceDimensionError,
     IntegrabilityFailure,
@@ -25,7 +27,7 @@ from .errors import (
     SchemaError,
 )
 from .exterior import ExteriorAlgebra, Form
-from .linalg import Mat, Subspace, inverse, right_nullspace
+from .linalg import Mat, Subspace, inverse
 from .scalars import (
     I_UNIT,
     ONE,
@@ -118,15 +120,31 @@ class InstantiatedAlgebra:
     mat_k_given: Optional[Mat]
     name: str
     bindings: Tuple[Tuple[str, Fraction], ...]
+    _eigenspaces: Dict[str, Tuple[Row, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
-    @property
+    @cached_property
     def mat_k(self) -> Mat:
         return self.mat_i @ self.mat_j
+
+    def eigen_rows(self, label: str) -> Tuple[Row, ...]:
+        """Canonical basis of the +i eigenspace of I, J or K on the coframe.
+
+        Computed once per structure: validation and the coframe both need
+        the one of I.
+        """
+        if label not in self._eigenspaces:
+            mat = {"I": self.mat_i, "J": self.mat_j, "K": self.mat_k}[label]
+            self._eigenspaces[label] = _eigen_rows(mat)
+        return self._eigenspaces[label]
 
 
 def _eval_real(expr: ParamExpr, bindings: Mapping[str, RationalLike],
                where: str) -> GaussianRational:
-    value = expr.evaluate(bindings)
+    try:
+        value = expr.evaluate(bindings)
+    except CoefficientParseError as exc:
+        raise CoefficientParseError(f"{where}: {exc}") from None
     if not value.is_real():
         raise SchemaError(f"{where} must be real, got {value}")
     return value
@@ -279,8 +297,7 @@ def _validate_lie_algebra(inst: InstantiatedAlgebra) -> ValidationReport:
 def _eigen_rows(mat: Mat) -> Tuple[Row, ...]:
     """Canonical basis of the +i eigenspace of a coframe action."""
     m = mat.nrows
-    shifted = mat - Mat.identity(m).scale(I_UNIT)
-    space = Subspace.from_vectors(right_nullspace(shifted), m)
+    space = Subspace.kernel(mat - Mat.identity(m).scale(I_UNIT))
     if 2 * space.dim != m:
         raise EigenspaceDimensionError(
             f"+i eigenspace has dimension {space.dim}, expected {m // 2}"
@@ -333,15 +350,17 @@ def _antihol_defect(inst: InstantiatedAlgebra, rows: Sequence[Row]) -> Optional[
 
 def validate_hypercomplex(spec: AlgebraSpec,
                           bindings: Optional[Mapping[str, RationalLike]] = None,
+                          instance: Optional[InstantiatedAlgebra] = None,
                           ) -> ValidationReport:
     """Full check: Lie algebra, quaternionic relations, integrability.
 
     K := I∘J is derived on the coframe; a K table in the spec is compared
     against it.  Integrability of each structure A is tested by expanding
     d of every (1,0)-form of A over an eigenbasis and requiring the (0,2)
-    component to vanish.
+    component to vanish.  `instance` is `instantiate(spec, bindings)`,
+    when the caller has it already.
     """
-    inst = instantiate(spec, bindings)
+    inst = instantiate(spec, bindings) if instance is None else instance
     report = _validate_lie_algebra(inst)
     m = inst.dimension
 
@@ -360,9 +379,9 @@ def validate_hypercomplex(spec: AlgebraSpec,
             report.quaternionic_relations_ok = False
             report.messages.append(f"quaternionic relation {label} fails")
 
-    for label, mat in (("I", inst.mat_i), ("J", inst.mat_j), ("K", inst.mat_k)):
+    for label in ("I", "J", "K"):
         try:
-            rows = _eigen_rows(mat)
+            rows = inst.eigen_rows(label)
             defect = _antihol_defect(inst, rows)
         except EigenspaceDimensionError as exc:
             report.integrability[label] = False
@@ -438,7 +457,7 @@ def _build_coframe(inst: InstantiatedAlgebra) -> QuaternionicCoframe:
         raise DimensionMismatch(
             f"hypercomplex structures need dimension divisible by 4, got {m}"
         )
-    eigen = _eigen_rows(inst.mat_i)
+    eigen = inst.eigen_rows("I")
     chosen: List[Row] = []
     span = Subspace.zero(m)
     for row in eigen:

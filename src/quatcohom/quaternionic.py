@@ -90,16 +90,16 @@ class QuaternionicComplex:
     def build(cls, spec: AlgebraSpec,
               bindings: Optional[Mapping[str, RationalLike]] = None,
               validate: bool = True) -> "QuaternionicComplex":
+        inst = instantiate(spec, bindings)
         report = None
         if validate:
-            report = validate_hypercomplex(spec, bindings)
+            report = validate_hypercomplex(spec, bindings, inst)
             if not report.ok:
                 raise ValidationFailure(
                     f"structure {spec.name or '<unnamed>'} is invalid: "
                     + report.summary(),
                     report=report,
                 )
-        inst = instantiate(spec, bindings)
         return cls(inst, _build_coframe(inst), report)
 
     # -- bookkeeping -------------------------------------------------------
@@ -214,10 +214,19 @@ class QuaternionicComplex:
     # -- operator matrices -------------------------------------------------
 
     def _matrix_of(self, op, src: List[Mono], tgt_p: int, tgt_q: int) -> Mat:
+        """The matrix of op from the monomials src to the (tgt_p, tgt_q) basis."""
         tgt = self.bidegree_basis(tgt_p, tgt_q)
-        cols = [self.coords(op(Form.monomial(mono)), tgt_p, tgt_q) for mono in src]
-        rows = [[cols[c][r] for c in range(len(src))] for r in range(len(tgt))]
-        return Mat.from_rows(rows, ncols=len(src)) if rows else Mat.zeros(0, len(src))
+        index = {mono: r for r, mono in enumerate(tgt)}
+        entries = {}
+        for c, mono in enumerate(src):
+            for image, coeff in op(Form.monomial(mono)).terms.items():
+                r = index.get(image)
+                if r is None:
+                    raise ValueError(
+                        f"term {image!r} is not a ({tgt_p},{tgt_q}) monomial"
+                    )
+                entries[r, c] = coeff
+        return Mat.from_entries(len(tgt), len(src), entries)
 
     def operator_matrix(self, which: str, p: int) -> Mat:
         """Exact matrix of an operator out of the (p,0) monomial basis.

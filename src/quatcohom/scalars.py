@@ -20,10 +20,11 @@ operators and parentheses, e.g. ``"1/2+1/3*i"`` or ``"(2*t-1)/(2*(t-1))"``.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Iterator, Mapping, Sequence, Tuple, Union
+from typing import Callable, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import (
     CoefficientParseError,
@@ -452,19 +453,27 @@ class ParamExpr:
         """Exact value at a rational point of parameter space.
 
         Raises UnboundParameter if a parameter that actually occurs has no
-        binding, and PoleAtBinding if the denominator vanishes there.
+        binding, PoleAtBinding if the denominator vanishes there, and
+        CoefficientParseError if the value has a numerator or denominator
+        of more than MAX_DIGITS digits.
         """
         for name in self.used_parameters():
             if name not in bindings:
                 raise UnboundParameter(f"parameter {name!r} has no value")
         values = [_as_fraction(bindings.get(name, 0)) for name in self.params]
         den = _poly_eval(self.den, values)
+        point = ", ".join(
+            f"{name}={bindings[name]}" for name in self.used_parameters()
+        )
         if den.is_zero():
-            point = ", ".join(
-                f"{name}={bindings[name]}" for name in self.used_parameters()
-            )
             raise PoleAtBinding(f"denominator vanishes at {point or 'the binding'}")
-        return _poly_eval(self.num, values) / den
+        value = _poly_eval(self.num, values) / den
+        if _too_tall(value):
+            at = f" at {point}" if point else ""
+            raise CoefficientParseError(
+                f"value{at} has more than {MAX_DIGITS} digits"
+            )
+        return value
 
     def __str__(self) -> str:
         num = _poly_str(self.num, self.params)
@@ -528,8 +537,33 @@ MAX_EXPONENT = 64
 MAX_DEGREE = 128
 
 # Integer literals have at most this many digits, well inside the limit
-# Python puts on converting digit strings to int.
+# Python puts on converting digit strings to int.  So do the numerators
+# and denominators of every value the parser builds and of every evaluated
+# coefficient: without that bound, powers of powers of a long literal grow
+# without limit, and a value past Python's limit on converting ints to
+# digit strings cannot even be printed.
 MAX_DIGITS = 1000
+
+# The least integer with more than MAX_DIGITS digits, and the bit length
+# below which no integer reaches it.
+_DIGITS_BOUND = 10 ** MAX_DIGITS
+_DIGITS_BITS = _DIGITS_BOUND.bit_length() - 1
+
+
+def exceeds_digits(n: int) -> bool:
+    """Whether |n| has more than MAX_DIGITS decimal digits.
+
+    Decided by bit length, without converting n to decimal: only an
+    integer within one bit of the bound is compared with it.
+    """
+    n = abs(n)
+    return n.bit_length() > _DIGITS_BITS and n >= _DIGITS_BOUND
+
+
+def _too_tall(value: GaussianRational) -> bool:
+    """Whether the numerator or denominator of a value exceeds MAX_DIGITS digits."""
+    (a, b), d = value.numerator, value.denominator
+    return exceeds_digits(a) or exceeds_digits(b) or exceeds_digits(d)
 
 
 class _Parser:
@@ -569,6 +603,15 @@ class _Parser:
                 f"degree {degree} at position {pos} exceeds {MAX_DEGREE}"
             )
 
+    def bounded(self, node: ParamExpr, pos: int) -> ParamExpr:
+        """Refuse a result with a coefficient of more than MAX_DIGITS digits."""
+        for _, coeff in node.num + node.den:
+            if _too_tall(coeff):
+                raise CoefficientParseError(
+                    f"value at position {pos} has more than {MAX_DIGITS} digits"
+                )
+        return node
+
     def peek(self) -> Tuple[str, str, int]:
         return self.tokens[self.index]
 
@@ -596,7 +639,7 @@ class _Parser:
                 if self.params:
                     (an, ad), (bn, bd) = node.degrees(), right.degrees()
                     self.checked(max(an + bd, bn + ad, ad + bd), pos)
-                node = node + right if value == "+" else node - right
+                node = self.bounded(node + right if value == "+" else node - right, pos)
             else:
                 return node
 
@@ -612,7 +655,7 @@ class _Parser:
                     if value == "/":
                         bn, bd = bd, bn
                     self.checked(max(an + bn, ad + bd), pos)
-                node = node * right if value == "*" else node / right
+                node = self.bounded(node * right if value == "*" else node / right, pos)
             else:
                 return node
 
@@ -632,7 +675,7 @@ class _Parser:
             n = self.exponent()
             if self.params:
                 self.checked(max(node.degrees()) * abs(n), pos)
-            node = node ** n
+            node = self.bounded(node ** n, pos)
         return node
 
     def exponent(self) -> int:
@@ -685,6 +728,55 @@ def parse_coefficient(text: str, parameters: Sequence[str] = ()) -> ParamExpr:
     return _Parser(text, parameters).parse()
 
 
+# The forms GaussianRational.__str__ prints: a real part a or a/b,
+# optionally followed by a signed imaginary part i or c*i or c/d*i; or an
+# imaginary part alone, optionally negative.  Digits are ASCII only.
+_PRINTED = re.compile(
+    r"(?:(-?[0-9]+)(?:/([0-9]+))?(?:([+-])(?:([0-9]+)(?:/([0-9]+))?\*)?i)?"
+    r"|(-?)(?:([0-9]+)(?:/([0-9]+))?\*)?i)"
+)
+
+
+def _parse_printed(text: str) -> Optional[GaussianRational]:
+    """The value of a literal in a printed form, or None to parse it fully.
+
+    The value is (p*s + r*q*i) / (q*s) for the literal p/q + r/s*i, which
+    are the integers the full parser builds for it.  A literal with more
+    than MAX_DIGITS digits, a zero denominator, or one of those integers
+    past MAX_DIGITS digits is left to the full parser, so the values and
+    the errors are the full parser's.
+    """
+    match = _PRINTED.fullmatch(text)
+    if match is None:
+        return None
+    re_num, re_den, sign, im_num, im_den, im_sign, pure_num, pure_den = match.groups()
+    if re_num is None:
+        re_num, re_den, im_num, im_den = "0", None, pure_num, pure_den
+        sign = im_sign or "+"
+    elif sign is None:
+        im_num = "0"
+    if any(x is not None and len(x.lstrip("-")) > MAX_DIGITS
+           for x in (re_num, re_den, im_num, im_den)):
+        return None
+    p, q = int(re_num), int(re_den or 1)
+    r, s = int(im_num or 1), int(im_den or 1)
+    if not (q and s):
+        return None
+    if sign == "-":
+        r = -r
+    a, b, d = p * s, r * q, q * s
+    if exceeds_digits(a) or exceeds_digits(b) or exceeds_digits(d):
+        return None
+    return GaussianRational.from_integers(a, b, d)
+
+
 def parse_rational(text: str) -> GaussianRational:
-    """Parse a parameter-free scalar literal into an exact value."""
-    return parse_coefficient(text).constant_value()
+    """Parse a parameter-free scalar literal into an exact value.
+
+    Literals in the forms GaussianRational prints are read directly;
+    everything else goes through the full parser.
+    """
+    value = _parse_printed(text)
+    if value is None:
+        value = parse_coefficient(text).constant_value()
+    return value

@@ -37,26 +37,37 @@ from .exterior import Form
 from .linalg import (
     Mat,
     Subspace,
+    complement_basis,
     complement_representatives,
     complexify_vector,
     inverse,
     rank,
     realify_antilinear,
-    realify_vector,
 )
 from .quaternionic import QuaternionicComplex
-from .scalars import ZERO, GaussianRational, I_UNIT
+from .scalars import ZERO, GaussianRational
 
 
 @dataclass(frozen=True)
 class PairingResult:
-    """Duality pairing between degree p and degree 2n-p classes."""
+    """Duality pairing between degree p and degree 2n-p classes.
+
+    The representatives are the rows of `bc_basis` and `ae_basis`.
+    """
 
     p: int
     matrix: Mat
     invertible: bool
-    bc_representatives: Tuple[Tuple[GaussianRational, ...], ...]
-    ae_representatives: Tuple[Tuple[GaussianRational, ...], ...]
+    bc_basis: Mat
+    ae_basis: Mat
+
+    @property
+    def bc_representatives(self) -> Tuple[Tuple[GaussianRational, ...], ...]:
+        return self.bc_basis.data
+
+    @property
+    def ae_representatives(self) -> Tuple[Tuple[GaussianRational, ...], ...]:
+        return self.ae_basis.data
 
 
 @dataclass(frozen=True)
@@ -95,6 +106,7 @@ class SLStructure:
     def __init__(self, cx: QuaternionicComplex, mc: Optional[MatrixComplex] = None):
         self.cx = cx
         self.mc = mc if mc is not None else MatrixComplex.from_quaternionic(cx)
+        self._wedges: Dict[int, Mat] = {}
         self._stars: Dict[int, Mat] = {}
         self._sd_asd: Optional[Tuple[int, int, bool]] = None
         self._jbar: Optional[DecompositionReport] = None
@@ -138,28 +150,42 @@ class SLStructure:
 
     # -- the Hodge star ------------------------------------------------------
 
+    def wedge_matrix(self, p: int) -> Mat:
+        """W[i][k], the volume coefficient of m_i ^ m'_k.
+
+        m_i and m'_k run over the degree p and 2n-p monomial bases.  A
+        product of two such monomials is a multiple of the volume form only
+        when m'_k is the complement of m_i; every other product repeats a
+        generator and vanishes.  So each row has one nonzero entry, the
+        coefficient of m_i wedged with its complement.
+        """
+        if p in self._wedges:
+            return self._wedges[p]
+        if p < 0 or p > self.cx.half:
+            raise ValueError(f"no (p,0) forms at p={p}")
+        top = tuple(range(self.cx.half))
+        src = self.cx.hol_basis(p)
+        tgt = {mono: k for k, mono in enumerate(self.cx.hol_basis(self.cx.half - p))}
+        entries = {}
+        for i, mono in enumerate(src):
+            other = tuple(x for x in top if x not in mono)
+            entries[i, tgt[other]] = (
+                Form.monomial(mono).wedge(Form.monomial(other)).coefficient(top))
+        wedge = Mat.from_entries(len(src), len(tgt), entries)
+        self._wedges[p] = wedge
+        return wedge
+
     def star_matrix(self, p: int) -> Mat:
         """Matrix of the star on (p,0), solved from the wedge relation.
 
-        W[i][k] is the volume coefficient of m_i ^ m'_k over the degree p
-        and 2n-p monomial bases; the star matrix is W^{-1}, which makes
-        m_i ^ star(m_j) = delta_ij * Phi exact by construction.
+        The star matrix is W^{-1} for the wedge matrix W of `wedge_matrix`,
+        which makes m_i ^ star(m_j) = delta_ij * Phi exact by construction.
         """
         if p in self._stars:
             return self._stars[p]
-        if p < 0 or p > self.cx.half:
-            raise ValueError(f"no (p,0) forms at p={p}")
-        src = self.cx.hol_basis(p)
-        tgt = self.cx.hol_basis(self.cx.half - p)
-        w_rows = []
-        for mono in src:
-            left = Form.monomial(mono)
-            w_rows.append([
-                left.wedge(Form.monomial(other)).coefficient(tuple(range(self.cx.half)))
-                for other in tgt
-            ])
+        wedge = self.wedge_matrix(p)
         try:
-            star = inverse(Mat.from_rows(w_rows, ncols=len(tgt)))
+            star = inverse(wedge)
         except ValueError:
             raise SingularGram(
                 f"wedge pairing between degrees {p} and {self.cx.half - p} is degenerate"
@@ -176,71 +202,56 @@ class SLStructure:
 
     # -- duality pairing -----------------------------------------------------
 
-    def _bc_representatives(self, p: int) -> List:
+    def _bc_representatives(self, p: int) -> Mat:
         closed = self.mc.ker_del(p).intersect(self.mc.ker_delj(p))
-        return complement_representatives(closed, self.mc.im_ddj(p))
+        return complement_basis(closed, self.mc.im_ddj(p))
 
-    def _ae_representatives(self, p: int) -> List:
+    def _ae_representatives(self, p: int) -> Mat:
         exact = self.mc.im_del(p).sum(self.mc.im_delj(p))
         big = self.mc.ker_ddj(p)
-        return complement_representatives(big, exact)
-
-    def _top_coefficient(self, alpha: Form, beta: Form) -> GaussianRational:
-        # wedging the (2n,0) product with the conjugate volume form carries
-        # the leading monomial to the full one with sign +1, so the
-        # integral is just this coefficient
-        return alpha.wedge(beta).coefficient(tuple(range(self.cx.half)))
+        return complement_basis(big, exact)
 
     def pairing_matrix(self, p: int) -> PairingResult:
         """Pairing of degree-p against degree-(2n-p) classes by wedging.
 
         Entries are integrals of representative wedges against the
-        conjugate volume form.  Well-definedness is not taken on faith:
-        by bilinearity it suffices that every generator of either
-        degeneracy space pairs to zero against the other side's
-        representatives, and that is checked.
+        conjugate volume form.  Wedging the (2n,0) product with the
+        conjugate volume form carries the leading monomial to the full one
+        with sign +1, so the integral of a ^ b is the volume coefficient
+        of a ^ b, which is bilinear: a W b^T for the wedge matrix W.
+        Well-definedness is not taken on faith: by bilinearity it suffices
+        that every generator of either degeneracy space pairs to zero
+        against the other side's representatives, and that is checked.
         """
         half = self.cx.half
         q = half - p
         bc = self._bc_representatives(p)
         ae = self._ae_representatives(q)
-        if len(bc) != len(ae):
+        if bc.nrows != ae.nrows:
             raise TheoremViolation(
-                f"duality mismatch: h_BC({p}) = {len(bc)} but h_AE({half - p}) = {len(ae)}"
+                f"duality mismatch: h_BC({p}) = {bc.nrows} but h_AE({half - p}) = {ae.nrows}"
             )
         if self.mc.h_del(p) != self.mc.h_del(q):
             raise TheoremViolation(
                 f"h_del({p}) != h_del({q}) despite the volume-form symmetry"
             )
-        bc_forms = [self.cx.from_coords(a, p) for a in bc]
-        ae_forms = [self.cx.from_coords(b, q) for b in ae]
-        matrix = Mat.from_rows(
-            [[self._top_coefficient(fa, fb) for fb in ae_forms] for fa in bc_forms],
-            ncols=len(ae),
-        )
-        for shift in self.mc.im_ddj(p).rows:
-            fs = self.cx.from_coords(shift, p)
-            if any(not self._top_coefficient(fs, fb).is_zero() for fb in ae_forms):
-                raise RepresentativeDependence(
-                    f"pairing at degree {p} moves under shifts of the "
-                    "representatives by exact forms"
-                )
+        wedge = self.wedge_matrix(p)
+        ae_columns = ae.transpose()
+        matrix = bc @ wedge @ ae_columns
+        if not (self.mc.im_ddj(p).basis @ wedge @ ae_columns).is_zero():
+            raise RepresentativeDependence(
+                f"pairing at degree {p} moves under shifts of the "
+                "representatives by exact forms"
+            )
         ae_degenerate = self.mc.im_del(q).sum(self.mc.im_delj(q))
-        for shift in ae_degenerate.rows:
-            fs = self.cx.from_coords(shift, q)
-            if any(not self._top_coefficient(fa, fs).is_zero() for fa in bc_forms):
-                raise RepresentativeDependence(
-                    f"pairing at degree {p} moves under shifts of the dual "
-                    "representatives by degenerate forms"
-                )
-        invertible = rank(matrix) == len(bc)
-        return PairingResult(
-            p=p,
-            matrix=matrix,
-            invertible=invertible,
-            bc_representatives=tuple(tuple(a) for a in bc),
-            ae_representatives=tuple(tuple(b) for b in ae),
-        )
+        if not (bc @ wedge @ ae_degenerate.basis.transpose()).is_zero():
+            raise RepresentativeDependence(
+                f"pairing at degree {p} moves under shifts of the dual "
+                "representatives by degenerate forms"
+            )
+        invertible = rank(matrix) == bc.nrows
+        return PairingResult(p=p, matrix=matrix, invertible=invertible,
+                             bc_basis=bc, ae_basis=ae)
 
     # -- self-dual / anti-self-dual decomposition (middle degree, n=2) ------
 
@@ -284,11 +295,10 @@ class SLStructure:
     # -- Jbar-fixed decomposition -------------------------------------------
 
     def _realified_complex_subspace(self, space: Subspace) -> Subspace:
-        vectors = []
-        for row in space.rows:
-            vectors.append(realify_vector(row))
-            vectors.append(realify_vector([I_UNIT * x for x in row]))
-        return Subspace.from_vectors(vectors, 2 * space.ambient_dim)
+        # the realified rows of v and i v, for each basis vector v, are
+        # (Re v, Im v) and (-Im v, Re v); realify_antilinear stacks the
+        # first kind above minus the second
+        return Subspace.row_space(realify_antilinear(space.basis))
 
     def jbar_decomposition(self) -> DecompositionReport:
         """Real and imaginary parts of H^{2,0} with respect to Jbar.
@@ -405,7 +415,7 @@ class SLStructure:
         still computed but the exactness statement is not available.
         """
         values = []
-        for rep in self._ae_representatives(1):
+        for rep in self._ae_representatives(1).data:
             alpha = self.cx.from_coords(rep, 1)
             values.append((tuple(rep), self.degree_map(omega, alpha)))
         h_ae, h_del = self.mc.h_ae(1), self.mc.h_del(1)

@@ -96,7 +96,7 @@ def run_property_suite(
         m = cx.partial_matrix(1)
         reduced, pivots = rref(m)
         again, pivots2 = rref(reduced)
-        if again.data != reduced.data or pivots != pivots2:
+        if again != reduced or pivots != pivots2:
             return "fail", "row reduction is not idempotent"
         from .linalg import right_nullspace
 

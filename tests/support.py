@@ -15,7 +15,7 @@ formulas are checked against.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm, prod
+from math import gcd, lcm, prod
 from random import Random
 from typing import Dict, List, NamedTuple, Sequence, Tuple, Union
 
@@ -487,6 +487,84 @@ def reference_matmul(a: Mat, b: Mat) -> Mat:
               for j in range(b.ncols))
         for row in a.data
     ))
+
+
+# ---------------------------------------------------------------------------
+# Reference matrix: dense tuples of Gaussian rationals, every operation
+# entry by entry, as the engine's Mat was before it stored sparse rows.
+# Every operation and view of quatcohom's Mat is checked against it.
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ReferenceMat:
+    nrows: int
+    ncols: int
+    data: Tuple[Row, ...]
+
+    @classmethod
+    def from_rows(cls, rows, ncols: int) -> "ReferenceMat":
+        data = tuple(tuple(GaussianRational._coerce(x) for x in row) for row in rows)
+        assert all(len(row) == ncols for row in data)
+        return cls(len(data), ncols, data)
+
+    def transpose(self) -> "ReferenceMat":
+        return ReferenceMat(self.ncols, self.nrows, tuple(
+            tuple(row[j] for row in self.data) for j in range(self.ncols)))
+
+    def conj(self) -> "ReferenceMat":
+        return self._map(lambda x: x.conjugate())
+
+    def __neg__(self) -> "ReferenceMat":
+        return self._map(lambda x: -x)
+
+    def scale(self, factor) -> "ReferenceMat":
+        return self._map(lambda x: factor * x)
+
+    def _map(self, fn) -> "ReferenceMat":
+        return ReferenceMat(self.nrows, self.ncols,
+                            tuple(tuple(fn(x) for x in row) for row in self.data))
+
+    def __add__(self, other: "ReferenceMat") -> "ReferenceMat":
+        return ReferenceMat(self.nrows, self.ncols, tuple(
+            tuple(x + y for x, y in zip(r, s)) for r, s in zip(self.data, other.data)))
+
+    def __sub__(self, other: "ReferenceMat") -> "ReferenceMat":
+        return self + -other
+
+    def __matmul__(self, other: "ReferenceMat") -> "ReferenceMat":
+        return ReferenceMat(self.nrows, other.ncols, tuple(
+            tuple(sum((row[k] * other.data[k][j] for k in range(self.ncols)), ZERO)
+                  for j in range(other.ncols))
+            for row in self.data))
+
+    def apply(self, vector) -> Row:
+        return tuple(sum((x * y for x, y in zip(row, vector)), ZERO) for row in self.data)
+
+    def hstack(self, other: "ReferenceMat") -> "ReferenceMat":
+        return ReferenceMat(self.nrows, self.ncols + other.ncols,
+                            tuple(r + s for r, s in zip(self.data, other.data)))
+
+    def vstack(self, other: "ReferenceMat") -> "ReferenceMat":
+        return ReferenceMat(self.nrows + other.nrows, self.ncols, self.data + other.data)
+
+    def block(self, rows: Sequence[int], cols: range) -> "ReferenceMat":
+        return ReferenceMat(len(rows), len(cols),
+                            tuple(tuple(self.data[i][j] for j in cols) for i in rows))
+
+    def is_zero(self) -> bool:
+        return all(x.is_zero() for row in self.data for x in row)
+
+
+def assert_canonical_rows(matrix: Mat) -> None:
+    """Each stored row is (d, entries) with d > 0, no zero entry, every
+    column in range, and gcd(d, every part) = 1."""
+    assert len(matrix._rows) == matrix.nrows
+    for d, entries in matrix._rows:
+        assert isinstance(d, int) and d > 0
+        assert all(0 <= j < matrix.ncols for j in entries)
+        assert all(x or y for x, y in entries.values())
+        assert gcd(d, *(part for value in entries.values() for part in value)) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -284,6 +284,64 @@ def test_integer_literal_up_to_the_digit_limit_accepted(capsys, tmp_path):
     assert (code, err) == (0, "")
 
 
+def _example1_with_first_coefficient(tmp_path, coeff):
+    doc = json.loads(serialize_spec(load_corpus("example1")))
+    doc["structure"][0]["terms"][0]["coeff"] = coeff
+    path = tmp_path / "height.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("coeff, position", [
+    # (10^1000 - 1)^64 has 64000 digits, past Python's limit on printing ints
+    ("9" * 1000 + "^64", 1000),
+    # the least integer with 1001 digits, as a power and as a product
+    ("(10^50)^20", 7),
+    ("1/((10^50)^10*(10^50)^10)", 13),
+])
+def test_constant_beyond_the_digit_limit_exits_two(capsys, tmp_path, coeff, position):
+    path = _example1_with_first_coefficient(tmp_path, coeff)
+    code, out, err = run(capsys, "validate", path)
+    assert code == 2
+    assert out == ""
+    assert err == ("error: structure[0].terms[0].coeff: value at position "
+                   f"{position} has more than 1000 digits\n")
+
+
+def test_json_integer_beyond_the_digit_limit_exits_two(capsys, tmp_path):
+    doc = json.loads(serialize_spec(load_corpus("example1")))
+    doc["structure"][0]["terms"][0]["coeff"] = 10 ** 1000
+    path = tmp_path / "integer.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: structure[0].terms[0].coeff: integer has more than 1000 digits\n"
+
+
+@pytest.mark.parametrize("coeff", ["t*(10^37)^27/((1-t)*(10^37)^27)",
+                                   "t*(10^37)^27*9/((1-t)*(10^37)^27*9)"])
+def test_constant_up_to_the_digit_limit_accepted(capsys, tmp_path, coeff):
+    # 10^999 and 9 * 10^999 have 1000 digits, the most a value may have
+    path = _example2_with_entry(tmp_path, coeff)
+    code, _, err = run(capsys, "validate", path, "--param", "t=1/3")
+    assert (code, err) == (0, "")
+
+
+def test_evaluated_value_beyond_the_digit_limit_exits_two(capsys, tmp_path):
+    # t/(1-t) at t = 10^600 is a 601-digit value over a 601-digit one, but
+    # t^2/(1-t)^2 there has 1201 digits on each side
+    ok = _example2_with_entry(tmp_path, "t/(1-t)")
+    code, _, err = run(capsys, "validate", ok, "--param", f"t={10 ** 600}")
+    assert err == "" and code in (0, 1)
+    path = _example2_with_entry(tmp_path, "t^2/(1-t)^2")
+    code, out, err = run(capsys, "validate", path, "--param", f"t={10 ** 600}")
+    assert code == 2
+    assert out == ""
+    # evaluation names entries from one, as in "I[1][2] must be real"
+    assert err == f"error: I[1][2]: value at t={10 ** 600} has more than 1000 digits\n"
+
+
 def test_deeply_nested_json_exits_two(capsys, tmp_path):
     path = tmp_path / "arrays.json"
     path.write_text("[" * 100000 + "]" * 100000)

@@ -13,7 +13,7 @@ from quatcohom import (
     non_hkt_degrees,
 )
 from quatcohom.exterior import Form
-from quatcohom.linalg import Mat, complement_representatives
+from quatcohom.linalg import Mat, Subspace
 
 from support import (
     coframe_variant,
@@ -250,18 +250,24 @@ def test_table_matches_subspace_reference_on_corpus(corpus_sessions):
 @given(complexes, st.integers(0, 10**6))
 def test_page_one_coordinates_match_per_vector_solves(mc, seed):
     rng = Random(seed)
-    reps = {p: complement_representatives(mc.ker_del(p), mc.im_del(p))
-            for p in range(mc.top + 1)}
-    for p in range(mc.top + 1):
+    pages = [mc._page_one(p) for p in range(mc.top + 1)]
+    reps = {p: list(page[0].data) for p, page in enumerate(pages)}
+    for p, (page_reps, exact) in enumerate(pages):
+        # the representatives complete a basis of Im del to one of ker del
+        assert Subspace.from_vectors(exact.data, mc.dim(p)) == mc.im_del(p)
+        assert Subspace.from_vectors(page_reps.data + exact.data, mc.dim(p)) == mc.ker_del(p)
+        assert page_reps.nrows + exact.nrows == mc.ker_del(p).dim
         closed = Mat.from_rows(mc.ker_del(p).rows, ncols=mc.dim(p))
         vectors = [mc.delta_j(p - 1).apply(v) for v in reps.get(p - 1, [])]
         vectors += list(closed.data)
         for _ in range(2 if closed.nrows else 0):
             weights = [rng.randint(-2, 2) for _ in range(closed.nrows)]
             vectors.append(closed.transpose().apply(weights))
-        assert mc._class_coords(vectors, p, reps) == [
+        columns = Mat.from_rows(vectors, ncols=mc.dim(p)).transpose()
+        coords = mc._class_coords(columns, p, pages[p])
+        assert coords.transpose().data == tuple(
             reference_class_coords(mc, v, p, reps) for v in vectors
-        ]
+        )
 
 
 # -- real dimension 16: a product with a torus --------------------------------
@@ -291,6 +297,19 @@ def test_product_with_torus_convolves_every_row(ex1):
     small = ex1.mc.table()
     torus = _binomial_row(4)
     assert table.h_bc == (1, 6, 19, 40, 56, 50, 27, 8, 1)
+    for column in ("h_del", "h_delj", "h_bc", "h_ae", "a", "b", "c", "d",
+                   "e", "f", "dim_e1", "dim_e2", "delta"):
+        assert getattr(table, column) == _convolve(getattr(small, column), torus)
+
+
+def test_example3_times_torus_convolves_every_row_in_dimension_20(ex3):
+    # the same oracle one step up the ladder: example3 + R^8 has real
+    # dimension 20, and every row is example3's convolved with binomial(4, p)
+    spec = direct_sum_spec(load_corpus("example3"), load_corpus("torus8"))
+    table = ReportSession(spec).mc.table()
+    small = ex3.mc.table()
+    torus = _binomial_row(4)
+    assert table.top_degree == 10
     for column in ("h_del", "h_delj", "h_bc", "h_ae", "a", "b", "c", "d",
                    "e", "f", "dim_e1", "dim_e2", "delta"):
         assert getattr(table, column) == _convolve(getattr(small, column), torus)

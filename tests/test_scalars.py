@@ -65,6 +65,51 @@ def test_parse_rejects_garbage():
             parse_rational(text)
 
 
+def _full_parse(text):
+    """The value or the error of the full parser, past any fast path."""
+    try:
+        return parse_coefficient(text).constant_value()
+    except Exception as exc:  # the error itself is what is compared
+        return type(exc), str(exc)
+
+
+def _parse(text):
+    try:
+        return parse_rational(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+digit_strings = st.one_of(st.integers(0, 10**6).map(str),
+                          st.text("0123456789", min_size=1, max_size=6),
+                          st.sampled_from(["1" + "0" * 999, "9" * 1000, "1" + "0" * 1000]))
+printed_shapes = st.tuples(
+    st.sampled_from(["{a}", "-{a}", "{a}/{b}", "-{a}/{b}", "i", "-i", "{c}*i",
+                     "-{c}/{d}*i", "{a}+i", "-{a}/{b}-i", "{a}/{b}+{c}*i",
+                     "-{a}-{c}/{d}*i", "{a}/{b}+{c}/{d}*i", " {a}", "+{a}",
+                     "{a}/-{b}", "{a}/{b}i", "{a}+{c}/{d}"]),
+    digit_strings, digit_strings, digit_strings, digit_strings,
+).map(lambda t: t[0].format(a=t[1], b=t[2], c=t[3], d=t[4]))
+
+
+@given(st.one_of(scalars.map(str), printed_shapes))
+def test_printed_forms_parse_as_the_full_parser_does(text):
+    # the same value or the same error, including zero denominators and
+    # literals and values on both sides of the digit limit
+    assert _parse(text) == _full_parse(text)
+
+
+@pytest.mark.parametrize("text", [
+    "1/0", "0/0*i", "1+1/0*i", "1" * 1001, "(10^50)^20",
+    # 2 * (10^1000 - 1) over 6 has 1001 digits before it is reduced
+    "1/2+" + "9" * 1000 + "/3*i",
+], ids=["zero-den", "zero-den-imag", "zero-den-mixed", "long-literal", "tall-power",
+        "tall-sum"])
+def test_printed_forms_fall_back_to_the_full_parser_errors(text):
+    assert _parse(text) == _full_parse(text)
+    assert isinstance(_parse(text), tuple)
+
+
 def test_param_expr_evaluation():
     expr = parse_coefficient("t/(1-t)", ["t"])
     assert expr.evaluate({"t": Fraction(1, 2)}) == GaussianRational(1)
