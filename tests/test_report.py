@@ -1,9 +1,14 @@
+import hashlib
 import json
 from fractions import Fraction
+
+import pytest
 
 from quatcohom import load_corpus
 from quatcohom.fileio import document_from_spec, spec_from_document
 from quatcohom.report import build_report, to_json, to_table
+
+from support import direct_sum_spec
 
 
 def test_document_is_json_native_and_deterministic():
@@ -107,3 +112,16 @@ def test_report_decomposes_the_middle_cohomology_once(monkeypatch):
     # the suite and the decomposition section read the same results
     assert calls == {"_decompose_jbar": 1, "_decompose_sd_asd": 1}
     assert doc["decomposition"]["self_dual"]["plus_dim"] == 2
+
+
+@pytest.mark.parametrize("summands, digest", [
+    (("example1", "torus8"), "84d695c22d75411e"),
+    (("example1", "example1"), "6f9207d33a50107b"),
+    (("example3", "torus8"), "29f2faa4999f09b9"),
+], ids=["example1+torus8", "example1+example1", "example3+torus8"])
+def test_direct_sum_reports_byte_identical(summands, digest):
+    # SHA-256 prefixes of the JSON reports in real dimensions 16 and 20,
+    # recorded with dense matrices: any change here is a change of output
+    spec = direct_sum_spec(*(load_corpus(name) for name in summands))
+    doc = to_json(build_report(spec))
+    assert hashlib.sha256(doc.encode("utf-8")).hexdigest()[:16] == digest
