@@ -22,6 +22,7 @@ from .errors import (
     PoleAtBinding,
     QuaternionicRelationFailure,
     SchemaError,
+    SearchBoundError,
     UnboundParameter,
     ValidationFailure,
 )
@@ -53,6 +54,7 @@ _PARSE_ERRORS = (
     CoefficientParseError,
     UnboundParameter,
     PoleAtBinding,
+    SearchBoundError,
 )
 
 _VALIDATION_ERRORS = (
@@ -65,6 +67,16 @@ _VALIDATION_ERRORS = (
     NotReal,
     NotBidegree20,
 )
+
+
+# every character str.splitlines breaks at, written as its escape, so that
+# input echoed in a message cannot break the one-line error
+_LINE_BREAKS = str.maketrans(
+    {c: repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"})
+
+
+def _error(message: str) -> None:
+    print("error: " + message.translate(_LINE_BREAKS), file=sys.stderr)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -176,7 +188,7 @@ def _cmd_pairing(args: argparse.Namespace) -> int:
     session = ReportSession(spec, bindings)
     n2 = 2 * session.cx.n
     if not 0 <= args.p <= n2:
-        print(f"error: --p {args.p}: expected a degree in 0..{n2}", file=sys.stderr)
+        _error(f"--p {args.p}: expected a degree in 0..{n2}")
         return EXIT_PARSE
     doc = pairing_document(session, session.sl.pairing_matrix(args.p))
     print(f"pairing of H_BC({doc['p']}) with H_AE({n2 - doc['p']}): "
@@ -216,16 +228,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except _PARSE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(str(exc))
         return EXIT_PARSE
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(str(exc))
         return EXIT_PARSE
     except _VALIDATION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(str(exc))
         return EXIT_INVALID
     except EngineError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        _error(f"{type(exc).__name__}: {exc}")
         return EXIT_THEOREM
 
 

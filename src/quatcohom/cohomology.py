@@ -4,12 +4,16 @@ The object of study is a graded space with two degree-one operators del
 and del_J satisfying del^2 = del_J^2 = del del_J + del_J del = 0, given
 concretely as exact matrices per degree.  Every dimension in the table
 (the four cohomology theories, the six Varouchas spaces, the E2 page) is
-a sum of ranks of a few operators per degree: del, del_J, del del_J, the
-stacked and side-by-side pairs, and two 2x2 block operators for E2.  The
-ranks are cached per complex, so no subspace is built, intersected or
-compared to count one.  The second route to E2 is independent: it
-iterates the first page on explicit representatives, which is subspace
-arithmetic over Q(i), and must agree with the rank formula.
+a sum of ranks of a few named operators per degree: del, del_J, del
+del_J ("ddj"), the stacked pair [del; del_J] ("stacked"), the side-by-side
+pair [del | del_J] ("side"), and two 2x2 block operators for E2.  The
+ranks are cached per complex, so no subspace is built to count one.  A
+space itself, as for class representatives, is the kernel or image of one
+named operator, cached beside the ranks: ker del ∩ ker del_J is the
+kernel of "stacked" and im del + im del_J the image of "side".  The
+second route to E2 is independent: it iterates the first page on explicit
+representatives, which is subspace arithmetic over Q(i), and must agree
+with the rank formula.
 
 A MatrixComplex built from a hypercomplex structure carries the extra
 Jbar symmetry between del and del_J; the symmetry-dependent identities
@@ -50,7 +54,7 @@ class MatrixComplex:
         self._delj = list(delj_mats)
         self.quaternionic_dim = quaternionic_dim
         self.has_jbar_symmetry = has_jbar_symmetry
-        self._subspaces: Dict[Tuple[str, int], Subspace] = {}
+        self._subspaces: Dict[Tuple[str, str, int], Subspace] = {}
         self._ranks: Dict[Tuple[str, int], int] = {}
         self._pages: Optional[List[int]] = None
         self._table: Optional["CohomologyTable"] = None
@@ -102,50 +106,7 @@ class MatrixComplex:
     def ddj(self, p: int) -> Mat:
         return self.delta(p + 1) @ self.delta_j(p)
 
-    # -- the six building-block subspaces -----------------------------------
-
-    def _space(self, name: str, p: int) -> Subspace:
-        key = (name, p)
-        if key in self._subspaces:
-            return self._subspaces[key]
-        if p < 0 or p > self.top:
-            space = Subspace.zero(self.dim(p))
-        elif name == "ker_del":
-            space = Subspace.kernel(self.delta(p))
-        elif name == "ker_delj":
-            space = Subspace.kernel(self.delta_j(p))
-        elif name == "ker_ddj":
-            space = Subspace.kernel(self.ddj(p))
-        elif name == "im_del":
-            space = Subspace.column_space(self.delta(p - 1))
-        elif name == "im_delj":
-            space = Subspace.column_space(self.delta_j(p - 1))
-        elif name == "im_ddj":
-            space = Subspace.column_space(self.ddj(p - 2))
-        else:
-            raise KeyError(name)
-        self._subspaces[key] = space
-        return space
-
-    def ker_del(self, p: int) -> Subspace:
-        return self._space("ker_del", p)
-
-    def ker_delj(self, p: int) -> Subspace:
-        return self._space("ker_delj", p)
-
-    def ker_ddj(self, p: int) -> Subspace:
-        return self._space("ker_ddj", p)
-
-    def im_del(self, p: int) -> Subspace:
-        return self._space("im_del", p)
-
-    def im_delj(self, p: int) -> Subspace:
-        return self._space("im_delj", p)
-
-    def im_ddj(self, p: int) -> Subspace:
-        return self._space("im_ddj", p)
-
-    # -- ranks ---------------------------------------------------------------
+    # -- the named operators: ranks, kernels and images ---------------------
 
     def _operator(self, name: str, p: int) -> Mat:
         if name == "del":
@@ -175,6 +136,20 @@ class MatrixComplex:
         if key not in self._ranks:
             self._ranks[key] = rank(self._operator(name, p))
         return self._ranks[key]
+
+    def kernel(self, name: str, p: int) -> Subspace:
+        """Kernel of one operator out of degree p, a subspace of degree p."""
+        key = ("kernel", name, p)
+        if key not in self._subspaces:
+            self._subspaces[key] = Subspace.kernel(self._operator(name, p))
+        return self._subspaces[key]
+
+    def image(self, name: str, p: int) -> Subspace:
+        """Image of one operator out of degree p, as in `_rank`."""
+        key = ("image", name, p)
+        if key not in self._subspaces:
+            self._subspaces[key] = Subspace.column_space(self._operator(name, p))
+        return self._subspaces[key]
 
     # -- cohomology dimensions ----------------------------------------------
     #

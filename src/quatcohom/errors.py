@@ -35,6 +35,10 @@ class SchemaError(EngineError):
     """A structure file violates the input schema; message carries the path."""
 
 
+class SearchBoundError(EngineError):
+    """A certificate-search bound is negative or asks for unbounded work."""
+
+
 class ValidationFailure(EngineError):
     """An algebra failed validation and cannot be used to build a session."""
 

@@ -26,7 +26,11 @@ they skip the reduction above the pivots and build no reduced matrix.
 Which row supplies a pivot does not change the pivot columns or the
 reduced echelon form, which is unique, so the reduced form is canonical.
 A `Subspace` keeps its canonical basis, the nonzero rows of that form, as a
-matrix; subspaces are compared and hashed through it.
+matrix; subspaces are compared and hashed through it.  Subspaces are
+built as row spaces, kernels and column spaces of matrices, and the
+callers take them as kernels and images of named operators: there is no
+intersection here, and a dimension of an intersection or a quotient is
+read off ranks.
 
 Gaussian rationals are read as integers through `GaussianRational.numerator`
 (the Gaussian integer a + b*i) and `denominator` (the positive d of
@@ -753,8 +757,8 @@ class Subspace:
     `basis` is a matrix whose rows are the nonzero rows of the reduced row
     echelon form of any spanning set, and `rows` is its dense view.  Two
     Subspace objects are equal exactly when they describe the same
-    subspace, so they can sit in sets and serve as dictionary keys; all
-    the lattice operations below preserve the normalization.
+    subspace, so they can sit in sets and serve as dictionary keys; every
+    constructor below preserves the normalization.
     `Subspace(ambient_dim, rows)` takes rows that are already canonical.
     """
 
@@ -830,37 +834,9 @@ class Subspace:
             raise ValueError("vector length does not match ambient dimension")
         return rank(self.basis.vstack(Mat(1, self.ambient_dim, [vector]))) == self.dim
 
-    def contains_space(self, other: "Subspace") -> bool:
-        """Whether other lies in self: the basis rows are independent, so
-        exactly when adding other's rows leaves the rank at dim self."""
-        self._check_ambient(other)
-        return rank(self.basis.vstack(other.basis)) == self.dim
-
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
         return Subspace.row_space(self.basis.vstack(other.basis))
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        """Intersection via the kernel of the stacked basis matrix.
-
-        A vector in both spaces is U^T a = V^T b; solving the homogeneous
-        system [U^T | -V^T] (a, b) = 0 and reading off a U gives a
-        spanning set of the intersection.
-        """
-        self._check_ambient(other)
-        if not self.dim or not other.dim:
-            return Subspace.zero(self.ambient_dim)
-        stacked = self.basis.transpose().hstack(-other.basis.transpose())
-        null = kernel_basis(stacked)
-        return Subspace.row_space(null.block(range(null.nrows), range(self.dim)) @ self.basis)
-
-    def quotient_dim(self, smaller: "Subspace") -> int:
-        self._check_ambient(smaller)
-        if not self.contains_space(smaller):
-            raise NotASubspace(
-                "quotient requested by a space that is not contained in the numerator"
-            )
-        return self.dim - smaller.dim
 
     def _check_ambient(self, other: "Subspace") -> None:
         if self.ambient_dim != other.ambient_dim:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, List, Optional, Tuple
 
 from .cohomology import MatrixComplex, non_hkt_degrees
-from .errors import NotBidegree20, NotSL2, TheoremViolation
+from .errors import NotBidegree20, NotSL2, SearchBoundError, TheoremViolation
 from .exterior import Form
 from .linalg import (
     Mat,
@@ -117,7 +117,7 @@ def classify_metric(cx: QuaternionicComplex, omega: Form,
     top = 2 * cx.n - 1
     strongly = hermitian and (
         del_pow.is_zero()
-        or mc.im_delj(top).contains(cx.coords(del_pow, top))
+        or mc.image("del_J", top - 1).contains(cx.coords(del_pow, top))
     )
     return MetricCandidate(
         omega=omega,
@@ -168,9 +168,29 @@ def sg_candidate_space(cx: QuaternionicComplex) -> Subspace:
     return Subspace.row_space(paired.block(range(paired.nrows), range(wide)))
 
 
+# The certificate search builds about 0.6 * c * D^2 candidate values for
+# coefficient bound c and denominator bound D before it probes any; c * D^2
+# may be at most this, which keeps that list under a second to build.
+MAX_SEARCH_SIZE = 100_000
+
+
+def _check_search_bounds(den_bound: int, coeff_bound: int) -> None:
+    if den_bound < 0 or coeff_bound < 0:
+        raise SearchBoundError(
+            f"search bounds must be nonnegative, got denominator bound "
+            f"{den_bound} and coefficient bound {coeff_bound}"
+        )
+    size = coeff_bound * den_bound ** 2
+    if size > MAX_SEARCH_SIZE:
+        raise SearchBoundError(
+            f"search bounds too large: coefficient bound times denominator "
+            f"bound squared is {size}, at most {MAX_SEARCH_SIZE}"
+        )
+
+
 def _value_sequence(den_bound: int, coeff_bound: int) -> List[Fraction]:
     values = [Fraction(0)]
-    for q in range(1, den_bound + 1):
+    for q in range(1, den_bound + 1 if coeff_bound else 1):
         for p in range(1, coeff_bound * q + 1):
             f = Fraction(p, q)
             if f.denominator != q:
@@ -290,6 +310,7 @@ def _decide(
     coeff_bound: int,
     probe_limit: int,
 ) -> ExistenceVerdict:
+    _check_search_bounds(den_bound, coeff_bound)
     if cx.n != 2:
         raise NotSL2(
             f"existence is only decided in quaternionic dimension 2, "

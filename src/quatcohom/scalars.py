@@ -501,9 +501,11 @@ def _tokenize(text: str) -> Iterator[Tuple[str, str, int]]:
             yield ("op", ch, pos)
             pos += 1
             continue
-        if ch.isdigit():
+        # isdecimal, not isdigit: int() reads every decimal digit, but not
+        # superscripts such as "²", which isdigit accepts
+        if ch.isdecimal():
             start = pos
-            while pos < size and text[pos].isdigit():
+            while pos < size and text[pos].isdecimal():
                 pos += 1
             yield ("int", text[start:pos], start)
             continue

@@ -7,11 +7,13 @@ operator is not implemented by a sign rule: it is solved degree by degree
 from its defining wedge relation, and the sign rule then serves as an
 independent cross-check in the test suite.
 
-All dimensions reported by the decompositions are exact.  The fixed loci
-of the antilinear involution Jbar are only real subspaces, so the plus
-and minus summands are tracked through a realification of the coefficient
-space; their intersection and sum are genuinely complex and are reported
-in complex dimensions.
+All dimensions reported by the decompositions are exact.  Every space
+read is the kernel or image of one operator, as in the matrix complex,
+and intersections and sums of such spaces are only counted, by ranks.
+The fixed loci of the antilinear involution Jbar are only real subspaces,
+so the plus and minus summands are tracked through a realification of the
+coefficient space; their intersection and sum are genuinely complex and
+are reported in complex dimensions.
 """
 
 from __future__ import annotations
@@ -41,8 +43,10 @@ from .linalg import (
     complement_representatives,
     complexify_vector,
     inverse,
+    kernel_basis,
     rank,
     realify_antilinear,
+    realify_linear,
 )
 from .quaternionic import QuaternionicComplex
 from .scalars import ZERO, GaussianRational
@@ -203,13 +207,12 @@ class SLStructure:
     # -- duality pairing -----------------------------------------------------
 
     def _bc_representatives(self, p: int) -> Mat:
-        closed = self.mc.ker_del(p).intersect(self.mc.ker_delj(p))
-        return complement_basis(closed, self.mc.im_ddj(p))
+        return complement_basis(self.mc.kernel("stacked", p),
+                                self.mc.image("ddj", p - 2))
 
     def _ae_representatives(self, p: int) -> Mat:
-        exact = self.mc.im_del(p).sum(self.mc.im_delj(p))
-        big = self.mc.ker_ddj(p)
-        return complement_basis(big, exact)
+        return complement_basis(self.mc.kernel("ddj", p),
+                                self.mc.image("side", p - 1))
 
     def pairing_matrix(self, p: int) -> PairingResult:
         """Pairing of degree-p against degree-(2n-p) classes by wedging.
@@ -238,13 +241,13 @@ class SLStructure:
         wedge = self.wedge_matrix(p)
         ae_columns = ae.transpose()
         matrix = bc @ wedge @ ae_columns
-        if not (self.mc.im_ddj(p).basis @ wedge @ ae_columns).is_zero():
+        if not (self.mc.image("ddj", p - 2).basis @ wedge @ ae_columns).is_zero():
             raise RepresentativeDependence(
                 f"pairing at degree {p} moves under shifts of the "
                 "representatives by exact forms"
             )
-        ae_degenerate = self.mc.im_del(q).sum(self.mc.im_delj(q))
-        if not (bc @ wedge @ ae_degenerate.basis.transpose()).is_zero():
+        ae_degenerate = self.mc.image("side", q - 1).basis
+        if not (bc @ wedge @ ae_degenerate.transpose()).is_zero():
             raise RepresentativeDependence(
                 f"pairing at degree {p} moves under shifts of the dual "
                 "representatives by degenerate forms"
@@ -273,32 +276,28 @@ class SLStructure:
                 f"dimension 2, got {self.cx.n}"
             )
         star = self.star_matrix(2)
-        ambient = star.ncols
-        identity = Mat.identity(ambient)
-        ker = self.mc.ker_del(2)
-        im = self.mc.im_del(2)
-        plus = Subspace.kernel(star - identity).intersect(ker)
-        minus = Subspace.kernel(star + identity).intersect(ker)
-        big_plus = plus.sum(im)
-        big_minus = minus.sum(im)
-        dim_plus = big_plus.quotient_dim(im)
-        dim_minus = big_minus.quotient_dim(im)
-        direct = big_plus.intersect(big_minus) == im
-        exhausts = big_plus.sum(big_minus) == ker
+        identity = Mat.identity(star.ncols)
+        d = self.mc.delta(2)
+        # the closed (anti-)self-dual forms, and the exact ones
+        plus = kernel_basis((star - identity).vstack(d))
+        minus = kernel_basis((star + identity).vstack(d))
+        exact = self.mc.image("del", 1).basis
+        # both big spaces contain Im del and lie in ker del, so they meet in
+        # Im del and span ker del exactly when the dimensions say so, by
+        # dim(U ∩ V) = dim U + dim V - dim(U + V)
+        big_plus = rank(plus.vstack(exact))
+        big_minus = rank(minus.vstack(exact))
+        both = rank(plus.vstack(minus).vstack(exact))
+        direct = big_plus + big_minus - both == exact.nrows
+        exhausts = both == self.mc.kernel("del", 2).dim
         if not (direct and exhausts):
             raise DecompositionFailure(
                 "self-dual and anti-self-dual images do not split the "
                 f"middle cohomology: direct={direct}, exhausts={exhausts}"
             )
-        return dim_plus, dim_minus, True
+        return big_plus - exact.nrows, big_minus - exact.nrows, True
 
     # -- Jbar-fixed decomposition -------------------------------------------
-
-    def _realified_complex_subspace(self, space: Subspace) -> Subspace:
-        # the realified rows of v and i v, for each basis vector v, are
-        # (Re v, Im v) and (-Im v, Re v); realify_antilinear stacks the
-        # first kind above minus the second
-        return Subspace.row_space(realify_antilinear(space.basis))
 
     def jbar_decomposition(self) -> DecompositionReport:
         """Real and imaginary parts of H^{2,0} with respect to Jbar.
@@ -313,20 +312,22 @@ class SLStructure:
 
     def _decompose_jbar(self) -> DecompositionReport:
         cx = self.cx
-        ambient = len(cx.hol_basis(2))
-        ker_real = self._realified_complex_subspace(self.mc.ker_del(2))
-        im_real = self._realified_complex_subspace(self.mc.im_del(2))
+        # over the reals: ker and im of the realified del are the realified
+        # ker and im of del, and each locus is one kernel
+        d_real = realify_linear(self.mc.delta(2))
         jbar_real = realify_antilinear(cx.jbar_matrix(2))
-        identity = Mat.identity(2 * ambient)
-        fix_plus = Subspace.kernel(jbar_real - identity)
-        fix_minus = Subspace.kernel(jbar_real + identity)
-        big_plus = fix_plus.intersect(ker_real).sum(im_real)
-        big_minus = fix_minus.intersect(ker_real).sum(im_real)
+        identity = Mat.identity(d_real.ncols)
+        im_real = Subspace.column_space(realify_linear(self.mc.delta(1)))
+        big_plus = Subspace.row_space(
+            kernel_basis(d_real.vstack(jbar_real - identity)).vstack(im_real.basis))
+        big_minus = Subspace.row_space(
+            kernel_basis(d_real.vstack(jbar_real + identity)).vstack(im_real.basis))
 
-        plus_real = big_plus.quotient_dim(im_real)
-        minus_real = big_minus.quotient_dim(im_real)
-        inter_real = big_plus.intersect(big_minus).quotient_dim(im_real)
-        sum_real = big_plus.sum(big_minus).quotient_dim(im_real)
+        # both contain im_real: dim(U ∩ V) = dim U + dim V - dim(U + V)
+        plus_real = big_plus.dim - im_real.dim
+        minus_real = big_minus.dim - im_real.dim
+        sum_real = rank(big_plus.basis.vstack(big_minus.basis)) - im_real.dim
+        inter_real = plus_real + minus_real - sum_real
         if inter_real % 2 or sum_real % 2:
             raise InternalInconsistency(
                 "intersection and sum of the Jbar loci must be complex "
@@ -394,8 +395,7 @@ class SLStructure:
         if not cx.partial(cx.partial_j(alpha)).is_zero():
             raise NotAeppliClosed("representative is not del del_J-closed")
         value = self.integrate(cx.partial(alpha).wedge(om_pow).wedge(self.phi_bar))
-        degenerate = self.mc.im_del(1).sum(self.mc.im_delj(1))
-        for shift in degenerate.rows:
+        for shift in self.mc.image("side", 0).rows:
             moved = alpha + cx.from_coords(shift, 1)
             other = self.integrate(
                 cx.partial(moved).wedge(om_pow).wedge(self.phi_bar)
@@ -423,7 +423,7 @@ class SLStructure:
             raise TheoremViolation(
                 f"h_AE(1) = {h_ae} exceeds h_del(1) + 1 = {h_del + 1}"
             )
-        for rep in self.mc.ker_del(1).rows:
+        for rep in self.mc.kernel("del", 1).rows:
             alpha = self.cx.from_coords(rep, 1)
             if self.degree_map(omega, alpha) != ZERO:
                 raise TheoremViolation(

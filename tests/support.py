@@ -7,9 +7,11 @@ complexes directly as matrices, a reference Gaussian rational held as a
 pair of Fractions that the engine's scalar is checked against, two
 reference eliminations that the sparse kernel is checked against (plain
 Gauss-Jordan on Gaussian rationals, and dense fraction-free Bareiss
-elimination over Z[i]), a reference matrix product, and a
-reference cohomology table computed by subspace arithmetic that the rank
-formulas are checked against.
+elimination over Z[i]), a reference matrix product, the subspace lattice
+(intersection, containment and quotient dimension), and a reference
+cohomology table and middle-degree decomposition computed by subspace
+arithmetic that the rank formulas and the operator kernels and images
+are checked against.
 """
 
 from dataclasses import dataclass
@@ -22,9 +24,11 @@ from typing import Dict, List, NamedTuple, Sequence, Tuple, Union
 from quatcohom import AlgebraSpec, CohomologyTable, GaussianRational, MatrixComplex
 from quatcohom.errors import DivisionByZero, InternalInconsistency, NotASubspace
 from quatcohom.exterior import Form
-from quatcohom.linalg import Mat, Row, Subspace, inverse, solve
+from quatcohom.linalg import (Mat, Row, Subspace, complexify_vector, inverse,
+                              kernel_basis, rank, realify_antilinear, solve)
 from quatcohom.model import instantiate
 from quatcohom.scalars import ONE, ZERO
+from quatcohom.slstructure import DecompositionReport, SLStructure
 
 
 def skew_pairs(dim: int, pairs: Sequence[Tuple[int, int, int]]) -> List[List[int]]:
@@ -739,6 +743,48 @@ def reference_nullspace(reduced: Mat, pivots: List[int]) -> List[Tuple[GaussianR
 
 
 # ---------------------------------------------------------------------------
+# Reference subspace lattice.  The engine takes every space as the kernel or
+# image of a named operator and counts intersections and sums by ranks;
+# these build the intersections themselves, for the oracles below.
+# ---------------------------------------------------------------------------
+
+
+def _check_ambient(u: Subspace, v: Subspace) -> None:
+    if u.ambient_dim != v.ambient_dim:
+        raise ValueError("subspaces live in different ambient spaces")
+
+
+def contains_space(big: Subspace, small: Subspace) -> bool:
+    """Whether small lies in big: the basis rows are independent, so
+    exactly when adding small's rows leaves the rank at dim big."""
+    _check_ambient(big, small)
+    return rank(big.basis.vstack(small.basis)) == big.dim
+
+
+def intersect(u: Subspace, v: Subspace) -> Subspace:
+    """Intersection via the kernel of the stacked basis matrix.
+
+    A vector in both spaces is U^T a = V^T b; solving the homogeneous
+    system [U^T | -V^T] (a, b) = 0 and reading off a U gives a spanning
+    set of the intersection.
+    """
+    _check_ambient(u, v)
+    if not u.dim or not v.dim:
+        return Subspace.zero(u.ambient_dim)
+    stacked = u.basis.transpose().hstack(-v.basis.transpose())
+    null = kernel_basis(stacked)
+    return Subspace.row_space(null.block(range(null.nrows), range(u.dim)) @ u.basis)
+
+
+def quotient_dim(big: Subspace, small: Subspace) -> int:
+    if not contains_space(big, small):
+        raise NotASubspace(
+            "quotient requested by a space that is not contained in the numerator"
+        )
+    return big.dim - small.dim
+
+
+# ---------------------------------------------------------------------------
 # Reference cohomology: every column of the table by subspace arithmetic,
 # building, intersecting and summing the actual subspaces.  The engine reads
 # the same numbers off ranks, where the two exactness sums hold by algebra;
@@ -748,7 +794,7 @@ def reference_nullspace(reduced: Mat, pivots: List[int]) -> List[Tuple[GaussianR
 
 def reference_complement_representatives(big: Subspace, small: Subspace) -> List[Row]:
     """Greedy over the canonical rows of big, one containment test per row."""
-    if not big.contains_space(small):
+    if not contains_space(big, small):
         raise NotASubspace("complement requested inside a non-subspace")
     current = small
     out = []
@@ -759,11 +805,20 @@ def reference_complement_representatives(big: Subspace, small: Subspace) -> List
     return out
 
 
+def ker_del(mc: MatrixComplex, p: int) -> Subspace:
+    return Subspace.kernel(mc.delta(p))
+
+
+def im_del(mc: MatrixComplex, p: int) -> Subspace:
+    """Im del inside degree p."""
+    return Subspace.column_space(mc.delta(p - 1))
+
+
 def reference_class_coords(mc: MatrixComplex, vector, p: int,
                            reps: Dict[int, List]) -> Tuple:
     """Page-one coordinates of one del-closed vector, by its own solve."""
     rep_list = reps.get(p, [])
-    columns = list(rep_list) + list(mc.im_del(p).rows)
+    columns = list(rep_list) + list(im_del(mc, p).rows)
     if not columns:
         assert not any(x for x in vector)
         return ()
@@ -786,30 +841,33 @@ def reference_e2(mc: MatrixComplex, p: int) -> int:
     numerator = Subspace.from_vectors(
         [vec[:dp] for vec in Subspace.kernel(stacked).rows], dp
     )
-    pushed = [mc.delta_j(p - 1).apply(v) for v in mc.ker_del(p - 1).rows]
-    denominator = mc.im_del(p).sum(Subspace.from_vectors(pushed, dp))
-    return numerator.quotient_dim(denominator)
+    pushed = [mc.delta_j(p - 1).apply(v) for v in ker_del(mc, p - 1).rows]
+    denominator = im_del(mc, p).sum(Subspace.from_vectors(pushed, dp))
+    return quotient_dim(numerator, denominator)
 
 
 def reference_table(mc: MatrixComplex) -> CohomologyTable:
     """The cohomology table of mc by subspace arithmetic alone."""
     degrees = range(mc.top + 1)
-    h_del = [mc.ker_del(p).quotient_dim(mc.im_del(p)) for p in degrees]
-    h_delj = [mc.ker_delj(p).quotient_dim(mc.im_delj(p)) for p in degrees]
-    h_bc = [mc.ker_del(p).intersect(mc.ker_delj(p)).quotient_dim(mc.im_ddj(p))
-            for p in degrees]
-    h_ae = [mc.ker_ddj(p).quotient_dim(mc.im_del(p).sum(mc.im_delj(p)))
-            for p in degrees]
+    ker_d = [ker_del(mc, p) for p in degrees]
+    im_d = [im_del(mc, p) for p in degrees]
+    ker_dj = [Subspace.kernel(mc.delta_j(p)) for p in degrees]
+    im_dj = [Subspace.column_space(mc.delta_j(p - 1)) for p in degrees]
+    ker_ddj = [Subspace.kernel(mc.ddj(p)) for p in degrees]
+    im_ddj = [Subspace.column_space(mc.ddj(p - 2)) for p in degrees]
+    h_del = [quotient_dim(ker_d[p], im_d[p]) for p in degrees]
+    h_delj = [quotient_dim(ker_dj[p], im_dj[p]) for p in degrees]
+    h_bc = [quotient_dim(intersect(ker_d[p], ker_dj[p]), im_ddj[p]) for p in degrees]
+    h_ae = [quotient_dim(ker_ddj[p], im_d[p].sum(im_dj[p])) for p in degrees]
     var = []
     for p in degrees:
-        im_ddj, ker_ddj = mc.im_ddj(p), mc.ker_ddj(p)
         var.append((
-            mc.im_del(p).intersect(mc.im_delj(p)).quotient_dim(im_ddj),
-            mc.ker_del(p).intersect(mc.im_delj(p)).quotient_dim(im_ddj),
-            ker_ddj.quotient_dim(mc.ker_del(p).sum(mc.im_delj(p))),
-            mc.im_del(p).intersect(mc.ker_delj(p)).quotient_dim(im_ddj),
-            ker_ddj.quotient_dim(mc.im_del(p).sum(mc.ker_delj(p))),
-            ker_ddj.quotient_dim(mc.ker_del(p).sum(mc.ker_delj(p))),
+            quotient_dim(intersect(im_d[p], im_dj[p]), im_ddj[p]),
+            quotient_dim(intersect(ker_d[p], im_dj[p]), im_ddj[p]),
+            quotient_dim(ker_ddj[p], ker_d[p].sum(im_dj[p])),
+            quotient_dim(intersect(im_d[p], ker_dj[p]), im_ddj[p]),
+            quotient_dim(ker_ddj[p], im_d[p].sum(ker_dj[p])),
+            quotient_dim(ker_ddj[p], ker_d[p].sum(ker_dj[p])),
         ))
     e2 = [reference_e2(mc, p) for p in degrees]
     return CohomologyTable(
@@ -828,4 +886,67 @@ def reference_table(mc: MatrixComplex) -> CohomologyTable:
         dim_e1=tuple(h_del),
         dim_e2=tuple(e2),
         delta=tuple(h_bc[p] + h_ae[p] - 2 * e2[p] for p in degrees),
+    )
+
+
+# ---------------------------------------------------------------------------
+# Reference decompositions of the middle cohomology: the same report by
+# intersecting and summing the subspaces themselves.
+# ---------------------------------------------------------------------------
+
+
+def _realified_complex_subspace(space: Subspace) -> Subspace:
+    # the realified rows of v and i v, for each basis vector v, are
+    # (Re v, Im v) and (-Im v, Re v); realify_antilinear stacks the first
+    # kind above minus the second
+    return Subspace.row_space(realify_antilinear(space.basis))
+
+
+def reference_sd_asd(sl: SLStructure) -> Tuple[int, int, bool]:
+    star = sl.star_matrix(2)
+    identity = Mat.identity(star.ncols)
+    ker, im = ker_del(sl.mc, 2), im_del(sl.mc, 2)
+    big_plus = intersect(Subspace.kernel(star - identity), ker).sum(im)
+    big_minus = intersect(Subspace.kernel(star + identity), ker).sum(im)
+    direct = intersect(big_plus, big_minus) == im
+    exhausts = big_plus.sum(big_minus) == ker
+    return quotient_dim(big_plus, im), quotient_dim(big_minus, im), direct and exhausts
+
+
+def reference_decomposition(sl: SLStructure) -> DecompositionReport:
+    """`SLStructure.decomposition_report` by the subspace lattice."""
+    mc = sl.mc
+    ker_real = _realified_complex_subspace(ker_del(mc, 2))
+    im_real = _realified_complex_subspace(im_del(mc, 2))
+    jbar_real = realify_antilinear(sl.cx.jbar_matrix(2))
+    identity = Mat.identity(jbar_real.ncols)
+    big_plus = intersect(Subspace.kernel(jbar_real - identity), ker_real).sum(im_real)
+    big_minus = intersect(Subspace.kernel(jbar_real + identity), ker_real).sum(im_real)
+    plus_real = quotient_dim(big_plus, im_real)
+    minus_real = quotient_dim(big_minus, im_real)
+    inter = quotient_dim(intersect(big_plus, big_minus), im_real) // 2
+    total = quotient_dim(big_plus.sum(big_minus), im_real) // 2
+    h2 = quotient_dim(ker_del(mc, 2), im_del(mc, 2))
+    phi = reference_sd_asd(sl) if sl.cx.n == 2 else (None, None, None)
+    return DecompositionReport(
+        phi_plus_dim=phi[0],
+        phi_minus_dim=phi[1],
+        phi_direct=phi[2],
+        jbar_plus_real_dim=plus_real,
+        jbar_minus_real_dim=minus_real,
+        jbar_plus_dim=Fraction(plus_real, 2),
+        jbar_minus_dim=Fraction(minus_real, 2),
+        intersection_dim=inter,
+        sum_dim=total,
+        complement_dim=h2 - total,
+        pure=inter == 0,
+        full=total == h2,
+        representatives_plus=tuple(
+            complexify_vector(v)
+            for v in reference_complement_representatives(big_plus, im_real)
+        ),
+        representatives_minus=tuple(
+            complexify_vector(v)
+            for v in reference_complement_representatives(big_minus, im_real)
+        ),
     )

@@ -1,12 +1,17 @@
 import hashlib
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
+from math import isqrt
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quatcohom import load_corpus, serialize_spec
 from quatcohom.cli import main
 from quatcohom.errors import DivisionByZero, TheoremViolation
+from quatcohom.metrics import MAX_SEARCH_SIZE
 
 from support import jacobi_broken_spec
 
@@ -74,6 +79,40 @@ def test_hkt_search_bounds_accepted(capsys):
                        "--search-coeff-bound", "1")
     assert code == 0
     assert out.splitlines()[0] == "HKT: yes"
+
+
+def test_hkt_search_bounds_up_to_the_limit_accepted(capsys):
+    den = 100
+    code, out, err = run(capsys, "hkt", "example2", "--param", "t=1/3",
+                         "--search-denominator-bound", str(den),
+                         "--search-coeff-bound", str(MAX_SEARCH_SIZE // den ** 2))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] in ("HKT: yes", "HKT: no")
+
+
+@pytest.mark.parametrize("den, coeff", [
+    (100, MAX_SEARCH_SIZE // 100 ** 2 + 1),
+    (isqrt(MAX_SEARCH_SIZE) + 1, 1),
+    (10 ** 9, 2),
+])
+def test_hkt_search_bounds_beyond_the_limit_exit_two(capsys, den, coeff):
+    code, out, err = run(capsys, "hkt", "example1",
+                         "--search-denominator-bound", str(den),
+                         "--search-coeff-bound", str(coeff))
+    assert (code, out) == (2, "")
+    assert err == ("error: search bounds too large: coefficient bound times "
+                   f"denominator bound squared is {coeff * den ** 2}, "
+                   f"at most {MAX_SEARCH_SIZE}\n")
+
+
+@pytest.mark.parametrize("den, coeff", [("-1", "2"), ("4", "-1")])
+def test_hkt_negative_search_bounds_exit_two(capsys, den, coeff):
+    code, out, err = run(capsys, "hkt", "example1",
+                         "--search-denominator-bound", den,
+                         "--search-coeff-bound", coeff)
+    assert (code, out) == (2, "")
+    assert err == ("error: search bounds must be nonnegative, got denominator "
+                   f"bound {den} and coefficient bound {coeff}\n")
 
 
 def test_validate_good_and_broken(capsys, tmp_path):
@@ -342,6 +381,16 @@ def test_evaluated_value_beyond_the_digit_limit_exits_two(capsys, tmp_path):
     assert err == f"error: I[1][2]: value at t={10 ** 600} has more than 1000 digits\n"
 
 
+def test_line_break_in_echoed_input_stays_one_line(capsys, tmp_path):
+    doc = json.loads(serialize_spec(load_corpus("example1")))
+    doc["a\nb\u2028c"] = 0
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: top level: unknown field(s) a\\nb\\u2028c\n"
+
+
 def test_deeply_nested_json_exits_two(capsys, tmp_path):
     path = tmp_path / "arrays.json"
     path.write_text("[" * 100000 + "]" * 100000)
@@ -363,3 +412,58 @@ def test_corpus_output_byte_identical(capsys, label):
     code, out, err = run(capsys, *label.split())
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CORPUS_DIGESTS[label]
+
+
+# -- fuzzing: any file ends in exit 0, 1 or 2 with at most one line of error --
+
+
+def _run_quietly(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return code, err.getvalue()
+
+
+def _assert_clean_exit(code, err):
+    assert code in (0, 1, 2)
+    assert len(err.splitlines()) <= 1
+    assert "Traceback" not in err
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=20,
+)
+EXAMPLE1 = json.loads(serialize_spec(load_corpus("example1")))
+
+
+@settings(max_examples=150, deadline=None)
+@given(json_values)
+def test_fuzz_arbitrary_json_document(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("fuzz") / "doc.json"
+    path.write_text(json.dumps(doc))
+    _assert_clean_exit(*_run_quietly("validate", str(path)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(EXAMPLE1) + ["extra"]), json_values)
+def test_fuzz_one_field_of_a_valid_document(tmp_path_factory, field, value):
+    doc = json.loads(json.dumps(EXAMPLE1))
+    doc[field] = value
+    path = tmp_path_factory.mktemp("fuzz") / "doc.json"
+    path.write_text(json.dumps(doc))
+    _assert_clean_exit(*_run_quietly("validate", str(path)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.text(max_size=30)
+       | st.text(alphabet="0123456789+-*/^()i. ", max_size=30))
+def test_fuzz_coefficient_string(tmp_path_factory, coeff):
+    doc = json.loads(json.dumps(EXAMPLE1))
+    doc["structure"][0]["terms"][0]["coeff"] = coeff
+    path = tmp_path_factory.mktemp("fuzz") / "doc.json"
+    path.write_text(json.dumps(doc))
+    _assert_clean_exit(*_run_quietly("report", str(path), "--format", "json"))

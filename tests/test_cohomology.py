@@ -19,6 +19,7 @@ from support import (
     coframe_variant,
     direct_sum_complex,
     direct_sum_spec,
+    intersect,
     random_double_complex,
     random_gl,
     reference_class_coords,
@@ -246,6 +247,45 @@ def test_table_matches_subspace_reference_on_corpus(corpus_sessions):
         _assert_matches_reference(session.mc)
 
 
+# -- kernels and images of the named operators against the lattice ---------
+
+
+def _assert_operator_spaces_match_lattice(mc):
+    for p in range(mc.top + 1):
+        ker_del = Subspace.kernel(mc.delta(p))
+        ker_delj = Subspace.kernel(mc.delta_j(p))
+        im_del = Subspace.column_space(mc.delta(p - 1))
+        im_delj = Subspace.column_space(mc.delta_j(p - 1))
+        assert mc.kernel("stacked", p) == intersect(ker_del, ker_delj)
+        assert mc.image("side", p - 1) == im_del.sum(im_delj)
+        assert mc.kernel("del", p) == ker_del
+        assert mc.image("del_J", p - 1) == im_delj
+        for name in ("del", "del_J", "ddj", "stacked", "side"):
+            # one cache, and the rank cache agrees with it
+            assert mc.kernel(name, p) is mc.kernel(name, p)
+            assert mc.image(name, p).dim == mc._rank(name, p)
+            assert (mc.kernel(name, p).dim + mc.image(name, p).dim
+                    == mc._operator(name, p).ncols)
+
+
+@settings(max_examples=25, deadline=None)
+@given(complexes)
+def test_operator_kernels_and_images_match_lattice(mc):
+    _assert_operator_spaces_match_lattice(mc)
+
+
+@settings(max_examples=10, deadline=None)
+@given(complexes, st.integers(0, 10**6), st.booleans())
+def test_operator_kernels_and_images_match_lattice_on_direct_sums(mc, seed, conjugate):
+    other = random_double_complex(Random(seed), mc.top, conjugate)
+    _assert_operator_spaces_match_lattice(direct_sum_complex(mc, other))
+
+
+def test_operator_kernels_and_images_match_lattice_on_corpus(corpus_sessions):
+    for session in corpus_sessions:
+        _assert_operator_spaces_match_lattice(session.mc)
+
+
 @settings(max_examples=20, deadline=None)
 @given(complexes, st.integers(0, 10**6))
 def test_page_one_coordinates_match_per_vector_solves(mc, seed):
@@ -254,10 +294,11 @@ def test_page_one_coordinates_match_per_vector_solves(mc, seed):
     reps = {p: list(page[0].data) for p, page in enumerate(pages)}
     for p, (page_reps, exact) in enumerate(pages):
         # the representatives complete a basis of Im del to one of ker del
-        assert Subspace.from_vectors(exact.data, mc.dim(p)) == mc.im_del(p)
-        assert Subspace.from_vectors(page_reps.data + exact.data, mc.dim(p)) == mc.ker_del(p)
-        assert page_reps.nrows + exact.nrows == mc.ker_del(p).dim
-        closed = Mat.from_rows(mc.ker_del(p).rows, ncols=mc.dim(p))
+        assert Subspace.from_vectors(exact.data, mc.dim(p)) == mc.image("del", p - 1)
+        assert Subspace.from_vectors(page_reps.data + exact.data, mc.dim(p)) == \
+            mc.kernel("del", p)
+        assert page_reps.nrows + exact.nrows == mc.kernel("del", p).dim
+        closed = Mat.from_rows(mc.kernel("del", p).rows, ncols=mc.dim(p))
         vectors = [mc.delta_j(p - 1).apply(v) for v in reps.get(p - 1, [])]
         vectors += list(closed.data)
         for _ in range(2 if closed.nrows else 0):
@@ -329,3 +370,18 @@ def test_square_of_example1_convolves_the_single_differential_rows(ex1):
                                                    getattr(small, column))
     assert table.h_bc == (1, 4, 14, 30, 44, 40, 25, 8, 1)
     assert _convolve(small.h_bc, small.h_bc) != table.h_bc
+
+
+def test_example3_plus_example1_convolves_the_single_differential_rows(ex1, ex3):
+    # Kunneth in real dimension 20 with both summands non-abelian: h_del,
+    # h_delJ, E1 and E2 of example3 + example1 are the convolutions of the
+    # summands' rows; h_BC is no such product, and Aeppli duality reverses it
+    spec = direct_sum_spec(load_corpus("example3"), load_corpus("example1"))
+    table = ReportSession(spec).mc.table()
+    big, small = ex3.mc.table(), ex1.mc.table()
+    for column in ("h_del", "h_delj", "dim_e1", "dim_e2"):
+        assert getattr(table, column) == _convolve(getattr(big, column),
+                                                   getattr(small, column))
+    assert table.h_del == (1, 7, 25, 58, 94, 110, 94, 58, 25, 7, 1)
+    assert table.h_bc == (1, 6, 22, 58, 101, 136, 123, 82, 35, 10, 1)
+    assert table.h_ae == table.h_bc[::-1]

@@ -65,6 +65,15 @@ def test_parse_rejects_garbage():
             parse_rational(text)
 
 
+def test_digits_that_are_not_decimal_are_refused():
+    # "²" passes str.isdigit but not int(); decimal digits of any script
+    # still read as integers
+    for text in ("²", "2²", "t^²"):
+        with pytest.raises(CoefficientParseError, match="unexpected character"):
+            parse_coefficient(text, ("t",))
+    assert parse_rational("\u0663") == GaussianRational(3)
+
+
 def _full_parse(text):
     """The value or the error of the full parser, past any fast path."""
     try:

@@ -9,7 +9,7 @@ from quatcohom.linalg import Mat
 from quatcohom.slstructure import SLStructure
 from quatcohom.quaternionic import QuaternionicComplex
 
-from support import affine_complex_spec
+from support import affine_complex_spec, reference_decomposition
 
 
 def test_star_of_scalars_and_volume(ex1):
@@ -87,6 +87,14 @@ def test_jbar_decomposition_example3(ex3):
     assert rep.complement_dim == 2
     assert rep.phi_plus_dim is None
     assert str(rep.jbar_plus_dim) == "9/2"
+
+
+def test_decomposition_matches_subspace_reference(corpus_sessions):
+    # the engine counts the loci by ranks of stacked operators; the
+    # reference intersects and sums the subspaces themselves
+    for session in corpus_sessions:
+        assert session.sl.decomposition_report() == \
+            reference_decomposition(session.sl)
 
 
 def test_degree_profile_example1(ex1):
