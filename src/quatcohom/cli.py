@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Sequence
+from typing import NoReturn, Optional, Sequence
 
 from .errors import (
     CoefficientParseError,
@@ -79,8 +79,20 @@ def _error(message: str) -> None:
     print("error: " + message.translate(_LINE_BREAKS), file=sys.stderr)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are one line and exit 2.
+
+    `add_subparsers` builds the subcommand parsers with the class of the
+    parser it is called on, so they inherit this.
+    """
+
+    def error(self, message: str) -> NoReturn:
+        _error(message)
+        self.exit(EXIT_PARSE)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quatcohom",
         description="Cohomological invariants of hypercomplex nilpotent "
                     "Lie algebras",

@@ -6,14 +6,29 @@ concretely as exact matrices per degree.  Every dimension in the table
 (the four cohomology theories, the six Varouchas spaces, the E2 page) is
 a sum of ranks of a few named operators per degree: del, del_J, del
 del_J ("ddj"), the stacked pair [del; del_J] ("stacked"), the side-by-side
-pair [del | del_J] ("side"), and two 2x2 block operators for E2.  The
-ranks are cached per complex, so no subspace is built to count one.  A
-space itself, as for class representatives, is the kernel or image of one
-named operator, cached beside the ranks: ker del ∩ ker del_J is the
+pair [del | del_J] ("side"), and the 2x2 block operator
+(v, w) -> (del v, del_J v - del w) ("e2_num") for E2.  The ranks are
+cached per complex, so no subspace is built to count one.
+
+No block operator is eliminated to find its rank.  Each follows from one
+split of del_p per degree: its rank r, a basis K of its kernel (the rows
+of K), a basis L of its left kernel, and JK = del_J K^T.  The rows of L
+annihilate exactly Im del_p, so, by row duality,
+
+    rank stacked = r + rank JK          (ker del ∩ ker del_J in ker del)
+    rank side    = r + rank L del_J     (Im del_J modulo Im del)
+    rank e2_num  = 2r + rank L JK       (del-closed v with del_J v exact).
+
+The E2 denominator's operator (x, y) -> (del y, del x + del_J y) is
+e2_num with its two column blocks swapped and the second one negated, so
+it has the same rank.
+
+A space itself, as for class representatives, is the kernel or image of
+one named operator, cached beside the ranks: ker del ∩ ker del_J is the
 kernel of "stacked" and im del + im del_J the image of "side".  The
-second route to E2 is independent: it iterates the first page on explicit
-representatives, which is subspace arithmetic over Q(i), and must agree
-with the rank formula.
+second route to E2 is independent: it iterates the first page on
+explicit representatives from its own kernel of del, which is subspace
+arithmetic over Q(i), and must agree with the rank formula.
 
 A MatrixComplex built from a hypercomplex structure carries the extra
 Jbar symmetry between del and del_J; the symmetry-dependent identities
@@ -56,6 +71,7 @@ class MatrixComplex:
         self.has_jbar_symmetry = has_jbar_symmetry
         self._subspaces: Dict[Tuple[str, str, int], Subspace] = {}
         self._ranks: Dict[Tuple[str, int], int] = {}
+        self._split: Dict[Tuple[str, int], Mat] = {}
         self._pages: Optional[List[int]] = None
         self._table: Optional["CohomologyTable"] = None
         if check:
@@ -119,22 +135,68 @@ class MatrixComplex:
             return self.delta(p).vstack(self.delta_j(p))
         if name == "side":  # [del | del_J], image im del + im del_J
             return self.delta(p).hstack(self.delta_j(p))
-        zero = Mat.zeros(self.dim(p + 1), self.dim(p))
-        if name == "e2_num":  # (v, w) -> (del v, del_J v - del w)
-            return self.delta(p).hstack(zero).vstack(
-                self.delta_j(p).hstack(-self.delta(p)))
-        if name == "e2_den":  # (x, y) -> (del y, del x + del_J y)
-            return zero.hstack(self.delta(p)).vstack(
-                self.delta(p).hstack(self.delta_j(p)))
         raise KeyError(name)
 
+    def _split_part(self, part: str, p: int) -> Mat:
+        """One piece of the split of del_p, 0 <= p < top, built once.
+
+        "kernel" is `kernel_basis(del_p)`, "left" the same of del_p^T, and
+        "jk" is del_J_p applied to every kernel vector, one per column.
+        """
+        key = (part, p)
+        if key not in self._split:
+            if part == "kernel":
+                value = kernel_basis(self.delta(p))
+            elif part == "left":
+                value = kernel_basis(self.delta(p).transpose())
+            elif part == "jk":
+                kernel = self._split_part("kernel", p)
+                value = (self.delta_j(p) @ kernel.transpose() if kernel.nrows
+                         else Mat.zeros(self.dim(p + 1), 0))
+            else:
+                raise KeyError(part)
+            self._split[key] = value
+        return self._split[key]
+
+    def _block_rank(self, name: str, p: int) -> int:
+        """Rank of del or of a block operator, read off the split of del_p.
+
+        A product that is zero is not built: each has del_J_p as a factor,
+        an empty K or L leaves it without entries, and rank L JK is at most
+        rank JK and rank L del_J, the excess ranks of stacked and side.
+        """
+        r = self.dim(p) - self._split_part("kernel", p).nrows
+        if name == "del":
+            return r
+        if name not in ("stacked", "side", "e2_num"):
+            raise KeyError(name)
+        if self.delta_j(p).is_zero():
+            return 2 * r if name == "e2_num" else r
+        if name == "stacked":
+            return r + rank(self._split_part("jk", p))
+        if name == "side":
+            left = self._split_part("left", p)
+            return r + (rank(left @ self.delta_j(p)) if left.nrows else 0)
+        if r in (self._rank("stacked", p), self._rank("side", p)):
+            return 2 * r
+        return 2 * r + rank(self._split_part("left", p) @ self._split_part("jk", p))
+
     def _rank(self, name: str, p: int) -> int:
-        """Rank of one operator out of degree p; zero outside 0..top-1."""
+        """Rank of one operator out of degree p; zero outside 0..top-1.
+
+        "e2_den" names the E2 denominator's operator, whose rank is that
+        of "e2_num" (see the module docstring).
+        """
         if not 0 <= p < self.top:
             return 0
+        if name == "e2_den":
+            name = "e2_num"
         key = (name, p)
         if key not in self._ranks:
-            self._ranks[key] = rank(self._operator(name, p))
+            if name in ("del_J", "ddj"):
+                self._ranks[key] = rank(self._operator(name, p))
+            else:
+                self._ranks[key] = self._block_rank(name, p)
         return self._ranks[key]
 
     def kernel(self, name: str, p: int) -> Subspace:
@@ -189,10 +251,15 @@ class MatrixComplex:
         """dim E2 from the closed subspace description, by ranks.
 
         Numerator: del-closed v with del_J v del-exact, the projection of
-        the kernel of (v, w) -> (del v, del_J v - del w), whose kernel on
-        v = 0 is ker del.  Denominator: del-exact forms plus del_J of
-        del-closed forms one degree down, the second component of the image
-        of (x, y) -> (del y, del x + del_J y) over the zero first one.
+        the kernel of e2_num, (v, w) -> (del v, del_J v - del w), whose
+        kernel on v = 0 is ker del.  Denominator: del-exact forms plus
+        del_J of del-closed forms one degree down, the second component
+        of the image of e2_den, (x, y) -> (del y, del x + del_J y), over
+        the zero first one.  Swapping e2_den's column blocks and negating
+        the second gives e2_num, so both ranks are 2r + rank L JK from the
+        split of del (module docstring): with K spanning ker del and L
+        annihilating Im del, the kernel of e2_num is the v = K^T c with
+        L del_J v = 0, plus a w in ker del.
         """
         numerator = self.dim(p) - self._rank("e2_num", p) + self._rank("del", p)
         denominator = self._rank("e2_den", p - 1) - self._rank("del", p - 1)

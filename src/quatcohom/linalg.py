@@ -232,19 +232,19 @@ class Mat:
     # -- structure -------------------------------------------------------------
 
     def transpose(self) -> "Mat":
-        gathered: List[List[Tuple[int, _GaussInt, int]]] = [[] for _ in range(self.ncols)]
-        for i, (d, entries) in enumerate(self._rows):
+        columns: List[_Entries] = [{} for _ in range(self.ncols)]
+        for i, (_, entries) in enumerate(self._rows):
             for j, value in entries.items():
-                gathered[j].append((i, value, d))
+                columns[j][i] = value
+        dens = [d for d, _ in self._rows]
+        if all(d == 1 for d in dens):  # integer rows: the columns are in lowest terms
+            return _new_mat(self.ncols, self.nrows, tuple((1, c) for c in columns))
         rows = []
-        for column in gathered:
-            den = lcm(*(d for _, _, d in column))
-            if den == 1:
-                rows.append((1, {i: value for i, value, _ in column}))
-            else:
-                rows.append(_lowest_terms(den, {
-                    i: (x * (den // d), y * (den // d)) for i, (x, y), d in column
-                }))
+        for column in columns:
+            den = lcm(*(dens[i] for i in column))
+            rows.append((1, column) if den == 1 else _lowest_terms(den, {
+                i: (x * (den // dens[i]), y * (den // dens[i])) for i, (x, y) in column.items()
+            }))
         return _new_mat(self.ncols, self.nrows, tuple(rows))
 
     def conj(self) -> "Mat":

@@ -145,10 +145,7 @@ class ExistenceVerdict:
 
 def hkt_candidate_space(cx: QuaternionicComplex) -> Subspace:
     """Realified space of Jbar-real del-closed (2,0)-forms."""
-    ambient = len(cx.hol_basis(2))
-    d_real = realify_linear(cx.partial_matrix(2))
-    jbar = realify_antilinear(cx.jbar_matrix(2))
-    return Subspace.kernel(d_real.vstack(jbar - Mat.identity(2 * ambient)))
+    return Subspace.row_space(cx.jbar_locus(1))
 
 
 def sg_candidate_space(cx: QuaternionicComplex) -> Subspace:

@@ -24,7 +24,7 @@ from .errors import (
     ValidationFailure,
 )
 from .exterior import ExteriorAlgebra, Form, Mono
-from .linalg import Mat
+from .linalg import Mat, kernel_basis, realify_antilinear, realify_linear
 from .model import (
     AlgebraSpec,
     InstantiatedAlgebra,
@@ -83,6 +83,7 @@ class QuaternionicComplex:
             Form.generator((r + self.half) % m) for r in range(m)
         ]
         self._matrices: Dict[Tuple[str, int], Mat] = {}
+        self._jbar_loci: Dict[int, Mat] = {}
 
     # -- construction ------------------------------------------------------
 
@@ -263,6 +264,20 @@ class QuaternionicComplex:
 
     def jbar_matrix(self, p: int) -> Mat:
         return self.operator_matrix("Jbar", p)
+
+    def jbar_locus(self, sign: int) -> Mat:
+        """Realified del-closed (2,0)-forms with Jbar = sign, as kernel rows.
+
+        The kernel basis of the realified del out of degree 2 stacked on
+        Jbar_real - sign, computed once per sign: the HKT candidate space
+        and the Jbar decomposition both read the sign +1 one.
+        """
+        if sign not in self._jbar_loci:
+            d_real = realify_linear(self.partial_matrix(2))
+            jbar_real = realify_antilinear(self.jbar_matrix(2))
+            shift = Mat.identity(d_real.ncols).scale(sign)
+            self._jbar_loci[sign] = kernel_basis(d_real.vstack(jbar_real - shift))
+        return self._jbar_loci[sign]
 
     # -- conversions and display -------------------------------------------
 

@@ -45,7 +45,6 @@ from .linalg import (
     inverse,
     kernel_basis,
     rank,
-    realify_antilinear,
     realify_linear,
 )
 from .quaternionic import QuaternionicComplex
@@ -314,14 +313,9 @@ class SLStructure:
         cx = self.cx
         # over the reals: ker and im of the realified del are the realified
         # ker and im of del, and each locus is one kernel
-        d_real = realify_linear(self.mc.delta(2))
-        jbar_real = realify_antilinear(cx.jbar_matrix(2))
-        identity = Mat.identity(d_real.ncols)
         im_real = Subspace.column_space(realify_linear(self.mc.delta(1)))
-        big_plus = Subspace.row_space(
-            kernel_basis(d_real.vstack(jbar_real - identity)).vstack(im_real.basis))
-        big_minus = Subspace.row_space(
-            kernel_basis(d_real.vstack(jbar_real + identity)).vstack(im_real.basis))
+        big_plus = Subspace.row_space(cx.jbar_locus(1).vstack(im_real.basis))
+        big_minus = Subspace.row_space(cx.jbar_locus(-1).vstack(im_real.basis))
 
         # both contain im_real: dim(U ∩ V) = dim U + dim V - dim(U + V)
         plus_real = big_plus.dim - im_real.dim

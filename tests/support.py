@@ -3,7 +3,9 @@
 Houses the deliberately broken structures, the generators of validated
 random variants (coefficient scalings, rational coframe changes and
 direct sums), the brute-force harness producing random double-differential
-complexes directly as matrices, a reference Gaussian rational held as a
+complexes directly as matrices (Koszul complexes with dense differentials
+among them), the block operators whose ranks the cohomology table reads
+off a split of del, a reference Gaussian rational held as a
 pair of Fractions that the engine's scalar is checked against, two
 reference eliminations that the sparse kernel is checked against (plain
 Gauss-Jordan on Gaussian rationals, and dense fraction-free Bareiss
@@ -235,6 +237,15 @@ def _wedge_matrices(k: int, one_form: Form) -> List[Mat]:
     return mats
 
 
+def _conjugated(rng: Random, dims: Sequence[int],
+                *differentials: List[Mat]) -> List[List[Mat]]:
+    """Every differential rewritten in one random basis per degree."""
+    basis = [random_gl(rng, d, ops=4) for d in dims]
+    basis_inv = [inverse(b) for b in basis]
+    return [[basis[p + 1] @ mats[p] @ basis_inv[p] for p in range(len(dims) - 1)]
+            for mats in differentials]
+
+
 def random_double_complex(rng: Random, k: int = 4,
                           conjugate: bool = False) -> MatrixComplex:
     """Two anticommuting square-zero differentials on a k-generator algebra.
@@ -250,13 +261,34 @@ def random_double_complex(rng: Random, k: int = 4,
     del_mats = _wedge_matrices(k, u)
     delj_mats = _wedge_matrices(k, v)
     if conjugate:
-        basis = [random_gl(rng, d, ops=4) for d in dims]
-        basis_inv = [inverse(b) for b in basis]
-        del_mats = [basis[p + 1] @ del_mats[p] @ basis_inv[p]
-                    for p in range(k)]
-        delj_mats = [basis[p + 1] @ delj_mats[p] @ basis_inv[p]
-                     for p in range(k)]
+        del_mats, delj_mats = _conjugated(rng, dims, del_mats, delj_mats)
     return MatrixComplex(dims, del_mats, delj_mats)
+
+
+_NONZERO_PARTS = (1, -1, 2, Fraction(1, 2), -Fraction(1, 2))
+
+
+def koszul_pair(rng: Random, k: int = 6) -> Tuple[MatrixComplex, MatrixComplex]:
+    """A Koszul double complex on k generators and a basis-conjugated twin.
+
+    del and del_J wedge by one-forms u and v whose every coefficient is a
+    nonzero Gaussian rational, so no entry a wedge can reach is zero.
+    Wedge by a nonzero one-form is exact (the Koszul complex), so h_del
+    vanishes in every degree; the twin is the same complex written in a
+    random basis per degree, so its table is the same.
+    """
+    def one_form() -> Form:
+        return Form.from_terms({(g,): GaussianRational(
+            rng.choice(_NONZERO_PARTS),
+            rng.choice(_NONZERO_PARTS) if rng.random() < 0.4 else 0)
+            for g in range(k)})
+
+    u, v = one_form(), one_form()
+    dims = [len(list(combinations(range(k), p))) for p in range(k + 1)]
+    del_mats, delj_mats = _wedge_matrices(k, u), _wedge_matrices(k, v)
+    twin = _conjugated(rng, dims, del_mats, delj_mats)
+    return (MatrixComplex(dims, del_mats, delj_mats),
+            MatrixComplex(dims, *twin))
 
 
 def direct_sum_complex(a: MatrixComplex, b: MatrixComplex) -> MatrixComplex:
@@ -844,6 +876,29 @@ def reference_e2(mc: MatrixComplex, p: int) -> int:
     pushed = [mc.delta_j(p - 1).apply(v) for v in ker_del(mc, p - 1).rows]
     denominator = im_del(mc, p).sum(Subspace.from_vectors(pushed, dp))
     return quotient_dim(numerator, denominator)
+
+
+BLOCK_NAMES = ("stacked", "side", "e2_num", "e2_den")
+
+
+def reference_block(mc: MatrixComplex, name: str, p: int) -> Mat:
+    """One block operator out of degree p, built as a matrix.
+
+    `MatrixComplex` reads the ranks of these off a split of del_p and
+    never builds the E2 blocks; eliminating the blocks themselves is the
+    reference those ranks are checked against.
+    """
+    d, dj = mc.delta(p), mc.delta_j(p)
+    if name == "stacked":  # [del; del_J]
+        return d.vstack(dj)
+    if name == "side":  # [del | del_J]
+        return d.hstack(dj)
+    zero = Mat.zeros(mc.dim(p + 1), mc.dim(p))
+    if name == "e2_num":  # (v, w) -> (del v, del_J v - del w)
+        return d.hstack(zero).vstack(dj.hstack(-d))
+    if name == "e2_den":  # (x, y) -> (del y, del x + del_J y)
+        return zero.hstack(d).vstack(d.hstack(dj))
+    raise KeyError(name)
 
 
 def reference_table(mc: MatrixComplex) -> CohomologyTable:

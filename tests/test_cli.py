@@ -467,3 +467,53 @@ def test_fuzz_coefficient_string(tmp_path_factory, coeff):
     path = tmp_path_factory.mktemp("fuzz") / "doc.json"
     path.write_text(json.dumps(doc))
     _assert_clean_exit(*_run_quietly("report", str(path), "--format", "json"))
+
+
+# -- command-line usage errors: one line, exit 2 -------------------------------
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("hkt", "example1", "--search-denominator-bound", "x"),
+     "argument --search-denominator-bound: invalid int value: 'x'"),
+    (("pairing", "example1"), "the following arguments are required: --p"),
+])
+def test_usage_error_is_one_line_exit_two(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+def test_help_still_prints_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["hkt", "--help"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 0
+    assert captured.out.startswith("usage: quatcohom hkt ")
+    assert captured.err == ""
+
+
+# search bounds are drawn from the values below, so c * D^2 <= 9 * 9^2
+_ARGV_VALUES = ("0", "1", "2", "4", "9", "-1", "x", "", "t=1/2", "t=1/0",
+                "json", "table", "example1")
+assert 9 * 9 ** 2 <= MAX_SEARCH_SIZE
+argv_tokens = st.sampled_from(
+    ("--param", "--format", "--search-denominator-bound", "--search-coeff-bound",
+     "--p", "--p=1", "--help", "--bogus", "-x", "--", "-"),
+) | st.sampled_from(_ARGV_VALUES)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(("validate", "report", "hkt", "decompose", "pairing",
+                        "suite", "bogus")),
+       st.sampled_from(("example1", "torus8")),
+       st.lists(argv_tokens, max_size=5))
+def test_fuzz_command_line(command, spec, tokens):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main([command, spec, *tokens])
+        except SystemExit as exc:  # argparse's own exit: usage error or --help
+            code = exc.code
+    _assert_clean_exit(code, err.getvalue())

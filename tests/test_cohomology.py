@@ -12,16 +12,20 @@ from quatcohom import (
     load_corpus,
     non_hkt_degrees,
 )
+import quatcohom.cohomology as cohomology
 from quatcohom.exterior import Form
-from quatcohom.linalg import Mat, Subspace
+from quatcohom.linalg import Mat, Subspace, rank
 
 from support import (
+    BLOCK_NAMES,
     coframe_variant,
     direct_sum_complex,
     direct_sum_spec,
     intersect,
+    koszul_pair,
     random_double_complex,
     random_gl,
+    reference_block,
     reference_class_coords,
     reference_table,
     scaled_variant,
@@ -205,7 +209,16 @@ def test_lemma_equivalence_is_cross_checked(corpus_sessions):
 # -- the rank formulas against subspace arithmetic ---------------------------
 
 
+def _assert_block_ranks_match_reference(mc):
+    # the ranks read off the split of del, against eliminating each block
+    for p in range(-1, mc.top + 1):
+        assert mc._rank("del", p) == rank(mc.delta(p))
+        for name in BLOCK_NAMES:
+            assert mc._rank(name, p) == rank(reference_block(mc, name, p)), (name, p)
+
+
 def _assert_matches_reference(mc):
+    _assert_block_ranks_match_reference(mc)
     ref = reference_table(mc)
     for p in range(mc.top + 1):
         # by subspaces the exactness sums are theorems, not identities
@@ -229,10 +242,15 @@ def test_table_matches_subspace_reference(mc):
 @settings(max_examples=10, deadline=None)
 @given(complexes)
 def test_table_matches_subspace_reference_with_one_zero_differential(mc):
+    _assert_matches_reference(_with_zero(mc, "del_J"))
+    _assert_matches_reference(_with_zero(mc, "del"))
+
+
+def _with_zero(mc, which):
+    """mc's del in place of one differential, and zero for the other."""
     zeros = [Mat.zeros(mc.dim(p + 1), mc.dim(p)) for p in range(mc.top)]
     dels = [mc.delta(p) for p in range(mc.top)]
-    _assert_matches_reference(MatrixComplex(mc.dims, dels, zeros))
-    _assert_matches_reference(MatrixComplex(mc.dims, zeros, dels))
+    return MatrixComplex(mc.dims, *((dels, zeros) if which == "del_J" else (zeros, dels)))
 
 
 @settings(max_examples=10, deadline=None)
@@ -245,6 +263,79 @@ def test_table_matches_subspace_reference_on_direct_sums(mc, seed, conjugate):
 def test_table_matches_subspace_reference_on_corpus(corpus_sessions):
     for session in corpus_sessions:
         _assert_matches_reference(session.mc)
+
+
+# -- block ranks at edge degrees; no block operator is eliminated -----------
+
+
+def _edge_complexes():
+    koszul, twin = koszul_pair(Random(11), k=3)
+    square = Mat.from_rows([[1, 2], [0, 1]])
+    return {
+        # del is injective out of degree 0 and onto degree top
+        "koszul": koszul,
+        "koszul-conjugated": twin,
+        # del is invertible: both its kernel and its left kernel are empty
+        "isomorphism": MatrixComplex([2, 2], [square], [Mat.from_rows([[0, 1], [1, 0]])]),
+        # del is zero in every degree
+        "zero-del": _with_zero(koszul, "del"),
+        # a zero-dimensional degree in the middle
+        "empty-degree": MatrixComplex(
+            [1, 0, 1], [Mat.zeros(0, 1), Mat.zeros(1, 0)],
+            [Mat.zeros(0, 1), Mat.zeros(1, 0)]),
+    }
+
+
+@pytest.mark.parametrize("label", sorted(_edge_complexes()))
+def test_block_ranks_match_reference_blocks_at_edge_degrees(label):
+    mc = _edge_complexes()[label]
+    full_column = [p for p in range(mc.top) if rank(mc.delta(p)) == mc.dim(p)]
+    onto = [p for p in range(mc.top) if rank(mc.delta(p)) == mc.dim(p + 1)]
+    zero = [p for p in range(mc.top) if mc.delta(p).is_zero()]
+    # each complex reaches the edge it is listed for
+    if label.startswith("koszul"):
+        assert 0 in full_column and mc.top - 1 in onto
+    elif label == "isomorphism":
+        assert full_column == onto == [0]
+    else:
+        assert zero == list(range(mc.top))
+    _assert_matches_reference(mc)
+
+
+def test_table_eliminates_no_block_operator(monkeypatch, ex1, ex3):
+    rng = Random(17)
+    complexes = [random_double_complex(rng, 4), random_double_complex(rng, 4, True),
+                 *koszul_pair(rng, k=4),
+                 MatrixComplex.from_quaternionic(ex1.cx),
+                 MatrixComplex.from_quaternionic(ex3.cx)]
+    received = []
+
+    def recording(function):
+        def wrapped(matrix):
+            received.append(matrix)
+            return function(matrix)
+        return wrapped
+
+    monkeypatch.setattr(cohomology, "rank", recording(cohomology.rank))
+    monkeypatch.setattr(cohomology, "kernel_basis", recording(cohomology.kernel_basis))
+    for mc in complexes:
+        mc.table()
+    monkeypatch.undo()
+    blocks = {reference_block(mc, name, p)
+              for mc in complexes for name in BLOCK_NAMES for p in range(mc.top)}
+    assert received
+    assert not [m for m in received if m in blocks]
+
+
+# -- Koszul complexes: the dense-complex benchmark's own oracle ---------------
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_koszul_complexes_are_exact_in_every_basis(seed):
+    plain, twin = koszul_pair(Random(seed))
+    table = plain.table()
+    assert table.h_del == (0,) * 7
+    assert twin.table() == table
 
 
 # -- kernels and images of the named operators against the lattice ---------

@@ -2,7 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+import quatcohom.quaternionic as quaternionic
 from quatcohom import (
+    ReportSession,
     classify_metric,
     gram_matrix,
     hkt_candidate_space,
@@ -12,7 +14,8 @@ from quatcohom import (
 )
 from quatcohom.errors import NotBidegree20, NotSL2
 from quatcohom.exterior import Form
-from quatcohom.linalg import Mat, realify_vector
+from quatcohom.linalg import (Mat, Subspace, realify_antilinear, realify_linear,
+                              realify_vector)
 
 
 def test_standard_form_gram_is_half_identity(corpus_sessions):
@@ -108,3 +111,29 @@ def test_candidate_space_contains_standard_form_when_hkt(torus):
     space = hkt_candidate_space(cx)
     coords = cx.coords(standard_omega(cx), 2)
     assert space.contains(realify_vector(coords))
+
+
+def test_jbar_locus_is_reduced_once_for_the_candidates_and_the_decomposition(
+        monkeypatch, ex1, ex2_half):
+    for fixture in (ex1, ex2_half):
+        session = ReportSession(fixture.spec, fixture.bindings)
+        cx = session.cx
+        calls = []
+
+        def counting(matrix, original=quaternionic.kernel_basis):
+            calls.append(matrix)
+            return original(matrix)
+
+        monkeypatch.setattr(quaternionic, "kernel_basis", counting)
+        space = hkt_candidate_space(cx)
+        session.sl.jbar_decomposition()
+        hkt_existence(cx, session.mc)
+        assert hkt_candidate_space(cx) == space
+        monkeypatch.undo()
+        # one kernel per sign of Jbar, whatever asked first
+        assert len(calls) == 2
+        d_real = realify_linear(cx.partial_matrix(2))
+        jbar_real = realify_antilinear(cx.jbar_matrix(2))
+        assert space == Subspace.kernel(
+            d_real.vstack(jbar_real - Mat.identity(d_real.ncols)))
+        assert session.sl.jbar_decomposition() == fixture.sl.jbar_decomposition()
