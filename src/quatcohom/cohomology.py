@@ -24,8 +24,9 @@ e2_num with its two column blocks swapped and the second one negated, so
 it has the same rank.
 
 A space itself, as for class representatives, is the kernel or image of
-one named operator, cached beside the ranks: ker del ∩ ker del_J is the
-kernel of "stacked" and im del + im del_J the image of "side".  The
+one named operator, held as the matrix of its canonical basis and cached
+beside the ranks: ker del ∩ ker del_J is the kernel of "stacked" and
+im del + im del_J the image of "side".  The
 second route to E2 is independent: it iterates the first page on
 explicit representatives from its own kernel of del, which is subspace
 arithmetic over Q(i), and must agree with the rank formula.
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .errors import InternalInconsistency, TheoremViolation
-from .linalg import Mat, Subspace, kernel_basis, pivot_columns, rank, rref
+from .linalg import Mat, kernel_basis, pivot_columns, rank, row_basis, rref
 
 if TYPE_CHECKING:
     from .quaternionic import QuaternionicComplex
@@ -69,7 +70,7 @@ class MatrixComplex:
         self._delj = list(delj_mats)
         self.quaternionic_dim = quaternionic_dim
         self.has_jbar_symmetry = has_jbar_symmetry
-        self._subspaces: Dict[Tuple[str, str, int], Subspace] = {}
+        self._spaces: Dict[Tuple[str, str, int], Mat] = {}
         self._ranks: Dict[Tuple[str, int], int] = {}
         self._split: Dict[Tuple[str, int], Mat] = {}
         self._pages: Optional[List[int]] = None
@@ -138,7 +139,7 @@ class MatrixComplex:
         raise KeyError(name)
 
     def _split_part(self, part: str, p: int) -> Mat:
-        """One piece of the split of del_p, 0 <= p < top, built once.
+        """One piece of the split of del_p, built once.
 
         "kernel" is `kernel_basis(del_p)`, "left" the same of del_p^T, and
         "jk" is del_J_p applied to every kernel vector, one per column.
@@ -199,19 +200,26 @@ class MatrixComplex:
                 self._ranks[key] = self._block_rank(name, p)
         return self._ranks[key]
 
-    def kernel(self, name: str, p: int) -> Subspace:
-        """Kernel of one operator out of degree p, a subspace of degree p."""
-        key = ("kernel", name, p)
-        if key not in self._subspaces:
-            self._subspaces[key] = Subspace.kernel(self._operator(name, p))
-        return self._subspaces[key]
+    def kernel(self, name: str, p: int) -> Mat:
+        """Kernel of one operator out of degree p, as its canonical basis.
 
-    def image(self, name: str, p: int) -> Subspace:
-        """Image of one operator out of degree p, as in `_rank`."""
+        The rows are `row_basis` of a kernel basis; the one of del is the
+        split's, so del is not eliminated again.
+        """
+        key = ("kernel", name, p)
+        if key not in self._spaces:
+            basis = (self._split_part("kernel", p) if name == "del"
+                     else kernel_basis(self._operator(name, p)))
+            self._spaces[key] = row_basis(basis)
+        return self._spaces[key]
+
+    def image(self, name: str, p: int) -> Mat:
+        """Image of one operator out of degree p, as in `_rank`: the
+        canonical basis of its column space."""
         key = ("image", name, p)
-        if key not in self._subspaces:
-            self._subspaces[key] = Subspace.column_space(self._operator(name, p))
-        return self._subspaces[key]
+        if key not in self._spaces:
+            self._spaces[key] = row_basis(self._operator(name, p).transpose())
+        return self._spaces[key]
 
     # -- cohomology dimensions ----------------------------------------------
     #

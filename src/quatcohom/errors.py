@@ -119,7 +119,7 @@ class RepresentativeDependence(EngineError):
 
 
 class DecompositionFailure(EngineError):
-    """Subspaces expected to decompose a cohomology group fail to do so."""
+    """Spaces expected to decompose a cohomology group fail to do so."""
 
 
 class NotGauduchon(EngineError):

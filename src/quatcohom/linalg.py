@@ -18,19 +18,20 @@ its scale d.  The pivot of each column comes from the sparsest row that can
 supply it, and an update touches only the rows nonzero in the pivot
 column, and only their nonzero entries; each updated row is divided by its
 content in Z[i], which keeps the integers as small as Bareiss
-elimination's.  `rref`, `rank`, `pivot_columns`, `kernel_basis`,
-`right_nullspace`, `solve`, `inverse`, `det`, `leading_principal_minors`
-and `complement_basis` are all read off that routine; `rank`,
+elimination's.  `rref`, `rank`, `pivot_columns`, `kernel_basis`, `solve`,
+`inverse`, `det`, `leading_principal_minors`, `row_basis` and
+`complement_basis` are all read off that routine; `rank`,
 `pivot_columns`, `det` and the complement pick need only the pivots, so
 they skip the reduction above the pivots and build no reduced matrix.
 Which row supplies a pivot does not change the pivot columns or the
 reduced echelon form, which is unique, so the reduced form is canonical.
-A `Subspace` keeps its canonical basis, the nonzero rows of that form, as a
-matrix; subspaces are compared and hashed through it.  Subspaces are
-built as row spaces, kernels and column spaces of matrices, and the
-callers take them as kernels and images of named operators: there is no
-intersection here, and a dimension of an intersection or a quotient is
-read off ranks.
+
+A subspace is a matrix whose rows are a basis of it.  `row_basis` gives
+the canonical one, the nonzero rows of the reduced echelon form, so two
+such matrices are equal exactly when their rows span the same space.
+The callers take every space as the kernel or image of a named operator:
+there is no intersection here, and a dimension of an intersection or a
+quotient is read off ranks.
 
 Gaussian rationals are read as integers through `GaussianRational.numerator`
 (the Gaussian integer a + b*i) and `denominator` (the positive d of
@@ -667,11 +668,6 @@ def kernel_basis(matrix: Mat) -> Mat:
     return _new_mat(len(rows), matrix.ncols, tuple(rows))
 
 
-def right_nullspace(matrix: Mat) -> List[Row]:
-    """The rows of `kernel_basis`, as dense vectors."""
-    return list(kernel_basis(matrix).data)
-
-
 def solve(matrix: Mat, rhs: Sequence[ScalarLike]):
     """One solution of M x = rhs, or None if the system is inconsistent."""
     rhs_col = Mat.column(list(rhs))
@@ -746,140 +742,32 @@ def leading_principal_minors(matrix: Mat) -> List[GaussianRational]:
             for k in range(1, matrix.nrows + 1)]
 
 
-# ---------------------------------------------------------------------------
-# Subspaces.
-# ---------------------------------------------------------------------------
+def row_basis(matrix: Mat) -> Mat:
+    """The canonical basis of the row space: the nonzero rows of the rref.
 
-
-class Subspace:
-    """A subspace of Q(i)^n, held as its canonical basis.
-
-    `basis` is a matrix whose rows are the nonzero rows of the reduced row
-    echelon form of any spanning set, and `rows` is its dense view.  Two
-    Subspace objects are equal exactly when they describe the same
-    subspace, so they can sit in sets and serve as dictionary keys; every
-    constructor below preserves the normalization.
-    `Subspace(ambient_dim, rows)` takes rows that are already canonical.
+    The reduced echelon form is unique, so two matrices have equal row
+    bases exactly when their rows span the same space.
     """
-
-    __slots__ = ("basis",)
-
-    def __init__(self, ambient_dim: int, rows: Sequence[Sequence[ScalarLike]]) -> None:
-        _set_basis(self, Mat(len(rows), ambient_dim, rows))
-
-    @classmethod
-    def from_vectors(cls, vectors: Iterable[Sequence[ScalarLike]],
-                     ambient_dim: int) -> "Subspace":
-        material = [list(v) for v in vectors]
-        for v in material:
-            if len(v) != ambient_dim:
-                raise ValueError("vector length does not match ambient dimension")
-        return cls.row_space(Mat(len(material), ambient_dim, material))
-
-    @classmethod
-    def zero(cls, ambient_dim: int) -> "Subspace":
-        return _subspace(Mat.zeros(0, ambient_dim))
-
-    @classmethod
-    def full(cls, ambient_dim: int) -> "Subspace":
-        return _subspace(Mat.identity(ambient_dim))
-
-    @classmethod
-    def row_space(cls, matrix: Mat) -> "Subspace":
-        """The span of the rows of a matrix."""
-        if not matrix.nrows:
-            return cls.zero(matrix.ncols)
-        reduced, pivots = rref(matrix)
-        return _subspace(reduced.block(range(len(pivots)), range(matrix.ncols)))
-
-    @classmethod
-    def column_space(cls, matrix: Mat) -> "Subspace":
-        return cls.row_space(matrix.transpose())
-
-    @classmethod
-    def kernel(cls, matrix: Mat) -> "Subspace":
-        return cls.row_space(kernel_basis(matrix))
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.basis.ncols
-
-    @property
-    def rows(self) -> Tuple[Row, ...]:
-        return self.basis.data
-
-    @property
-    def dim(self) -> int:
-        return self.basis.nrows
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"Subspace is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"Subspace is immutable: cannot delete {name!r}")
-
-    def __reduce__(self):
-        return Subspace, (self.ambient_dim, self.rows)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Subspace):
-            return NotImplemented
-        return self.basis == other.basis
-
-    def __hash__(self) -> int:
-        return hash(self.basis)
-
-    def contains(self, vector: Sequence[ScalarLike]) -> bool:
-        if len(vector) != self.ambient_dim:
-            raise ValueError("vector length does not match ambient dimension")
-        return rank(self.basis.vstack(Mat(1, self.ambient_dim, [vector]))) == self.dim
-
-    def sum(self, other: "Subspace") -> "Subspace":
-        self._check_ambient(other)
-        return Subspace.row_space(self.basis.vstack(other.basis))
-
-    def _check_ambient(self, other: "Subspace") -> None:
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError("subspaces live in different ambient spaces")
-
-    def __repr__(self) -> str:
-        return f"Subspace({self.ambient_dim}, {self.rows!r})"
-
-    def __str__(self) -> str:
-        return f"<{self.dim}-dim subspace of C^{self.ambient_dim}>"
+    reduced, pivots = rref(matrix)
+    return reduced.block(range(len(pivots)), range(matrix.ncols))
 
 
-_set_basis = Subspace.basis.__set__  # type: ignore[attr-defined]
+def complement_basis(big: Mat, small: Mat) -> Mat:
+    """Rows of `big` that complete the span of `small` to the span of `big`.
 
-
-def _subspace(basis: Mat) -> Subspace:
-    """The subspace whose canonical basis is the rows of `basis`."""
-    space = _new(Subspace)
-    _set_basis(space, basis)
-    return space
-
-
-def complement_basis(big: Subspace, small: Subspace) -> Mat:
-    """Rows of `big`'s basis completing a basis of `small` to one of `big`.
-
-    Greedy over the canonical rows of `big`: a row is kept when it is not
-    in the span of `small` and the rows before it.  Those are exactly the
-    pivot columns among the `big` columns of [small^T | big^T], so one
-    elimination picks them all.  The same elimination checks containment:
-    the rows of `big` are independent, so `small` lies in `big` exactly
-    when the rank of both together is dim `big`.
+    The rows of `big` must be independent; those of `small` need only span.
+    Greedy over the rows of `big`: a row is kept when it is not in the span
+    of `small` and the rows before it.
+    Those are exactly the pivot columns among the `big` columns of
+    [small^T | big^T], so one elimination picks them all.  The same
+    elimination checks containment: `small` lies in the span of `big`
+    exactly when the rank of both together is the number of rows of `big`.
     """
-    big._check_ambient(small)
-    pivots = pivot_columns(small.basis.vstack(big.basis).transpose())
-    if len(pivots) != big.dim:
+    pivots = pivot_columns(small.vstack(big).transpose())
+    if len(pivots) != big.nrows:
         raise NotASubspace("complement requested inside a non-subspace")
-    return big.basis.block([c - small.dim for c in pivots if c >= small.dim],
-                           range(big.ambient_dim))
-
-
-def complement_representatives(big: Subspace, small: Subspace) -> List[Row]:
-    """The rows of `complement_basis`, as dense vectors."""
-    return list(complement_basis(big, small).data)
+    return big.block([c - small.nrows for c in pivots if c >= small.nrows],
+                     range(big.ncols))
 
 
 # ---------------------------------------------------------------------------

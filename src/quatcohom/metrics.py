@@ -24,12 +24,11 @@ from .errors import NotBidegree20, NotSL2, SearchBoundError, TheoremViolation
 from .exterior import Form
 from .linalg import (
     Mat,
-    Subspace,
     complexify_vector,
     leading_principal_minors,
-    realify_antilinear,
-    realify_linear,
+    rank,
     realify_vector,
+    row_basis,
     solve,
 )
 from .quaternionic import QuaternionicComplex
@@ -115,10 +114,11 @@ def classify_metric(cx: QuaternionicComplex, omega: Form,
     del_pow = cx.partial(om_pow)
     gauduchon = hermitian and cx.partial(cx.partial_j(om_pow)).is_zero()
     top = 2 * cx.n - 1
-    strongly = hermitian and (
-        del_pow.is_zero()
-        or mc.image("del_J", top - 1).contains(cx.coords(del_pow, top))
-    )
+    strongly = hermitian
+    if hermitian and not del_pow.is_zero():
+        # del_J-exact: adding it to the image's basis leaves the rank
+        exact = mc.image("del_J", top - 1)
+        strongly = rank(exact.vstack(Mat.from_rows([cx.coords(del_pow, top)]))) == exact.nrows
     return MetricCandidate(
         omega=omega,
         gram=gram,
@@ -143,26 +143,16 @@ class ExistenceVerdict:
     certificate: Optional[MetricCandidate]
 
 
-def hkt_candidate_space(cx: QuaternionicComplex) -> Subspace:
-    """Realified space of Jbar-real del-closed (2,0)-forms."""
-    return Subspace.row_space(cx.jbar_locus(1))
+def hkt_candidate_space(cx: QuaternionicComplex) -> Mat:
+    """Realified space of Jbar-real del-closed (2,0)-forms, as its
+    canonical basis."""
+    return row_basis(cx.jbar_locus(1))
 
 
-def sg_candidate_space(cx: QuaternionicComplex) -> Subspace:
-    """Realified space of Jbar-real forms with del_J-exact differential.
-
-    Eliminates the auxiliary potential: pairs (omega, w) with
-    del(omega) = del_J(w) form a kernel, and the omega block is kept.
-    """
-    ambient = len(cx.hol_basis(2))
-    d_real = realify_linear(cx.partial_matrix(2))
-    dj_real = realify_linear(cx.partial_j_matrix(2))
-    jbar = realify_antilinear(cx.jbar_matrix(2))
-    wide = 2 * ambient
-    top = d_real.hstack(-dj_real)
-    bottom = (jbar - Mat.identity(wide)).hstack(Mat.zeros(wide, wide))
-    paired = Subspace.kernel(top.vstack(bottom)).basis
-    return Subspace.row_space(paired.block(range(paired.nrows), range(wide)))
+def sg_candidate_space(cx: QuaternionicComplex) -> Mat:
+    """Realified space of Jbar-real forms with del_J-exact differential,
+    as its canonical basis; `QuaternionicComplex.sg_locus` spans it."""
+    return row_basis(cx.sg_locus())
 
 
 # The certificate search builds about 0.6 * c * D^2 candidate values for
@@ -213,30 +203,29 @@ def _index_tuples(length: int, num_values: int) -> Iterator[Tuple[int, ...]]:
         yield from level(total, length)
 
 
-def _diagonal_obstruction(cx: QuaternionicComplex, space: Subspace) -> bool:
+def _diagonal_obstruction(cx: QuaternionicComplex, space: Mat) -> bool:
     """True when some diagonal Gram entry vanishes on the whole space.
 
     Positivity needs every diagonal entry strictly positive, and the entry
     is linear in the form, so vanishing on a spanning set rules out every
     candidate in the space at once.
     """
-    if space.dim == 0:
+    if space.nrows == 0:
         return True
     grams = [
         gram_matrix(cx, cx.from_coords(complexify_vector(row), 2))
-        for row in space.rows
+        for row in space.data
     ]
     return any(
         all(g[a, a].is_zero() for g in grams) for a in range(cx.half)
     )
 
 
-def _project_standard(cx: QuaternionicComplex, space: Subspace) -> Optional[Form]:
+def _project_standard(cx: QuaternionicComplex, basis: Mat) -> Optional[Form]:
     """Euclidean projection of the standard form onto the candidate space."""
-    if space.dim == 0:
+    if basis.nrows == 0:
         return None
     target = realify_vector(cx.coords(standard_omega(cx), 2))
-    basis = space.basis
     coeffs = solve(basis @ basis.transpose(), basis.apply(target))
     if coeffs is None:
         return None
@@ -248,7 +237,7 @@ def _project_standard(cx: QuaternionicComplex, space: Subspace) -> Optional[Form
 def _search_certificate(
     cx: QuaternionicComplex,
     mc: MatrixComplex,
-    space: Subspace,
+    space: Mat,
     wanted: Callable[[MetricCandidate], bool],
     den_bound: int,
     coeff_bound: int,
@@ -264,13 +253,13 @@ def _search_certificate(
             return candidate, False
     values = _value_sequence(den_bound, coeff_bound)
     probes = 0
-    for indices in _index_tuples(space.dim, len(values)):
+    for indices in _index_tuples(space.nrows, len(values)):
         if probes >= probe_limit:
             break
         if not any(indices):
             continue
-        coords = [ZERO] * space.ambient_dim
-        for row, idx in zip(space.rows, indices):
+        coords = [ZERO] * space.ncols
+        for row, idx in zip(space.data, indices):
             if idx == 0:
                 continue
             value = values[idx]
@@ -301,7 +290,7 @@ def _decide(
     cx: QuaternionicComplex,
     mc: Optional[MatrixComplex],
     question: str,
-    space_of: Callable[[QuaternionicComplex], Subspace],
+    space_of: Callable[[QuaternionicComplex], Mat],
     wanted: Callable[[MetricCandidate], bool],
     den_bound: int,
     coeff_bound: int,

@@ -27,7 +27,7 @@ from .errors import (
     SchemaError,
 )
 from .exterior import ExteriorAlgebra, Form
-from .linalg import Mat, Subspace, inverse
+from .linalg import Mat, inverse, kernel_basis, rank, row_basis
 from .scalars import (
     I_UNIT,
     ONE,
@@ -268,23 +268,23 @@ def _validate_lie_algebra(inst: InstantiatedAlgebra) -> ValidationReport:
 
     # Lower central series from the dual brackets; terminates iff nilpotent.
     basis = [tuple(ONE if i == j else ZERO for j in range(m)) for i in range(m)]
-    current = Subspace.full(m)
+    current = Mat.identity(m)  # canonical basis of the current term
     step = 0
-    while current.dim:
+    while current.nrows:
         step += 1
         if step > m:
             break
         produced = []
         for u in basis:
-            for v in current.rows:
+            for v in current.data:
                 produced.append(_bracket(inst, u, v))
-        nxt = Subspace.from_vectors(produced, m)
-        if nxt.dim == current.dim:
+        nxt = row_basis(Mat(len(produced), m, produced))
+        if nxt.nrows == current.nrows:
             # series stabilized at a nonzero term
             step = None
             break
         current = nxt
-    if current.dim == 0 and step is not None:
+    if current.nrows == 0 and step is not None:
         report.nilpotent_ok = True
         report.nilpotency_step = step
     else:
@@ -297,12 +297,12 @@ def _validate_lie_algebra(inst: InstantiatedAlgebra) -> ValidationReport:
 def _eigen_rows(mat: Mat) -> Tuple[Row, ...]:
     """Canonical basis of the +i eigenspace of a coframe action."""
     m = mat.nrows
-    space = Subspace.kernel(mat - Mat.identity(m).scale(I_UNIT))
-    if 2 * space.dim != m:
+    space = row_basis(kernel_basis(mat - Mat.identity(m).scale(I_UNIT)))
+    if 2 * space.nrows != m:
         raise EigenspaceDimensionError(
-            f"+i eigenspace has dimension {space.dim}, expected {m // 2}"
+            f"+i eigenspace has dimension {space.nrows}, expected {m // 2}"
         )
-    return space.rows
+    return space.data
 
 
 def _basis_change(rows: Sequence[Row], m: int) -> Tuple[Mat, Mat]:
@@ -459,15 +459,17 @@ def _build_coframe(inst: InstantiatedAlgebra) -> QuaternionicCoframe:
         )
     eigen = inst.eigen_rows("I")
     chosen: List[Row] = []
-    span = Subspace.zero(m)
+    span = Mat.zeros(0, m)  # the chosen rows
     for row in eigen:
-        if span.contains(row):
+        # while the chosen rows are independent, this is containment; once
+        # they are not, they never become a basis and the check below fails
+        if rank(span.vstack(Mat(1, m, [row]))) == span.nrows:
             continue
         partner = inst.mat_j.apply_conjugated(row)
         chosen.append(row)
         chosen.append(partner)
-        span = span.sum(Subspace.from_vectors([row, partner], m))
-    if len(chosen) != len(eigen) or span.dim != len(eigen):
+        span = span.vstack(Mat(2, m, [row, partner]))
+    if len(chosen) != len(eigen) or rank(span) != len(eigen):
         raise EigenspaceDimensionError(
             "J-pairing did not produce a basis of the (1,0)-forms"
         )

@@ -84,6 +84,7 @@ class QuaternionicComplex:
         ]
         self._matrices: Dict[Tuple[str, int], Mat] = {}
         self._jbar_loci: Dict[int, Mat] = {}
+        self._sg_locus: Optional[Mat] = None
 
     # -- construction ------------------------------------------------------
 
@@ -278,6 +279,26 @@ class QuaternionicComplex:
             shift = Mat.identity(d_real.ncols).scale(sign)
             self._jbar_loci[sign] = kernel_basis(d_real.vstack(jbar_real - shift))
         return self._jbar_loci[sign]
+
+    def sg_locus(self) -> Mat:
+        """Realified Jbar-real (2,0)-forms with del_J-exact del, as spanning rows.
+
+        The pairs (omega, w) with del omega = del_J w and Jbar omega = omega
+        are the kernel of the realified [del | -del_J; Jbar - 1 | 0]; the
+        omega block of its kernel basis spans the forms, since the
+        projection of a span is the span of the projections.  Computed
+        once: the report's verdict and the suite's both read it.
+        """
+        if self._sg_locus is None:
+            d_real = realify_linear(self.partial_matrix(2))
+            dj_real = realify_linear(self.partial_j_matrix(2))
+            jbar_real = realify_antilinear(self.jbar_matrix(2))
+            wide = d_real.ncols
+            top = d_real.hstack(-dj_real)
+            bottom = (jbar_real - Mat.identity(wide)).hstack(Mat.zeros(wide, wide))
+            pairs = kernel_basis(top.vstack(bottom))
+            self._sg_locus = pairs.block(range(pairs.nrows), range(wide))
+        return self._sg_locus
 
     # -- conversions and display -------------------------------------------
 

@@ -38,14 +38,13 @@ from .errors import (
 from .exterior import Form
 from .linalg import (
     Mat,
-    Subspace,
     complement_basis,
-    complement_representatives,
     complexify_vector,
     inverse,
     kernel_basis,
     rank,
     realify_linear,
+    row_basis,
 )
 from .quaternionic import QuaternionicComplex
 from .scalars import ZERO, GaussianRational
@@ -240,12 +239,12 @@ class SLStructure:
         wedge = self.wedge_matrix(p)
         ae_columns = ae.transpose()
         matrix = bc @ wedge @ ae_columns
-        if not (self.mc.image("ddj", p - 2).basis @ wedge @ ae_columns).is_zero():
+        if not (self.mc.image("ddj", p - 2) @ wedge @ ae_columns).is_zero():
             raise RepresentativeDependence(
                 f"pairing at degree {p} moves under shifts of the "
                 "representatives by exact forms"
             )
-        ae_degenerate = self.mc.image("side", q - 1).basis
+        ae_degenerate = self.mc.image("side", q - 1)
         if not (bc @ wedge @ ae_degenerate.transpose()).is_zero():
             raise RepresentativeDependence(
                 f"pairing at degree {p} moves under shifts of the dual "
@@ -280,7 +279,7 @@ class SLStructure:
         # the closed (anti-)self-dual forms, and the exact ones
         plus = kernel_basis((star - identity).vstack(d))
         minus = kernel_basis((star + identity).vstack(d))
-        exact = self.mc.image("del", 1).basis
+        exact = self.mc.image("del", 1)
         # both big spaces contain Im del and lie in ker del, so they meet in
         # Im del and span ker del exactly when the dimensions say so, by
         # dim(U ∩ V) = dim U + dim V - dim(U + V)
@@ -288,7 +287,7 @@ class SLStructure:
         big_minus = rank(minus.vstack(exact))
         both = rank(plus.vstack(minus).vstack(exact))
         direct = big_plus + big_minus - both == exact.nrows
-        exhausts = both == self.mc.kernel("del", 2).dim
+        exhausts = both == self.mc.kernel("del", 2).nrows
         if not (direct and exhausts):
             raise DecompositionFailure(
                 "self-dual and anti-self-dual images do not split the "
@@ -313,14 +312,14 @@ class SLStructure:
         cx = self.cx
         # over the reals: ker and im of the realified del are the realified
         # ker and im of del, and each locus is one kernel
-        im_real = Subspace.column_space(realify_linear(self.mc.delta(1)))
-        big_plus = Subspace.row_space(cx.jbar_locus(1).vstack(im_real.basis))
-        big_minus = Subspace.row_space(cx.jbar_locus(-1).vstack(im_real.basis))
+        im_real = row_basis(realify_linear(self.mc.delta(1)).transpose())
+        big_plus = row_basis(cx.jbar_locus(1).vstack(im_real))
+        big_minus = row_basis(cx.jbar_locus(-1).vstack(im_real))
 
         # both contain im_real: dim(U ∩ V) = dim U + dim V - dim(U + V)
-        plus_real = big_plus.dim - im_real.dim
-        minus_real = big_minus.dim - im_real.dim
-        sum_real = rank(big_plus.basis.vstack(big_minus.basis)) - im_real.dim
+        plus_real = big_plus.nrows - im_real.nrows
+        minus_real = big_minus.nrows - im_real.nrows
+        sum_real = rank(big_plus.vstack(big_minus)) - im_real.nrows
         inter_real = plus_real + minus_real - sum_real
         if inter_real % 2 or sum_real % 2:
             raise InternalInconsistency(
@@ -343,11 +342,11 @@ class SLStructure:
             full=sum_real // 2 == h2,
             representatives_plus=tuple(
                 complexify_vector(v)
-                for v in complement_representatives(big_plus, im_real)
+                for v in complement_basis(big_plus, im_real).data
             ),
             representatives_minus=tuple(
                 complexify_vector(v)
-                for v in complement_representatives(big_minus, im_real)
+                for v in complement_basis(big_minus, im_real).data
             ),
         )
         if cx.n == 2 and not report.pure_and_full:
@@ -389,7 +388,7 @@ class SLStructure:
         if not cx.partial(cx.partial_j(alpha)).is_zero():
             raise NotAeppliClosed("representative is not del del_J-closed")
         value = self.integrate(cx.partial(alpha).wedge(om_pow).wedge(self.phi_bar))
-        for shift in self.mc.image("side", 0).rows:
+        for shift in self.mc.image("side", 0).data:
             moved = alpha + cx.from_coords(shift, 1)
             other = self.integrate(
                 cx.partial(moved).wedge(om_pow).wedge(self.phi_bar)
@@ -417,7 +416,7 @@ class SLStructure:
             raise TheoremViolation(
                 f"h_AE(1) = {h_ae} exceeds h_del(1) + 1 = {h_del + 1}"
             )
-        for rep in self.mc.kernel("del", 1).rows:
+        for rep in self.mc.kernel("del", 1).data:
             alpha = self.cx.from_coords(rep, 1)
             if self.degree_map(omega, alpha) != ZERO:
                 raise TheoremViolation(

@@ -17,7 +17,7 @@ from typing import Callable, List, Optional, Tuple
 from .cohomology import MatrixComplex, ddj_lemma_holds
 from .errors import EngineError
 from .exterior import Form
-from .linalg import Mat, complexify_vector, rank, rref
+from .linalg import Mat, complexify_vector, kernel_basis, rank, rref
 from .metrics import (
     classify_metric,
     hkt_candidate_space,
@@ -98,9 +98,7 @@ def run_property_suite(
         again, pivots2 = rref(reduced)
         if again != reduced or pivots != pivots2:
             return "fail", "row reduction is not idempotent"
-        from .linalg import right_nullspace
-
-        if rank(m) + len(right_nullspace(m)) != m.ncols:
+        if rank(m) + kernel_basis(m).nrows != m.ncols:
             return "fail", "rank plus nullity misses the column count"
         return "pass", f"on the degree-one differential ({m.nrows}x{m.ncols})"
 
@@ -403,12 +401,12 @@ def run_property_suite(
 
     def flag_decoupling() -> Outcome:
         space = hkt_candidate_space(cx)
-        for row in space.rows:
+        for row in space.data:
             omega = cx.from_coords(complexify_vector(row), 2)
             cand = classify_metric(cx, omega, mc)
             if cand.hkt != cand.positive:
                 return "fail", cx.render_form(omega)
-        return "pass", f"{space.dim} basis candidates"
+        return "pass", f"{space.nrows} basis candidates"
 
     add(_run("hkt-flag-decoupling",
              "on the closed Jbar-real space, the hkt flag is exactly positivity",

@@ -26,8 +26,8 @@ from typing import Dict, List, NamedTuple, Sequence, Tuple, Union
 from quatcohom import AlgebraSpec, CohomologyTable, GaussianRational, MatrixComplex
 from quatcohom.errors import DivisionByZero, InternalInconsistency, NotASubspace
 from quatcohom.exterior import Form
-from quatcohom.linalg import (Mat, Row, Subspace, complexify_vector, inverse,
-                              kernel_basis, rank, realify_antilinear, solve)
+from quatcohom.linalg import (Mat, Row, complexify_vector, inverse, kernel_basis,
+                              rank, realify_antilinear, row_basis, solve)
 from quatcohom.model import instantiate
 from quatcohom.scalars import ONE, ZERO
 from quatcohom.slstructure import DecompositionReport, SLStructure
@@ -775,45 +775,57 @@ def reference_nullspace(reduced: Mat, pivots: List[int]) -> List[Tuple[GaussianR
 
 
 # ---------------------------------------------------------------------------
-# Reference subspace lattice.  The engine takes every space as the kernel or
-# image of a named operator and counts intersections and sums by ranks;
-# these build the intersections themselves, for the oracles below.
+# Reference subspace lattice.  A space is the matrix of its canonical basis,
+# `row_basis` of any spanning set.  The engine takes every space as the
+# kernel or image of a named operator and counts intersections and sums by
+# ranks; these build the intersections themselves, for the oracles below.
 # ---------------------------------------------------------------------------
 
 
-def _check_ambient(u: Subspace, v: Subspace) -> None:
-    if u.ambient_dim != v.ambient_dim:
-        raise ValueError("subspaces live in different ambient spaces")
+def kernel_space(matrix: Mat) -> Mat:
+    return row_basis(kernel_basis(matrix))
 
 
-def contains_space(big: Subspace, small: Subspace) -> bool:
+def column_space(matrix: Mat) -> Mat:
+    return row_basis(matrix.transpose())
+
+
+def span(vectors: Sequence[Sequence], ambient_dim: int) -> Mat:
+    return row_basis(Mat.from_rows(list(vectors), ncols=ambient_dim))
+
+
+def space_sum(u: Mat, v: Mat) -> Mat:
+    return row_basis(u.vstack(v))
+
+
+def contains_space(big: Mat, small: Mat) -> bool:
     """Whether small lies in big: the basis rows are independent, so
     exactly when adding small's rows leaves the rank at dim big."""
-    _check_ambient(big, small)
-    return rank(big.basis.vstack(small.basis)) == big.dim
+    return rank(big.vstack(small)) == big.nrows
 
 
-def intersect(u: Subspace, v: Subspace) -> Subspace:
+def intersect(u: Mat, v: Mat) -> Mat:
     """Intersection via the kernel of the stacked basis matrix.
 
     A vector in both spaces is U^T a = V^T b; solving the homogeneous
     system [U^T | -V^T] (a, b) = 0 and reading off a U gives a spanning
     set of the intersection.
     """
-    _check_ambient(u, v)
-    if not u.dim or not v.dim:
-        return Subspace.zero(u.ambient_dim)
-    stacked = u.basis.transpose().hstack(-v.basis.transpose())
+    if u.ncols != v.ncols:
+        raise ValueError("subspaces live in different ambient spaces")
+    if not u.nrows or not v.nrows:
+        return Mat.zeros(0, u.ncols)
+    stacked = u.transpose().hstack(-v.transpose())
     null = kernel_basis(stacked)
-    return Subspace.row_space(null.block(range(null.nrows), range(u.dim)) @ u.basis)
+    return row_basis(null.block(range(null.nrows), range(u.nrows)) @ u)
 
 
-def quotient_dim(big: Subspace, small: Subspace) -> int:
+def quotient_dim(big: Mat, small: Mat) -> int:
     if not contains_space(big, small):
         raise NotASubspace(
             "quotient requested by a space that is not contained in the numerator"
         )
-    return big.dim - small.dim
+    return big.nrows - small.nrows
 
 
 # ---------------------------------------------------------------------------
@@ -824,33 +836,34 @@ def quotient_dim(big: Subspace, small: Subspace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def reference_complement_representatives(big: Subspace, small: Subspace) -> List[Row]:
+def reference_complement_representatives(big: Mat, small: Mat) -> List[Row]:
     """Greedy over the canonical rows of big, one containment test per row."""
     if not contains_space(big, small):
         raise NotASubspace("complement requested inside a non-subspace")
     current = small
     out = []
-    for row in big.rows:
-        if not current.contains(row):
+    for row in big.data:
+        one = Mat.from_rows([row], ncols=big.ncols)
+        if not contains_space(current, one):
             out.append(row)
-            current = current.sum(Subspace.from_vectors([row], big.ambient_dim))
+            current = space_sum(current, one)
     return out
 
 
-def ker_del(mc: MatrixComplex, p: int) -> Subspace:
-    return Subspace.kernel(mc.delta(p))
+def ker_del(mc: MatrixComplex, p: int) -> Mat:
+    return kernel_space(mc.delta(p))
 
 
-def im_del(mc: MatrixComplex, p: int) -> Subspace:
+def im_del(mc: MatrixComplex, p: int) -> Mat:
     """Im del inside degree p."""
-    return Subspace.column_space(mc.delta(p - 1))
+    return column_space(mc.delta(p - 1))
 
 
 def reference_class_coords(mc: MatrixComplex, vector, p: int,
                            reps: Dict[int, List]) -> Tuple:
     """Page-one coordinates of one del-closed vector, by its own solve."""
     rep_list = reps.get(p, [])
-    columns = list(rep_list) + list(im_del(mc, p).rows)
+    columns = list(rep_list) + list(im_del(mc, p).data)
     if not columns:
         assert not any(x for x in vector)
         return ()
@@ -870,11 +883,9 @@ def reference_e2(mc: MatrixComplex, p: int) -> int:
     top_block = mc.delta(p).hstack(Mat.zeros(mc.dim(p + 1), dp))
     bottom_block = mc.delta_j(p).hstack(-mc.delta(p))
     stacked = top_block.vstack(bottom_block)
-    numerator = Subspace.from_vectors(
-        [vec[:dp] for vec in Subspace.kernel(stacked).rows], dp
-    )
-    pushed = [mc.delta_j(p - 1).apply(v) for v in ker_del(mc, p - 1).rows]
-    denominator = im_del(mc, p).sum(Subspace.from_vectors(pushed, dp))
+    numerator = span([vec[:dp] for vec in kernel_space(stacked).data], dp)
+    pushed = [mc.delta_j(p - 1).apply(v) for v in ker_del(mc, p - 1).data]
+    denominator = space_sum(im_del(mc, p), span(pushed, dp))
     return quotient_dim(numerator, denominator)
 
 
@@ -906,23 +917,23 @@ def reference_table(mc: MatrixComplex) -> CohomologyTable:
     degrees = range(mc.top + 1)
     ker_d = [ker_del(mc, p) for p in degrees]
     im_d = [im_del(mc, p) for p in degrees]
-    ker_dj = [Subspace.kernel(mc.delta_j(p)) for p in degrees]
-    im_dj = [Subspace.column_space(mc.delta_j(p - 1)) for p in degrees]
-    ker_ddj = [Subspace.kernel(mc.ddj(p)) for p in degrees]
-    im_ddj = [Subspace.column_space(mc.ddj(p - 2)) for p in degrees]
+    ker_dj = [kernel_space(mc.delta_j(p)) for p in degrees]
+    im_dj = [column_space(mc.delta_j(p - 1)) for p in degrees]
+    ker_ddj = [kernel_space(mc.ddj(p)) for p in degrees]
+    im_ddj = [column_space(mc.ddj(p - 2)) for p in degrees]
     h_del = [quotient_dim(ker_d[p], im_d[p]) for p in degrees]
     h_delj = [quotient_dim(ker_dj[p], im_dj[p]) for p in degrees]
     h_bc = [quotient_dim(intersect(ker_d[p], ker_dj[p]), im_ddj[p]) for p in degrees]
-    h_ae = [quotient_dim(ker_ddj[p], im_d[p].sum(im_dj[p])) for p in degrees]
+    h_ae = [quotient_dim(ker_ddj[p], space_sum(im_d[p], im_dj[p])) for p in degrees]
     var = []
     for p in degrees:
         var.append((
             quotient_dim(intersect(im_d[p], im_dj[p]), im_ddj[p]),
             quotient_dim(intersect(ker_d[p], im_dj[p]), im_ddj[p]),
-            quotient_dim(ker_ddj[p], ker_d[p].sum(im_dj[p])),
+            quotient_dim(ker_ddj[p], space_sum(ker_d[p], im_dj[p])),
             quotient_dim(intersect(im_d[p], ker_dj[p]), im_ddj[p]),
-            quotient_dim(ker_ddj[p], im_d[p].sum(ker_dj[p])),
-            quotient_dim(ker_ddj[p], ker_d[p].sum(ker_dj[p])),
+            quotient_dim(ker_ddj[p], space_sum(im_d[p], ker_dj[p])),
+            quotient_dim(ker_ddj[p], space_sum(ker_d[p], ker_dj[p])),
         ))
     e2 = [reference_e2(mc, p) for p in degrees]
     return CohomologyTable(
@@ -950,21 +961,21 @@ def reference_table(mc: MatrixComplex) -> CohomologyTable:
 # ---------------------------------------------------------------------------
 
 
-def _realified_complex_subspace(space: Subspace) -> Subspace:
+def _realified_complex_subspace(space: Mat) -> Mat:
     # the realified rows of v and i v, for each basis vector v, are
     # (Re v, Im v) and (-Im v, Re v); realify_antilinear stacks the first
     # kind above minus the second
-    return Subspace.row_space(realify_antilinear(space.basis))
+    return row_basis(realify_antilinear(space))
 
 
 def reference_sd_asd(sl: SLStructure) -> Tuple[int, int, bool]:
     star = sl.star_matrix(2)
     identity = Mat.identity(star.ncols)
     ker, im = ker_del(sl.mc, 2), im_del(sl.mc, 2)
-    big_plus = intersect(Subspace.kernel(star - identity), ker).sum(im)
-    big_minus = intersect(Subspace.kernel(star + identity), ker).sum(im)
+    big_plus = space_sum(intersect(kernel_space(star - identity), ker), im)
+    big_minus = space_sum(intersect(kernel_space(star + identity), ker), im)
     direct = intersect(big_plus, big_minus) == im
-    exhausts = big_plus.sum(big_minus) == ker
+    exhausts = space_sum(big_plus, big_minus) == ker
     return quotient_dim(big_plus, im), quotient_dim(big_minus, im), direct and exhausts
 
 
@@ -975,12 +986,12 @@ def reference_decomposition(sl: SLStructure) -> DecompositionReport:
     im_real = _realified_complex_subspace(im_del(mc, 2))
     jbar_real = realify_antilinear(sl.cx.jbar_matrix(2))
     identity = Mat.identity(jbar_real.ncols)
-    big_plus = intersect(Subspace.kernel(jbar_real - identity), ker_real).sum(im_real)
-    big_minus = intersect(Subspace.kernel(jbar_real + identity), ker_real).sum(im_real)
+    big_plus = space_sum(intersect(kernel_space(jbar_real - identity), ker_real), im_real)
+    big_minus = space_sum(intersect(kernel_space(jbar_real + identity), ker_real), im_real)
     plus_real = quotient_dim(big_plus, im_real)
     minus_real = quotient_dim(big_minus, im_real)
     inter = quotient_dim(intersect(big_plus, big_minus), im_real) // 2
-    total = quotient_dim(big_plus.sum(big_minus), im_real) // 2
+    total = quotient_dim(space_sum(big_plus, big_minus), im_real) // 2
     h2 = quotient_dim(ker_del(mc, 2), im_del(mc, 2))
     phi = reference_sd_asd(sl) if sl.cx.n == 2 else (None, None, None)
     return DecompositionReport(

@@ -8,19 +8,19 @@ from quatcohom import GaussianRational
 from quatcohom.errors import InternalInconsistency, NotASubspace
 from quatcohom.linalg import (
     Mat,
-    Subspace,
     _eliminate,
-    complement_representatives,
+    complement_basis,
     complexify_vector,
     det,
     inverse,
+    kernel_basis,
     leading_principal_minors,
     rank,
     realify_antilinear,
     realify_linear,
     realify_vector,
+    row_basis,
     rref,
-    right_nullspace,
     solve,
 )
 
@@ -33,6 +33,7 @@ from support import (
     intersect,
     quotient_dim,
     random_double_complex,
+    random_gl,
     reference_complement_representatives,
     reference_det,
     reference_eliminate,
@@ -40,6 +41,8 @@ from support import (
     reference_minors,
     reference_nullspace,
     reference_rref,
+    space_sum,
+    span,
 )
 
 small = st.fractions(min_value=-6, max_value=6, max_denominator=4)
@@ -65,9 +68,9 @@ def test_rref_idempotent_and_rank_nullity(m):
     assert again == reduced
     assert again_pivots == pivots
     assert rank(m) == len(pivots)
-    null = right_nullspace(m)
-    assert rank(m) + len(null) == m.ncols
-    for vec in null:
+    null = kernel_basis(m)
+    assert rank(m) + null.nrows == m.ncols
+    for vec in null.data:
         assert all(x.is_zero() for x in m.apply(vec))
 
 
@@ -123,29 +126,25 @@ def test_solve_consistent_and_inconsistent():
 def test_subspace_dimension_formula(a, b):
     if a.ncols != b.ncols:
         return
-    u = Subspace.from_vectors(a.data, a.ncols)
-    v = Subspace.from_vectors(b.data, b.ncols)
-    s = u.sum(v)
+    u = row_basis(a)
+    v = row_basis(b)
+    s = space_sum(u, v)
     i = intersect(u, v)
-    assert s.dim + i.dim == u.dim + v.dim
+    assert s.nrows + i.nrows == u.nrows + v.nrows
     assert contains_space(s, u) and contains_space(s, v)
     assert contains_space(u, i) and contains_space(v, i)
 
 
 def test_quotient_and_complement():
     amb = 4
-    big = Subspace.from_vectors(
-        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]], amb)
-    small_space = Subspace.from_vectors([[1, 1, 0, 0]], amb)
+    big = span([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]], amb)
+    small_space = span([[1, 1, 0, 0]], amb)
     assert quotient_dim(big, small_space) == 2
-    reps = complement_representatives(big, small_space)
-    assert len(reps) == 2
-    joined = small_space
-    for r in reps:
-        joined = joined.sum(Subspace.from_vectors([r], amb))
-    assert joined == big
+    reps = complement_basis(big, small_space)
+    assert reps.nrows == 2
+    assert space_sum(small_space, reps) == big
     with pytest.raises(NotASubspace):
-        quotient_dim(Subspace.from_vectors([[1, 0, 0, 0]], amb), big)
+        quotient_dim(span([[1, 0, 0, 0]], amb), big)
 
 
 def test_realify_round_trip_and_antilinear_sign():
@@ -217,7 +216,7 @@ def _check_against_reference(m):
     assert reference_eliminate(m, reduce_above=False).pivots == expected_pivots
     assert _eliminate(m, reduce_above=False).pivots == expected_pivots
     assert rank(m) == len(expected_pivots)
-    assert right_nullspace(m) == reference_nullspace(expected, expected_pivots)
+    assert list(kernel_basis(m).data) == reference_nullspace(expected, expected_pivots)
     rhs = [sum(row, ZERO_ENTRY) + 1 for row in m.data]
     assert solve(m, rhs) == _reference_solve(m, rhs)
     if m.nrows == m.ncols:
@@ -290,10 +289,8 @@ def test_empty_shapes():
     for shape in ((0, 3), (3, 0), (0, 0)):
         m = Mat.zeros(*shape)
         assert rref(m) == (m, [])
-        assert right_nullspace(m) == [
-            tuple(GaussianRational(int(i == j)) for i in range(shape[1]))
-            for j in range(shape[1])
-        ]
+        assert kernel_basis(m) == Mat.identity(shape[1])
+        assert row_basis(m) == Mat.zeros(0, shape[1])
     empty = Mat.zeros(0, 0)
     assert det(empty) == 1
     assert leading_principal_minors(empty) == []
@@ -337,25 +334,23 @@ def vectors(amb, max_size):
 def nested_subspaces(draw):
     """A subspace, a subspace of it, and an arbitrary one, in one ambient."""
     amb = draw(st.integers(0, 5))
-    big = Subspace.from_vectors(draw(vectors(amb, 5)), amb)
-    basis = Mat.from_rows(big.rows, ncols=amb).transpose()
-    inner = [basis.apply(w) for w in draw(vectors(big.dim, 3))]
-    return (big, Subspace.from_vectors(inner, amb),
-            Subspace.from_vectors(draw(vectors(amb, 3)), amb))
+    big = span(draw(vectors(amb, 5)), amb)
+    inner = [big.transpose().apply(w) for w in draw(vectors(big.nrows, 3))]
+    return big, span(inner, amb), span(draw(vectors(amb, 3)), amb)
 
 
 @settings(max_examples=80, deadline=None)
 @given(nested_subspaces())
 def test_complement_matches_greedy_reference(spaces):
     big, small_space, other = spaces
-    assert complement_representatives(big, small_space) == \
+    assert list(complement_basis(big, small_space).data) == \
         reference_complement_representatives(big, small_space)
     if contains_space(big, other):
-        assert complement_representatives(big, other) == \
+        assert list(complement_basis(big, other).data) == \
             reference_complement_representatives(big, other)
     else:
         with pytest.raises(NotASubspace):
-            complement_representatives(big, other)
+            complement_basis(big, other)
         with pytest.raises(NotASubspace):
             reference_complement_representatives(big, other)
 
@@ -367,7 +362,7 @@ def test_complement_matches_greedy_reference_on_complexes(seed, k, conjugate):
     for p in range(k + 1):
         for big, small_space in ((mc.kernel("del", p), mc.image("del", p - 1)),
                                  (mc.kernel("ddj", p), mc.image("side", p - 1))):
-            assert complement_representatives(big, small_space) == \
+            assert list(complement_basis(big, small_space).data) == \
                 reference_complement_representatives(big, small_space)
 
 
@@ -433,17 +428,40 @@ def test_coordinate_order_does_not_show_in_the_complement(shape, data):
     # Permuting coordinates permutes the rows of the matrix whose pivots
     # pick the complement, so the same rows of big must be picked.
     amb, perm = shape
-    big = Subspace.from_vectors(data.draw(vectors(amb, 5)), amb)
-    basis = Mat.from_rows(big.rows, ncols=amb).transpose()
-    inner = [basis.apply(w) for w in data.draw(vectors(big.dim, 3))]
-    small_space = Subspace.from_vectors(inner, amb)
+    big = span(data.draw(vectors(amb, 5)), amb)
+    inner = [big.transpose().apply(w) for w in data.draw(vectors(big.nrows, 3))]
+    small_space = span(inner, amb)
 
     def permuted(space):
-        return Subspace(amb, tuple(tuple(row[i] for i in perm) for row in space.rows))
+        return Mat.from_rows([[row[i] for i in perm] for row in space.data], ncols=amb)
 
-    picked = complement_representatives(permuted(big), permuted(small_space))
-    expected = complement_representatives(big, small_space)
-    assert picked == [tuple(row[i] for i in perm) for row in expected]
+    picked = complement_basis(permuted(big), permuted(small_space))
+    expected = complement_basis(big, small_space)
+    assert picked == permuted(expected)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(matrices(), matrices(values=huge_entries, max_side=4)),
+       st.integers(0, 10**6), st.data())
+def test_row_basis_depends_only_on_the_row_space(m, seed, data):
+    # Mixing the rows by an invertible matrix, or adding zero rows and
+    # multiples of rows, keeps the span and so must keep the basis.
+    basis = row_basis(m)
+    assert basis.nrows == rank(m)
+    assert row_basis(basis) == basis
+    if m.nrows:
+        scales = Mat.from_entries(m.nrows, m.nrows, {
+            (i, i): data.draw(entries.filter(bool)) for i in range(m.nrows)})
+        mixed = random_gl(Random(seed), m.nrows) @ scales @ m
+        assert rank(mixed) == rank(m)
+        assert row_basis(mixed) == basis
+    extra = [[ZERO_ENTRY] * m.ncols]
+    if m.nrows:
+        row = m.data[data.draw(st.integers(0, m.nrows - 1))]
+        factor = data.draw(entries.filter(bool))
+        extra += [row, [factor * x for x in row]]
+    padded = m.vstack(Mat.from_rows(extra, ncols=m.ncols))
+    assert row_basis(padded) == basis
 
 
 def test_sparsest_candidate_row_supplies_the_pivot():

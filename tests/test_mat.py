@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quatcohom import GaussianRational
-from quatcohom.linalg import Mat, Subspace
+from quatcohom.linalg import Mat, row_basis
 
 from support import ReferenceMat, assert_canonical_rows, random_double_complex
 
@@ -217,22 +217,19 @@ def test_large_denominators_cancel_to_canonical_rows():
     assert_canonical_rows(summed)
 
 
-def test_matrices_and_subspaces_are_immutable():
+def test_matrices_are_immutable():
     m = Mat.from_rows([[1, 2], [3, GaussianRational(0, 1)]])
-    space = Subspace.from_vectors(m.data, 2)
-    for target, name in ((m, "nrows"), (m, "data"), (m, "_rows"), (space, "basis")):
+    for name in ("nrows", "data", "_rows"):
         with pytest.raises(AttributeError):
-            setattr(target, name, None)
+            setattr(m, name, None)
         with pytest.raises(AttributeError):
-            delattr(target, name)
+            delattr(m, name)
     assert isinstance(m.data, tuple) and all(isinstance(row, tuple) for row in m.data)
     columns = m.columns()
     columns.clear()
     assert m.columns() == [m.col(0), m.col(1)]
     for clone in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
         assert clone == m and hash(clone) == hash(m)
-    for clone in (copy.deepcopy(space), pickle.loads(pickle.dumps(space))):
-        assert clone == space and hash(clone) == hash(space)
 
 
 def test_products_share_no_rows_that_later_change():
@@ -241,7 +238,7 @@ def test_products_share_no_rows_that_later_change():
     before = a.data
     b = a.vstack(a).hstack(Mat.identity(6))
     for result in (a.transpose(), a @ a, a + a, a.block([0, 2], range(3)), -a,
-                   b.block(range(6), range(3)), Subspace.from_vectors(b.data, 9).basis):
+                   b.block(range(6), range(3)), row_basis(b)):
         result.data
     from quatcohom.linalg import inverse, kernel_basis, rank, rref
 

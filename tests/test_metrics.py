@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import quatcohom.metrics as metrics
 import quatcohom.quaternionic as quaternionic
 from quatcohom import (
     ReportSession,
@@ -9,13 +10,16 @@ from quatcohom import (
     gram_matrix,
     hkt_candidate_space,
     hkt_existence,
+    load_corpus,
+    sg_candidate_space,
     sg_existence,
     standard_omega,
 )
 from quatcohom.errors import NotBidegree20, NotSL2
 from quatcohom.exterior import Form
-from quatcohom.linalg import (Mat, Subspace, realify_antilinear, realify_linear,
-                              realify_vector)
+from quatcohom.linalg import (Mat, kernel_basis, rank, realify_antilinear,
+                              realify_linear, realify_vector, row_basis)
+from quatcohom.report import build_report_from_session
 
 
 def test_standard_form_gram_is_half_identity(corpus_sessions):
@@ -110,7 +114,7 @@ def test_candidate_space_contains_standard_form_when_hkt(torus):
     cx = torus.cx
     space = hkt_candidate_space(cx)
     coords = cx.coords(standard_omega(cx), 2)
-    assert space.contains(realify_vector(coords))
+    assert rank(space.vstack(Mat.from_rows([realify_vector(coords)]))) == space.nrows
 
 
 def test_jbar_locus_is_reduced_once_for_the_candidates_and_the_decomposition(
@@ -134,6 +138,51 @@ def test_jbar_locus_is_reduced_once_for_the_candidates_and_the_decomposition(
         assert len(calls) == 2
         d_real = realify_linear(cx.partial_matrix(2))
         jbar_real = realify_antilinear(cx.jbar_matrix(2))
-        assert space == Subspace.kernel(
-            d_real.vstack(jbar_real - Mat.identity(d_real.ncols)))
+        assert space == row_basis(kernel_basis(
+            d_real.vstack(jbar_real - Mat.identity(d_real.ncols))))
         assert session.sl.jbar_decomposition() == fixture.sl.jbar_decomposition()
+
+
+def _sg_space_reduced_twice(cx):
+    # the canonical basis of the kernel of the realified
+    # [del | -del_J; Jbar - 1 | 0], then of its omega block
+    d_real = realify_linear(cx.partial_matrix(2))
+    dj_real = realify_linear(cx.partial_j_matrix(2))
+    jbar_real = realify_antilinear(cx.jbar_matrix(2))
+    wide = d_real.ncols
+    pairs = d_real.hstack(-dj_real).vstack(
+        (jbar_real - Mat.identity(wide)).hstack(Mat.zeros(wide, wide)))
+    paired = row_basis(kernel_basis(pairs))
+    return row_basis(paired.block(range(paired.nrows), range(wide)))
+
+
+def test_sg_candidate_space_is_the_span_of_the_projected_kernel(corpus_sessions):
+    # the projection of a span is the span of the projections, so one
+    # reduction of the projected kernel basis gives the same basis
+    sessions = corpus_sessions + [
+        ReportSession(load_corpus("example2"), {"t": Fraction(t)})
+        for t in ("2/7", "3/4", "2", "-1")]
+    for session in sessions:
+        assert sg_candidate_space(session.cx) == _sg_space_reduced_twice(session.cx)
+
+
+def test_sg_candidate_space_is_built_once_per_report(monkeypatch):
+    built, asked = [], []
+
+    def counting(matrix, original=quaternionic.kernel_basis):
+        built.append(matrix)
+        return original(matrix)
+
+    def asking(cx, original=metrics.sg_candidate_space):
+        asked.append(cx)
+        return original(cx)
+
+    monkeypatch.setattr(quaternionic, "kernel_basis", counting)
+    monkeypatch.setattr(metrics, "sg_candidate_space", asking)
+    session = ReportSession(load_corpus("example1"))
+    build_report_from_session(session)
+    wide = 2 * len(session.cx.hol_basis(2))
+    # the report's verdict and the suite's ask; the pairs (omega, w) are
+    # twice as wide as the Jbar loci, and their kernel is taken once
+    assert len(asked) == 2
+    assert [m.ncols for m in built].count(2 * wide) == 1

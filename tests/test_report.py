@@ -114,17 +114,57 @@ def test_report_decomposes_the_middle_cohomology_once(monkeypatch):
     assert doc["decomposition"]["self_dual"]["plus_dim"] == 2
 
 
+def test_report_eliminates_each_del_twice(monkeypatch):
+    # once for the split of del_p, which the ranks and the kernels of del
+    # read, and once more on the independent page-one route to E2; the
+    # suite's echelon-stability check takes a kernel of del_1 of its own
+    # on purpose, as a check of the elimination, and is not counted
+    import quatcohom.cohomology as cohomology
+    import quatcohom.linalg as linalg
+    import quatcohom.model as model
+    import quatcohom.quaternionic as quaternionic
+    import quatcohom.slstructure as slstructure
+    from quatcohom.report import ReportSession, build_report_from_session
+
+    calls = []
+
+    def counting(matrix, original=linalg.kernel_basis):
+        calls.append(matrix)
+        return original(matrix)
+
+    for module in (linalg, cohomology, model, quaternionic, slstructure):
+        monkeypatch.setattr(module, "kernel_basis", counting)
+    session = ReportSession(load_corpus("example1"))
+    build_report_from_session(session)
+    mc = session.mc
+    counts = [sum(m == mc.delta(p) for m in calls) for p in range(mc.top)]
+    assert counts == [2] * mc.top
+
+
 @pytest.mark.parametrize("summands, digest", [
     (("example1", "torus8"), "84d695c22d75411e"),
     (("example1", "example1"), "6f9207d33a50107b"),
     (("example3", "torus8"), "29f2faa4999f09b9"),
     (("example3", "example1"), "7a96eb6dff6472f6"),
+    (("example3", "example3"), "7ff0183fb4ed49b0"),
 ], ids=["example1+torus8", "example1+example1", "example3+torus8",
-        "example3+example1"])
+        "example3+example1", "example3+example3"])
 def test_direct_sum_reports_byte_identical(summands, digest):
-    # SHA-256 prefixes of the JSON reports in real dimensions 16 and 20,
-    # recorded before the decompositions read operator kernels, the first
-    # three with dense matrices: any change here is a change of output
+    # SHA-256 prefixes of the JSON reports in real dimensions 16, 20 and
+    # 24, recorded before the decompositions read operator kernels, the
+    # first three with dense matrices, and the last before subspaces were
+    # held as plain matrices: any change here is a change of output
     spec = direct_sum_spec(*(load_corpus(name) for name in summands))
-    doc = to_json(build_report(spec))
+    report = build_report(spec)
+    doc = to_json(report)
     assert hashlib.sha256(doc.encode("utf-8")).hexdigest()[:16] == digest
+    if summands == ("example3", "example3"):
+        # Kunneth: the rows of del, del_J, E1 and E2 of the square are
+        # example3's convolved with themselves
+        rows = build_report(load_corpus("example3"))["cohomology"]["rows"]
+        for key in ("h_del", "h_del_j", "dim_e1", "dim_e2"):
+            small = [row[key] for row in rows]
+            square = [sum(small[i] * small[p - i] for i in range(len(small))
+                          if 0 <= p - i < len(small))
+                      for p in range(2 * len(small) - 1)]
+            assert [row[key] for row in report["cohomology"]["rows"]] == square
