@@ -2,10 +2,11 @@
 
 A form is a sparse map from strictly increasing generator-index tuples to
 nonzero Gaussian rational coefficients.  Generators are indexed from zero;
-labels for display are the caller's business.  The differential is stored
-by its values on generators and extended as an antiderivation, and any
-algebra map can be applied through `map_gens`, optionally conjugating
-coefficients first (that is how antilinear operators act).
+labels for display are the caller's business.  Forms carry the structure
+equations, the volume form and the metric candidates.  The differential,
+stored by its values on generators and extended as an antiderivation,
+serves the Jacobi check; the operators of the (p,q) complex are exact
+matrices, built in `quaternionic` from generator data.
 """
 
 from __future__ import annotations
@@ -132,12 +133,6 @@ class Form:
                     acc[merged] = new
         return Form(acc)
 
-    def __xor__(self, other: "Form") -> "Form":
-        return self.wedge(other)
-
-    def conj_coefficients(self) -> "Form":
-        return Form({m: c.conjugate() for m, c in self.terms.items()})
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Form):
             return NotImplemented
@@ -184,27 +179,6 @@ class ExteriorAlgebra:
                 rest = Form.monomial(mono[:pos] + mono[pos + 1:])
                 sign = -1 if pos % 2 else 1
                 total = total + (self.d_images[gen].wedge(rest)).scale(coeff * sign)
-        return total
-
-    def map_gens(self, form: Form, images: Sequence[Form],
-                 conjugate_coeffs: bool = False) -> Form:
-        """Extend generator -> images[generator] as an algebra map.
-
-        With `conjugate_coeffs` the scalar coefficients are conjugated too,
-        which is exactly the action of an antilinear algebra map.
-        """
-        if len(images) != self.ngens:
-            raise ValueError("one image per generator is required")
-        total = Form.zero()
-        for mono, coeff in form.terms.items():
-            acc = Form.unit()
-            for gen in mono:
-                acc = acc.wedge(images[gen])
-                if acc.is_zero():
-                    break
-            if conjugate_coeffs:
-                coeff = coeff.conjugate()
-            total = total + acc.scale(coeff)
         return total
 
     def coords(self, form: Form, degree: int) -> Tuple[GaussianRational, ...]:

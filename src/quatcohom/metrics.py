@@ -61,13 +61,8 @@ def gram_matrix(cx: QuaternionicComplex, omega: Form) -> Mat:
             c = omega.coefficient((u, v))
             a_rows[u][v] = c
             a_rows[v][u] = -c
-    n_rows = [[ZERO] * half for _ in range(half)]
-    for a in range(half):
-        image = cx.j(Form.generator(a))
-        for d in range(half):
-            n_rows[d][a] = image.coefficient((half + d,))
     a_mat = Mat.from_rows(a_rows, ncols=half)
-    n_mat = Mat.from_rows(n_rows, ncols=half)
+    n_mat = cx.operator_matrix("J", 1)
     return (a_mat @ n_mat.transpose()).scale(Fraction(-1, 2))
 
 
@@ -105,9 +100,8 @@ def classify_metric(cx: QuaternionicComplex, omega: Form,
     is_real = cx.jbar(omega) == omega
     positive = all(m.is_real() and m.re > 0 for m in minors)
     hermitian = is_real and positive
-    d_omega = cx.d(omega)
-    hkt = hermitian and cx.project(d_omega, 3, 0).is_zero()
-    hyperkahler = hermitian and d_omega.is_zero()
+    hkt = hermitian and cx.partial(omega).is_zero()
+    hyperkahler = hkt and cx.partial_bar(omega).is_zero()
     om_pow = Form.unit()
     for _ in range(cx.n - 1):
         om_pow = om_pow.wedge(omega)
@@ -145,8 +139,8 @@ class ExistenceVerdict:
 
 def hkt_candidate_space(cx: QuaternionicComplex) -> Mat:
     """Realified space of Jbar-real del-closed (2,0)-forms, as its
-    canonical basis."""
-    return row_basis(cx.jbar_locus(1))
+    canonical basis; reduced once per structure."""
+    return cx.hkt_space
 
 
 def sg_candidate_space(cx: QuaternionicComplex) -> Mat:

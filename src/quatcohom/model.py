@@ -105,9 +105,6 @@ class AlgebraSpec:
             description=description,
         )
 
-    def structure_map(self) -> Dict[int, Tuple[StructureTerm, ...]]:
-        return {k: terms for k, terms in self.structure}
-
 
 @dataclass(frozen=True)
 class InstantiatedAlgebra:
@@ -317,6 +314,26 @@ def _basis_change(rows: Sequence[Row], m: int) -> Tuple[Mat, Mat]:
         ) from None
 
 
+def _differentials_in_basis(inst: InstantiatedAlgebra, b: Mat, c: Mat,
+                            count: int) -> List[Form]:
+    """d of the first `count` covectors of a basis, written in that basis.
+
+    Row r of `b` is psi^r over the real coframe and row j of its inverse
+    `c` is e^j over the psi, so d psi^r is sum_j b[r][j] de^j with each e^j
+    replaced by its row of `c`.
+    """
+    e_in_psi = [Form.from_terms({(s,): x for s, x in enumerate(row)}) for row in c.data]
+    out = []
+    for r in range(count):
+        d_psi = Form.zero()
+        for j, coeff in enumerate(b.row(r)):
+            if coeff:
+                for (k, l), value in inst.algebra.d_images[j].terms.items():
+                    d_psi = d_psi + e_in_psi[k].wedge(e_in_psi[l]).scale(coeff * value)
+        out.append(d_psi)
+    return out
+
+
 def _antihol_defect(inst: InstantiatedAlgebra, rows: Sequence[Row]) -> Optional[Tuple[int, Form]]:
     """First (1,0)-form whose differential has a (0,2) component, if any.
 
@@ -327,17 +344,7 @@ def _antihol_defect(inst: InstantiatedAlgebra, rows: Sequence[Row]) -> Optional[
     m = inst.dimension
     half = m // 2
     b, c = _basis_change(rows, m)
-    to_psi = [
-        Form.from_terms({(r,): c.data[j][r] for r in range(m)})
-        for j in range(m)
-    ]
-    for a in range(half):
-        d_e = Form.zero()
-        for j in range(m):
-            coeff = rows[a][j]
-            if coeff:
-                d_e = d_e + inst.algebra.d_images[j].scale(coeff)
-        d_psi = inst.algebra.map_gens(d_e, to_psi)
+    for a, d_psi in enumerate(_differentials_in_basis(inst, b, c, half)):
         defect = Form.from_terms({
             mono: coeff
             for mono, coeff in d_psi.terms.items()
@@ -425,15 +432,6 @@ class QuaternionicCoframe:
 
     dimension: int
     rows: Tuple[Row, ...]
-
-    @property
-    def half_dim(self) -> int:
-        """Complex dimension 2n of the (1,0) space."""
-        return len(self.rows)
-
-    @property
-    def quaternionic_dim(self) -> int:
-        return self.dimension // 4
 
 
 def build_coframe(spec: AlgebraSpec,

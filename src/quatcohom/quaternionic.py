@@ -3,28 +3,34 @@
 Everything here works in the complexified coframe: generators 0..2n-1 are
 the paired (1,0)-forms phi^1..phi^{2n}, generators 2n..4n-1 their
 conjugates.  Bidegree of a monomial is read off by counting indices in
-each half.  The operators supplied are d and its bidegree components
-(del, del_bar), the twisted differential del_J, the J action, conjugation
-and their composition Jbar = J∘conj, plus exact matrices of each on the
-lexicographic monomial bases.
+each half.
 
-del_J is computed from its definition: on a (p,0)-form f,
-del_J f = J^{-1}(del_bar(J f)), and J^{-1} equals (-1)^k J on k-forms.
+Each operator is one exact matrix per bidegree on the lexicographic
+monomial bases, built from its values on the generators.  del and del_bar
+are derivations: on a monomial m = phi^{g_0} ^ phi^{g_1} ^ ..., the
+Leibniz rule gives d(m) = sum_k (-1)^k d phi^{g_k} ^ (m without g_k), and
+del keeps the terms of each d phi^g that raise p, del_bar those that raise
+q.  J and conjugation are algebra maps sending each generator to plus or
+minus one generator: signed permutations.  del_J = J^{-1} del_bar J, which
+is (-1)^{p+1} J del_bar J on (p,0)-forms, and Jbar = J∘conj.  The form
+operators read a form's coordinates through these matrices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
     DimensionMismatch,
     IntegrabilityViolation,
+    InternalInconsistency,
     ValidationFailure,
 )
-from .exterior import ExteriorAlgebra, Form, Mono
-from .linalg import Mat, kernel_basis, realify_antilinear, realify_linear
+from .exterior import Form, Mono, merge_monomials
+from .linalg import (Mat, kernel_basis, realify_antilinear, realify_linear,
+                     row_basis)
 from .model import (
     AlgebraSpec,
     InstantiatedAlgebra,
@@ -32,12 +38,13 @@ from .model import (
     ValidationReport,
     _basis_change,
     _build_coframe,
+    _differentials_in_basis,
     instantiate,
     validate_hypercomplex,
 )
-from .scalars import GaussianRational, RationalLike
+from .scalars import ONE, ZERO, GaussianRational, RationalLike
 
-_MATRIX_NAMES = ("del", "del_bar", "del_J", "Jbar", "ddJ")
+_MATRIX_NAMES = ("del", "del_bar", "del_J", "Jbar", "ddJ", "J")
 
 
 class QuaternionicComplex:
@@ -53,36 +60,36 @@ class QuaternionicComplex:
         self.n = inst.dimension // 4
         self.name = inst.name
 
-        b, c = _basis_change(coframe.rows, self.dimension)
-        self._to_e = b      # row r: psi^r over the real coframe
-        self._to_psi = c    # row j: e^j over the psi basis, as columns of c
-        m = self.dimension
-        e_images = [
-            Form.from_terms({(s,): c.data[j][s] for s in range(m)})
-            for j in range(m)
-        ]
-        d_psi = []
-        for r in range(m):
-            d_e = Form.zero()
-            for j in range(m):
-                coeff = b.data[r][j]
-                if coeff:
-                    d_e = d_e + inst.algebra.d_images[j].scale(coeff)
-            d_psi.append(inst.algebra.map_gens(d_e, e_images))
-        self.psi = ExteriorAlgebra(m, d_psi)
-        self._e_images = e_images
+        m, half = self.dimension, self.half
+        b, c = _basis_change(coframe.rows, m)
+        # the terms of d phi^g that raise p and those that raise q; a term
+        # doing neither is the (0,2) part of d of a (1,0)-form or the
+        # (2,0) part of d of a (0,1)-form, which integrability rules out
+        self._raise_p: List[List[Tuple[Mono, GaussianRational]]] = [[] for _ in range(m)]
+        self._raise_q: List[List[Tuple[Mono, GaussianRational]]] = [[] for _ in range(m)]
+        for g, d_g in enumerate(_differentials_in_basis(inst, b, c, m)):
+            for pair, coeff in d_g.terms.items():
+                p, q = self.bidegree_of_mono(pair)
+                step = p - (g < half)
+                if step not in (0, 1):
+                    raise IntegrabilityViolation(
+                        f"d of {self.render_mono((g,))} has the ({p},{q}) "
+                        f"component {self.render_form(Form.monomial(pair, coeff))}"
+                    )
+                (self._raise_p if step else self._raise_q)[g].append((pair, coeff))
+        # row r of b J^T b^-1 is J phi^r in this coframe, which the
+        # J-pairing makes plus or minus one generator
+        self._j_gens: List[Tuple[int, int]] = []
+        for r, row in enumerate((b @ inst.mat_j.transpose() @ c).data):
+            image = [(s, x) for s, x in enumerate(row) if x]
+            if len(image) != 1 or image[0][1] not in (ONE, -ONE):
+                raise InternalInconsistency(
+                    f"J does not send coframe generator {r + 1} to a signed generator")
+            self._j_gens.append((image[0][0], 1 if image[0][1] == ONE else -1))
+        self._conj_gens = [((g + half) % m, 1) for g in range(m)]
 
-        j_images = []
-        for r in range(m):
-            w = inst.mat_j.apply(b.data[r])
-            j_images.append(inst.algebra.map_gens(
-                Form.from_terms({(j,): w[j] for j in range(m)}), e_images
-            ))
-        self._j_images = j_images
-        self._conj_images = [
-            Form.generator((r + self.half) % m) for r in range(m)
-        ]
-        self._matrices: Dict[Tuple[str, int], Mat] = {}
+        self._indices: Dict[Tuple[int, int], Dict[Mono, int]] = {}
+        self._matrices: Dict[Tuple[str, int, int], Mat] = {}
         self._jbar_loci: Dict[int, Mat] = {}
         self._sg_locus: Optional[Mat] = None
 
@@ -127,61 +134,44 @@ class QuaternionicComplex:
             raise ValueError(f"form mixes bidegrees {sorted(found)}")
         return found.pop() if found else (0, 0)
 
-    def project(self, form: Form, p: int, q: int) -> Form:
-        self._check(form)
-        return Form.from_terms({
-            mono: coeff for mono, coeff in form.terms.items()
-            if self.bidegree_of_mono(mono) == (p, q)
-        })
-
     # -- operators on forms ------------------------------------------------
 
-    def d(self, form: Form) -> Form:
-        return self.psi.d(self._check(form))
-
-    def _d_component(self, form: Form, dp: int, dq: int) -> Form:
+    def _apply(self, which: str, form: Form) -> Form:
+        """The operator's matrix read on the form's coordinates."""
+        if form.is_zero():
+            return Form.zero()
         p, q = self.bidegree(form)
-        image = self.d(form)
-        wanted = self.project(image, p + dp, q + dq)
-        other = self.project(image, p + 1, q) + self.project(image, p, q + 1)
-        if image != other:
-            stray = image - other
-            raise IntegrabilityViolation(
-                f"d of a ({p},{q})-form has components outside "
-                f"({p + 1},{q}) and ({p},{q + 1}): {self.render_form(stray)}"
-            )
-        return wanted
+        mat, coords = self._matrix(which, p, q), self.coords(form, p, q)
+        image = (mat.apply_conjugated(coords) if which in ("conj", "Jbar")
+                 else mat.apply(coords))
+        target = {"del": (p + 1, q), "del_J": (p + 1, q), "del_bar": (p, q + 1),
+                  "Jbar": (p, q)}.get(which, (q, p))
+        return self.from_coords(image, *target)
 
     def partial(self, form: Form) -> Form:
         """The (p+1,q) component of d."""
-        return self._d_component(form, 1, 0)
+        return self._apply("del", form)
 
     def partial_bar(self, form: Form) -> Form:
         """The (p,q+1) component of d."""
-        return self._d_component(form, 0, 1)
+        return self._apply("del_bar", form)
 
     def j(self, form: Form) -> Form:
-        return self.psi.map_gens(self._check(form), self._j_images)
+        return self._apply("J", form)
 
     def conj(self, form: Form) -> Form:
-        return self.psi.map_gens(self._check(form), self._conj_images,
-                                 conjugate_coeffs=True)
+        return self._apply("conj", form)
 
     def jbar(self, form: Form) -> Form:
         """The antilinear map J∘conj; preserves (p,0)."""
-        return self.j(self.conj(form))
+        return self._apply("Jbar", form)
 
     def partial_j(self, form: Form) -> Form:
-        """Twisted differential on (p,0)-forms.
-
-        J f has type (0,p); del_bar raises it to (0,p+1); the leading
-        J^{-1} contributes the sign (-1)^{p+1} when rewritten through J.
-        """
+        """Twisted differential on (p,0)-forms."""
         p, q = self.bidegree(form)
         if q:
             raise ValueError(f"del_J is defined on (p,0)-forms, got ({p},{q})")
-        image = self.j(self.partial_bar(self.j(form)))
-        return image if (p + 1) % 2 == 0 else -image
+        return self._apply("del_J", form)
 
     # -- bases and coordinates ---------------------------------------------
 
@@ -196,16 +186,19 @@ class QuaternionicComplex:
         anti = [tuple(c) for c in combinations(range(self.half, self.dimension), q)]
         return [h + a for h in self.hol_basis(p) for a in anti]
 
+    def _index(self, p: int, q: int) -> Dict[Mono, int]:
+        """Position of each (p,q) monomial in `bidegree_basis(p, q)`."""
+        if (p, q) not in self._indices:
+            self._indices[p, q] = {m: k for k, m in enumerate(self.bidegree_basis(p, q))}
+        return self._indices[p, q]
+
     def coords(self, form: Form, p: int, q: int = 0) -> Tuple[GaussianRational, ...]:
         self._check(form)
-        basis = self.bidegree_basis(p, q)
-        covered = set(basis)
+        index = self._index(p, q)
         for mono in form.terms:
-            if mono not in covered:
-                raise ValueError(
-                    f"term {mono!r} is not a ({p},{q}) monomial"
-                )
-        return tuple(form.coefficient(m) for m in basis)
+            if mono not in index:
+                raise ValueError(f"term {mono!r} is not a ({p},{q}) monomial")
+        return tuple(form.coefficient(m) for m in index)
 
     def from_coords(self, coords: Sequence, p: int, q: int = 0) -> Form:
         basis = self.bidegree_basis(p, q)
@@ -215,53 +208,79 @@ class QuaternionicComplex:
 
     # -- operator matrices -------------------------------------------------
 
-    def _matrix_of(self, op, src: List[Mono], tgt_p: int, tgt_q: int) -> Mat:
-        """The matrix of op from the monomials src to the (tgt_p, tgt_q) basis."""
-        tgt = self.bidegree_basis(tgt_p, tgt_q)
-        index = {mono: r for r, mono in enumerate(tgt)}
+    def _derivation(self, parts: List[List[Tuple[Mono, GaussianRational]]],
+                    p: int, q: int, target: Tuple[int, int]) -> Mat:
+        """The derivation with d phi^g = parts[g], out of the (p,q) basis
+        into the target bidegree, which every part raises it to."""
+        src = self.bidegree_basis(p, q)
+        index = self._index(*target)
+        entries: Dict[Tuple[int, int], GaussianRational] = {}
+        for col, mono in enumerate(src):
+            for k, g in enumerate(mono):
+                rest = mono[:k] + mono[k + 1:]
+                for pair, coeff in parts[g]:
+                    sign, merged = merge_monomials(pair, rest)
+                    if not sign:
+                        continue
+                    key = index[merged], col
+                    value = coeff if sign == (-1) ** k else -coeff
+                    entries[key] = entries.get(key, ZERO) + value
+        return Mat.from_entries(len(index), len(src), entries)
+
+    def _algebra_map(self, gens: List[Tuple[int, int]], p: int, q: int) -> Mat:
+        """The algebra map sending phi^g to sign * phi^target, for
+        gens[g] = (target, sign), out of the (p,q) basis into (q,p)."""
+        src = self.bidegree_basis(p, q)
+        index = self._index(q, p)
         entries = {}
-        for c, mono in enumerate(src):
-            for image, coeff in op(Form.monomial(mono)).terms.items():
-                r = index.get(image)
-                if r is None:
-                    raise ValueError(
-                        f"term {image!r} is not a ({tgt_p},{tgt_q}) monomial"
-                    )
-                entries[r, c] = coeff
-        return Mat.from_entries(len(tgt), len(src), entries)
+        for col, mono in enumerate(src):
+            targets = [gens[g][0] for g in mono]
+            # the signs of the images, and of the permutation sorting them
+            sign = sum(a > b for a, b in combinations(targets, 2))
+            sign += sum(gens[g][1] < 0 for g in mono)
+            entries[index[tuple(sorted(targets))], col] = -ONE if sign % 2 else ONE
+        return Mat.from_entries(len(index), len(src), entries)
+
+    def _matrix(self, which: str, p: int, q: int = 0) -> Mat:
+        """Matrix of an operator out of the (p,q) monomial basis, built once."""
+        key = (which, p, q)
+        if key not in self._matrices:
+            if which == "del":
+                mat = self._derivation(self._raise_p, p, q, (p + 1, q))
+            elif which == "del_bar":
+                mat = self._derivation(self._raise_q, p, q, (p, q + 1))
+            elif which == "J":
+                mat = self._algebra_map(self._j_gens, p, q)
+            elif which == "conj":
+                mat = self._algebra_map(self._conj_gens, p, q)
+            elif which == "Jbar":
+                mat = self._matrix("J", q, p) @ self._matrix("conj", p, q)
+            elif which == "del_J":
+                mat = (self._matrix("J", 0, p + 1) @ self._matrix("del_bar", 0, p)
+                       @ self._matrix("J", p, 0))
+                if p % 2 == 0:
+                    mat = -mat
+            else:  # ddJ
+                mat = self._matrix("del", p + 1) @ self._matrix("del_J", p)
+            self._matrices[key] = mat
+        return self._matrices[key]
 
     def operator_matrix(self, which: str, p: int) -> Mat:
         """Exact matrix of an operator out of the (p,0) monomial basis.
 
-        Antilinear operators (Jbar) are stored as the matrix applied to
-        the conjugated coordinate vector.
+        del_bar lands in (p,1), J in (0,p) and the others in (p,0) or
+        (p+1,0).  Antilinear operators (Jbar) are stored as the matrix
+        applied to the conjugated coordinate vector.
         """
         if which not in _MATRIX_NAMES:
             raise ValueError(f"unknown operator {which!r}; choose from {_MATRIX_NAMES}")
-        key = (which, p)
-        if key not in self._matrices:
-            src = self.hol_basis(p)
-            if which == "del":
-                mat = self._matrix_of(self.partial, src, p + 1, 0)
-            elif which == "del_bar":
-                mat = self._matrix_of(self.partial_bar, src, p, 1)
-            elif which == "del_J":
-                mat = self._matrix_of(self.partial_j, src, p + 1, 0)
-            elif which == "Jbar":
-                mat = self._matrix_of(self.jbar, src, p, 0)
-            else:  # ddJ
-                mat = self.operator_matrix("del", p + 1) @ self.operator_matrix("del_J", p)
-            self._matrices[key] = mat
-        return self._matrices[key]
+        return self._matrix(which, p)
 
     def partial_matrix(self, p: int) -> Mat:
         return self.operator_matrix("del", p)
 
     def partial_j_matrix(self, p: int) -> Mat:
         return self.operator_matrix("del_J", p)
-
-    def ddj_matrix(self, p: int) -> Mat:
-        return self.operator_matrix("ddJ", p)
 
     def jbar_matrix(self, p: int) -> Mat:
         return self.operator_matrix("Jbar", p)
@@ -279,6 +298,12 @@ class QuaternionicComplex:
             shift = Mat.identity(d_real.ncols).scale(sign)
             self._jbar_loci[sign] = kernel_basis(d_real.vstack(jbar_real - shift))
         return self._jbar_loci[sign]
+
+    @cached_property
+    def hkt_space(self) -> Mat:
+        """Canonical basis of `jbar_locus(1)`, the HKT candidates, reduced
+        once: the report's verdict and the suite's two HKT checks read it."""
+        return row_basis(self.jbar_locus(1))
 
     def sg_locus(self) -> Mat:
         """Realified Jbar-real (2,0)-forms with del_J-exact del, as spanning rows.
@@ -300,19 +325,7 @@ class QuaternionicComplex:
             self._sg_locus = pairs.block(range(pairs.nrows), range(wide))
         return self._sg_locus
 
-    # -- conversions and display -------------------------------------------
-
-    def from_real(self, form: Form) -> Form:
-        """Rewrite a form over the real coframe in the phi basis."""
-        return self.inst.algebra.map_gens(self._check(form), self._e_images)
-
-    def to_real(self, form: Form) -> Form:
-        """Rewrite a phi-basis form over the real coframe."""
-        images = [
-            Form.from_terms({(j,): self._to_e.data[r][j] for j in range(self.dimension)})
-            for r in range(self.dimension)
-        ]
-        return self.psi.map_gens(self._check(form), images)
+    # -- display -------------------------------------------------------------
 
     def render_mono(self, mono: Mono) -> str:
         hol = "".join(str(idx + 1) for idx in mono if idx < self.half)

@@ -312,6 +312,13 @@ def _poly_neg(a: PolyTerms) -> PolyTerms:
 
 
 def _poly_mul(a: PolyTerms, b: PolyTerms) -> PolyTerms:
+    """The product, refused before it is expanded when the operands' term
+    counts multiply to more than MAX_TERMS."""
+    if len(a) * len(b) > MAX_TERMS:
+        raise CoefficientParseError(
+            f"a product of {len(a)} and {len(b)} terms may expand to "
+            f"{len(a) * len(b)} terms, more than {MAX_TERMS}"
+        )
     acc: dict = {}
     for ea, ca in a:
         for eb, cb in b:
@@ -442,9 +449,6 @@ class ParamExpr:
                         used.add(name)
         return tuple(name for name in self.params if name in used)
 
-    def is_constant(self) -> bool:
-        return not self.used_parameters()
-
     def constant_value(self) -> GaussianRational:
         """The value of a parameter-free expression."""
         return self.evaluate({})
@@ -537,6 +541,13 @@ MAX_EXPONENT = 64
 # before it is expanded.  Without declared parameters every expression is
 # a constant, and nothing is checked.
 MAX_DEGREE = 128
+
+# A product of polynomials with s and t terms has at most s * t terms and
+# costs about s * t coefficient products, so no product, of two factors or
+# inside a power or a sum, is expanded when s * t exceeds this.  The degree
+# budget alone lets eight parameters ask for (a+b+c+d+e+f+g+h)^16, a
+# quarter of a million terms.
+MAX_TERMS = 10_000
 
 # Integer literals have at most this many digits, well inside the limit
 # Python puts on converting digit strings to int.  So do the numerators

@@ -35,7 +35,7 @@ from .errors import (
     SingularGram,
     TheoremViolation,
 )
-from .exterior import Form
+from .exterior import Form, merge_monomials
 from .linalg import (
     Mat,
     complement_basis,
@@ -159,7 +159,8 @@ class SLStructure:
         product of two such monomials is a multiple of the volume form only
         when m'_k is the complement of m_i; every other product repeats a
         generator and vanishes.  So each row has one nonzero entry, the
-        coefficient of m_i wedged with its complement.
+        coefficient of m_i wedged with its complement, the sign of the
+        permutation that sorts the two.
         """
         if p in self._wedges:
             return self._wedges[p]
@@ -171,8 +172,7 @@ class SLStructure:
         entries = {}
         for i, mono in enumerate(src):
             other = tuple(x for x in top if x not in mono)
-            entries[i, tgt[other]] = (
-                Form.monomial(mono).wedge(Form.monomial(other)).coefficient(top))
+            entries[i, tgt[other]] = merge_monomials(mono, other)[0]
         wedge = Mat.from_entries(len(src), len(tgt), entries)
         self._wedges[p] = wedge
         return wedge

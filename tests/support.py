@@ -13,7 +13,9 @@ elimination over Z[i]), a reference matrix product, the subspace lattice
 (intersection, containment and quotient dimension), and a reference
 cohomology table and middle-degree decomposition computed by subspace
 arithmetic that the rank formulas and the operator kernels and images
-are checked against.
+are checked against, and the operators of a quaternionic complex applied
+form by form, which the generator-built operator matrices are checked
+against.
 """
 
 from dataclasses import dataclass
@@ -24,11 +26,12 @@ from random import Random
 from typing import Dict, List, NamedTuple, Sequence, Tuple, Union
 
 from quatcohom import AlgebraSpec, CohomologyTable, GaussianRational, MatrixComplex
-from quatcohom.errors import DivisionByZero, InternalInconsistency, NotASubspace
-from quatcohom.exterior import Form
+from quatcohom.errors import (DivisionByZero, IntegrabilityViolation,
+                              InternalInconsistency, NotASubspace)
+from quatcohom.exterior import ExteriorAlgebra, Form
 from quatcohom.linalg import (Mat, Row, complexify_vector, inverse, kernel_basis,
                               rank, realify_antilinear, row_basis, solve)
-from quatcohom.model import instantiate
+from quatcohom.model import _basis_change, instantiate
 from quatcohom.scalars import ONE, ZERO
 from quatcohom.slstructure import DecompositionReport, SLStructure
 
@@ -72,6 +75,18 @@ def nonintegrable_spec() -> AlgebraSpec:
         {4: [(1, 2, 1)]},
         I4, J4,
         name="nonintegrable",
+    )
+
+
+def i_nonintegrable_spec() -> AlgebraSpec:
+    # nonintegrable_spec with I and J swapped: the quaternion relations
+    # still hold (K changes sign), and now I, the structure the complex is
+    # built on, is the one that is not integrable
+    return AlgebraSpec.create(
+        4,
+        {4: [(1, 2, 1)]},
+        J4, I4,
+        name="i-nonintegrable",
     )
 
 
@@ -1016,3 +1031,114 @@ def reference_decomposition(sl: SLStructure) -> DecompositionReport:
             for v in reference_complement_representatives(big_minus, im_real)
         ),
     )
+
+
+# ---------------------------------------------------------------------------
+# The operators form by form: the reference the generator-built matrices
+# of QuaternionicComplex are checked against.
+# ---------------------------------------------------------------------------
+
+
+def map_gens(form: Form, images: Sequence[Form],
+             conjugate_coeffs: bool = False) -> Form:
+    """Extend generator -> images[generator] as an algebra map.
+
+    With `conjugate_coeffs` the scalar coefficients are conjugated too,
+    which is the action of an antilinear algebra map.
+    """
+    total = Form.zero()
+    for mono, coeff in form.terms.items():
+        acc = Form.unit()
+        for gen in mono:
+            acc = acc.wedge(images[gen])
+        total = total + acc.scale(coeff.conjugate() if conjugate_coeffs else coeff)
+    return total
+
+
+class FormRoute:
+    """The operators of a QuaternionicComplex, applied to one form at a time.
+
+    d psi^r is d of the real covector psi^r rewritten in the psi coframe
+    by substituting each e^j, and d is extended to every form by
+    `ExteriorAlgebra.d`; del and del_bar are its bidegree components.  J
+    and conjugation are applied as algebra maps, J from the real J table
+    and conjugation as psi^g -> psi^{g+2n} with conjugated coefficients,
+    and del_J = J^{-1} del_bar J.  A matrix is built by applying its
+    operator to every basis monomial.
+    """
+
+    def __init__(self, cx) -> None:
+        self.cx = cx
+        inst, m, half = cx.inst, cx.dimension, cx.half
+        b, c = _basis_change(cx.coframe.rows, m)
+        e_images = [Form.from_terms({(s,): c.data[j][s] for s in range(m)})
+                    for j in range(m)]
+        d_psi = []
+        for r in range(m):
+            d_e = Form.zero()
+            for j in range(m):
+                d_e = d_e + inst.algebra.d_images[j].scale(b.data[r][j])
+            d_psi.append(map_gens(d_e, e_images))
+        self.psi = ExteriorAlgebra(m, d_psi)
+        self.j_images = []
+        for r in range(m):
+            w = inst.mat_j.apply(b.data[r])
+            self.j_images.append(map_gens(
+                Form.from_terms({(j,): w[j] for j in range(m)}), e_images))
+        self.conj_images = [Form.generator((r + half) % m) for r in range(m)]
+
+    def project(self, form: Form, p: int, q: int) -> Form:
+        return Form.from_terms({
+            mono: coeff for mono, coeff in form.terms.items()
+            if self.cx.bidegree_of_mono(mono) == (p, q)})
+
+    def _d_component(self, form: Form, dp: int, dq: int) -> Form:
+        p, q = self.cx.bidegree(form)
+        image = self.psi.d(form)
+        if image != self.project(image, p + 1, q) + self.project(image, p, q + 1):
+            raise IntegrabilityViolation(f"d of a ({p},{q})-form leaves two bidegrees")
+        return self.project(image, p + dp, q + dq)
+
+    def partial(self, form: Form) -> Form:
+        return self._d_component(form, 1, 0)
+
+    def partial_bar(self, form: Form) -> Form:
+        return self._d_component(form, 0, 1)
+
+    def j(self, form: Form) -> Form:
+        return map_gens(form, self.j_images)
+
+    def conj(self, form: Form) -> Form:
+        return map_gens(form, self.conj_images, conjugate_coeffs=True)
+
+    def jbar(self, form: Form) -> Form:
+        return self.j(self.conj(form))
+
+    def partial_j(self, form: Form) -> Form:
+        p = self.cx.bidegree(form)[0]
+        image = self.j(self.partial_bar(self.j(form)))
+        return image if (p + 1) % 2 == 0 else -image
+
+    def _matrix_of(self, op, p: int, tgt_p: int, tgt_q: int) -> Mat:
+        tgt = {mono: r for r, mono in enumerate(self.cx.bidegree_basis(tgt_p, tgt_q))}
+        src = self.cx.hol_basis(p)
+        entries = {}
+        for col, mono in enumerate(src):
+            for image, coeff in op(Form.monomial(mono)).terms.items():
+                entries[tgt[image], col] = coeff
+        return Mat.from_entries(len(tgt), len(src), entries)
+
+    def operator_matrix(self, which: str, p: int) -> Mat:
+        """`QuaternionicComplex.operator_matrix`, form by form."""
+        if which == "del":
+            return self._matrix_of(self.partial, p, p + 1, 0)
+        if which == "del_bar":
+            return self._matrix_of(self.partial_bar, p, p, 1)
+        if which == "del_J":
+            return self._matrix_of(self.partial_j, p, p + 1, 0)
+        if which == "Jbar":
+            return self._matrix_of(self.jbar, p, p, 0)
+        if which == "J":
+            return self._matrix_of(self.j, p, 0, p)
+        assert which == "ddJ"
+        return self.operator_matrix("del", p + 1) @ self.operator_matrix("del_J", p)

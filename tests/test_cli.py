@@ -1,9 +1,11 @@
 import hashlib
 import io
 import json
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from math import isqrt
 from pathlib import Path
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,8 +14,10 @@ from quatcohom import load_corpus, serialize_spec
 from quatcohom.cli import main
 from quatcohom.errors import DivisionByZero, TheoremViolation
 from quatcohom.metrics import MAX_SEARCH_SIZE
+from quatcohom.scalars import MAX_TERMS
 
-from support import jacobi_broken_spec
+from support import (coframe_variant, i_nonintegrable_spec, jacobi_broken_spec,
+                     random_gl)
 
 
 def run(capsys, *argv):
@@ -202,6 +206,32 @@ def test_suite_command(capsys):
     assert "PASS" in out
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_star_checks_pass_in_another_real_coframe(capsys, tmp_path, seed):
+    # example1 in a random real coframe: its del is not real in the psi
+    # basis, and the star is complex-linear, so the Stokes identity the
+    # star checks state holds with the transpose of del
+    spec = coframe_variant(load_corpus("example1"), random_gl(Random(seed), 8))
+    path = tmp_path / "variant.json"
+    path.write_text(serialize_spec(spec))
+    code, out, _ = run(capsys, "suite", str(path))
+    lines = out.splitlines()
+    assert ("PASS star-adjoint: the adjoint of del is -star del star in every degree"
+            in lines)
+    assert "PASS star-laplacian: star commutes with the del-Laplacian in every degree" in lines
+    assert code == 0
+
+
+def test_nonintegrable_structure_is_refused_before_the_operators(capsys, tmp_path):
+    # every command validates first, so the constructor's own integrability
+    # check is never what the command line reports
+    path = tmp_path / "nonintegrable.json"
+    path.write_text(serialize_spec(i_nonintegrable_spec()))
+    code, out, err = run(capsys, "report", str(path))
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and "structure I" in err
+
+
 def test_missing_file_exit_two(capsys):
     code, _, err = run(capsys, "report", "does-not-exist.json")
     assert code == 2
@@ -320,6 +350,43 @@ def test_integer_literal_up_to_the_digit_limit_accepted(capsys, tmp_path):
     one = "1" + "0" * 999
     path = _example2_with_entry(tmp_path, f"t*{one}/((1-t)*{one})")
     code, _, err = run(capsys, "validate", path, "--param", "t=1/3")
+    assert (code, err) == (0, "")
+
+
+def _example1_over_eight_parameters(tmp_path, expr):
+    # example1 with the parameters a..h declared and its first structure
+    # constant written as expr - expr + c, which cancels back to c
+    doc = json.loads(serialize_spec(load_corpus("example1")))
+    doc["parameters"] = list("abcdefgh")
+    term = doc["structure"][0]["terms"][0]
+    term["coeff"] = f"({expr})-({expr})+{term['coeff']}"
+    path = tmp_path / "terms.json"
+    path.write_text(json.dumps(doc))
+    bindings = [arg for name in "abcdefgh" for arg in ("--param", f"{name}=1/2")]
+    return ["validate", str(path)] + bindings
+
+
+@pytest.mark.parametrize("expr, counts", [
+    ("(a+b+c+d+e+f+g+h)^16", (330, 330)),
+    ("((1+a+b)^13)^2", (105, 105)),
+])
+def test_products_beyond_the_term_budget_exit_two_at_once(capsys, tmp_path, expr, counts):
+    # (a+...+h)^16 has 245157 terms; its last squaring is refused before
+    # it is expanded, where expanding it once took more than a minute
+    argv = _example1_over_eight_parameters(tmp_path, expr)
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    s, t = counts
+    assert (code, out) == (2, "")
+    assert err == (f"error: structure[0].terms[0].coeff: a product of {s} and "
+                   f"{t} terms may expand to {s * t} terms, more than {MAX_TERMS}\n")
+
+
+def test_products_up_to_the_term_budget_accepted(capsys, tmp_path):
+    # (1+a+b)^12 has 91 terms, and 91 * 91 = 8281 is just under the budget
+    argv = _example1_over_eight_parameters(tmp_path, "((1+a+b)^12)^2")
+    code, _, err = run(capsys, *argv)
     assert (code, err) == (0, "")
 
 

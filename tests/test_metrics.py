@@ -186,3 +186,32 @@ def test_sg_candidate_space_is_built_once_per_report(monkeypatch):
     # twice as wide as the Jbar loci, and their kernel is taken once
     assert len(asked) == 2
     assert [m.ncols for m in built].count(2 * wide) == 1
+
+
+def test_hkt_candidate_space_is_reduced_once_per_report(monkeypatch):
+    import quatcohom.linalg as linalg
+    import quatcohom.slstructure as slstructure
+    import quatcohom.suite as suite
+
+    reduced, asked = [], []
+
+    def counting(matrix, original=linalg.row_basis):
+        reduced.append(matrix)
+        return original(matrix)
+
+    def asking(cx, original=metrics.hkt_candidate_space):
+        asked.append(cx)
+        return original(cx)
+
+    for module in (quaternionic, metrics, slstructure, suite):
+        if hasattr(module, "row_basis"):
+            monkeypatch.setattr(module, "row_basis", counting)
+    for module in (metrics, suite):
+        monkeypatch.setattr(module, "hkt_candidate_space", asking)
+    session = ReportSession(load_corpus("example1"))
+    build_report_from_session(session)
+    # the report's HKT verdict, the suite's, and its hkt-flag-decoupling
+    # check ask; the Jbar-real closed locus is reduced for them once
+    assert len(asked) == 3
+    locus = session.cx.jbar_locus(1)
+    assert sum(m == locus for m in reduced) == 1

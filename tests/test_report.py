@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from quatcohom import load_corpus
+from quatcohom import ReportSession, load_corpus
 from quatcohom.fileio import document_from_spec, spec_from_document
 from quatcohom.report import build_report, to_json, to_table
 
@@ -147,13 +147,15 @@ def test_report_eliminates_each_del_twice(monkeypatch):
     (("example3", "torus8"), "29f2faa4999f09b9"),
     (("example3", "example1"), "7a96eb6dff6472f6"),
     (("example3", "example3"), "7ff0183fb4ed49b0"),
+    (("example3", "example1", "torus8"), "bd0589f5c9dfb95a"),
 ], ids=["example1+torus8", "example1+example1", "example3+torus8",
-        "example3+example1", "example3+example3"])
+        "example3+example1", "example3+example3", "example3+example1+torus8"])
 def test_direct_sum_reports_byte_identical(summands, digest):
-    # SHA-256 prefixes of the JSON reports in real dimensions 16, 20 and
-    # 24, recorded before the decompositions read operator kernels, the
-    # first three with dense matrices, and the last before subspaces were
-    # held as plain matrices: any change here is a change of output
+    # SHA-256 prefixes of the JSON reports in real dimensions 16, 20, 24
+    # and 28, recorded before the decompositions read operator kernels, the
+    # first three with dense matrices, dimension 24 before subspaces were
+    # held as plain matrices, and dimension 28 before the operators were
+    # built from generator data: any change here is a change of output
     spec = direct_sum_spec(*(load_corpus(name) for name in summands))
     report = build_report(spec)
     doc = to_json(report)
@@ -168,3 +170,18 @@ def test_direct_sum_reports_byte_identical(summands, digest):
                           if 0 <= p - i < len(small))
                       for p in range(2 * len(small) - 1)]
             assert [row[key] for row in report["cohomology"]["rows"]] == square
+    if summands == ("example3", "example1", "torus8"):
+        # the torus has zero differentials, so every column of the sum is
+        # example3 + example1's convolved with binomial(4, p)
+        small = ReportSession(direct_sum_spec(
+            load_corpus("example3"), load_corpus("example1"))).mc.table()
+        torus = (1, 4, 6, 4, 1)
+        rows = report["cohomology"]["rows"]
+        for column in ("h_del", "h_delj", "h_bc", "h_ae", "a", "b", "c", "d",
+                       "e", "f", "dim_e1", "dim_e2", "delta"):
+            values = getattr(small, column)
+            expect = [sum(values[i] * torus[p - i] for i in range(len(values))
+                          if 0 <= p - i < len(torus))
+                      for p in range(len(values) + len(torus) - 1)]
+            key = "h_del_j" if column == "h_delj" else column
+            assert [row[key] for row in rows] == expect, column
