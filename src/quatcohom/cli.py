@@ -217,7 +217,7 @@ def _cmd_pairing(args: argparse.Namespace) -> int:
 def _cmd_suite(args: argparse.Namespace) -> int:
     spec, bindings = _load(args)
     session = ReportSession(spec, bindings)
-    results = run_property_suite(session.cx, session.mc, session.sl)
+    results = run_property_suite(session)
     for line in suite_lines(suite_document(results)):
         print(line)
     failures = sum(1 for r in results if r.status == "fail")

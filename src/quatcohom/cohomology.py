@@ -60,8 +60,7 @@ class MatrixComplex:
     def __init__(self, dims: Sequence[int], del_mats: Sequence[Mat],
                  delj_mats: Sequence[Mat],
                  quaternionic_dim: Optional[int] = None,
-                 has_jbar_symmetry: bool = False,
-                 check: bool = True):
+                 has_jbar_symmetry: bool = False):
         self.dims = tuple(dims)
         self.top = len(self.dims) - 1
         if len(del_mats) != self.top or len(delj_mats) != self.top:
@@ -75,8 +74,7 @@ class MatrixComplex:
         self._split: Dict[Tuple[str, int], Mat] = {}
         self._pages: Optional[List[int]] = None
         self._table: Optional["CohomologyTable"] = None
-        if check:
-            self._check_shapes()
+        self._check_shapes()
 
     def _check_shapes(self) -> None:
         for p in range(self.top):

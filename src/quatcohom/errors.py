@@ -109,10 +109,6 @@ class NotSL2(EngineError):
     on a session of a different dimension."""
 
 
-class SingularGram(EngineError):
-    """A pairing matrix that must be invertible turned out singular."""
-
-
 class RepresentativeDependence(EngineError):
     """A value that must not depend on chosen representatives changed when
     the representatives were perturbed."""

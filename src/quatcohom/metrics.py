@@ -28,7 +28,6 @@ from .linalg import (
     leading_principal_minors,
     rank,
     realify_vector,
-    row_basis,
     solve,
 )
 from .quaternionic import QuaternionicComplex
@@ -83,18 +82,13 @@ class MetricCandidate:
 
 
 def classify_metric(cx: QuaternionicComplex, omega: Form,
-                    mc: Optional[MatrixComplex] = None) -> MetricCandidate:
+                    mc: MatrixComplex) -> MetricCandidate:
     """Evaluate every metric property of one candidate form.
 
     All the structural flags presuppose hermitian, which is reality under
-    Jbar together with a positive definite Gram matrix.
+    Jbar together with a positive definite Gram matrix.  `gram_matrix`
+    refuses a form that is not of bidegree (2,0).
     """
-    if mc is None:
-        mc = MatrixComplex.from_quaternionic(cx)
-    if not omega.is_zero() and cx.bidegree(omega) != (2, 0):
-        raise NotBidegree20(
-            f"expected a (2,0)-form, got bidegree {cx.bidegree(omega)}"
-        )
     gram = gram_matrix(cx, omega)
     minors = tuple(leading_principal_minors(gram))
     is_real = cx.jbar(omega) == omega
@@ -135,6 +129,9 @@ class ExistenceVerdict:
     answer: bool
     method: str
     certificate: Optional[MetricCandidate]
+    # probes the search ran: the one that found the certificate, 0 when the
+    # projected standard form is the certificate; not rendered
+    probes: int
 
 
 def hkt_candidate_space(cx: QuaternionicComplex) -> Mat:
@@ -145,9 +142,21 @@ def hkt_candidate_space(cx: QuaternionicComplex) -> Mat:
 
 def sg_candidate_space(cx: QuaternionicComplex) -> Mat:
     """Realified space of Jbar-real forms with del_J-exact differential,
-    as its canonical basis; `QuaternionicComplex.sg_locus` spans it."""
-    return row_basis(cx.sg_locus())
+    as its canonical basis; reduced once per structure."""
+    return cx.sg_space
 
+
+# Value bounds of the certificate search when the caller sets none.
+DEN_BOUND = 4
+COEFF_BOUND = 2
+
+# Probes of the certificate search behind a verdict.  The search order is
+# fixed, so a search with a lower limit finds a certificate exactly when
+# this one found it within that many probes.
+PROBE_LIMIT = 2000
+
+# A negative answer only runs a consistency probe of at most this many.
+CONSISTENCY_PROBE_LIMIT = 200
 
 # The certificate search builds about 0.6 * c * D^2 candidate values for
 # coefficient bound c and denominator bound D before it probes any; c * D^2
@@ -236,15 +245,19 @@ def _search_certificate(
     den_bound: int,
     coeff_bound: int,
     probe_limit: int,
-) -> Tuple[Optional[MetricCandidate], bool]:
-    """Look for a positive candidate; second value reports proven absence."""
+) -> Tuple[Optional[MetricCandidate], int]:
+    """Look for a positive candidate; second value counts the probes run.
+
+    The projected standard form is tried first and costs no probe, so a
+    certificate found there comes with the count 0.
+    """
     if _diagonal_obstruction(cx, space):
-        return None, True
+        return None, 0
     projected = _project_standard(cx, space)
     if projected is not None:
         candidate = classify_metric(cx, projected, mc)
         if wanted(candidate):
-            return candidate, False
+            return candidate, 0
     values = _value_sequence(den_bound, coeff_bound)
     probes = 0
     for indices in _index_tuples(space.nrows, len(values)):
@@ -263,8 +276,8 @@ def _search_certificate(
             cx, cx.from_coords(complexify_vector(coords), 2), mc
         )
         if wanted(candidate):
-            return candidate, False
-    return None, False
+            return candidate, probes
+    return None, probes
 
 
 def _middle_defect_answer(cx: QuaternionicComplex, mc: MatrixComplex) -> bool:
@@ -282,13 +295,12 @@ def _middle_defect_answer(cx: QuaternionicComplex, mc: MatrixComplex) -> bool:
 
 def _decide(
     cx: QuaternionicComplex,
-    mc: Optional[MatrixComplex],
+    mc: MatrixComplex,
     question: str,
     space_of: Callable[[QuaternionicComplex], Mat],
     wanted: Callable[[MetricCandidate], bool],
     den_bound: int,
     coeff_bound: int,
-    probe_limit: int,
 ) -> ExistenceVerdict:
     _check_search_bounds(den_bound, coeff_bound)
     if cx.n != 2:
@@ -296,41 +308,37 @@ def _decide(
             f"existence is only decided in quaternionic dimension 2, "
             f"got {cx.n}"
         )
-    if mc is None:
-        mc = MatrixComplex.from_quaternionic(cx)
     answer = _middle_defect_answer(cx, mc)
     space = space_of(cx)
     if answer:
-        certificate, _ = _search_certificate(
-            cx, mc, space, wanted, den_bound, coeff_bound, probe_limit
+        certificate, probes = _search_certificate(
+            cx, mc, space, wanted, den_bound, coeff_bound, PROBE_LIMIT
         )
         method = "explicit-certificate" if certificate else "delta2-criterion"
-        return ExistenceVerdict(question, True, method, certificate)
+        return ExistenceVerdict(question, True, method, certificate, probes)
     # merely a consistency probe; the negative answer never depends on it
-    certificate, _ = _search_certificate(
-        cx, mc, space, wanted, den_bound, coeff_bound, min(probe_limit, 200)
+    certificate, probes = _search_certificate(
+        cx, mc, space, wanted, den_bound, coeff_bound, CONSISTENCY_PROBE_LIMIT
     )
     if certificate is not None:
         raise TheoremViolation(
             f"found a certificate for {question} although the middle defect "
             "rules it out"
         )
-    return ExistenceVerdict(question, False, "delta2-criterion", None)
+    return ExistenceVerdict(question, False, "delta2-criterion", None, probes)
 
 
-def hkt_existence(cx: QuaternionicComplex, mc: Optional[MatrixComplex] = None,
-                  den_bound: int = 4, coeff_bound: int = 2,
-                  probe_limit: int = 2000) -> ExistenceVerdict:
+def hkt_existence(cx: QuaternionicComplex, mc: MatrixComplex,
+                  den_bound: int = DEN_BOUND,
+                  coeff_bound: int = COEFF_BOUND) -> ExistenceVerdict:
     """Does the structure carry a metric with del-closed form?"""
     return _decide(
         cx, mc, "hkt", hkt_candidate_space,
-        lambda c: c.hkt, den_bound, coeff_bound, probe_limit,
+        lambda c: c.hkt, den_bound, coeff_bound,
     )
 
 
-def sg_existence(cx: QuaternionicComplex, mc: Optional[MatrixComplex] = None,
-                 den_bound: int = 4, coeff_bound: int = 2,
-                 probe_limit: int = 2000) -> ExistenceVerdict:
+def sg_existence(cx: QuaternionicComplex, mc: MatrixComplex) -> ExistenceVerdict:
     """Does the structure carry a strongly Gauduchon metric?
 
     In quaternionic dimension 2 this is equivalent to the previous
@@ -339,5 +347,5 @@ def sg_existence(cx: QuaternionicComplex, mc: Optional[MatrixComplex] = None,
     """
     return _decide(
         cx, mc, "strongly-gauduchon", sg_candidate_space,
-        lambda c: c.strongly_gauduchon, den_bound, coeff_bound, probe_limit,
+        lambda c: c.strongly_gauduchon, DEN_BOUND, COEFF_BOUND,
     )

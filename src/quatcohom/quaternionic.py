@@ -91,7 +91,6 @@ class QuaternionicComplex:
         self._indices: Dict[Tuple[int, int], Dict[Mono, int]] = {}
         self._matrices: Dict[Tuple[str, int, int], Mat] = {}
         self._jbar_loci: Dict[int, Mat] = {}
-        self._sg_locus: Optional[Mat] = None
 
     # -- construction ------------------------------------------------------
 
@@ -302,28 +301,27 @@ class QuaternionicComplex:
     @cached_property
     def hkt_space(self) -> Mat:
         """Canonical basis of `jbar_locus(1)`, the HKT candidates, reduced
-        once: the report's verdict and the suite's two HKT checks read it."""
+        once: the HKT verdict and the suite's hkt-flag-decoupling read it."""
         return row_basis(self.jbar_locus(1))
 
-    def sg_locus(self) -> Mat:
-        """Realified Jbar-real (2,0)-forms with del_J-exact del, as spanning rows.
+    @cached_property
+    def sg_space(self) -> Mat:
+        """Realified Jbar-real (2,0)-forms with del_J-exact del, as the
+        canonical basis of the strongly Gauduchon candidates.
 
         The pairs (omega, w) with del omega = del_J w and Jbar omega = omega
         are the kernel of the realified [del | -del_J; Jbar - 1 | 0]; the
         omega block of its kernel basis spans the forms, since the
-        projection of a span is the span of the projections.  Computed
-        once: the report's verdict and the suite's both read it.
+        projection of a span is the span of the projections.
         """
-        if self._sg_locus is None:
-            d_real = realify_linear(self.partial_matrix(2))
-            dj_real = realify_linear(self.partial_j_matrix(2))
-            jbar_real = realify_antilinear(self.jbar_matrix(2))
-            wide = d_real.ncols
-            top = d_real.hstack(-dj_real)
-            bottom = (jbar_real - Mat.identity(wide)).hstack(Mat.zeros(wide, wide))
-            pairs = kernel_basis(top.vstack(bottom))
-            self._sg_locus = pairs.block(range(pairs.nrows), range(wide))
-        return self._sg_locus
+        d_real = realify_linear(self.partial_matrix(2))
+        dj_real = realify_linear(self.partial_j_matrix(2))
+        jbar_real = realify_antilinear(self.jbar_matrix(2))
+        wide = d_real.ncols
+        top = d_real.hstack(-dj_real)
+        bottom = (jbar_real - Mat.identity(wide)).hstack(Mat.zeros(wide, wide))
+        pairs = kernel_basis(top.vstack(bottom))
+        return row_basis(pairs.block(range(pairs.nrows), range(wide)))
 
     # -- display -------------------------------------------------------------
 

@@ -1,16 +1,18 @@
 """Full structured report and its plain-text table rendering.
 
-The structured document is the single source of truth: the table mode is a
-pure rendering of the same dict, so the two output modes cannot drift
-apart.  Every leaf is a JSON-native value; exact scalars are rendered as
-strings through their canonical str() form.
+`ReportSession` owns everything computed for one structure: the operator
+complex, its matrix reduction, the volume-form layer and each existence
+verdict, each built once.  The structured document is the single source
+of truth: the table mode is a pure rendering of the same dict, so the two
+output modes cannot drift apart.  Every leaf is a JSON-native value; exact
+scalars are rendered as strings through their canonical str() form.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 from .cohomology import (
     CohomologyTable,
@@ -19,6 +21,7 @@ from .cohomology import (
     frolicher_degenerate,
     non_hkt_degrees,
 )
+from .errors import EngineError
 from .fileio import document_from_spec
 from .linalg import Mat
 from .metrics import ExistenceVerdict, MetricCandidate, hkt_existence, sg_existence
@@ -32,9 +35,10 @@ from .suite import CheckResult, run_property_suite
 class ReportSession:
     """Everything computed once for one instantiated structure.
 
-    Bundles the operator complex, its matrix reduction, and the volume
-    form layer so that the CLI subcommands share the same objects instead
-    of rebuilding them per question.
+    The one owner of the operator complex, its matrix reduction, the
+    volume form layer and the existence verdicts: the report, the property
+    suite and the CLI subcommands share these objects instead of
+    rebuilding them per question.
     """
 
     def __init__(self, spec: AlgebraSpec,
@@ -46,6 +50,25 @@ class ReportSession:
         self.cx = QuaternionicComplex.build(spec, bindings)
         self.mc = MatrixComplex.from_quaternionic(self.cx)
         self.sl = SLStructure(self.cx, self.mc)
+        self._verdicts: Dict[str, Union[ExistenceVerdict, EngineError]] = {}
+
+    def verdict(self, question: str) -> ExistenceVerdict:
+        """The verdict on "hkt" or "strongly-gauduchon", decided once.
+
+        An engine error of the decision is kept too and raised again, so
+        every reader fails with the same detail.
+        """
+        if question not in self._verdicts:
+            decide = {"hkt": hkt_existence,
+                      "strongly-gauduchon": sg_existence}[question]
+            try:
+                self._verdicts[question] = decide(self.cx, self.mc)
+            except EngineError as exc:
+                self._verdicts[question] = exc
+        outcome = self._verdicts[question]
+        if isinstance(outcome, EngineError):
+            raise outcome
+        return outcome
 
     def render_class(self, coords: Sequence, p: int) -> str:
         return self.cx.render_form(self.cx.from_coords(coords, p))
@@ -185,33 +208,22 @@ def suite_document(results: Sequence[CheckResult]) -> List[dict]:
 
 
 def build_report(spec: AlgebraSpec,
-                 bindings: Optional[Mapping[str, RationalLike]] = None,
-                 den_bound: int = 4, coeff_bound: int = 2,
-                 probe_limit: int = 2000) -> dict:
+                 bindings: Optional[Mapping[str, RationalLike]] = None) -> dict:
     """Compute the complete report document for one structure instance."""
-    session = ReportSession(spec, bindings)
-    return build_report_from_session(
-        session, den_bound=den_bound, coeff_bound=coeff_bound,
-        probe_limit=probe_limit,
-    )
+    return build_report_from_session(ReportSession(spec, bindings))
 
 
-def build_report_from_session(session: ReportSession,
-                              den_bound: int = 4, coeff_bound: int = 2,
-                              probe_limit: int = 2000) -> dict:
+def build_report_from_session(session: ReportSession) -> dict:
     cx = session.cx
     table = session.mc.table()
 
     if cx.n == 2:
-        hkt = verdict_document(session, hkt_existence(
-            cx, session.mc, den_bound=den_bound, coeff_bound=coeff_bound,
-            probe_limit=probe_limit,
-        ))
-        sg = verdict_document(session, sg_existence(
-            cx, session.mc, den_bound=den_bound, coeff_bound=coeff_bound,
-            probe_limit=probe_limit,
-        ))
-        verdicts = {"applicable": True, "hkt": hkt, "strongly_gauduchon": sg}
+        verdicts = {
+            "applicable": True,
+            "hkt": verdict_document(session, session.verdict("hkt")),
+            "strongly_gauduchon": verdict_document(
+                session, session.verdict("strongly-gauduchon")),
+        }
     else:
         verdicts = {
             "applicable": False,
@@ -219,9 +231,7 @@ def build_report_from_session(session: ReportSession,
                       f"quaternionic dimension 2, not {cx.n}",
         }
 
-    suite = run_property_suite(cx, session.mc, session.sl,
-                               den_bound=den_bound, coeff_bound=coeff_bound,
-                               probe_limit=min(probe_limit, 400))
+    suite = run_property_suite(session)
 
     return {
         "algebra": document_from_spec(session.spec),

@@ -32,7 +32,6 @@ from .errors import (
     NotReal,
     NotSL2,
     RepresentativeDependence,
-    SingularGram,
     TheoremViolation,
 )
 from .exterior import Form, merge_monomials
@@ -40,7 +39,6 @@ from .linalg import (
     Mat,
     complement_basis,
     complexify_vector,
-    inverse,
     kernel_basis,
     rank,
     realify_linear,
@@ -105,9 +103,9 @@ class DecompositionReport:
 class SLStructure:
     """Volume-form dependent layer over one quaternionic complex."""
 
-    def __init__(self, cx: QuaternionicComplex, mc: Optional[MatrixComplex] = None):
+    def __init__(self, cx: QuaternionicComplex, mc: MatrixComplex):
         self.cx = cx
-        self.mc = mc if mc is not None else MatrixComplex.from_quaternionic(cx)
+        self.mc = mc
         self._wedges: Dict[int, Mat] = {}
         self._stars: Dict[int, Mat] = {}
         self._sd_asd: Optional[Tuple[int, int, bool]] = None
@@ -182,18 +180,11 @@ class SLStructure:
 
         The star matrix is W^{-1} for the wedge matrix W of `wedge_matrix`,
         which makes m_i ^ star(m_j) = delta_ij * Phi exact by construction.
+        W is a signed permutation, so W^{-1} is its transpose.
         """
-        if p in self._stars:
-            return self._stars[p]
-        wedge = self.wedge_matrix(p)
-        try:
-            star = inverse(wedge)
-        except ValueError:
-            raise SingularGram(
-                f"wedge pairing between degrees {p} and {self.cx.half - p} is degenerate"
-            ) from None
-        self._stars[p] = star
-        return star
+        if p not in self._stars:
+            self._stars[p] = self.wedge_matrix(p).transpose()
+        return self._stars[p]
 
     def star(self, form: Form) -> Form:
         p, q = self.cx.bidegree(form)

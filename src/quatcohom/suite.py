@@ -6,28 +6,33 @@ are data, not exceptions: the caller decides what a red line means.  The
 checks deliberately recompute identities the library also enforces
 internally, so a regression in the enforcement itself still turns a line
 red here.
+
+The suite reads everything it checks from one `ReportSession`: its
+complex, matrix reduction and volume-form layer, and its existence
+verdicts, which the report shares.  The scalar self-check does not depend
+on the structure and runs once per process.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Iterable, List, Tuple
 
-from .cohomology import MatrixComplex, ddj_lemma_holds
+from .cohomology import ddj_lemma_holds
 from .errors import EngineError
 from .exterior import Form
 from .linalg import Mat, complexify_vector, kernel_basis, rank, rref
-from .metrics import (
-    classify_metric,
-    hkt_candidate_space,
-    hkt_existence,
-    sg_existence,
-    standard_omega,
-)
-from .quaternionic import QuaternionicComplex
+from .metrics import classify_metric, hkt_candidate_space, standard_omega
 from .scalars import GaussianRational, parse_rational
-from .slstructure import SLStructure
+
+if TYPE_CHECKING:
+    from .report import ReportSession
+
+# hkt-three-way names a certificate only when the search behind the
+# session's verdict found it within this many probes
+PROBE_LIMIT = 400
 
 
 @dataclass(frozen=True)
@@ -50,18 +55,28 @@ def _run(name: str, statement: str,
     return CheckResult(name, statement, status, detail)
 
 
-def run_property_suite(
-    cx: QuaternionicComplex,
-    mc: Optional[MatrixComplex] = None,
-    sl: Optional[SLStructure] = None,
-    den_bound: int = 4,
-    coeff_bound: int = 2,
-    probe_limit: int = 400,
-) -> List[CheckResult]:
-    if mc is None:
-        mc = MatrixComplex.from_quaternionic(cx)
-    if sl is None:
-        sl = SLStructure(cx, mc)
+@functools.cache
+def _scalar_arithmetic() -> Outcome:
+    rng = random.Random(12345)
+
+    def draw() -> GaussianRational:
+        return GaussianRational(
+            rng.randint(-9, 9), rng.randint(-9, 9)
+        ) / GaussianRational(rng.randint(1, 9))
+
+    for _ in range(200):
+        a, b, c = draw(), draw(), draw()
+        if (a + b) * c != a * c + b * c:
+            return "fail", f"distributivity broke at {a}, {b}, {c}"
+        if a * b != b * a or a + b != b + a:
+            return "fail", f"commutativity broke at {a}, {b}"
+        if parse_rational(str(a)) != a:
+            return "fail", f"round trip broke at {a}"
+    return "pass", "200 deterministic triples"
+
+
+def run_property_suite(session: "ReportSession") -> List[CheckResult]:
+    cx, mc, sl = session.cx, session.mc, session.sl
     table = mc.table()
     half = cx.half
     degrees = range(half + 1)
@@ -70,27 +85,9 @@ def run_property_suite(
 
     # -- arithmetic and linear algebra self-checks --------------------------
 
-    def scalar_arithmetic() -> Outcome:
-        rng = random.Random(12345)
-
-        def draw() -> GaussianRational:
-            return GaussianRational(
-                rng.randint(-9, 9), rng.randint(-9, 9)
-            ) / GaussianRational(rng.randint(1, 9))
-
-        for _ in range(200):
-            a, b, c = draw(), draw(), draw()
-            if (a + b) * c != a * c + b * c:
-                return "fail", f"distributivity broke at {a}, {b}, {c}"
-            if a * b != b * a or a + b != b + a:
-                return "fail", f"commutativity broke at {a}, {b}"
-            if parse_rational(str(a)) != a:
-                return "fail", f"round trip broke at {a}"
-        return "pass", "200 deterministic triples"
-
     add(_run("scalar-arithmetic",
              "exact scalars: ring laws and print/parse round trip",
-             scalar_arithmetic))
+             _scalar_arithmetic))
 
     def echelon_stable() -> Outcome:
         m = cx.partial_matrix(1)
@@ -423,94 +420,65 @@ def run_property_suite(
 
     # -- quaternionic dimension 2 theorems ----------------------------------
 
+    def pure_and_full() -> Outcome:
+        report = sl.jbar_decomposition()
+        return "pass", (
+            f"dim H^(Jbar,+) = {report.jbar_plus_dim}, "
+            f"dim H^(Jbar,-) = {report.jbar_minus_dim}"
+        )
+
+    def self_dual_split() -> Outcome:
+        plus, minus, _ = sl.sd_asd_decomposition()
+        return "pass", f"dims ({plus}, {minus})"
+
+    def three_way() -> Outcome:
+        verdict = session.verdict("hkt")
+        found = verdict.certificate is not None and verdict.probes <= PROBE_LIMIT
+        return "pass", (
+            f"answer {'yes' if verdict.answer else 'no'} "
+            f"({'explicit-certificate' if found else 'delta2-criterion'})"
+        )
+
+    def sg_matches() -> Outcome:
+        hkt = session.verdict("hkt")
+        sg = session.verdict("strongly-gauduchon")
+        if hkt.answer != sg.answer:
+            return "fail", f"hkt {hkt.answer} vs strongly Gauduchon {sg.answer}"
+        return "pass", f"both {'yes' if hkt.answer else 'no'}"
+
+    dimension_two = (
+        ("odd-defects-vanish", "Delta^1 = Delta^3 = 0",
+         lambda: ("pass", "") if table.delta[1] == table.delta[3] == 0
+         else ("fail", str(table.delta))),
+        ("middle-defect-range", "Delta^2 is 0 or 2",
+         lambda: ("pass", f"Delta^2 = {table.delta[2]}")
+         if table.delta[2] in (0, 2) else ("fail", str(table.delta[2]))),
+        ("page-degeneration", "E1 = E2 dimension-wise",
+         lambda: ("pass", "") if table.dim_e1 == table.dim_e2
+         else ("fail", f"E1 {table.dim_e1} E2 {table.dim_e2}")),
+        ("pure-and-full",
+         "the Jbar-fixed subgroups split the middle cohomology",
+         pure_and_full),
+        ("self-dual-split",
+         "closed (anti-)self-dual images split the middle cohomology",
+         self_dual_split),
+        ("hkt-three-way",
+         "middle defect, degree-one parity, and certificate search agree",
+         three_way),
+        ("sg-equivalence",
+         "strongly Gauduchon existence coincides with HKT existence",
+         sg_matches),
+    )
     if cx.n == 2:
-        add(_run("odd-defects-vanish", "Delta^1 = Delta^3 = 0",
-                 lambda: ("pass", "") if table.delta[1] == table.delta[3] == 0
-                 else ("fail", str(table.delta))))
-        add(_run("middle-defect-range", "Delta^2 is 0 or 2",
-                 lambda: ("pass", f"Delta^2 = {table.delta[2]}")
-                 if table.delta[2] in (0, 2) else ("fail", str(table.delta[2]))))
-        add(_run("page-degeneration", "E1 = E2 dimension-wise",
-                 lambda: ("pass", "") if table.dim_e1 == table.dim_e2
-                 else ("fail", f"E1 {table.dim_e1} E2 {table.dim_e2}")))
-
-        def pure_and_full() -> Outcome:
-            report = sl.jbar_decomposition()
-            return "pass", (
-                f"dim H^(Jbar,+) = {report.jbar_plus_dim}, "
-                f"dim H^(Jbar,-) = {report.jbar_minus_dim}"
-            )
-
-        add(_run("pure-and-full",
-                 "the Jbar-fixed subgroups split the middle cohomology",
-                 pure_and_full))
-
-        def self_dual_split() -> Outcome:
-            plus, minus, _ = sl.sd_asd_decomposition()
-            return "pass", f"dims ({plus}, {minus})"
-
-        add(_run("self-dual-split",
-                 "closed (anti-)self-dual images split the middle cohomology",
-                 self_dual_split))
-
-        hkt_outcome: list = []
-
-        def hkt_verdict():
-            """The HKT verdict, decided once for the two checks that read it.
-
-            An engine error is kept too and raised again, so both checks
-            fail with the same detail as when each decided on its own.
-            """
-            if not hkt_outcome:
-                try:
-                    hkt_outcome.append(hkt_existence(
-                        cx, mc, den_bound, coeff_bound, probe_limit))
-                except EngineError as exc:
-                    hkt_outcome.append(exc)
-            if isinstance(hkt_outcome[0], EngineError):
-                raise hkt_outcome[0]
-            return hkt_outcome[0]
-
-        def three_way() -> Outcome:
-            verdict = hkt_verdict()
-            return "pass", (
-                f"answer {'yes' if verdict.answer else 'no'} "
-                f"({verdict.method})"
-            )
-
-        add(_run("hkt-three-way",
-                 "middle defect, degree-one parity, and certificate search agree",
-                 three_way))
-
-        def sg_matches() -> Outcome:
-            hkt = hkt_verdict()
-            sg = sg_existence(cx, mc, den_bound, coeff_bound, probe_limit)
-            if hkt.answer != sg.answer:
-                return "fail", f"hkt {hkt.answer} vs strongly Gauduchon {sg.answer}"
-            return "pass", f"both {'yes' if hkt.answer else 'no'}"
-
-        add(_run("sg-equivalence",
-                 "strongly Gauduchon existence coincides with HKT existence",
-                 sg_matches))
+        for name, statement, body in dimension_two:
+            add(_run(name, statement, body))
     else:
         report = sl.jbar_decomposition()
         detail = (
             f"not applicable (n={cx.n}); intersection {report.intersection_dim}, "
             f"complement {report.complement_dim}"
         )
-        for name, statement in (
-            ("odd-defects-vanish", "Delta^1 = Delta^3 = 0"),
-            ("middle-defect-range", "Delta^2 is 0 or 2"),
-            ("page-degeneration", "E1 = E2 dimension-wise"),
-            ("pure-and-full",
-             "the Jbar-fixed subgroups split the middle cohomology"),
-            ("self-dual-split",
-             "closed (anti-)self-dual images split the middle cohomology"),
-            ("hkt-three-way",
-             "middle defect, degree-one parity, and certificate search agree"),
-            ("sg-equivalence",
-             "strongly Gauduchon existence coincides with HKT existence"),
-        ):
+        for name, statement, _ in dimension_two:
             add(CheckResult(name, statement, "n/a", detail))
 
     return results

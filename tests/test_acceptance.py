@@ -172,7 +172,7 @@ def test_criterion_5_property_suite_corpus_and_variants():
     checks = 0
     for spec, bindings in runs:
         session = ReportSession(spec, bindings)
-        results = run_property_suite(session.cx, session.mc, session.sl)
+        results = run_property_suite(session)
         checks += len(results)
         failures.extend(
             (spec.name, bindings, r.name, r.detail)

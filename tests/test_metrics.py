@@ -182,9 +182,10 @@ def test_sg_candidate_space_is_built_once_per_report(monkeypatch):
     session = ReportSession(load_corpus("example1"))
     build_report_from_session(session)
     wide = 2 * len(session.cx.hol_basis(2))
-    # the report's verdict and the suite's ask; the pairs (omega, w) are
-    # twice as wide as the Jbar loci, and their kernel is taken once
-    assert len(asked) == 2
+    # the session's verdict asks, which the report and the suite share; the
+    # pairs (omega, w) are twice as wide as the Jbar loci, and their kernel
+    # is taken once
+    assert len(asked) == 1
     assert [m.ncols for m in built].count(2 * wide) == 1
 
 
@@ -210,8 +211,8 @@ def test_hkt_candidate_space_is_reduced_once_per_report(monkeypatch):
         monkeypatch.setattr(module, "hkt_candidate_space", asking)
     session = ReportSession(load_corpus("example1"))
     build_report_from_session(session)
-    # the report's HKT verdict, the suite's, and its hkt-flag-decoupling
-    # check ask; the Jbar-real closed locus is reduced for them once
-    assert len(asked) == 3
+    # the session's HKT verdict and the suite's hkt-flag-decoupling check
+    # ask; the Jbar-real closed locus is reduced for them once
+    assert len(asked) == 2
     locus = session.cx.jbar_locus(1)
     assert sum(m == locus for m in reduced) == 1

@@ -115,10 +115,10 @@ def test_jbar_checks_name_the_first_failing_basis_form(monkeypatch):
     assert onto not in (j, 0) and j_del > 0
     monkeypatch.setattr(cx, "jbar_matrix", lambda p: _without_column(
         cx.operator_matrix("Jbar", p), j) if p == 2 else cx.operator_matrix("Jbar", p))
-    detail = {r.name: r.detail for r in run_property_suite(cx, session.mc, session.sl)}
+    detail = {r.name: r.detail for r in run_property_suite(session)}
     assert detail["jbar-involution"] == f"failed on {cx.render_mono(basis[min(j, onto)])}"
     monkeypatch.undo()
     monkeypatch.setattr(cx, "partial_matrix", lambda p: _without_column(
         cx.operator_matrix("del", p), j_del) if p == 2 else cx.operator_matrix("del", p))
-    detail = {r.name: r.detail for r in run_property_suite(cx, session.mc, session.sl)}
+    detail = {r.name: r.detail for r in run_property_suite(session)}
     assert detail["jbar-intertwine"] == f"failed on {cx.render_mono(basis[j_del])}"

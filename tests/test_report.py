@@ -60,8 +60,10 @@ def test_table_mode_renders_without_loss():
         assert entry["name"] in text
 
 
-def _suite_with_counted_hkt(monkeypatch, session, verdict):
-    import quatcohom.suite as suite
+def _suite_with_counted_hkt(monkeypatch, spec, verdict):
+    # a fresh session, so that its verdicts are decided inside the suite
+    import quatcohom.report as report
+    from quatcohom.suite import run_property_suite
 
     calls = []
 
@@ -69,15 +71,15 @@ def _suite_with_counted_hkt(monkeypatch, session, verdict):
         calls.append(args)
         return verdict(*args)
 
-    monkeypatch.setattr(suite, "hkt_existence", counted)
-    results = suite.run_property_suite(session.cx, session.mc, session.sl)
+    monkeypatch.setattr(report, "hkt_existence", counted)
+    results = run_property_suite(ReportSession(spec))
     return {r.name: r for r in results}, len(calls)
 
 
 def test_suite_decides_hkt_once(monkeypatch, ex1):
-    from quatcohom.suite import hkt_existence
+    from quatcohom.metrics import hkt_existence
 
-    results, calls = _suite_with_counted_hkt(monkeypatch, ex1, hkt_existence)
+    results, calls = _suite_with_counted_hkt(monkeypatch, ex1.spec, hkt_existence)
     assert calls == 1
     assert results["hkt-three-way"].detail == "answer no (delta2-criterion)"
     assert results["sg-equivalence"].detail == "both no"
@@ -89,11 +91,89 @@ def test_suite_shares_an_hkt_failure(monkeypatch, ex1):
     def broken(*args):
         raise TheoremViolation("middle defect disagrees")
 
-    results, calls = _suite_with_counted_hkt(monkeypatch, ex1, broken)
+    results, calls = _suite_with_counted_hkt(monkeypatch, ex1.spec, broken)
     assert calls == 1
     for name in ("hkt-three-way", "sg-equivalence"):
         assert results[name].status == "fail"
         assert results[name].detail == "TheoremViolation: middle defect disagrees"
+
+
+@pytest.mark.parametrize("name, bindings", [
+    ("example1", None), ("example2", {"t": Fraction(1, 2)})])
+def test_report_builds_each_structure_and_decides_each_question_once(
+        monkeypatch, name, bindings):
+    import quatcohom.metrics as metrics
+    from quatcohom.cohomology import MatrixComplex
+    from quatcohom.slstructure import SLStructure
+
+    calls = {"from_quaternionic": 0, "SLStructure": 0, "decide": 0}
+
+    def counting(key, body):
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return body(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(MatrixComplex, "from_quaternionic", classmethod(
+        counting("from_quaternionic", MatrixComplex.from_quaternionic.__func__)))
+    monkeypatch.setattr(SLStructure, "__init__",
+                        counting("SLStructure", SLStructure.__init__))
+    monkeypatch.setattr(metrics, "_decide", counting("decide", metrics._decide))
+    doc = build_report(load_corpus(name), bindings)
+    assert calls == {"from_quaternionic": 1, "SLStructure": 1, "decide": 2}
+    assert [doc["verdicts"][key]["question"]
+            for key in ("hkt", "strongly_gauduchon")] == ["hkt", "strongly-gauduchon"]
+
+    from quatcohom import cli
+
+    calls["decide"] = 0
+    assert cli.main(["suite", name] + [
+        f"--param={k}={v}" for k, v in (bindings or {}).items()]) == 0
+    assert calls["decide"] == 2
+
+
+@pytest.mark.parametrize("limit", [23, 24])
+def test_suite_names_a_certificate_found_within_its_probe_limit(
+        monkeypatch, limit):
+    # without the projected standard form, the HKT search of example2 at
+    # t = 1/2 finds its certificate at probe 24; the suite's line must read
+    # as a search of its own at the suite's limit would
+    import quatcohom.metrics as metrics
+    import quatcohom.suite as suite
+
+    spec, bindings = load_corpus("example2"), {"t": Fraction(1, 2)}
+    monkeypatch.setattr(metrics, "_project_standard", lambda cx, basis: None)
+    monkeypatch.setattr(suite, "PROBE_LIMIT", limit)
+    session = ReportSession(spec, bindings)
+    results = {r.name: r for r in suite.run_property_suite(session)}
+    assert session.verdict("hkt").probes == 24
+
+    monkeypatch.setattr(metrics, "PROBE_LIMIT", limit)
+    other = ReportSession(spec, bindings)
+    direct = metrics.hkt_existence(other.cx, other.mc)
+    assert direct.method == ("explicit-certificate" if limit == 24
+                             else "delta2-criterion")
+    assert results["hkt-three-way"].detail == f"answer yes ({direct.method})"
+
+
+def test_suite_draws_the_scalar_triples_once_per_process(monkeypatch, ex1, torus):
+    import quatcohom.suite as suite
+
+    parsed = []
+
+    def counting(text, original=suite.parse_rational):
+        parsed.append(text)
+        return original(text)
+
+    monkeypatch.setattr(suite, "parse_rational", counting)
+    suite._scalar_arithmetic.cache_clear()
+    lines = [next(r for r in suite.run_property_suite(session)
+                  if r.name == "scalar-arithmetic") for session in (ex1, torus)]
+    assert len(parsed) == 200
+    assert lines[0] == lines[1] == suite.CheckResult(
+        "scalar-arithmetic",
+        "exact scalars: ring laws and print/parse round trip",
+        "pass", "200 deterministic triples")
 
 
 def test_report_decomposes_the_middle_cohomology_once(monkeypatch):

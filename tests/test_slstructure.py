@@ -2,14 +2,14 @@ from itertools import combinations
 
 import pytest
 
-from quatcohom import standard_omega
+from quatcohom import MatrixComplex, ReportSession, load_corpus, standard_omega
 from quatcohom.errors import NotAeppliClosed, NotGauduchon, NotHolomorphic, NotSL2
 from quatcohom.exterior import Form, merge_monomials
-from quatcohom.linalg import Mat
+from quatcohom.linalg import Mat, inverse
 from quatcohom.slstructure import SLStructure
 from quatcohom.quaternionic import QuaternionicComplex
 
-from support import affine_complex_spec, reference_decomposition
+from support import affine_complex_spec, direct_sum_spec, reference_decomposition
 
 
 def test_star_of_scalars_and_volume(ex1):
@@ -40,6 +40,17 @@ def test_star_squares_to_sign(corpus_sessions):
             m = sl.star_matrix(half - p) @ sl.star_matrix(p)
             expected = Mat.identity(m.nrows).scale((-1) ** p)
             assert m == expected
+
+
+def test_star_is_the_inverse_of_the_wedge_matrix(corpus_sessions):
+    # the star is read as the transpose of the wedge matrix, a signed
+    # permutation; elimination inverts it independently
+    sessions = corpus_sessions + [ReportSession(direct_sum_spec(
+        load_corpus("example1"), load_corpus("torus8")))]
+    for session in sessions:
+        sl = session.sl
+        for p in range(session.cx.half + 1):
+            assert sl.star_matrix(p) == inverse(sl.wedge_matrix(p))
 
 
 def test_integration_and_hermitian_product(ex1):
@@ -127,7 +138,7 @@ def test_volume_form_guard():
     # picks up a (2n,1) differential and the layer must refuse it
     cx = QuaternionicComplex.build(affine_complex_spec(), validate=False)
     with pytest.raises(NotHolomorphic):
-        SLStructure(cx)
+        SLStructure(cx, MatrixComplex.from_quaternionic(cx))
 
 
 def test_adjoint_identity_spot_check(ex1):
