@@ -30,9 +30,7 @@ from .metrics import (
     MetricCandidate,
     classify_metric,
     gram_matrix,
-    hkt_candidate_space,
     hkt_existence,
-    sg_candidate_space,
     sg_existence,
     standard_omega,
 )
@@ -76,7 +74,6 @@ __all__ = [
     "ddj_lemma_holds",
     "frolicher_degenerate",
     "gram_matrix",
-    "hkt_candidate_space",
     "hkt_existence",
     "instantiate",
     "load_corpus",
@@ -89,7 +86,6 @@ __all__ = [
     "require_valid",
     "run_property_suite",
     "serialize_spec",
-    "sg_candidate_space",
     "sg_existence",
     "standard_omega",
     "suite_failed",

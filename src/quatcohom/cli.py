@@ -27,7 +27,7 @@ from .errors import (
     ValidationFailure,
 )
 from .fileio import load_spec_file, parse_binding_args
-from .metrics import hkt_existence
+from .metrics import COEFF_BOUND, DEN_BOUND, hkt_existence
 from .model import validate_hypercomplex
 from .report import (
     ReportSession,
@@ -114,10 +114,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hkt", help="decide existence of an hkt metric")
     common(p)
-    p.add_argument("--search-denominator-bound", type=int, default=4,
-                   metavar="N", help="largest denominator tried (default 4)")
-    p.add_argument("--search-coeff-bound", type=int, default=2,
-                   metavar="N", help="largest coefficient tried (default 2)")
+    p.add_argument("--search-denominator-bound", type=int, default=DEN_BOUND,
+                   metavar="N", help=f"largest denominator tried (default {DEN_BOUND})")
+    p.add_argument("--search-coeff-bound", type=int, default=COEFF_BOUND,
+                   metavar="N", help=f"largest coefficient tried (default {COEFF_BOUND})")
 
     p = sub.add_parser("decompose", help="middle cohomology decompositions")
     common(p)

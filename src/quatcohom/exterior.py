@@ -3,10 +3,12 @@
 A form is a sparse map from strictly increasing generator-index tuples to
 nonzero Gaussian rational coefficients.  Generators are indexed from zero;
 labels for display are the caller's business.  Forms carry the structure
-equations, the volume form and the metric candidates.  The differential,
-stored by its values on generators and extended as an antiderivation,
-serves the Jacobi check; the operators of the (p,q) complex are exact
-matrices, built in `quaternionic` from generator data.
+equations of the input model, the rendering of classes and certificates,
+and the wedge power Omega^{n-1} of a metric candidate; everywhere else the
+engine holds a form as its coordinate tuple on a monomial basis.  The
+differential, stored by its values on generators and extended as an
+antiderivation, serves the Jacobi check; the operators of the (p,q)
+complex are exact matrices, built in `quaternionic` from generator data.
 """
 
 from __future__ import annotations

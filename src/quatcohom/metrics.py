@@ -1,10 +1,12 @@
 """Metric candidates, positivity, and existence verdicts.
 
-A candidate metric is a (2,0)-form.  Its Gram matrix with respect to the
+A candidate metric is a (2,0)-form, held as its coordinate tuple on the
+(2,0) monomial basis of the complex.  Its Gram matrix with respect to the
 unitary coframe is linear in the form, so positivity questions reduce to
 exact Sylvester checks, and the vanishing of a diagonal Gram entry on an
 entire candidate space is a linear condition that can rule out positive
-candidates without any search.
+candidates without any search.  Every other property is read through the
+operator matrices.
 
 Existence of the special metrics in quaternionic dimension 2 is decided
 by the middle defect (equivalently the parity of the first cohomology),
@@ -31,45 +33,51 @@ from .linalg import (
     solve,
 )
 from .quaternionic import QuaternionicComplex
-from .scalars import ZERO, GaussianRational
+from .scalars import ONE, ZERO, GaussianRational
+
+Coords = Tuple[GaussianRational, ...]
 
 
-def standard_omega(cx: QuaternionicComplex) -> Form:
+def standard_omega(cx: QuaternionicComplex) -> Coords:
     """Sum of the coframe pair monomials; its Gram is half the identity."""
-    total = Form.zero()
-    for i in range(cx.n):
-        total = total + Form.monomial((2 * i, 2 * i + 1))
-    return total
+    pairs = {(2 * i, 2 * i + 1) for i in range(cx.n)}
+    return tuple(ONE if mono in pairs else ZERO for mono in cx.hol_basis(2))
 
 
-def gram_matrix(cx: QuaternionicComplex, omega: Form) -> Mat:
+def omega_power(cx: QuaternionicComplex, omega: Coords) -> Coords:
+    """Coordinates of Omega^{n-1} on the (2n-2,0) basis, by wedging forms."""
+    form, power = cx.from_coords(omega, 2), Form.unit()
+    for _ in range(cx.n - 1):
+        power = power.wedge(form)
+    return tuple(power.coefficient(mono) for mono in cx.hol_basis(2 * cx.n - 2))
+
+
+def gram_matrix(cx: QuaternionicComplex, omega: Coords) -> Mat:
     """Gram matrix of a (2,0)-form on the holomorphic frame.
 
     With A the antisymmetric coefficient matrix of the form and N the
     matrix of J from (1,0)- to (0,1)-covectors, the metric values on the
     frame come out as -A N^T / 2.
     """
-    half = cx.half
-    if not omega.is_zero() and cx.bidegree(omega) != (2, 0):
+    half, basis = cx.half, cx.hol_basis(2)
+    if len(omega) != len(basis):
         raise NotBidegree20(
-            f"expected a (2,0)-form, got bidegree {cx.bidegree(omega)}"
+            f"expected the {len(basis)} coordinates of a (2,0)-form, got {len(omega)}"
         )
-    a_rows = [[ZERO] * half for _ in range(half)]
-    for u in range(half):
-        for v in range(u + 1, half):
-            c = omega.coefficient((u, v))
-            a_rows[u][v] = c
-            a_rows[v][u] = -c
-    a_mat = Mat.from_rows(a_rows, ncols=half)
+    entries = {}
+    for (u, v), c in zip(basis, omega):
+        entries[u, v] = c
+        entries[v, u] = -c
+    a_mat = Mat.from_entries(half, half, entries)
     n_mat = cx.operator_matrix("J", 1)
     return (a_mat @ n_mat.transpose()).scale(Fraction(-1, 2))
 
 
 @dataclass(frozen=True)
 class MetricCandidate:
-    """A (2,0)-form together with everything decided about it."""
+    """A (2,0)-form, by its coordinates, with everything decided about it."""
 
-    omega: Form
+    omega: Coords
     gram: Mat
     minors: Tuple[GaussianRational, ...]
     is_real: bool
@@ -81,32 +89,30 @@ class MetricCandidate:
     hyperkahler: bool
 
 
-def classify_metric(cx: QuaternionicComplex, omega: Form,
+def classify_metric(cx: QuaternionicComplex, omega: Coords,
                     mc: MatrixComplex) -> MetricCandidate:
     """Evaluate every metric property of one candidate form.
 
     All the structural flags presuppose hermitian, which is reality under
     Jbar together with a positive definite Gram matrix.  `gram_matrix`
-    refuses a form that is not of bidegree (2,0).
+    refuses coordinates that are not those of a (2,0)-form.
     """
     gram = gram_matrix(cx, omega)
     minors = tuple(leading_principal_minors(gram))
-    is_real = cx.jbar(omega) == omega
+    is_real = cx.jbar_matrix(2).apply_conjugated(omega) == omega
     positive = all(m.is_real() and m.re > 0 for m in minors)
     hermitian = is_real and positive
-    hkt = hermitian and cx.partial(omega).is_zero()
-    hyperkahler = hkt and cx.partial_bar(omega).is_zero()
-    om_pow = Form.unit()
-    for _ in range(cx.n - 1):
-        om_pow = om_pow.wedge(omega)
-    del_pow = cx.partial(om_pow)
-    gauduchon = hermitian and cx.partial(cx.partial_j(om_pow)).is_zero()
+    hkt = hermitian and not any(cx.partial_matrix(2).apply(omega))
+    hyperkahler = hkt and not any(cx.operator_matrix("del_bar", 2).apply(omega))
     top = 2 * cx.n - 1
+    power = omega_power(cx, omega)
+    del_pow = cx.partial_matrix(top - 1).apply(power)
+    gauduchon = hermitian and not any(cx.operator_matrix("ddJ", top - 1).apply(power))
     strongly = hermitian
-    if hermitian and not del_pow.is_zero():
+    if hermitian and any(del_pow):
         # del_J-exact: adding it to the image's basis leaves the rank
         exact = mc.image("del_J", top - 1)
-        strongly = rank(exact.vstack(Mat.from_rows([cx.coords(del_pow, top)]))) == exact.nrows
+        strongly = rank(exact.vstack(Mat.from_rows([del_pow]))) == exact.nrows
     return MetricCandidate(
         omega=omega,
         gram=gram,
@@ -132,18 +138,6 @@ class ExistenceVerdict:
     # probes the search ran: the one that found the certificate, 0 when the
     # projected standard form is the certificate; not rendered
     probes: int
-
-
-def hkt_candidate_space(cx: QuaternionicComplex) -> Mat:
-    """Realified space of Jbar-real del-closed (2,0)-forms, as its
-    canonical basis; reduced once per structure."""
-    return cx.hkt_space
-
-
-def sg_candidate_space(cx: QuaternionicComplex) -> Mat:
-    """Realified space of Jbar-real forms with del_J-exact differential,
-    as its canonical basis; reduced once per structure."""
-    return cx.sg_space
 
 
 # Value bounds of the certificate search when the caller sets none.
@@ -215,26 +209,22 @@ def _diagonal_obstruction(cx: QuaternionicComplex, space: Mat) -> bool:
     """
     if space.nrows == 0:
         return True
-    grams = [
-        gram_matrix(cx, cx.from_coords(complexify_vector(row), 2))
-        for row in space.data
-    ]
+    grams = [gram_matrix(cx, complexify_vector(row)) for row in space.data]
     return any(
         all(g[a, a].is_zero() for g in grams) for a in range(cx.half)
     )
 
 
-def _project_standard(cx: QuaternionicComplex, basis: Mat) -> Optional[Form]:
+def _project_standard(cx: QuaternionicComplex, basis: Mat) -> Optional[Coords]:
     """Euclidean projection of the standard form onto the candidate space."""
     if basis.nrows == 0:
         return None
-    target = realify_vector(cx.coords(standard_omega(cx), 2))
+    target = realify_vector(standard_omega(cx))
     coeffs = solve(basis @ basis.transpose(), basis.apply(target))
     if coeffs is None:
         return None
-    projected = basis.transpose().apply(coeffs)
-    form = cx.from_coords(complexify_vector(projected), 2)
-    return None if form.is_zero() else form
+    projected = complexify_vector(basis.transpose().apply(coeffs))
+    return projected if any(projected) else None
 
 
 def _search_certificate(
@@ -272,9 +262,7 @@ def _search_certificate(
             value = values[idx]
             coords = [c + x * value for c, x in zip(coords, row)]
         probes += 1
-        candidate = classify_metric(
-            cx, cx.from_coords(complexify_vector(coords), 2), mc
-        )
+        candidate = classify_metric(cx, complexify_vector(coords), mc)
         if wanted(candidate):
             return candidate, probes
     return None, probes
@@ -297,7 +285,7 @@ def _decide(
     cx: QuaternionicComplex,
     mc: MatrixComplex,
     question: str,
-    space_of: Callable[[QuaternionicComplex], Mat],
+    space: Mat,
     wanted: Callable[[MetricCandidate], bool],
     den_bound: int,
     coeff_bound: int,
@@ -309,7 +297,6 @@ def _decide(
             f"got {cx.n}"
         )
     answer = _middle_defect_answer(cx, mc)
-    space = space_of(cx)
     if answer:
         certificate, probes = _search_certificate(
             cx, mc, space, wanted, den_bound, coeff_bound, PROBE_LIMIT
@@ -333,7 +320,7 @@ def hkt_existence(cx: QuaternionicComplex, mc: MatrixComplex,
                   coeff_bound: int = COEFF_BOUND) -> ExistenceVerdict:
     """Does the structure carry a metric with del-closed form?"""
     return _decide(
-        cx, mc, "hkt", hkt_candidate_space,
+        cx, mc, "hkt", cx.hkt_space,
         lambda c: c.hkt, den_bound, coeff_bound,
     )
 
@@ -346,6 +333,6 @@ def sg_existence(cx: QuaternionicComplex, mc: MatrixComplex) -> ExistenceVerdict
     space differs.
     """
     return _decide(
-        cx, mc, "strongly-gauduchon", sg_candidate_space,
+        cx, mc, "strongly-gauduchon", cx.sg_space,
         lambda c: c.strongly_gauduchon, DEN_BOUND, COEFF_BOUND,
     )

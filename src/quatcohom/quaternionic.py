@@ -12,8 +12,9 @@ Leibniz rule gives d(m) = sum_k (-1)^k d phi^{g_k} ^ (m without g_k), and
 del keeps the terms of each d phi^g that raise p, del_bar those that raise
 q.  J and conjugation are algebra maps sending each generator to plus or
 minus one generator: signed permutations.  del_J = J^{-1} del_bar J, which
-is (-1)^{p+1} J del_bar J on (p,0)-forms, and Jbar = J∘conj.  The form
-operators read a form's coordinates through these matrices.
+is (-1)^{p+1} J del_bar J on (p,0)-forms, and Jbar = J∘conj.  Inside the
+engine a form is its coordinate tuple on these bases, read through the
+matrices; `from_coords` and `render_form` turn it into a `Form` to print.
 """
 
 from __future__ import annotations
@@ -23,9 +24,10 @@ from itertools import combinations
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
-    DimensionMismatch,
     IntegrabilityViolation,
     InternalInconsistency,
+    NotHolomorphic,
+    NotReal,
     ValidationFailure,
 )
 from .exterior import Form, Mono, merge_monomials
@@ -44,7 +46,7 @@ from .model import (
 )
 from .scalars import ONE, ZERO, GaussianRational, RationalLike
 
-_MATRIX_NAMES = ("del", "del_bar", "del_J", "Jbar", "ddJ", "J")
+_MATRIX_NAMES = ("del", "del_bar", "del_J", "Jbar", "ddJ", "J", "conj")
 
 
 class QuaternionicComplex:
@@ -92,85 +94,36 @@ class QuaternionicComplex:
         self._matrices: Dict[Tuple[str, int, int], Mat] = {}
         self._jbar_loci: Dict[int, Mat] = {}
 
+        # the top form phi^1 ^ ... ^ phi^2n must be holomorphic and Jbar-real
+        d_top = self.operator_matrix("del_bar", half).col(0)
+        if any(d_top):
+            raise NotHolomorphic(
+                "the coframe top form is not holomorphic: its differential has "
+                f"the (2n,1) component {self.render_form(self.from_coords(d_top, half, 1))}"
+            )
+        if self.jbar_matrix(half) != Mat.identity(1):
+            raise NotReal("the coframe top form is not Jbar-real")
+
     # -- construction ------------------------------------------------------
 
     @classmethod
     def build(cls, spec: AlgebraSpec,
-              bindings: Optional[Mapping[str, RationalLike]] = None,
-              validate: bool = True) -> "QuaternionicComplex":
+              bindings: Optional[Mapping[str, RationalLike]] = None) -> "QuaternionicComplex":
         inst = instantiate(spec, bindings)
-        report = None
-        if validate:
-            report = validate_hypercomplex(spec, bindings, inst)
-            if not report.ok:
-                raise ValidationFailure(
-                    f"structure {spec.name or '<unnamed>'} is invalid: "
-                    + report.summary(),
-                    report=report,
-                )
+        report = validate_hypercomplex(spec, bindings, inst)
+        if not report.ok:
+            raise ValidationFailure(
+                f"structure {spec.name or '<unnamed>'} is invalid: "
+                + report.summary(),
+                report=report,
+            )
         return cls(inst, _build_coframe(inst), report)
 
     # -- bookkeeping -------------------------------------------------------
 
-    def _check(self, form: Form) -> Form:
-        for mono in form.terms:
-            for idx in mono:
-                if not 0 <= idx < self.dimension:
-                    raise DimensionMismatch(
-                        f"generator index {idx} outside 0..{self.dimension - 1}"
-                    )
-        return form
-
     def bidegree_of_mono(self, mono: Mono) -> Tuple[int, int]:
         p = sum(1 for idx in mono if idx < self.half)
         return p, len(mono) - p
-
-    def bidegree(self, form: Form) -> Tuple[int, int]:
-        """The (p,q) type of a form of pure bidegree."""
-        self._check(form)
-        found = {self.bidegree_of_mono(m) for m in form.terms}
-        if len(found) > 1:
-            raise ValueError(f"form mixes bidegrees {sorted(found)}")
-        return found.pop() if found else (0, 0)
-
-    # -- operators on forms ------------------------------------------------
-
-    def _apply(self, which: str, form: Form) -> Form:
-        """The operator's matrix read on the form's coordinates."""
-        if form.is_zero():
-            return Form.zero()
-        p, q = self.bidegree(form)
-        mat, coords = self._matrix(which, p, q), self.coords(form, p, q)
-        image = (mat.apply_conjugated(coords) if which in ("conj", "Jbar")
-                 else mat.apply(coords))
-        target = {"del": (p + 1, q), "del_J": (p + 1, q), "del_bar": (p, q + 1),
-                  "Jbar": (p, q)}.get(which, (q, p))
-        return self.from_coords(image, *target)
-
-    def partial(self, form: Form) -> Form:
-        """The (p+1,q) component of d."""
-        return self._apply("del", form)
-
-    def partial_bar(self, form: Form) -> Form:
-        """The (p,q+1) component of d."""
-        return self._apply("del_bar", form)
-
-    def j(self, form: Form) -> Form:
-        return self._apply("J", form)
-
-    def conj(self, form: Form) -> Form:
-        return self._apply("conj", form)
-
-    def jbar(self, form: Form) -> Form:
-        """The antilinear map J∘conj; preserves (p,0)."""
-        return self._apply("Jbar", form)
-
-    def partial_j(self, form: Form) -> Form:
-        """Twisted differential on (p,0)-forms."""
-        p, q = self.bidegree(form)
-        if q:
-            raise ValueError(f"del_J is defined on (p,0)-forms, got ({p},{q})")
-        return self._apply("del_J", form)
 
     # -- bases and coordinates ---------------------------------------------
 
@@ -190,14 +143,6 @@ class QuaternionicComplex:
         if (p, q) not in self._indices:
             self._indices[p, q] = {m: k for k, m in enumerate(self.bidegree_basis(p, q))}
         return self._indices[p, q]
-
-    def coords(self, form: Form, p: int, q: int = 0) -> Tuple[GaussianRational, ...]:
-        self._check(form)
-        index = self._index(p, q)
-        for mono in form.terms:
-            if mono not in index:
-                raise ValueError(f"term {mono!r} is not a ({p},{q}) monomial")
-        return tuple(form.coefficient(m) for m in index)
 
     def from_coords(self, coords: Sequence, p: int, q: int = 0) -> Form:
         basis = self.bidegree_basis(p, q)
@@ -240,40 +185,40 @@ class QuaternionicComplex:
             entries[index[tuple(sorted(targets))], col] = -ONE if sign % 2 else ONE
         return Mat.from_entries(len(index), len(src), entries)
 
-    def _matrix(self, which: str, p: int, q: int = 0) -> Mat:
-        """Matrix of an operator out of the (p,q) monomial basis, built once."""
-        key = (which, p, q)
-        if key not in self._matrices:
-            if which == "del":
-                mat = self._derivation(self._raise_p, p, q, (p + 1, q))
-            elif which == "del_bar":
-                mat = self._derivation(self._raise_q, p, q, (p, q + 1))
-            elif which == "J":
-                mat = self._algebra_map(self._j_gens, p, q)
-            elif which == "conj":
-                mat = self._algebra_map(self._conj_gens, p, q)
-            elif which == "Jbar":
-                mat = self._matrix("J", q, p) @ self._matrix("conj", p, q)
-            elif which == "del_J":
-                mat = (self._matrix("J", 0, p + 1) @ self._matrix("del_bar", 0, p)
-                       @ self._matrix("J", p, 0))
-                if p % 2 == 0:
-                    mat = -mat
-            else:  # ddJ
-                mat = self._matrix("del", p + 1) @ self._matrix("del_J", p)
-            self._matrices[key] = mat
-        return self._matrices[key]
+    def operator_matrix(self, which: str, p: int, q: int = 0) -> Mat:
+        """Exact matrix of an operator out of the (p,q) monomial basis, built once.
 
-    def operator_matrix(self, which: str, p: int) -> Mat:
-        """Exact matrix of an operator out of the (p,0) monomial basis.
-
-        del_bar lands in (p,1), J in (0,p) and the others in (p,0) or
-        (p+1,0).  Antilinear operators (Jbar) are stored as the matrix
-        applied to the conjugated coordinate vector.
+        del lands in (p+1,q), del_bar in (p,q+1), J and conj in (q,p) and
+        Jbar in (p,q); del_J and ddJ act on (p,0) only, landing in (p+1,0)
+        and (p+2,0).  Antilinear operators (conj, Jbar) are stored as the
+        matrix applied to the conjugated coordinate vector.
         """
+        key = (which, p, q)
+        if key in self._matrices:
+            return self._matrices[key]
         if which not in _MATRIX_NAMES:
             raise ValueError(f"unknown operator {which!r}; choose from {_MATRIX_NAMES}")
-        return self._matrix(which, p)
+        if q and which in ("del_J", "ddJ"):
+            raise ValueError(f"{which} acts on (p,0)-forms, not ({p},{q})")
+        if which == "del":
+            mat = self._derivation(self._raise_p, p, q, (p + 1, q))
+        elif which == "del_bar":
+            mat = self._derivation(self._raise_q, p, q, (p, q + 1))
+        elif which == "J":
+            mat = self._algebra_map(self._j_gens, p, q)
+        elif which == "conj":
+            mat = self._algebra_map(self._conj_gens, p, q)
+        elif which == "Jbar":
+            mat = self.operator_matrix("J", q, p) @ self.operator_matrix("conj", p, q)
+        elif which == "del_J":
+            mat = (self.operator_matrix("J", 0, p + 1) @ self.operator_matrix("del_bar", 0, p)
+                   @ self.operator_matrix("J", p))
+            if p % 2 == 0:
+                mat = -mat
+        else:  # ddJ
+            mat = self.operator_matrix("del", p + 1) @ self.operator_matrix("del_J", p)
+        self._matrices[key] = mat
+        return mat
 
     def partial_matrix(self, p: int) -> Mat:
         return self.operator_matrix("del", p)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 from .cohomology import (
@@ -38,7 +39,8 @@ class ReportSession:
     The one owner of the operator complex, its matrix reduction, the
     volume form layer and the existence verdicts: the report, the property
     suite and the CLI subcommands share these objects instead of
-    rebuilding them per question.
+    rebuilding them per question.  The volume form layer is built on first
+    use, so `quatcohom hkt` builds none.
     """
 
     def __init__(self, spec: AlgebraSpec,
@@ -49,8 +51,11 @@ class ReportSession:
         }
         self.cx = QuaternionicComplex.build(spec, bindings)
         self.mc = MatrixComplex.from_quaternionic(self.cx)
-        self.sl = SLStructure(self.cx, self.mc)
         self._verdicts: Dict[str, Union[ExistenceVerdict, EngineError]] = {}
+
+    @cached_property
+    def sl(self) -> SLStructure:
+        return SLStructure(self.cx, self.mc)
 
     def verdict(self, question: str) -> ExistenceVerdict:
         """The verdict on "hkt" or "strongly-gauduchon", decided once.
@@ -128,7 +133,7 @@ def _matrix_document(matrix: Mat) -> List[List[str]]:
 def certificate_document(session: ReportSession,
                          cand: MetricCandidate) -> dict:
     return {
-        "omega": session.cx.render_form(cand.omega),
+        "omega": session.render_class(cand.omega, 2),
         "gram": _matrix_document(cand.gram),
         "leading_minors": [str(m) for m in cand.minors],
         "is_real": cand.is_real,

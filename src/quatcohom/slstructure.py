@@ -1,11 +1,15 @@
-"""Holomorphic volume form, Hodge star, dualities and decompositions.
+"""Hodge star, dualities, decompositions and the degree map.
 
-The coframe monomials are declared unitary, which fixes the Hermitian
-inner product h on each Lambda^{p,0} and normalizes integration so that
-the pairing of the volume form with its conjugate is one.  The star
-operator is not implemented by a sign rule: it is solved degree by degree
-from its defining wedge relation, and the sign rule then serves as an
-independent cross-check in the test suite.
+The volume form is the top coframe monomial phi^1 ^ ... ^ phi^2n, which
+the complex checks to be holomorphic and Jbar-real when it is built.
+Integration is normalized so that the volume form against its conjugate
+gives one, so the integral of a (2n,0)-form against the conjugate volume
+form is its one coordinate.  Forms are coordinate tuples on the monomial
+bases of `QuaternionicComplex`, and every wedge product this layer needs
+into the top degree is the bilinear wedge matrix.  The star operator is
+not implemented by a sign rule: it is solved degree by degree from its
+defining wedge relation, and the sign rule then serves as an independent
+cross-check in the test suite.
 
 All dimensions reported by the decompositions are exact.  Every space
 read is the kernel or image of one operator, as in the matrix complex,
@@ -20,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .cohomology import MatrixComplex
 from .errors import (
@@ -28,13 +32,11 @@ from .errors import (
     InternalInconsistency,
     NotAeppliClosed,
     NotGauduchon,
-    NotHolomorphic,
-    NotReal,
     NotSL2,
     RepresentativeDependence,
     TheoremViolation,
 )
-from .exterior import Form, merge_monomials
+from .exterior import merge_monomials
 from .linalg import (
     Mat,
     complement_basis,
@@ -44,6 +46,7 @@ from .linalg import (
     realify_linear,
     row_basis,
 )
+from .metrics import Coords, omega_power
 from .quaternionic import QuaternionicComplex
 from .scalars import ZERO, GaussianRational
 
@@ -110,43 +113,6 @@ class SLStructure:
         self._stars: Dict[int, Mat] = {}
         self._sd_asd: Optional[Tuple[int, int, bool]] = None
         self._jbar: Optional[DecompositionReport] = None
-        self._top_mono = tuple(range(cx.dimension))
-        self.phi = Form.monomial(tuple(range(cx.half)))
-        self.phi_bar = cx.conj(self.phi)
-        self._validate_volume_form()
-
-    # -- volume form and integration ----------------------------------------
-
-    def _validate_volume_form(self) -> None:
-        bad = self.cx.partial_bar(self.phi)
-        if not bad.is_zero():
-            raise NotHolomorphic(
-                "the coframe top form is not holomorphic: its differential has "
-                f"the (2n,1) component {self.cx.render_form(bad)}"
-            )
-        if self.cx.jbar(self.phi) != self.phi:
-            raise NotReal("the coframe top form is not Jbar-real")
-
-    def volume_form(self) -> Form:
-        return self.phi
-
-    def integrate(self, form: Form) -> GaussianRational:
-        """Coefficient of the full top monomial.
-
-        Normalized so that the volume form against its conjugate gives 1;
-        every lower-degree term integrates to zero.
-        """
-        return form.coefficient(self._top_mono)
-
-    def hermitian_product(self, f: Form, g: Form) -> GaussianRational:
-        """h(f, g) with the coframe monomials declared orthonormal."""
-        p, q = self.cx.bidegree(f)
-        if (p, q) != self.cx.bidegree(g):
-            raise ValueError("hermitian product needs forms of equal bidegree")
-        total = ZERO
-        for mono, coeff in f.terms.items():
-            total = total + coeff * g.coefficient(mono).conjugate()
-        return total
 
     # -- the Hodge star ------------------------------------------------------
 
@@ -185,13 +151,6 @@ class SLStructure:
         if p not in self._stars:
             self._stars[p] = self.wedge_matrix(p).transpose()
         return self._stars[p]
-
-    def star(self, form: Form) -> Form:
-        p, q = self.cx.bidegree(form)
-        if q:
-            raise ValueError("the star is defined on (p,0)-forms")
-        mat = self.star_matrix(p)
-        return self.cx.from_coords(mat.apply(self.cx.coords(form, p)), self.cx.half - p)
 
     # -- duality pairing -----------------------------------------------------
 
@@ -359,38 +318,40 @@ class SLStructure:
 
     # -- the degree map on first Aeppli classes ------------------------------
 
-    def degree_map(self, omega: Form, alpha: Form) -> GaussianRational:
+    def degree_map(self, omega: Coords, alpha: Coords) -> GaussianRational:
         """Integral of del(alpha) against Omega^{n-1} and the volume form.
 
-        Requires Omega to satisfy the Gauduchon equation and alpha to be a
-        legitimate degree-one Aeppli representative.
+        Both forms are coordinate tuples, omega on the (2,0) basis and
+        alpha on the (1,0) basis.  Wedging the (2n,0) product with the
+        conjugate volume form keeps its leading coefficient, so the
+        integral is the bilinear form (D_1 alpha)^T W Omega^{n-1} for the
+        wedge matrix W out of degree two.  Requires Omega to satisfy the
+        Gauduchon equation and alpha to be a legitimate degree-one Aeppli
+        representative.
         """
         cx = self.cx
-        om_pow = Form.unit()
-        for _ in range(cx.n - 1):
-            om_pow = om_pow.wedge(omega)
-        if not cx.partial(cx.partial_j(om_pow)).is_zero():
+        power = omega_power(cx, omega)
+        if any(cx.operator_matrix("ddJ", 2 * cx.n - 2).apply(power)):
             raise NotGauduchon(
                 "degree map needs del del_J of Omega^{n-1} to vanish"
             )
-        p, q = cx.bidegree(alpha)
-        if (p, q) != (1, 0):
-            raise NotAeppliClosed(f"expected a (1,0)-form, got ({p},{q})")
-        if not cx.partial(cx.partial_j(alpha)).is_zero():
-            raise NotAeppliClosed("representative is not del del_J-closed")
-        value = self.integrate(cx.partial(alpha).wedge(om_pow).wedge(self.phi_bar))
-        for shift in self.mc.image("side", 0).data:
-            moved = alpha + cx.from_coords(shift, 1)
-            other = self.integrate(
-                cx.partial(moved).wedge(om_pow).wedge(self.phi_bar)
+        if len(alpha) != len(cx.hol_basis(1)):
+            raise NotAeppliClosed(
+                f"expected the {len(cx.hol_basis(1))} coordinates of a "
+                f"(1,0)-form, got {len(alpha)}"
             )
-            if other != value:
-                raise RepresentativeDependence(
-                    "degree map moved under a trivial representative shift"
-                )
-        return value
+        if any(cx.operator_matrix("ddJ", 1).apply(alpha)):
+            raise NotAeppliClosed("representative is not del del_J-closed")
+        # the degree map as a covector on the (1,0) basis
+        covector = cx.partial_matrix(1).transpose().apply(
+            self.wedge_matrix(2).apply(power))
+        if any(self.mc.image("side", 0).apply(covector)):
+            raise RepresentativeDependence(
+                "degree map moved under a trivial representative shift"
+            )
+        return sum((a * c for a, c in zip(alpha, covector)), ZERO)
 
-    def degree_profile(self, omega: Form) -> List[Tuple[Tuple[GaussianRational, ...], GaussianRational]]:
+    def degree_profile(self, omega: Coords) -> List[Tuple[Coords, GaussianRational]]:
         """Degree of each first-Aeppli basis class, with the bound check.
 
         In quaternionic dimension 2 the kernel of the degree map is
@@ -398,18 +359,15 @@ class SLStructure:
         one to exceed h_del by at most one; in higher dimension the map is
         still computed but the exactness statement is not available.
         """
-        values = []
-        for rep in self._ae_representatives(1).data:
-            alpha = self.cx.from_coords(rep, 1)
-            values.append((tuple(rep), self.degree_map(omega, alpha)))
+        values = [(rep, self.degree_map(omega, rep))
+                  for rep in self._ae_representatives(1).data]
         h_ae, h_del = self.mc.h_ae(1), self.mc.h_del(1)
         if self.cx.n == 2 and h_ae > h_del + 1:
             raise TheoremViolation(
                 f"h_AE(1) = {h_ae} exceeds h_del(1) + 1 = {h_del + 1}"
             )
         for rep in self.mc.kernel("del", 1).data:
-            alpha = self.cx.from_coords(rep, 1)
-            if self.degree_map(omega, alpha) != ZERO:
+            if self.degree_map(omega, rep) != ZERO:
                 raise TheoremViolation(
                     "degree map does not vanish on a del-closed class"
                 )

@@ -22,10 +22,9 @@ from typing import TYPE_CHECKING, Callable, Iterable, List, Tuple
 
 from .cohomology import ddj_lemma_holds
 from .errors import EngineError
-from .exterior import Form
 from .linalg import Mat, complexify_vector, kernel_basis, rank, rref
-from .metrics import classify_metric, hkt_candidate_space, standard_omega
-from .scalars import GaussianRational, parse_rational
+from .metrics import classify_metric, standard_omega
+from .scalars import ONE, ZERO, GaussianRational, parse_rational
 
 if TYPE_CHECKING:
     from .report import ReportSession
@@ -304,14 +303,17 @@ def run_property_suite(session: "ReportSession") -> List[CheckResult]:
 
     # -- volume form and star ------------------------------------------------
 
+    # del_bar and Jbar of the top form, the one (2n,0) basis form
+    d_top = cx.operator_matrix("del_bar", half).col(0)
+    jbar_top = cx.jbar_matrix(half).col(0)
+
     add(_run("volume-holomorphic", "the coframe top form is del_bar-closed",
-             lambda: ("pass", "")
-             if cx.partial_bar(sl.phi).is_zero()
-             else ("fail", cx.render_form(cx.partial_bar(sl.phi)))))
+             lambda: ("pass", "") if not any(d_top)
+             else ("fail", cx.render_form(cx.from_coords(d_top, half, 1)))))
 
     add(_run("volume-real", "the coframe top form is Jbar-fixed",
-             lambda: ("pass", "") if cx.jbar(sl.phi) == sl.phi
-             else ("fail", cx.render_form(cx.jbar(sl.phi)))))
+             lambda: ("pass", "") if jbar_top == (ONE,)
+             else ("fail", cx.render_form(cx.from_coords(jbar_top, half)))))
 
     def star_involution() -> Outcome:
         for p in degrees:
@@ -389,16 +391,19 @@ def run_property_suite(session: "ReportSession") -> List[CheckResult]:
              aeppli_degree))
 
     def flag_monotonicity() -> Outcome:
-        samples = [std, std.scale(2), Form.monomial((0, 1))]
+        # the standard form, twice it, phi^{12}, and the standard form plus
+        # phi^{13}: (0,1) and (0,2) are the first two (2,0) basis forms
+        first = (ONE,) + (ZERO,) * (len(std) - 1)
+        samples = [std, tuple(2 * c for c in std), first]
         if half >= 4:
-            samples.append(std + Form.monomial((0, 2)))
+            samples.append((std[0], std[1] + 1) + std[2:])
         for omega in samples:
             cand = classify_metric(cx, omega, mc)
             chain = (cand.hyperkahler, cand.hkt, cand.strongly_gauduchon,
                      cand.gauduchon)
             for stronger, weaker in zip(chain, chain[1:]):
                 if stronger and not weaker:
-                    return "fail", cx.render_form(omega)
+                    return "fail", session.render_class(omega, 2)
         return "pass", f"{len(samples)} sample forms"
 
     add(_run("metric-flag-monotonicity",
@@ -406,12 +411,12 @@ def run_property_suite(session: "ReportSession") -> List[CheckResult]:
              flag_monotonicity))
 
     def flag_decoupling() -> Outcome:
-        space = hkt_candidate_space(cx)
+        space = cx.hkt_space
         for row in space.data:
-            omega = cx.from_coords(complexify_vector(row), 2)
+            omega = complexify_vector(row)
             cand = classify_metric(cx, omega, mc)
             if cand.hkt != cand.positive:
-                return "fail", cx.render_form(omega)
+                return "fail", session.render_class(omega, 2)
         return "pass", f"{space.nrows} basis candidates"
 
     add(_run("hkt-flag-decoupling",

@@ -14,8 +14,8 @@ elimination over Z[i]), a reference matrix product, the subspace lattice
 cohomology table and middle-degree decomposition computed by subspace
 arithmetic that the rank formulas and the operator kernels and images
 are checked against, and the operators of a quaternionic complex applied
-form by form, which the generator-built operator matrices are checked
-against.
+form by form, which the generator-built operator matrices and the
+coordinate degree map are checked against.
 """
 
 from dataclasses import dataclass
@@ -1087,13 +1087,19 @@ class FormRoute:
                 Form.from_terms({(j,): w[j] for j in range(m)}), e_images))
         self.conj_images = [Form.generator((r + half) % m) for r in range(m)]
 
+    def bidegree(self, form: Form) -> Tuple[int, int]:
+        found = {self.cx.bidegree_of_mono(mono) for mono in form.terms}
+        if len(found) > 1:
+            raise ValueError(f"form mixes bidegrees {sorted(found)}")
+        return found.pop() if found else (0, 0)
+
     def project(self, form: Form, p: int, q: int) -> Form:
         return Form.from_terms({
             mono: coeff for mono, coeff in form.terms.items()
             if self.cx.bidegree_of_mono(mono) == (p, q)})
 
     def _d_component(self, form: Form, dp: int, dq: int) -> Form:
-        p, q = self.cx.bidegree(form)
+        p, q = self.bidegree(form)
         image = self.psi.d(form)
         if image != self.project(image, p + 1, q) + self.project(image, p, q + 1):
             raise IntegrabilityViolation(f"d of a ({p},{q})-form leaves two bidegrees")
@@ -1115,30 +1121,44 @@ class FormRoute:
         return self.j(self.conj(form))
 
     def partial_j(self, form: Form) -> Form:
-        p = self.cx.bidegree(form)[0]
+        p = self.bidegree(form)[0]
         image = self.j(self.partial_bar(self.j(form)))
         return image if (p + 1) % 2 == 0 else -image
 
-    def _matrix_of(self, op, p: int, tgt_p: int, tgt_q: int) -> Mat:
-        tgt = {mono: r for r, mono in enumerate(self.cx.bidegree_basis(tgt_p, tgt_q))}
-        src = self.cx.hol_basis(p)
+    def route(self, which: str, p: int, q: int):
+        """The operator named as in `QuaternionicComplex.operator_matrix`,
+        applied form by form, and the bidegree it sends (p,q) to."""
+        return {
+            "del": (self.partial, (p + 1, q)),
+            "del_bar": (self.partial_bar, (p, q + 1)),
+            "del_J": (self.partial_j, (p + 1, q)),
+            "ddJ": (lambda f: self.partial(self.partial_j(f)), (p + 2, q)),
+            "Jbar": (self.jbar, (p, q)),
+            "J": (self.j, (q, p)),
+            "conj": (self.conj, (q, p)),
+        }[which]
+
+    def operator_matrix(self, which: str, p: int, q: int = 0) -> Mat:
+        """`QuaternionicComplex.operator_matrix`, from the operator's value
+        on every basis monomial."""
+        op, target = self.route(which, p, q)
+        tgt = {mono: r for r, mono in enumerate(self.cx.bidegree_basis(*target))}
+        src = self.cx.bidegree_basis(p, q)
         entries = {}
         for col, mono in enumerate(src):
             for image, coeff in op(Form.monomial(mono)).terms.items():
                 entries[tgt[image], col] = coeff
         return Mat.from_entries(len(tgt), len(src), entries)
 
-    def operator_matrix(self, which: str, p: int) -> Mat:
-        """`QuaternionicComplex.operator_matrix`, form by form."""
-        if which == "del":
-            return self._matrix_of(self.partial, p, p + 1, 0)
-        if which == "del_bar":
-            return self._matrix_of(self.partial_bar, p, p, 1)
-        if which == "del_J":
-            return self._matrix_of(self.partial_j, p, p + 1, 0)
-        if which == "Jbar":
-            return self._matrix_of(self.jbar, p, p, 0)
-        if which == "J":
-            return self._matrix_of(self.j, p, 0, p)
-        assert which == "ddJ"
-        return self.operator_matrix("del", p + 1) @ self.operator_matrix("del_J", p)
+
+def form_degree_map(route: FormRoute, omega: Sequence, alpha: Sequence) -> GaussianRational:
+    """The degree map wedged form by form: the full-monomial coefficient
+    of del(alpha) ^ Omega^{n-1} ^ conj(phi), for phi the top coframe
+    monomial and omega, alpha coordinates on the (2,0) and (1,0) bases."""
+    cx = route.cx
+    form, power = cx.from_coords(omega, 2), Form.unit()
+    for _ in range(cx.n - 1):
+        power = power.wedge(form)
+    phi_bar = route.conj(Form.monomial(range(cx.half)))
+    product = route.partial(cx.from_coords(alpha, 1)).wedge(power).wedge(phi_bar)
+    return product.coefficient(range(cx.dimension))

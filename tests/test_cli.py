@@ -481,6 +481,40 @@ def test_corpus_output_byte_identical(capsys, label):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CORPUS_DIGESTS[label]
 
 
+# the flat torus of real dimension 4, quaternionic dimension 1: the
+# smallest structure, where Omega^{n-1} is the unit form
+TORUS4 = {
+    "name": "torus4", "dimension": 4, "parameters": [], "structure": [],
+    "I": [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]],
+    "J": [[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]],
+}
+TORUS4_REPORT_DIGEST = "a4070c17ce90269b3a24bea8330f3d8a76d028aa05e86207616cae03f12f8afe"
+
+
+def test_quaternionic_dimension_one_digest_and_every_subcommand(capsys, tmp_path):
+    path = tmp_path / "torus4.json"
+    path.write_text(json.dumps(TORUS4))
+    spec = str(path)
+    for argv in (("validate",), ("report", "--format", "table"), ("decompose",),
+                 ("pairing", "--p", "0"), ("pairing", "--p", "1"),
+                 ("pairing", "--p", "2")):
+        code, out, err = run(capsys, argv[0], spec, *argv[1:])
+        assert (code, err) == (0, ""), argv
+        assert out
+    code, out, err = run(capsys, "suite", spec)
+    assert (code, err) == (0, "")
+    assert out.endswith("38 checks, 0 failures\n")
+    code, out, err = run(capsys, "report", spec, "--format", "json")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == TORUS4_REPORT_DIGEST
+    code, out, err = run(capsys, "hkt", spec)
+    assert (code, out) == (1, "")
+    assert err == "error: existence is only decided in quaternionic dimension 2, got 1\n"
+    code, out, err = run(capsys, "pairing", spec, "--p", "3")
+    assert (code, out) == (2, "")
+    assert err == "error: --p 3: expected a degree in 0..2\n"
+
+
 # -- fuzzing: any file ends in exit 0, 1 or 2 with at most one line of error --
 
 

@@ -13,7 +13,6 @@ from quatcohom import (
     non_hkt_degrees,
 )
 import quatcohom.cohomology as cohomology
-from quatcohom.exterior import Form
 from quatcohom.linalg import Mat, rank, row_basis
 
 from support import (
@@ -86,14 +85,13 @@ def test_example1_golden_tables(ex1):
 
 
 def test_example1_displayed_differentials(ex1):
+    # column g is the image of phi^{g+1}; row 0 is phi^{12}
     cx = ex1.cx
-    phi = [Form.generator(g) for g in range(4)]
-    assert cx.partial(phi[0]).is_zero()
-    assert cx.partial(phi[1]).is_zero()
-    assert cx.partial(phi[2]).is_zero()
-    assert cx.partial(phi[3]) == Form.monomial((0, 1))
-    assert cx.partial_j(phi[2]) == Form.monomial((0, 1))
-    assert cx.partial_j(phi[3]).is_zero()
+    phi12 = (1, 0, 0, 0, 0, 0)
+    zero = (0,) * 6
+    assert cx.partial_matrix(1).columns() == [zero, zero, zero, phi12]
+    assert cx.partial_j_matrix(1).col(2) == phi12
+    assert cx.partial_j_matrix(1).col(3) == zero
 
 
 def test_torus_everything_trivial(torus):

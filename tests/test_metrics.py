@@ -8,15 +8,13 @@ from quatcohom import (
     ReportSession,
     classify_metric,
     gram_matrix,
-    hkt_candidate_space,
     hkt_existence,
     load_corpus,
-    sg_candidate_space,
     sg_existence,
     standard_omega,
 )
 from quatcohom.errors import NotBidegree20, NotSL2
-from quatcohom.exterior import Form
+from quatcohom.scalars import ONE, ZERO
 from quatcohom.linalg import (Mat, kernel_basis, rank, realify_antilinear,
                               realify_linear, realify_vector, row_basis)
 from quatcohom.report import build_report_from_session
@@ -55,8 +53,10 @@ def test_flag_chain_is_monotone(corpus_sessions):
     for session in corpus_sessions:
         cx = session.cx
         omega = standard_omega(cx)
-        for form in (omega, omega.scale(2), Form.monomial((0, 1)),
-                     omega + Form.monomial((0, 2))):
+        # phi^{12} and phi^{13} are the first two (2,0) basis forms
+        first = (ONE,) + (ZERO,) * (len(omega) - 1)
+        for form in (omega, tuple(2 * c for c in omega), first,
+                     (omega[0], omega[1] + 1) + omega[2:]):
             cand = classify_metric(cx, form, session.mc)
             assert not cand.hyperkahler or cand.hkt
             assert not cand.hkt or cand.strongly_gauduchon
@@ -65,8 +65,9 @@ def test_flag_chain_is_monotone(corpus_sessions):
 
 
 def test_classify_rejects_wrong_bidegree(ex1):
+    # the coordinates of a (1,0)-form
     with pytest.raises(NotBidegree20):
-        classify_metric(ex1.cx, Form.generator(0), ex1.mc)
+        classify_metric(ex1.cx, (ONE, ZERO, ZERO, ZERO), ex1.mc)
 
 
 def test_existence_answers(ex1, torus, ex2_third, ex2_half):
@@ -112,8 +113,8 @@ def test_not_sl2_guard(ex3):
 
 def test_candidate_space_contains_standard_form_when_hkt(torus):
     cx = torus.cx
-    space = hkt_candidate_space(cx)
-    coords = cx.coords(standard_omega(cx), 2)
+    space = cx.hkt_space
+    coords = standard_omega(cx)
     assert rank(space.vstack(Mat.from_rows([realify_vector(coords)]))) == space.nrows
 
 
@@ -129,10 +130,10 @@ def test_jbar_locus_is_reduced_once_for_the_candidates_and_the_decomposition(
             return original(matrix)
 
         monkeypatch.setattr(quaternionic, "kernel_basis", counting)
-        space = hkt_candidate_space(cx)
+        space = cx.hkt_space
         session.sl.jbar_decomposition()
         hkt_existence(cx, session.mc)
-        assert hkt_candidate_space(cx) == space
+        assert cx.hkt_space == space
         monkeypatch.undo()
         # one kernel per sign of Jbar, whatever asked first
         assert len(calls) == 2
@@ -163,29 +164,23 @@ def test_sg_candidate_space_is_the_span_of_the_projected_kernel(corpus_sessions)
         ReportSession(load_corpus("example2"), {"t": Fraction(t)})
         for t in ("2/7", "3/4", "2", "-1")]
     for session in sessions:
-        assert sg_candidate_space(session.cx) == _sg_space_reduced_twice(session.cx)
+        assert session.cx.sg_space == _sg_space_reduced_twice(session.cx)
 
 
 def test_sg_candidate_space_is_built_once_per_report(monkeypatch):
-    built, asked = [], []
+    built = []
 
     def counting(matrix, original=quaternionic.kernel_basis):
         built.append(matrix)
         return original(matrix)
 
-    def asking(cx, original=metrics.sg_candidate_space):
-        asked.append(cx)
-        return original(cx)
-
     monkeypatch.setattr(quaternionic, "kernel_basis", counting)
-    monkeypatch.setattr(metrics, "sg_candidate_space", asking)
     session = ReportSession(load_corpus("example1"))
     build_report_from_session(session)
     wide = 2 * len(session.cx.hol_basis(2))
-    # the session's verdict asks, which the report and the suite share; the
-    # pairs (omega, w) are twice as wide as the Jbar loci, and their kernel
-    # is taken once
-    assert len(asked) == 1
+    # the session's verdict reads it, which the report and the suite
+    # share; the pairs (omega, w) are twice as wide as the Jbar loci, and
+    # their kernel is taken once
     assert [m.ncols for m in built].count(2 * wide) == 1
 
 
@@ -194,25 +189,18 @@ def test_hkt_candidate_space_is_reduced_once_per_report(monkeypatch):
     import quatcohom.slstructure as slstructure
     import quatcohom.suite as suite
 
-    reduced, asked = [], []
+    reduced = []
 
     def counting(matrix, original=linalg.row_basis):
         reduced.append(matrix)
         return original(matrix)
 
-    def asking(cx, original=metrics.hkt_candidate_space):
-        asked.append(cx)
-        return original(cx)
-
     for module in (quaternionic, metrics, slstructure, suite):
         if hasattr(module, "row_basis"):
             monkeypatch.setattr(module, "row_basis", counting)
-    for module in (metrics, suite):
-        monkeypatch.setattr(module, "hkt_candidate_space", asking)
     session = ReportSession(load_corpus("example1"))
     build_report_from_session(session)
     # the session's HKT verdict and the suite's hkt-flag-decoupling check
-    # ask; the Jbar-real closed locus is reduced for them once
-    assert len(asked) == 2
+    # read it; the Jbar-real closed locus is reduced for them once
     locus = session.cx.jbar_locus(1)
     assert sum(m == locus for m in reduced) == 1

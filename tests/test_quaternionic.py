@@ -5,8 +5,8 @@ import pytest
 
 from quatcohom import GaussianRational, QuaternionicComplex, ReportSession, load_corpus
 from quatcohom.errors import IntegrabilityViolation, ValidationFailure
-from quatcohom.exterior import Form
 from quatcohom.linalg import Mat
+from quatcohom.model import _build_coframe, instantiate
 from quatcohom.suite import run_property_suite
 
 from support import (
@@ -49,8 +49,9 @@ def test_operator_matrices_match_the_form_route(spec, bindings):
 
 @pytest.mark.parametrize("seed", [None, 0, 3])
 def test_form_operators_match_the_form_route_in_every_bidegree(seed):
-    # every operator on every monomial and on one mixed-coefficient form
-    # of each bidegree, (p,q) as well as (p,0)
+    # the matrix of every operator out of every (p,q) basis, against the
+    # operator applied to each basis monomial and to one mixed-coefficient
+    # form, which the antilinear ones read conjugated
     spec = load_corpus("example1")
     if seed is not None:
         spec = coframe_variant(spec, random_gl(Random(seed), 8))
@@ -58,33 +59,31 @@ def test_form_operators_match_the_form_route_in_every_bidegree(seed):
     ref = FormRoute(cx)
     for p in range(cx.half + 1):
         for q in range(cx.half + 1):
-            basis = cx.bidegree_basis(p, q)
-            forms = [Form.monomial(mono) for mono in basis]
-            forms.append(cx.from_coords(
-                [GaussianRational(Fraction(k + 1, 2), k % 3 - 1)
-                 for k in range(len(basis))],
-                p, q))
-            for f in forms:
-                assert cx.partial(f) == ref.partial(f)
-                assert cx.partial_bar(f) == ref.partial_bar(f)
-                assert cx.j(f) == ref.j(f)
-                assert cx.conj(f) == ref.conj(f)
-                assert cx.jbar(f) == ref.jbar(f)
-                if q == 0:
-                    assert cx.partial_j(f) == ref.partial_j(f)
+            coords = [GaussianRational(Fraction(k + 1, 2), k % 3 - 1)
+                      for k in range(len(cx.bidegree_basis(p, q)))]
+            kinds = ("del", "del_bar", "J", "conj", "Jbar")
+            for which in kinds + (("del_J", "ddJ") if q == 0 else ()):
+                mat = cx.operator_matrix(which, p, q)
+                assert mat == ref.operator_matrix(which, p, q), (which, p, q)
+                op, target = ref.route(which, p, q)
+                image = (mat.apply_conjugated(coords) if which in ("conj", "Jbar")
+                         else mat.apply(coords))
+                assert cx.from_coords(image, *target) == op(cx.from_coords(coords, p, q))
 
 
-def test_form_operators_send_zero_to_zero(ex1):
-    cx = ex1.cx
-    for op in (cx.partial, cx.partial_bar, cx.partial_j, cx.j, cx.conj, cx.jbar):
-        assert op(Form.zero()).is_zero()
+def test_operator_matrix_refuses_what_it_does_not_define(ex1):
+    with pytest.raises(ValueError, match=r"del_J acts on \(p,0\)-forms"):
+        ex1.cx.operator_matrix("del_J", 1, 1)
+    with pytest.raises(ValueError, match="unknown operator"):
+        ex1.cx.operator_matrix("star", 1)
 
 
 def test_integrability_is_checked_on_the_generators():
     # validation is skipped, so only the constructor's check on the
     # generators stands between the structure and the operators
+    inst = instantiate(i_nonintegrable_spec())
     with pytest.raises(IntegrabilityViolation, match=r"\(0,2\) component"):
-        QuaternionicComplex.build(i_nonintegrable_spec(), validate=False)
+        QuaternionicComplex(inst, _build_coframe(inst))
     with pytest.raises(ValidationFailure):
         QuaternionicComplex.build(i_nonintegrable_spec())
 
@@ -93,7 +92,8 @@ def test_a_nonintegrable_j_is_caught_by_validation_only():
     # the complex is built on I; J's failure shows in validation
     with pytest.raises(ValidationFailure, match="structure J"):
         QuaternionicComplex.build(nonintegrable_spec())
-    QuaternionicComplex.build(nonintegrable_spec(), validate=False)
+    inst = instantiate(nonintegrable_spec())
+    QuaternionicComplex(inst, _build_coframe(inst))
 
 
 def _without_column(mat, j):

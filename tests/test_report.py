@@ -126,10 +126,15 @@ def test_report_builds_each_structure_and_decides_each_question_once(
 
     from quatcohom import cli
 
+    params = [f"--param={k}={v}" for k, v in (bindings or {}).items()]
     calls["decide"] = 0
-    assert cli.main(["suite", name] + [
-        f"--param={k}={v}" for k, v in (bindings or {}).items()]) == 0
+    assert cli.main(["suite", name] + params) == 0
     assert calls["decide"] == 2
+    # the volume form layer is built on first use: hkt reads none of it
+    for command, built in (("hkt", 0), ("report", 1)):
+        calls["SLStructure"] = 0
+        assert cli.main([command, name] + params) == 0
+        assert calls["SLStructure"] == built
 
 
 @pytest.mark.parametrize("limit", [23, 24])

@@ -2,22 +2,26 @@ from itertools import combinations
 
 import pytest
 
-from quatcohom import MatrixComplex, ReportSession, load_corpus, standard_omega
+from quatcohom import ReportSession, load_corpus, standard_omega
 from quatcohom.errors import NotAeppliClosed, NotGauduchon, NotHolomorphic, NotSL2
-from quatcohom.exterior import Form, merge_monomials
+from quatcohom.exterior import merge_monomials
 from quatcohom.linalg import Mat, inverse
-from quatcohom.slstructure import SLStructure
+from quatcohom.model import _build_coframe, instantiate
 from quatcohom.quaternionic import QuaternionicComplex
 
-from support import affine_complex_spec, direct_sum_spec, reference_decomposition
+from support import (FormRoute, affine_complex_spec, direct_sum_spec,
+                     form_degree_map, reference_decomposition)
 
 
 def test_star_of_scalars_and_volume(ex1):
+    # the unit and the volume form are the one basis forms of degrees 0
+    # and 2n, and each is the star of the other
     sl = ex1.sl
-    assert sl.star(Form.unit()) == sl.volume_form()
-    assert sl.star(sl.volume_form()) == Form.unit()
+    half = ex1.cx.half
+    assert sl.star_matrix(0) == Mat.identity(1)
+    assert sl.star_matrix(half) == Mat.identity(1)
     omega = standard_omega(ex1.cx)
-    assert sl.star(omega) == omega
+    assert sl.star_matrix(2).apply(omega) == omega
 
 
 def test_star_monomial_rule(ex1):
@@ -25,11 +29,13 @@ def test_star_monomial_rule(ex1):
     sl = ex1.sl
     half = ex1.cx.half
     for p in range(half + 1):
-        for mono in combinations(range(half), p):
+        target = ex1.cx.hol_basis(half - p)
+        for col, mono in enumerate(combinations(range(half), p)):
             rest = tuple(g for g in range(half) if g not in mono)
             sign, full = merge_monomials(mono, rest)
             assert full == tuple(range(half))
-            assert sl.star(Form.monomial(mono)) == Form.monomial(rest, sign)
+            image = [sign if m == rest else 0 for m in target]
+            assert sl.star_matrix(p).col(col) == tuple(image)
 
 
 def test_star_squares_to_sign(corpus_sessions):
@@ -51,14 +57,6 @@ def test_star_is_the_inverse_of_the_wedge_matrix(corpus_sessions):
         sl = session.sl
         for p in range(session.cx.half + 1):
             assert sl.star_matrix(p) == inverse(sl.wedge_matrix(p))
-
-
-def test_integration_and_hermitian_product(ex1):
-    sl = ex1.sl
-    omega = standard_omega(ex1.cx)
-    assert sl.integrate(sl.volume_form().wedge(sl.phi_bar)).re == 1
-    product = sl.hermitian_product(omega, omega)
-    assert product.is_real() and product.re == 2
 
 
 def test_pairing_matrices_invertible(corpus_sessions):
@@ -127,18 +125,35 @@ def test_degree_bound_not_enforced_beyond_dimension_two(ex3):
 
 
 def test_degree_map_rejects_wrong_arguments(ex1):
+    # the coordinates of a (2,0)-form are not a degree-one representative
     sl = ex1.sl
     omega = standard_omega(ex1.cx)
     with pytest.raises(NotAeppliClosed):
-        sl.degree_map(omega, Form.monomial((0, 1)))
+        sl.degree_map(omega, omega)
+
+
+def test_degree_map_matches_the_form_wedge_route(corpus_sessions):
+    # the bilinear form (D_1 alpha)^T W Omega^{n-1} against the integral
+    # of del(alpha) ^ Omega^{n-1} ^ conj(phi), wedged form by form, on
+    # every Aeppli and every del-closed representative
+    for session in corpus_sessions:
+        cx, sl = session.cx, session.sl
+        route = FormRoute(cx)
+        omega = standard_omega(cx)
+        profile = sl.degree_profile(omega)
+        assert len(profile) == session.mc.h_ae(1)
+        for rep, value in profile:
+            assert value == form_degree_map(route, omega, rep)
+        for rep in session.mc.kernel("del", 1).data:
+            assert sl.degree_map(omega, rep) == form_degree_map(route, omega, rep) == 0
 
 
 def test_volume_form_guard():
     # valid hypercomplex structure, but not nilpotent: the top form
-    # picks up a (2n,1) differential and the layer must refuse it
-    cx = QuaternionicComplex.build(affine_complex_spec(), validate=False)
-    with pytest.raises(NotHolomorphic):
-        SLStructure(cx, MatrixComplex.from_quaternionic(cx))
+    # picks up a (2n,1) differential and the complex must refuse it
+    inst = instantiate(affine_complex_spec())
+    with pytest.raises(NotHolomorphic, match=r"the \(2n,1\) component"):
+        QuaternionicComplex(inst, _build_coframe(inst))
 
 
 def test_adjoint_identity_spot_check(ex1):
