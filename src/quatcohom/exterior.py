@@ -3,19 +3,21 @@
 A form is a sparse map from strictly increasing generator-index tuples to
 nonzero Gaussian rational coefficients.  Generators are indexed from zero;
 labels for display are the caller's business.  Forms carry the structure
-equations of the input model, the rendering of classes and certificates,
-and the wedge power Omega^{n-1} of a metric candidate; everywhere else the
-engine holds a form as its coordinate tuple on a monomial basis.  The
+equations of the input model, the integrability defect named in a
+validation message, the rendering of classes and certificates, and the
+wedge power Omega^{n-1} of a metric candidate; everywhere else the engine
+holds a form as its coordinate tuple on a monomial basis.  The
 differential, stored by its values on generators and extended as an
-antiderivation, serves the Jacobi check; the operators of the (p,q)
-complex are exact matrices, built in `quaternionic` from generator data.
+antiderivation, serves the Jacobi check only: the other structural checks
+read the structure constants through `model`'s bracket kernel, and the
+operators of the (p,q) complex are exact matrices, built in `quaternionic`
+from generator data.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, Mapping, Sequence, Tuple
 
 from .scalars import ONE, ZERO, GaussianRational, ScalarLike
 
@@ -168,12 +170,6 @@ class ExteriorAlgebra:
         self.ngens = ngens
         self.d_images = [Form(dict(img.terms)) for img in d_images]
 
-    def basis(self, degree: int) -> List[Mono]:
-        """Strictly increasing index tuples, lexicographic order."""
-        if degree < 0 or degree > self.ngens:
-            return []
-        return [tuple(c) for c in combinations(range(self.ngens), degree)]
-
     def d(self, form: Form) -> Form:
         total = Form.zero()
         for mono, coeff in form.terms.items():
@@ -182,16 +178,3 @@ class ExteriorAlgebra:
                 sign = -1 if pos % 2 else 1
                 total = total + (self.d_images[gen].wedge(rest)).scale(coeff * sign)
         return total
-
-    def coords(self, form: Form, degree: int) -> Tuple[GaussianRational, ...]:
-        """Coefficient vector of a degree-homogeneous form on `basis(degree)`."""
-        for mono in form.terms:
-            if len(mono) != degree:
-                raise ValueError(f"term {mono!r} does not have degree {degree}")
-        return tuple(form.coefficient(m) for m in self.basis(degree))
-
-    def from_coords(self, coords: Sequence[ScalarLike], degree: int) -> Form:
-        basis = self.basis(degree)
-        if len(coords) != len(basis):
-            raise ValueError("coordinate vector has the wrong length")
-        return Form.from_terms(dict(zip(basis, coords)))

@@ -9,6 +9,19 @@ usually tabulated and avoids the sign ambiguity of the dual action.
 
 K is always derived as I∘J; a K table in the input is checked against the
 derived one, never trusted.
+
+The structural checks read the structure constants through one kernel,
+beta(x, y)_k = sum c^k_ij (x_i y_j - x_j y_i), evaluated term by term from
+per-generator lists of the terms each generator occurs in.  On vectors it
+is minus the Lie bracket: the lower central series brackets each
+generator with the current term, and integrability applies the
+(1,0)-forms to the brackets of pairs of vectors they all annihilate.  On
+two columns of the inverse of a basis change it is the coefficient of a
+wedge of two new covectors in each de^k, so d of every new covector is
+one matrix product away: `quaternionic` splits d of each coframe
+generator by bidegree, and a failed integrability check names the (0,2)
+part of the first failing (1,0)-form this way.  The Jacobi identity
+alone is checked on forms, as d^2 = 0.
 """
 
 from __future__ import annotations
@@ -16,7 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from itertools import combinations
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import (
     CoefficientParseError,
@@ -26,7 +40,7 @@ from .errors import (
     QuaternionicRelationFailure,
     SchemaError,
 )
-from .exterior import ExteriorAlgebra, Form
+from .exterior import ExteriorAlgebra, Form, Mono
 from .linalg import Mat, inverse, kernel_basis, rank, row_basis
 from .scalars import (
     I_UNIT,
@@ -124,6 +138,38 @@ class InstantiatedAlgebra:
     def mat_k(self) -> Mat:
         return self.mat_i @ self.mat_j
 
+    @cached_property
+    def ad(self) -> Tuple[Tuple[Tuple[int, int, GaussianRational], ...], ...]:
+        """Per generator a, the (k, j, c) with beta(e_a, y)_k = sum c y_j.
+
+        A term c e^i ^ e^j of de^k gives (k, j, c) to i and (k, i, -c) to j,
+        so each list holds only the terms its generator occurs in.
+        """
+        ad: List[List[Tuple[int, int, GaussianRational]]] = [[] for _ in range(self.dimension)]
+        for k, image in enumerate(self.algebra.d_images):
+            for (i, j), c in image.terms.items():
+                ad[i].append((k, j, c))
+                ad[j].append((k, i, -c))
+        return tuple(tuple(terms) for terms in ad)
+
+    def bracket(self, x: Mapping[int, GaussianRational],
+                y: Mapping[int, GaussianRational]) -> Dict[int, GaussianRational]:
+        """beta(x, y)_k = sum c (x_i y_j - x_j y_i) over the terms c e^i ^ e^j
+        of de^k.  Vectors, in and out, are maps of their nonzero entries.
+
+        On vectors it is minus the Lie bracket, since de^k(X, Y) =
+        -e^k([X, Y]).  On the columns s and t of the inverse C of a basis
+        change (row j of C is e^j over the new covectors psi) it is the
+        coefficient of psi^s ^ psi^t in each de^k.
+        """
+        out: Dict[int, GaussianRational] = {}
+        for a, xa in x.items():
+            for k, j, c in self.ad[a]:
+                yj = y.get(j)
+                if yj is not None:
+                    out[k] = out.get(k, ZERO) + xa * c * yj
+        return {k: value for k, value in out.items() if value}
+
     def eigen_rows(self, label: str) -> Tuple[Row, ...]:
         """Canonical basis of the +i eigenspace of I, J or K on the coframe.
 
@@ -136,14 +182,20 @@ class InstantiatedAlgebra:
         return self._eigenspaces[label]
 
 
+def _nonzero(vector: Sequence[GaussianRational]) -> Dict[int, GaussianRational]:
+    return {j: x for j, x in enumerate(vector) if x}
+
+
 def _eval_real(expr: ParamExpr, bindings: Mapping[str, RationalLike],
-               where: str) -> GaussianRational:
+               where: Callable[[], str]) -> GaussianRational:
+    """The value of a coefficient that must be real; `where` names it in
+    an error message, and is called only to raise one."""
     try:
         value = expr.evaluate(bindings)
     except CoefficientParseError as exc:
-        raise CoefficientParseError(f"{where}: {exc}") from None
+        raise CoefficientParseError(f"{where()}: {exc}") from None
     if not value.is_real():
-        raise SchemaError(f"{where} must be real, got {value}")
+        raise SchemaError(f"{where()} must be real, got {value}")
     return value
 
 
@@ -167,14 +219,14 @@ def instantiate(spec: AlgebraSpec,
                 raise IndexError(
                     f"structure term ({i},{j}) in de^{k} must satisfy 1 <= i < j <= {m}"
                 )
-            value = _eval_real(coeff, bindings, f"coefficient of e^{i}^e^{j} in de^{k}")
+            value = _eval_real(coeff, bindings, lambda: f"coefficient of e^{i}^e^{j} in de^{k}")
             total = total + Form.monomial((i - 1, j - 1), value)
         d_images[k - 1] = total
 
     def table(rows: Tuple[Tuple[ParamExpr, ...], ...], label: str) -> Mat:
         return Mat.from_rows(
             [
-                [_eval_real(entry, bindings, f"{label}[{r + 1}][{c + 1}]")
+                [_eval_real(entry, bindings, lambda: f"{label}[{r + 1}][{c + 1}]")
                  for c, entry in enumerate(row)]
                 for r, row in enumerate(rows)
             ],
@@ -225,22 +277,6 @@ class ValidationReport:
         return "; ".join(self.messages)
 
 
-def _bracket(inst: InstantiatedAlgebra, u: Sequence[GaussianRational],
-             v: Sequence[GaussianRational]) -> Row:
-    """[u, v] in coordinates, read off the structure equations.
-
-    de^k(X, Y) = -e^k([X, Y]) identifies the coefficient of e^i^e^j in
-    de^k with minus the e_k-component of [e_i, e_j].
-    """
-    m = inst.dimension
-    out = [ZERO] * m
-    for k in range(m):
-        for (i, j), coeff in inst.algebra.d_images[k].terms.items():
-            factor = u[i] * v[j] - u[j] * v[i]
-            out[k] = out[k] - coeff * factor
-    return tuple(out)
-
-
 def validate_lie_algebra(spec: AlgebraSpec,
                          bindings: Optional[Mapping[str, RationalLike]] = None,
                          ) -> ValidationReport:
@@ -263,19 +299,19 @@ def _validate_lie_algebra(inst: InstantiatedAlgebra) -> ValidationReport:
                 f"d^2 e^{k + 1} = {dd}, so the Jacobi identity fails"
             )
 
-    # Lower central series from the dual brackets; terminates iff nilpotent.
-    basis = [tuple(ONE if i == j else ZERO for j in range(m)) for i in range(m)]
+    # Lower central series, spanned by the brackets of generators with the
+    # current term; terminates iff nilpotent.
+    generators = [{a: ONE} for a in range(m)]
     current = Mat.identity(m)  # canonical basis of the current term
     step = 0
     while current.nrows:
         step += 1
         if step > m:
             break
-        produced = []
-        for u in basis:
-            for v in current.data:
-                produced.append(_bracket(inst, u, v))
-        nxt = row_basis(Mat(len(produced), m, produced))
+        rows = [_nonzero(v) for v in current.data]
+        produced = [inst.bracket(u, v) for v in rows for u in generators]
+        nxt = row_basis(Mat.from_entries(len(produced), m, {
+            (r, k): value for r, row in enumerate(produced) for k, value in row.items()}))
         if nxt.nrows == current.nrows:
             # series stabilized at a nonzero term
             step = None
@@ -314,45 +350,52 @@ def _basis_change(rows: Sequence[Row], m: int) -> Tuple[Mat, Mat]:
         ) from None
 
 
-def _differentials_in_basis(inst: InstantiatedAlgebra, b: Mat, c: Mat,
-                            count: int) -> List[Form]:
-    """d of the first `count` covectors of a basis, written in that basis.
+def _pair_brackets(inst: InstantiatedAlgebra, vectors: Sequence[Mapping[int, GaussianRational]],
+                   pairs: Sequence[Mono]) -> Mat:
+    """The m x len(pairs) matrix whose column for (s, t) is beta(vectors[s], vectors[t])."""
+    return Mat.from_entries(inst.dimension, len(pairs), {
+        (k, col): value
+        for col, (s, t) in enumerate(pairs)
+        for k, value in inst.bracket(vectors[s], vectors[t]).items()})
 
-    Row r of `b` is psi^r over the real coframe and row j of its inverse
-    `c` is e^j over the psi, so d psi^r is sum_j b[r][j] de^j with each e^j
-    replaced by its row of `c`.
+
+def _coframe_differentials(inst: InstantiatedAlgebra, b: Mat, c: Mat, count: int,
+                           pairs: Sequence[Mono],
+                           ) -> List[List[Tuple[Mono, GaussianRational]]]:
+    """The terms psi^s ^ psi^t, (s, t) in `pairs`, of d psi^r for r < count.
+
+    Row r of `b` is psi^r over the real coframe and `c` is its inverse, so
+    d psi^r = sum_k b[r][k] de^k and the coefficient of psi^s ^ psi^t in
+    de^k is beta(C_s, C_t)_k, for C_s column s of c: one matrix product.
+    Each list keeps the order of `pairs` and only nonzero coefficients.
     """
-    e_in_psi = [Form.from_terms({(s,): x for s, x in enumerate(row)}) for row in c.data]
-    out = []
-    for r in range(count):
-        d_psi = Form.zero()
-        for j, coeff in enumerate(b.row(r)):
-            if coeff:
-                for (k, l), value in inst.algebra.d_images[j].terms.items():
-                    d_psi = d_psi + e_in_psi[k].wedge(e_in_psi[l]).scale(coeff * value)
-        out.append(d_psi)
-    return out
+    columns = [_nonzero(col) for col in c.columns()]
+    d_psi = b.block(range(count), range(inst.dimension)) @ _pair_brackets(inst, columns, pairs)
+    return [[(pairs[col], value) for col, value in enumerate(d_psi.row(r)) if value]
+            for r in range(count)]
 
 
 def _antihol_defect(inst: InstantiatedAlgebra, rows: Sequence[Row]) -> Optional[Tuple[int, Form]]:
     """First (1,0)-form whose differential has a (0,2) component, if any.
 
-    Works in the basis (rows, conj rows): generators 0..half-1 are the
-    (1,0)-forms, the rest their conjugates, and a monomial with both
-    indices in the upper half is a (0,2) term.
+    The (0,2) part of d psi^r vanishes exactly when d psi^r vanishes on
+    every pair of vectors that all the (1,0)-forms `rows` annihilate, and
+    d psi^r(X, Y) is psi^r(beta(X, Y)): one product with the brackets of a
+    kernel basis of the rows.  The defect of a failing form is written in
+    the basis (rows, conj rows), where the (0,2) terms are the monomials
+    with both indices in the upper half.
     """
     m = inst.dimension
     half = m // 2
+    forms = Mat.from_rows(list(rows), ncols=m)
+    vectors = [_nonzero(v) for v in kernel_basis(forms).data]
+    values = forms @ _pair_brackets(inst, vectors, list(combinations(range(len(vectors)), 2)))
+    if values.is_zero():
+        return None
+    a = next(r for r in range(half) if any(values.row(r)))
     b, c = _basis_change(rows, m)
-    for a, d_psi in enumerate(_differentials_in_basis(inst, b, c, half)):
-        defect = Form.from_terms({
-            mono: coeff
-            for mono, coeff in d_psi.terms.items()
-            if all(idx >= half for idx in mono)
-        })
-        if not defect.is_zero():
-            return a, defect
-    return None
+    upper = list(combinations(range(half, m), 2))
+    return a, Form.from_terms(dict(_coframe_differentials(inst, b, c, a + 1, upper)[a]))
 
 
 def validate_hypercomplex(spec: AlgebraSpec,
@@ -362,10 +405,10 @@ def validate_hypercomplex(spec: AlgebraSpec,
     """Full check: Lie algebra, quaternionic relations, integrability.
 
     K := I∘J is derived on the coframe; a K table in the spec is compared
-    against it.  Integrability of each structure A is tested by expanding
-    d of every (1,0)-form of A over an eigenbasis and requiring the (0,2)
-    component to vanish.  `instance` is `instantiate(spec, bindings)`,
-    when the caller has it already.
+    against it.  Integrability of each structure A requires d of every
+    (1,0)-form of A, over an eigenbasis, to have no (0,2) component; the
+    bracket kernel tests it without writing the forms out.  `instance` is
+    `instantiate(spec, bindings)`, when the caller has it already.
     """
     inst = instantiate(spec, bindings) if instance is None else instance
     report = _validate_lie_algebra(inst)

@@ -6,7 +6,10 @@ conjugates.  Bidegree of a monomial is read off by counting indices in
 each half.
 
 Each operator is one exact matrix per bidegree on the lexicographic
-monomial bases, built from its values on the generators.  del and del_bar
+monomial bases, built from its values on the generators.  d of each
+generator is read off the structure constants through `model`'s bracket
+kernel, one bracket for each pair of generators, and is split by
+bidegree once, at construction.  del and del_bar
 are derivations: on a monomial m = phi^{g_0} ^ phi^{g_1} ^ ..., the
 Leibniz rule gives d(m) = sum_k (-1)^k d phi^{g_k} ^ (m without g_k), and
 del keeps the terms of each d phi^g that raise p, del_bar those that raise
@@ -40,7 +43,7 @@ from .model import (
     ValidationReport,
     _basis_change,
     _build_coframe,
-    _differentials_in_basis,
+    _coframe_differentials,
     instantiate,
     validate_hypercomplex,
 )
@@ -69,8 +72,9 @@ class QuaternionicComplex:
         # (2,0) part of d of a (0,1)-form, which integrability rules out
         self._raise_p: List[List[Tuple[Mono, GaussianRational]]] = [[] for _ in range(m)]
         self._raise_q: List[List[Tuple[Mono, GaussianRational]]] = [[] for _ in range(m)]
-        for g, d_g in enumerate(_differentials_in_basis(inst, b, c, m)):
-            for pair, coeff in d_g.terms.items():
+        pairs = list(combinations(range(m), 2))
+        for g, d_g in enumerate(_coframe_differentials(inst, b, c, m, pairs)):
+            for pair, coeff in d_g:
                 p, q = self.bidegree_of_mono(pair)
                 step = p - (g < half)
                 if step not in (0, 1):

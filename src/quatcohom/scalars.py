@@ -345,6 +345,11 @@ def _poly_eval(a: PolyTerms, values: Sequence[Fraction]) -> GaussianRational:
     return total
 
 
+def _point(names: Sequence[str], bindings: Mapping[str, RationalLike]) -> str:
+    """The binding of the named parameters, as "s=1/2, t=3" for a message."""
+    return ", ".join(f"{name}={bindings[name]}" for name in names)
+
+
 def _poly_str(a: PolyTerms, params: Sequence[str]) -> str:
     if not a:
         return "0"
@@ -441,6 +446,8 @@ class ParamExpr:
         return _poly_degree(self.num), _poly_degree(self.den)
 
     def used_parameters(self) -> Tuple[str, ...]:
+        if not self.params:
+            return ()
         used = set()
         for terms in (self.num, self.den):
             for exps, _ in terms:
@@ -461,18 +468,24 @@ class ParamExpr:
         CoefficientParseError if the value has a numerator or denominator
         of more than MAX_DIGITS digits.
         """
-        for name in self.used_parameters():
+        used = self.used_parameters()
+        for name in used:
             if name not in bindings:
                 raise UnboundParameter(f"parameter {name!r} has no value")
         values = [_as_fraction(bindings.get(name, 0)) for name in self.params]
-        den = _poly_eval(self.den, values)
-        point = ", ".join(
-            f"{name}={bindings[name]}" for name in self.used_parameters()
-        )
+        if used:
+            num, den = _poly_eval(self.num, values), _poly_eval(self.den, values)
+        else:
+            # terms have distinct exponents, so a parameter-free polynomial
+            # is empty or one constant term
+            num = self.num[0][1] if self.num else ZERO
+            den = self.den[0][1] if self.den else ZERO
         if den.is_zero():
-            raise PoleAtBinding(f"denominator vanishes at {point or 'the binding'}")
-        value = _poly_eval(self.num, values) / den
+            point = _point(used, bindings) or "the binding"
+            raise PoleAtBinding(f"denominator vanishes at {point}")
+        value = num / den
         if _too_tall(value):
+            point = _point(used, bindings)
             at = f" at {point}" if point else ""
             raise CoefficientParseError(
                 f"value{at} has more than {MAX_DIGITS} digits"

@@ -13,9 +13,11 @@ elimination over Z[i]), a reference matrix product, the subspace lattice
 (intersection, containment and quotient dimension), and a reference
 cohomology table and middle-degree decomposition computed by subspace
 arithmetic that the rank formulas and the operator kernels and images
-are checked against, and the operators of a quaternionic complex applied
-form by form, which the generator-built operator matrices and the
-coordinate degree map are checked against.
+are checked against, the brackets and coframe differentials over every
+coordinate that the structure-constant kernel of validation is checked
+against, and the operators of a quaternionic complex applied form by
+form, which the generator-built operator matrices and the coordinate
+degree map are checked against.
 """
 
 from dataclasses import dataclass
@@ -87,6 +89,18 @@ def i_nonintegrable_spec() -> AlgebraSpec:
         {4: [(1, 2, 1)]},
         J4, I4,
         name="i-nonintegrable",
+    )
+
+
+def solvable_spec() -> AlgebraSpec:
+    # the Lie algebra of real hyperbolic 4-space, de^k = e^1 ^ e^k for
+    # k = 2, 3, 4: a valid hypercomplex structure on a solvable algebra
+    # whose lower central series stops at span(e_2, e_3, e_4), not at zero
+    return AlgebraSpec.create(
+        4,
+        {2: [(1, 2, 1)], 3: [(1, 3, 1)], 4: [(1, 4, 1)]},
+        I4, J4,
+        name="solvable",
     )
 
 
@@ -1031,6 +1045,66 @@ def reference_decomposition(sl: SLStructure) -> DecompositionReport:
             for v in reference_complement_representatives(big_minus, im_real)
         ),
     )
+
+
+# ---------------------------------------------------------------------------
+# The structural checks by the coordinate routes the bracket kernel
+# replaced: brackets over every coordinate and every term, and d of a
+# covector by wedging dense forms.
+# ---------------------------------------------------------------------------
+
+
+def reference_bracket(inst, u: Sequence[GaussianRational],
+                      v: Sequence[GaussianRational]) -> Row:
+    """[u, v] in coordinates, read off the structure equations.
+
+    de^k(X, Y) = -e^k([X, Y]) identifies the coefficient of e^i^e^j in
+    de^k with minus the e_k-component of [e_i, e_j].
+    """
+    m = inst.dimension
+    out = [ZERO] * m
+    for k in range(m):
+        for (i, j), coeff in inst.algebra.d_images[k].terms.items():
+            factor = u[i] * v[j] - u[j] * v[i]
+            out[k] = out[k] - coeff * factor
+    return tuple(out)
+
+
+def reference_nilpotency_step(inst):
+    """The step of the lower central series, or None when it does not
+    reach zero within the dimension: each term is spanned by the brackets
+    of the basis vectors with the previous term."""
+    m = inst.dimension
+    basis = Mat.identity(m).data
+    current = Mat.identity(m)
+    for step in range(1, m + 1):
+        produced = [reference_bracket(inst, u, v) for u in basis for v in current.data]
+        nxt = row_basis(Mat(len(produced), m, produced))
+        if nxt.nrows == current.nrows:
+            return None
+        if nxt.nrows == 0:
+            return step
+        current = nxt
+    return None
+
+
+def reference_differentials_in_basis(inst, b: Mat, c: Mat, count: int) -> List[Form]:
+    """d of the first `count` covectors of a basis, written in that basis.
+
+    Row r of `b` is psi^r over the real coframe and row j of its inverse
+    `c` is e^j over the psi, so d psi^r is sum_j b[r][j] de^j with each e^j
+    replaced by its row of `c`.
+    """
+    e_in_psi = [Form.from_terms({(s,): x for s, x in enumerate(row)}) for row in c.data]
+    out = []
+    for r in range(count):
+        d_psi = Form.zero()
+        for j, coeff in enumerate(b.row(r)):
+            if coeff:
+                for (k, l), value in inst.algebra.d_images[j].terms.items():
+                    d_psi = d_psi + e_in_psi[k].wedge(e_in_psi[l]).scale(coeff * value)
+        out.append(d_psi)
+    return out
 
 
 # ---------------------------------------------------------------------------

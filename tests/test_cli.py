@@ -17,7 +17,8 @@ from quatcohom.metrics import MAX_SEARCH_SIZE
 from quatcohom.scalars import MAX_TERMS
 
 from support import (coframe_variant, i_nonintegrable_spec, jacobi_broken_spec,
-                     random_gl)
+                     nonintegrable_spec, random_gl, relation_broken_spec,
+                     solvable_spec)
 
 
 def run(capsys, *argv):
@@ -513,6 +514,40 @@ def test_quaternionic_dimension_one_digest_and_every_subcommand(capsys, tmp_path
     code, out, err = run(capsys, "pairing", spec, "--p", "3")
     assert (code, out) == (2, "")
     assert err == "error: --p 3: expected a degree in 0..2\n"
+
+
+# validate's stdout and report's one-line error on structures that fail
+# each structural check, as SHA-256 digests recorded before the checks
+# were moved onto the bracket kernel: (validate stdout, report stderr)
+INVALID_DIGESTS = {
+    "jacobi-broken": ("99397c4f341cf5e3d307e10a0cf9dbf7fc624a623a8e9f1a2157016205b38a92",
+                     "13e6a92af24ba86996b07f68577a287656b37515c0a98a7a8c298780d0af470b"),
+    "relation-broken": ("1ab89da654612cdde1ebc1fa1dfd1dd70e7b563b7ef851f489b7bfdaa15ae726",
+                       "98ec9445f45a7d0deee76c8cbb0c192c4b762bb21ca0d4ae999a25938f047b6e"),
+    "nonintegrable": ("55f01c213a4daf428cadfe6197cb7cd77c28d2f640837c5c20b4e8f98f9cdc0d",
+                     "5c74a71371a1728b1e2cc4a5081028b426b393ed7b190a32d65334447c87e4ce"),
+    "i-nonintegrable": ("5d72df6ddba1a001d714c69e6e0b1acefb4d0b89e14b41a990aa707ae66d4043",
+                       "78048e7e5b657c30072508156dd0807161b822d02a19c2461828614d50b7ab67"),
+    "solvable": ("24ab377d81477ef83c61303e25f12716756d2d3be7ec34284a84f8a74a239d1c",
+                "280febe3830d2e9adc748e84bf3a01d9f1f50919c6a798a88cdb672d5125927c"),
+}
+
+
+@pytest.mark.parametrize("make", [jacobi_broken_spec, relation_broken_spec,
+                                  nonintegrable_spec, i_nonintegrable_spec,
+                                  solvable_spec])
+def test_invalid_structure_messages_digest(capsys, tmp_path, make):
+    spec = make()
+    path = tmp_path / "invalid.json"
+    path.write_text(serialize_spec(spec))
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, err) == (1, "")
+    validate_digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    code, out, err = run(capsys, "report", str(path))
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and err.startswith(f"error: structure {spec.name} is invalid: ")
+    report_digest = hashlib.sha256(err.encode("utf-8")).hexdigest()
+    assert (validate_digest, report_digest) == INVALID_DIGESTS[spec.name]
 
 
 # -- fuzzing: any file ends in exit 0, 1 or 2 with at most one line of error --

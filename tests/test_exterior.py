@@ -55,9 +55,3 @@ def test_algebra_d_leibniz_and_square():
     for g in range(3):
         assert alg.d(alg.d(Form.generator(g))).is_zero()
 
-
-def test_coords_round_trip():
-    alg = ExteriorAlgebra(4, [Form.zero()] * 4)
-    form = Form.monomial((0, 2), 3) + Form.monomial((1, 3), GaussianRational(0, 1))
-    coords = alg.coords(form, 2)
-    assert alg.from_coords(coords, 2) == form

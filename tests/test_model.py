@@ -1,19 +1,35 @@
 from fractions import Fraction
+from itertools import combinations
+from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from quatcohom import load_corpus, validate_hypercomplex, validate_lie_algebra
+from quatcohom import (AlgebraSpec, GaussianRational, load_corpus, validate_hypercomplex,
+                       validate_lie_algebra)
 from quatcohom.errors import (
+    CoefficientParseError,
+    DimensionMismatch,
+    EigenspaceDimensionError,
     IntegrabilityFailure,
     PoleAtBinding,
     QuaternionicRelationFailure,
+    SchemaError,
     UnboundParameter,
     ValidationFailure,
 )
-from quatcohom.model import build_coframe, instantiate, require_valid
+from quatcohom.exterior import Form
+from quatcohom.model import (_antihol_defect, _basis_change, _build_coframe,
+                             _coframe_differentials, _validate_lie_algebra,
+                             build_coframe, instantiate, require_valid)
 from quatcohom.quaternionic import QuaternionicComplex
+from quatcohom.scalars import MAX_DIGITS
 
-from support import jacobi_broken_spec, nonintegrable_spec, relation_broken_spec
+from support import (I4, J4, affine_complex_spec, coframe_variant, direct_sum_spec,
+                     i_nonintegrable_spec, jacobi_broken_spec, nonintegrable_spec,
+                     random_gl, reference_differentials_in_basis,
+                     reference_nilpotency_step, relation_broken_spec,
+                     scaled_variant, solvable_spec)
 
 
 def test_corpus_validates():
@@ -63,6 +79,22 @@ def test_unbound_parameter_and_pole():
             instantiate(spec, {"t": bad})
 
 
+def test_coefficient_errors_name_the_entry():
+    imaginary = GaussianRational(0, 1)
+    bad_i = [list(row) for row in I4]
+    bad_i[0][1] = imaginary
+    tall_k = [[GaussianRational(10 ** MAX_DIGITS), 0, 0, 0]] + [[0] * 4] * 3
+    for spec, error, message in (
+            (AlgebraSpec.create(4, {4: [(1, 2, imaginary)]}, I4, J4), SchemaError,
+             "coefficient of e^1^e^2 in de^4 must be real, got i"),
+            (AlgebraSpec.create(4, {}, bad_i, J4), SchemaError, "I[1][2] must be real, got i"),
+            (AlgebraSpec.create(4, {}, I4, J4, op_k=tall_k), CoefficientParseError,
+             f"K[1][1]: value has more than {MAX_DIGITS} digits")):
+        with pytest.raises(error) as caught:
+            instantiate(spec)
+        assert str(caught.value) == message
+
+
 def test_coframe_shape():
     spec = load_corpus("example1")
     coframe = build_coframe(spec)
@@ -75,3 +107,123 @@ def test_k_table_checked_when_given():
     spec = load_corpus("example1")
     inst = instantiate(spec)
     assert inst.mat_k == inst.mat_i @ inst.mat_j
+
+
+# -- the bracket kernel against the coordinate routes it replaced --
+
+
+def _kernel_cases():
+    cases = [(name, load_corpus(name), None)
+             for name in ("example1", "example3", "torus8")]
+    for t in ("1/3", "2", "-1", "3/4"):
+        cases.append((f"example2@{t}", load_corpus("example2"), {"t": Fraction(t)}))
+    for seed in range(6):
+        spec = coframe_variant(load_corpus("example1"), random_gl(Random(seed), 8))
+        cases.append((f"example1-coframe{seed}", spec, None))
+    cases.append(("example3+example3", direct_sum_spec(
+        load_corpus("example3"), load_corpus("example3")), None))
+    # structures that fail a check, so that the defects and the stalled
+    # series are compared too
+    for make in (jacobi_broken_spec, nonintegrable_spec, i_nonintegrable_spec,
+                 solvable_spec, affine_complex_spec):
+        cases.append((make().name, make(), None))
+    return cases
+
+
+KERNEL_CASES = _kernel_cases()
+KERNEL_IDS = [case[0] for case in KERNEL_CASES]
+
+
+@pytest.mark.parametrize("spec, bindings", [case[1:] for case in KERNEL_CASES],
+                         ids=KERNEL_IDS)
+def test_nilpotency_step_matches_the_coordinate_bracket(spec, bindings):
+    inst = instantiate(spec, bindings)
+    assert _validate_lie_algebra(inst).nilpotency_step == reference_nilpotency_step(inst)
+
+
+def _as_forms(terms_by_row):
+    return [Form.from_terms(dict(terms)) for terms in terms_by_row]
+
+
+def _bases(inst):
+    """The bases whose differentials validation and the complex read: the
+    +i eigenbases of I, J and K, and the J-paired coframe of I."""
+    builders = [("coframe", lambda: _build_coframe(inst).rows)]
+    builders += [(label, lambda label=label: inst.eigen_rows(label)) for label in ("I", "J", "K")]
+    for label, build in builders:
+        try:
+            yield label, build()
+        except (EigenspaceDimensionError, DimensionMismatch):
+            continue
+
+
+@pytest.mark.parametrize("spec, bindings", [case[1:] for case in KERNEL_CASES],
+                         ids=KERNEL_IDS)
+def test_coframe_differentials_match_the_form_wedge_route(spec, bindings):
+    inst = instantiate(spec, bindings)
+    m, half = inst.dimension, inst.dimension // 2
+    pairs = list(combinations(range(m), 2))
+    upper = list(combinations(range(half, m), 2))
+    for label, rows in _bases(inst):
+        b, c = _basis_change(rows, m)
+        reference = reference_differentials_in_basis(inst, b, c, m)
+        # every d psi^r, and its (0,2) part, which for r < half is the
+        # integrability defect of the r-th (1,0)-form
+        assert _as_forms(_coframe_differentials(inst, b, c, m, pairs)) == reference, label
+        defects = [Form.from_terms({mono: x for mono, x in form.terms.items()
+                                    if min(mono) >= half}) for form in reference]
+        assert _as_forms(_coframe_differentials(inst, b, c, m, upper)) == defects, label
+        first = next(((a, form) for a, form in enumerate(defects[:half])
+                      if not form.is_zero()), None)
+        assert _antihol_defect(inst, rows) == first, label
+
+
+# -- validation flags do not depend on how a structure is presented --
+
+
+def _flags(spec):
+    report = validate_hypercomplex(spec)
+    return (report.jacobi_ok, report.nilpotent_ok, report.nilpotency_step,
+            report.quaternionic_relations_ok, report.integrability)
+
+
+INVARIANCE_SPECS = {
+    "example1": load_corpus("example1"),
+    "example3": load_corpus("example3"),
+    "torus8": load_corpus("torus8"),
+    "example2@1/3": scaled_variant(load_corpus("example2"), Fraction(1),
+                                   {"t": Fraction(1, 3)}),
+}
+INVARIANCE_SPECS.update((make().name, make()) for make in (
+    jacobi_broken_spec, relation_broken_spec, nonintegrable_spec,
+    i_nonintegrable_spec, solvable_spec, affine_complex_spec))
+nonzero_factors = st.fractions(min_value=-4, max_value=4, max_denominator=5).filter(bool)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(INVARIANCE_SPECS)), st.integers(0, 2 ** 16),
+       nonzero_factors)
+def test_validation_flags_invariant_under_coframe_change_and_scaling(name, seed, factor):
+    spec = INVARIANCE_SPECS[name]
+    flags = _flags(spec)
+    variant = coframe_variant(spec, random_gl(Random(seed), spec.dimension))
+    assert _flags(variant) == flags
+    assert _flags(scaled_variant(spec, factor)) == flags
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(sorted(INVARIANCE_SPECS)), st.sampled_from(sorted(INVARIANCE_SPECS)))
+def test_validation_flags_of_a_direct_sum_in_either_order(first, second):
+    a, b = INVARIANCE_SPECS[first], INVARIANCE_SPECS[second]
+    flags = _flags(direct_sum_spec(a, b))
+    assert _flags(direct_sum_spec(b, a)) == flags
+    # each check holds on a sum exactly when it holds on both summands,
+    # and the series of a sum ends when both of its summands' series do
+    fa, fb = _flags(a), _flags(b)
+    steps = (fa[2], fb[2])
+    assert flags == (
+        fa[0] and fb[0], fa[1] and fb[1],
+        None if None in steps else max(steps),
+        fa[3] and fb[3],
+        {label: fa[4][label] and fb[4][label] for label in ("I", "J", "K")},
+    )

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from quatcohom import GaussianRational, ParamExpr, parse_coefficient, parse_rational
-from quatcohom.errors import CoefficientParseError, DivisionByZero, PoleAtBinding
+from quatcohom.errors import (CoefficientParseError, DivisionByZero, PoleAtBinding,
+                              UnboundParameter)
+from quatcohom.scalars import MAX_DIGITS, _poly_eval
 
 from support import ReferenceGaussianRational
 
@@ -126,6 +128,39 @@ def test_param_expr_evaluation():
         Fraction(1, 2))
     with pytest.raises(PoleAtBinding):
         expr.evaluate({"t": Fraction(1)})
+
+
+@pytest.mark.parametrize("text, params", [
+    (text, params)
+    for text in ("0", "3/4", "(2+i)/(1-i)", "t - t", "(2*t - t) - t + 5", "2^-3", "(1/3)/(1/6)")
+    for params in ((), ("t",), ("s", "t"))
+    if "t" not in text or "t" in params])
+def test_parameter_free_value_matches_the_polynomial_evaluation(text, params):
+    expr = parse_coefficient(text, params)
+    assert not expr.used_parameters()
+    values = [Fraction(0)] * len(params)
+    expected = _poly_eval(expr.num, values) / _poly_eval(expr.den, values)
+    assert expr.evaluate({}) == expected
+    assert expr.evaluate({name: Fraction(7) for name in params}) == expected
+    assert expr.constant_value() == expected
+
+
+def test_parameter_free_value_keeps_every_check():
+    tall = GaussianRational(10 ** MAX_DIGITS)
+    for params, bindings in (((), {}), (("t",), {"t": Fraction(2)})):
+        with pytest.raises(CoefficientParseError,
+                           match=f"^value has more than {MAX_DIGITS} digits$"):
+            ParamExpr.constant(tall, params).evaluate(bindings)
+        pole = ParamExpr(params, ParamExpr.constant(1, params).num, ())
+        with pytest.raises(PoleAtBinding, match="^denominator vanishes at the binding$"):
+            pole.evaluate(bindings)
+    with pytest.raises(TypeError):
+        ParamExpr.constant(1, ("t",)).evaluate({"t": 0.5})
+    expr = parse_coefficient("1/(t-2)", ["s", "t"])
+    with pytest.raises(PoleAtBinding, match="^denominator vanishes at t=2$"):
+        expr.evaluate({"s": Fraction(1), "t": Fraction(2)})
+    with pytest.raises(UnboundParameter):
+        expr.evaluate({"s": Fraction(1)})
 
 
 def test_param_expr_round_trip():
