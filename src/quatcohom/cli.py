@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 validation failure, 2 input or parse error,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import NoReturn, Optional, Sequence
 
@@ -91,7 +92,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_PARSE)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused: parsing
+    leaves it unchanged, and `--param` appends to a copy of its default."""
     parser = _Parser(
         prog="quatcohom",
         description="Cohomological invariants of hypercomplex nilpotent "

@@ -1,17 +1,16 @@
-"""Exterior algebra over Q(i) with a differential.
+"""Exterior algebra over Q(i).
 
 A form is a sparse map from strictly increasing generator-index tuples to
 nonzero Gaussian rational coefficients.  Generators are indexed from zero;
-labels for display are the caller's business.  Forms carry the structure
-equations of the input model, the integrability defect named in a
-validation message, the rendering of classes and certificates, and the
-wedge power Omega^{n-1} of a metric candidate; everywhere else the engine
-holds a form as its coordinate tuple on a monomial basis.  The
-differential, stored by its values on generators and extended as an
-antiderivation, serves the Jacobi check only: the other structural checks
-read the structure constants through `model`'s bracket kernel, and the
-operators of the (p,q) complex are exact matrices, built in `quaternionic`
-from generator data.
+labels for display are the caller's business.  Forms carry the d^2 e^k
+and the integrability defect named in a validation message, the
+rendering of classes and certificates, and the wedge power Omega^{n-1}
+of a metric candidate; everywhere else the engine holds a form as its
+coordinate tuple on a monomial basis.  There is no differential here:
+the structural checks read the structure constants as term lists in
+`model`, and the operators of the (p,q) complex are exact matrices,
+built in `quaternionic` from generator data.  `merge_monomials` is the
+sign rule all of them share.
 """
 
 from __future__ import annotations
@@ -154,27 +153,3 @@ class Form:
             label = "1" if not mono else "e" + "".join(str(k + 1) for k in mono)
             parts.append(f"({coeff})*{label}" if mono else f"({coeff})")
         return " + ".join(parts)
-
-
-class ExteriorAlgebra:
-    """Lambda(V) for an n-dimensional space with a fixed differential.
-
-    `d_images[k]` is d of generator k.  The differential is extended by
-    d(a ^ b) = da ^ b + (-1)^|a| a ^ db, so on a monomial each slot
-    contributes with the sign of its position.
-    """
-
-    def __init__(self, ngens: int, d_images: Sequence[Form]):
-        if len(d_images) != ngens:
-            raise ValueError("one differential image per generator is required")
-        self.ngens = ngens
-        self.d_images = [Form(dict(img.terms)) for img in d_images]
-
-    def d(self, form: Form) -> Form:
-        total = Form.zero()
-        for mono, coeff in form.terms.items():
-            for pos, gen in enumerate(mono):
-                rest = Form.monomial(mono[:pos] + mono[pos + 1:])
-                sign = -1 if pos % 2 else 1
-                total = total + (self.d_images[gen].wedge(rest)).scale(coeff * sign)
-        return total

@@ -20,8 +20,11 @@ two columns of the inverse of a basis change it is the coefficient of a
 wedge of two new covectors in each de^k, so d of every new covector is
 one matrix product away: `quaternionic` splits d of each coframe
 generator by bidegree, and a failed integrability check names the (0,2)
-part of the first failing (1,0)-form this way.  The Jacobi identity
-alone is checked on forms, as d^2 = 0.
+part of the first failing (1,0)-form this way.  The Jacobi identity is
+d^2 = 0 on the generators, read off the same lists by the Leibniz rule:
+d^2 e^k = sum of c de^a ^ e^z over the terms (k, z, c) of generator a,
+whose coefficient on e^xyz is the Jacobiator of e_x, e_y, e_z.  A `Form`
+is built only to name a failure in a message.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .errors import (
     QuaternionicRelationFailure,
     SchemaError,
 )
-from .exterior import ExteriorAlgebra, Form, Mono
+from .exterior import Form, Mono, merge_monomials
 from .linalg import Mat, inverse, kernel_basis, rank, row_basis
 from .scalars import (
     I_UNIT,
@@ -52,6 +55,7 @@ from .scalars import (
 )
 
 Row = Tuple[GaussianRational, ...]
+Term = Tuple[int, int, GaussianRational]
 CoeffLike = Union[int, Fraction, GaussianRational, ParamExpr, str]
 StructureTerm = Tuple[int, int, ParamExpr]
 
@@ -122,10 +126,14 @@ class AlgebraSpec:
 
 @dataclass(frozen=True)
 class InstantiatedAlgebra:
-    """An AlgebraSpec with every coefficient evaluated to a rational."""
+    """An AlgebraSpec with every coefficient evaluated to a rational.
+
+    `structure[k]` holds the terms (i, j, c), i < j, of de^k = sum c e^i ^ e^j,
+    with generators indexed from zero and no zero coefficient.
+    """
 
     dimension: int
-    algebra: ExteriorAlgebra
+    structure: Tuple[Tuple[Term, ...], ...]
     mat_i: Mat
     mat_j: Mat
     mat_k_given: Optional[Mat]
@@ -139,15 +147,15 @@ class InstantiatedAlgebra:
         return self.mat_i @ self.mat_j
 
     @cached_property
-    def ad(self) -> Tuple[Tuple[Tuple[int, int, GaussianRational], ...], ...]:
+    def ad(self) -> Tuple[Tuple[Term, ...], ...]:
         """Per generator a, the (k, j, c) with beta(e_a, y)_k = sum c y_j.
 
         A term c e^i ^ e^j of de^k gives (k, j, c) to i and (k, i, -c) to j,
         so each list holds only the terms its generator occurs in.
         """
-        ad: List[List[Tuple[int, int, GaussianRational]]] = [[] for _ in range(self.dimension)]
-        for k, image in enumerate(self.algebra.d_images):
-            for (i, j), c in image.terms.items():
+        ad: List[List[Term]] = [[] for _ in range(self.dimension)]
+        for k, terms in enumerate(self.structure):
+            for i, j, c in terms:
                 ad[i].append((k, j, c))
                 ad[j].append((k, i, -c))
         return tuple(tuple(terms) for terms in ad)
@@ -209,19 +217,23 @@ def instantiate(spec: AlgebraSpec,
     """
     bindings = dict(bindings or {})
     m = spec.dimension
-    d_images = [Form.zero() for _ in range(m)]
+    structure: List[Tuple[Term, ...]] = [() for _ in range(m)]
     for k, terms in spec.structure:
         if not 1 <= k <= m:
             raise IndexError(f"structure row index {k} out of range 1..{m}")
-        total = Form.zero()
+        total: Dict[Mono, GaussianRational] = {}  # repeated pairs add up
         for i, j, coeff in terms:
             if not (1 <= i < j <= m):
                 raise IndexError(
                     f"structure term ({i},{j}) in de^{k} must satisfy 1 <= i < j <= {m}"
                 )
             value = _eval_real(coeff, bindings, lambda: f"coefficient of e^{i}^e^{j} in de^{k}")
-            total = total + Form.monomial((i - 1, j - 1), value)
-        d_images[k - 1] = total
+            value = total.get((i - 1, j - 1), ZERO) + value
+            if value.is_zero():
+                total.pop((i - 1, j - 1), None)
+            else:
+                total[i - 1, j - 1] = value
+        structure[k - 1] = tuple((i, j, c) for (i, j), c in total.items())
 
     def table(rows: Tuple[Tuple[ParamExpr, ...], ...], label: str) -> Mat:
         return Mat.from_rows(
@@ -235,7 +247,7 @@ def instantiate(spec: AlgebraSpec,
 
     return InstantiatedAlgebra(
         dimension=m,
-        algebra=ExteriorAlgebra(m, d_images),
+        structure=tuple(structure),
         mat_i=table(spec.op_i, "I"),
         mat_j=table(spec.op_j, "J"),
         mat_k_given=None if spec.op_k is None else table(spec.op_k, "K"),
@@ -287,12 +299,11 @@ def validate_lie_algebra(spec: AlgebraSpec,
 
 def _validate_lie_algebra(inst: InstantiatedAlgebra) -> ValidationReport:
     report = ValidationReport()
-    alg = inst.algebra
     m = inst.dimension
 
     report.jacobi_ok = True
-    for k in range(m):
-        dd = alg.d(alg.d_images[k])
+    for k, terms in enumerate(_square_of_d(inst)):
+        dd = Form.from_terms(terms)
         if not dd.is_zero():
             report.jacobi_ok = False
             report.messages.append(
@@ -325,6 +336,25 @@ def _validate_lie_algebra(inst: InstantiatedAlgebra) -> ValidationReport:
         report.nilpotency_step = None
         report.messages.append("lower central series does not reach zero")
     return report
+
+
+def _square_of_d(inst: InstantiatedAlgebra) -> List[Dict[Mono, GaussianRational]]:
+    """The terms of d^2 e^k for every generator k; some may sum to zero.
+
+    d e^k = sum c e^x ^ e^y gives d^2 e^k = sum c (de^x ^ e^y - de^y ^ e^x),
+    which is sum c de^a ^ e^z over the terms (k, z, c) of `ad[a]`; a term
+    c' e^x ^ e^y of de^a with z in {x, y} wedges to zero.  The coefficient
+    of e^xyz is the Jacobiator sum_cyc beta(beta(e_x, e_y), e_z)_k.
+    """
+    squares: List[Dict[Mono, GaussianRational]] = [{} for _ in range(inst.dimension)]
+    for a, terms in enumerate(inst.ad):
+        for k, z, c in terms:
+            acc = squares[k]
+            for x, y, c_a in inst.structure[a]:
+                sign, mono = merge_monomials((x, y), (z,))
+                if sign:
+                    acc[mono] = acc.get(mono, ZERO) + c * c_a * sign
+    return squares
 
 
 def _eigen_rows(mat: Mat) -> Tuple[Row, ...]:

@@ -191,11 +191,11 @@ def pairing_document(session: ReportSession, result: PairingResult) -> dict:
         "matrix": _matrix_document(result.matrix),
         "bott_chern_classes": [
             session.render_class(row, result.p)
-            for row in result.bc_representatives
+            for row in result.bc_basis.data
         ],
         "aeppli_classes": [
             session.render_class(row, 2 * session.cx.n - result.p)
-            for row in result.ae_representatives
+            for row in result.ae_basis.data
         ],
     }
 

@@ -20,11 +20,10 @@ operators and parentheses, e.g. ``"1/2+1/3*i"`` or ``"(2*t-1)/(2*(t-1))"``.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Iterator, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterator, Mapping, Sequence, Tuple, Union
 
 from .errors import (
     CoefficientParseError,
@@ -754,55 +753,6 @@ def parse_coefficient(text: str, parameters: Sequence[str] = ()) -> ParamExpr:
     return _Parser(text, parameters).parse()
 
 
-# The forms GaussianRational.__str__ prints: a real part a or a/b,
-# optionally followed by a signed imaginary part i or c*i or c/d*i; or an
-# imaginary part alone, optionally negative.  Digits are ASCII only.
-_PRINTED = re.compile(
-    r"(?:(-?[0-9]+)(?:/([0-9]+))?(?:([+-])(?:([0-9]+)(?:/([0-9]+))?\*)?i)?"
-    r"|(-?)(?:([0-9]+)(?:/([0-9]+))?\*)?i)"
-)
-
-
-def _parse_printed(text: str) -> Optional[GaussianRational]:
-    """The value of a literal in a printed form, or None to parse it fully.
-
-    The value is (p*s + r*q*i) / (q*s) for the literal p/q + r/s*i, which
-    are the integers the full parser builds for it.  A literal with more
-    than MAX_DIGITS digits, a zero denominator, or one of those integers
-    past MAX_DIGITS digits is left to the full parser, so the values and
-    the errors are the full parser's.
-    """
-    match = _PRINTED.fullmatch(text)
-    if match is None:
-        return None
-    re_num, re_den, sign, im_num, im_den, im_sign, pure_num, pure_den = match.groups()
-    if re_num is None:
-        re_num, re_den, im_num, im_den = "0", None, pure_num, pure_den
-        sign = im_sign or "+"
-    elif sign is None:
-        im_num = "0"
-    if any(x is not None and len(x.lstrip("-")) > MAX_DIGITS
-           for x in (re_num, re_den, im_num, im_den)):
-        return None
-    p, q = int(re_num), int(re_den or 1)
-    r, s = int(im_num or 1), int(im_den or 1)
-    if not (q and s):
-        return None
-    if sign == "-":
-        r = -r
-    a, b, d = p * s, r * q, q * s
-    if exceeds_digits(a) or exceeds_digits(b) or exceeds_digits(d):
-        return None
-    return GaussianRational.from_integers(a, b, d)
-
-
 def parse_rational(text: str) -> GaussianRational:
-    """Parse a parameter-free scalar literal into an exact value.
-
-    Literals in the forms GaussianRational prints are read directly;
-    everything else goes through the full parser.
-    """
-    value = _parse_printed(text)
-    if value is None:
-        value = parse_coefficient(text).constant_value()
-    return value
+    """Parse a parameter-free scalar literal into an exact value."""
+    return parse_coefficient(text).constant_value()

@@ -64,14 +64,6 @@ class PairingResult:
     bc_basis: Mat
     ae_basis: Mat
 
-    @property
-    def bc_representatives(self) -> Tuple[Tuple[GaussianRational, ...], ...]:
-        return self.bc_basis.data
-
-    @property
-    def ae_representatives(self) -> Tuple[Tuple[GaussianRational, ...], ...]:
-        return self.ae_basis.data
-
 
 @dataclass(frozen=True)
 class DecompositionReport:

@@ -15,9 +15,11 @@ cohomology table and middle-degree decomposition computed by subspace
 arithmetic that the rank formulas and the operator kernels and images
 are checked against, the brackets and coframe differentials over every
 coordinate that the structure-constant kernel of validation is checked
-against, and the operators of a quaternionic complex applied form by
-form, which the generator-built operator matrices and the coordinate
-degree map are checked against.
+against, the exterior algebra with its differential extended to every
+form, whose d^2 the Jacobi check is checked against, and the operators
+of a quaternionic complex applied form by form, which the
+generator-built operator matrices and the coordinate degree map are
+checked against.
 """
 
 from dataclasses import dataclass
@@ -30,7 +32,7 @@ from typing import Dict, List, NamedTuple, Sequence, Tuple, Union
 from quatcohom import AlgebraSpec, CohomologyTable, GaussianRational, MatrixComplex
 from quatcohom.errors import (DivisionByZero, IntegrabilityViolation,
                               InternalInconsistency, NotASubspace)
-from quatcohom.exterior import ExteriorAlgebra, Form
+from quatcohom.exterior import Form
 from quatcohom.linalg import (Mat, Row, complexify_vector, inverse, kernel_basis,
                               rank, realify_antilinear, row_basis, solve)
 from quatcohom.model import _basis_change, instantiate
@@ -1049,9 +1051,40 @@ def reference_decomposition(sl: SLStructure) -> DecompositionReport:
 
 # ---------------------------------------------------------------------------
 # The structural checks by the coordinate routes the bracket kernel
-# replaced: brackets over every coordinate and every term, and d of a
-# covector by wedging dense forms.
+# replaced: brackets over every coordinate and every term, d of a covector
+# by wedging dense forms, and d^2 by the differential extended to forms.
 # ---------------------------------------------------------------------------
+
+
+class ExteriorAlgebra:
+    """Lambda(V) for an n-dimensional space with a fixed differential.
+
+    `d_images[k]` is d of generator k.  The differential is extended by
+    d(a ^ b) = da ^ b + (-1)^|a| a ^ db, so on a monomial each slot
+    contributes with the sign of its position.
+    """
+
+    def __init__(self, ngens: int, d_images: Sequence[Form]):
+        if len(d_images) != ngens:
+            raise ValueError("one differential image per generator is required")
+        self.ngens = ngens
+        self.d_images = [Form(dict(img.terms)) for img in d_images]
+
+    def d(self, form: Form) -> Form:
+        total = Form.zero()
+        for mono, coeff in form.terms.items():
+            for pos, gen in enumerate(mono):
+                rest = Form.monomial(mono[:pos] + mono[pos + 1:])
+                sign = -1 if pos % 2 else 1
+                total = total + (self.d_images[gen].wedge(rest)).scale(coeff * sign)
+        return total
+
+
+def reference_algebra(inst) -> ExteriorAlgebra:
+    """The exterior algebra of the real coframe, with each de^k built as a
+    form from the term list `inst` stores."""
+    return ExteriorAlgebra(inst.dimension, [
+        Form.from_terms({(i, j): c for i, j, c in terms}) for terms in inst.structure])
 
 
 def reference_bracket(inst, u: Sequence[GaussianRational],
@@ -1064,7 +1097,7 @@ def reference_bracket(inst, u: Sequence[GaussianRational],
     m = inst.dimension
     out = [ZERO] * m
     for k in range(m):
-        for (i, j), coeff in inst.algebra.d_images[k].terms.items():
+        for i, j, coeff in inst.structure[k]:
             factor = u[i] * v[j] - u[j] * v[i]
             out[k] = out[k] - coeff * factor
     return tuple(out)
@@ -1101,7 +1134,7 @@ def reference_differentials_in_basis(inst, b: Mat, c: Mat, count: int) -> List[F
         d_psi = Form.zero()
         for j, coeff in enumerate(b.row(r)):
             if coeff:
-                for (k, l), value in inst.algebra.d_images[j].terms.items():
+                for k, l, value in inst.structure[j]:
                     d_psi = d_psi + e_in_psi[k].wedge(e_in_psi[l]).scale(coeff * value)
         out.append(d_psi)
     return out
@@ -1147,11 +1180,12 @@ class FormRoute:
         b, c = _basis_change(cx.coframe.rows, m)
         e_images = [Form.from_terms({(s,): c.data[j][s] for s in range(m)})
                     for j in range(m)]
+        d_e_images = reference_algebra(inst).d_images
         d_psi = []
         for r in range(m):
             d_e = Form.zero()
             for j in range(m):
-                d_e = d_e + inst.algebra.d_images[j].scale(b.data[r][j])
+                d_e = d_e + d_e_images[j].scale(b.data[r][j])
             d_psi.append(map_gens(d_e, e_images))
         self.psi = ExteriorAlgebra(m, d_psi)
         self.j_images = []

@@ -10,7 +10,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quatcohom import load_corpus, serialize_spec
+from quatcohom import cli, load_corpus, serialize_spec
 from quatcohom.cli import main
 from quatcohom.errors import DivisionByZero, TheoremViolation
 from quatcohom.metrics import MAX_SEARCH_SIZE
@@ -130,6 +130,40 @@ def test_validate_good_and_broken(capsys, tmp_path):
     code, out, _ = run(capsys, "validate", str(path))
     assert code == 1
     assert "jacobi: FAIL" in out
+
+
+def test_reused_parser_prints_what_a_fresh_one_prints(capsys):
+    # the parser is built once per process; no option of one call, an
+    # appended --param least of all, may reach the next
+    calls = [
+        ("report", "example2", "--param", "t=1/3", "--format", "json"),
+        ("report", "example2", "--param", "t=2"),
+        ("validate", "example2"),
+        ("validate", "example2", "--param", "t=3/4", "--param", "t=3/4"),
+        ("pairing", "example1", "--p", "1"),
+        ("pairing", "example1", "--p", "2"),
+        ("pairing", "example1"),
+        ("hkt", "example2", "--param", "t=1/2"),
+        ("report", "example1", "--format", "table"),
+        ("report", "example1"),
+    ]
+
+    def outcome(argv):
+        try:
+            return run(capsys, *argv)
+        except SystemExit as exc:  # a usage error, such as a missing --p
+            captured = capsys.readouterr()
+            return exc.code, captured.out, captured.err
+
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert [code for code, _, _ in fresh] == [0, 0, 2, 2, 0, 0, 2, 0, 0, 0]
+    cli._build_parser.cache_clear()
+    assert [outcome(argv) for argv in calls] == fresh
+    assert cli._build_parser() is cli._build_parser()
+    assert cli._build_parser().parse_args(["validate", "example2"]).param == []
 
 
 def test_report_on_invalid_structure_exits_one(capsys, tmp_path):

@@ -1,7 +1,9 @@
 from hypothesis import given, settings, strategies as st
 
 from quatcohom import GaussianRational
-from quatcohom.exterior import ExteriorAlgebra, Form, merge_monomials
+from quatcohom.exterior import Form, merge_monomials
+
+from support import ExteriorAlgebra
 
 small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 coeffs = st.builds(GaussianRational, small, small)

@@ -20,14 +20,14 @@ from quatcohom.errors import (
 )
 from quatcohom.exterior import Form
 from quatcohom.model import (_antihol_defect, _basis_change, _build_coframe,
-                             _coframe_differentials, _validate_lie_algebra,
+                             _coframe_differentials, _square_of_d, _validate_lie_algebra,
                              build_coframe, instantiate, require_valid)
 from quatcohom.quaternionic import QuaternionicComplex
-from quatcohom.scalars import MAX_DIGITS
+from quatcohom.scalars import MAX_DIGITS, ONE, ZERO
 
 from support import (I4, J4, affine_complex_spec, coframe_variant, direct_sum_spec,
                      i_nonintegrable_spec, jacobi_broken_spec, nonintegrable_spec,
-                     random_gl, reference_differentials_in_basis,
+                     random_gl, reference_algebra, reference_differentials_in_basis,
                      reference_nilpotency_step, relation_broken_spec,
                      scaled_variant, solvable_spec)
 
@@ -176,6 +176,87 @@ def test_coframe_differentials_match_the_form_wedge_route(spec, bindings):
         first = next(((a, form) for a, form in enumerate(defects[:half])
                       if not form.is_zero()), None)
         assert _antihol_defect(inst, rows) == first, label
+
+
+# -- the Jacobi check on term lists against d extended to forms --
+
+
+def _assert_square_of_d_matches(inst):
+    alg = reference_algebra(inst)
+    squares = [Form.from_terms(terms) for terms in _square_of_d(inst)]
+    assert squares == [alg.d(alg.d_images[k]) for k in range(inst.dimension)]
+    report = _validate_lie_algebra(inst)
+    assert report.jacobi_ok is all(square.is_zero() for square in squares)
+    assert [msg for msg in report.messages if "Jacobi" in msg] == [
+        f"d^2 e^{k + 1} = {square}, so the Jacobi identity fails"
+        for k, square in enumerate(squares) if not square.is_zero()]
+    return squares
+
+
+@pytest.mark.parametrize("spec, bindings", [case[1:] for case in KERNEL_CASES],
+                         ids=KERNEL_IDS)
+def test_square_of_d_matches_the_exterior_algebra(spec, bindings):
+    _assert_square_of_d_matches(instantiate(spec, bindings))
+
+
+def test_square_of_d_matches_the_exterior_algebra_at_dim_28():
+    spec = direct_sum_spec(load_corpus("example3"), load_corpus("example1"),
+                           load_corpus("torus8"))
+    assert spec.dimension == 28
+    _assert_square_of_d_matches(instantiate(spec))
+
+
+@st.composite
+def sparse_structures(draw):
+    """A structure on 3 to 6 generators with a few terms, zero I and J.
+
+    Two-step ones (de^k only for k past a cut, over pairs below it)
+    satisfy the Jacobi identity; the others mostly do not.  Repeated pairs
+    and coefficients that cancel are drawn too.
+    """
+    m = draw(st.integers(3, 6))
+    two_step = draw(st.booleans())
+    cut = draw(st.integers(2, m - 1)) if two_step else m
+    rows = range(cut + 1, m + 1) if two_step else range(1, m + 1)
+    pairs = list(combinations(range(1, cut + 1), 2))
+    coeffs = st.sampled_from([1, -1, 2, -2, Fraction(1, 2), Fraction(-3, 4)])
+    terms = draw(st.lists(st.tuples(st.sampled_from(list(rows)), st.sampled_from(pairs),
+                                    coeffs), max_size=8))
+    structure = {}
+    for k, (i, j), c in terms:
+        structure.setdefault(k, []).append((i, j, c))
+    zero = [[0] * m for _ in range(m)]
+    return two_step, AlgebraSpec.create(m, structure, zero, zero)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_structures())
+def test_square_of_d_matches_the_exterior_algebra_on_random_structures(drawn):
+    two_step, spec = drawn
+    inst = instantiate(spec)
+    squares = _assert_square_of_d_matches(inst)
+    if two_step:
+        assert all(square.is_zero() for square in squares)
+    # the coefficient of e^xyz in d^2 e^k is the Jacobiator of e_x, e_y, e_z
+    m = inst.dimension
+    unit = [{a: ONE} for a in range(m)]
+    for x, y, z in combinations(range(m), 3):
+        jacobiator = {}
+        for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
+            for k, value in inst.bracket(inst.bracket(unit[a], unit[b]), unit[c]).items():
+                jacobiator[k] = jacobiator.get(k, ZERO) + value
+        for k in range(m):
+            assert squares[k].coefficient((x, y, z)) == jacobiator.get(k, ZERO)
+
+
+def test_structure_terms_are_summed_per_pair():
+    # a repeated pair adds up, a cancelled one is dropped, rows are 0-based
+    spec = AlgebraSpec.create(4, {3: [(1, 2, 1), (1, 2, 2)], 4: [(1, 3, 1), (1, 3, -1)]},
+                              I4, J4)
+    inst = instantiate(spec)
+    assert inst.structure == ((), (), ((0, 1, GaussianRational(3)),), ())
+    assert inst.ad[0] == ((2, 1, GaussianRational(3)),)
+    assert inst.ad[1] == ((2, 0, GaussianRational(-3)),)
 
 
 # -- validation flags do not depend on how a structure is presented --

@@ -65,7 +65,7 @@ def test_pairing_matrices_invertible(corpus_sessions):
         for p in range(half + 1):
             result = session.sl.pairing_matrix(p)
             assert result.invertible
-            assert result.matrix.nrows == len(result.bc_representatives)
+            assert result.matrix.nrows == len(result.bc_basis.data)
 
 
 def test_pairing_golden_degree_one(ex1):
