@@ -4,7 +4,9 @@ A document carries name, dimension, parameter list, the structure table
 (list of {k, terms}), the I and J coefficient tables, optionally K and a
 metadata object.  Everything else is a schema violation, reported with
 the JSON path to the offending field so that hand-edited files stay
-debuggable.
+debuggable.  A structure may not list one index pair twice within one
+de^k.  The tables hold mostly the same few entries, so each distinct one
+is parsed once per document.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import json
 import os
 from fractions import Fraction
 from importlib import resources
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import CoefficientParseError, DivisionByZero, SchemaError
 from .model import AlgebraSpec
@@ -68,11 +70,12 @@ def spec_from_document(doc: object) -> AlgebraSpec:
         raise SchemaError("parameters: duplicate names")
 
     structure = _read_structure(doc["structure"], dim, parameters)
-    op_i = _read_matrix(doc["I"], "I", dim, parameters)
-    op_j = _read_matrix(doc["J"], "J", dim, parameters)
+    read: Dict[Tuple[type, object], ParamExpr] = {}
+    op_i = _read_matrix(doc["I"], "I", dim, parameters, read)
+    op_j = _read_matrix(doc["J"], "J", dim, parameters, read)
     op_k = None
     if "K" in doc:
-        op_k = _read_matrix(doc["K"], "K", dim, parameters)
+        op_k = _read_matrix(doc["K"], "K", dim, parameters, read)
     description = ""
     if "metadata" in doc:
         meta = doc["metadata"]
@@ -130,18 +133,30 @@ def _read_structure(raw: object, dim: int,
     return out
 
 
-def _read_matrix(raw: object, label: str, dim: int,
-                 parameters: Sequence[str]) -> List[List[ParamExpr]]:
+def _read_matrix(raw: object, label: str, dim: int, parameters: Sequence[str],
+                 read: Dict[Tuple[type, object], ParamExpr]) -> List[List[ParamExpr]]:
+    """The table's entries, each distinct one parsed once.
+
+    `read` holds the entries parsed so far in this document, keyed on type
+    and value, so that 1 and true stay apart.  Only what parsed is kept, so
+    a bad entry raises at its first occurrence, with its own path.
+    """
     if not isinstance(raw, list) or len(raw) != dim:
         raise SchemaError(f"{label}: expected a {dim}x{dim} matrix")
     rows = []
     for r, row in enumerate(raw):
         if not isinstance(row, list) or len(row) != dim:
             raise SchemaError(f"{label}[{r}]: expected {dim} entries")
-        rows.append([
-            _read_coefficient(entry, f"{label}[{r}][{c}]", parameters)
-            for c, entry in enumerate(row)
-        ])
+        parsed = []
+        for c, entry in enumerate(row):
+            key = (type(entry), entry) if type(entry) in (int, str) else None
+            expr = read.get(key) if key else None
+            if expr is None:
+                expr = _read_coefficient(entry, f"{label}[{r}][{c}]", parameters)
+                if key:
+                    read[key] = expr
+            parsed.append(expr)
+        rows.append(parsed)
     return rows
 
 

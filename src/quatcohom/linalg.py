@@ -33,6 +33,12 @@ The callers take every space as the kernel or image of a named operator:
 there is no intersection here, and a dimension of an intersection or a
 quotient is read off ranks.
 
+A signed permutation matrix, one entry +1 or -1 in each row and each
+column, is a `SignedPermutation`: two tuples of ints, no scalars.  It
+composes, inverts (its inverse is its transpose) and multiplies a `Mat`
+from either side by moving and negating rows or entries, with no
+arithmetic; `mat()` gives its `Mat` form for the callers that need one.
+
 Gaussian rationals are read as integers through `GaussianRational.numerator`
 (the Gaussian integer a + b*i) and `denominator` (the positive d of
 (a + b*i)/d), and built through `GaussianRational.from_integers`, which
@@ -40,10 +46,12 @@ brings them to lowest terms.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from math import gcd, lcm, prod
-from typing import (Dict, Iterable, List, Mapping, NamedTuple, Sequence, Set,
-                    Tuple)
+from typing import (Dict, Iterable, List, Mapping, NamedTuple, Optional,
+                    Sequence, Set, Tuple)
 
 from .errors import NotASubspace
 from .scalars import ZERO, GaussianRational, ScalarLike
@@ -434,6 +442,107 @@ def _new_mat(nrows: int, ncols: int, rows: Tuple[_SparseRow, ...]) -> Mat:
 
 
 # ---------------------------------------------------------------------------
+# Signed permutations.  Negating the entries of a canonical row leaves it
+# canonical, so relabelling builds its rows without a gcd.
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SignedPermutation:
+    """The n x n matrix whose column j is signs[j] times unit vector targets[j].
+
+    `targets` is a permutation of 0..n-1 and each sign is 1 or -1.  The
+    operations move and negate entries and compute nothing else.
+    """
+
+    targets: Tuple[int, ...]
+    signs: Tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        n = len(self.targets)
+        if len(self.signs) != n or sorted(self.targets) != list(range(n)):
+            raise ValueError("targets must be a permutation of 0..n-1, with one sign each")
+        if any(s != 1 and s != -1 for s in self.signs):
+            raise ValueError("signs must be 1 or -1")
+
+    @classmethod
+    def identity(cls, n: int) -> "SignedPermutation":
+        return cls(tuple(range(n)), (1,) * n)
+
+    @property
+    def size(self) -> int:
+        return len(self.targets)
+
+    def __neg__(self) -> "SignedPermutation":
+        return SignedPermutation(self.targets, tuple(-s for s in self.signs))
+
+    def _check(self, size: int, what: str) -> None:
+        if size != self.size:
+            raise ValueError(
+                f"shape mismatch: {what} of size {size} against a signed "
+                f"permutation of size {self.size}")
+
+    def compose(self, other: "SignedPermutation") -> "SignedPermutation":
+        """The product self @ other, which applies other first."""
+        self._check(other.size, "a signed permutation")
+        targets, signs = self.targets, self.signs
+        return SignedPermutation(
+            tuple(targets[t] for t in other.targets),
+            tuple(signs[t] * s for t, s in zip(other.targets, other.signs)))
+
+    def inverse(self) -> "SignedPermutation":
+        """The inverse, which is the transpose; built once."""
+        return self._inverse
+
+    @cached_property
+    def _inverse(self) -> "SignedPermutation":
+        targets = [0] * self.size
+        signs = [1] * self.size
+        for j, (t, s) in enumerate(zip(self.targets, self.signs)):
+            targets[t] = j
+            signs[t] = s
+        return SignedPermutation(tuple(targets), tuple(signs))
+
+    def first_difference(self, other: "SignedPermutation") -> Optional[int]:
+        """The first column in which the two differ, or None if they are equal."""
+        self._check(other.size, "a signed permutation")
+        pairs = zip(self.targets, self.signs, other.targets, other.signs)
+        return next((j for j, (t, s, u, v) in enumerate(pairs) if t != u or s != v), None)
+
+    def mat(self) -> Mat:
+        return self.relabel_rows(Mat.identity(self.size))
+
+    def relabel_rows(self, matrix: Mat) -> Mat:
+        """The product self @ matrix: row i of the matrix, times signs[i],
+        becomes row targets[i]."""
+        self._check(matrix.nrows, "a matrix with rows")
+        rows: List[_SparseRow] = [_ZERO_ROW] * self.size
+        for (d, entries), t, s in zip(matrix._rows, self.targets, self.signs):
+            rows[t] = (d, entries) if s > 0 else (d, {
+                j: (-x, -y) for j, (x, y) in entries.items()})
+        return _new_mat(self.size, matrix.ncols, tuple(rows))
+
+    def relabel_columns(self, matrix: Mat) -> Mat:
+        """The product matrix @ self: column targets[j] of the matrix, times
+        signs[j], becomes column j."""
+        self._check(matrix.ncols, "a matrix with columns")
+        back = self.inverse()
+        where, signs = back.targets, back.signs
+        return _new_mat(matrix.nrows, self.size, tuple(
+            (d, {where[k]: (x, y) if signs[k] > 0 else (-x, -y)
+                 for k, (x, y) in entries.items()})
+            for d, entries in matrix._rows))
+
+    def apply(self, vector: Sequence[ScalarLike]) -> Tuple[GaussianRational, ...]:
+        self._check(len(vector), "a vector")
+        out = [ZERO] * self.size
+        for x, t, s in zip(vector, self.targets, self.signs):
+            x = _coerce_entry(x)
+            out[t] = x if s > 0 else -x
+        return tuple(out)
+
+
+# ---------------------------------------------------------------------------
 # Elimination.  Every routine below that reduces a matrix goes through
 # `_eliminate`, which works on the integer rows of the matrix, copied into
 # dicts of its own.
@@ -778,8 +887,8 @@ def complement_basis(big: Mat, small: Mat) -> Mat:
 
 def realify_vector(vector: Sequence[ScalarLike]) -> Tuple[GaussianRational, ...]:
     vec = [_coerce_entry(x) for x in vector]
-    res = [GaussianRational(x.re) for x in vec]
-    ims = [GaussianRational(x.im) for x in vec]
+    res = [_from_integers(x.numerator[0], 0, x.denominator) for x in vec]
+    ims = [_from_integers(x.numerator[1], 0, x.denominator) for x in vec]
     return tuple(res + ims)
 
 
@@ -790,9 +899,13 @@ def complexify_vector(vector: Sequence[ScalarLike]) -> Tuple[GaussianRational, .
     half = len(vec) // 2
     out = []
     for re_part, im_part in zip(vec[:half], vec[half:]):
-        if re_part.im or im_part.im:
+        (a, b), d = re_part.numerator, re_part.denominator
+        (c, e), f = im_part.numerator, im_part.denominator
+        if b or e:
             raise ValueError("realified vectors must have real entries")
-        out.append(GaussianRational(re_part.re, im_part.re))
+        # over the lcm of the two denominators a/d + (c/f) i is in lowest terms
+        den = d if d == f else lcm(d, f)
+        out.append(_from_integers(a * (den // d), c * (den // f), den))
     return tuple(out)
 
 

@@ -69,8 +69,9 @@ def gram_matrix(cx: QuaternionicComplex, omega: Coords) -> Mat:
         entries[u, v] = c
         entries[v, u] = -c
     a_mat = Mat.from_entries(half, half, entries)
-    n_mat = cx.operator_matrix("J", 1)
-    return (a_mat @ n_mat.transpose()).scale(Fraction(-1, 2))
+    # N is a signed permutation, so A N^T relabels the columns of A
+    n_transpose = cx.index_map("J", 1, 0).inverse()
+    return n_transpose.relabel_columns(a_mat).scale(Fraction(-1, 2))
 
 
 @dataclass(frozen=True)

@@ -74,7 +74,12 @@ def _as_expr(value: CoeffLike, parameters: Sequence[str]) -> ParamExpr:
 
 @dataclass(frozen=True)
 class AlgebraSpec:
-    """Immutable description of an algebra plus its I and J tables."""
+    """Immutable description of an algebra plus its I and J tables.
+
+    `create` merges the terms of a pair listed twice in one de^k into one
+    term, their sum, where the pair first occurs, so a spec serializes to
+    a file that loads: the file format lists each pair once.
+    """
 
     dimension: int
     structure: Tuple[Tuple[int, Tuple[StructureTerm, ...]], ...]
@@ -108,10 +113,12 @@ class AlgebraSpec:
 
         packed = []
         for k in sorted(structure):
-            terms = tuple(
-                (i, j, _as_expr(c, params)) for i, j, c in structure[k]
-            )
-            packed.append((k, terms))
+            # a repeated pair is one term, the sum, where it first occurs
+            merged: Dict[Tuple[int, int], ParamExpr] = {}
+            for i, j, c in structure[k]:
+                expr = _as_expr(c, params)
+                merged[i, j] = merged[i, j] + expr if (i, j) in merged else expr
+            packed.append((k, tuple((i, j, c) for (i, j), c in merged.items())))
         return cls(
             dimension=dimension,
             structure=tuple(packed),
@@ -213,10 +220,20 @@ def instantiate(spec: AlgebraSpec,
     """Evaluate all coefficients at the given parameter values.
 
     Structure constants and endomorphism entries describe real objects, so
-    any imaginary part surviving evaluation is rejected.
+    any imaginary part surviving evaluation is rejected.  Each distinct
+    coefficient is evaluated once; only values are kept, so the first
+    failing coefficient raises, with its own position.
     """
     bindings = dict(bindings or {})
     m = spec.dimension
+    values: Dict[ParamExpr, GaussianRational] = {}
+
+    def evaluate(expr: ParamExpr, where: Callable[[], str]) -> GaussianRational:
+        value = values.get(expr)
+        if value is None:
+            value = values[expr] = _eval_real(expr, bindings, where)
+        return value
+
     structure: List[Tuple[Term, ...]] = [() for _ in range(m)]
     for k, terms in spec.structure:
         if not 1 <= k <= m:
@@ -227,7 +244,7 @@ def instantiate(spec: AlgebraSpec,
                 raise IndexError(
                     f"structure term ({i},{j}) in de^{k} must satisfy 1 <= i < j <= {m}"
                 )
-            value = _eval_real(coeff, bindings, lambda: f"coefficient of e^{i}^e^{j} in de^{k}")
+            value = evaluate(coeff, lambda: f"coefficient of e^{i}^e^{j} in de^{k}")
             value = total.get((i - 1, j - 1), ZERO) + value
             if value.is_zero():
                 total.pop((i - 1, j - 1), None)
@@ -236,14 +253,13 @@ def instantiate(spec: AlgebraSpec,
         structure[k - 1] = tuple((i, j, c) for (i, j), c in total.items())
 
     def table(rows: Tuple[Tuple[ParamExpr, ...], ...], label: str) -> Mat:
-        return Mat.from_rows(
-            [
-                [_eval_real(entry, bindings, lambda: f"{label}[{r + 1}][{c + 1}]")
-                 for c, entry in enumerate(row)]
-                for r, row in enumerate(rows)
-            ],
-            ncols=m,
-        )
+        entries = {}
+        for r, row in enumerate(rows):
+            for c, entry in enumerate(row):
+                value = evaluate(entry, lambda: f"{label}[{r + 1}][{c + 1}]")
+                if value:
+                    entries[r, c] = value
+        return Mat.from_entries(m, m, entries)
 
     return InstantiatedAlgebra(
         dimension=m,

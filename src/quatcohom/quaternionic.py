@@ -14,16 +14,21 @@ are derivations: on a monomial m = phi^{g_0} ^ phi^{g_1} ^ ..., the
 Leibniz rule gives d(m) = sum_k (-1)^k d phi^{g_k} ^ (m without g_k), and
 del keeps the terms of each d phi^g that raise p, del_bar those that raise
 q.  J and conjugation are algebra maps sending each generator to plus or
-minus one generator: signed permutations.  del_J = J^{-1} del_bar J, which
-is (-1)^{p+1} J del_bar J on (p,0)-forms, and Jbar = J∘conj.  Inside the
-engine a form is its coordinate tuple on these bases, read through the
-matrices; `from_coords` and `render_form` turn it into a `Form` to print.
+minus one generator, so on the monomial bases they are signed
+permutations, built from integer index work and held as
+`SignedPermutation`s (`index_map`), as is Jbar = J∘conj, their
+composition.  del_J = J^{-1} del_bar J, which is (-1)^{p+1} J del_bar J on
+(p,0)-forms, is del_bar out of (0,p) with its rows and columns relabelled
+through J: no product is formed.  Inside the engine a form is its
+coordinate tuple on these bases, read through the matrices; `from_coords`
+and `render_form` turn it into a `Form` to print.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, starmap
+from operator import gt
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
@@ -34,8 +39,8 @@ from .errors import (
     ValidationFailure,
 )
 from .exterior import Form, Mono, merge_monomials
-from .linalg import (Mat, kernel_basis, realify_antilinear, realify_linear,
-                     row_basis)
+from .linalg import (Mat, SignedPermutation, kernel_basis, realify_antilinear,
+                     realify_linear, row_basis)
 from .model import (
     AlgebraSpec,
     InstantiatedAlgebra,
@@ -50,6 +55,7 @@ from .model import (
 from .scalars import ONE, ZERO, GaussianRational, RationalLike
 
 _MATRIX_NAMES = ("del", "del_bar", "del_J", "Jbar", "ddJ", "J", "conj")
+_INDEX_MAP_NAMES = ("J", "conj", "Jbar")
 
 
 class QuaternionicComplex:
@@ -96,6 +102,7 @@ class QuaternionicComplex:
 
         self._indices: Dict[Tuple[int, int], Dict[Mono, int]] = {}
         self._matrices: Dict[Tuple[str, int, int], Mat] = {}
+        self._index_maps: Dict[Tuple[str, int, int], SignedPermutation] = {}
         self._jbar_loci: Dict[int, Mat] = {}
 
         # the top form phi^1 ^ ... ^ phi^2n must be holomorphic and Jbar-real
@@ -105,7 +112,7 @@ class QuaternionicComplex:
                 "the coframe top form is not holomorphic: its differential has "
                 f"the (2n,1) component {self.render_form(self.from_coords(d_top, half, 1))}"
             )
-        if self.jbar_matrix(half) != Mat.identity(1):
+        if self.index_map("Jbar", half, 0) != SignedPermutation.identity(1):
             raise NotReal("the coframe top form is not Jbar-real")
 
     # -- construction ------------------------------------------------------
@@ -175,19 +182,42 @@ class QuaternionicComplex:
                     entries[key] = entries.get(key, ZERO) + value
         return Mat.from_entries(len(index), len(src), entries)
 
-    def _algebra_map(self, gens: List[Tuple[int, int]], p: int, q: int) -> Mat:
+    def _algebra_map(self, gens: List[Tuple[int, int]], p: int, q: int) -> SignedPermutation:
         """The algebra map sending phi^g to sign * phi^target, for
         gens[g] = (target, sign), out of the (p,q) basis into (q,p)."""
-        src = self.bidegree_basis(p, q)
         index = self._index(q, p)
-        entries = {}
-        for col, mono in enumerate(src):
-            targets = [gens[g][0] for g in mono]
-            # the signs of the images, and of the permutation sorting them
-            sign = sum(a > b for a, b in combinations(targets, 2))
-            sign += sum(gens[g][1] < 0 for g in mono)
-            entries[index[tuple(sorted(targets))], col] = -ONE if sign % 2 else ONE
-        return Mat.from_entries(len(index), len(src), entries)
+        image = [target for target, _ in gens]
+        negative = [sign < 0 for _, sign in gens]
+        targets, signs = [], []
+        for mono in self.bidegree_basis(p, q):
+            images = [image[g] for g in mono]
+            # the signs of the images, and the inversions of their order
+            sign = sum(map(negative.__getitem__, mono))
+            sign += sum(starmap(gt, combinations(images, 2)))
+            targets.append(index[tuple(sorted(images))])
+            signs.append(-1 if sign % 2 else 1)
+        return SignedPermutation(tuple(targets), tuple(signs))
+
+    def index_map(self, which: str, p: int, q: int) -> SignedPermutation:
+        """J, conj or Jbar out of the (p,q) monomial basis, built once.
+
+        J and conj land in (q,p), Jbar in (p,q).  Jbar, which is
+        antilinear, is the map applied to the conjugated coordinates; a
+        signed permutation is real, so it is its own conjugate.
+        """
+        key = (which, p, q)
+        if key not in self._index_maps:
+            if which == "J":
+                perm = self._algebra_map(self._j_gens, p, q)
+            elif which == "conj":
+                perm = self._algebra_map(self._conj_gens, p, q)
+            elif which == "Jbar":
+                perm = self.index_map("J", q, p).compose(self.index_map("conj", p, q))
+            else:
+                raise ValueError(f"{which!r} is not a signed permutation; "
+                                 f"choose from {_INDEX_MAP_NAMES}")
+            self._index_maps[key] = perm
+        return self._index_maps[key]
 
     def operator_matrix(self, which: str, p: int, q: int = 0) -> Mat:
         """Exact matrix of an operator out of the (p,q) monomial basis, built once.
@@ -195,7 +225,8 @@ class QuaternionicComplex:
         del lands in (p+1,q), del_bar in (p,q+1), J and conj in (q,p) and
         Jbar in (p,q); del_J and ddJ act on (p,0) only, landing in (p+1,0)
         and (p+2,0).  Antilinear operators (conj, Jbar) are stored as the
-        matrix applied to the conjugated coordinate vector.
+        matrix applied to the conjugated coordinate vector.  J, conj and
+        Jbar are the `Mat` forms of `index_map`, for callers that need one.
         """
         key = (which, p, q)
         if key in self._matrices:
@@ -208,17 +239,14 @@ class QuaternionicComplex:
             mat = self._derivation(self._raise_p, p, q, (p + 1, q))
         elif which == "del_bar":
             mat = self._derivation(self._raise_q, p, q, (p, q + 1))
-        elif which == "J":
-            mat = self._algebra_map(self._j_gens, p, q)
-        elif which == "conj":
-            mat = self._algebra_map(self._conj_gens, p, q)
-        elif which == "Jbar":
-            mat = self.operator_matrix("J", q, p) @ self.operator_matrix("conj", p, q)
+        elif which in _INDEX_MAP_NAMES:
+            mat = self.index_map(which, p, q).mat()
         elif which == "del_J":
-            mat = (self.operator_matrix("J", 0, p + 1) @ self.operator_matrix("del_bar", 0, p)
-                   @ self.operator_matrix("J", p))
-            if p % 2 == 0:
-                mat = -mat
+            # (-1)^{p+1} J del_bar J, relabelling del_bar's columns through
+            # J out of (p,0) and its rows through J out of (0,p+1)
+            j_out = self.index_map("J", 0, p + 1)
+            mat = (j_out if p % 2 else -j_out).relabel_rows(
+                self.index_map("J", p, 0).relabel_columns(self.operator_matrix("del_bar", 0, p)))
         else:  # ddJ
             mat = self.operator_matrix("del", p + 1) @ self.operator_matrix("del_J", p)
         self._matrices[key] = mat

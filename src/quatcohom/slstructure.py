@@ -6,10 +6,12 @@ Integration is normalized so that the volume form against its conjugate
 gives one, so the integral of a (2n,0)-form against the conjugate volume
 form is its one coordinate.  Forms are coordinate tuples on the monomial
 bases of `QuaternionicComplex`, and every wedge product this layer needs
-into the top degree is the bilinear wedge matrix.  The star operator is
-not implemented by a sign rule: it is solved degree by degree from its
-defining wedge relation, and the sign rule then serves as an independent
-cross-check in the test suite.
+into the top degree is the bilinear wedge matrix.  That matrix is a signed
+permutation, built from integer index work as a `SignedPermutation`.  The
+star operator is not implemented by a sign rule: it is solved degree by
+degree from its defining wedge relation, as the inverse of the wedge
+matrix, and the sign rule then serves as an independent cross-check in
+the test suite.  Products with either relabel rows or columns.
 
 All dimensions reported by the decompositions are exact.  Every space
 read is the kernel or image of one operator, as in the matrix complex,
@@ -36,9 +38,9 @@ from .errors import (
     RepresentativeDependence,
     TheoremViolation,
 )
-from .exterior import merge_monomials
 from .linalg import (
     Mat,
+    SignedPermutation,
     complement_basis,
     complexify_vector,
     kernel_basis,
@@ -101,14 +103,14 @@ class SLStructure:
     def __init__(self, cx: QuaternionicComplex, mc: MatrixComplex):
         self.cx = cx
         self.mc = mc
-        self._wedges: Dict[int, Mat] = {}
-        self._stars: Dict[int, Mat] = {}
+        self._wedges: Dict[int, SignedPermutation] = {}
+        self._stars: Dict[int, SignedPermutation] = {}
         self._sd_asd: Optional[Tuple[int, int, bool]] = None
         self._jbar: Optional[DecompositionReport] = None
 
     # -- the Hodge star ------------------------------------------------------
 
-    def wedge_matrix(self, p: int) -> Mat:
+    def wedge_matrix(self, p: int) -> SignedPermutation:
         """W[i][k], the volume coefficient of m_i ^ m'_k.
 
         m_i and m'_k run over the degree p and 2n-p monomial bases.  A
@@ -116,24 +118,30 @@ class SLStructure:
         when m'_k is the complement of m_i; every other product repeats a
         generator and vanishes.  So each row has one nonzero entry, the
         coefficient of m_i wedged with its complement, the sign of the
-        permutation that sorts the two.
+        permutation that sorts the two: W is the signed permutation sending
+        column k to that sign times row i.
         """
         if p in self._wedges:
             return self._wedges[p]
         if p < 0 or p > self.cx.half:
             raise ValueError(f"no (p,0) forms at p={p}")
-        top = tuple(range(self.cx.half))
+        top = set(range(self.cx.half))
         src = self.cx.hol_basis(p)
         tgt = {mono: k for k, mono in enumerate(self.cx.hol_basis(self.cx.half - p))}
-        entries = {}
+        targets = [0] * len(src)
+        signs = [1] * len(src)
+        # sorting m_i ^ complement moves the k-th generator g of m_i past
+        # the g - k complement generators below it
+        shift = p * (p - 1) // 2
         for i, mono in enumerate(src):
-            other = tuple(x for x in top if x not in mono)
-            entries[i, tgt[other]] = merge_monomials(mono, other)[0]
-        wedge = Mat.from_entries(len(src), len(tgt), entries)
+            k = tgt[tuple(sorted(top.difference(mono)))]
+            targets[k] = i
+            signs[k] = -1 if (sum(mono) - shift) % 2 else 1
+        wedge = SignedPermutation(tuple(targets), tuple(signs))
         self._wedges[p] = wedge
         return wedge
 
-    def star_matrix(self, p: int) -> Mat:
+    def star_matrix(self, p: int) -> SignedPermutation:
         """Matrix of the star on (p,0), solved from the wedge relation.
 
         The star matrix is W^{-1} for the wedge matrix W of `wedge_matrix`,
@@ -141,7 +149,7 @@ class SLStructure:
         W is a signed permutation, so W^{-1} is its transpose.
         """
         if p not in self._stars:
-            self._stars[p] = self.wedge_matrix(p).transpose()
+            self._stars[p] = self.wedge_matrix(p).inverse()
         return self._stars[p]
 
     # -- duality pairing -----------------------------------------------------
@@ -180,14 +188,15 @@ class SLStructure:
             )
         wedge = self.wedge_matrix(p)
         ae_columns = ae.transpose()
-        matrix = bc @ wedge @ ae_columns
-        if not (self.mc.image("ddj", p - 2) @ wedge @ ae_columns).is_zero():
+        bc_wedge = wedge.relabel_columns(bc)
+        matrix = bc_wedge @ ae_columns
+        if not (wedge.relabel_columns(self.mc.image("ddj", p - 2)) @ ae_columns).is_zero():
             raise RepresentativeDependence(
                 f"pairing at degree {p} moves under shifts of the "
                 "representatives by exact forms"
             )
         ae_degenerate = self.mc.image("side", q - 1)
-        if not (bc @ wedge @ ae_degenerate.transpose()).is_zero():
+        if not (bc_wedge @ ae_degenerate.transpose()).is_zero():
             raise RepresentativeDependence(
                 f"pairing at degree {p} moves under shifts of the dual "
                 "representatives by degenerate forms"
@@ -215,7 +224,7 @@ class SLStructure:
                 f"the middle self-dual decomposition needs quaternionic "
                 f"dimension 2, got {self.cx.n}"
             )
-        star = self.star_matrix(2)
+        star = self.star_matrix(2).mat()
         identity = Mat.identity(star.ncols)
         d = self.mc.delta(2)
         # the closed (anti-)self-dual forms, and the exact ones

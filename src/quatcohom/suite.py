@@ -18,11 +18,12 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, List, Tuple
+from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Tuple
 
 from .cohomology import ddj_lemma_holds
 from .errors import EngineError
-from .linalg import Mat, complexify_vector, kernel_basis, rank, rref
+from .linalg import (Mat, SignedPermutation, complexify_vector, kernel_basis,
+                     rank, rref)
 from .metrics import classify_metric, standard_omega
 from .scalars import ONE, ZERO, GaussianRational, parse_rational
 
@@ -118,24 +119,30 @@ def run_property_suite(session: "ReportSession") -> List[CheckResult]:
              "(I J)^2 = -Id and I anticommutes with I J",
              quaternion_relations))
 
-    def first_failure(diffs: Iterable[Mat]) -> Outcome:
-        """Fail on the first basis monomial of the first p where diffs[p]
-        is not zero: its first nonzero column.  Jbar, being antilinear,
-        acts on the conjugated coordinates."""
-        for p, diff in enumerate(diffs):
-            if diff.is_zero():
-                continue
-            columns = diff.transpose()
-            for col, mono in enumerate(cx.hol_basis(p)):
-                if not columns.block([col], range(columns.ncols)).is_zero():
-                    return "fail", f"failed on {cx.render_mono(mono)}"
+    def first_failure(failing: Iterable[Optional[int]]) -> Outcome:
+        """Fail on the basis monomial of the first p with a failing
+        column, failing[p], which is None where no column fails."""
+        for p, col in enumerate(failing):
+            if col is not None:
+                return "fail", f"failed on {cx.render_mono(cx.hol_basis(p)[col])}"
         return "pass", ""
 
+    def first_nonzero_column(diff: Mat) -> Optional[int]:
+        if diff.is_zero():
+            return None
+        columns = diff.transpose()
+        return next(col for col in range(columns.nrows)
+                    if not columns.block([col], range(columns.ncols)).is_zero())
+
+    def signed_identity(p: int) -> SignedPermutation:
+        identity = SignedPermutation.identity(len(cx.hol_basis(p)))
+        return identity if p % 2 == 0 else -identity
+
     def jbar_involution() -> Outcome:
-        # twice Jbar is M_p conj(M_p)
+        # twice Jbar is M_p conj(M_p), and M_p, a signed permutation, is real
         return first_failure(
-            cx.jbar_matrix(p) @ cx.jbar_matrix(p).conj()
-            - Mat.identity(len(cx.hol_basis(p))).scale((-1) ** p) for p in degrees)
+            cx.index_map("Jbar", p, 0).compose(cx.index_map("Jbar", p, 0))
+            .first_difference(signed_identity(p)) for p in degrees)
 
     add(_run("jbar-involution",
              "Jbar^2 = (-1)^p on every (p,0) basis form",
@@ -170,9 +177,10 @@ def run_property_suite(session: "ReportSession") -> List[CheckResult]:
 
     def jbar_intertwine() -> Outcome:
         # del_J Jbar is DJ_p M_p, and Jbar del is M_{p+1} conj(D_p)
-        return first_failure(
-            cx.partial_j_matrix(p) @ cx.jbar_matrix(p)
-            + cx.jbar_matrix(p + 1) @ cx.partial_matrix(p).conj() for p in degrees)
+        return first_failure(first_nonzero_column(
+            cx.index_map("Jbar", p, 0).relabel_columns(cx.partial_j_matrix(p))
+            + cx.index_map("Jbar", p + 1, 0).relabel_rows(cx.partial_matrix(p).conj()))
+            for p in degrees)
 
     add(_run("jbar-intertwine",
              "del_J(Jbar f) = -Jbar(del f) on every basis form",
@@ -317,9 +325,7 @@ def run_property_suite(session: "ReportSession") -> List[CheckResult]:
 
     def star_involution() -> Outcome:
         for p in degrees:
-            sign = 1 if p % 2 == 0 else -1
-            twice = sl.star_matrix(half - p) @ sl.star_matrix(p)
-            if not (twice - Mat.identity(twice.ncols).scale(sign)).is_zero():
+            if sl.star_matrix(half - p).compose(sl.star_matrix(p)) != signed_identity(p):
                 return "fail", f"degree {p}"
         return "pass", ""
 
@@ -330,9 +336,8 @@ def run_property_suite(session: "ReportSession") -> List[CheckResult]:
         # star is complex-linear, so Stokes makes this adjoint the transpose
         for p in range(half):
             lhs = mc.delta(p).transpose()
-            rhs = -(sl.star_matrix(half - p)
-                    @ mc.delta(half - p - 1)
-                    @ sl.star_matrix(p + 1))
+            rhs = (-sl.star_matrix(half - p)).relabel_rows(
+                sl.star_matrix(p + 1).relabel_columns(mc.delta(half - p - 1)))
             if not (lhs - rhs).is_zero():
                 return "fail", f"degree {p}"
         return "pass", ""
@@ -348,8 +353,8 @@ def run_property_suite(session: "ReportSession") -> List[CheckResult]:
 
     def star_laplacian() -> Outcome:
         for p in degrees:
-            lhs = sl.star_matrix(p) @ laplacian(p)
-            rhs = laplacian(half - p) @ sl.star_matrix(p)
+            lhs = sl.star_matrix(p).relabel_rows(laplacian(p))
+            rhs = sl.star_matrix(p).relabel_columns(laplacian(half - p))
             if not (lhs - rhs).is_zero():
                 return "fail", f"degree {p}"
         return "pass", ""

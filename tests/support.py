@@ -1000,7 +1000,7 @@ def _realified_complex_subspace(space: Mat) -> Mat:
 
 
 def reference_sd_asd(sl: SLStructure) -> Tuple[int, int, bool]:
-    star = sl.star_matrix(2)
+    star = sl.star_matrix(2).mat()
     identity = Mat.identity(star.ncols)
     ker, im = ker_del(sl.mc, 2), im_del(sl.mc, 2)
     big_plus = space_sum(intersect(kernel_space(star - identity), ker), im)
@@ -1257,6 +1257,21 @@ class FormRoute:
             for image, coeff in op(Form.monomial(mono)).terms.items():
                 entries[tgt[image], col] = coeff
         return Mat.from_entries(len(tgt), len(src), entries)
+
+
+def form_wedge_matrix(cx, p: int) -> Mat:
+    """`SLStructure.wedge_matrix(p)` as a general matrix: W[i][k] is the
+    top-monomial coefficient of m_i ^ m'_k, wedged as forms.  Every product
+    with a monomial that repeats a generator of m_i is zero, which leaves
+    the one with its complement."""
+    top = tuple(range(cx.half))
+    tgt = {mono: k for k, mono in enumerate(cx.hol_basis(cx.half - p))}
+    entries = {}
+    for i, mono in enumerate(cx.hol_basis(p)):
+        other = tuple(g for g in top if g not in mono)
+        product = Form.monomial(mono).wedge(Form.monomial(other))
+        entries[i, tgt[other]] = product.coefficient(top)
+    return Mat.from_entries(len(cx.hol_basis(p)), len(tgt), entries)
 
 
 def form_degree_map(route: FormRoute, omega: Sequence, alpha: Sequence) -> GaussianRational:

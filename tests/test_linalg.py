@@ -8,6 +8,7 @@ from quatcohom import GaussianRational
 from quatcohom.errors import InternalInconsistency, NotASubspace
 from quatcohom.linalg import (
     Mat,
+    SignedPermutation,
     _eliminate,
     complement_basis,
     complexify_vector,
@@ -47,6 +48,7 @@ from support import (
 
 small = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 entries = st.builds(GaussianRational, small, small)
+fractions_wide = st.fractions(min_value=-50, max_value=50, max_denominator=60)
 
 
 def mat_strategy(max_side=4):
@@ -145,6 +147,62 @@ def test_quotient_and_complement():
     assert space_sum(small_space, reps) == big
     with pytest.raises(NotASubspace):
         quotient_dim(span([[1, 0, 0, 0]], amb), big)
+
+
+def signed_permutations(n):
+    return st.tuples(st.permutations(range(n)),
+                     st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n)
+                     ).map(lambda t: SignedPermutation(tuple(t[0]), tuple(t[1])))
+
+
+permutation_cases = st.integers(0, 5).flatmap(lambda n: st.tuples(
+    signed_permutations(n), signed_permutations(n),
+    st.integers(1, 3).flatmap(lambda c: st.lists(
+        st.lists(entries, min_size=c, max_size=c), min_size=n, max_size=n,
+    ).map(lambda rows: Mat.from_rows(rows, ncols=c)))))
+
+
+@settings(max_examples=80)
+@given(permutation_cases)
+def test_signed_permutation_acts_as_its_matrix(case):
+    p, q, m = case
+    n, pm = p.size, p.mat()
+    assert p.compose(q).mat() == pm @ q.mat()
+    assert p.inverse().mat() == pm.transpose()
+    assert p.compose(p.inverse()) == p.inverse().compose(p) == SignedPermutation.identity(n)
+    assert (-p).mat() == -pm
+    assert p.relabel_rows(m) == pm @ m
+    assert p.relabel_columns(m.transpose()) == m.transpose() @ pm
+    assert p.apply(m.col(0)) == pm.apply(m.col(0))
+    differing = [j for j in range(n) if pm.col(j) != q.mat().col(j)]
+    assert p.first_difference(q) == (differing[0] if differing else None)
+
+
+def test_signed_permutation_refuses_what_is_not_one():
+    for targets, signs in (((0, 0), (1, 1)), ((1,), (1,)), ((0, 1), (1, 2)), ((0, 1), (1,))):
+        with pytest.raises(ValueError):
+            SignedPermutation(targets, signs)
+    p = SignedPermutation((1, 0), (1, -1))
+    for act in (lambda: p.compose(SignedPermutation.identity(3)),
+                lambda: p.relabel_rows(Mat.identity(3)),
+                lambda: p.relabel_columns(Mat.zeros(2, 3)),
+                lambda: p.apply([1, 2, 3])):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            act()
+
+
+@settings(max_examples=60)
+@given(st.lists(st.builds(GaussianRational, fractions_wide, fractions_wide), max_size=6))
+def test_realify_and_complexify_read_the_parts(vec):
+    real = realify_vector(vec)
+    assert real == tuple(GaussianRational(x.re) for x in vec) + tuple(
+        GaussianRational(x.im) for x in vec)
+    assert complexify_vector(real) == tuple(vec)
+    with pytest.raises(ValueError, match="realified vectors have even length"):
+        complexify_vector(real + (1,))
+    if vec:
+        with pytest.raises(ValueError, match="realified vectors must have real entries"):
+            complexify_vector((GaussianRational(0, 1),) + real[1:])
 
 
 def test_realify_round_trip_and_antilinear_sign():

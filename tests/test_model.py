@@ -23,7 +23,8 @@ from quatcohom.model import (_antihol_defect, _basis_change, _build_coframe,
                              _coframe_differentials, _square_of_d, _validate_lie_algebra,
                              build_coframe, instantiate, require_valid)
 from quatcohom.quaternionic import QuaternionicComplex
-from quatcohom.scalars import MAX_DIGITS, ONE, ZERO
+from quatcohom.linalg import Mat
+from quatcohom.scalars import MAX_DIGITS, ONE, ZERO, ParamExpr
 
 from support import (I4, J4, affine_complex_spec, coframe_variant, direct_sum_spec,
                      i_nonintegrable_spec, jacobi_broken_spec, nonintegrable_spec,
@@ -257,6 +258,29 @@ def test_structure_terms_are_summed_per_pair():
     assert inst.structure == ((), (), ((0, 1, GaussianRational(3)),), ())
     assert inst.ad[0] == ((2, 1, GaussianRational(3)),)
     assert inst.ad[1] == ((2, 0, GaussianRational(-3)),)
+
+
+def test_each_distinct_table_entry_is_evaluated_once_and_fails_first_in_place():
+    # the same non-real entry twice in I, and once in J: the error names
+    # the first, as an entry-by-entry evaluation would
+    calls = []
+    original = ParamExpr.evaluate
+
+    def counting(expr, bindings):
+        calls.append(expr)
+        return original(expr, bindings)
+
+    rows = [list(row) for row in I4]
+    rows[0][2] = rows[3][1] = "i"
+    spec = AlgebraSpec.create(4, {}, rows, [["i"] * 4] * 4)
+    with pytest.raises(SchemaError, match=r"^I\[1\]\[3\] must be real, got i$"):
+        instantiate(spec)
+    spec = AlgebraSpec.create(4, {4: [(1, 2, 1), (1, 3, 1)]}, I4, J4)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ParamExpr, "evaluate", counting)
+        inst = instantiate(spec)
+    assert len(calls) == len(set(calls)) == 3  # 0, 1 and -1
+    assert (inst.mat_i, inst.mat_j) == (Mat.from_rows(I4), Mat.from_rows(J4))
 
 
 # -- validation flags do not depend on how a structure is presented --

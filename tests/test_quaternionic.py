@@ -5,7 +5,7 @@ import pytest
 
 from quatcohom import GaussianRational, QuaternionicComplex, ReportSession, load_corpus
 from quatcohom.errors import IntegrabilityViolation, ValidationFailure
-from quatcohom.linalg import Mat
+from quatcohom.linalg import Mat, SignedPermutation, inverse
 from quatcohom.model import _build_coframe, instantiate
 from quatcohom.suite import run_property_suite
 
@@ -13,6 +13,7 @@ from support import (
     FormRoute,
     coframe_variant,
     direct_sum_spec,
+    form_wedge_matrix,
     i_nonintegrable_spec,
     nonintegrable_spec,
     random_gl,
@@ -47,6 +48,34 @@ def test_operator_matrices_match_the_form_route(spec, bindings):
             assert cx.operator_matrix(which, p) == ref.operator_matrix(which, p), (which, p)
 
 
+SIGNED_CASES = CASES + [("example3+example1+torus8", direct_sum_spec(
+    load_corpus("example3"), load_corpus("example1"), load_corpus("torus8")), None)]
+
+
+@pytest.mark.parametrize("spec, bindings", [case[1:] for case in SIGNED_CASES],
+                         ids=[case[0] for case in SIGNED_CASES])
+def test_signed_permutations_match_the_general_matrix_route(spec, bindings):
+    # J and conj against the form route's matrices, Jbar and del_J against
+    # the products J conj and (-1)^{p+1} J del_bar J of those, the wedge
+    # matrix against the wedge of forms and the star against its inverse
+    # by elimination
+    session = ReportSession(spec, bindings)
+    cx, sl = session.cx, session.sl
+    ref = FormRoute(cx)
+    j_back = [ref.operator_matrix("J", 0, p) for p in range(cx.half + 2)]
+    for p in range(cx.half + 1):
+        j_in, conj = ref.operator_matrix("J", p), ref.operator_matrix("conj", p)
+        assert cx.index_map("J", p, 0).mat() == j_in, p
+        assert cx.index_map("J", 0, p).mat() == j_back[p], p
+        assert cx.index_map("conj", p, 0).mat() == conj, p
+        assert cx.index_map("Jbar", p, 0).mat() == j_back[p] @ conj, p
+        del_j = j_back[p + 1] @ cx.operator_matrix("del_bar", 0, p) @ j_in
+        assert cx.partial_j_matrix(p) == (del_j if p % 2 else -del_j), p
+        wedge = form_wedge_matrix(cx, p)
+        assert sl.wedge_matrix(p).mat() == wedge, p
+        assert sl.star_matrix(p).mat() == inverse(wedge), p
+
+
 @pytest.mark.parametrize("seed", [None, 0, 3])
 def test_form_operators_match_the_form_route_in_every_bidegree(seed):
     # the matrix of every operator out of every (p,q) basis, against the
@@ -76,6 +105,8 @@ def test_operator_matrix_refuses_what_it_does_not_define(ex1):
         ex1.cx.operator_matrix("del_J", 1, 1)
     with pytest.raises(ValueError, match="unknown operator"):
         ex1.cx.operator_matrix("star", 1)
+    with pytest.raises(ValueError, match="'del' is not a signed permutation"):
+        ex1.cx.index_map("del", 1, 0)
 
 
 def test_integrability_is_checked_on_the_generators():
@@ -106,15 +137,24 @@ def test_jbar_checks_name_the_first_failing_basis_form(monkeypatch):
     session = ReportSession(load_corpus("example3"))
     cx, basis = session.cx, session.cx.hol_basis(2)
     good_jbar, good_del = cx.jbar_matrix(2), cx.partial_matrix(2)
-    # with column j of Jbar on (2,0) gone, Jbar^2 loses the columns j and
-    # the one Jbar sends onto j; with a nonzero column of del gone, Jbar
-    # del loses that column
+    # with the sign of column j of Jbar on (2,0) flipped, Jbar^2 changes
+    # sign in the columns j and the one Jbar sends onto j; with a nonzero
+    # column of del gone, Jbar del loses that column
     j = len(basis) // 2
     onto = next(k for k in range(len(basis)) if good_jbar[j, k])
     j_del = [k for k in range(len(basis)) if any(good_del.col(k))][1]
     assert onto not in (j, 0) and j_del > 0
-    monkeypatch.setattr(cx, "jbar_matrix", lambda p: _without_column(
-        cx.operator_matrix("Jbar", p), j) if p == 2 else cx.operator_matrix("Jbar", p))
+    good_map = cx.index_map
+
+    def flipped(which, p, q):
+        perm = good_map(which, p, q)
+        if (which, p, q) != ("Jbar", 2, 0):
+            return perm
+        signs = list(perm.signs)
+        signs[j] = -signs[j]
+        return SignedPermutation(perm.targets, tuple(signs))
+
+    monkeypatch.setattr(cx, "index_map", flipped)
     detail = {r.name: r.detail for r in run_property_suite(session)}
     assert detail["jbar-involution"] == f"failed on {cx.render_mono(basis[min(j, onto)])}"
     monkeypatch.undo()

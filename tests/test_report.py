@@ -6,6 +6,7 @@ import pytest
 
 from quatcohom import ReportSession, load_corpus
 from quatcohom.fileio import document_from_spec, spec_from_document
+from quatcohom.linalg import Mat, SignedPermutation
 from quatcohom.report import build_report, to_json, to_table
 
 from support import direct_sum_spec
@@ -24,6 +25,34 @@ def test_algebra_echo_round_trips():
     assert doc["bindings"] == {"t": "1/3"}
     again = spec_from_document(doc["algebra"])
     assert document_from_spec(again) == doc["algebra"]
+
+
+def test_signed_permutations_enter_no_matrix_product(monkeypatch):
+    # J, conj, Jbar, the wedge matrix and the star act by relabelling: no
+    # product formed while a report is built has as an operand the matrix
+    # form of one of them, which only `SignedPermutation.mat` builds.  The
+    # operands are told by identity, not by value: conj is the identity
+    # matrix on these bases, and where a degree's classes span all of it
+    # the representatives are an identity too, so bc W equals W.
+    # Example3's own I and J tables are signed permutations of another
+    # kind, and the relation checks multiply them.
+    operands, forms = [], []
+    product, mat_form = Mat.__matmul__, SignedPermutation.mat
+
+    def recording(left, right):
+        operands.extend((left, right))
+        return product(left, right)
+
+    def built(perm):
+        forms.append(mat_form(perm))
+        return forms[-1]
+
+    monkeypatch.setattr(Mat, "__matmul__", recording)
+    monkeypatch.setattr(SignedPermutation, "mat", built)
+    build_report(load_corpus("example3"))
+    assert len(operands) > 100 and forms
+    formed = {id(m) for m in forms}
+    assert [(m.nrows, m.ncols) for m in operands if id(m) in formed] == []
 
 
 def test_rows_ordered_by_degree():

@@ -5,9 +5,10 @@ import pytest
 from quatcohom import ReportSession, load_corpus, standard_omega
 from quatcohom.errors import NotAeppliClosed, NotGauduchon, NotHolomorphic, NotSL2
 from quatcohom.exterior import merge_monomials
-from quatcohom.linalg import Mat, inverse
+from quatcohom.linalg import Mat, SignedPermutation, inverse
 from quatcohom.model import _build_coframe, instantiate
 from quatcohom.quaternionic import QuaternionicComplex
+from quatcohom.suite import run_property_suite
 
 from support import (FormRoute, affine_complex_spec, direct_sum_spec,
                      form_degree_map, reference_decomposition)
@@ -18,8 +19,8 @@ def test_star_of_scalars_and_volume(ex1):
     # and 2n, and each is the star of the other
     sl = ex1.sl
     half = ex1.cx.half
-    assert sl.star_matrix(0) == Mat.identity(1)
-    assert sl.star_matrix(half) == Mat.identity(1)
+    assert sl.star_matrix(0).mat() == Mat.identity(1)
+    assert sl.star_matrix(half).mat() == Mat.identity(1)
     omega = standard_omega(ex1.cx)
     assert sl.star_matrix(2).apply(omega) == omega
 
@@ -35,7 +36,7 @@ def test_star_monomial_rule(ex1):
             sign, full = merge_monomials(mono, rest)
             assert full == tuple(range(half))
             image = [sign if m == rest else 0 for m in target]
-            assert sl.star_matrix(p).col(col) == tuple(image)
+            assert sl.star_matrix(p).mat().col(col) == tuple(image)
 
 
 def test_star_squares_to_sign(corpus_sessions):
@@ -43,7 +44,7 @@ def test_star_squares_to_sign(corpus_sessions):
         sl = session.sl
         half = session.cx.half
         for p in range(half + 1):
-            m = sl.star_matrix(half - p) @ sl.star_matrix(p)
+            m = sl.star_matrix(half - p).mat() @ sl.star_matrix(p).mat()
             expected = Mat.identity(m.nrows).scale((-1) ** p)
             assert m == expected
 
@@ -56,7 +57,47 @@ def test_star_is_the_inverse_of_the_wedge_matrix(corpus_sessions):
     for session in sessions:
         sl = session.sl
         for p in range(session.cx.half + 1):
-            assert sl.star_matrix(p) == inverse(sl.wedge_matrix(p))
+            assert sl.star_matrix(p).mat() == inverse(sl.wedge_matrix(p).mat())
+
+
+def test_star_checks_keep_their_failure_text(monkeypatch):
+    # with the targets of two columns of the star on (2,0) swapped, each
+    # star check names the first degree where the same identity, written
+    # as products of the faulty star's matrices, fails
+    session = ReportSession(load_corpus("example1"))
+    sl, mc, half = session.sl, session.mc, session.cx.half
+    good = sl.star_matrix
+
+    def flipped(p):
+        perm = good(p)
+        if p != 2:
+            return perm
+        return SignedPermutation(perm.targets[1::-1] + perm.targets[2:], perm.signs)
+
+    monkeypatch.setattr(sl, "star_matrix", flipped)
+    detail = {r.name: (r.status, r.detail) for r in run_property_suite(session)}
+
+    def star(p):
+        return flipped(p).mat()
+
+    def laplacian(p):
+        up, down = mc.delta(p), mc.delta(p - 1)
+        return up.transpose() @ up + down @ down.transpose()
+
+    failing = {
+        "star-involution": [
+            p for p in range(half + 1) if star(half - p) @ star(p)
+            != Mat.identity(len(session.cx.hol_basis(p))).scale((-1) ** p)],
+        "star-adjoint": [
+            p for p in range(half) if mc.delta(p).transpose()
+            != -(star(half - p) @ mc.delta(half - p - 1) @ star(p + 1))],
+        "star-laplacian": [
+            p for p in range(half + 1)
+            if star(p) @ laplacian(p) != laplacian(half - p) @ star(p)],
+    }
+    assert all(failing.values())
+    for name, degrees in failing.items():
+        assert detail[name] == ("fail", f"degree {degrees[0]}"), name
 
 
 def test_pairing_matrices_invertible(corpus_sessions):
@@ -165,6 +206,6 @@ def test_adjoint_identity_spot_check(ex1):
     lhs = Mat.from_rows(
         [[x.conjugate() for x in row] for row in lhs.data],
         ncols=lhs.ncols)
-    rhs = (sl.star_matrix(half - p) @ cx.partial_matrix(half - p - 1)
-           @ sl.star_matrix(p + 1)).scale(-1)
+    rhs = (sl.star_matrix(half - p).mat() @ cx.partial_matrix(half - p - 1)
+           @ sl.star_matrix(p + 1).mat()).scale(-1)
     assert lhs == rhs
