@@ -23,7 +23,7 @@ from typing import Callable, Iterator, List, Optional, Tuple
 
 from .cohomology import MatrixComplex, non_hkt_degrees
 from .errors import NotBidegree20, NotSL2, SearchBoundError, TheoremViolation
-from .exterior import Form
+from .exterior import merge_monomials
 from .linalg import (
     Mat,
     complexify_vector,
@@ -45,11 +45,25 @@ def standard_omega(cx: QuaternionicComplex) -> Coords:
 
 
 def omega_power(cx: QuaternionicComplex, omega: Coords) -> Coords:
-    """Coordinates of Omega^{n-1} on the (2n-2,0) basis, by wedging forms."""
-    form, power = cx.from_coords(omega, 2), Form.unit()
+    """Coordinates of Omega^{n-1} on the (2n-2,0) basis.
+
+    The power starts as the unit and takes n-1 wedges with the nonzero
+    (2,0) terms of Omega, accumulated per monomial.
+    """
+    basis = cx.hol_basis(2)
+    if len(omega) != len(basis):
+        raise ValueError("coordinate vector has the wrong length")
+    terms = [(pair, c) for pair, c in zip(basis, omega) if c]
+    power = {(): ONE}
     for _ in range(cx.n - 1):
-        power = power.wedge(form)
-    return tuple(power.coefficient(mono) for mono in cx.hol_basis(2 * cx.n - 2))
+        wedged = {}
+        for mono, a in power.items():
+            for pair, c in terms:
+                sign, merged = merge_monomials(mono, pair)
+                if sign:
+                    wedged[merged] = wedged.get(merged, ZERO) + a * c * sign
+        power = wedged
+    return tuple(power.get(mono, ZERO) for mono in cx.hol_basis(2 * cx.n - 2))
 
 
 def gram_matrix(cx: QuaternionicComplex, omega: Coords) -> Mat:

@@ -23,8 +23,9 @@ generator by bidegree, and a failed integrability check names the (0,2)
 part of the first failing (1,0)-form this way.  The Jacobi identity is
 d^2 = 0 on the generators, read off the same lists by the Leibniz rule:
 d^2 e^k = sum of c de^a ^ e^z over the terms (k, z, c) of generator a,
-whose coefficient on e^xyz is the Jacobiator of e_x, e_y, e_z.  A `Form`
-is built only to name a failure in a message.
+whose coefficient on e^xyz is the Jacobiator of e_x, e_y, e_z.  Both
+checks hold a form as its (monomial, coefficient) terms, and print one in
+e labels, e124 for e^1 ^ e^2 ^ e^4, only to name a failure in a message.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .errors import (
     QuaternionicRelationFailure,
     SchemaError,
 )
-from .exterior import Form, Mono, merge_monomials
+from .exterior import Mono, merge_monomials, render_terms
 from .linalg import Mat, inverse, kernel_basis, rank, row_basis
 from .scalars import (
     I_UNIT,
@@ -319,11 +320,11 @@ def _validate_lie_algebra(inst: InstantiatedAlgebra) -> ValidationReport:
 
     report.jacobi_ok = True
     for k, terms in enumerate(_square_of_d(inst)):
-        dd = Form.from_terms(terms)
-        if not dd.is_zero():
+        if any(terms.values()):
             report.jacobi_ok = False
             report.messages.append(
-                f"d^2 e^{k + 1} = {dd}, so the Jacobi identity fails"
+                f"d^2 e^{k + 1} = {render_terms(terms.items(), _e_label)}, "
+                "so the Jacobi identity fails"
             )
 
     # Lower central series, spanned by the brackets of generators with the
@@ -352,6 +353,10 @@ def _validate_lie_algebra(inst: InstantiatedAlgebra) -> ValidationReport:
         report.nilpotency_step = None
         report.messages.append("lower central series does not reach zero")
     return report
+
+
+def _e_label(mono: Mono) -> str:
+    return "e" + "".join(str(k + 1) for k in mono)
 
 
 def _square_of_d(inst: InstantiatedAlgebra) -> List[Dict[Mono, GaussianRational]]:
@@ -421,7 +426,8 @@ def _coframe_differentials(inst: InstantiatedAlgebra, b: Mat, c: Mat, count: int
             for r in range(count)]
 
 
-def _antihol_defect(inst: InstantiatedAlgebra, rows: Sequence[Row]) -> Optional[Tuple[int, Form]]:
+def _antihol_defect(inst: InstantiatedAlgebra, rows: Sequence[Row],
+                    ) -> Optional[Tuple[int, List[Tuple[Mono, GaussianRational]]]]:
     """First (1,0)-form whose differential has a (0,2) component, if any.
 
     The (0,2) part of d psi^r vanishes exactly when d psi^r vanishes on
@@ -429,7 +435,7 @@ def _antihol_defect(inst: InstantiatedAlgebra, rows: Sequence[Row]) -> Optional[
     d psi^r(X, Y) is psi^r(beta(X, Y)): one product with the brackets of a
     kernel basis of the rows.  The defect of a failing form is written in
     the basis (rows, conj rows), where the (0,2) terms are the monomials
-    with both indices in the upper half.
+    with both indices in the upper half, and returned as its nonzero terms.
     """
     m = inst.dimension
     half = m // 2
@@ -441,7 +447,7 @@ def _antihol_defect(inst: InstantiatedAlgebra, rows: Sequence[Row]) -> Optional[
     a = next(r for r in range(half) if any(values.row(r)))
     b, c = _basis_change(rows, m)
     upper = list(combinations(range(half, m), 2))
-    return a, Form.from_terms(dict(_coframe_differentials(inst, b, c, a + 1, upper)[a]))
+    return a, _coframe_differentials(inst, b, c, a + 1, upper)[a]
 
 
 def validate_hypercomplex(spec: AlgebraSpec,
@@ -490,7 +496,7 @@ def validate_hypercomplex(spec: AlgebraSpec,
             report.integrability[label] = False
             report.messages.append(
                 f"structure {label}: d of (1,0)-form number {index + 1} "
-                f"has (0,2) component {bad}"
+                f"has (0,2) component {render_terms(bad, _e_label)}"
             )
     return report
 

@@ -20,8 +20,8 @@ permutations, built from integer index work and held as
 composition.  del_J = J^{-1} del_bar J, which is (-1)^{p+1} J del_bar J on
 (p,0)-forms, is del_bar out of (0,p) with its rows and columns relabelled
 through J: no product is formed.  Inside the engine a form is its
-coordinate tuple on these bases, read through the matrices; `from_coords`
-and `render_form` turn it into a `Form` to print.
+coordinate tuple on these bases, read through the matrices, and
+`render_coords` prints one in phi labels.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .errors import (
     NotReal,
     ValidationFailure,
 )
-from .exterior import Form, Mono, merge_monomials
+from .exterior import Mono, merge_monomials, render_terms
 from .linalg import (Mat, SignedPermutation, kernel_basis, realify_antilinear,
                      realify_linear, row_basis)
 from .model import (
@@ -86,7 +86,7 @@ class QuaternionicComplex:
                 if step not in (0, 1):
                     raise IntegrabilityViolation(
                         f"d of {self.render_mono((g,))} has the ({p},{q}) "
-                        f"component {self.render_form(Form.monomial(pair, coeff))}"
+                        f"component {render_terms([(pair, coeff)], self.render_mono)}"
                     )
                 (self._raise_p if step else self._raise_q)[g].append((pair, coeff))
         # row r of b J^T b^-1 is J phi^r in this coframe, which the
@@ -110,7 +110,7 @@ class QuaternionicComplex:
         if any(d_top):
             raise NotHolomorphic(
                 "the coframe top form is not holomorphic: its differential has "
-                f"the (2n,1) component {self.render_form(self.from_coords(d_top, half, 1))}"
+                f"the (2n,1) component {self.render_coords(d_top, half, 1)}"
             )
         if self.index_map("Jbar", half, 0) != SignedPermutation.identity(1):
             raise NotReal("the coframe top form is not Jbar-real")
@@ -154,12 +154,6 @@ class QuaternionicComplex:
         if (p, q) not in self._indices:
             self._indices[p, q] = {m: k for k, m in enumerate(self.bidegree_basis(p, q))}
         return self._indices[p, q]
-
-    def from_coords(self, coords: Sequence, p: int, q: int = 0) -> Form:
-        basis = self.bidegree_basis(p, q)
-        if len(coords) != len(basis):
-            raise ValueError("coordinate vector has the wrong length")
-        return Form.from_terms(dict(zip(basis, coords)))
 
     # -- operator matrices -------------------------------------------------
 
@@ -311,15 +305,9 @@ class QuaternionicComplex:
             return f"phi^{{{hol}}}"
         return f"phi^{{{hol}|{anti}}}"
 
-    def render_form(self, form: Form) -> str:
-        if form.is_zero():
-            return "0"
-        parts = []
-        for mono in sorted(form.terms):
-            coeff = form.terms[mono]
-            label = self.render_mono(mono)
-            if label == "1":
-                parts.append(f"({coeff})")
-            else:
-                parts.append(f"({coeff})*{label}")
-        return " + ".join(parts)
+    def render_coords(self, coords: Sequence, p: int, q: int = 0) -> str:
+        """A form given by its coordinates on the (p,q) basis, printed."""
+        basis = self.bidegree_basis(p, q)
+        if len(coords) != len(basis):
+            raise ValueError("coordinate vector has the wrong length")
+        return render_terms(zip(basis, coords), self.render_mono)

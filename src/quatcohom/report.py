@@ -76,7 +76,7 @@ class ReportSession:
         return outcome
 
     def render_class(self, coords: Sequence, p: int) -> str:
-        return self.cx.render_form(self.cx.from_coords(coords, p))
+        return self.cx.render_coords(coords, p)
 
 
 # ---------------------------------------------------------------------------

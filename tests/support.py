@@ -1,8 +1,10 @@
 """Shared builders for the test suite.
 
-Houses the deliberately broken structures, the generators of validated
-random variants (coefficient scalings, rational coframe changes and
-direct sums), the brute-force harness producing random double-differential
+Houses `Form`, a form as a sparse map from monomials to coefficients,
+which the engine's coordinate tuples, term lists and wedge power
+Omega^{n-1} are checked against, the deliberately broken structures,
+the generators of validated random variants (coefficient scalings,
+rational coframe changes and direct sums), the brute-force harness producing random double-differential
 complexes directly as matrices (Koszul complexes with dense differentials
 among them), the block operators whose ranks the cohomology table reads
 off a split of del, a reference Gaussian rational held as a
@@ -22,22 +24,152 @@ generator-built operator matrices and the coordinate degree map are
 checked against.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm, prod
 from random import Random
-from typing import Dict, List, NamedTuple, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple, Union
 
 from quatcohom import AlgebraSpec, CohomologyTable, GaussianRational, MatrixComplex
 from quatcohom.errors import (DivisionByZero, IntegrabilityViolation,
                               InternalInconsistency, NotASubspace)
-from quatcohom.exterior import Form
+from quatcohom.exterior import Mono, merge_monomials
 from quatcohom.linalg import (Mat, Row, complexify_vector, inverse, kernel_basis,
                               rank, realify_antilinear, row_basis, solve)
 from quatcohom.model import _basis_change, instantiate
-from quatcohom.scalars import ONE, ZERO
+from quatcohom.scalars import ONE, ZERO, ScalarLike
 from quatcohom.slstructure import DecompositionReport, SLStructure
+
+
+# ---------------------------------------------------------------------------
+# Forms as sparse maps from monomials to coefficients: the oracle the
+# engine's coordinate tuples and term lists are checked against.
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Form:
+    """A finite Q(i)-combination of wedge monomials."""
+
+    terms: Mapping[Mono, GaussianRational] = field(default_factory=dict)
+
+    @classmethod
+    def from_terms(cls, terms: Mapping[Mono, ScalarLike]) -> "Form":
+        clean: Dict[Mono, GaussianRational] = {}
+        for mono, coeff in terms.items():
+            coeff = GaussianRational._coerce(coeff)
+            if coeff is NotImplemented:
+                raise TypeError(f"bad coefficient {terms[mono]!r}")
+            if tuple(sorted(set(mono))) != tuple(mono):
+                raise ValueError(f"monomial {mono!r} is not strictly increasing")
+            if not coeff.is_zero():
+                clean[tuple(mono)] = coeff
+        return cls(clean)
+
+    @classmethod
+    def zero(cls) -> "Form":
+        return cls({})
+
+    @classmethod
+    def generator(cls, index: int) -> "Form":
+        return cls({(index,): ONE})
+
+    @classmethod
+    def monomial(cls, indices: Sequence[int], coeff: ScalarLike = 1) -> "Form":
+        return cls.from_terms({tuple(indices): coeff})
+
+    @classmethod
+    def unit(cls) -> "Form":
+        return cls({(): ONE})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def is_homogeneous(self) -> bool:
+        return len({len(m) for m in self.terms}) <= 1
+
+    def degree(self) -> int:
+        """Degree of a homogeneous form; zero for the zero form."""
+        degrees = {len(m) for m in self.terms}
+        if len(degrees) > 1:
+            raise ValueError("form is not homogeneous")
+        return degrees.pop() if degrees else 0
+
+    def coefficient(self, mono: Sequence[int]) -> GaussianRational:
+        return self.terms.get(tuple(mono), ZERO)
+
+    def __add__(self, other: "Form") -> "Form":
+        acc = dict(self.terms)
+        for mono, coeff in other.terms.items():
+            new = acc.get(mono, ZERO) + coeff
+            if new.is_zero():
+                acc.pop(mono, None)
+            else:
+                acc[mono] = new
+        return Form(acc)
+
+    def __sub__(self, other: "Form") -> "Form":
+        return self + (-other)
+
+    def __neg__(self) -> "Form":
+        return Form({m: -c for m, c in self.terms.items()})
+
+    def scale(self, factor: ScalarLike) -> "Form":
+        factor = GaussianRational._coerce(factor)
+        if factor.is_zero():
+            return Form.zero()
+        return Form({m: factor * c for m, c in self.terms.items()})
+
+    def __mul__(self, factor: ScalarLike) -> "Form":
+        return self.scale(factor)
+
+    __rmul__ = __mul__
+
+    def wedge(self, other: "Form") -> "Form":
+        acc: Dict[Mono, GaussianRational] = {}
+        for ma, ca in self.terms.items():
+            for mb, cb in other.terms.items():
+                sign, merged = merge_monomials(ma, mb)
+                if not sign:
+                    continue
+                new = acc.get(merged, ZERO) + ca * cb * sign
+                if new.is_zero():
+                    acc.pop(merged, None)
+                else:
+                    acc[merged] = new
+        return Form(acc)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Form):
+            return NotImplemented
+        return dict(self.terms) == dict(other.terms)
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.terms.items()))
+
+    def __str__(self) -> str:
+        if not self.terms:
+            return "0"
+        parts = []
+        for mono in sorted(self.terms):
+            coeff = self.terms[mono]
+            label = "1" if not mono else "e" + "".join(str(k + 1) for k in mono)
+            parts.append(f"({coeff})*{label}" if mono else f"({coeff})")
+        return " + ".join(parts)
+
+
+def from_coords(cx, coords: Sequence, p: int, q: int = 0) -> Form:
+    """The form with these coordinates on the (p,q) basis of `cx`."""
+    basis = cx.bidegree_basis(p, q)
+    if len(coords) != len(basis):
+        raise ValueError("coordinate vector has the wrong length")
+    return Form.from_terms(dict(zip(basis, coords)))
+
+
+# ---------------------------------------------------------------------------
+# Deliberately broken structures and validated variants.
+# ---------------------------------------------------------------------------
 
 
 def skew_pairs(dim: int, pairs: Sequence[Tuple[int, int, int]]) -> List[List[int]]:
@@ -1274,14 +1406,21 @@ def form_wedge_matrix(cx, p: int) -> Mat:
     return Mat.from_entries(len(cx.hol_basis(p)), len(tgt), entries)
 
 
+def form_omega_power(cx, omega: Sequence) -> Form:
+    """Omega^{n-1} for omega the coordinates of Omega on the (2,0) basis,
+    wedged form by form from the unit."""
+    form, power = from_coords(cx, omega, 2), Form.unit()
+    for _ in range(cx.n - 1):
+        power = power.wedge(form)
+    return power
+
+
 def form_degree_map(route: FormRoute, omega: Sequence, alpha: Sequence) -> GaussianRational:
     """The degree map wedged form by form: the full-monomial coefficient
     of del(alpha) ^ Omega^{n-1} ^ conj(phi), for phi the top coframe
     monomial and omega, alpha coordinates on the (2,0) and (1,0) bases."""
     cx = route.cx
-    form, power = cx.from_coords(omega, 2), Form.unit()
-    for _ in range(cx.n - 1):
-        power = power.wedge(form)
+    power = form_omega_power(cx, omega)
     phi_bar = route.conj(Form.monomial(range(cx.half)))
-    product = route.partial(cx.from_coords(alpha, 1)).wedge(power).wedge(phi_bar)
+    product = route.partial(from_coords(cx, alpha, 1)).wedge(power).wedge(phi_bar)
     return product.coefficient(range(cx.dimension))

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 from random import Random
 
@@ -13,7 +14,9 @@ from quatcohom import (
     non_hkt_degrees,
 )
 import quatcohom.cohomology as cohomology
+from quatcohom.errors import EngineError
 from quatcohom.linalg import Mat, rank, row_basis
+from quatcohom.suite import run_property_suite
 
 from support import (
     BLOCK_NAMES,
@@ -137,19 +140,65 @@ def test_duality_of_dimensions(corpus_sessions):
             assert table.h_bc[p] == table.h_ae[top - p]
 
 
+def _basis_free_report(session):
+    """The parts of a report that belong to the hypercomplex structure and
+    not to the coframe it is written in: the table, the HKT and SG answers
+    (or the error that refuses the question), the middle-degree
+    decomposition dimensions and flags, and every suite status.
+
+    The self-dual dimensions are left out with the representatives: the
+    star is the inverse of the wedge matrix on the coframe's monomial
+    basis, so it belongs to the metric that makes the coframe unitary, and
+    example1 in a random real coframe splits its middle classes 1 + 3
+    instead of 2 + 2.
+    """
+    answers = []
+    for question in ("hkt", "strongly-gauduchon"):
+        try:
+            answers.append(session.verdict(question).answer)
+        except EngineError as exc:
+            answers.append(type(exc).__name__)
+    decomposition = replace(session.sl.decomposition_report(),
+                            phi_plus_dim=None, phi_minus_dim=None,
+                            representatives_plus=(), representatives_minus=())
+    statuses = [(check.name, check.status) for check in run_property_suite(session)]
+    return session.mc.table(), answers, decomposition, statuses
+
+
 def test_tables_invariant_under_coframe_change(ex1, ex3):
     rng = Random(2024)
     for session, count in ((ex1, 3), (ex3, 1)):
         spec = session.spec
+        expected = _basis_free_report(session)
         for _ in range(count):
             variant = coframe_variant(spec, random_gl(rng, spec.dimension))
-            assert ReportSession(variant).mc.table() == session.mc.table()
+            assert _basis_free_report(ReportSession(variant)) == expected
 
 
 def test_tables_invariant_under_scaling(ex1):
+    expected = _basis_free_report(ex1)
     for factor in (Fraction(2), Fraction(-1, 3), Fraction(5, 2)):
         variant = scaled_variant(ex1.spec, factor)
-        assert ReportSession(variant).mc.table() == ex1.mc.table()
+        assert _basis_free_report(ReportSession(variant)) == expected
+
+
+def _one_dimensional_complex(del_entries, delj_entries):
+    """Three one-dimensional degrees, each operator given by its two entries."""
+    return MatrixComplex([1, 1, 1], [Mat.from_rows([[x]]) for x in del_entries],
+                         [Mat.from_rows([[x]]) for x in delj_entries])
+
+
+@pytest.mark.parametrize("del_entries, delj_entries, message", [
+    ((1, 1), (0, 0), r"^del\^2 != 0 out of degree 0$"),
+    ((0, 0), (1, 1), r"^del_J\^2 != 0 out of degree 0$"),
+    ((1, 0), (0, 1), r"^del and del_J do not anticommute out of degree 0$"),
+])
+def test_constructor_refuses_a_complex_that_is_not_a_double_complex(
+        del_entries, delj_entries, message):
+    # each pair is a square-zero failure of one product only: del^2, del_J^2,
+    # or del_J del = 1 while del del_J = 0
+    with pytest.raises(ValueError, match=message):
+        _one_dimensional_complex(del_entries, delj_entries)
 
 
 def test_hand_built_complex_zero_cohomology():

@@ -1,9 +1,14 @@
-from hypothesis import given, settings, strategies as st
+import functools
+from fractions import Fraction
 
-from quatcohom import GaussianRational
-from quatcohom.exterior import Form, merge_monomials
+from hypothesis import example, given, settings, strategies as st
 
-from support import ExteriorAlgebra
+from quatcohom import GaussianRational, QuaternionicComplex, load_corpus
+from quatcohom.exterior import merge_monomials, render_terms
+from quatcohom.model import _e_label
+from quatcohom.scalars import ONE, ZERO
+
+from support import ExteriorAlgebra, Form, from_coords
 
 small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 coeffs = st.builds(GaussianRational, small, small)
@@ -57,3 +62,54 @@ def test_algebra_d_leibniz_and_square():
     for g in range(3):
         assert alg.d(alg.d(Form.generator(g))).is_zero()
 
+
+
+# -- the one renderer against Form.__str__ and the phi-label renderer it replaced --
+
+
+def _phi_render(form: Form, render_mono) -> str:
+    """The phi-label rendering the reports used before `render_terms`."""
+    if form.is_zero():
+        return "0"
+    parts = []
+    for mono in sorted(form.terms):
+        coeff = form.terms[mono]
+        label = render_mono(mono)
+        if label == "1":
+            parts.append(f"({coeff})")
+        else:
+            parts.append(f"({coeff})*{label}")
+    return " + ".join(parts)
+
+
+@functools.cache
+def _example1():
+    return QuaternionicComplex.build(load_corpus("example1"))
+
+
+term_dicts = st.dictionaries(st.sets(st.integers(0, 7), max_size=4).map(
+    lambda s: tuple(sorted(s))), coeffs, max_size=5)
+
+
+@settings(max_examples=80)
+@given(term_dicts)
+@example({})
+@example({(): GaussianRational(3, -1)})
+@example({(): ZERO, (0, 5): GaussianRational(0, Fraction(-1, 2)), (1,): ONE})
+def test_render_terms_matches_both_label_styles(terms):
+    form = Form.from_terms(terms)
+    pairs = list(terms.items())
+    assert render_terms(pairs, _e_label) == str(form)
+    assert render_terms(pairs, _example1().render_mono) == _phi_render(
+        form, _example1().render_mono)
+
+
+@settings(max_examples=40)
+@given(st.tuples(st.integers(0, 4), st.integers(0, 4)).flatmap(lambda pq: st.tuples(
+    st.just(pq), st.lists(coeffs, min_size=len(_example1().bidegree_basis(*pq)),
+                          max_size=len(_example1().bidegree_basis(*pq))))))
+def test_render_coords_matches_the_phi_label_renderer(drawn):
+    (p, q), coords = drawn
+    cx = _example1()
+    assert cx.render_coords(coords, p, q) == _phi_render(
+        from_coords(cx, coords, p, q), cx.render_mono)

@@ -1,10 +1,15 @@
+import functools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import quatcohom.metrics as metrics
 import quatcohom.quaternionic as quaternionic
 from quatcohom import (
+    AlgebraSpec,
+    GaussianRational,
+    QuaternionicComplex,
     ReportSession,
     classify_metric,
     gram_matrix,
@@ -17,7 +22,10 @@ from quatcohom.errors import NotBidegree20, NotSL2
 from quatcohom.scalars import ONE, ZERO
 from quatcohom.linalg import (Mat, kernel_basis, rank, realify_antilinear,
                               realify_linear, realify_vector, row_basis)
+from quatcohom.metrics import omega_power
 from quatcohom.report import build_report_from_session
+
+from support import I4, J4, direct_sum_spec, form_omega_power
 
 
 def test_standard_form_gram_is_half_identity(corpus_sessions):
@@ -204,3 +212,44 @@ def test_hkt_candidate_space_is_reduced_once_per_report(monkeypatch):
     # read it; the Jbar-real closed locus is reduced for them once
     locus = session.cx.jbar_locus(1)
     assert sum(m == locus for m in reduced) == 1
+
+
+# -- Omega^{n-1} on coordinates against the form wedge --
+
+
+@functools.cache
+def _power_complexes():
+    """One complex in each quaternionic dimension 1 to 4."""
+    specs = [AlgebraSpec.create(4, {}, I4, J4, name="torus4"),
+             load_corpus("example1"), load_corpus("example3"),
+             direct_sum_spec(load_corpus("example1"), load_corpus("torus8"))]
+    return [QuaternionicComplex.build(spec) for spec in specs]
+
+
+def _assert_power_matches_the_form_wedge(cx, omega):
+    power = form_omega_power(cx, omega)
+    assert omega_power(cx, omega) == tuple(
+        power.coefficient(mono) for mono in cx.hol_basis(2 * cx.n - 2))
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_omega_power_matches_the_form_wedge_on_the_standard_form(n):
+    cx = _power_complexes()[n - 1]
+    assert cx.n == n
+    omega = standard_omega(cx)
+    _assert_power_matches_the_form_wedge(cx, omega)
+    _assert_power_matches_the_form_wedge(cx, (ZERO,) * len(omega))
+
+
+_parts = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+# half of the coordinates zero, so sparse forms are drawn as often as dense
+_coords = st.one_of(st.just(ZERO), st.builds(GaussianRational, _parts, _parts))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 3).flatmap(lambda k: st.tuples(
+    st.just(k), st.lists(_coords, min_size=len(_power_complexes()[k].hol_basis(2)),
+                         max_size=len(_power_complexes()[k].hol_basis(2))))))
+def test_omega_power_matches_the_form_wedge_on_drawn_coordinates(drawn):
+    k, omega = drawn
+    _assert_power_matches_the_form_wedge(_power_complexes()[k], tuple(omega))

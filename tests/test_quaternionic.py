@@ -14,6 +14,7 @@ from support import (
     coframe_variant,
     direct_sum_spec,
     form_wedge_matrix,
+    from_coords,
     i_nonintegrable_spec,
     nonintegrable_spec,
     random_gl,
@@ -97,7 +98,7 @@ def test_form_operators_match_the_form_route_in_every_bidegree(seed):
                 op, target = ref.route(which, p, q)
                 image = (mat.apply_conjugated(coords) if which in ("conj", "Jbar")
                          else mat.apply(coords))
-                assert cx.from_coords(image, *target) == op(cx.from_coords(coords, p, q))
+                assert from_coords(cx, image, *target) == op(from_coords(cx, coords, p, q))
 
 
 def test_operator_matrix_refuses_what_it_does_not_define(ex1):
