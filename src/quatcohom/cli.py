@@ -13,6 +13,7 @@ from typing import NoReturn, Optional, Sequence
 
 from .errors import (
     CoefficientParseError,
+    DimensionBudgetError,
     EngineError,
     EigenspaceDimensionError,
     IntegrabilityFailure,
@@ -56,6 +57,7 @@ _PARSE_ERRORS = (
     UnboundParameter,
     PoleAtBinding,
     SearchBoundError,
+    DimensionBudgetError,
 )
 
 _VALIDATION_ERRORS = (

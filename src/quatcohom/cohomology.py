@@ -26,10 +26,15 @@ it has the same rank.
 A space itself, as for class representatives, is the kernel or image of
 one named operator, held as the matrix of its canonical basis and cached
 beside the ranks: ker del ∩ ker del_J is the kernel of "stacked" and
-im del + im del_J the image of "side".  The
-second route to E2 is independent: it iterates the first page on
-explicit representatives from its own kernel of del, which is subspace
-arithmetic over Q(i), and must agree with the rank formula.
+im del + im del_J the image of "side".  The product del del_J is formed
+once, by the constructor's anticommutation check, and kept as "ddj".
+
+The second route to E2 is independent in method: it iterates the first
+page on explicit representatives, chosen from the split's kernel basis
+of del, which is subspace arithmetic over Q(i), and must agree with the
+rank formula.  The kernel basis is a pure function of del_p, so a second
+elimination of del would return the same rows and could catch nothing;
+the tests compare the cached kernel with a fresh one instead.
 
 A MatrixComplex built from a hypercomplex structure carries the extra
 Jbar symmetry between del and del_J; the symmetry-dependent identities
@@ -74,6 +79,7 @@ class MatrixComplex:
         self._split: Dict[Tuple[str, int], Mat] = {}
         self._pages: Optional[List[int]] = None
         self._table: Optional["CohomologyTable"] = None
+        self._ddj: List[Mat] = []
         self._check_shapes()
 
     def _check_shapes(self) -> None:
@@ -90,7 +96,9 @@ class MatrixComplex:
                 raise ValueError(f"del^2 != 0 out of degree {p}")
             if not (self.delta_j(p + 1) @ self.delta_j(p)).is_zero():
                 raise ValueError(f"del_J^2 != 0 out of degree {p}")
-            anti = self.delta(p + 1) @ self.delta_j(p) + self.delta_j(p + 1) @ self.delta(p)
+            # del del_J is kept: it is the operator ddj out of degree p
+            self._ddj.append(self.delta(p + 1) @ self.delta_j(p))
+            anti = self._ddj[p] + self.delta_j(p + 1) @ self.delta(p)
             if not anti.is_zero():
                 raise ValueError(f"del and del_J do not anticommute out of degree {p}")
 
@@ -119,7 +127,11 @@ class MatrixComplex:
         return Mat.zeros(self.dim(p + 1), self.dim(p))
 
     def ddj(self, p: int) -> Mat:
-        return self.delta(p + 1) @ self.delta_j(p)
+        """del del_J out of degree p, formed once by the constructor's
+        anticommutation check."""
+        if 0 <= p < self.top:
+            return self._ddj[p]
+        return Mat.zeros(self.dim(p + 2), self.dim(p))
 
     # -- the named operators: ranks, kernels and images ---------------------
 
@@ -274,14 +286,14 @@ class MatrixComplex:
     def _page_one(self, p: int) -> Tuple[Mat, Mat]:
         """Page-one representatives at degree p and a basis of Im del.
 
-        The rows of the kernel basis of del span ker del, and the columns
-        of del one degree down span Im del inside it.  One pivot pick over
-        [del | kernel basis^T] keeps the independent columns of del, a
-        basis of Im del, and completes it to a basis of ker del with rows
-        of the kernel basis: those are the representatives.  Both come
-        back as the rows of a matrix.
+        The rows of the split's kernel basis of del span ker del, and the
+        columns of del one degree down span Im del inside it.  One pivot
+        pick over [del | kernel basis^T] keeps the independent columns of
+        del, a basis of Im del, and completes it to a basis of ker del with
+        rows of the kernel basis: those are the representatives.  Both
+        come back as the rows of a matrix.
         """
-        kernel = kernel_basis(self.delta(p))
+        kernel = self._split_part("kernel", p)
         image = self.delta(p - 1)
         k = image.ncols
         pivots = pivot_columns(image.hstack(kernel.transpose()))
@@ -316,9 +328,10 @@ class MatrixComplex:
 
         Page one is modeled on complement representatives of Im del inside
         ker del; the induced differential is del_J followed by reduction to
-        those representatives.  Page two is the homology of that matrix.
-        This route shares nothing with the rank formula of e2_formula,
-        which is the point: the two must agree.
+        those representatives.  Page two is the homology of that matrix,
+        each rank of d1 taken once.  This route shares only the kernel
+        basis of del with the rank formula of e2_formula: it never forms L,
+        JK or L JK, and the two must agree.
         """
         if self._pages is not None:
             return self._pages
@@ -332,11 +345,9 @@ class MatrixComplex:
                 # del_J of every representative at once, one per column
                 pushed = self.delta_j(p) @ src.transpose()
                 d1[p] = self._class_coords(pushed, p + 1, page_one[p + 1])
-        pages = []
-        for p in range(self.top + 1):
-            incoming = rank(d1[p - 1]) if p - 1 in d1 else 0
-            outgoing = rank(d1[p])
-            pages.append(page_one[p][0].nrows - outgoing - incoming)
+        ranks = [rank(d1[p]) for p in range(self.top + 1)]
+        pages = [page_one[p][0].nrows - ranks[p] - (ranks[p - 1] if p else 0)
+                 for p in range(self.top + 1)]
         self._pages = pages
         return pages
 

@@ -39,6 +39,10 @@ class SearchBoundError(EngineError):
     """A certificate-search bound is negative or asks for unbounded work."""
 
 
+class DimensionBudgetError(EngineError):
+    """A structure is too large for the engine to build its operators."""
+
+
 class ValidationFailure(EngineError):
     """An algebra failed validation and cannot be used to build a session."""
 

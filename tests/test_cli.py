@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from quatcohom import cli, load_corpus, serialize_spec
 from quatcohom.cli import main
 from quatcohom.errors import DivisionByZero, TheoremViolation
+from quatcohom.fileio import load_spec_file
 from quatcohom.metrics import MAX_SEARCH_SIZE
 from quatcohom.scalars import MAX_TERMS
 
@@ -265,6 +266,65 @@ def test_nonintegrable_structure_is_refused_before_the_operators(capsys, tmp_pat
     code, out, err = run(capsys, "report", str(path))
     assert (code, out) == (1, "")
     assert err.count("\n") == 1 and "structure I" in err
+
+
+_I4 = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
+_J4 = [[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]]
+
+
+def _torus_file(tmp_path, dimension):
+    """An abelian structure of the given real dimension, I and J block
+    diagonal with one standard 4x4 block per quaternionic dimension."""
+    def blocks(block):
+        return [[block[r % 4][c % 4] if r // 4 == c // 4 else 0
+                 for c in range(dimension)] for r in range(dimension)]
+
+    path = tmp_path / f"torus{dimension}.json"
+    path.write_text(json.dumps({
+        "name": f"torus{dimension}", "dimension": dimension, "parameters": [],
+        "structure": [], "I": blocks(_I4), "J": blocks(_J4)}))
+    return path
+
+
+@pytest.mark.parametrize("command", [("report",), ("pairing", "--p", "0"), ("suite",)])
+def test_structure_past_the_dimension_budget_exits_two(capsys, monkeypatch, tmp_path,
+                                                       command):
+    import quatcohom.quaternionic as quaternionic
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a structure past the budget reached instantiation")
+
+    # the refusal comes before anything is built for the structure
+    monkeypatch.setattr(quaternionic, "instantiate", unreachable)
+    path = _torus_file(tmp_path, 36)
+    start = time.perf_counter()
+    code, out, err = run(capsys, command[0], str(path), *command[1:])
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == ("error: real dimension 36 is too large: its middle (9,0) "
+                   "basis has 48620 forms, more than the limit of 12870 "
+                   "(real dimension 32)\n")
+
+
+def test_validate_runs_past_the_dimension_budget(capsys, tmp_path):
+    code, out, _ = run(capsys, "validate", str(_torus_file(tmp_path, 36)))
+    assert code == 0
+    assert "quaternionic relations: ok" in out
+
+
+def test_structure_at_the_dimension_budget_is_not_refused(monkeypatch, tmp_path):
+    import quatcohom.quaternionic as quaternionic
+
+    class Reached(Exception):
+        pass
+
+    def reached(*args, **kwargs):
+        raise Reached
+
+    # real dimension 32 passes the budget and goes on to instantiation
+    monkeypatch.setattr(quaternionic, "instantiate", reached)
+    with pytest.raises(Reached):
+        quaternionic.QuaternionicComplex.build(load_spec_file(str(_torus_file(tmp_path, 32))))
 
 
 def test_missing_file_exit_two(capsys):

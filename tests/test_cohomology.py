@@ -14,8 +14,8 @@ from quatcohom import (
     non_hkt_degrees,
 )
 import quatcohom.cohomology as cohomology
-from quatcohom.errors import EngineError
-from quatcohom.linalg import Mat, rank, row_basis
+from quatcohom.errors import EngineError, InternalInconsistency
+from quatcohom.linalg import Mat, kernel_basis, rank, row_basis
 from quatcohom.suite import run_property_suite
 
 from support import (
@@ -150,7 +150,8 @@ def _basis_free_report(session):
     star is the inverse of the wedge matrix on the coframe's monomial
     basis, so it belongs to the metric that makes the coframe unitary, and
     example1 in a random real coframe splits its middle classes 1 + 3
-    instead of 2 + 2.
+    instead of 2 + 2.  The rank and invertibility of the pairing in every
+    degree are basis-free; its matrix is not.
     """
     answers = []
     for question in ("hkt", "strongly-gauduchon"):
@@ -162,7 +163,10 @@ def _basis_free_report(session):
                             phi_plus_dim=None, phi_minus_dim=None,
                             representatives_plus=(), representatives_minus=())
     statuses = [(check.name, check.status) for check in run_property_suite(session)]
-    return session.mc.table(), answers, decomposition, statuses
+    pairings = [(rank(pairing.matrix), pairing.invertible)
+                for pairing in map(session.sl.pairing_matrix,
+                                   range(session.cx.half + 1))]
+    return session.mc.table(), answers, decomposition, statuses, pairings
 
 
 def test_tables_invariant_under_coframe_change(ex1, ex3):
@@ -180,6 +184,15 @@ def test_tables_invariant_under_scaling(ex1):
     for factor in (Fraction(2), Fraction(-1, 3), Fraction(5, 2)):
         variant = scaled_variant(ex1.spec, factor)
         assert _basis_free_report(ReportSession(variant)) == expected
+
+
+def test_tables_invariant_under_direct_sum_order():
+    # example1 + torus8 and torus8 + example1 are one structure written
+    # with its generators in two orders
+    ex1, torus = load_corpus("example1"), load_corpus("torus8")
+    forward = _basis_free_report(ReportSession(direct_sum_spec(ex1, torus)))
+    backward = _basis_free_report(ReportSession(direct_sum_spec(torus, ex1)))
+    assert forward == backward
 
 
 def _one_dimensional_complex(del_entries, delj_entries):
@@ -201,17 +214,78 @@ def test_constructor_refuses_a_complex_that_is_not_a_double_complex(
         _one_dimensional_complex(del_entries, delj_entries)
 
 
+def _hand_built_complex(swapped=False):
+    """Left wedge by e^0 on two generators as del, or as del_J when
+    swapped, and zero for the other differential."""
+    wedge = [Mat.from_rows([[1], [0]]), Mat.from_rows([[0, 1]])]
+    zero = [Mat.zeros(2, 1), Mat.zeros(1, 2)]
+    return MatrixComplex([1, 2, 1], *((zero, wedge) if swapped else (wedge, zero)))
+
+
 def test_hand_built_complex_zero_cohomology():
-    # left wedge by e^0 on two generators: contractible in every degree
-    d0 = Mat.from_rows([[1], [0]])
-    d1 = Mat.from_rows([[0, 1]])
-    zero0 = Mat.zeros(2, 1)
-    zero1 = Mat.zeros(1, 2)
-    mc = MatrixComplex([1, 2, 1], [d0, d1], [zero0, zero1])
-    table = mc.table()
+    # the wedge by e^0 is contractible in every degree
+    table = _hand_built_complex().table()
     assert table.h_del == (0, 0, 0)
     assert table.h_delj == (1, 2, 1)
     assert table.dim_e2 == (0, 0, 0)
+    # swapped, del = 0 keeps every class on page one and del_J kills them
+    # all on page two
+    table = _hand_built_complex(swapped=True).table()
+    assert table.dim_e1 == (1, 2, 1)
+    assert table.dim_e2 == (0, 0, 0)
+
+
+def _all_e2(mc):
+    return [mc.e2(p) for p in range(mc.top + 1)]
+
+
+def test_e2_cross_check_catches_a_fault_in_the_page_iteration(monkeypatch):
+    # with every class coordinate zero, d1 vanishes and page two is page one
+    def no_coords(self, vectors, p, page):
+        return Mat.zeros(page[0].nrows, vectors.ncols)
+
+    monkeypatch.setattr(MatrixComplex, "_class_coords", no_coords)
+    with pytest.raises(InternalInconsistency, match="page iteration gives"):
+        _all_e2(_hand_built_complex(swapped=True))
+
+
+def test_e2_cross_check_catches_a_fault_in_the_rank_formula(monkeypatch):
+    def skewed(self, name, p, original=MatrixComplex._rank):
+        return original(self, name, p) + (name == "e2_num")
+
+    monkeypatch.setattr(MatrixComplex, "_rank", skewed)
+    with pytest.raises(InternalInconsistency, match="page iteration gives"):
+        _all_e2(_hand_built_complex(swapped=True))
+
+
+def _assert_caches_match_fresh_work(mc):
+    # the split's kernel of del serves the ranks, the kernels of del and
+    # page one, and the constructor's del del_J serves ddj; each is formed
+    # once at run time, so here they are formed again and compared
+    mc.table()
+    for p in range(mc.top + 1):
+        assert ("kernel", p) in mc._split
+        assert mc._split_part("kernel", p) == kernel_basis(mc.delta(p))
+        assert mc.ddj(p) == mc.delta(p + 1) @ mc.delta_j(p)
+
+
+def test_cached_kernels_and_ddj_match_fresh_work_on_corpus(corpus_sessions):
+    for session in corpus_sessions:
+        _assert_caches_match_fresh_work(session.mc)
+
+
+@pytest.mark.parametrize("conjugate", [False, True], ids=["plain", "conjugated"])
+def test_cached_kernels_and_ddj_match_fresh_work_on_random_complexes(conjugate):
+    rng = Random(31)
+    for k in (2, 3, 4):
+        _assert_caches_match_fresh_work(random_double_complex(rng, k, conjugate))
+
+
+def test_cached_kernels_and_ddj_match_fresh_work_on_dense_wedge_complexes():
+    # every coefficient of both one-forms nonzero, as in the dense-complex
+    # benchmark, in the monomial basis and in a random one
+    for mc in koszul_pair(Random(7), k=5):
+        _assert_caches_match_fresh_work(mc)
 
 
 def test_e2_cross_check_on_corpus(corpus_sessions):
