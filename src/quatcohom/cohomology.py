@@ -106,8 +106,8 @@ class MatrixComplex:
     def from_quaternionic(cls, cx: "QuaternionicComplex") -> "MatrixComplex":
         top = cx.half
         dims = [len(cx.hol_basis(p)) for p in range(top + 1)]
-        dels = [cx.partial_matrix(p) for p in range(top)]
-        deljs = [cx.partial_j_matrix(p) for p in range(top)]
+        dels = [cx.operator_matrix("del", p) for p in range(top)]
+        deljs = [cx.operator_matrix("del_J", p) for p in range(top)]
         return cls(dims, dels, deljs, quaternionic_dim=cx.n,
                    has_jbar_symmetry=True)
 

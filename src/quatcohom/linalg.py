@@ -262,9 +262,6 @@ class Mat:
             for d, entries in self._rows
         ))
 
-    def conj_transpose(self) -> "Mat":
-        return self.transpose().conj()
-
     def block(self, rows: Iterable[int], cols: range) -> "Mat":
         """The submatrix on the given rows and a contiguous range of columns."""
         start, stop = cols.start, cols.stop

@@ -84,7 +84,7 @@ def gram_matrix(cx: QuaternionicComplex, omega: Coords) -> Mat:
         entries[v, u] = -c
     a_mat = Mat.from_entries(half, half, entries)
     # N is a signed permutation, so A N^T relabels the columns of A
-    n_transpose = cx.index_map("J", 1, 0).inverse()
+    n_transpose = cx.index_map("J", 1).inverse()
     return n_transpose.relabel_columns(a_mat).scale(Fraction(-1, 2))
 
 
@@ -114,15 +114,15 @@ def classify_metric(cx: QuaternionicComplex, omega: Coords,
     """
     gram = gram_matrix(cx, omega)
     minors = tuple(leading_principal_minors(gram))
-    is_real = cx.jbar_matrix(2).apply_conjugated(omega) == omega
+    is_real = cx.index_map("Jbar", 2).mat().apply_conjugated(omega) == omega
     positive = all(m.is_real() and m.re > 0 for m in minors)
     hermitian = is_real and positive
-    hkt = hermitian and not any(cx.partial_matrix(2).apply(omega))
+    hkt = hermitian and not any(mc.delta(2).apply(omega))
     hyperkahler = hkt and not any(cx.operator_matrix("del_bar", 2).apply(omega))
     top = 2 * cx.n - 1
     power = omega_power(cx, omega)
-    del_pow = cx.partial_matrix(top - 1).apply(power)
-    gauduchon = hermitian and not any(cx.operator_matrix("ddJ", top - 1).apply(power))
+    del_pow = mc.delta(top - 1).apply(power)
+    gauduchon = hermitian and not any(mc.ddj(top - 1).apply(power))
     strongly = hermitian
     if hermitian and any(del_pow):
         # del_J-exact: adding it to the image's basis leaves the rank

@@ -13,15 +13,17 @@ bidegree once, at construction.  del and del_bar
 are derivations: on a monomial m = phi^{g_0} ^ phi^{g_1} ^ ..., the
 Leibniz rule gives d(m) = sum_k (-1)^k d phi^{g_k} ^ (m without g_k), and
 del keeps the terms of each d phi^g that raise p, del_bar those that raise
-q.  J and conjugation are algebra maps sending each generator to plus or
-minus one generator, so on the monomial bases they are signed
-permutations, built from integer index work and held as
-`SignedPermutation`s (`index_map`), as is Jbar = J∘conj, their
-composition.  del_J = J^{-1} del_bar J, which is (-1)^{p+1} J del_bar J on
-(p,0)-forms, is del_bar out of (0,p) with its rows and columns relabelled
-through J: no product is formed.  Inside the engine a form is its
-coordinate tuple on these bases, read through the matrices, and
-`render_coords` prints one in phi labels.
+q.  J is an algebra map sending each (1,0) generator to plus or minus one
+(0,1) generator, so out of the (p,0) basis it is a signed permutation,
+built from integer index work and held as a `SignedPermutation`
+(`index_map`).  It is the only one built from the generators; J^2 = -1
+gives the rest by inversion.  J out of (0,p) is (-1)^p J(p,0)^{-1}, and
+conjugation keeps each monomial's place, so Jbar = J∘conj out of (p,0)
+is that same map.  del_J = J^{-1} del_bar J on (p,0)-forms is
+J(p+1,0)^{-1} del_bar(0,p) J(p,0), with no sign: del_bar out of (0,p)
+with its rows and columns relabelled, and no product formed.  Inside the
+engine a form is its coordinate tuple on these bases, read through the
+matrices, and `render_coords` prints one in phi labels.
 """
 
 from __future__ import annotations
@@ -56,8 +58,8 @@ from .model import (
 )
 from .scalars import ONE, ZERO, GaussianRational, RationalLike
 
-_MATRIX_NAMES = ("del", "del_bar", "del_J", "Jbar", "ddJ", "J", "conj")
-_INDEX_MAP_NAMES = ("J", "conj", "Jbar")
+_MATRIX_NAMES = ("del", "del_bar", "del_J")
+_INDEX_MAP_NAMES = ("J", "Jbar")
 
 # The largest middle (n,0) basis, C(2n, n), of a structure the engine
 # builds operators for: 12870 at real dimension 32, the largest size
@@ -98,20 +100,20 @@ class QuaternionicComplex:
                     )
                 (self._raise_p if step else self._raise_q)[g].append((pair, coeff))
         # row r of b J^T b^-1 is J phi^r in this coframe, which the
-        # J-pairing makes plus or minus one generator
+        # J-pairing makes plus or minus one generator; only the (1,0) rows
+        # are read, since every map is derived from J out of (p,0)
         self._j_gens: List[Tuple[int, int]] = []
-        for r, row in enumerate((b @ inst.mat_j.transpose() @ c).data):
+        j_rows = b.block(range(half), range(m)) @ inst.mat_j.transpose() @ c
+        for r, row in enumerate(j_rows.data):
             image = [(s, x) for s, x in enumerate(row) if x]
             if len(image) != 1 or image[0][1] not in (ONE, -ONE):
                 raise InternalInconsistency(
                     f"J does not send coframe generator {r + 1} to a signed generator")
             self._j_gens.append((image[0][0], 1 if image[0][1] == ONE else -1))
-        self._conj_gens = [((g + half) % m, 1) for g in range(m)]
 
         self._indices: Dict[Tuple[int, int], Dict[Mono, int]] = {}
         self._matrices: Dict[Tuple[str, int, int], Mat] = {}
-        self._index_maps: Dict[Tuple[str, int, int], SignedPermutation] = {}
-        self._jbar_loci: Dict[int, Mat] = {}
+        self._index_maps: Dict[Tuple[str, int], SignedPermutation] = {}
 
         # the top form phi^1 ^ ... ^ phi^2n must be holomorphic and Jbar-real
         d_top = self.operator_matrix("del_bar", half).col(0)
@@ -120,7 +122,7 @@ class QuaternionicComplex:
                 "the coframe top form is not holomorphic: its differential has "
                 f"the (2n,1) component {self.render_coords(d_top, half, 1)}"
             )
-        if self.index_map("Jbar", half, 0) != SignedPermutation.identity(1):
+        if self.index_map("Jbar", half) != SignedPermutation.identity(1):
             raise NotReal("the coframe top form is not Jbar-real")
 
     # -- construction ------------------------------------------------------
@@ -192,14 +194,14 @@ class QuaternionicComplex:
                     entries[key] = entries.get(key, ZERO) + value
         return Mat.from_entries(len(index), len(src), entries)
 
-    def _algebra_map(self, gens: List[Tuple[int, int]], p: int, q: int) -> SignedPermutation:
-        """The algebra map sending phi^g to sign * phi^target, for
-        gens[g] = (target, sign), out of the (p,q) basis into (q,p)."""
-        index = self._index(q, p)
-        image = [target for target, _ in gens]
-        negative = [sign < 0 for _, sign in gens]
+    def _j_map(self, p: int) -> SignedPermutation:
+        """J out of the (p,0) basis into (0,p): the algebra map sending
+        phi^g to sign * phi^target, for _j_gens[g] = (target, sign)."""
+        index = self._index(0, p)
+        image = [target for target, _ in self._j_gens]
+        negative = [sign < 0 for _, sign in self._j_gens]
         targets, signs = [], []
-        for mono in self.bidegree_basis(p, q):
+        for mono in self.hol_basis(p):
             images = [image[g] for g in mono]
             # the signs of the images, and the inversions of their order
             sign = sum(map(negative.__getitem__, mono))
@@ -208,21 +210,22 @@ class QuaternionicComplex:
             signs.append(-1 if sign % 2 else 1)
         return SignedPermutation(tuple(targets), tuple(signs))
 
-    def index_map(self, which: str, p: int, q: int) -> SignedPermutation:
-        """J, conj or Jbar out of the (p,q) monomial basis, built once.
+    def index_map(self, which: str, p: int) -> SignedPermutation:
+        """J or Jbar out of the (p,0) monomial basis, built once.
 
-        J and conj land in (q,p), Jbar in (p,q).  Jbar, which is
-        antilinear, is the map applied to the conjugated coordinates; a
-        signed permutation is real, so it is its own conjugate.
+        J lands in (0,p), Jbar in (p,0).  Jbar, which is antilinear, is the
+        map applied to the conjugated coordinates; a signed permutation is
+        real, so it is its own conjugate.  Jbar is (-1)^p J(p,0)^{-1}, read
+        as a map of (p,0): J^2 = (-1)^p on p-forms makes it J out of (0,p),
+        and conjugation keeps each monomial's place.
         """
-        key = (which, p, q)
+        key = (which, p)
         if key not in self._index_maps:
             if which == "J":
-                perm = self._algebra_map(self._j_gens, p, q)
-            elif which == "conj":
-                perm = self._algebra_map(self._conj_gens, p, q)
+                perm = self._j_map(p)
             elif which == "Jbar":
-                perm = self.index_map("J", q, p).compose(self.index_map("conj", p, q))
+                back = self.index_map("J", p).inverse()
+                perm = -back if p % 2 else back
             else:
                 raise ValueError(f"{which!r} is not a signed permutation; "
                                  f"choose from {_INDEX_MAP_NAMES}")
@@ -232,64 +235,44 @@ class QuaternionicComplex:
     def operator_matrix(self, which: str, p: int, q: int = 0) -> Mat:
         """Exact matrix of an operator out of the (p,q) monomial basis, built once.
 
-        del lands in (p+1,q), del_bar in (p,q+1), J and conj in (q,p) and
-        Jbar in (p,q); del_J and ddJ act on (p,0) only, landing in (p+1,0)
-        and (p+2,0).  Antilinear operators (conj, Jbar) are stored as the
-        matrix applied to the conjugated coordinate vector.  J, conj and
-        Jbar are the `Mat` forms of `index_map`, for callers that need one.
+        del lands in (p+1,q) and del_bar in (p,q+1); del_J acts on (p,0)
+        only, landing in (p+1,0).
         """
         key = (which, p, q)
         if key in self._matrices:
             return self._matrices[key]
         if which not in _MATRIX_NAMES:
             raise ValueError(f"unknown operator {which!r}; choose from {_MATRIX_NAMES}")
-        if q and which in ("del_J", "ddJ"):
-            raise ValueError(f"{which} acts on (p,0)-forms, not ({p},{q})")
         if which == "del":
             mat = self._derivation(self._raise_p, p, q, (p + 1, q))
         elif which == "del_bar":
             mat = self._derivation(self._raise_q, p, q, (p, q + 1))
-        elif which in _INDEX_MAP_NAMES:
-            mat = self.index_map(which, p, q).mat()
-        elif which == "del_J":
-            # (-1)^{p+1} J del_bar J, relabelling del_bar's columns through
-            # J out of (p,0) and its rows through J out of (0,p+1)
-            j_out = self.index_map("J", 0, p + 1)
-            mat = (j_out if p % 2 else -j_out).relabel_rows(
-                self.index_map("J", p, 0).relabel_columns(self.operator_matrix("del_bar", 0, p)))
-        else:  # ddJ
-            mat = self.operator_matrix("del", p + 1) @ self.operator_matrix("del_J", p)
+        elif q:
+            raise ValueError(f"{which} acts on (p,0)-forms, not ({p},{q})")
+        else:
+            # J(p+1,0)^{-1} del_bar(0,p) J(p,0), by relabelling
+            mat = self.index_map("J", p + 1).inverse().relabel_rows(
+                self.index_map("J", p).relabel_columns(self.operator_matrix("del_bar", 0, p)))
         self._matrices[key] = mat
         return mat
 
-    def partial_matrix(self, p: int) -> Mat:
-        return self.operator_matrix("del", p)
-
-    def partial_j_matrix(self, p: int) -> Mat:
-        return self.operator_matrix("del_J", p)
-
-    def jbar_matrix(self, p: int) -> Mat:
-        return self.operator_matrix("Jbar", p)
-
-    def jbar_locus(self, sign: int) -> Mat:
-        """Realified del-closed (2,0)-forms with Jbar = sign, as kernel rows.
+    @cached_property
+    def jbar_locus(self) -> Mat:
+        """Realified del-closed (2,0)-forms with Jbar = 1, as kernel rows.
 
         The kernel basis of the realified del out of degree 2 stacked on
-        Jbar_real - sign, computed once per sign: the HKT candidate space
-        and the Jbar decomposition both read the sign +1 one.
+        Jbar_real - 1, computed once: the HKT candidate space and the Jbar
+        decomposition both read it.  The minus locus is i times this one.
         """
-        if sign not in self._jbar_loci:
-            d_real = realify_linear(self.partial_matrix(2))
-            jbar_real = realify_antilinear(self.jbar_matrix(2))
-            shift = Mat.identity(d_real.ncols).scale(sign)
-            self._jbar_loci[sign] = kernel_basis(d_real.vstack(jbar_real - shift))
-        return self._jbar_loci[sign]
+        d_real = realify_linear(self.operator_matrix("del", 2))
+        jbar_real = realify_antilinear(self.index_map("Jbar", 2).mat())
+        return kernel_basis(d_real.vstack(jbar_real - Mat.identity(d_real.ncols)))
 
     @cached_property
     def hkt_space(self) -> Mat:
-        """Canonical basis of `jbar_locus(1)`, the HKT candidates, reduced
+        """Canonical basis of `jbar_locus`, the HKT candidates, reduced
         once: the HKT verdict and the suite's hkt-flag-decoupling read it."""
-        return row_basis(self.jbar_locus(1))
+        return row_basis(self.jbar_locus)
 
     @cached_property
     def sg_space(self) -> Mat:
@@ -301,9 +284,9 @@ class QuaternionicComplex:
         omega block of its kernel basis spans the forms, since the
         projection of a span is the span of the projections.
         """
-        d_real = realify_linear(self.partial_matrix(2))
-        dj_real = realify_linear(self.partial_j_matrix(2))
-        jbar_real = realify_antilinear(self.jbar_matrix(2))
+        d_real = realify_linear(self.operator_matrix("del", 2))
+        dj_real = realify_linear(self.operator_matrix("del_J", 2))
+        jbar_real = realify_antilinear(self.index_map("Jbar", 2).mat())
         wide = d_real.ncols
         top = d_real.hstack(-dj_real)
         bottom = (jbar_real - Mat.identity(wide)).hstack(Mat.zeros(wide, wide))

@@ -262,10 +262,15 @@ class SLStructure:
     def _decompose_jbar(self) -> DecompositionReport:
         cx = self.cx
         # over the reals: ker and im of the realified del are the realified
-        # ker and im of del, and each locus is one kernel
+        # ker and im of del; the plus locus is one kernel, and i times it,
+        # (re, im) -> (-im, re), is the minus locus, while im_real is a
+        # complex subspace that i keeps
         im_real = row_basis(realify_linear(self.mc.delta(1)).transpose())
-        big_plus = row_basis(cx.jbar_locus(1).vstack(im_real))
-        big_minus = row_basis(cx.jbar_locus(-1).vstack(im_real))
+        big_plus = row_basis(cx.jbar_locus.vstack(im_real))
+        size = big_plus.ncols // 2
+        times_i = SignedPermutation(tuple(range(size, 2 * size)) + tuple(range(size)),
+                                    (-1,) * size + (1,) * size)
+        big_minus = row_basis(times_i.relabel_columns(big_plus))
 
         # both contain im_real: dim(U ∩ V) = dim U + dim V - dim(U + V)
         plus_real = big_plus.nrows - im_real.nrows
@@ -332,7 +337,7 @@ class SLStructure:
         """
         cx = self.cx
         power = omega_power(cx, omega)
-        if any(cx.operator_matrix("ddJ", 2 * cx.n - 2).apply(power)):
+        if any(self.mc.ddj(2 * cx.n - 2).apply(power)):
             raise NotGauduchon(
                 "degree map needs del del_J of Omega^{n-1} to vanish"
             )
@@ -341,10 +346,10 @@ class SLStructure:
                 f"expected the {len(cx.hol_basis(1))} coordinates of a "
                 f"(1,0)-form, got {len(alpha)}"
             )
-        if any(cx.operator_matrix("ddJ", 1).apply(alpha)):
+        if any(self.mc.ddj(1).apply(alpha)):
             raise NotAeppliClosed("representative is not del del_J-closed")
         # the degree map as a covector on the (1,0) basis
-        covector = cx.partial_matrix(1).transpose().apply(
+        covector = self.mc.delta(1).transpose().apply(
             self.wedge_matrix(2).apply(power))
         if any(self.mc.image("side", 0).apply(covector)):
             raise RepresentativeDependence(

@@ -1147,7 +1147,7 @@ def reference_decomposition(sl: SLStructure) -> DecompositionReport:
     mc = sl.mc
     ker_real = _realified_complex_subspace(ker_del(mc, 2))
     im_real = _realified_complex_subspace(im_del(mc, 2))
-    jbar_real = realify_antilinear(sl.cx.jbar_matrix(2))
+    jbar_real = realify_antilinear(sl.cx.index_map("Jbar", 2).mat())
     identity = Mat.identity(jbar_real.ncols)
     big_plus = space_sum(intersect(kernel_space(jbar_real - identity), ker_real), im_real)
     big_minus = space_sum(intersect(kernel_space(jbar_real + identity), ker_real), im_real)
@@ -1366,21 +1366,23 @@ class FormRoute:
         return image if (p + 1) % 2 == 0 else -image
 
     def route(self, which: str, p: int, q: int):
-        """The operator named as in `QuaternionicComplex.operator_matrix`,
-        applied form by form, and the bidegree it sends (p,q) to."""
+        """One operator, applied form by form, and the bidegree it sends
+        (p,q) to: del, del_bar and del_J as named in
+        `QuaternionicComplex.operator_matrix`, J and Jbar as in its
+        `index_map`, ddj as in `MatrixComplex.ddj`, and conj."""
         return {
             "del": (self.partial, (p + 1, q)),
             "del_bar": (self.partial_bar, (p, q + 1)),
             "del_J": (self.partial_j, (p + 1, q)),
-            "ddJ": (lambda f: self.partial(self.partial_j(f)), (p + 2, q)),
+            "ddj": (lambda f: self.partial(self.partial_j(f)), (p + 2, q)),
             "Jbar": (self.jbar, (p, q)),
             "J": (self.j, (q, p)),
             "conj": (self.conj, (q, p)),
         }[which]
 
     def operator_matrix(self, which: str, p: int, q: int = 0) -> Mat:
-        """`QuaternionicComplex.operator_matrix`, from the operator's value
-        on every basis monomial."""
+        """The matrix of a `route` operator out of the (p,q) basis, from
+        its value on every basis monomial."""
         op, target = self.route(which, p, q)
         tgt = {mono: r for r, mono in enumerate(self.cx.bidegree_basis(*target))}
         src = self.cx.bidegree_basis(p, q)

@@ -16,6 +16,8 @@ from quatcohom import (
 import quatcohom.cohomology as cohomology
 from quatcohom.errors import EngineError, InternalInconsistency
 from quatcohom.linalg import Mat, kernel_basis, rank, row_basis
+from quatcohom.model import instantiate
+from quatcohom.scalars import ZERO
 from quatcohom.suite import run_property_suite
 
 from support import (
@@ -89,12 +91,12 @@ def test_example1_golden_tables(ex1):
 
 def test_example1_displayed_differentials(ex1):
     # column g is the image of phi^{g+1}; row 0 is phi^{12}
-    cx = ex1.cx
+    mc = ex1.mc
     phi12 = (1, 0, 0, 0, 0, 0)
     zero = (0,) * 6
-    assert cx.partial_matrix(1).columns() == [zero, zero, zero, phi12]
-    assert cx.partial_j_matrix(1).col(2) == phi12
-    assert cx.partial_j_matrix(1).col(3) == zero
+    assert mc.delta(1).columns() == [zero, zero, zero, phi12]
+    assert mc.delta_j(1).col(2) == phi12
+    assert mc.delta_j(1).col(3) == zero
 
 
 def test_torus_everything_trivial(torus):
@@ -169,6 +171,34 @@ def _basis_free_report(session):
     return session.mc.table(), answers, decomposition, statuses, pairings
 
 
+def _quaternionic_gl(spec, rng):
+    """P with P^T a seeded rational combination of a kernel basis of the
+    conditions X I = I X and X J = J X, checked to be invertible.  The
+    coframe change by P leaves the I and J tables as they are and moves
+    the structure constants."""
+    inst = instantiate(spec)
+    m = spec.dimension
+    entries = {}
+    # row (k, a, c) is entry (a, c) of X M - M X for M = I, J, and column
+    # a*m + b is the unknown X[a][b]
+    for k, mat in enumerate((inst.mat_i, inst.mat_j)):
+        for a in range(m):
+            for c in range(m):
+                row = (k * m + a) * m + c
+                for b in range(m):
+                    for key, value in (((row, a * m + b), mat.data[b][c]),
+                                       ((row, b * m + c), -mat.data[a][b])):
+                        entries[key] = entries.get(key, 0) + value
+    basis = kernel_basis(Mat.from_entries(2 * m * m, m * m, entries))
+    assert basis.nrows == {8: 16, 12: 36}[m]
+    coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(basis.nrows)]
+    x = [sum((c * row[j] for c, row in zip(coeffs, basis.data)), ZERO)
+         for j in range(m * m)]
+    p_transpose = Mat.from_rows([x[a * m:(a + 1) * m] for a in range(m)])
+    assert rank(p_transpose) == m
+    return p_transpose.transpose()
+
+
 def test_tables_invariant_under_coframe_change(ex1, ex3):
     rng = Random(2024)
     for session, count in ((ex1, 3), (ex3, 1)):
@@ -177,6 +207,12 @@ def test_tables_invariant_under_coframe_change(ex1, ex3):
         for _ in range(count):
             variant = coframe_variant(spec, random_gl(rng, spec.dimension))
             assert _basis_free_report(ReportSession(variant)) == expected
+        # a change whose transpose commutes with I and J keeps their tables
+        variant = coframe_variant(spec, _quaternionic_gl(spec, rng))
+        old, new = instantiate(spec), instantiate(variant)
+        assert (new.mat_i, new.mat_j) == (old.mat_i, old.mat_j)
+        assert variant.structure != spec.structure
+        assert _basis_free_report(ReportSession(variant)) == expected
 
 
 def test_tables_invariant_under_scaling(ex1):

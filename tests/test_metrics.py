@@ -143,10 +143,10 @@ def test_jbar_locus_is_reduced_once_for_the_candidates_and_the_decomposition(
         hkt_existence(cx, session.mc)
         assert cx.hkt_space == space
         monkeypatch.undo()
-        # one kernel per sign of Jbar, whatever asked first
-        assert len(calls) == 2
-        d_real = realify_linear(cx.partial_matrix(2))
-        jbar_real = realify_antilinear(cx.jbar_matrix(2))
+        # one kernel, the plus locus, whatever asked first
+        assert len(calls) == 1
+        d_real = realify_linear(cx.operator_matrix("del", 2))
+        jbar_real = realify_antilinear(cx.index_map("Jbar", 2).mat())
         assert space == row_basis(kernel_basis(
             d_real.vstack(jbar_real - Mat.identity(d_real.ncols))))
         assert session.sl.jbar_decomposition() == fixture.sl.jbar_decomposition()
@@ -155,9 +155,9 @@ def test_jbar_locus_is_reduced_once_for_the_candidates_and_the_decomposition(
 def _sg_space_reduced_twice(cx):
     # the canonical basis of the kernel of the realified
     # [del | -del_J; Jbar - 1 | 0], then of its omega block
-    d_real = realify_linear(cx.partial_matrix(2))
-    dj_real = realify_linear(cx.partial_j_matrix(2))
-    jbar_real = realify_antilinear(cx.jbar_matrix(2))
+    d_real = realify_linear(cx.operator_matrix("del", 2))
+    dj_real = realify_linear(cx.operator_matrix("del_J", 2))
+    jbar_real = realify_antilinear(cx.index_map("Jbar", 2).mat())
     wide = d_real.ncols
     pairs = d_real.hstack(-dj_real).vstack(
         (jbar_real - Mat.identity(wide)).hstack(Mat.zeros(wide, wide)))
@@ -210,7 +210,7 @@ def test_hkt_candidate_space_is_reduced_once_per_report(monkeypatch):
     build_report_from_session(session)
     # the session's HKT verdict and the suite's hkt-flag-decoupling check
     # read it; the Jbar-real closed locus is reduced for them once
-    locus = session.cx.jbar_locus(1)
+    locus = session.cx.jbar_locus
     assert sum(m == locus for m in reduced) == 1
 
 

@@ -3,7 +3,8 @@ from random import Random
 
 import pytest
 
-from quatcohom import GaussianRational, QuaternionicComplex, ReportSession, load_corpus
+from quatcohom import (GaussianRational, MatrixComplex, QuaternionicComplex, ReportSession,
+                       load_corpus)
 from quatcohom.errors import IntegrabilityViolation, ValidationFailure
 from quatcohom.linalg import Mat, SignedPermutation, inverse
 from quatcohom.model import _build_coframe, instantiate
@@ -19,8 +20,6 @@ from support import (
     nonintegrable_spec,
     random_gl,
 )
-
-KINDS = ("del", "del_bar", "del_J", "Jbar", "ddJ", "J")
 
 
 def _cases():
@@ -43,10 +42,11 @@ CASES = _cases()
                          ids=[case[0] for case in CASES])
 def test_operator_matrices_match_the_form_route(spec, bindings):
     cx = QuaternionicComplex.build(spec, bindings)
+    mc = MatrixComplex.from_quaternionic(cx)
     ref = FormRoute(cx)
-    for which in KINDS:
-        for p in range(cx.half + 1):
-            assert cx.operator_matrix(which, p) == ref.operator_matrix(which, p), (which, p)
+    for p in range(cx.half + 1):
+        for which, mat in _operators_out_of(cx, mc, p, 0).items():
+            assert mat == ref.operator_matrix(which, p), (which, p)
 
 
 SIGNED_CASES = CASES + [("example3+example1+torus8", direct_sum_spec(
@@ -56,22 +56,25 @@ SIGNED_CASES = CASES + [("example3+example1+torus8", direct_sum_spec(
 @pytest.mark.parametrize("spec, bindings", [case[1:] for case in SIGNED_CASES],
                          ids=[case[0] for case in SIGNED_CASES])
 def test_signed_permutations_match_the_general_matrix_route(spec, bindings):
-    # J and conj against the form route's matrices, Jbar and del_J against
-    # the products J conj and (-1)^{p+1} J del_bar J of those, the wedge
-    # matrix against the wedge of forms and the star against its inverse
-    # by elimination
+    # J out of (p,0), and J out of (0,p) derived as (-1)^p J(p,0)^{-1},
+    # against the form route's matrices; Jbar, del_J and ddj against the
+    # products J conj, (-1)^{p+1} J del_bar J and del del_J of those; the
+    # wedge matrix against the wedge of forms and the star against its
+    # inverse by elimination
     session = ReportSession(spec, bindings)
-    cx, sl = session.cx, session.sl
+    cx, mc, sl = session.cx, session.mc, session.sl
     ref = FormRoute(cx)
     j_back = [ref.operator_matrix("J", 0, p) for p in range(cx.half + 2)]
     for p in range(cx.half + 1):
         j_in, conj = ref.operator_matrix("J", p), ref.operator_matrix("conj", p)
-        assert cx.index_map("J", p, 0).mat() == j_in, p
-        assert cx.index_map("J", 0, p).mat() == j_back[p], p
-        assert cx.index_map("conj", p, 0).mat() == conj, p
-        assert cx.index_map("Jbar", p, 0).mat() == j_back[p] @ conj, p
+        assert cx.index_map("J", p).mat() == j_in, p
+        back = cx.index_map("J", p).inverse()
+        assert (-back if p % 2 else back).mat() == j_back[p], p
+        assert cx.index_map("Jbar", p).mat() == j_back[p] @ conj, p
         del_j = j_back[p + 1] @ cx.operator_matrix("del_bar", 0, p) @ j_in
-        assert cx.partial_j_matrix(p) == (del_j if p % 2 else -del_j), p
+        del_j = del_j if p % 2 else -del_j
+        assert cx.operator_matrix("del_J", p) == del_j, p
+        assert mc.ddj(p) == cx.operator_matrix("del", p + 1) @ del_j, p
         wedge = form_wedge_matrix(cx, p)
         assert sl.wedge_matrix(p).mat() == wedge, p
         assert sl.star_matrix(p).mat() == inverse(wedge), p
@@ -81,22 +84,21 @@ def test_signed_permutations_match_the_general_matrix_route(spec, bindings):
 def test_form_operators_match_the_form_route_in_every_bidegree(seed):
     # the matrix of every operator out of every (p,q) basis, against the
     # operator applied to each basis monomial and to one mixed-coefficient
-    # form, which the antilinear ones read conjugated
+    # form, which Jbar, antilinear, reads conjugated
     spec = load_corpus("example1")
     if seed is not None:
         spec = coframe_variant(spec, random_gl(Random(seed), 8))
     cx = QuaternionicComplex.build(spec)
+    mc = MatrixComplex.from_quaternionic(cx)
     ref = FormRoute(cx)
     for p in range(cx.half + 1):
         for q in range(cx.half + 1):
             coords = [GaussianRational(Fraction(k + 1, 2), k % 3 - 1)
                       for k in range(len(cx.bidegree_basis(p, q)))]
-            kinds = ("del", "del_bar", "J", "conj", "Jbar")
-            for which in kinds + (("del_J", "ddJ") if q == 0 else ()):
-                mat = cx.operator_matrix(which, p, q)
+            for which, mat in _operators_out_of(cx, mc, p, q).items():
                 assert mat == ref.operator_matrix(which, p, q), (which, p, q)
                 op, target = ref.route(which, p, q)
-                image = (mat.apply_conjugated(coords) if which in ("conj", "Jbar")
+                image = (mat.apply_conjugated(coords) if which == "Jbar"
                          else mat.apply(coords))
                 assert from_coords(cx, image, *target) == op(from_coords(cx, coords, p, q))
 
@@ -104,10 +106,24 @@ def test_form_operators_match_the_form_route_in_every_bidegree(seed):
 def test_operator_matrix_refuses_what_it_does_not_define(ex1):
     with pytest.raises(ValueError, match=r"del_J acts on \(p,0\)-forms"):
         ex1.cx.operator_matrix("del_J", 1, 1)
-    with pytest.raises(ValueError, match="unknown operator"):
-        ex1.cx.operator_matrix("star", 1)
-    with pytest.raises(ValueError, match="'del' is not a signed permutation"):
-        ex1.cx.index_map("del", 1, 0)
+    for name in ("star", "J", "Jbar", "ddJ"):
+        with pytest.raises(ValueError, match="unknown operator"):
+            ex1.cx.operator_matrix(name, 1)
+    for name in ("del", "conj"):
+        with pytest.raises(ValueError, match=f"'{name}' is not a signed permutation"):
+            ex1.cx.index_map(name, 1)
+
+
+def _operators_out_of(cx, mc, p, q):
+    """Every operator out of the (p,q) basis by the name `FormRoute.route`
+    gives it: del and del_bar in every bidegree, and out of (p,0) del_J,
+    the complex's del del_J, J and Jbar."""
+    ops = {which: cx.operator_matrix(which, p, q) for which in ("del", "del_bar")}
+    if q == 0:
+        ops.update({"del_J": cx.operator_matrix("del_J", p), "ddj": mc.ddj(p),
+                    "J": cx.index_map("J", p).mat(),
+                    "Jbar": cx.index_map("Jbar", p).mat()})
+    return ops
 
 
 def test_integrability_is_checked_on_the_generators():
@@ -136,8 +152,8 @@ def _without_column(mat, j):
 
 def test_jbar_checks_name_the_first_failing_basis_form(monkeypatch):
     session = ReportSession(load_corpus("example3"))
-    cx, basis = session.cx, session.cx.hol_basis(2)
-    good_jbar, good_del = cx.jbar_matrix(2), cx.partial_matrix(2)
+    cx, mc, basis = session.cx, session.mc, session.cx.hol_basis(2)
+    good_jbar, good_del = cx.index_map("Jbar", 2).mat(), mc.delta(2)
     # with the sign of column j of Jbar on (2,0) flipped, Jbar^2 changes
     # sign in the columns j and the one Jbar sends onto j; with a nonzero
     # column of del gone, Jbar del loses that column
@@ -145,11 +161,11 @@ def test_jbar_checks_name_the_first_failing_basis_form(monkeypatch):
     onto = next(k for k in range(len(basis)) if good_jbar[j, k])
     j_del = [k for k in range(len(basis)) if any(good_del.col(k))][1]
     assert onto not in (j, 0) and j_del > 0
-    good_map = cx.index_map
+    good_map, good_delta = cx.index_map, mc.delta
 
-    def flipped(which, p, q):
-        perm = good_map(which, p, q)
-        if (which, p, q) != ("Jbar", 2, 0):
+    def flipped(which, p):
+        perm = good_map(which, p)
+        if (which, p) != ("Jbar", 2):
             return perm
         signs = list(perm.signs)
         signs[j] = -signs[j]
@@ -159,7 +175,7 @@ def test_jbar_checks_name_the_first_failing_basis_form(monkeypatch):
     detail = {r.name: r.detail for r in run_property_suite(session)}
     assert detail["jbar-involution"] == f"failed on {cx.render_mono(basis[min(j, onto)])}"
     monkeypatch.undo()
-    monkeypatch.setattr(cx, "partial_matrix", lambda p: _without_column(
-        cx.operator_matrix("del", p), j_del) if p == 2 else cx.operator_matrix("del", p))
+    monkeypatch.setattr(mc, "delta", lambda p: _without_column(
+        good_delta(p), j_del) if p == 2 else good_delta(p))
     detail = {r.name: r.detail for r in run_property_suite(session)}
     assert detail["jbar-intertwine"] == f"failed on {cx.render_mono(basis[j_del])}"

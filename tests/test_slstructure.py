@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -140,9 +141,13 @@ def test_jbar_decomposition_example3(ex3):
 
 
 def test_decomposition_matches_subspace_reference(corpus_sessions):
-    # the engine counts the loci by ranks of stacked operators; the
-    # reference intersects and sums the subspaces themselves
-    for session in corpus_sessions:
+    # the engine counts the loci by ranks of stacked operators and reads
+    # the minus locus off the plus one, times i; the reference intersects
+    # and sums the subspaces themselves, each locus its own kernel
+    sessions = corpus_sessions + [
+        ReportSession(load_corpus("example2"), {"t": Fraction(2)}),
+        ReportSession(direct_sum_spec(load_corpus("example1"), load_corpus("torus8")))]
+    for session in sessions:
         assert session.sl.decomposition_report() == \
             reference_decomposition(session.sl)
 
@@ -199,13 +204,13 @@ def test_volume_form_guard():
 
 def test_adjoint_identity_spot_check(ex1):
     # conj-transpose of del at degree p equals -S del(2n-p-1) S
-    cx, sl = ex1.cx, ex1.sl
+    cx, mc, sl = ex1.cx, ex1.mc, ex1.sl
     half = cx.half
     p = 1
-    lhs = cx.partial_matrix(p).transpose()
+    lhs = mc.delta(p).transpose()
     lhs = Mat.from_rows(
         [[x.conjugate() for x in row] for row in lhs.data],
         ncols=lhs.ncols)
-    rhs = (sl.star_matrix(half - p).mat() @ cx.partial_matrix(half - p - 1)
+    rhs = (sl.star_matrix(half - p).mat() @ mc.delta(half - p - 1)
            @ sl.star_matrix(p + 1).mat()).scale(-1)
     assert lhs == rhs
