@@ -5,25 +5,28 @@ the paired (1,0)-forms phi^1..phi^{2n}, generators 2n..4n-1 their
 conjugates.  Bidegree of a monomial is read off by counting indices in
 each half.
 
-Each operator is one exact matrix per bidegree on the lexicographic
-monomial bases, built from its values on the generators.  d of each
-generator is read off the structure constants through `model`'s bracket
-kernel, one bracket for each pair of generators, and is split by
-bidegree once, at construction.  del and del_bar
-are derivations: on a monomial m = phi^{g_0} ^ phi^{g_1} ^ ..., the
-Leibniz rule gives d(m) = sum_k (-1)^k d phi^{g_k} ^ (m without g_k), and
-del keeps the terms of each d phi^g that raise p, del_bar those that raise
-q.  J is an algebra map sending each (1,0) generator to plus or minus one
-(0,1) generator, so out of the (p,0) basis it is a signed permutation,
-built from integer index work and held as a `SignedPermutation`
-(`index_map`).  It is the only one built from the generators; J^2 = -1
-gives the rest by inversion.  J out of (0,p) is (-1)^p J(p,0)^{-1}, and
-conjugation keeps each monomial's place, so Jbar = J∘conj out of (p,0)
-is that same map.  del_J = J^{-1} del_bar J on (p,0)-forms is
-J(p+1,0)^{-1} del_bar(0,p) J(p,0), with no sign: del_bar out of (0,p)
-with its rows and columns relabelled, and no product formed.  Inside the
-engine a form is its coordinate tuple on these bases, read through the
-matrices, and `render_coords` prints one in phi labels.
+Each operator is one exact matrix out of the (p,0) basis, built from its
+values on the generators.  d of each generator is read off the structure
+constants through `model`'s bracket kernel, one bracket for each pair of
+generators, once, at construction, which checks integrability and that d
+of each conjugate generator is d of its generator conjugated; only the
+(2,0) and (1,1) parts of d of the (1,0) generators are kept.  del and
+del_bar are derivations: on a monomial m = phi^{g_0} ^ phi^{g_1} ^ ...,
+the Leibniz rule gives d(m) = sum_k (-1)^k d phi^{g_k} ^ (m without
+g_k), with the (2,0) parts for del and the (1,1) parts for del_bar.  It
+also carries the conjugation check to every degree, and conjugation
+keeps each monomial's place, so del_bar out of (0,p) is del out of (p,0)
+conjugated.  J is an algebra map sending each (1,0) generator to plus or
+minus one (0,1) generator, so out of the (p,0) basis it is a signed
+permutation, built from integer index work and held as a
+`SignedPermutation` (`index_map`).  It is the only one built from the
+generators; J^2 = -1 gives the rest by inversion.  J out of (0,p) is
+(-1)^p J(p,0)^{-1}, so Jbar = J∘conj out of (p,0) is that same map.
+del_J = J^{-1} del_bar J on (p,0)-forms is J(p+1,0)^{-1} conj(del(p,0))
+J(p,0), with no sign: del out of (p,0) conjugated, with its rows and
+columns relabelled, and no product formed.  Inside the engine a form is
+its coordinate tuple on these bases, read through the matrices, and
+`render_coords` prints one in phi labels.
 """
 
 from __future__ import annotations
@@ -63,7 +66,8 @@ _INDEX_MAP_NAMES = ("J", "Jbar")
 
 # The largest middle (n,0) basis, C(2n, n), of a structure the engine
 # builds operators for: 12870 at real dimension 32, the largest size
-# measured to finish, where a report takes 15 to 20 s and about 200 MB.
+# measured to finish, where a report takes about 12 s and 185 MB (Python
+# 3.11, two shared CPUs).
 # Real dimension 36 has 48620 forms in the middle degree.
 MAX_MIDDLE_BASIS = 12870
 
@@ -83,22 +87,28 @@ class QuaternionicComplex:
 
         m, half = self.dimension, self.half
         b, c = _basis_change(coframe.rows, m)
-        # the terms of d phi^g that raise p and those that raise q; a term
-        # doing neither is the (0,2) part of d of a (1,0)-form or the
-        # (2,0) part of d of a (0,1)-form, which integrability rules out
-        self._raise_p: List[List[Tuple[Mono, GaussianRational]]] = [[] for _ in range(m)]
-        self._raise_q: List[List[Tuple[Mono, GaussianRational]]] = [[] for _ in range(m)]
-        pairs = list(combinations(range(m), 2))
-        for g, d_g in enumerate(_coframe_differentials(inst, b, c, m, pairs)):
+        # the (2,0) parts of d of the (1,0) generators give del, the (1,1)
+        # parts del_bar; d of each conjugate generator must be d of its
+        # generator with indices moved by 2n and coefficients conjugated
+        self._del_parts: List[List[Tuple[Mono, GaussianRational]]] = [[] for _ in range(half)]
+        self._del_bar_parts: List[List[Tuple[Mono, GaussianRational]]] = [[] for _ in range(half)]
+        d_gens = _coframe_differentials(inst, b, c, m, list(combinations(range(m), 2)))
+        for g, d_g in enumerate(d_gens[:half]):
+            conj_terms = {}
             for pair, coeff in d_g:
                 p, q = self.bidegree_of_mono(pair)
-                step = p - (g < half)
-                if step not in (0, 1):
+                if q == 2:
                     raise IntegrabilityViolation(
                         f"d of {self.render_mono((g,))} has the ({p},{q}) "
                         f"component {render_terms([(pair, coeff)], self.render_mono)}"
                     )
-                (self._raise_p if step else self._raise_q)[g].append((pair, coeff))
+                (self._del_parts if p == 2 else self._del_bar_parts)[g].append((pair, coeff))
+                sign, conj_pair = merge_monomials(*(((s + half) % m,) for s in pair))
+                conj_terms[conj_pair] = coeff.conjugate() if sign > 0 else -coeff.conjugate()
+            if conj_terms != dict(d_gens[g + half]):
+                raise InternalInconsistency(
+                    f"d of {self.render_mono((g + half,))} is not the conjugate "
+                    f"of d of {self.render_mono((g,))}")
         # row r of b J^T b^-1 is J phi^r in this coframe, which the
         # J-pairing makes plus or minus one generator; only the (1,0) rows
         # are read, since every map is derived from J out of (p,0)
@@ -112,7 +122,7 @@ class QuaternionicComplex:
             self._j_gens.append((image[0][0], 1 if image[0][1] == ONE else -1))
 
         self._indices: Dict[Tuple[int, int], Dict[Mono, int]] = {}
-        self._matrices: Dict[Tuple[str, int, int], Mat] = {}
+        self._matrices: Dict[Tuple[str, int], Mat] = {}
         self._index_maps: Dict[Tuple[str, int], SignedPermutation] = {}
 
         # the top form phi^1 ^ ... ^ phi^2n must be holomorphic and Jbar-real
@@ -176,10 +186,11 @@ class QuaternionicComplex:
     # -- operator matrices -------------------------------------------------
 
     def _derivation(self, parts: List[List[Tuple[Mono, GaussianRational]]],
-                    p: int, q: int, target: Tuple[int, int]) -> Mat:
-        """The derivation with d phi^g = parts[g], out of the (p,q) basis
-        into the target bidegree, which every part raises it to."""
-        src = self.bidegree_basis(p, q)
+                    p: int, target: Tuple[int, int]) -> Mat:
+        """The derivation with d phi^g = parts[g] on the (1,0) generators,
+        out of the (p,0) basis into the target bidegree, which every part
+        raises it to."""
+        src = self.hol_basis(p)
         index = self._index(*target)
         entries: Dict[Tuple[int, int], GaussianRational] = {}
         for col, mono in enumerate(src):
@@ -232,27 +243,25 @@ class QuaternionicComplex:
             self._index_maps[key] = perm
         return self._index_maps[key]
 
-    def operator_matrix(self, which: str, p: int, q: int = 0) -> Mat:
-        """Exact matrix of an operator out of the (p,q) monomial basis, built once.
+    def operator_matrix(self, which: str, p: int) -> Mat:
+        """Exact matrix of an operator out of the (p,0) monomial basis, built once.
 
-        del lands in (p+1,q) and del_bar in (p,q+1); del_J acts on (p,0)
-        only, landing in (p+1,0).
+        del lands in (p+1,0), del_bar in (p,1) and del_J in (p+1,0).
         """
-        key = (which, p, q)
+        key = (which, p)
         if key in self._matrices:
             return self._matrices[key]
-        if which not in _MATRIX_NAMES:
-            raise ValueError(f"unknown operator {which!r}; choose from {_MATRIX_NAMES}")
         if which == "del":
-            mat = self._derivation(self._raise_p, p, q, (p + 1, q))
+            mat = self._derivation(self._del_parts, p, (p + 1, 0))
         elif which == "del_bar":
-            mat = self._derivation(self._raise_q, p, q, (p, q + 1))
-        elif q:
-            raise ValueError(f"{which} acts on (p,0)-forms, not ({p},{q})")
-        else:
-            # J(p+1,0)^{-1} del_bar(0,p) J(p,0), by relabelling
+            mat = self._derivation(self._del_bar_parts, p, (p, 1))
+        elif which == "del_J":
+            # J(p+1,0)^{-1} del_bar(0,p) J(p,0), by relabelling, with
+            # del_bar out of (0,p) read as del out of (p,0) conjugated
             mat = self.index_map("J", p + 1).inverse().relabel_rows(
-                self.index_map("J", p).relabel_columns(self.operator_matrix("del_bar", 0, p)))
+                self.index_map("J", p).relabel_columns(self.operator_matrix("del", p).conj()))
+        else:
+            raise ValueError(f"unknown operator {which!r}; choose from {_MATRIX_NAMES}")
         self._matrices[key] = mat
         return mat
 

@@ -16,7 +16,7 @@ from quatcohom import (
 import quatcohom.cohomology as cohomology
 from quatcohom.errors import EngineError, InternalInconsistency
 from quatcohom.linalg import Mat, kernel_basis, rank, row_basis
-from quatcohom.model import instantiate
+from quatcohom.model import AlgebraSpec, instantiate
 from quatcohom.scalars import ZERO
 from quatcohom.suite import run_property_suite
 
@@ -229,6 +229,29 @@ def test_tables_invariant_under_direct_sum_order():
     forward = _basis_free_report(ReportSession(direct_sum_spec(ex1, torus)))
     backward = _basis_free_report(ReportSession(direct_sum_spec(torus, ex1)))
     assert forward == backward
+
+
+def _sphere_variant(spec, mat_i, mat_j):
+    """`spec` with I and J replaced by two other anticommuting points of
+    its sphere of complex structures, K left to be I J."""
+    structure = {k: [(i, j, c.constant_value().re) for i, j, c in terms]
+                 for k, terms in spec.structure}
+    rows = [[[Fraction(x.re) for x in row] for row in mat.data] for mat in (mat_i, mat_j)]
+    return AlgebraSpec.create(spec.dimension, structure, *rows, name=f"{spec.name}-sphere")
+
+
+def test_tables_invariant_on_the_sphere_of_complex_structures(ex1, ex3):
+    # I' = -I (so K' = -K) gives the conjugate complex; J' = (3/5)J +
+    # (4/5)IJ keeps I and is a unit multiple of J in each degree of
+    # (p,0)-forms, so del_J' is a unit multiple of del_J.  Both write the
+    # complex in a coframe no corpus structure has
+    for session in (ex1, ex3):
+        inst = instantiate(session.spec)
+        expected = _basis_free_report(session)
+        turned = inst.mat_j.scale(Fraction(3, 5)) + inst.mat_k.scale(Fraction(4, 5))
+        for mat_i, mat_j in ((-inst.mat_i, inst.mat_j), (inst.mat_i, turned)):
+            variant = _sphere_variant(session.spec, mat_i, mat_j)
+            assert _basis_free_report(ReportSession(variant)) == expected
 
 
 def _one_dimensional_complex(del_entries, delj_entries):

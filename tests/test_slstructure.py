@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from quatcohom import ReportSession, load_corpus, standard_omega
-from quatcohom.errors import NotAeppliClosed, NotGauduchon, NotHolomorphic, NotSL2
+from quatcohom.errors import NotAeppliClosed, NotGauduchon, NotHolomorphic, NotReal, NotSL2
 from quatcohom.exterior import merge_monomials
 from quatcohom.linalg import Mat, SignedPermutation, inverse
 from quatcohom.model import _build_coframe, instantiate
@@ -200,6 +200,23 @@ def test_volume_form_guard():
     inst = instantiate(affine_complex_spec())
     with pytest.raises(NotHolomorphic, match=r"the \(2n,1\) component"):
         QuaternionicComplex(inst, _build_coframe(inst))
+
+
+def test_real_volume_form_guard(monkeypatch):
+    # J with its sign flipped on phi^1, extended as an algebra map: Jbar
+    # changes sign on every (p,0) form holding phi^1, the top form among
+    # them, and the complex must refuse it
+    good = QuaternionicComplex._j_map
+
+    def flipped(self, p):
+        perm = good(self, p)
+        return SignedPermutation(perm.targets, tuple(
+            -sign if 0 in mono else sign
+            for mono, sign in zip(self.hol_basis(p), perm.signs)))
+
+    monkeypatch.setattr(QuaternionicComplex, "_j_map", flipped)
+    with pytest.raises(NotReal, match="^the coframe top form is not Jbar-real$"):
+        QuaternionicComplex.build(load_corpus("example1"))
 
 
 def test_adjoint_identity_spot_check(ex1):
