@@ -23,11 +23,11 @@ The E2 denominator's operator (x, y) -> (del y, del x + del_J y) is
 e2_num with its two column blocks swapped and the second one negated, so
 it has the same rank.
 
-A space itself, as for class representatives, is the kernel or image of
-one named operator, held as the matrix of its canonical basis and cached
-beside the ranks: ker del ∩ ker del_J is the kernel of "stacked" and
-im del + im del_J the image of "side".  The product del del_J is formed
-once, by the constructor's anticommutation check, and kept as "ddj".
+A space itself, as for class representatives, is the kernel of one named
+operator, held as its canonical basis and cached beside the ranks (ker del
+∩ ker del_J is the kernel of "stacked"), or an image, handed over as the
+operator whose columns span it.  The product del del_J is formed once, by
+the constructor's anticommutation check, and kept as "ddj".
 
 The second route to E2 is independent in method: it iterates the first
 page on explicit representatives, chosen from the split's kernel basis
@@ -47,8 +47,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from .errors import InternalInconsistency, TheoremViolation
-from .linalg import Mat, kernel_basis, pivot_columns, rank, row_basis, rref
+from .errors import InternalInconsistency, NotASubspace, TheoremViolation
+from .linalg import Mat, complement_basis, kernel_basis, rank, row_basis, rref
 
 if TYPE_CHECKING:
     from .quaternionic import QuaternionicComplex
@@ -74,7 +74,7 @@ class MatrixComplex:
         self._delj = list(delj_mats)
         self.quaternionic_dim = quaternionic_dim
         self.has_jbar_symmetry = has_jbar_symmetry
-        self._spaces: Dict[Tuple[str, str, int], Mat] = {}
+        self._kernels: Dict[Tuple[str, int], Mat] = {}
         self._ranks: Dict[Tuple[str, int], int] = {}
         self._split: Dict[Tuple[str, int], Mat] = {}
         self._pages: Optional[List[int]] = None
@@ -133,9 +133,10 @@ class MatrixComplex:
             return self._ddj[p]
         return Mat.zeros(self.dim(p + 2), self.dim(p))
 
-    # -- the named operators: ranks, kernels and images ---------------------
+    # -- the named operators: ranks and kernels -----------------------------
 
-    def _operator(self, name: str, p: int) -> Mat:
+    def operator(self, name: str, p: int) -> Mat:
+        """One named operator out of degree p; its columns span its image."""
         if name == "del":
             return self.delta(p)
         if name == "del_J":
@@ -188,11 +189,11 @@ class MatrixComplex:
         if name == "side":
             left = self._split_part("left", p)
             return r + (rank(left @ self.delta_j(p)) if left.nrows else 0)
-        if r in (self._rank("stacked", p), self._rank("side", p)):
+        if r in (self.rank("stacked", p), self.rank("side", p)):
             return 2 * r
         return 2 * r + rank(self._split_part("left", p) @ self._split_part("jk", p))
 
-    def _rank(self, name: str, p: int) -> int:
+    def rank(self, name: str, p: int) -> int:
         """Rank of one operator out of degree p; zero outside 0..top-1.
 
         "e2_den" names the E2 denominator's operator, whose rank is that
@@ -205,7 +206,7 @@ class MatrixComplex:
         key = (name, p)
         if key not in self._ranks:
             if name in ("del_J", "ddj"):
-                self._ranks[key] = rank(self._operator(name, p))
+                self._ranks[key] = rank(self.operator(name, p))
             else:
                 self._ranks[key] = self._block_rank(name, p)
         return self._ranks[key]
@@ -216,20 +217,12 @@ class MatrixComplex:
         The rows are `row_basis` of a kernel basis; the one of del is the
         split's, so del is not eliminated again.
         """
-        key = ("kernel", name, p)
-        if key not in self._spaces:
+        key = (name, p)
+        if key not in self._kernels:
             basis = (self._split_part("kernel", p) if name == "del"
-                     else kernel_basis(self._operator(name, p)))
-            self._spaces[key] = row_basis(basis)
-        return self._spaces[key]
-
-    def image(self, name: str, p: int) -> Mat:
-        """Image of one operator out of degree p, as in `_rank`: the
-        canonical basis of its column space."""
-        key = ("image", name, p)
-        if key not in self._spaces:
-            self._spaces[key] = row_basis(self._operator(name, p).transpose())
-        return self._spaces[key]
+                     else kernel_basis(self.operator(name, p)))
+            self._kernels[key] = row_basis(basis)
+        return self._kernels[key]
 
     # -- cohomology dimensions ----------------------------------------------
     #
@@ -240,20 +233,20 @@ class MatrixComplex:
     # exchanged.
 
     def h_del(self, p: int) -> int:
-        return self.dim(p) - self._rank("del", p) - self._rank("del", p - 1)
+        return self.dim(p) - self.rank("del", p) - self.rank("del", p - 1)
 
     def h_delj(self, p: int) -> int:
-        return self.dim(p) - self._rank("del_J", p) - self._rank("del_J", p - 1)
+        return self.dim(p) - self.rank("del_J", p) - self.rank("del_J", p - 1)
 
     def h_bc(self, p: int) -> int:
-        return self.dim(p) - self._rank("stacked", p) - self._rank("ddj", p - 2)
+        return self.dim(p) - self.rank("stacked", p) - self.rank("ddj", p - 2)
 
     def h_ae(self, p: int) -> int:
-        return self.dim(p) - self._rank("ddj", p) - self._rank("side", p - 1)
+        return self.dim(p) - self.rank("ddj", p) - self.rank("side", p - 1)
 
     def varouchas(self, p: int) -> Tuple[int, int, int, int, int, int]:
         """The six defect dimensions (a, b, c, d, e, f) at degree p."""
-        r = self._rank
+        r = self.rank
         ddj0, ddj1, ddj2 = r("ddj", p), r("ddj", p - 1), r("ddj", p - 2)
         a = r("del", p - 1) + r("del_J", p - 1) - r("side", p - 1) - ddj2
         b = r("del_J", p - 1) - ddj1 - ddj2
@@ -279,49 +272,43 @@ class MatrixComplex:
         annihilating Im del, the kernel of e2_num is the v = K^T c with
         L del_J v = 0, plus a w in ker del.
         """
-        numerator = self.dim(p) - self._rank("e2_num", p) + self._rank("del", p)
-        denominator = self._rank("e2_den", p - 1) - self._rank("del", p - 1)
+        numerator = self.dim(p) - self.rank("e2_num", p) + self.rank("del", p)
+        denominator = self.rank("e2_den", p - 1) - self.rank("del", p - 1)
         return numerator - denominator
 
-    def _page_one(self, p: int) -> Tuple[Mat, Mat]:
-        """Page-one representatives at degree p and a basis of Im del.
+    def _page_one(self, p: int) -> Mat:
+        """Page-one representatives at degree p, one per column.
 
         The rows of the split's kernel basis of del span ker del, and the
-        columns of del one degree down span Im del inside it.  One pivot
-        pick over [del | kernel basis^T] keeps the independent columns of
-        del, a basis of Im del, and completes it to a basis of ker del with
-        rows of the kernel basis: those are the representatives.  Both
-        come back as the rows of a matrix.
+        columns of del one degree down span Im del inside it.  The rows
+        that complete Im del to ker del, as columns, are the
+        representatives.
         """
-        kernel = self._split_part("kernel", p)
-        image = self.delta(p - 1)
-        k = image.ncols
-        pivots = pivot_columns(image.hstack(kernel.transpose()))
-        if len(pivots) != kernel.nrows:
-            raise InternalInconsistency(f"Im del is not inside ker del at degree {p}")
-        reps = kernel.block([c - k for c in pivots if c >= k], range(self.dim(p)))
-        exact = image.transpose().block([c for c in pivots if c < k], range(self.dim(p)))
-        return reps, exact
+        try:
+            reps = complement_basis(self._split_part("kernel", p), self.delta(p - 1))
+        except NotASubspace:
+            raise InternalInconsistency(f"Im del is not inside ker del at degree {p}") from None
+        return reps.transpose()
 
-    def _class_coords(self, vectors: Mat, p: int, page: Tuple[Mat, Mat]) -> Mat:
+    def _class_coords(self, vectors: Mat, p: int, reps: Mat) -> Mat:
         """Coordinates of del-closed vectors on the page-one representatives.
 
-        `vectors` holds one vector per column and `page` is `_page_one(p)`.
-        The representatives and the basis of Im del are independent, so one
-        elimination of [reps | Im del | vectors] gives every vector's
-        unique coordinates at once.  Row r of the result holds the
-        coordinates on representative r.
+        `vectors` holds one vector per column and `reps` is `_page_one(p)`.
+        In [reps | del | vectors] the representatives are the first pivots
+        and del one degree down adds a basis of Im del, so one elimination
+        gives every vector's unique coordinates on those pivots at once.
+        Row r of the result holds the coordinates on representative r.
         """
-        reps, exact = page
         if not vectors.ncols:
-            return Mat.zeros(reps.nrows, 0)
-        k = reps.nrows + exact.nrows
-        reduced, pivots = rref(reps.vstack(exact).transpose().hstack(vectors))
-        if pivots != list(range(k)):
+            return Mat.zeros(reps.ncols, 0)
+        k = reps.ncols
+        start = k + self.dim(p - 1)
+        reduced, pivots = rref(reps.hstack(self.delta(p - 1)).hstack(vectors))
+        if pivots[:k] != list(range(k)) or (pivots and pivots[-1] >= start):
             raise InternalInconsistency(
                 "del_J image failed to land in ker del at the page-one level"
             )
-        return reduced.block(range(reps.nrows), range(k, k + vectors.ncols))
+        return reduced.block(range(k), range(start, start + vectors.ncols))
 
     def e2_pages_all(self) -> List[int]:
         """dim E2 for every degree, by explicit page iteration.
@@ -338,15 +325,14 @@ class MatrixComplex:
         page_one = [self._page_one(p) for p in range(self.top + 1)]
         d1: Dict[int, Mat] = {}
         for p in range(self.top + 1):
-            src = page_one[p][0]
+            src = page_one[p]
             if p == self.top:
-                d1[p] = Mat.zeros(0, src.nrows)
+                d1[p] = Mat.zeros(0, src.ncols)
             else:
                 # del_J of every representative at once, one per column
-                pushed = self.delta_j(p) @ src.transpose()
-                d1[p] = self._class_coords(pushed, p + 1, page_one[p + 1])
+                d1[p] = self._class_coords(self.delta_j(p) @ src, p + 1, page_one[p + 1])
         ranks = [rank(d1[p]) for p in range(self.top + 1)]
-        pages = [page_one[p][0].nrows - ranks[p] - (ranks[p - 1] if p else 0)
+        pages = [page_one[p].ncols - ranks[p] - (ranks[p - 1] if p else 0)
                  for p in range(self.top + 1)]
         self._pages = pages
         return pages

@@ -28,9 +28,10 @@ reduced echelon form, which is unique, so the reduced form is canonical.
 
 A subspace is a matrix whose rows are a basis of it.  `row_basis` gives
 the canonical one, the nonzero rows of the reduced echelon form, so two
-such matrices are equal exactly when their rows span the same space.
-The callers take every space as the kernel or image of a named operator:
-there is no intersection here, and a dimension of an intersection or a
+such matrices are equal exactly when their rows span the same space.  The
+callers hold only kernels of named operators so; an image is handed over
+as the operator, whose columns span it, as `complement_basis` takes it.
+There is no intersection here, and a dimension of an intersection or a
 quotient is read off ranks.
 
 A signed permutation matrix, one entry +1 or -1 in each row and each
@@ -861,18 +862,19 @@ def row_basis(matrix: Mat) -> Mat:
 def complement_basis(big: Mat, small: Mat) -> Mat:
     """Rows of `big` that complete the span of `small` to the span of `big`.
 
-    The rows of `big` must be independent; those of `small` need only span.
+    The rows of `big` must be independent; the columns of `small`, such as
+    an operator's, need only span.
     Greedy over the rows of `big`: a row is kept when it is not in the span
     of `small` and the rows before it.
     Those are exactly the pivot columns among the `big` columns of
-    [small^T | big^T], so one elimination picks them all.  The same
+    [small | big^T], so one elimination picks them all.  The same
     elimination checks containment: `small` lies in the span of `big`
     exactly when the rank of both together is the number of rows of `big`.
     """
-    pivots = pivot_columns(small.vstack(big).transpose())
+    pivots = pivot_columns(small.hstack(big.transpose()))
     if len(pivots) != big.nrows:
         raise NotASubspace("complement requested inside a non-subspace")
-    return big.block([c - small.nrows for c in pivots if c >= small.nrows],
+    return big.block([c - small.ncols for c in pivots if c >= small.ncols],
                      range(big.ncols))
 
 

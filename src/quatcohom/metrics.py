@@ -125,9 +125,9 @@ def classify_metric(cx: QuaternionicComplex, omega: Coords,
     gauduchon = hermitian and not any(mc.ddj(top - 1).apply(power))
     strongly = hermitian
     if hermitian and any(del_pow):
-        # del_J-exact: adding it to the image's basis leaves the rank
-        exact = mc.image("del_J", top - 1)
-        strongly = rank(exact.vstack(Mat.from_rows([del_pow]))) == exact.nrows
+        # del_J-exact: adding it as a column to del_J leaves the rank
+        spanned = mc.delta_j(top - 1).hstack(Mat.column(del_pow))
+        strongly = rank(spanned) == mc.rank("del_J", top - 1)
     return MetricCandidate(
         omega=omega,
         gram=gram,

@@ -14,8 +14,9 @@ matrix, and the sign rule then serves as an independent cross-check in
 the test suite.  Products with either relabel rows or columns.
 
 All dimensions reported by the decompositions are exact.  Every space
-read is the kernel or image of one operator, as in the matrix complex,
-and intersections and sums of such spaces are only counted, by ranks.
+read is the kernel of one operator, as in the matrix complex, or an image,
+handed over as the operator whose columns span it, and intersections and
+sums of such spaces are only counted, by ranks.
 The fixed loci of the antilinear involution Jbar are only real subspaces,
 so the plus and minus summands are tracked through a realification of the
 coefficient space; their intersection and sum are genuinely complex and
@@ -155,12 +156,10 @@ class SLStructure:
     # -- duality pairing -----------------------------------------------------
 
     def _bc_representatives(self, p: int) -> Mat:
-        return complement_basis(self.mc.kernel("stacked", p),
-                                self.mc.image("ddj", p - 2))
+        return complement_basis(self.mc.kernel("stacked", p), self.mc.ddj(p - 2))
 
     def _ae_representatives(self, p: int) -> Mat:
-        return complement_basis(self.mc.kernel("ddj", p),
-                                self.mc.image("side", p - 1))
+        return complement_basis(self.mc.kernel("ddj", p), self.mc.operator("side", p - 1))
 
     def pairing_matrix(self, p: int) -> PairingResult:
         """Pairing of degree-p against degree-(2n-p) classes by wedging.
@@ -173,6 +172,8 @@ class SLStructure:
         Well-definedness is not taken on faith: by bilinearity it suffices
         that every generator of either degeneracy space pairs to zero
         against the other side's representatives, and that is checked.
+        The generators are the columns of ddj and of side, so each check
+        is one product: ae W^{-1} ddj and bc W side vanish.
         """
         half = self.cx.half
         q = half - p
@@ -187,16 +188,14 @@ class SLStructure:
                 f"h_del({p}) != h_del({q}) despite the volume-form symmetry"
             )
         wedge = self.wedge_matrix(p)
-        ae_columns = ae.transpose()
         bc_wedge = wedge.relabel_columns(bc)
-        matrix = bc_wedge @ ae_columns
-        if not (wedge.relabel_columns(self.mc.image("ddj", p - 2)) @ ae_columns).is_zero():
+        matrix = bc_wedge @ ae.transpose()
+        if not (wedge.inverse().relabel_columns(ae) @ self.mc.ddj(p - 2)).is_zero():
             raise RepresentativeDependence(
                 f"pairing at degree {p} moves under shifts of the "
                 "representatives by exact forms"
             )
-        ae_degenerate = self.mc.image("side", q - 1)
-        if not (bc_wedge @ ae_degenerate.transpose()).is_zero():
+        if not (bc_wedge @ self.mc.operator("side", q - 1)).is_zero():
             raise RepresentativeDependence(
                 f"pairing at degree {p} moves under shifts of the dual "
                 "representatives by degenerate forms"
@@ -227,24 +226,24 @@ class SLStructure:
         star = self.star_matrix(2).mat()
         identity = Mat.identity(star.ncols)
         d = self.mc.delta(2)
-        # the closed (anti-)self-dual forms, and the exact ones
+        # the closed (anti-)self-dual forms, and rows spanning the exact ones
         plus = kernel_basis((star - identity).vstack(d))
         minus = kernel_basis((star + identity).vstack(d))
-        exact = self.mc.image("del", 1)
+        exact, exact_dim = self.mc.delta(1).transpose(), self.mc.rank("del", 1)
         # both big spaces contain Im del and lie in ker del, so they meet in
         # Im del and span ker del exactly when the dimensions say so, by
         # dim(U ∩ V) = dim U + dim V - dim(U + V)
         big_plus = rank(plus.vstack(exact))
         big_minus = rank(minus.vstack(exact))
         both = rank(plus.vstack(minus).vstack(exact))
-        direct = big_plus + big_minus - both == exact.nrows
-        exhausts = both == self.mc.kernel("del", 2).nrows
+        direct = big_plus + big_minus - both == exact_dim
+        exhausts = both == self.mc.dim(2) - self.mc.rank("del", 2)
         if not (direct and exhausts):
             raise DecompositionFailure(
                 "self-dual and anti-self-dual images do not split the "
                 f"middle cohomology: direct={direct}, exhausts={exhausts}"
             )
-        return big_plus - exact.nrows, big_minus - exact.nrows, True
+        return big_plus - exact_dim, big_minus - exact_dim, True
 
     # -- Jbar-fixed decomposition -------------------------------------------
 
@@ -262,20 +261,21 @@ class SLStructure:
     def _decompose_jbar(self) -> DecompositionReport:
         cx = self.cx
         # over the reals: ker and im of the realified del are the realified
-        # ker and im of del; the plus locus is one kernel, and i times it,
-        # (re, im) -> (-im, re), is the minus locus, while im_real is a
-        # complex subspace that i keeps
-        im_real = row_basis(realify_linear(self.mc.delta(1)).transpose())
-        big_plus = row_basis(cx.jbar_locus.vstack(im_real))
+        # ker and im of del, so im_real has twice the rank of del; the plus
+        # locus is one kernel, and i times it, (re, im) -> (-im, re), is
+        # the minus locus, while im_real is a complex subspace that i keeps
+        real_del = realify_linear(self.mc.delta(1))
+        im_real = 2 * self.mc.rank("del", 1)
+        big_plus = row_basis(cx.jbar_locus.vstack(real_del.transpose()))
         size = big_plus.ncols // 2
         times_i = SignedPermutation(tuple(range(size, 2 * size)) + tuple(range(size)),
                                     (-1,) * size + (1,) * size)
         big_minus = row_basis(times_i.relabel_columns(big_plus))
 
         # both contain im_real: dim(U ∩ V) = dim U + dim V - dim(U + V)
-        plus_real = big_plus.nrows - im_real.nrows
-        minus_real = big_minus.nrows - im_real.nrows
-        sum_real = rank(big_plus.vstack(big_minus)) - im_real.nrows
+        plus_real = big_plus.nrows - im_real
+        minus_real = big_minus.nrows - im_real
+        sum_real = rank(big_plus.vstack(big_minus)) - im_real
         inter_real = plus_real + minus_real - sum_real
         if inter_real % 2 or sum_real % 2:
             raise InternalInconsistency(
@@ -298,11 +298,11 @@ class SLStructure:
             full=sum_real // 2 == h2,
             representatives_plus=tuple(
                 complexify_vector(v)
-                for v in complement_basis(big_plus, im_real).data
+                for v in complement_basis(big_plus, real_del).data
             ),
             representatives_minus=tuple(
                 complexify_vector(v)
-                for v in complement_basis(big_minus, im_real).data
+                for v in complement_basis(big_minus, real_del).data
             ),
         )
         if cx.n == 2 and not report.pure_and_full:
@@ -351,7 +351,7 @@ class SLStructure:
         # the degree map as a covector on the (1,0) basis
         covector = self.mc.delta(1).transpose().apply(
             self.wedge_matrix(2).apply(power))
-        if any(self.mc.image("side", 0).apply(covector)):
+        if not (Mat.from_rows([covector]) @ self.mc.operator("side", 0)).is_zero():
             raise RepresentativeDependence(
                 "degree map moved under a trivial representative shift"
             )

@@ -300,19 +300,47 @@ def _all_e2(mc):
 
 def test_e2_cross_check_catches_a_fault_in_the_page_iteration(monkeypatch):
     # with every class coordinate zero, d1 vanishes and page two is page one
-    def no_coords(self, vectors, p, page):
-        return Mat.zeros(page[0].nrows, vectors.ncols)
+    def no_coords(self, vectors, p, reps):
+        return Mat.zeros(reps.ncols, vectors.ncols)
 
     monkeypatch.setattr(MatrixComplex, "_class_coords", no_coords)
     with pytest.raises(InternalInconsistency, match="page iteration gives"):
         _all_e2(_hand_built_complex(swapped=True))
 
 
+def test_page_one_refuses_a_kernel_basis_that_misses_im_del(monkeypatch):
+    # with ker del at degree 1 given no basis, the image of del out of
+    # degree 0, the wedge by e^0, is not inside it
+    def emptied(self, part, p, original=MatrixComplex._split_part):
+        value = original(self, part, p)
+        return Mat.zeros(0, value.ncols) if (part, p) == ("kernel", 1) else value
+
+    mc = _hand_built_complex()
+    monkeypatch.setattr(MatrixComplex, "_split_part", emptied)
+    with pytest.raises(InternalInconsistency, match="Im del is not inside ker del at degree 1"):
+        mc.e2_pages_all()
+
+
+def test_page_one_refuses_a_del_j_image_outside_ker_del(monkeypatch, ex1):
+    # del_J out of degree 1 replaced by a map that sends the first
+    # representative to a vector del does not annihilate
+    mc = MatrixComplex.from_quaternionic(ex1.cx)
+    p = 1
+    rep = mc._page_one(p).col(0)
+    j = next(j for j in range(mc.dim(p + 1)) if any(mc.delta(p + 1).col(j)))
+    k = next(k for k, x in enumerate(rep) if x)
+    fault = Mat.from_entries(mc.dim(p + 1), mc.dim(p), {(j, k): 1})
+    original = mc.delta_j
+    monkeypatch.setattr(mc, "delta_j", lambda q: fault if q == p else original(q))
+    with pytest.raises(InternalInconsistency, match="failed to land in ker del"):
+        mc.e2_pages_all()
+
+
 def test_e2_cross_check_catches_a_fault_in_the_rank_formula(monkeypatch):
-    def skewed(self, name, p, original=MatrixComplex._rank):
+    def skewed(self, name, p, original=MatrixComplex.rank):
         return original(self, name, p) + (name == "e2_num")
 
-    monkeypatch.setattr(MatrixComplex, "_rank", skewed)
+    monkeypatch.setattr(MatrixComplex, "rank", skewed)
     with pytest.raises(InternalInconsistency, match="page iteration gives"):
         _all_e2(_hand_built_complex(swapped=True))
 
@@ -395,9 +423,9 @@ def test_lemma_equivalence_is_cross_checked(corpus_sessions):
 def _assert_block_ranks_match_reference(mc):
     # the ranks read off the split of del, against eliminating each block
     for p in range(-1, mc.top + 1):
-        assert mc._rank("del", p) == rank(mc.delta(p))
+        assert mc.rank("del", p) == rank(mc.delta(p))
         for name in BLOCK_NAMES:
-            assert mc._rank(name, p) == rank(reference_block(mc, name, p)), (name, p)
+            assert mc.rank(name, p) == rank(reference_block(mc, name, p)), (name, p)
 
 
 def _assert_matches_reference(mc):
@@ -522,6 +550,9 @@ def test_koszul_complexes_are_exact_in_every_basis(seed):
 
 
 # -- kernels and images of the named operators against the lattice ---------
+#
+# The engine hands an image over as the operator, whose columns span it;
+# the lattice's column_space builds its canonical basis here.
 
 
 def _assert_operator_spaces_match_lattice(mc):
@@ -531,18 +562,19 @@ def _assert_operator_spaces_match_lattice(mc):
         im_del = column_space(mc.delta(p - 1))
         im_delj = column_space(mc.delta_j(p - 1))
         assert mc.kernel("stacked", p) == intersect(ker_del, ker_delj)
-        assert mc.image("side", p - 1) == space_sum(im_del, im_delj)
+        assert column_space(mc.operator("side", p - 1)) == space_sum(im_del, im_delj)
         assert mc.kernel("del", p) == ker_del
-        assert mc.image("del_J", p - 1) == im_delj
+        assert column_space(mc.operator("del_J", p - 1)) == im_delj
         for name in ("del", "del_J", "ddj", "stacked", "side"):
             # one cache, and the rank cache agrees with it
             kernel = mc.kernel(name, p)
             assert kernel is mc.kernel(name, p)
-            assert mc.image(name, p).nrows == mc._rank(name, p)
-            assert kernel.nrows + mc.image(name, p).nrows == mc._operator(name, p).ncols
+            image = column_space(mc.operator(name, p))
+            assert image.nrows == mc.rank(name, p)
+            assert kernel.nrows + image.nrows == mc.operator(name, p).ncols
             # canonical, independent rows that the operator annihilates
             assert row_basis(kernel) == kernel and rank(kernel) == kernel.nrows
-            assert (mc._operator(name, p) @ kernel.transpose()).is_zero()
+            assert (mc.operator(name, p) @ kernel.transpose()).is_zero()
 
 
 @settings(max_examples=25, deadline=None)
@@ -568,12 +600,13 @@ def test_operator_kernels_and_images_match_lattice_on_corpus(corpus_sessions):
 def test_page_one_coordinates_match_per_vector_solves(mc, seed):
     rng = Random(seed)
     pages = [mc._page_one(p) for p in range(mc.top + 1)]
-    reps = {p: list(page[0].data) for p, page in enumerate(pages)}
-    for p, (page_reps, exact) in enumerate(pages):
-        # the representatives complete a basis of Im del to one of ker del
-        assert row_basis(exact) == mc.image("del", p - 1)
-        assert row_basis(page_reps.vstack(exact)) == mc.kernel("del", p)
-        assert page_reps.nrows + exact.nrows == mc.kernel("del", p).nrows
+    reps = {p: page.columns() for p, page in enumerate(pages)}
+    for p, page_reps in enumerate(pages):
+        # the representatives, one per column, complete a basis of Im del
+        # to one of ker del
+        exact = column_space(mc.delta(p - 1))
+        assert row_basis(page_reps.transpose().vstack(exact)) == mc.kernel("del", p)
+        assert page_reps.ncols + exact.nrows == mc.kernel("del", p).nrows
         closed = mc.kernel("del", p)
         vectors = [mc.delta_j(p - 1).apply(v) for v in reps.get(p - 1, [])]
         vectors += list(closed.data)

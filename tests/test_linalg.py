@@ -29,6 +29,7 @@ from support import (
     bareiss_det,
     bareiss_minors,
     bareiss_rref,
+    column_space,
     contains_space,
     exact_quotient,
     intersect,
@@ -142,7 +143,7 @@ def test_quotient_and_complement():
     big = span([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]], amb)
     small_space = span([[1, 1, 0, 0]], amb)
     assert quotient_dim(big, small_space) == 2
-    reps = complement_basis(big, small_space)
+    reps = complement_basis(big, small_space.transpose())
     assert reps.nrows == 2
     assert space_sum(small_space, reps) == big
     with pytest.raises(NotASubspace):
@@ -400,15 +401,17 @@ def nested_subspaces(draw):
 @settings(max_examples=80, deadline=None)
 @given(nested_subspaces())
 def test_complement_matches_greedy_reference(spaces):
+    # complement_basis takes the smaller space as spanning columns, the
+    # reference as the rows of its canonical basis
     big, small_space, other = spaces
-    assert list(complement_basis(big, small_space).data) == \
+    assert list(complement_basis(big, small_space.transpose()).data) == \
         reference_complement_representatives(big, small_space)
     if contains_space(big, other):
-        assert list(complement_basis(big, other).data) == \
+        assert list(complement_basis(big, other.transpose()).data) == \
             reference_complement_representatives(big, other)
     else:
         with pytest.raises(NotASubspace):
-            complement_basis(big, other)
+            complement_basis(big, other.transpose())
         with pytest.raises(NotASubspace):
             reference_complement_representatives(big, other)
 
@@ -418,10 +421,39 @@ def test_complement_matches_greedy_reference(spaces):
 def test_complement_matches_greedy_reference_on_complexes(seed, k, conjugate):
     mc = random_double_complex(Random(seed), k=k, conjugate=conjugate)
     for p in range(k + 1):
-        for big, small_space in ((mc.kernel("del", p), mc.image("del", p - 1)),
-                                 (mc.kernel("ddj", p), mc.image("side", p - 1))):
-            assert list(complement_basis(big, small_space).data) == \
-                reference_complement_representatives(big, small_space)
+        # the engine's pairs: a kernel, and the operator whose columns span
+        # the image inside it
+        for big, spanning in ((mc.kernel("del", p), mc.delta(p - 1)),
+                              (mc.kernel("ddj", p), mc.operator("side", p - 1))):
+            assert list(complement_basis(big, spanning).data) == \
+                reference_complement_representatives(big, column_space(spanning))
+
+
+@settings(max_examples=60, deadline=None)
+@given(nested_subspaces(), st.data())
+def test_complement_depends_only_on_the_span_of_the_columns(spaces, data):
+    # repeated, dependent and zero columns pick the same rows as the
+    # canonical basis of their span, and one column outside big is refused
+    big, small_space, _ = spaces
+    amb, dim = big.ncols, small_space.nrows
+    columns = list(small_space.data)
+    for _ in range(data.draw(st.integers(0, 3))):
+        weights = data.draw(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim))
+        columns.append(small_space.transpose().apply(weights))
+    if dim:
+        columns += [columns[i] for i in data.draw(st.lists(st.integers(0, dim - 1),
+                                                           max_size=2))]
+    columns += [(0,) * amb] * data.draw(st.integers(0, 2))
+    order = data.draw(st.permutations(range(len(columns))))
+    spanning = Mat.from_rows([columns[i] for i in order], ncols=amb).transpose()
+    expected = complement_basis(big, small_space.transpose())
+    assert complement_basis(big, spanning) == expected
+    assert list(expected.data) == reference_complement_representatives(big, small_space)
+    outside = [v for v in Mat.identity(amb).data
+               if not contains_space(big, Mat.from_rows([v], ncols=amb))]
+    if outside:
+        with pytest.raises(NotASubspace):
+            complement_basis(big, spanning.hstack(Mat.column(outside[0])))
 
 
 # ---------------------------------------------------------------------------
@@ -493,8 +525,8 @@ def test_coordinate_order_does_not_show_in_the_complement(shape, data):
     def permuted(space):
         return Mat.from_rows([[row[i] for i in perm] for row in space.data], ncols=amb)
 
-    picked = complement_basis(permuted(big), permuted(small_space))
-    expected = complement_basis(big, small_space)
+    picked = complement_basis(permuted(big), permuted(small_space).transpose())
+    expected = complement_basis(big, small_space.transpose())
     assert picked == permuted(expected)
 
 

@@ -4,7 +4,8 @@ from itertools import combinations
 import pytest
 
 from quatcohom import ReportSession, load_corpus, standard_omega
-from quatcohom.errors import NotAeppliClosed, NotGauduchon, NotHolomorphic, NotReal, NotSL2
+from quatcohom.errors import (NotAeppliClosed, NotGauduchon, NotHolomorphic, NotReal, NotSL2,
+                              RepresentativeDependence)
 from quatcohom.exterior import merge_monomials
 from quatcohom.linalg import Mat, SignedPermutation, inverse
 from quatcohom.model import _build_coframe, instantiate
@@ -114,6 +115,56 @@ def test_pairing_golden_degree_one(ex1):
     result = ex1.sl.pairing_matrix(1)
     values = [[str(x) for x in row] for row in result.matrix.data]
     assert values == [["0", "1"], ["-1", "0"]]
+
+
+def _first_unit_row_moved(moved):
+    """The unit vector e_i of the first row i where `moved` is nonzero."""
+    i = next(i for i, row in enumerate(moved.data) if any(row))
+    return Mat.identity(moved.nrows).row(i)
+
+
+def test_pairing_refuses_aeppli_representatives_that_are_not_closed(monkeypatch, ex3):
+    # example3 at degree 4 is the corpus's one pairing whose Bott-Chern
+    # side has exact shifts, ddj out of degree 2; the first Aeppli
+    # representative is replaced by a form that ddj does not annihilate
+    sl, mc, p, q = ex3.sl, ex3.mc, 4, 2
+    assert not mc.ddj(p - 2).is_zero()
+    reps = sl._ae_representatives(q)
+    row = _first_unit_row_moved(sl.wedge_matrix(p).inverse().mat() @ mc.ddj(p - 2))
+    assert any(mc.ddj(q).apply(row))
+    faulty = Mat.from_rows([row] + list(reps.data[1:]), ncols=reps.ncols)
+    monkeypatch.setattr(sl, "_ae_representatives", lambda degree: faulty)
+    with pytest.raises(RepresentativeDependence, match="representatives by exact forms"):
+        sl.pairing_matrix(p)
+
+
+def test_pairing_refuses_bott_chern_representatives_that_are_not_closed(monkeypatch, ex1):
+    # the first Bott-Chern representative at degree 1 is replaced by a
+    # form that pairs against the image of [del | del_J] out of degree 2
+    sl, mc, p = ex1.sl, ex1.mc, 1
+    q = ex1.cx.half - p
+    reps = sl._bc_representatives(p)
+    row = _first_unit_row_moved(sl.wedge_matrix(p).mat() @ mc.operator("side", q - 1))
+    assert any(mc.operator("stacked", p).apply(row))
+    faulty = Mat.from_rows([row] + list(reps.data[1:]), ncols=reps.ncols)
+    monkeypatch.setattr(sl, "_bc_representatives", lambda degree: faulty)
+    with pytest.raises(RepresentativeDependence, match="dual representatives by degenerate forms"):
+        sl.pairing_matrix(p)
+
+
+def test_degree_map_refuses_a_degenerate_shift_that_moves_it(monkeypatch, ex1):
+    # d of a constant is zero, so [del | del_J] out of degree 0 is zero on
+    # every structure and the check passes; a nonzero one in its place,
+    # whose columns the covector does not annihilate, must be refused
+    sl, mc = ex1.sl, ex1.mc
+    omega = standard_omega(ex1.cx)
+    alpha = sl._ae_representatives(1).row(0)
+    assert mc.operator("side", 0).is_zero()
+    original = mc.operator
+    monkeypatch.setattr(mc, "operator", lambda name, p: (
+        Mat.identity(mc.dim(1)) if (name, p) == ("side", 0) else original(name, p)))
+    with pytest.raises(RepresentativeDependence, match="degree map moved"):
+        sl.degree_map(omega, alpha)
 
 
 def test_self_dual_decomposition(ex1, ex3):
