@@ -64,8 +64,7 @@ class MatrixComplex:
 
     def __init__(self, dims: Sequence[int], del_mats: Sequence[Mat],
                  delj_mats: Sequence[Mat],
-                 quaternionic_dim: Optional[int] = None,
-                 has_jbar_symmetry: bool = False):
+                 quaternionic_dim: Optional[int] = None):
         self.dims = tuple(dims)
         self.top = len(self.dims) - 1
         if len(del_mats) != self.top or len(delj_mats) != self.top:
@@ -73,7 +72,6 @@ class MatrixComplex:
         self._del = list(del_mats)
         self._delj = list(delj_mats)
         self.quaternionic_dim = quaternionic_dim
-        self.has_jbar_symmetry = has_jbar_symmetry
         self._kernels: Dict[Tuple[str, int], Mat] = {}
         self._ranks: Dict[Tuple[str, int], int] = {}
         self._split: Dict[Tuple[str, int], Mat] = {}
@@ -108,8 +106,7 @@ class MatrixComplex:
         dims = [len(cx.hol_basis(p)) for p in range(top + 1)]
         dels = [cx.operator_matrix("del", p) for p in range(top)]
         deljs = [cx.operator_matrix("del_J", p) for p in range(top)]
-        return cls(dims, dels, deljs, quaternionic_dim=cx.n,
-                   has_jbar_symmetry=True)
+        return cls(dims, dels, deljs, quaternionic_dim=cx.n)
 
     # -- degree-indexed access, zero-padded outside 0..top ------------------
 
@@ -376,7 +373,7 @@ class MatrixComplex:
                 raise InternalInconsistency(
                     f"dim E2 exceeds dim E1 at degree {p}"
                 )
-        if self.has_jbar_symmetry:
+        if self.quaternionic_dim is not None:
             if h_del != h_delj:
                 raise InternalInconsistency(
                     f"h_del {h_del} and h_delJ {h_delj} differ on a "

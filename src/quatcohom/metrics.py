@@ -150,18 +150,13 @@ class ExistenceVerdict:
     answer: bool
     method: str
     certificate: Optional[MetricCandidate]
-    # probes the search ran: the one that found the certificate, 0 when the
-    # projected standard form is the certificate; not rendered
-    probes: int
 
 
 # Value bounds of the certificate search when the caller sets none.
 DEN_BOUND = 4
 COEFF_BOUND = 2
 
-# Probes of the certificate search behind a verdict.  The search order is
-# fixed, so a search with a lower limit finds a certificate exactly when
-# this one found it within that many probes.
+# Probes of the certificate search behind a positive verdict.
 PROBE_LIMIT = 2000
 
 # A negative answer only runs a consistency probe of at most this many.
@@ -250,19 +245,18 @@ def _search_certificate(
     den_bound: int,
     coeff_bound: int,
     probe_limit: int,
-) -> Tuple[Optional[MetricCandidate], int]:
-    """Look for a positive candidate; second value counts the probes run.
+) -> Optional[MetricCandidate]:
+    """Look for a positive candidate in at most `probe_limit` probes.
 
-    The projected standard form is tried first and costs no probe, so a
-    certificate found there comes with the count 0.
+    The projected standard form is tried first and costs no probe.
     """
     if _diagonal_obstruction(cx, space):
-        return None, 0
+        return None
     projected = _project_standard(cx, space)
     if projected is not None:
         candidate = classify_metric(cx, projected, mc)
         if wanted(candidate):
-            return candidate, 0
+            return candidate
     values = _value_sequence(den_bound, coeff_bound)
     probes = 0
     for indices in _index_tuples(space.nrows, len(values)):
@@ -279,8 +273,8 @@ def _search_certificate(
         probes += 1
         candidate = classify_metric(cx, complexify_vector(coords), mc)
         if wanted(candidate):
-            return candidate, probes
-    return None, probes
+            return candidate
+    return None
 
 
 def _middle_defect_answer(cx: QuaternionicComplex, mc: MatrixComplex) -> bool:
@@ -313,13 +307,13 @@ def _decide(
         )
     answer = _middle_defect_answer(cx, mc)
     if answer:
-        certificate, probes = _search_certificate(
+        certificate = _search_certificate(
             cx, mc, space, wanted, den_bound, coeff_bound, PROBE_LIMIT
         )
         method = "explicit-certificate" if certificate else "delta2-criterion"
-        return ExistenceVerdict(question, True, method, certificate, probes)
+        return ExistenceVerdict(question, True, method, certificate)
     # merely a consistency probe; the negative answer never depends on it
-    certificate, probes = _search_certificate(
+    certificate = _search_certificate(
         cx, mc, space, wanted, den_bound, coeff_bound, CONSISTENCY_PROBE_LIMIT
     )
     if certificate is not None:
@@ -327,7 +321,7 @@ def _decide(
             f"found a certificate for {question} although the middle defect "
             "rules it out"
         )
-    return ExistenceVerdict(question, False, "delta2-criterion", None, probes)
+    return ExistenceVerdict(question, False, "delta2-criterion", None)
 
 
 def hkt_existence(cx: QuaternionicComplex, mc: MatrixComplex,

@@ -66,7 +66,7 @@ _INDEX_MAP_NAMES = ("J", "Jbar")
 
 # The largest middle (n,0) basis, C(2n, n), of a structure the engine
 # builds operators for: 12870 at real dimension 32, the largest size
-# measured to finish, where a report takes about 12 s and 185 MB (Python
+# measured to finish, where a report takes about 15 s and 173 MB (Python
 # 3.11, two shared CPUs).
 # Real dimension 36 has 48620 forms in the middle degree.
 MAX_MIDDLE_BASIS = 12870
@@ -266,22 +266,19 @@ class QuaternionicComplex:
         return mat
 
     @cached_property
-    def jbar_locus(self) -> Mat:
-        """Realified del-closed (2,0)-forms with Jbar = 1, as kernel rows.
+    def hkt_space(self) -> Mat:
+        """Realified del-closed (2,0)-forms with Jbar = 1, as the canonical
+        basis of the HKT candidates.
 
-        The kernel basis of the realified del out of degree 2 stacked on
-        Jbar_real - 1, computed once: the HKT candidate space and the Jbar
-        decomposition both read it.  The minus locus is i times this one.
+        The kernel of the realified del out of degree 2 stacked on
+        Jbar_real - 1, taken and reduced once: the HKT verdict, the
+        suite's hkt-flag-decoupling and the Jbar decomposition read it.
+        The minus locus is i times this one.
         """
         d_real = realify_linear(self.operator_matrix("del", 2))
         jbar_real = realify_antilinear(self.index_map("Jbar", 2).mat())
-        return kernel_basis(d_real.vstack(jbar_real - Mat.identity(d_real.ncols)))
-
-    @cached_property
-    def hkt_space(self) -> Mat:
-        """Canonical basis of `jbar_locus`, the HKT candidates, reduced
-        once: the HKT verdict and the suite's hkt-flag-decoupling read it."""
-        return row_basis(self.jbar_locus)
+        return row_basis(kernel_basis(
+            d_real.vstack(jbar_real - Mat.identity(d_real.ncols))))
 
     @cached_property
     def sg_space(self) -> Mat:

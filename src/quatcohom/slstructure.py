@@ -16,7 +16,10 @@ the test suite.  Products with either relabel rows or columns.
 All dimensions reported by the decompositions are exact.  Every space
 read is the kernel of one operator, as in the matrix complex, or an image,
 handed over as the operator whose columns span it, and intersections and
-sums of such spaces are only counted, by ranks.
+sums of such spaces are only counted, by ranks.  The self-dual split
+builds no space at all: each closed (anti-)self-dual locus plus the exact
+forms, and their sum, is counted by ranks of star -+ 1 stacked on del and
+of the star's relabelling of del, with no kernel taken.
 The fixed loci of the antilinear involution Jbar are only real subspaces,
 so the plus and minus summands are tracked through a realification of the
 coefficient space; their intersection and sum are genuinely complex and
@@ -44,7 +47,6 @@ from .linalg import (
     SignedPermutation,
     complement_basis,
     complexify_vector,
-    kernel_basis,
     rank,
     realify_linear,
     row_basis,
@@ -105,7 +107,6 @@ class SLStructure:
         self.cx = cx
         self.mc = mc
         self._wedges: Dict[int, SignedPermutation] = {}
-        self._stars: Dict[int, SignedPermutation] = {}
         self._sd_asd: Optional[Tuple[int, int, bool]] = None
         self._jbar: Optional[DecompositionReport] = None
 
@@ -147,11 +148,10 @@ class SLStructure:
 
         The star matrix is W^{-1} for the wedge matrix W of `wedge_matrix`,
         which makes m_i ^ star(m_j) = delta_ij * Phi exact by construction.
-        W is a signed permutation, so W^{-1} is its transpose.
+        W is a signed permutation, so W^{-1} is its transpose, which the
+        permutation builds once.
         """
-        if p not in self._stars:
-            self._stars[p] = self.wedge_matrix(p).inverse()
-        return self._stars[p]
+        return self.wedge_matrix(p).inverse()
 
     # -- duality pairing -----------------------------------------------------
 
@@ -223,21 +223,24 @@ class SLStructure:
                 f"the middle self-dual decomposition needs quaternionic "
                 f"dimension 2, got {self.cx.n}"
             )
-        star = self.star_matrix(2).mat()
-        identity = Mat.identity(star.ncols)
-        d = self.mc.delta(2)
-        # the closed (anti-)self-dual forms, and rows spanning the exact ones
-        plus = kernel_basis((star - identity).vstack(d))
-        minus = kernel_basis((star + identity).vstack(d))
-        exact, exact_dim = self.mc.delta(1).transpose(), self.mc.rank("del", 1)
+        mc, star = self.mc, self.star_matrix(2)
+        d, e, dim = mc.delta(2), mc.delta(1), mc.dim(2)
+        s_mat, identity = star.mat(), Mat.identity(dim)
+        # the closed (anti-)self-dual forms are ker [S -+ 1; D], and they
+        # meet Im E, which lies in ker D, where S E -+ E vanishes
+        star_e = star.relabel_rows(e)
+        big_plus = dim - rank((s_mat - identity).vstack(d)) + rank(star_e - e)
+        big_minus = dim - rank((s_mat + identity).vstack(d)) + rank(star_e + e)
+        # S^2 = 1 splits x into (x + Sx)/2 + (x - Sx)/2, so the two loci
+        # sum to ker [D; D S], which meets Im E where D S E vanishes
+        d_star = star.relabel_columns(d)
+        both = dim - rank(d.vstack(d_star)) + rank(d_star @ e)
         # both big spaces contain Im del and lie in ker del, so they meet in
         # Im del and span ker del exactly when the dimensions say so, by
         # dim(U ∩ V) = dim U + dim V - dim(U + V)
-        big_plus = rank(plus.vstack(exact))
-        big_minus = rank(minus.vstack(exact))
-        both = rank(plus.vstack(minus).vstack(exact))
+        exact_dim = mc.rank("del", 1)
         direct = big_plus + big_minus - both == exact_dim
-        exhausts = both == self.mc.dim(2) - self.mc.rank("del", 2)
+        exhausts = both == dim - mc.rank("del", 2)
         if not (direct and exhausts):
             raise DecompositionFailure(
                 "self-dual and anti-self-dual images do not split the "
@@ -266,7 +269,7 @@ class SLStructure:
         # the minus locus, while im_real is a complex subspace that i keeps
         real_del = realify_linear(self.mc.delta(1))
         im_real = 2 * self.mc.rank("del", 1)
-        big_plus = row_basis(cx.jbar_locus.vstack(real_del.transpose()))
+        big_plus = row_basis(cx.hkt_space.vstack(real_del.transpose()))
         size = big_plus.ncols // 2
         times_i = SignedPermutation(tuple(range(size, 2 * size)) + tuple(range(size)),
                                     (-1,) * size + (1,) * size)
@@ -324,37 +327,45 @@ class SLStructure:
 
     # -- the degree map on first Aeppli classes ------------------------------
 
-    def degree_map(self, omega: Coords, alpha: Coords) -> GaussianRational:
-        """Integral of del(alpha) against Omega^{n-1} and the volume form.
+    def _degree_covector(self, omega: Coords) -> Coords:
+        """The degree map as a covector on the (1,0) basis.
 
-        Both forms are coordinate tuples, omega on the (2,0) basis and
-        alpha on the (1,0) basis.  Wedging the (2n,0) product with the
-        conjugate volume form keeps its leading coefficient, so the
-        integral is the bilinear form (D_1 alpha)^T W Omega^{n-1} for the
-        wedge matrix W out of degree two.  Requires Omega to satisfy the
-        Gauduchon equation and alpha to be a legitimate degree-one Aeppli
-        representative.
+        The integral of del(alpha) ^ Omega^{n-1} against the conjugate
+        volume form is the bilinear form (D_1 alpha)^T W Omega^{n-1} for
+        the wedge matrix W out of degree two, since wedging the (2n,0)
+        product with the conjugate volume form keeps its leading
+        coefficient; so the covector is D_1^T W Omega^{n-1}.  Requires
+        Omega to satisfy the Gauduchon equation.
         """
-        cx = self.cx
-        power = omega_power(cx, omega)
-        if any(self.mc.ddj(2 * cx.n - 2).apply(power)):
+        power = omega_power(self.cx, omega)
+        if any(self.mc.ddj(2 * self.cx.n - 2).apply(power)):
             raise NotGauduchon(
                 "degree map needs del del_J of Omega^{n-1} to vanish"
             )
-        if len(alpha) != len(cx.hol_basis(1)):
-            raise NotAeppliClosed(
-                f"expected the {len(cx.hol_basis(1))} coordinates of a "
-                f"(1,0)-form, got {len(alpha)}"
-            )
-        if any(self.mc.ddj(1).apply(alpha)):
-            raise NotAeppliClosed("representative is not del del_J-closed")
-        # the degree map as a covector on the (1,0) basis
         covector = self.mc.delta(1).transpose().apply(
             self.wedge_matrix(2).apply(power))
         if not (Mat.from_rows([covector]) @ self.mc.operator("side", 0)).is_zero():
             raise RepresentativeDependence(
                 "degree map moved under a trivial representative shift"
             )
+        return covector
+
+    def degree_map(self, omega: Coords, alpha: Coords) -> GaussianRational:
+        """Integral of del(alpha) against Omega^{n-1} and the volume form.
+
+        Both forms are coordinate tuples, omega on the (2,0) basis and
+        alpha on the (1,0) basis.  Requires Omega to satisfy the Gauduchon
+        equation and alpha to be a legitimate degree-one Aeppli
+        representative; the value is alpha against `_degree_covector`.
+        """
+        covector = self._degree_covector(omega)
+        if len(alpha) != len(covector):
+            raise NotAeppliClosed(
+                f"expected the {len(covector)} coordinates of a "
+                f"(1,0)-form, got {len(alpha)}"
+            )
+        if any(self.mc.ddj(1).apply(alpha)):
+            raise NotAeppliClosed("representative is not del del_J-closed")
         return sum((a * c for a, c in zip(alpha, covector)), ZERO)
 
     def degree_profile(self, omega: Coords) -> List[Tuple[Coords, GaussianRational]]:
@@ -363,18 +374,22 @@ class SLStructure:
         In quaternionic dimension 2 the kernel of the degree map is
         exactly the degree-one del-cohomology, which forces h_AE at degree
         one to exceed h_del by at most one; in higher dimension the map is
-        still computed but the exactness statement is not available.
+        still computed but the exactness statement is not available.  The
+        covector is taken once, and every class's degree, and every
+        del-closed class's, is one product with it.
         """
-        values = [(rep, self.degree_map(omega, rep))
-                  for rep in self._ae_representatives(1).data]
+        covector = self._degree_covector(omega)
+        reps, closed = self._ae_representatives(1), self.mc.kernel("del", 1)
+        if not (self.mc.ddj(1) @ reps.vstack(closed).transpose()).is_zero():
+            raise NotAeppliClosed("representative is not del del_J-closed")
+        values = list(zip(reps.data, reps.apply(covector)))
         h_ae, h_del = self.mc.h_ae(1), self.mc.h_del(1)
         if self.cx.n == 2 and h_ae > h_del + 1:
             raise TheoremViolation(
                 f"h_AE(1) = {h_ae} exceeds h_del(1) + 1 = {h_del + 1}"
             )
-        for rep in self.mc.kernel("del", 1).data:
-            if self.degree_map(omega, rep) != ZERO:
-                raise TheoremViolation(
-                    "degree map does not vanish on a del-closed class"
-                )
+        if any(closed.apply(covector)):
+            raise TheoremViolation(
+                "degree map does not vanish on a del-closed class"
+            )
         return values

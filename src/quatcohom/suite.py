@@ -35,10 +35,6 @@ from .scalars import ONE, ZERO, GaussianRational, parse_rational
 if TYPE_CHECKING:
     from .report import ReportSession
 
-# hkt-three-way names a certificate only when the search behind the
-# session's verdict found it within this many probes
-PROBE_LIMIT = 400
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -422,10 +418,8 @@ def run_property_suite(session: "ReportSession") -> List[CheckResult]:
 
     def three_way() -> Outcome:
         verdict = session.verdict("hkt")
-        found = verdict.certificate is not None and verdict.probes <= PROBE_LIMIT
         return "pass", (
-            f"answer {'yes' if verdict.answer else 'no'} "
-            f"({'explicit-certificate' if found else 'delta2-criterion'})"
+            f"answer {'yes' if verdict.answer else 'no'} ({verdict.method})"
         )
 
     def sg_matches() -> Outcome:

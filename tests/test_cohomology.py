@@ -345,6 +345,18 @@ def test_e2_cross_check_catches_a_fault_in_the_rank_formula(monkeypatch):
         _all_e2(_hand_built_complex(swapped=True))
 
 
+def test_jbar_identities_are_checked_exactly_on_quaternionic_complexes(ex1):
+    # del of example1 with a zero del_J: h_del and h_delJ differ, which
+    # only a complex given its quaternionic dimension refuses
+    mc = ex1.mc
+    dels = [mc.delta(p) for p in range(mc.top)]
+    zeros = [Mat.zeros(m.nrows, m.ncols) for m in dels]
+    plain = MatrixComplex(mc.dims, dels, zeros).table()
+    assert plain.h_del != plain.h_delj
+    with pytest.raises(InternalInconsistency, match="on a Jbar-symmetric complex"):
+        MatrixComplex(mc.dims, dels, zeros, quaternionic_dim=2).table()
+
+
 def _assert_caches_match_fresh_work(mc):
     # the split's kernel of del serves the ranks, the kernels of del and
     # page one, and the constructor's del del_J serves ddj; each is formed

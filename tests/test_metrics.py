@@ -203,15 +203,25 @@ def test_hkt_candidate_space_is_reduced_once_per_report(monkeypatch):
         reduced.append(matrix)
         return original(matrix)
 
+    kernels = []
+
+    def kernel_counting(matrix, original=quaternionic.kernel_basis):
+        kernels.append(original(matrix))
+        return kernels[-1]
+
     for module in (quaternionic, metrics, slstructure, suite):
         if hasattr(module, "row_basis"):
             monkeypatch.setattr(module, "row_basis", counting)
+    monkeypatch.setattr(quaternionic, "kernel_basis", kernel_counting)
     session = ReportSession(load_corpus("example1"))
     build_report_from_session(session)
-    # the session's HKT verdict and the suite's hkt-flag-decoupling check
-    # read it; the Jbar-real closed locus is reduced for them once
-    locus = session.cx.jbar_locus
+    # the session's HKT verdict, the suite's hkt-flag-decoupling check and
+    # the Jbar decomposition read it; the Jbar-real closed locus, the one
+    # kernel as wide as the realified (2,0)-forms, is reduced for them once
+    wide = 2 * len(session.cx.hol_basis(2))
+    [locus] = [k for k in kernels if k.ncols == wide]
     assert sum(m == locus for m in reduced) == 1
+    assert row_basis(locus) == session.cx.hkt_space
 
 
 # -- Omega^{n-1} on coordinates against the form wedge --

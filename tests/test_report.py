@@ -167,27 +167,23 @@ def test_report_builds_each_structure_and_decides_each_question_once(
 
 
 @pytest.mark.parametrize("limit", [23, 24])
-def test_suite_names_a_certificate_found_within_its_probe_limit(
-        monkeypatch, limit):
+def test_suite_names_the_method_of_the_session_verdict(monkeypatch, limit):
     # without the projected standard form, the HKT search of example2 at
-    # t = 1/2 finds its certificate at probe 24; the suite's line must read
-    # as a search of its own at the suite's limit would
+    # t = 1/2 finds its certificate at probe 24; the suite's line must name
+    # the method the session's verdict, and so the report, names
     import quatcohom.metrics as metrics
     import quatcohom.suite as suite
 
     spec, bindings = load_corpus("example2"), {"t": Fraction(1, 2)}
     monkeypatch.setattr(metrics, "_project_standard", lambda cx, basis: None)
-    monkeypatch.setattr(suite, "PROBE_LIMIT", limit)
+    monkeypatch.setattr(metrics, "PROBE_LIMIT", limit)
     session = ReportSession(spec, bindings)
     results = {r.name: r for r in suite.run_property_suite(session)}
-    assert session.verdict("hkt").probes == 24
-
-    monkeypatch.setattr(metrics, "PROBE_LIMIT", limit)
-    other = ReportSession(spec, bindings)
-    direct = metrics.hkt_existence(other.cx, other.mc)
-    assert direct.method == ("explicit-certificate" if limit == 24
-                             else "delta2-criterion")
-    assert results["hkt-three-way"].detail == f"answer yes ({direct.method})"
+    verdict = session.verdict("hkt")
+    assert verdict.method == ("explicit-certificate" if limit == 24
+                              else "delta2-criterion")
+    assert (verdict.certificate is not None) == (limit == 24)
+    assert results["hkt-three-way"].detail == f"answer yes ({verdict.method})"
 
 
 def test_suite_draws_the_scalar_triples_once_per_process(monkeypatch, ex1, torus):
@@ -238,7 +234,6 @@ def test_report_eliminates_each_del_once(monkeypatch):
     import quatcohom.linalg as linalg
     import quatcohom.model as model
     import quatcohom.quaternionic as quaternionic
-    import quatcohom.slstructure as slstructure
     from quatcohom.report import ReportSession, build_report_from_session
 
     calls = []
@@ -247,7 +242,8 @@ def test_report_eliminates_each_del_once(monkeypatch):
         calls.append(matrix)
         return original(matrix)
 
-    for module in (linalg, cohomology, model, quaternionic, slstructure):
+    # slstructure takes no kernel: it counts the self-dual split by ranks
+    for module in (linalg, cohomology, model, quaternionic):
         monkeypatch.setattr(module, "kernel_basis", counting)
     session = ReportSession(load_corpus("example1"))
     build_report_from_session(session)

@@ -1,19 +1,24 @@
+import random
 from fractions import Fraction
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 
 from quatcohom import ReportSession, load_corpus, standard_omega
-from quatcohom.errors import (NotAeppliClosed, NotGauduchon, NotHolomorphic, NotReal, NotSL2,
-                              RepresentativeDependence)
+from quatcohom.cohomology import MatrixComplex
+from quatcohom.errors import (DecompositionFailure, NotAeppliClosed, NotGauduchon,
+                              NotHolomorphic, NotReal, NotSL2, RepresentativeDependence,
+                              TheoremViolation)
 from quatcohom.exterior import merge_monomials
-from quatcohom.linalg import Mat, SignedPermutation, inverse
+from quatcohom.linalg import Mat, SignedPermutation, inverse, kernel_basis
 from quatcohom.model import _build_coframe, instantiate
 from quatcohom.quaternionic import QuaternionicComplex
+from quatcohom.slstructure import SLStructure
 from quatcohom.suite import run_property_suite
 
 from support import (FormRoute, affine_complex_spec, direct_sum_spec,
-                     form_degree_map, reference_decomposition)
+                     form_degree_map, reference_decomposition, reference_sd_asd)
 
 
 def test_star_of_scalars_and_volume(ex1):
@@ -173,6 +178,94 @@ def test_self_dual_decomposition(ex1, ex3):
         ex3.sl.sd_asd_decomposition()
 
 
+def _involution_complex(rng):
+    """A star S with S^2 = 1 on a small degree 2, and a complex whose
+    D = del(2) has an S-invariant kernel and E = del(1) lands in it."""
+    size = rng.randint(2, 6)
+    order = list(range(size))
+    rng.shuffle(order)
+    targets, signs = list(range(size)), [1] * size
+    # swapped pairs with one sign each, and signed fixed points
+    for i in range(0, size, 2):
+        pair = order[i:i + 2]
+        if len(pair) == 2 and rng.random() < 0.6:
+            a, b = pair
+            targets[a], targets[b] = b, a
+            signs[a] = signs[b] = rng.choice((1, -1))
+        else:
+            for a in pair:
+                signs[a] = rng.choice((1, -1))
+    star = SignedPermutation(tuple(targets), tuple(signs))
+    s_mat, identity = star.mat(), Mat.identity(size)
+
+    def draw(nrows, ncols):
+        return Mat.from_rows([[rng.randint(-2, 2) for _ in range(ncols)]
+                              for _ in range(nrows)], ncols=ncols)
+
+    # D x = 0 exactly when A (x + Sx) = 0 and B (x - Sx) = 0
+    d = (draw(1, size) @ (identity + s_mat)).vstack(draw(1, size) @ (identity - s_mat))
+    ker = kernel_basis(d)
+    width = rng.randint(1, 3)
+    e = (ker.transpose() @ draw(ker.nrows, width) if ker.nrows
+         else Mat.zeros(size, width))
+    dims = [1, width, size, d.nrows]
+    dels = [Mat.zeros(width, 1), e, d]
+    mc = MatrixComplex(dims, dels, [Mat.zeros(m.nrows, m.ncols) for m in dels])
+    sl = SLStructure(SimpleNamespace(n=2), mc)
+    sl.star_matrix = lambda p: star
+    return sl
+
+
+def test_self_dual_split_by_ranks_matches_the_subspace_reference():
+    # S-invariant kernels exhaust; E is random in ker D, so the images
+    # meet in Im E exactly when it splits under S, and either outcome
+    # must agree with the intersected and summed subspaces
+    rng = random.Random(20)
+    outcomes = set()
+    for _ in range(60):
+        sl = _involution_complex(rng)
+        plus, minus, split = reference_sd_asd(sl)
+        outcomes.add(split)
+        if split:
+            assert sl._decompose_sd_asd() == (plus, minus, True)
+        else:
+            with pytest.raises(DecompositionFailure, match="direct=False, exhausts=True"):
+                sl._decompose_sd_asd()
+    assert outcomes == {True, False}
+
+
+def test_self_dual_split_takes_no_kernel(monkeypatch):
+    import quatcohom.cohomology as cohomology
+    import quatcohom.linalg as linalg
+    import quatcohom.slstructure as slstructure
+
+    session = ReportSession(load_corpus("example1"))
+    for p in (1, 2):
+        session.mc.rank("del", p)
+    taken = []
+
+    def counting(matrix, original=linalg.kernel_basis):
+        taken.append(matrix)
+        return original(matrix)
+
+    for module in (linalg, cohomology, slstructure):
+        monkeypatch.setattr(module, "kernel_basis", counting, raising=False)
+    assert session.sl._decompose_sd_asd() == (2, 2, True)
+    assert taken == []
+
+
+def test_self_dual_split_refuses_loci_that_miss_closed_forms(monkeypatch):
+    # one more rank of del out of degree 2 leaves fewer closed forms than
+    # the two loci span; a missed direct sum is drawn in the test above
+    session = ReportSession(load_corpus("example1"))
+    mc = session.mc
+    original = mc.rank
+    monkeypatch.setattr(mc, "rank", lambda name, p: original(name, p) + (
+        (name, p) == ("del", 2)))
+    with pytest.raises(DecompositionFailure, match="direct=True, exhausts=False"):
+        session.sl._decompose_sd_asd()
+
+
 def test_jbar_decomposition_example1(ex1):
     rep = ex1.sl.decomposition_report()
     assert (rep.jbar_plus_dim, rep.jbar_minus_dim) == (2, 2)
@@ -243,6 +336,60 @@ def test_degree_map_matches_the_form_wedge_route(corpus_sessions):
             assert value == form_degree_map(route, omega, rep)
         for rep in session.mc.kernel("del", 1).data:
             assert sl.degree_map(omega, rep) == form_degree_map(route, omega, rep) == 0
+
+
+def test_degree_profile_takes_one_covector(monkeypatch, ex1):
+    import quatcohom.slstructure as slstructure
+
+    powers = []
+
+    def counting(cx, omega, original=slstructure.omega_power):
+        powers.append(omega)
+        return original(cx, omega)
+
+    monkeypatch.setattr(slstructure, "omega_power", counting)
+    profile = ex1.sl.degree_profile(standard_omega(ex1.cx))
+    assert [str(v) for _, v in profile] == ["0", "0", "0", "1"]
+    assert len(powers) == 1
+
+
+def _ones(nrows, ncols):
+    return Mat.from_rows([[1] * ncols] * nrows, ncols=ncols)
+
+
+def _degree_profile_faults(mc, sl):
+    """Each patch of the complex behind the degree map, with the error
+    it must raise and that error's text."""
+    ddj, kernel, h_ae = mc.ddj, mc.kernel, mc.h_ae
+    # a degree-one class of nonzero degree, offered as a del-closed one
+    moved = next(rep for rep, value in sl.degree_profile(standard_omega(sl.cx)) if value)
+    return {
+        # del into the top degree vanishes on every structure, so no form
+        # fails the Gauduchon equation; a nonzero ddj out of 2n-2 must
+        "not-gauduchon": (
+            "ddj", lambda p: _ones(1, mc.dim(p)) if p == 2 else ddj(p),
+            NotGauduchon, "del del_J of Omega"),
+        "not-aeppli-closed": (
+            "ddj", lambda p: _ones(1, mc.dim(p)) if p == 1 else ddj(p),
+            NotAeppliClosed, "not del del_J-closed"),
+        "aeppli-bound": (
+            "h_ae", lambda p: h_ae(p) + 2 * (p == 1),
+            TheoremViolation, r"h_AE\(1\) = 6 exceeds h_del\(1\) \+ 1 = 4"),
+        "closed-classes": (
+            "kernel", lambda name, p: Mat.from_rows([moved]) if (name, p) == ("del", 1)
+            else kernel(name, p),
+            TheoremViolation, "does not vanish on a del-closed class"),
+    }
+
+
+@pytest.mark.parametrize("fault", ["not-gauduchon", "not-aeppli-closed",
+                                   "aeppli-bound", "closed-classes"])
+def test_degree_profile_refuses_each_fault(monkeypatch, fault):
+    session = ReportSession(load_corpus("example1"))
+    name, patched, error, text = _degree_profile_faults(session.mc, session.sl)[fault]
+    monkeypatch.setattr(session.mc, name, patched)
+    with pytest.raises(error, match=text):
+        session.sl.degree_profile(standard_omega(session.cx))
 
 
 def test_volume_form_guard():
