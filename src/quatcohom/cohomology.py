@@ -11,13 +11,16 @@ pair [del | del_J] ("side"), and the 2x2 block operator
 cached per complex, so no subspace is built to count one.
 
 No block operator is eliminated to find its rank.  Each follows from one
-split of del_p per degree: its rank r, a basis K of its kernel (the rows
-of K), a basis L of its left kernel, and JK = del_J K^T.  The rows of L
-annihilate exactly Im del_p, so, by row duality,
+split of del_p per degree, its rank r, a basis K of its kernel (the rows
+of K) and JK = del_J K^T, and from one pivot pass over [del_p | JK |
+del_J_p].  Pivots are the lexicographically first independent columns,
+so the pivots among the first m columns number the rank of those columns:
 
     rank stacked = r + rank JK          (ker del ∩ ker del_J in ker del)
-    rank side    = r + rank L del_J     (Im del_J modulo Im del)
-    rank e2_num  = 2r + rank L JK       (del-closed v with del_J v exact).
+    rank e2_num  = r + rank [del | JK]  (del-closed v with del_J v exact)
+    rank side    = all the pivots       (Im JK lies in Im del_J),
+
+and the pivots among del_p's own columns must number r.
 
 The E2 denominator's operator (x, y) -> (del y, del x + del_J y) is
 e2_num with its two column blocks swapped and the second one negated, so
@@ -44,11 +47,13 @@ anticommuting pairs (useful for stress-testing the E2 computations).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .errors import InternalInconsistency, NotASubspace, TheoremViolation
-from .linalg import Mat, complement_basis, kernel_basis, rank, row_basis, rref
+from .linalg import (Mat, complement_basis, kernel_basis, pivot_columns, rank,
+                     row_basis, rref)
 
 if TYPE_CHECKING:
     from .quaternionic import QuaternionicComplex
@@ -149,19 +154,15 @@ class MatrixComplex:
     def _split_part(self, part: str, p: int) -> Mat:
         """One piece of the split of del_p, built once.
 
-        "kernel" is `kernel_basis(del_p)`, "left" the same of del_p^T, and
-        "jk" is del_J_p applied to every kernel vector, one per column.
+        "kernel" is `kernel_basis(del_p)` and "jk" is del_J_p applied to
+        every kernel vector, one per column.
         """
         key = (part, p)
         if key not in self._split:
             if part == "kernel":
                 value = kernel_basis(self.delta(p))
-            elif part == "left":
-                value = kernel_basis(self.delta(p).transpose())
             elif part == "jk":
-                kernel = self._split_part("kernel", p)
-                value = (self.delta_j(p) @ kernel.transpose() if kernel.nrows
-                         else Mat.zeros(self.dim(p + 1), 0))
+                value = self.delta_j(p) @ self._split_part("kernel", p).transpose()
             else:
                 raise KeyError(part)
             self._split[key] = value
@@ -170,25 +171,23 @@ class MatrixComplex:
     def _block_rank(self, name: str, p: int) -> int:
         """Rank of del or of a block operator, read off the split of del_p.
 
-        A product that is zero is not built: each has del_J_p as a factor,
-        an empty K or L leaves it without entries, and rank L JK is at most
-        rank JK and rank L del_J, the excess ranks of stacked and side.
+        One pivot pass gives and caches the ranks of side and e2_num.
         """
         r = self.dim(p) - self._split_part("kernel", p).nrows
         if name == "del":
             return r
-        if name not in ("stacked", "side", "e2_num"):
-            raise KeyError(name)
-        if self.delta_j(p).is_zero():
-            return 2 * r if name == "e2_num" else r
+        jk = self._split_part("jk", p)
         if name == "stacked":
-            return r + rank(self._split_part("jk", p))
-        if name == "side":
-            left = self._split_part("left", p)
-            return r + (rank(left @ self.delta_j(p)) if left.nrows else 0)
-        if r in (self.rank("stacked", p), self.rank("side", p)):
-            return 2 * r
-        return 2 * r + rank(self._split_part("left", p) @ self._split_part("jk", p))
+            return r + rank(jk)
+        if name not in ("side", "e2_num"):
+            raise KeyError(name)
+        pivots = pivot_columns(self.delta(p).hstack(jk).hstack(self.delta_j(p)))
+        if bisect_left(pivots, self.dim(p)) != r:
+            raise InternalInconsistency("the pivots and the kernel of del at "
+                                        f"degree {p} disagree on its rank")
+        self._ranks[("side", p)] = len(pivots)
+        self._ranks[("e2_num", p)] = r + bisect_left(pivots, self.dim(p) + jk.ncols)
+        return self._ranks[(name, p)]
 
     def rank(self, name: str, p: int) -> int:
         """Rank of one operator out of degree p; zero outside 0..top-1.
@@ -264,10 +263,9 @@ class MatrixComplex:
         del_J of del-closed forms one degree down, the second component
         of the image of e2_den, (x, y) -> (del y, del x + del_J y), over
         the zero first one.  Swapping e2_den's column blocks and negating
-        the second gives e2_num, so both ranks are 2r + rank L JK from the
-        split of del (module docstring): with K spanning ker del and L
-        annihilating Im del, the kernel of e2_num is the v = K^T c with
-        L del_J v = 0, plus a w in ker del.
+        the second gives e2_num, so both ranks are r + rank [del | JK]
+        (module docstring): with K spanning ker del, the kernel of e2_num
+        is the v = K^T c with del_J v in Im del, plus a w in ker del.
         """
         numerator = self.dim(p) - self.rank("e2_num", p) + self.rank("del", p)
         denominator = self.rank("e2_den", p - 1) - self.rank("del", p - 1)
@@ -314,8 +312,8 @@ class MatrixComplex:
         ker del; the induced differential is del_J followed by reduction to
         those representatives.  Page two is the homology of that matrix,
         each rank of d1 taken once.  This route shares only the kernel
-        basis of del with the rank formula of e2_formula: it never forms L,
-        JK or L JK, and the two must agree.
+        basis of del with the rank formula of e2_formula: it never forms JK
+        or the pivot pass, and the two must agree.
         """
         if self._pages is not None:
             return self._pages

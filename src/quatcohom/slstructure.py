@@ -334,8 +334,9 @@ class SLStructure:
         volume form is the bilinear form (D_1 alpha)^T W Omega^{n-1} for
         the wedge matrix W out of degree two, since wedging the (2n,0)
         product with the conjugate volume form keeps its leading
-        coefficient; so the covector is D_1^T W Omega^{n-1}.  Requires
-        Omega to satisfy the Gauduchon equation.
+        coefficient; so the covector is D_1^T W Omega^{n-1}.  Omega must
+        satisfy the Gauduchon equation: on a nilpotent structure that check
+        guards a ddj out of degree 2n-2 that should vanish.
         """
         power = omega_power(self.cx, omega)
         if any(self.mc.ddj(2 * self.cx.n - 2).apply(power)):

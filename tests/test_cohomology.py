@@ -498,7 +498,7 @@ def _edge_complexes():
         # del is injective out of degree 0 and onto degree top
         "koszul": koszul,
         "koszul-conjugated": twin,
-        # del is invertible: both its kernel and its left kernel are empty
+        # del is invertible: its kernel is empty and it has full rank
         "isomorphism": MatrixComplex([2, 2], [square], [Mat.from_rows([[0, 1], [1, 0]])]),
         # del is zero in every degree
         "zero-del": _with_zero(koszul, "del"),
@@ -526,28 +526,53 @@ def test_block_ranks_match_reference_blocks_at_edge_degrees(label):
 
 
 def test_table_eliminates_no_block_operator(monkeypatch, ex1, ex3):
+    # the ranks come from one kernel of each del_p, one rank of JK and one
+    # pivot pass over [del_p | JK_p | del_J_p] per degree: no block
+    # operator and no transpose of a del_p (a left kernel) is eliminated
     rng = Random(17)
     complexes = [random_double_complex(rng, 4), random_double_complex(rng, 4, True),
                  *koszul_pair(rng, k=4),
                  MatrixComplex.from_quaternionic(ex1.cx),
                  MatrixComplex.from_quaternionic(ex3.cx)]
-    received = []
+    received = {"rank": [], "kernel_basis": [], "pivot_columns": []}
 
-    def recording(function):
+    def recording(name):
+        function = getattr(cohomology, name)
+
         def wrapped(matrix):
-            received.append(matrix)
+            received[name].append(matrix)
             return function(matrix)
         return wrapped
 
-    monkeypatch.setattr(cohomology, "rank", recording(cohomology.rank))
-    monkeypatch.setattr(cohomology, "kernel_basis", recording(cohomology.kernel_basis))
+    for name in received:
+        monkeypatch.setattr(cohomology, name, recording(name))
     for mc in complexes:
         mc.table()
     monkeypatch.undo()
     blocks = {reference_block(mc, name, p)
               for mc in complexes for name in BLOCK_NAMES for p in range(mc.top)}
-    assert received
-    assert not [m for m in received if m in blocks]
+    transposes = {mc.delta(p).transpose()
+                  for mc in complexes for p in range(mc.top) if not mc.delta(p).is_zero()}
+    assert received["rank"] and received["kernel_basis"]
+    # a pivot pass with an empty K is [del | del_J] itself; it is pinned below
+    assert not [m for m in received["rank"] + received["kernel_basis"] if m in blocks]
+    assert not [m for calls in received.values() for m in calls if m in transposes]
+    for mc in complexes:
+        assert [sum(m is mc.delta(p) for m in received["kernel_basis"])
+                for p in range(mc.top)] == [1] * mc.top
+    passes = [mc.delta(p).hstack(mc.delta_j(p) @ kernel_basis(mc.delta(p)).transpose())
+              .hstack(mc.delta_j(p)) for mc in complexes for p in range(mc.top)]
+    assert received["pivot_columns"] == passes
+
+
+def test_pivot_pass_refuses_a_kernel_that_lost_a_row():
+    # the pivots among del_p's columns must number dim_p - rows of K
+    mc = random_double_complex(Random(5), 4)
+    p = next(p for p in range(mc.top) if mc.kernel("del", p).nrows)
+    kernel = mc._split_part("kernel", p)
+    mc._split[("kernel", p)] = kernel.block(range(1, kernel.nrows), range(kernel.ncols))
+    with pytest.raises(InternalInconsistency, match=f"del at degree {p} disagree"):
+        mc.rank("side", p)
 
 
 # -- Koszul complexes: the dense-complex benchmark's own oracle ---------------

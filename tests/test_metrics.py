@@ -72,6 +72,31 @@ def test_flag_chain_is_monotone(corpus_sessions):
             assert not cand.gauduchon or cand.hermitian
 
 
+def _assert_every_hermitian_form_is_gauduchon(session):
+    # del into the top degree vanishes on a nilpotent structure, so del
+    # del_J out of degree 2n-2 does too: the Gauduchon flag and the
+    # degree map's NotGauduchon check guard a ddj that should vanish
+    cx, mc = session.cx, session.mc
+    assert mc.delta(2 * cx.n - 1).is_zero() and mc.ddj(2 * cx.n - 2).is_zero()
+    cand = classify_metric(cx, standard_omega(cx), mc)
+    assert cand.hermitian and cand.gauduchon
+
+
+def test_every_hermitian_form_is_gauduchon_on_the_corpus(corpus_sessions):
+    for session in corpus_sessions:
+        _assert_every_hermitian_form_is_gauduchon(session)
+
+
+@pytest.mark.parametrize("summands", [
+    ("example1", "torus8"), ("example1", "example1"), ("example3", "torus8"),
+    ("example3", "example1"), ("example3", "example3"),
+    ("example3", "example1", "torus8"),
+], ids="+".join)
+def test_every_hermitian_form_is_gauduchon_on_direct_sums(summands):
+    spec = direct_sum_spec(*(load_corpus(name) for name in summands))
+    _assert_every_hermitian_form_is_gauduchon(ReportSession(spec))
+
+
 def test_classify_rejects_wrong_bidegree(ex1):
     # the coordinates of a (1,0)-form
     with pytest.raises(NotBidegree20):

@@ -306,11 +306,7 @@ def test_degree_profile_example1(ex1):
 def test_degree_bound_not_enforced_beyond_dimension_two(ex3):
     # h_AE(1) = 6 exceeds h_del(1) + 1 = 5 here, which is fine: the bound
     # is a dimension-two theorem and must not be applied in dimension three
-    omega = standard_omega(ex3.cx)
-    try:
-        profile = ex3.sl.degree_profile(omega)
-    except NotGauduchon:
-        pytest.skip("standard form is not Gauduchon here")
+    profile = ex3.sl.degree_profile(standard_omega(ex3.cx))
     assert len(profile) == ex3.mc.h_ae(1) == 6
 
 
