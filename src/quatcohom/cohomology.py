@@ -11,16 +11,28 @@ pair [del | del_J] ("side"), and the 2x2 block operator
 cached per complex, so no subspace is built to count one.
 
 No block operator is eliminated to find its rank.  Each follows from one
-split of del_p per degree, its rank r, a basis K of its kernel (the rows
-of K) and JK = del_J K^T, and from one pivot pass over [del_p | JK |
-del_J_p].  Pivots are the lexicographically first independent columns,
-so the pivots among the first m columns number the rank of those columns:
+split of del_p per degree: K_p = `kernel_basis(del_p)`, whose rows are a
+basis of ker del_p, and r = dim_p - rows of K_p, the rank of del_p.  K_p
+is the identity on its free columns F_p, so v -> v[F_p] is injective on
+ker del_p: columns inside ker del_p have the rank, and the linear
+dependencies, of their rows F_p.  The constructor's checks put the
+columns there.  del^2 = 0 puts del_p in ker del_{p+1} and ddj_p in ker
+del_{p+2}; del del_J = -del_J del puts del_J of a del-closed vector in ker
+del, so JK_p = del_J_p K_p^T and the page-one images lie in ker del_{p+1}.
+So JK_p is formed on its free-coordinate rows only, as del_J_p[F_{p+1}]
+K_p^T, and the ranks out of degree p take four eliminations besides K_p's:
 
     rank stacked = r + rank JK          (ker del ∩ ker del_J in ker del)
     rank e2_num  = r + rank [del | JK]  (del-closed v with del_J v exact)
-    rank side    = all the pivots       (Im JK lies in Im del_J),
+    rank ddj     = rank ddj[F_{p+2}]
+    rank del_J and rank side from one pass over [del_J | del].
 
-and the pivots among del_p's own columns must number r.
+The first three see rows F_{p+1} or F_{p+2}; the last sees every row,
+since the columns of del_J need not lie in ker del.  Pivots are the
+lexicographically first independent columns, so the pivots among the
+first m columns number the rank of those columns: in [del_J | del] they
+give rank del_J, and all of them rank side; in [del | JK] the pivots among
+del's columns must number r, a cross-check between two eliminations.
 
 The E2 denominator's operator (x, y) -> (del y, del x + del_J y) is
 e2_num with its two column blocks swapped and the second one negated, so
@@ -33,11 +45,18 @@ operator whose columns span it.  The product del del_J is formed once, by
 the constructor's anticommutation check, and kept as "ddj".
 
 The second route to E2 is independent in method: it iterates the first
-page on explicit representatives, chosen from the split's kernel basis
-of del, which is subspace arithmetic over Q(i), and must agree with the
-rank formula.  The kernel basis is a pure function of del_p, so a second
-elimination of del would return the same rows and could catch nothing;
-the tests compare the cached kernel with a fresh one instead.
+page on explicit representatives, which is subspace arithmetic over Q(i),
+and must agree with the rank formula.  It shares with the rank route only
+K and the rows of del at K's free columns.  The representatives are the
+rows of K_p picked by one pass over [del_{p-1}[F_p] | I]: the pivots among
+the identity's columns are the rows that complete Im del to ker del, the
+rows `complement_basis(K_p, del_{p-1})` picks on every row, and the pivots
+among del's columns must number rank del_{p-1}.  The class coordinates of
+the del_J images are solved on rows F_{p+1}, once a product with del has
+shown that the images lie in ker del, where the restriction is exact.  The
+kernel basis is a pure function of del_p, so a second elimination of del
+would return the same rows and could catch nothing; the tests compare the
+cached kernel with a fresh one instead.
 
 A MatrixComplex built from a hypercomplex structure carries the extra
 Jbar symmetry between del and del_J; the symmetry-dependent identities
@@ -51,9 +70,9 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from .errors import InternalInconsistency, NotASubspace, TheoremViolation
-from .linalg import (Mat, complement_basis, kernel_basis, pivot_columns, rank,
-                     row_basis, rref)
+from .errors import InternalInconsistency, TheoremViolation
+from .linalg import (Mat, kernel_basis, last_nonzero_columns, pivot_columns,
+                     rank, row_basis, rref)
 
 if TYPE_CHECKING:
     from .quaternionic import QuaternionicComplex
@@ -80,6 +99,7 @@ class MatrixComplex:
         self._kernels: Dict[Tuple[str, int], Mat] = {}
         self._ranks: Dict[Tuple[str, int], int] = {}
         self._split: Dict[Tuple[str, int], Mat] = {}
+        self._free: Dict[int, List[int]] = {}
         self._pages: Optional[List[int]] = None
         self._table: Optional["CohomologyTable"] = None
         self._ddj: List[Mat] = []
@@ -154,40 +174,59 @@ class MatrixComplex:
     def _split_part(self, part: str, p: int) -> Mat:
         """One piece of the split of del_p, built once.
 
-        "kernel" is `kernel_basis(del_p)` and "jk" is del_J_p applied to
-        every kernel vector, one per column.
+        "kernel" is K_p = `kernel_basis(del_p)`; "del" is del_p on the free
+        rows F_{p+1}, and "jk" is JK_p = del_J_p[F_{p+1}] K_p^T, del_J_p
+        applied to every kernel vector, one per column, on those rows.
         """
         key = (part, p)
         if key not in self._split:
             if part == "kernel":
                 value = kernel_basis(self.delta(p))
+            elif part == "del":
+                value = self._free_rows(self.delta(p), p + 1)
             elif part == "jk":
-                value = self.delta_j(p) @ self._split_part("kernel", p).transpose()
+                value = (self._free_rows(self.delta_j(p), p + 1)
+                         @ self._split_part("kernel", p).transpose())
             else:
                 raise KeyError(part)
             self._split[key] = value
         return self._split[key]
 
-    def _block_rank(self, name: str, p: int) -> int:
-        """Rank of del or of a block operator, read off the split of del_p.
+    def _free_rows(self, matrix: Mat, p: int) -> Mat:
+        """The rows F_p of a matrix into degree p: its columns' coordinates
+        on the kernel basis of del_p, if they lie in that kernel.  F_p is
+        read off the kernel once."""
+        if p not in self._free:
+            self._free[p] = last_nonzero_columns(self._split_part("kernel", p))
+        return matrix.block(self._free[p], range(matrix.ncols))
 
-        One pivot pass gives and caches the ranks of side and e2_num.
+    def _block_rank(self, name: str, p: int) -> int:
+        """Rank of one operator out of degree p, read off the split of del_p.
+
+        stacked, e2_num and ddj are ranked on free-coordinate rows; one
+        pass over [del_J_p | del_p] gives and caches the ranks of del_J and
+        side (see the module docstring).
         """
         r = self.dim(p) - self._split_part("kernel", p).nrows
         if name == "del":
             return r
+        if name in ("del_J", "side"):
+            pivots = pivot_columns(self.delta_j(p).hstack(self.delta(p)))
+            self._ranks[("del_J", p)] = bisect_left(pivots, self.dim(p))
+            self._ranks[("side", p)] = len(pivots)
+            return self._ranks[(name, p)]
+        if name == "ddj":
+            return rank(self._free_rows(self.ddj(p), p + 2))
         jk = self._split_part("jk", p)
         if name == "stacked":
             return r + rank(jk)
-        if name not in ("side", "e2_num"):
+        if name != "e2_num":
             raise KeyError(name)
-        pivots = pivot_columns(self.delta(p).hstack(jk).hstack(self.delta_j(p)))
+        pivots = pivot_columns(self._split_part("del", p).hstack(jk))
         if bisect_left(pivots, self.dim(p)) != r:
             raise InternalInconsistency("the pivots and the kernel of del at "
                                         f"degree {p} disagree on its rank")
-        self._ranks[("side", p)] = len(pivots)
-        self._ranks[("e2_num", p)] = r + bisect_left(pivots, self.dim(p) + jk.ncols)
-        return self._ranks[(name, p)]
+        return r + len(pivots)
 
     def rank(self, name: str, p: int) -> int:
         """Rank of one operator out of degree p; zero outside 0..top-1.
@@ -201,10 +240,7 @@ class MatrixComplex:
             name = "e2_num"
         key = (name, p)
         if key not in self._ranks:
-            if name in ("del_J", "ddj"):
-                self._ranks[key] = rank(self.operator(name, p))
-            else:
-                self._ranks[key] = self._block_rank(name, p)
+            self._ranks[key] = self._block_rank(name, p)
         return self._ranks[key]
 
     def kernel(self, name: str, p: int) -> Mat:
@@ -263,9 +299,11 @@ class MatrixComplex:
         del_J of del-closed forms one degree down, the second component
         of the image of e2_den, (x, y) -> (del y, del x + del_J y), over
         the zero first one.  Swapping e2_den's column blocks and negating
-        the second gives e2_num, so both ranks are r + rank [del | JK]
-        (module docstring): with K spanning ker del, the kernel of e2_num
-        is the v = K^T c with del_J v in Im del, plus a w in ker del.
+        the second gives e2_num, so both ranks are r + rank [del | JK]:
+        with K spanning ker del, the kernel of e2_num is the v = K^T c
+        with del_J v in Im del, plus a w in ker del.  [del | JK] lies in
+        ker del one degree up and is ranked on its free-coordinate rows
+        (module docstring).
         """
         numerator = self.dim(p) - self.rank("e2_num", p) + self.rank("del", p)
         denominator = self.rank("e2_den", p - 1) - self.rank("del", p - 1)
@@ -274,34 +312,51 @@ class MatrixComplex:
     def _page_one(self, p: int) -> Mat:
         """Page-one representatives at degree p, one per column.
 
-        The rows of the split's kernel basis of del span ker del, and the
-        columns of del one degree down span Im del inside it.  The rows
-        that complete Im del to ker del, as columns, are the
-        representatives.
+        The rows of the split's kernel basis K_p span ker del, and the
+        columns of del one degree down span Im del inside it.  On the free
+        rows F_p, K_p is the identity, so the pivots among I's columns of
+        [del_{p-1}[F_p] | I] are the rows of K_p that complete Im del to
+        ker del: their columns are the representatives.  The pivots among
+        del's columns must number its rank, which fails when K_p misses
+        part of Im del or K_{p-1} miscounts that rank.
         """
-        try:
-            reps = complement_basis(self._split_part("kernel", p), self.delta(p - 1))
-        except NotASubspace:
-            raise InternalInconsistency(f"Im del is not inside ker del at degree {p}") from None
-        return reps.transpose()
+        kernel = self._split_part("kernel", p)
+        below = self._split_part("del", p - 1)
+        pivots = pivot_columns(below.hstack(Mat.identity(kernel.nrows)))
+        exact = bisect_left(pivots, below.ncols)
+        r = self.dim(p - 1) - self._split_part("kernel", p - 1).nrows
+        if exact != r:
+            raise InternalInconsistency(
+                f"Im del is not inside ker del at degree {p}: the pick finds "
+                f"{exact} pivots among the columns of del, whose rank is {r}")
+        picked = [c - below.ncols for c in pivots[exact:]]
+        return kernel.block(picked, range(kernel.ncols)).transpose()
 
     def _class_coords(self, vectors: Mat, p: int, reps: Mat) -> Mat:
         """Coordinates of del-closed vectors on the page-one representatives.
 
         `vectors` holds one vector per column and `reps` is `_page_one(p)`.
-        In [reps | del | vectors] the representatives are the first pivots
+        The vectors must lie in ker del, where the free rows F_p are
+        exact coordinates, so that is checked first.  On those rows, in
+        [reps | del | vectors] the representatives are the first pivots
         and del one degree down adds a basis of Im del, so one elimination
         gives every vector's unique coordinates on those pivots at once.
         Row r of the result holds the coordinates on representative r.
         """
         if not vectors.ncols:
             return Mat.zeros(reps.ncols, 0)
-        k = reps.ncols
-        start = k + self.dim(p - 1)
-        reduced, pivots = rref(reps.hstack(self.delta(p - 1)).hstack(vectors))
-        if pivots[:k] != list(range(k)) or (pivots and pivots[-1] >= start):
+        if not (self.delta(p) @ vectors).is_zero():
             raise InternalInconsistency(
                 "del_J image failed to land in ker del at the page-one level"
+            )
+        k = reps.ncols
+        start = k + self.dim(p - 1)
+        reduced, pivots = rref(self._free_rows(reps, p)
+                               .hstack(self._split_part("del", p - 1))
+                               .hstack(self._free_rows(vectors, p)))
+        if pivots[:k] != list(range(k)) or (pivots and pivots[-1] >= start):
+            raise InternalInconsistency(
+                f"the page-one representatives and Im del do not span ker del at degree {p}"
             )
         return reduced.block(range(k), range(start, start + vectors.ncols))
 
@@ -312,8 +367,9 @@ class MatrixComplex:
         ker del; the induced differential is del_J followed by reduction to
         those representatives.  Page two is the homology of that matrix,
         each rank of d1 taken once.  This route shares only the kernel
-        basis of del with the rank formula of e2_formula: it never forms JK
-        or the pivot pass, and the two must agree.
+        basis of del, and the rows of del at its free columns, with the
+        rank formula of e2_formula: it never forms JK or the rank route's
+        pivot passes, and the two must agree.
         """
         if self._pages is not None:
             return self._pages

@@ -268,12 +268,12 @@ class Mat:
         start, stop = cols.start, cols.stop
         if cols.step != 1 or not 0 <= start <= stop <= self.ncols:
             raise ValueError(f"columns {cols} are not a block of 0..{self.ncols - 1}")
+        if start == 0 and stop == self.ncols:  # whole rows, shared
+            picked = tuple(self._rows[i] for i in rows)
+            return _new_mat(len(picked), stop, picked)
         out = []
         for i in rows:
             d, entries = self._rows[i]
-            if start == 0 and stop == self.ncols:
-                out.append((d, entries))
-                continue
             kept = {j - start: v for j, v in entries.items() if start <= j < stop}
             out.append((d, kept) if len(kept) == len(entries) else _lowest_terms(d, kept))
         return _new_mat(len(out), stop - start, tuple(out))
@@ -753,7 +753,11 @@ def kernel_basis(matrix: Mat) -> Mat:
     Each basis vector has a 1 in its free column and zeros in the other
     free columns, so the output is canonical: it depends only on the
     kernel.  Its other entries are minus the free column of the reduced
-    echelon form, read off the sparse reduced rows.
+    echelon form, read off the sparse reduced rows; a reduced row is zero
+    left of its pivot, so they sit only at pivot columns before the free
+    column, and each row's last nonzero column is its free column
+    (`last_nonzero_columns` reads them).  So v -> v[free columns] is
+    injective on the kernel, and the rows are the identity there.
     """
     reduced, pivots = rref(matrix)
     pivot_set = set(pivots)
@@ -773,6 +777,19 @@ def kernel_basis(matrix: Mat) -> Mat:
             vector[pcol] = (-x * (den // d), -y * (den // d))
         rows.append(_lowest_terms(den, vector))
     return _new_mat(len(rows), matrix.ncols, tuple(rows))
+
+
+def last_nonzero_columns(matrix: Mat) -> List[int]:
+    """The last nonzero column of each row; no row may be zero.
+
+    On a `kernel_basis` these are the free columns, in increasing order.
+    """
+    columns = []
+    for _, entries in matrix._rows:
+        if not entries:
+            raise ValueError("a zero row has no last nonzero column")
+        columns.append(max(entries))
+    return columns
 
 
 def solve(matrix: Mat, rhs: Sequence[ScalarLike]):

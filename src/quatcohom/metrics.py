@@ -114,7 +114,8 @@ def classify_metric(cx: QuaternionicComplex, omega: Coords,
     """
     gram = gram_matrix(cx, omega)
     minors = tuple(leading_principal_minors(gram))
-    is_real = cx.index_map("Jbar", 2).mat().apply_conjugated(omega) == omega
+    # Jbar is antilinear: the signed permutation of the conjugated coordinates
+    is_real = cx.index_map("Jbar", 2).apply([x.conjugate() for x in omega]) == omega
     positive = all(m.is_real() and m.re > 0 for m in minors)
     hermitian = is_real and positive
     hkt = hermitian and not any(mc.delta(2).apply(omega))
@@ -215,13 +216,18 @@ def _diagonal_obstruction(cx: QuaternionicComplex, space: Mat) -> bool:
 
     Positivity needs every diagonal entry strictly positive, and the entry
     is linear in the form, so vanishing on a spanning set rules out every
-    candidate in the space at once.
+    candidate in the space at once.  In `gram_matrix`, N^T is a signed
+    permutation, so diagonal entry a is ±1/2 times the coordinate of the
+    pair {a, t}, t the target of column a; the coframe pairs its forms
+    under J, so t is never a.
     """
     if space.nrows == 0:
         return True
-    grams = [gram_matrix(cx, complexify_vector(row)) for row in space.data]
+    position = {pair: k for k, pair in enumerate(cx.hol_basis(2))}
+    forms = [complexify_vector(row) for row in space.data]
     return any(
-        all(g[a, a].is_zero() for g in grams) for a in range(cx.half)
+        all(form[position[min(a, t), max(a, t)]].is_zero() for form in forms)
+        for a, t in enumerate(cx.index_map("J", 1).inverse().targets)
     )
 
 

@@ -66,7 +66,7 @@ _INDEX_MAP_NAMES = ("J", "Jbar")
 
 # The largest middle (n,0) basis, C(2n, n), of a structure the engine
 # builds operators for: 12870 at real dimension 32, the largest size
-# measured to finish, where a report takes about 10 to 13 s and 156 MB
+# measured to finish, where a report takes about 10 to 15 s and 156 MB
 # (Python 3.11, two shared CPUs).
 # Real dimension 36 has 48620 forms in the middle degree.
 MAX_MIDDLE_BASIS = 12870

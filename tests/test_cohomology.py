@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from random import Random
@@ -15,7 +16,8 @@ from quatcohom import (
 )
 import quatcohom.cohomology as cohomology
 from quatcohom.errors import EngineError, InternalInconsistency
-from quatcohom.linalg import Mat, kernel_basis, rank, row_basis
+from quatcohom.linalg import (Mat, complement_basis, kernel_basis, last_nonzero_columns,
+                              rank, row_basis)
 from quatcohom.model import AlgebraSpec, instantiate
 from quatcohom.scalars import ZERO
 from quatcohom.suite import run_property_suite
@@ -525,10 +527,20 @@ def test_block_ranks_match_reference_blocks_at_edge_degrees(label):
     _assert_matches_reference(mc)
 
 
+def _free_rows(mc, matrix, p):
+    """The rows of a degree-p matrix at the free columns of kernel_basis(del_p)."""
+    free = last_nonzero_columns(kernel_basis(mc.delta(p)))
+    return matrix.block(free, range(matrix.ncols))
+
+
 def test_table_eliminates_no_block_operator(monkeypatch, ex1, ex3):
-    # the ranks come from one kernel of each del_p, one rank of JK and one
-    # pivot pass over [del_p | JK_p | del_J_p] per degree: no block
-    # operator and no transpose of a del_p (a left kernel) is eliminated
+    # the ranks come from one kernel of each del_p and, per degree, one
+    # pivot pass over [del_J_p | del_p] on every row, one over [del_p | JK_p]
+    # and one rank each of JK_p and ddj_p, all three on the free rows of
+    # the kernel basis one or two degrees up; page one picks its
+    # representatives by one pass over [del_{p-1} | I] on the free rows F_p.
+    # No block operator and no transpose of a del_p (a left kernel) is
+    # eliminated
     rng = Random(17)
     complexes = [random_double_complex(rng, 4), random_double_complex(rng, 4, True),
                  *koszul_pair(rng, k=4),
@@ -554,25 +566,110 @@ def test_table_eliminates_no_block_operator(monkeypatch, ex1, ex3):
     transposes = {mc.delta(p).transpose()
                   for mc in complexes for p in range(mc.top) if not mc.delta(p).is_zero()}
     assert received["rank"] and received["kernel_basis"]
-    # a pivot pass with an empty K is [del | del_J] itself; it is pinned below
+    # where del_p = 0 and del_{p+1} = 0, [del_p | JK_p] is [del | del_J]
+    # itself; the pivot passes are pinned below instead
     assert not [m for m in received["rank"] + received["kernel_basis"] if m in blocks]
     assert not [m for calls in received.values() for m in calls if m in transposes]
+    passes, ranked = Counter(), Counter()
     for mc in complexes:
         assert [sum(m is mc.delta(p) for m in received["kernel_basis"])
                 for p in range(mc.top)] == [1] * mc.top
-    passes = [mc.delta(p).hstack(mc.delta_j(p) @ kernel_basis(mc.delta(p)).transpose())
-              .hstack(mc.delta_j(p)) for mc in complexes for p in range(mc.top)]
-    assert received["pivot_columns"] == passes
+        # one kernel basis row per free column
+        nfree = [kernel_basis(mc.delta(p)).nrows for p in range(mc.top + 3)]
+        for p in range(mc.top):
+            side = mc.delta_j(p).hstack(mc.delta(p))
+            jk = _free_rows(mc, mc.delta_j(p), p + 1) @ kernel_basis(mc.delta(p)).transpose()
+            e2_num = _free_rows(mc, mc.delta(p), p + 1).hstack(jk)
+            ddj = _free_rows(mc, mc.delta(p + 1) @ mc.delta_j(p), p + 2)
+            # only [del_J | del] sees every row
+            assert (side.nrows, jk.nrows, e2_num.nrows, ddj.nrows) == (
+                mc.dim(p + 1), nfree[p + 1], nfree[p + 1], nfree[p + 2])
+            passes.update([side, e2_num])
+            ranked.update([jk, ddj])
+        for p in range(mc.top + 1):
+            passes[_free_rows(mc, mc.delta(p - 1), p).hstack(Mat.identity(nfree[p]))] += 1
+    assert Counter(received["pivot_columns"]) == passes
+    # the other ranks are those of d1, one per degree
+    assert not ranked - Counter(received["rank"])
+    assert sum(ranked.values()) + sum(mc.top + 1 for mc in complexes) == len(received["rank"])
 
 
 def test_pivot_pass_refuses_a_kernel_that_lost_a_row():
-    # the pivots among del_p's columns must number dim_p - rows of K
+    # the pivots among del_p's columns of [del_p | JK_p] must number
+    # dim_p - rows of K
     mc = random_double_complex(Random(5), 4)
     p = next(p for p in range(mc.top) if mc.kernel("del", p).nrows)
     kernel = mc._split_part("kernel", p)
     mc._split[("kernel", p)] = kernel.block(range(1, kernel.nrows), range(kernel.ncols))
+    assert mc.rank("side", p) == rank(reference_block(mc, "side", p))
     with pytest.raises(InternalInconsistency, match=f"del at degree {p} disagree"):
-        mc.rank("side", p)
+        mc.rank("e2_num", p)
+
+
+def test_page_one_pick_refuses_a_kernel_one_degree_down_that_lost_a_row():
+    # the pick's pivots among del_{p-1}'s columns must number its rank,
+    # dim_{p-1} - rows of K_{p-1}
+    mc = random_double_complex(Random(5), 4)
+    p = next(p for p in range(1, mc.top + 1) if mc.kernel("del", p - 1).nrows)
+    kernel = mc._split_part("kernel", p - 1)
+    mc._split[("kernel", p - 1)] = kernel.block(range(1, kernel.nrows), range(kernel.ncols))
+    with pytest.raises(InternalInconsistency,
+                       match=f"at degree {p}: the pick finds .* whose rank is"):
+        mc._page_one(p)
+
+
+def test_class_coordinates_refuse_representatives_that_miss_a_class(ex1):
+    # without its last representative, page one does not complete Im del to
+    # ker del, and that representative has no coordinates on the others
+    mc = ex1.mc
+    p = next(p for p in range(mc.top + 1) if mc._page_one(p).ncols)
+    reps = mc._page_one(p)
+    fewer = reps.block(range(reps.nrows), range(reps.ncols - 1))
+    with pytest.raises(InternalInconsistency, match=f"do not span ker del at degree {p}"):
+        mc._class_coords(reps, p, fewer)
+
+
+# -- every rank the table reads against the full-row operator -----------------
+
+
+def _assert_ranks_match_full_row_operators(mc):
+    # the table ranks ddj, stacked and e2_num on free-coordinate rows and
+    # picks page one there; the operators here are built on every row
+    mc.table()
+    for p in range(mc.top):
+        d, dj = mc.delta(p), mc.delta_j(p)
+        zero = Mat.zeros(mc.dim(p + 1), mc.dim(p))
+        full = {"del": d, "del_J": dj, "ddj": mc.delta(p + 1) @ dj,
+                "stacked": d.vstack(dj), "side": d.hstack(dj),
+                "e2_num": d.hstack(zero).vstack(dj.hstack(-d))}
+        for name, operator in full.items():
+            assert mc.rank(name, p) == rank(operator), (name, p)
+    for p in range(mc.top + 1):
+        picked = complement_basis(kernel_basis(mc.delta(p)), mc.delta(p - 1))
+        assert mc._page_one(p) == picked.transpose()
+
+
+def test_ranks_match_full_row_operators_on_corpus(corpus_sessions):
+    for session in corpus_sessions:
+        _assert_ranks_match_full_row_operators(session.mc)
+
+
+@pytest.mark.parametrize("conjugate", [False, True], ids=["plain", "conjugated"])
+def test_ranks_match_full_row_operators_on_random_complexes(conjugate):
+    rng = Random(41)
+    for k in (2, 3, 4, 5):
+        _assert_ranks_match_full_row_operators(random_double_complex(rng, k, conjugate))
+
+
+def test_ranks_match_full_row_operators_on_dense_wedge_complexes():
+    for mc in koszul_pair(Random(43), k=5):
+        _assert_ranks_match_full_row_operators(mc)
+
+
+def test_ranks_match_full_row_operators_in_dimension_20():
+    spec = direct_sum_spec(load_corpus("example3"), load_corpus("torus8"))
+    assert spec.dimension == 20
+    _assert_ranks_match_full_row_operators(ReportSession(spec).mc)
 
 
 # -- Koszul complexes: the dense-complex benchmark's own oracle ---------------

@@ -15,7 +15,9 @@ from quatcohom.linalg import (
     det,
     inverse,
     kernel_basis,
+    last_nonzero_columns,
     leading_principal_minors,
+    pivot_columns,
     rank,
     realify_antilinear,
     realify_linear,
@@ -354,6 +356,47 @@ def test_empty_shapes():
     assert det(empty) == 1
     assert leading_principal_minors(empty) == []
     assert inverse(empty) == empty
+
+
+def _seeded_gaussian_matrix(rng, nrows, ncols, density):
+    values = (1, -1, 2, Fraction(1, 2), Fraction(-3, 2))
+    return Mat.from_rows(
+        [[GaussianRational(rng.choice(values), rng.choice((0,) + values))
+          if rng.random() < density else ZERO_ENTRY for _ in range(ncols)]
+         for _ in range(nrows)], ncols=ncols)
+
+
+def _kernel_shape_cases():
+    rng = Random(23)
+    cases = [Mat.zeros(3, 4), Mat.zeros(4, 0), Mat.zeros(0, 4), Mat.identity(4),
+             random_gl(rng, 5)]
+    for nrows, ncols in ((3, 6), (6, 3), (5, 5), (12, 30)):
+        cases.append(_seeded_gaussian_matrix(rng, nrows, ncols, 0.15))  # sparse
+        cases.append(_seeded_gaussian_matrix(rng, nrows, ncols, 1.0))  # dense
+    return cases
+
+
+def test_kernel_basis_rows_end_at_their_free_columns():
+    # row i is 1 in free column i, 0 in the other free columns and nonzero
+    # elsewhere only at pivot columns before its free column, so its last
+    # nonzero column is its free column and the rows are the identity there
+    for m in _kernel_shape_cases():
+        kernel = kernel_basis(m)
+        pivots = pivot_columns(m)
+        free = [j for j in range(m.ncols) if j not in pivots]
+        assert last_nonzero_columns(kernel) == free
+        for i, row in enumerate(kernel.data):
+            assert [row[j] for j in free] == [int(i == k) for k in range(len(free))]
+            assert {j for j, x in enumerate(row) if x} <= {j for j in pivots
+                                                            if j < free[i]} | {free[i]}
+    # full column rank: no free column and no row
+    assert last_nonzero_columns(kernel_basis(random_gl(Random(3), 5))) == []
+
+
+def test_last_nonzero_columns_refuses_a_zero_row():
+    assert last_nonzero_columns(Mat.from_rows([[0, 2, 0], [1, 0, 0]])) == [1, 0]
+    with pytest.raises(ValueError, match="zero row"):
+        last_nonzero_columns(Mat.from_rows([[1, 0], [0, 0]]))
 
 
 def test_inexact_division_is_an_internal_inconsistency():

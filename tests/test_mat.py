@@ -244,3 +244,6 @@ def test_products_share_no_rows_that_later_change():
     rref(b), rank(b), kernel_basis(b), inverse(Mat.from_rows([[1, 2], [3, 4]]))
     assert a.data == before
     assert b.block(range(3), range(3)) == a
+    # a selection of whole rows shares them, as the rows of a matrix allow
+    picked = b.block([5, 0, 2], range(b.ncols))
+    assert all(x is b._rows[i] for x, i in zip(picked._rows, [5, 0, 2]))

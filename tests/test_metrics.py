@@ -1,5 +1,6 @@
 import functools
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,8 +21,9 @@ from quatcohom import (
 )
 from quatcohom.errors import NotBidegree20, NotSL2
 from quatcohom.scalars import ONE, ZERO
-from quatcohom.linalg import (Mat, kernel_basis, rank, realify_antilinear,
-                              realify_linear, realify_vector, row_basis)
+from quatcohom.linalg import (Mat, complexify_vector, kernel_basis, rank,
+                              realify_antilinear, realify_linear, realify_vector,
+                              row_basis)
 from quatcohom.metrics import omega_power
 from quatcohom.report import build_report_from_session
 
@@ -95,6 +97,33 @@ def test_every_hermitian_form_is_gauduchon_on_the_corpus(corpus_sessions):
 def test_every_hermitian_form_is_gauduchon_on_direct_sums(summands):
     spec = direct_sum_spec(*(load_corpus(name) for name in summands))
     _assert_every_hermitian_form_is_gauduchon(ReportSession(spec))
+
+
+def _gram_obstruction(cx, space):
+    """The diagonal obstruction read off a whole Gram matrix per row."""
+    grams = [gram_matrix(cx, complexify_vector(row)) for row in space.data]
+    return any(all(g[a, a].is_zero() for g in grams) for a in range(cx.half))
+
+
+def test_diagonal_obstruction_and_reality_match_the_gram_and_matrix_routes(corpus_sessions):
+    # the obstruction reads one coordinate per diagonal entry and reality
+    # applies Jbar's signed permutation; both must agree with the Gram
+    # matrices and with Jbar's matrix form on every candidate space
+    rng = Random(13)
+    for session in corpus_sessions:
+        cx = session.cx
+        jbar = cx.index_map("Jbar", 2).mat()
+        for space in (cx.hkt_space, cx.sg_space, Mat.identity(2 * len(cx.hol_basis(2)))):
+            rows = list(space.data)
+            subspaces = [space] + [Mat.from_rows(rng.sample(rows, k), ncols=space.ncols)
+                                   for k in range(1, min(3, len(rows)) + 1)]
+            for sub in subspaces:
+                assert metrics._diagonal_obstruction(cx, sub) == _gram_obstruction(cx, sub)
+            for row in rows:
+                form = complexify_vector(row)
+                cand = classify_metric(cx, form, session.mc)
+                assert cand.is_real == (jbar.apply_conjugated(form) == form)
+        assert metrics._diagonal_obstruction(cx, Mat.zeros(0, 2 * len(cx.hol_basis(2))))
 
 
 def test_classify_rejects_wrong_bidegree(ex1):
