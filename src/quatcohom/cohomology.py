@@ -489,9 +489,6 @@ class CohomologyTable:
     def degrees(self) -> range:
         return range(self.top_degree + 1)
 
-    def varouchas_row(self, p: int) -> Tuple[int, int, int, int, int, int]:
-        return (self.a[p], self.b[p], self.c[p], self.d[p], self.e[p], self.f[p])
-
 
 def frolicher_degenerate(table: CohomologyTable) -> bool:
     """Whether the spectral sequence degenerates at page one."""

@@ -11,20 +11,25 @@ dense views in Gaussian rationals, built on demand, for printing and for
 the few callers that index entries.  Rows are never changed once they are
 in a matrix, so matrices share them freely.
 
-All elimination goes through one routine, `_eliminate`: sparse
-fraction-free Gauss-Jordan elimination on Gaussian integers.  It takes the
-rows as they are, the integer row of row (d, entries) being its entries and
-its scale d.  The pivot of each column comes from the sparsest row that can
-supply it, and an update touches only the rows nonzero in the pivot
-column, and only their nonzero entries; each updated row is divided by its
-content in Z[i], which keeps the integers as small as Bareiss
-elimination's.  `rref`, `rank`, `pivot_columns`, `kernel_basis`, `solve`,
-`inverse`, `det`, `leading_principal_minors`, `row_basis` and
-`complement_basis` are all read off that routine; `rank`,
-`pivot_columns`, `det` and the complement pick need only the pivots, so
-they skip the reduction above the pivots and build no reduced matrix.
-Which row supplies a pivot does not change the pivot columns or the
-reduced echelon form, which is unique, so the reduced form is canonical.
+Elimination goes through two routines, both on Gaussian integers and both
+taking the rows as they are, the integer row of row (d, entries) being its
+entries.  `_eliminate` is sparse fraction-free Gauss-Jordan elimination.
+The pivot of each column comes from the sparsest row that can supply it,
+and an update touches only the rows nonzero in the pivot column, and only
+their nonzero entries; each updated row is divided by its content in Z[i],
+which keeps the integers as small as Bareiss elimination's.  `rref`,
+`rank`, `pivot_columns`, `kernel_basis`, `solve`, `inverse`, `row_basis`
+and `complement_basis` are read off it; `rank`, `pivot_columns` and the
+complement pick need only the pivots, so they skip the reduction above the
+pivots and build no reduced matrix.  Which row supplies a pivot does not
+change the pivot columns or the reduced echelon form, which is unique, so
+the reduced form is canonical.
+
+`det` and `leading_principal_minors` are read off `_diagonal_pass`, Bareiss
+elimination down the diagonal.  The minors need the natural pivot order:
+each pivot is a leading minor only while the rows keep their order and
+their scale, which the Markowitz row choice and the content division do
+not keep.
 
 A subspace is a matrix whose rows are a basis of it.  `row_basis` gives
 the canonical one, the nonzero rows of the reduced echelon form, so two
@@ -553,11 +558,6 @@ class _Reduction(NamedTuple):
     # above the pivots are left unreduced
     rows: List[_Entries]
     pivots: List[int]  # pivot column of each step
-    sources: List[int]  # the input row that supplied each step's pivot
-    scales: List[int]  # the positive integer each input row was multiplied by
-    # the multiplier p and the content g of every update that left a
-    # nonzero row: row <- (p * row - f * pivot_row) / g
-    updates: List[Tuple[_GaussInt, _GaussInt]]
 
 
 def _gaussian_gcd(ar: int, ai: int, br: int, bi: int) -> _GaussInt:
@@ -570,8 +570,8 @@ def _gaussian_gcd(ar: int, ai: int, br: int, bi: int) -> _GaussInt:
     return ar, ai
 
 
-def _make_primitive(row: _Entries, norms: int) -> _GaussInt:
-    """Divide a row by its content in Z[i], and return the content.
+def _make_primitive(row: _Entries, norms: int) -> None:
+    """Divide a row by its content in Z[i].
 
     `norms` is the gcd of the norms of the entries, which the norm of the
     content divides.  The integer content g is divided out first, in one
@@ -585,7 +585,7 @@ def _make_primitive(row: _Entries, norms: int) -> _GaussInt:
             row[j] = (x // g, y // g)
     cr, ci = norms // (g * g), 0
     if cr == 1:
-        return g, 0
+        return
     n = cr * cr
     for x, y in row.values():
         # (x + y*i) / (cr + ci*i) is (x + y*i)(cr - ci*i) / n
@@ -593,10 +593,9 @@ def _make_primitive(row: _Entries, norms: int) -> _GaussInt:
             cr, ci = _gaussian_gcd(x, y, cr, ci)
             n = cr * cr + ci * ci
             if n == 1:
-                return g, 0
+                return
     for j, (x, y) in row.items():
         row[j] = ((x * cr + y * ci) // n, (y * cr - x * ci) // n)
-    return g * cr, g * ci
 
 
 def _eliminate(matrix: Mat, reduce_above: bool = True) -> _Reduction:
@@ -626,15 +625,13 @@ def _eliminate(matrix: Mat, reduce_above: bool = True) -> _Reduction:
     With `reduce_above` the rows already used as pivots are cleared in the
     pivot column too, which leaves each pivot row a multiple of a row of
     the reduced echelon form.  Without it the pivot rows are never
-    touched again, which finds the same pivots at less cost: rank,
-    determinant and the complement pick need no more.
+    touched again, which finds the same pivots at less cost: rank and the
+    complement pick need no more.
 
     The pivot columns, the lexicographically first independent columns,
     and the reduced echelon form do not depend on which row supplies a
-    pivot.  The determinant does, by the recorded factors: each update
-    multiplies it by p/g, and the pivot rows in step order are triangular.
+    pivot.
     """
-    scales = [d for d, _ in matrix._rows]
     rows = [dict(entries) for _, entries in matrix._rows]
     index: List[Set[int]] = [set() for _ in range(matrix.ncols)]
     for r, row in enumerate(rows):
@@ -642,9 +639,8 @@ def _eliminate(matrix: Mat, reduce_above: bool = True) -> _Reduction:
             index[j].add(r)
     live = [True] * len(rows)
     remaining = sum(1 for row in rows if row)  # live rows that are nonzero
+    pivot_rows: List[_Entries] = []
     pivots: List[int] = []
-    sources: List[int] = []
-    updates: List[Tuple[_GaussInt, _GaussInt]] = []
     for col, hits in enumerate(index):
         if not remaining:
             break
@@ -694,22 +690,64 @@ def _eliminate(matrix: Mat, reduce_above: bool = True) -> _Reduction:
             # the content's norm divides every entry's norm, so mostly this
             # one gcd shows that the row is primitive already
             norms = gcd(*[x * x + y * y for x, y in row.values()])
-            content = (1, 0) if norms == 1 else _make_primitive(row, norms)
-            updates.append(((ar, ai), content))
+            if norms != 1:
+                _make_primitive(row, norms)
+        pivot_rows.append(pivot_row)
         pivots.append(col)
-        sources.append(source)
-    return _Reduction([rows[r] for r in sources], pivots, sources, scales,
-                      updates)
+    return _Reduction(pivot_rows, pivots)
 
 
-def _quotient(value: _GaussInt, by: _GaussInt) -> GaussianRational:
-    """(a + b*i) / (c + d*i) as a Gaussian rational."""
-    (a, b), (c, d) = value, by
-    if d:
-        a, b, c = a * c + b * d, b * c - a * d, c * c + d * d
-    if not (a or b):
-        return ZERO
-    return _from_integers(a, b, c)
+def _diagonal_pass(matrix: Mat) -> Tuple[List[_GaussInt], int, int]:
+    """Fraction-free Bareiss elimination down the diagonal of a square matrix.
+
+    Row (d, entries) enters as its integer row `entries`.  Step k pivots on
+    the diagonal entry p, swapping in the first lower row nonzero in column
+    k only when that entry is zero, and each lower row becomes
+    (p * row - f * pivot_row) / q, f its entry in column k and q the
+    previous pivot; the division is exact.  Until the first swap the pivots
+    are the leading principal minors of the integer matrix, in order; the
+    last pivot is its determinant times the sign of the swaps.
+
+    Returns the pivots, the step of the first zero diagonal entry (n if
+    none) and the sign of the swaps.  A column with no nonzero entry on or
+    below the diagonal stops the pass short: the matrix is singular.
+    """
+    n = matrix.nrows
+    rows = [entries for _, entries in matrix._rows]  # replaced, never changed
+    pivots: List[_GaussInt] = []
+    first_zero = n
+    sign = 1
+    qr, qi = 1, 0
+    for k in range(n):
+        if k not in rows[k]:
+            first_zero = min(first_zero, k)
+            found = next((r for r in range(k + 1, n) if k in rows[r]), None)
+            if found is None:
+                break
+            rows[k], rows[found] = rows[found], rows[k]
+            sign = -sign
+        pivot_row = rows[k]
+        pr, pi = pivot_row[k]
+        # dividing by q is multiplying by its conjugate, then dividing by
+        # its norm; a real q divides directly
+        den = qr * qr + qi * qi if qi else qr
+        for r in range(k + 1, n):
+            row = rows[r]
+            fr, fi = row.get(k, (0, 0))
+            out = {}  # column k comes out zero, so it is dropped with the zeros
+            for j in row.keys() | pivot_row.keys():
+                x, y = row.get(j, (0, 0))
+                u, v = pivot_row.get(j, (0, 0))
+                re = pr * x - pi * y - fr * u + fi * v
+                im = pr * y + pi * x - fr * v - fi * u
+                if re or im:
+                    if qi:
+                        re, im = re * qr + im * qi, im * qr - re * qi
+                    out[j] = (re // den, im // den)
+            rows[r] = out
+        pivots.append((pr, pi))
+        qr, qi = pr, pi
+    return pivots, first_zero, sign
 
 
 def rref(matrix: Mat) -> Tuple[Mat, List[int]]:
@@ -817,53 +855,39 @@ def inverse(matrix: Mat) -> Mat:
     return reduced.block(range(n), range(n, 2 * n))
 
 
-def _gaussian_product(factors: Iterable[_GaussInt]) -> _GaussInt:
-    re, im = 1, 0
-    for x, y in factors:
-        re, im = re * x - im * y, re * y + im * x
-    return re, im
-
-
-def _permutation_sign(perm: Sequence[int]) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            if j != start:
-                sign = -sign
-    return sign
-
-
 def det(matrix: Mat) -> GaussianRational:
-    """The determinant, read off one elimination without reduction above.
-
-    The pivot rows, taken in step order, form an upper triangular matrix
-    whose determinant is the product of the pivots.  It differs from the
-    determinant of the input by the order of the rows, the denominator of
-    each row, and the factor p/g of each update.
-    """
+    """The determinant: the signed last pivot of `_diagonal_pass`, over the
+    product of the row denominators."""
     if matrix.nrows != matrix.ncols:
         raise ValueError("determinant of a non-square matrix")
-    reduction = _eliminate(matrix, reduce_above=False)
-    if len(reduction.pivots) < matrix.nrows:
+    pivots, _, sign = _diagonal_pass(matrix)
+    if len(pivots) < matrix.nrows:
         return ZERO
-    diagonal = [row[col] for row, col in zip(reduction.rows, reduction.pivots)]
-    multipliers = [p for p, _ in reduction.updates]
-    contents = [g for _, g in reduction.updates]
-    sign = _permutation_sign(reduction.sources)
-    return _quotient(_gaussian_product([(sign, 0)] + diagonal + contents),
-                     _gaussian_product([(prod(reduction.scales), 0)] + multipliers))
+    x, y = pivots[-1] if pivots else (1, 0)
+    return _from_integers(sign * x, sign * y, prod(d for d, _ in matrix._rows))
 
 
 def leading_principal_minors(matrix: Mat) -> List[GaussianRational]:
-    """Determinants of the top-left k x k blocks, k = 1..n."""
+    """Determinants of the top-left k x k blocks, k = 1..n.
+
+    Up to the first zero diagonal entry of `_diagonal_pass`, the k-th minor
+    is the k-th pivot over the product of the first k row denominators.
+    That zero entry is the next minor, and each later minor takes a `det`
+    of its own block, which a positive-definite matrix never needs.
+    """
     if matrix.nrows != matrix.ncols:
         raise ValueError("principal minors of a non-square matrix")
-    return [det(matrix.block(range(k), range(k)))
-            for k in range(1, matrix.nrows + 1)]
+    pivots, first_zero, _ = _diagonal_pass(matrix)
+    minors = []
+    scale = 1
+    for (x, y), (d, _) in zip(pivots[:first_zero], matrix._rows):
+        scale *= d
+        minors.append(_from_integers(x, y, scale))
+    if first_zero < matrix.nrows:
+        minors.append(ZERO)
+        minors.extend(det(matrix.block(range(k), range(k)))
+                      for k in range(first_zero + 2, matrix.nrows + 1))
+    return minors
 
 
 def row_basis(matrix: Mat) -> Mat:

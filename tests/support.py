@@ -329,6 +329,45 @@ def random_gl(rng: Random, m: int, ops: int = 6) -> Mat:
     return Mat.from_rows(rows)
 
 
+HERMITIAN_KINDS = ("definite", "indefinite", "singular", "zero-corner")
+
+
+def random_hermitian(rng: Random, n: int, kind: str) -> Mat:
+    """A Hermitian n x n matrix B^H D B, with B invertible and D real diagonal.
+
+    D is positive for "definite", has both signs for "indefinite" (n >= 2)
+    and has a zero for "singular".  "zero-corner" is an indefinite one with
+    its top-left entry set to zero, so its first leading minor vanishes.
+    B is `random_gl` times an upper triangular matrix with Gaussian
+    rational entries and a nonzero diagonal.
+    """
+    def entry(nonzero: bool) -> GaussianRational:
+        while True:
+            x = GaussianRational(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+                                 Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+            if x or not nonzero:
+                return x
+
+    upper = Mat.from_rows([[entry(i == j) if i <= j else ZERO for j in range(n)]
+                           for i in range(n)])
+    b = random_gl(rng, n) @ upper
+    diagonal = [Fraction(rng.randint(1, 4), rng.randint(1, 3)) for _ in range(n)]
+    if kind in ("indefinite", "zero-corner"):
+        for i in rng.sample(range(n), max(1, n // 2)):
+            diagonal[i] = -diagonal[i]
+    elif kind == "singular":
+        diagonal[rng.randrange(n)] = Fraction(0)
+    elif kind != "definite":
+        raise ValueError(f"unknown kind {kind!r}")
+    d = Mat.from_entries(n, n, {(i, i): x for i, x in enumerate(diagonal)})
+    h = b.conj().transpose() @ d @ b
+    if kind == "zero-corner":
+        rows = [list(row) for row in h.data]
+        rows[0][0] = ZERO
+        h = Mat.from_rows(rows)
+    return h
+
+
 def coframe_variant(spec: AlgebraSpec, p_mat: Mat,
                     name: str = "") -> AlgebraSpec:
     """The same structure written in the coframe f^a = sum_b P[a][b] e^b.

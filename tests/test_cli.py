@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import io
 import json
 import time
@@ -747,3 +748,19 @@ def test_fuzz_command_line(command, spec, tokens):
         except SystemExit as exc:  # argparse's own exit: usage error or --help
             code = exc.code
     _assert_clean_exit(code, err.getvalue())
+
+
+def test_every_traced_name_resolves():
+    # the benchmark's traced run wraps these names and exits 1 on one that
+    # is missing, so renaming or deleting any of them breaks it
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module_name, attr in tracer.TARGETS:
+        module = importlib.import_module(f"quatcohom.{module_name}")
+        if "." in attr:
+            cls_name, method = attr.split(".")
+            assert method in vars(getattr(module, cls_name)), (module_name, attr)
+        else:
+            assert callable(getattr(module, attr, None)), (module_name, attr)

@@ -2,9 +2,9 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from quatcohom import GaussianRational
+from quatcohom import GaussianRational, linalg
 from quatcohom.errors import InternalInconsistency, NotASubspace
 from quatcohom.linalg import (
     Mat,
@@ -26,8 +26,10 @@ from quatcohom.linalg import (
     rref,
     solve,
 )
+from quatcohom.metrics import gram_matrix, standard_omega
 
 from support import (
+    HERMITIAN_KINDS,
     bareiss_det,
     bareiss_minors,
     bareiss_rref,
@@ -38,6 +40,7 @@ from support import (
     quotient_dim,
     random_double_complex,
     random_gl,
+    random_hermitian,
     reference_complement_representatives,
     reference_det,
     reference_eliminate,
@@ -302,8 +305,33 @@ def test_kernel_matches_reference(m):
     _check_against_reference(m)
 
 
+@st.composite
+def hermitian_matrices(draw):
+    """Seeded Hermitian matrices of each kind in `support.random_hermitian`."""
+    kind = draw(st.sampled_from(HERMITIAN_KINDS))
+    return random_hermitian(Random(draw(st.integers(0, 10**6))),
+                            draw(st.integers(2, 5)), kind)
+
+
+HERMITIAN_EXAMPLES = [random_hermitian(Random(seed), 4, kind)
+                      for seed, kind in enumerate(HERMITIAN_KINDS)]
+
+
+def test_seeded_hermitian_matrices_are_of_their_kind():
+    definite, indefinite, singular, zero_corner = (
+        reference_minors(m) for m in HERMITIAN_EXAMPLES)
+    assert all(x.im == 0 and x.re > 0 for x in definite)
+    assert indefinite[-1] and any(x.re < 0 for x in indefinite)
+    assert singular[-1].is_zero()
+    assert zero_corner[0].is_zero() and all(zero_corner[1:])
+
+
 @settings(max_examples=100, deadline=None)
-@given(matrices(square=True))
+@given(st.one_of(matrices(square=True), hermitian_matrices()))
+@example(HERMITIAN_EXAMPLES[0])
+@example(HERMITIAN_EXAMPLES[1])
+@example(HERMITIAN_EXAMPLES[2])
+@example(HERMITIAN_EXAMPLES[3])
 def test_kernel_matches_reference_square(m):
     _check_against_reference(m)
 
@@ -324,7 +352,8 @@ def test_kernel_matches_reference_on_conjugated_wedge_blocks(seed, k):
 
 
 @settings(max_examples=60, deadline=None)
-@given(matrices(square=True).filter(lambda m: m.nrows >= 2))
+@given(st.one_of(matrices(square=True).filter(lambda m: m.nrows >= 2),
+                 hermitian_matrices()))
 def test_minors_after_a_zero_leading_minor(m):
     rows = [list(row) for row in m.data]
     rows[0][0] = ZERO_ENTRY
@@ -344,6 +373,23 @@ def test_minors_past_zero_leading_minors():
     m = Mat.from_rows([[0, 1, 2], [0, 3, 4], [5, 6, GaussianRational(0, 1)]])
     assert leading_principal_minors(m) == reference_minors(m)
     assert [x.is_zero() for x in leading_principal_minors(m)] == [True, True, False]
+
+
+def test_minors_of_a_positive_definite_gram_take_no_det(ex1, torus, monkeypatch):
+    # every minor is a pivot of the one diagonal pass; only a zero
+    # diagonal entry sends the later minors to `det`
+    calls = []
+    plain_det = linalg.det
+    monkeypatch.setattr(linalg, "det", lambda m: calls.append(m) or plain_det(m))
+    grams = [gram_matrix(s.cx, standard_omega(s.cx)) for s in (ex1, torus)]
+    grams.append(random_hermitian(Random(11), 5, "definite"))
+    for gram in grams:
+        minors = leading_principal_minors(gram)
+        assert minors == reference_minors(gram)
+        assert all(x.im == 0 and x.re > 0 for x in minors)
+    assert calls == []
+    leading_principal_minors(HERMITIAN_EXAMPLES[3])
+    assert len(calls) == 3  # minors 2 to 4 of the zero-corner matrix
 
 
 def test_empty_shapes():
@@ -602,7 +648,7 @@ def test_sparsest_candidate_row_supplies_the_pivot():
     # the outputs are those of the first-row rule all the same
     m = Mat.from_rows([[1, 1, 1, 2], [3, 0, 0, 0], [0, 1, 0, 1], [1, 0, 2, 0]])
     reduction = _eliminate(m, reduce_above=False)
-    assert reduction.sources[0] == 1
+    assert reduction.rows[0] == {0: (3, 0)}
     assert reference_eliminate(m, reduce_above=False).steps[0] == ((1, 0), False)
     _check_against_reference(m)
     assert det(m) == -6
