@@ -11,23 +11,7 @@ import functools
 import sys
 from typing import NoReturn, Optional, Sequence
 
-from .errors import (
-    CoefficientParseError,
-    DimensionBudgetError,
-    EngineError,
-    EigenspaceDimensionError,
-    IntegrabilityFailure,
-    NotBidegree20,
-    NotHolomorphic,
-    NotReal,
-    NotSL2,
-    PoleAtBinding,
-    QuaternionicRelationFailure,
-    SchemaError,
-    SearchBoundError,
-    UnboundParameter,
-    ValidationFailure,
-)
+from .errors import EngineError, InputError, InvalidStructure
 from .fileio import load_spec_file, parse_binding_args
 from .metrics import COEFF_BOUND, DEN_BOUND, hkt_existence
 from .model import validate_hypercomplex
@@ -50,27 +34,6 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_PARSE = 2
 EXIT_THEOREM = 3
-
-_PARSE_ERRORS = (
-    SchemaError,
-    CoefficientParseError,
-    UnboundParameter,
-    PoleAtBinding,
-    SearchBoundError,
-    DimensionBudgetError,
-)
-
-_VALIDATION_ERRORS = (
-    ValidationFailure,
-    QuaternionicRelationFailure,
-    IntegrabilityFailure,
-    EigenspaceDimensionError,
-    NotSL2,
-    NotHolomorphic,
-    NotReal,
-    NotBidegree20,
-)
-
 
 # every character str.splitlines breaks at, written as its escape, so that
 # input echoed in a message cannot break the one-line error
@@ -245,13 +208,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except _PARSE_ERRORS as exc:
+    except (InputError, OSError) as exc:
         _error(str(exc))
         return EXIT_PARSE
-    except OSError as exc:
-        _error(str(exc))
-        return EXIT_PARSE
-    except _VALIDATION_ERRORS as exc:
+    except InvalidStructure as exc:
         _error(str(exc))
         return EXIT_INVALID
     except EngineError as exc:

@@ -7,8 +7,9 @@ concretely as exact matrices per degree.  Every dimension in the table
 a sum of ranks of a few named operators per degree: del, del_J, del
 del_J ("ddj"), the stacked pair [del; del_J] ("stacked"), the side-by-side
 pair [del | del_J] ("side"), and the 2x2 block operator
-(v, w) -> (del v, del_J v - del w) ("e2_num") for E2.  The ranks are
-cached per complex, so no subspace is built to count one.
+(v, w) -> (del v, del_J v - del w) ("e2_num") for E2.  Each degree keeps
+two records, each built once: the split of del_p and the ranks read off
+it.  No subspace is built to count one.
 
 No block operator is eliminated to find its rank.  Each follows from one
 split of del_p per degree: K_p = `kernel_basis(del_p)`, whose rows are a
@@ -19,8 +20,9 @@ dependencies, of their rows F_p.  The constructor's checks put the
 columns there.  del^2 = 0 puts del_p in ker del_{p+1} and ddj_p in ker
 del_{p+2}; del del_J = -del_J del puts del_J of a del-closed vector in ker
 del, so JK_p = del_J_p K_p^T and the page-one images lie in ker del_{p+1}.
-So JK_p is formed on its free-coordinate rows only, as del_J_p[F_{p+1}]
-K_p^T, and the ranks out of degree p take four eliminations besides K_p's:
+So JK_p is formed once, on its free-coordinate rows only, as
+del_J_p[F_{p+1}] K_p^T, and the rank record of degree p takes four
+eliminations besides K_p's:
 
     rank stacked = r + rank JK          (ker del ∩ ker del_J in ker del)
     rank e2_num  = r + rank [del | JK]  (del-closed v with del_J v exact)
@@ -36,7 +38,7 @@ del's columns must number r, a cross-check between two eliminations.
 
 The E2 denominator's operator (x, y) -> (del y, del x + del_J y) is
 e2_num with its two column blocks swapped and the second one negated, so
-it has the same rank.
+it has the same rank and is never named: E2 reads e2_num one degree down.
 
 A space itself, as for class representatives, is the kernel of one named
 operator, held as its canonical basis and cached beside the ranks (ker del
@@ -97,9 +99,8 @@ class MatrixComplex:
         self._delj = list(delj_mats)
         self.quaternionic_dim = quaternionic_dim
         self._kernels: Dict[Tuple[str, int], Mat] = {}
-        self._ranks: Dict[Tuple[str, int], int] = {}
-        self._split: Dict[Tuple[str, int], Mat] = {}
-        self._free: Dict[int, List[int]] = {}
+        self._splits: Dict[int, Tuple[Mat, List[int]]] = {}
+        self._ranks: Dict[int, Dict[str, int]] = {}
         self._pages: Optional[List[int]] = None
         self._table: Optional["CohomologyTable"] = None
         self._ddj: List[Mat] = []
@@ -171,77 +172,55 @@ class MatrixComplex:
             return self.delta(p).hstack(self.delta_j(p))
         raise KeyError(name)
 
-    def _split_part(self, part: str, p: int) -> Mat:
-        """One piece of the split of del_p, built once.
-
-        "kernel" is K_p = `kernel_basis(del_p)`; "del" is del_p on the free
-        rows F_{p+1}, and "jk" is JK_p = del_J_p[F_{p+1}] K_p^T, del_J_p
-        applied to every kernel vector, one per column, on those rows.
-        """
-        key = (part, p)
-        if key not in self._split:
-            if part == "kernel":
-                value = kernel_basis(self.delta(p))
-            elif part == "del":
-                value = self._free_rows(self.delta(p), p + 1)
-            elif part == "jk":
-                value = (self._free_rows(self.delta_j(p), p + 1)
-                         @ self._split_part("kernel", p).transpose())
-            else:
-                raise KeyError(part)
-            self._split[key] = value
-        return self._split[key]
+    def _split(self, p: int) -> Tuple[Mat, List[int]]:
+        """The split of del_p, built once: K_p = `kernel_basis(del_p)`, whose
+        rows are a basis of ker del_p, and its free columns F_p."""
+        if p not in self._splits:
+            kernel = kernel_basis(self.delta(p))
+            self._splits[p] = (kernel, last_nonzero_columns(kernel))
+        return self._splits[p]
 
     def _free_rows(self, matrix: Mat, p: int) -> Mat:
         """The rows F_p of a matrix into degree p: its columns' coordinates
-        on the kernel basis of del_p, if they lie in that kernel.  F_p is
-        read off the kernel once."""
-        if p not in self._free:
-            self._free[p] = last_nonzero_columns(self._split_part("kernel", p))
-        return matrix.block(self._free[p], range(matrix.ncols))
+        on the kernel basis of del_p, if they lie in that kernel."""
+        return matrix.block(self._split(p)[1], range(matrix.ncols))
 
-    def _block_rank(self, name: str, p: int) -> int:
-        """Rank of one operator out of degree p, read off the split of del_p.
+    def _block_ranks(self, p: int) -> Dict[str, int]:
+        """The ranks of del_J, side, ddj, stacked and e2_num out of degree p,
+        read off the split of del_p and built once.
 
-        stacked, e2_num and ddj are ranked on free-coordinate rows; one
-        pass over [del_J_p | del_p] gives and caches the ranks of del_J and
-        side (see the module docstring).
+        One pass over [del_J_p | del_p] on every row gives del_J and side;
+        JK_p is formed once, and [del_p | JK_p] and ddj_p are taken on free
+        rows (see the module docstring).
         """
-        r = self.dim(p) - self._split_part("kernel", p).nrows
-        if name == "del":
-            return r
-        if name in ("del_J", "side"):
+        if p not in self._ranks:
+            dim, r = self.dim(p), self.rank("del", p)
             pivots = pivot_columns(self.delta_j(p).hstack(self.delta(p)))
-            self._ranks[("del_J", p)] = bisect_left(pivots, self.dim(p))
-            self._ranks[("side", p)] = len(pivots)
-            return self._ranks[(name, p)]
-        if name == "ddj":
-            return rank(self._free_rows(self.ddj(p), p + 2))
-        jk = self._split_part("jk", p)
-        if name == "stacked":
-            return r + rank(jk)
-        if name != "e2_num":
-            raise KeyError(name)
-        pivots = pivot_columns(self._split_part("del", p).hstack(jk))
-        if bisect_left(pivots, self.dim(p)) != r:
-            raise InternalInconsistency("the pivots and the kernel of del at "
-                                        f"degree {p} disagree on its rank")
-        return r + len(pivots)
+            jk = self._free_rows(self.delta_j(p), p + 1) @ self._split(p)[0].transpose()
+            e2_pivots = pivot_columns(self._free_rows(self.delta(p), p + 1).hstack(jk))
+            if bisect_left(e2_pivots, dim) != r:
+                raise InternalInconsistency("the pivots and the kernel of del at "
+                                            f"degree {p} disagree on its rank")
+            self._ranks[p] = {
+                "del_J": bisect_left(pivots, dim),
+                "side": len(pivots),
+                "ddj": rank(self._free_rows(self.ddj(p), p + 2)),
+                "stacked": r + rank(jk),
+                "e2_num": r + len(e2_pivots),
+            }
+        return self._ranks[p]
 
     def rank(self, name: str, p: int) -> int:
         """Rank of one operator out of degree p; zero outside 0..top-1.
 
-        "e2_den" names the E2 denominator's operator, whose rank is that
-        of "e2_num" (see the module docstring).
+        The rank of del is dim_p - rows of K_p; the others come from the
+        degree's block ranks.
         """
         if not 0 <= p < self.top:
             return 0
-        if name == "e2_den":
-            name = "e2_num"
-        key = (name, p)
-        if key not in self._ranks:
-            self._ranks[key] = self._block_rank(name, p)
-        return self._ranks[key]
+        if name == "del":
+            return self.dim(p) - self._split(p)[0].nrows
+        return self._block_ranks(p)[name]
 
     def kernel(self, name: str, p: int) -> Mat:
         """Kernel of one operator out of degree p, as its canonical basis.
@@ -251,7 +230,7 @@ class MatrixComplex:
         """
         key = (name, p)
         if key not in self._kernels:
-            basis = (self._split_part("kernel", p) if name == "del"
+            basis = (self._split(p)[0] if name == "del"
                      else kernel_basis(self.operator(name, p)))
             self._kernels[key] = row_basis(basis)
         return self._kernels[key]
@@ -297,16 +276,16 @@ class MatrixComplex:
         the kernel of e2_num, (v, w) -> (del v, del_J v - del w), whose
         kernel on v = 0 is ker del.  Denominator: del-exact forms plus
         del_J of del-closed forms one degree down, the second component
-        of the image of e2_den, (x, y) -> (del y, del x + del_J y), over
-        the zero first one.  Swapping e2_den's column blocks and negating
-        the second gives e2_num, so both ranks are r + rank [del | JK]:
-        with K spanning ker del, the kernel of e2_num is the v = K^T c
-        with del_J v in Im del, plus a w in ker del.  [del | JK] lies in
-        ker del one degree up and is ranked on its free-coordinate rows
-        (module docstring).
+        of the image of (x, y) -> (del y, del x + del_J y) out of degree
+        p-1, over the zero first one.  Swapping that operator's column
+        blocks and negating the second gives e2_num at p-1, so its rank is
+        read there.  Both ranks are r + rank [del | JK]: with K spanning
+        ker del, the kernel of e2_num is the v = K^T c with del_J v in
+        Im del, plus a w in ker del.  [del | JK] lies in ker del one degree
+        up and is ranked on its free-coordinate rows (module docstring).
         """
         numerator = self.dim(p) - self.rank("e2_num", p) + self.rank("del", p)
-        denominator = self.rank("e2_den", p - 1) - self.rank("del", p - 1)
+        denominator = self.rank("e2_num", p - 1) - self.rank("del", p - 1)
         return numerator - denominator
 
     def _page_one(self, p: int) -> Mat:
@@ -320,11 +299,11 @@ class MatrixComplex:
         del's columns must number its rank, which fails when K_p misses
         part of Im del or K_{p-1} miscounts that rank.
         """
-        kernel = self._split_part("kernel", p)
-        below = self._split_part("del", p - 1)
+        kernel = self._split(p)[0]
+        below = self._free_rows(self.delta(p - 1), p)
         pivots = pivot_columns(below.hstack(Mat.identity(kernel.nrows)))
         exact = bisect_left(pivots, below.ncols)
-        r = self.dim(p - 1) - self._split_part("kernel", p - 1).nrows
+        r = self.rank("del", p - 1)
         if exact != r:
             raise InternalInconsistency(
                 f"Im del is not inside ker del at degree {p}: the pick finds "
@@ -352,7 +331,7 @@ class MatrixComplex:
         k = reps.ncols
         start = k + self.dim(p - 1)
         reduced, pivots = rref(self._free_rows(reps, p)
-                               .hstack(self._split_part("del", p - 1))
+                               .hstack(self._free_rows(self.delta(p - 1), p))
                                .hstack(self._free_rows(vectors, p)))
         if pivots[:k] != list(range(k)) or (pivots and pivots[-1] >= start):
             raise InternalInconsistency(

@@ -1,9 +1,11 @@
 """Exception hierarchy for the engine.
 
 Every error raised on purpose by this package derives from EngineError, so
-callers can catch one class at the boundary.  The CLI maps subfamilies to
-exit codes: input/parse problems, validation failures and theorem
-violations are kept distinct.
+callers can catch one class at the boundary.  The CLI maps two families to
+exit codes: an InputError (a malformed input or a refused request) exits 2,
+an InvalidStructure (a well-formed input that is not a valid structure)
+exits 1, and every other EngineError (a violated theorem or a failed
+cross-check) exits 3.
 """
 
 
@@ -11,9 +13,17 @@ class EngineError(Exception):
     """Base class for all errors raised by quatcohom."""
 
 
+class InputError(EngineError):
+    """The input could not be read, or asks for work the engine refuses."""
+
+
+class InvalidStructure(EngineError):
+    """The input was read but does not describe a valid structure."""
+
+
 # -- scalar layer ----------------------------------------------------------
 
-class CoefficientParseError(EngineError):
+class CoefficientParseError(InputError):
     """A scalar or coefficient expression could not be parsed."""
 
 
@@ -21,29 +31,29 @@ class DivisionByZero(EngineError, ZeroDivisionError):
     """Exact division by a scalar or expression that is identically zero."""
 
 
-class PoleAtBinding(EngineError, ZeroDivisionError):
+class PoleAtBinding(InputError, ZeroDivisionError):
     """A parametric coefficient has a vanishing denominator at the binding."""
 
 
-class UnboundParameter(EngineError):
+class UnboundParameter(InputError):
     """A formal parameter was left without a rational value."""
 
 
 # -- input / schema layer --------------------------------------------------
 
-class SchemaError(EngineError):
+class SchemaError(InputError):
     """A structure file violates the input schema; message carries the path."""
 
 
-class SearchBoundError(EngineError):
+class SearchBoundError(InputError):
     """A certificate-search bound is negative or asks for unbounded work."""
 
 
-class DimensionBudgetError(EngineError):
+class DimensionBudgetError(InputError):
     """A structure is too large for the engine to build its operators."""
 
 
-class ValidationFailure(EngineError):
+class ValidationFailure(InvalidStructure):
     """An algebra failed validation and cannot be used to build a session."""
 
     def __init__(self, message, report=None):
@@ -57,15 +67,15 @@ class DimensionMismatch(EngineError):
     """Objects over incompatible spaces or degrees were combined."""
 
 
-class QuaternionicRelationFailure(EngineError):
+class QuaternionicRelationFailure(InvalidStructure):
     """The endomorphism triple does not satisfy the quaternion relations."""
 
 
-class IntegrabilityFailure(EngineError):
+class IntegrabilityFailure(InvalidStructure):
     """An almost complex structure in the triple is not integrable."""
 
 
-class EigenspaceDimensionError(EngineError):
+class EigenspaceDimensionError(InvalidStructure):
     """The +i eigenspace of the complex structure has the wrong dimension."""
 
 
@@ -95,20 +105,20 @@ class TheoremViolation(EngineError):
 
 # -- volume form / Hodge layer ---------------------------------------------
 
-class NotHolomorphic(EngineError):
+class NotHolomorphic(InvalidStructure):
     """The candidate volume form is not closed under the antiholomorphic
     differential."""
 
 
-class NotReal(EngineError):
+class NotReal(InvalidStructure):
     """The candidate form is not fixed by the quaternionic conjugation."""
 
 
-class NotBidegree20(EngineError):
+class NotBidegree20(InvalidStructure):
     """A metric candidate was not a form of bidegree (2,0)."""
 
 
-class NotSL2(EngineError):
+class NotSL2(InvalidStructure):
     """An operation specific to quaternionic dimension two was requested
     on a session of a different dimension."""
 

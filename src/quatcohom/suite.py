@@ -377,8 +377,9 @@ def run_property_suite(session: "ReportSession") -> List[CheckResult]:
         samples = [std, tuple(2 * c for c in std), first]
         if half >= 4:
             samples.append((std[0], std[1] + 1) + std[2:])
-        for omega in samples:
-            cand = classify_metric(cx, omega, mc)
+        for i, omega in enumerate(samples):
+            # the standard form, samples[0], was classified above
+            cand = classify_metric(cx, omega, mc) if i else std_candidate
             chain = (cand.hyperkahler, cand.hkt, cand.strongly_gauduchon,
                      cand.gauduchon)
             for stronger, weaker in zip(chain, chain[1:]):

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from quatcohom import cli, load_corpus, serialize_spec
 from quatcohom.cli import main
-from quatcohom.errors import DivisionByZero, TheoremViolation
+from quatcohom.errors import DivisionByZero, EngineError, TheoremViolation
 from quatcohom.fileio import load_spec_file
 from quatcohom.metrics import MAX_SEARCH_SIZE
 from quatcohom.scalars import MAX_TERMS
@@ -344,6 +344,66 @@ def test_theorem_violation_maps_to_exit_three(capsys, monkeypatch):
     code, _, err = run(capsys, "report", "example1")
     assert code == 3
     assert "cross-check failed" in err
+
+
+# the exit code of every engine error, by class name: 2 for an input the
+# engine cannot read or refuses, 1 for an invalid structure, and 3, kept
+# for engine bugs, for everything else
+EXIT_CODES = {
+    "EngineError": 3,
+    "InputError": 2,
+    "CoefficientParseError": 2,
+    "UnboundParameter": 2,
+    "PoleAtBinding": 2,
+    "SchemaError": 2,
+    "SearchBoundError": 2,
+    "DimensionBudgetError": 2,
+    "InvalidStructure": 1,
+    "ValidationFailure": 1,
+    "QuaternionicRelationFailure": 1,
+    "IntegrabilityFailure": 1,
+    "EigenspaceDimensionError": 1,
+    "NotSL2": 1,
+    "NotHolomorphic": 1,
+    "NotReal": 1,
+    "NotBidegree20": 1,
+    "DivisionByZero": 3,
+    "DimensionMismatch": 3,
+    "IntegrabilityViolation": 3,
+    "NotASubspace": 3,
+    "InternalInconsistency": 3,
+    "TheoremViolation": 3,
+    "RepresentativeDependence": 3,
+    "DecompositionFailure": 3,
+    "NotGauduchon": 3,
+    "NotAeppliClosed": 3,
+}
+
+
+def _engine_error_classes():
+    found, todo = [], [EngineError]
+    while todo:
+        cls = todo.pop()
+        if cls.__module__.startswith("quatcohom") and cls not in found:
+            found.append(cls)
+            todo.extend(cls.__subclasses__())
+    return found
+
+
+def test_every_engine_error_maps_to_its_exit_code(capsys, monkeypatch):
+    # a new error class must be pinned here, so that it cannot fall through
+    # to exit 3 unnoticed
+    classes = _engine_error_classes()
+    assert sorted(cls.__name__ for cls in classes) == sorted(EXIT_CODES)
+    for cls in classes:
+        def boom(args, cls=cls):
+            raise cls(f"{cls.__name__} raised")
+
+        monkeypatch.setitem(cli._COMMANDS, "report", boom)
+        code, out, err = run(capsys, "report", "example1")
+        assert code == EXIT_CODES[cls.__name__], cls.__name__
+        assert not out and err.count("\n") == 1
+        assert f"{cls.__name__} raised" in err
 
 
 def test_file_that_is_not_utf8_exits_two(capsys, tmp_path):
