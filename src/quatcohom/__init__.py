@@ -37,11 +37,8 @@ from .metrics import (
 from .model import (
     AlgebraSpec,
     ValidationReport,
-    build_coframe,
     instantiate,
-    require_valid,
     validate_hypercomplex,
-    validate_lie_algebra,
 )
 from .quaternionic import QuaternionicComplex
 from .report import ReportSession, build_report, to_json, to_table
@@ -67,7 +64,6 @@ __all__ = [
     "ReportSession",
     "SLStructure",
     "ValidationReport",
-    "build_coframe",
     "build_report",
     "classify_metric",
     "corpus_names",
@@ -83,7 +79,6 @@ __all__ = [
     "parse_coefficient",
     "parse_rational",
     "parse_spec",
-    "require_valid",
     "run_property_suite",
     "serialize_spec",
     "sg_existence",
@@ -92,6 +87,5 @@ __all__ = [
     "to_json",
     "to_table",
     "validate_hypercomplex",
-    "validate_lie_algebra",
     "__version__",
 ]

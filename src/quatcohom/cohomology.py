@@ -40,11 +40,10 @@ The E2 denominator's operator (x, y) -> (del y, del x + del_J y) is
 e2_num with its two column blocks swapped and the second one negated, so
 it has the same rank and is never named: E2 reads e2_num one degree down.
 
-A space itself, as for class representatives, is the kernel of one named
-operator, held as its canonical basis and cached beside the ranks (ker del
-∩ ker del_J is the kernel of "stacked"), or an image, handed over as the
-operator whose columns span it.  The product del del_J is formed once, by
-the constructor's anticommutation check, and kept as "ddj".
+`closed(p)` hands K_p over as a basis of ker del_p; the Bott-Chern and
+Aeppli class bases are built where they are read, in `slstructure`.  The
+product del del_J is formed once, by the constructor's anticommutation
+check, and kept as "ddj".
 
 The second route to E2 is independent in method: it iterates the first
 page on explicit representatives, which is subspace arithmetic over Q(i),
@@ -74,11 +73,10 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .errors import InternalInconsistency, TheoremViolation
 from .linalg import (Mat, kernel_basis, last_nonzero_columns, pivot_columns,
-                     rank, row_basis, rref)
+                     rank, rref)
 
 if TYPE_CHECKING:
     from .quaternionic import QuaternionicComplex
-
 
 class MatrixComplex:
     """Two anticommuting differentials presented degree by degree.
@@ -98,7 +96,6 @@ class MatrixComplex:
         self._del = list(del_mats)
         self._delj = list(delj_mats)
         self.quaternionic_dim = quaternionic_dim
-        self._kernels: Dict[Tuple[str, int], Mat] = {}
         self._splits: Dict[int, Tuple[Mat, List[int]]] = {}
         self._ranks: Dict[int, Dict[str, int]] = {}
         self._pages: Optional[List[int]] = None
@@ -156,21 +153,7 @@ class MatrixComplex:
             return self._ddj[p]
         return Mat.zeros(self.dim(p + 2), self.dim(p))
 
-    # -- the named operators: ranks and kernels -----------------------------
-
-    def operator(self, name: str, p: int) -> Mat:
-        """One named operator out of degree p; its columns span its image."""
-        if name == "del":
-            return self.delta(p)
-        if name == "del_J":
-            return self.delta_j(p)
-        if name == "ddj":
-            return self.ddj(p)
-        if name == "stacked":  # [del; del_J], kernel ker del ∩ ker del_J
-            return self.delta(p).vstack(self.delta_j(p))
-        if name == "side":  # [del | del_J], image im del + im del_J
-            return self.delta(p).hstack(self.delta_j(p))
-        raise KeyError(name)
+    # -- the split of del and the named operators' ranks --------------------
 
     def _split(self, p: int) -> Tuple[Mat, List[int]]:
         """The split of del_p, built once: K_p = `kernel_basis(del_p)`, whose
@@ -179,6 +162,10 @@ class MatrixComplex:
             kernel = kernel_basis(self.delta(p))
             self._splits[p] = (kernel, last_nonzero_columns(kernel))
         return self._splits[p]
+
+    def closed(self, p: int) -> Mat:
+        """K_p, the split's basis of ker del_p, one vector per row."""
+        return self._split(p)[0]
 
     def _free_rows(self, matrix: Mat, p: int) -> Mat:
         """The rows F_p of a matrix into degree p: its columns' coordinates
@@ -211,29 +198,20 @@ class MatrixComplex:
         return self._ranks[p]
 
     def rank(self, name: str, p: int) -> int:
-        """Rank of one operator out of degree p; zero outside 0..top-1.
+        """Rank of one operator out of degree p; zero outside 0..top-1, where
+        a name other than the six of the module docstring raises KeyError
+        there as it does inside.
 
         The rank of del is dim_p - rows of K_p; the others come from the
         degree's block ranks.
         """
         if not 0 <= p < self.top:
+            if name not in ("del", "del_J", "side", "ddj", "stacked", "e2_num"):
+                raise KeyError(name)
             return 0
         if name == "del":
             return self.dim(p) - self._split(p)[0].nrows
         return self._block_ranks(p)[name]
-
-    def kernel(self, name: str, p: int) -> Mat:
-        """Kernel of one operator out of degree p, as its canonical basis.
-
-        The rows are `row_basis` of a kernel basis; the one of del is the
-        split's, so del is not eliminated again.
-        """
-        key = (name, p)
-        if key not in self._kernels:
-            basis = (self._split(p)[0] if name == "del"
-                     else kernel_basis(self.operator(name, p)))
-            self._kernels[key] = row_basis(basis)
-        return self._kernels[key]
 
     # -- cohomology dimensions ----------------------------------------------
     #

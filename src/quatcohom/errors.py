@@ -67,14 +67,6 @@ class DimensionMismatch(EngineError):
     """Objects over incompatible spaces or degrees were combined."""
 
 
-class QuaternionicRelationFailure(InvalidStructure):
-    """The endomorphism triple does not satisfy the quaternion relations."""
-
-
-class IntegrabilityFailure(InvalidStructure):
-    """An almost complex structure in the triple is not integrable."""
-
-
 class EigenspaceDimensionError(InvalidStructure):
     """The +i eigenspace of the complex structure has the wrong dimension."""
 

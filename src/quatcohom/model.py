@@ -40,8 +40,6 @@ from .errors import (
     CoefficientParseError,
     DimensionMismatch,
     EigenspaceDimensionError,
-    IntegrabilityFailure,
-    QuaternionicRelationFailure,
     SchemaError,
 )
 from .exterior import Mono, merge_monomials, render_terms
@@ -306,15 +304,8 @@ class ValidationReport:
         return "; ".join(self.messages)
 
 
-def validate_lie_algebra(spec: AlgebraSpec,
-                         bindings: Optional[Mapping[str, RationalLike]] = None,
-                         ) -> ValidationReport:
-    """Check the Jacobi identity and nilpotency of the structure equations."""
-    inst = instantiate(spec, bindings)
-    return _validate_lie_algebra(inst)
-
-
 def _validate_lie_algebra(inst: InstantiatedAlgebra) -> ValidationReport:
+    """Check the Jacobi identity and nilpotency of the structure equations."""
     report = ValidationReport()
     m = inst.dimension
 
@@ -501,18 +492,6 @@ def validate_hypercomplex(spec: AlgebraSpec,
     return report
 
 
-def require_valid(spec: AlgebraSpec,
-                  bindings: Optional[Mapping[str, RationalLike]] = None,
-                  ) -> ValidationReport:
-    """Like validate_hypercomplex, but raise on the first failure class."""
-    report = validate_hypercomplex(spec, bindings)
-    if report.quaternionic_relations_ok is False:
-        raise QuaternionicRelationFailure(report.summary())
-    if any(flag is False for flag in report.integrability.values()):
-        raise IntegrabilityFailure(report.summary())
-    return report
-
-
 # ---------------------------------------------------------------------------
 # The quaternionic coframe.
 # ---------------------------------------------------------------------------
@@ -529,9 +508,7 @@ class QuaternionicCoframe:
     rows: Tuple[Row, ...]
 
 
-def build_coframe(spec: AlgebraSpec,
-                  bindings: Optional[Mapping[str, RationalLike]] = None,
-                  ) -> QuaternionicCoframe:
+def _build_coframe(inst: InstantiatedAlgebra) -> QuaternionicCoframe:
     """Deterministic J-paired eigenbasis of the (1,0)-forms of I.
 
     The +i eigenspace of I is put in canonical echelon form; its rows are
@@ -540,11 +517,6 @@ def build_coframe(spec: AlgebraSpec,
     are skipped, so the output is a basis whenever the input is a genuine
     hypercomplex structure.
     """
-    inst = instantiate(spec, bindings)
-    return _build_coframe(inst)
-
-
-def _build_coframe(inst: InstantiatedAlgebra) -> QuaternionicCoframe:
     m = inst.dimension
     if m % 4:
         raise DimensionMismatch(

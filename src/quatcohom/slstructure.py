@@ -14,9 +14,11 @@ matrix, and the sign rule then serves as an independent cross-check in
 the test suite.  Products with either relabel rows or columns.
 
 All dimensions reported by the decompositions are exact.  Every space
-read is the kernel of one operator, as in the matrix complex, or an image,
-handed over as the operator whose columns span it, and intersections and
-sums of such spaces are only counted, by ranks.  The self-dual split
+read is the kernel of one operator or an image, handed over as the
+operator whose columns span it, and intersections and sums of such spaces
+are only counted, by ranks.  The Bott-Chern and Aeppli class bases are
+built here, each once per degree, and the pairing and the degree map
+read them.  The self-dual split
 builds no space at all: each closed (anti-)self-dual locus plus the exact
 forms, and their sum, is counted by ranks of star -+ 1 stacked on del and
 of the star's relabelling of del, with no kernel taken.
@@ -47,13 +49,14 @@ from .linalg import (
     SignedPermutation,
     complement_basis,
     complexify_vector,
+    kernel_basis,
     rank,
     realify_linear,
     row_basis,
 )
 from .metrics import Coords, omega_power
 from .quaternionic import QuaternionicComplex
-from .scalars import ZERO, GaussianRational
+from .scalars import GaussianRational
 
 
 @dataclass(frozen=True)
@@ -100,6 +103,11 @@ class DecompositionReport:
         return self.pure and self.full
 
 
+def _side(mc: MatrixComplex, p: int) -> Mat:
+    """[del | del_J] out of degree p; its columns span Im del + Im del_J."""
+    return mc.delta(p).hstack(mc.delta_j(p))
+
+
 class SLStructure:
     """Volume-form dependent layer over one quaternionic complex."""
 
@@ -107,6 +115,8 @@ class SLStructure:
         self.cx = cx
         self.mc = mc
         self._wedges: Dict[int, SignedPermutation] = {}
+        self._bc: Dict[int, Mat] = {}
+        self._ae: Dict[int, Mat] = {}
         self._sd_asd: Optional[Tuple[int, int, bool]] = None
         self._jbar: Optional[DecompositionReport] = None
 
@@ -156,10 +166,22 @@ class SLStructure:
     # -- duality pairing -----------------------------------------------------
 
     def _bc_representatives(self, p: int) -> Mat:
-        return complement_basis(self.mc.kernel("stacked", p), self.mc.ddj(p - 2))
+        """The Bott-Chern class basis at degree p, built once: the rows of
+        the canonical basis of ker del ∩ ker del_J that complete Im ddj."""
+        if p not in self._bc:
+            mc = self.mc
+            closed = row_basis(kernel_basis(mc.delta(p).vstack(mc.delta_j(p))))
+            self._bc[p] = complement_basis(closed, mc.ddj(p - 2))
+        return self._bc[p]
 
     def _ae_representatives(self, p: int) -> Mat:
-        return complement_basis(self.mc.kernel("ddj", p), self.mc.operator("side", p - 1))
+        """The Aeppli class basis at degree p, built once: the rows of the
+        canonical basis of ker ddj that complete Im del + Im del_J."""
+        if p not in self._ae:
+            mc = self.mc
+            closed = row_basis(kernel_basis(mc.ddj(p)))
+            self._ae[p] = complement_basis(closed, _side(mc, p - 1))
+        return self._ae[p]
 
     def pairing_matrix(self, p: int) -> PairingResult:
         """Pairing of degree-p against degree-(2n-p) classes by wedging.
@@ -195,7 +217,7 @@ class SLStructure:
                 f"pairing at degree {p} moves under shifts of the "
                 "representatives by exact forms"
             )
-        if not (bc_wedge @ self.mc.operator("side", q - 1)).is_zero():
+        if not (bc_wedge @ _side(self.mc, q - 1)).is_zero():
             raise RepresentativeDependence(
                 f"pairing at degree {p} moves under shifts of the dual "
                 "representatives by degenerate forms"
@@ -345,29 +367,11 @@ class SLStructure:
             )
         covector = self.mc.delta(1).transpose().apply(
             self.wedge_matrix(2).apply(power))
-        if not (Mat.from_rows([covector]) @ self.mc.operator("side", 0)).is_zero():
+        if not (Mat.from_rows([covector]) @ _side(self.mc, 0)).is_zero():
             raise RepresentativeDependence(
                 "degree map moved under a trivial representative shift"
             )
         return covector
-
-    def degree_map(self, omega: Coords, alpha: Coords) -> GaussianRational:
-        """Integral of del(alpha) against Omega^{n-1} and the volume form.
-
-        Both forms are coordinate tuples, omega on the (2,0) basis and
-        alpha on the (1,0) basis.  Requires Omega to satisfy the Gauduchon
-        equation and alpha to be a legitimate degree-one Aeppli
-        representative; the value is alpha against `_degree_covector`.
-        """
-        covector = self._degree_covector(omega)
-        if len(alpha) != len(covector):
-            raise NotAeppliClosed(
-                f"expected the {len(covector)} coordinates of a "
-                f"(1,0)-form, got {len(alpha)}"
-            )
-        if any(self.mc.ddj(1).apply(alpha)):
-            raise NotAeppliClosed("representative is not del del_J-closed")
-        return sum((a * c for a, c in zip(alpha, covector)), ZERO)
 
     def degree_profile(self, omega: Coords) -> List[Tuple[Coords, GaussianRational]]:
         """Degree of each first-Aeppli basis class, with the bound check.
@@ -380,7 +384,7 @@ class SLStructure:
         del-closed class's, is one product with it.
         """
         covector = self._degree_covector(omega)
-        reps, closed = self._ae_representatives(1), self.mc.kernel("del", 1)
+        reps, closed = self._ae_representatives(1), self.mc.closed(1)
         if not (self.mc.ddj(1) @ reps.vstack(closed).transpose()).is_zero():
             raise NotAeppliClosed("representative is not del del_J-closed")
         values = list(zip(reps.data, reps.apply(covector)))

@@ -360,8 +360,6 @@ EXIT_CODES = {
     "DimensionBudgetError": 2,
     "InvalidStructure": 1,
     "ValidationFailure": 1,
-    "QuaternionicRelationFailure": 1,
-    "IntegrabilityFailure": 1,
     "EigenspaceDimensionError": 1,
     "NotSL2": 1,
     "NotHolomorphic": 1,

@@ -512,8 +512,9 @@ def test_complement_matches_greedy_reference_on_complexes(seed, k, conjugate):
     for p in range(k + 1):
         # the engine's pairs: a kernel, and the operator whose columns span
         # the image inside it
-        for big, spanning in ((mc.kernel("del", p), mc.delta(p - 1)),
-                              (mc.kernel("ddj", p), mc.operator("side", p - 1))):
+        side = mc.delta(p - 1).hstack(mc.delta_j(p - 1))
+        for big, spanning in ((row_basis(kernel_basis(mc.delta(p))), mc.delta(p - 1)),
+                              (row_basis(kernel_basis(mc.ddj(p))), side)):
             assert list(complement_basis(big, spanning).data) == \
                 reference_complement_representatives(big, column_space(spanning))
 

@@ -5,22 +5,19 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quatcohom import (AlgebraSpec, GaussianRational, load_corpus, validate_hypercomplex,
-                       validate_lie_algebra)
+from quatcohom import AlgebraSpec, GaussianRational, load_corpus, validate_hypercomplex
 from quatcohom.errors import (
     CoefficientParseError,
     DimensionMismatch,
     EigenspaceDimensionError,
-    IntegrabilityFailure,
     PoleAtBinding,
-    QuaternionicRelationFailure,
     SchemaError,
     UnboundParameter,
     ValidationFailure,
 )
 from quatcohom.model import (_antihol_defect, _basis_change, _build_coframe,
                              _coframe_differentials, _square_of_d, _validate_lie_algebra,
-                             build_coframe, instantiate, require_valid)
+                             instantiate)
 from quatcohom.quaternionic import QuaternionicComplex
 from quatcohom.linalg import Mat
 from quatcohom.scalars import MAX_DIGITS, ONE, ZERO, ParamExpr
@@ -42,13 +39,13 @@ def test_corpus_validates():
 
 
 def test_nilpotency_steps():
-    assert validate_lie_algebra(load_corpus("torus8")).nilpotency_step == 1
-    assert validate_lie_algebra(load_corpus("example1")).nilpotency_step == 2
-    assert validate_lie_algebra(load_corpus("example3")).nilpotency_step == 2
+    assert validate_hypercomplex(load_corpus("torus8")).nilpotency_step == 1
+    assert validate_hypercomplex(load_corpus("example1")).nilpotency_step == 2
+    assert validate_hypercomplex(load_corpus("example3")).nilpotency_step == 2
 
 
 def test_jacobi_failure_detected():
-    report = validate_lie_algebra(jacobi_broken_spec())
+    report = validate_hypercomplex(jacobi_broken_spec())
     assert report.jacobi_ok is False
     assert report.messages
 
@@ -56,16 +53,14 @@ def test_jacobi_failure_detected():
 def test_quaternion_relation_failure_detected():
     report = validate_hypercomplex(relation_broken_spec())
     assert report.quaternionic_relations_ok is False
-    with pytest.raises(QuaternionicRelationFailure):
-        require_valid(relation_broken_spec())
+    assert not report.ok
 
 
 def test_integrability_failure_names_the_structure():
     report = validate_hypercomplex(nonintegrable_spec())
     assert report.integrability["I"] is True
     assert report.integrability["J"] is False
-    with pytest.raises(IntegrabilityFailure):
-        require_valid(nonintegrable_spec())
+    assert not report.ok
     with pytest.raises(ValidationFailure):
         QuaternionicComplex.build(nonintegrable_spec())
 
@@ -97,7 +92,7 @@ def test_coefficient_errors_name_the_entry():
 
 def test_coframe_shape():
     spec = load_corpus("example1")
-    coframe = build_coframe(spec)
+    coframe = _build_coframe(instantiate(spec))
     # half of the real dimension many rows, each over the 8 real covectors
     assert len(coframe.rows) == 4
     assert all(len(r) == 8 for r in coframe.rows)

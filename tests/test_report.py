@@ -225,8 +225,8 @@ def test_report_decomposes_the_middle_cohomology_once(monkeypatch):
 
 
 def test_report_eliminates_each_del_once(monkeypatch):
-    # once, for the split of del_p, which the ranks, the kernels of del and
-    # the page-one route to E2 read; the suite's echelon-stability check
+    # once, for the split of del_p, which the ranks, `closed` and the
+    # page-one route to E2 read; the suite's echelon-stability check
     # takes a kernel of del_1 of its own on purpose, as a check of the
     # elimination, and is not counted.  That the cached kernel is the one
     # a fresh elimination gives is checked in test_cohomology.py
@@ -242,7 +242,7 @@ def test_report_eliminates_each_del_once(monkeypatch):
         calls.append(matrix)
         return original(matrix)
 
-    # slstructure takes no kernel: it counts the self-dual split by ranks
+    # slstructure's kernels, of [del; del_J] and of ddj, are not counted
     for module in (linalg, cohomology, model, quaternionic):
         monkeypatch.setattr(module, "kernel_basis", counting)
     session = ReportSession(load_corpus("example1"))

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from types import SimpleNamespace
@@ -11,7 +12,7 @@ from quatcohom.errors import (DecompositionFailure, NotAeppliClosed, NotGauducho
                               NotHolomorphic, NotReal, NotSL2, RepresentativeDependence,
                               TheoremViolation)
 from quatcohom.exterior import merge_monomials
-from quatcohom.linalg import Mat, SignedPermutation, inverse, kernel_basis
+from quatcohom.linalg import Mat, SignedPermutation, inverse, kernel_basis, row_basis
 from quatcohom.model import _build_coframe, instantiate
 from quatcohom.quaternionic import QuaternionicComplex
 from quatcohom.slstructure import SLStructure
@@ -149,27 +150,28 @@ def test_pairing_refuses_bott_chern_representatives_that_are_not_closed(monkeypa
     sl, mc, p = ex1.sl, ex1.mc, 1
     q = ex1.cx.half - p
     reps = sl._bc_representatives(p)
-    row = _first_unit_row_moved(sl.wedge_matrix(p).mat() @ mc.operator("side", q - 1))
-    assert any(mc.operator("stacked", p).apply(row))
+    side = mc.delta(q - 1).hstack(mc.delta_j(q - 1))
+    row = _first_unit_row_moved(sl.wedge_matrix(p).mat() @ side)
+    assert any(mc.delta(p).vstack(mc.delta_j(p)).apply(row))
     faulty = Mat.from_rows([row] + list(reps.data[1:]), ncols=reps.ncols)
     monkeypatch.setattr(sl, "_bc_representatives", lambda degree: faulty)
     with pytest.raises(RepresentativeDependence, match="dual representatives by degenerate forms"):
         sl.pairing_matrix(p)
 
 
-def test_degree_map_refuses_a_degenerate_shift_that_moves_it(monkeypatch, ex1):
+def test_degree_map_refuses_a_degenerate_shift_that_moves_it(monkeypatch):
     # d of a constant is zero, so [del | del_J] out of degree 0 is zero on
-    # every structure and the check passes; a nonzero one in its place,
-    # whose columns the covector does not annihilate, must be refused
-    sl, mc = ex1.sl, ex1.mc
-    omega = standard_omega(ex1.cx)
-    alpha = sl._ae_representatives(1).row(0)
-    assert mc.operator("side", 0).is_zero()
-    original = mc.operator
-    monkeypatch.setattr(mc, "operator", lambda name, p: (
-        Mat.identity(mc.dim(1)) if (name, p) == ("side", 0) else original(name, p)))
+    # every structure and the check passes; with del_J out of degree 0
+    # replaced by the identity, which the covector does not annihilate,
+    # the degree profile must refuse before it reads a class
+    session = ReportSession(load_corpus("example1"))
+    mc = session.mc
+    assert mc.delta(0).hstack(mc.delta_j(0)).is_zero()
+    original = mc.delta_j
+    monkeypatch.setattr(mc, "delta_j", lambda p: (
+        Mat.identity(mc.dim(1)) if p == 0 else original(p)))
     with pytest.raises(RepresentativeDependence, match="degree map moved"):
-        sl.degree_map(omega, alpha)
+        session.sl.degree_profile(standard_omega(session.cx))
 
 
 def test_self_dual_decomposition(ex1, ex3):
@@ -310,18 +312,11 @@ def test_degree_bound_not_enforced_beyond_dimension_two(ex3):
     assert len(profile) == ex3.mc.h_ae(1) == 6
 
 
-def test_degree_map_rejects_wrong_arguments(ex1):
-    # the coordinates of a (2,0)-form are not a degree-one representative
-    sl = ex1.sl
-    omega = standard_omega(ex1.cx)
-    with pytest.raises(NotAeppliClosed):
-        sl.degree_map(omega, omega)
-
-
 def test_degree_map_matches_the_form_wedge_route(corpus_sessions):
     # the bilinear form (D_1 alpha)^T W Omega^{n-1} against the integral
     # of del(alpha) ^ Omega^{n-1} ^ conj(phi), wedged form by form, on
-    # every Aeppli and every del-closed representative
+    # every Aeppli representative; on every del-closed one the profile
+    # checks that the form vanishes, and so must the wedge
     for session in corpus_sessions:
         cx, sl = session.cx, session.sl
         route = FormRoute(cx)
@@ -330,8 +325,8 @@ def test_degree_map_matches_the_form_wedge_route(corpus_sessions):
         assert len(profile) == session.mc.h_ae(1)
         for rep, value in profile:
             assert value == form_degree_map(route, omega, rep)
-        for rep in session.mc.kernel("del", 1).data:
-            assert sl.degree_map(omega, rep) == form_degree_map(route, omega, rep) == 0
+        for rep in session.mc.closed(1).data:
+            assert form_degree_map(route, omega, rep) == 0
 
 
 def test_degree_profile_takes_one_covector(monkeypatch, ex1):
@@ -349,6 +344,29 @@ def test_degree_profile_takes_one_covector(monkeypatch, ex1):
     assert len(powers) == 1
 
 
+def test_report_builds_each_class_basis_once(monkeypatch):
+    # example1's standard form is Gauduchon, so the suite's pairing at
+    # degree 3 and its degree map both read the degree-one Aeppli basis
+    import quatcohom.slstructure as slstructure
+    from quatcohom.report import build_report_from_session
+
+    picks = Counter()
+
+    def counting(big, small, original=slstructure.complement_basis):
+        picks[big, small] += 1
+        return original(big, small)
+
+    monkeypatch.setattr(slstructure, "complement_basis", counting)
+    session = ReportSession(load_corpus("example1"))
+    build_report_from_session(session)
+    mc = session.mc
+    aeppli_one = (row_basis(kernel_basis(mc.ddj(1))), mc.delta(0).hstack(mc.delta_j(0)))
+    assert picks[aeppli_one] == 1
+    # one pick per basis: both bases of every degree for the pairings, and
+    # the plus and minus representatives of the Jbar decomposition
+    assert sum(picks.values()) == 2 * (mc.top + 1) + 2
+
+
 def _ones(nrows, ncols):
     return Mat.from_rows([[1] * ncols] * nrows, ncols=ncols)
 
@@ -356,7 +374,7 @@ def _ones(nrows, ncols):
 def _degree_profile_faults(mc, sl):
     """Each patch of the complex behind the degree map, with the error
     it must raise and that error's text."""
-    ddj, kernel, h_ae = mc.ddj, mc.kernel, mc.h_ae
+    ddj, closed, h_ae = mc.ddj, mc.closed, mc.h_ae
     # a degree-one class of nonzero degree, offered as a del-closed one
     moved = next(rep for rep, value in sl.degree_profile(standard_omega(sl.cx)) if value)
     return {
@@ -372,8 +390,7 @@ def _degree_profile_faults(mc, sl):
             "h_ae", lambda p: h_ae(p) + 2 * (p == 1),
             TheoremViolation, r"h_AE\(1\) = 6 exceeds h_del\(1\) \+ 1 = 4"),
         "closed-classes": (
-            "kernel", lambda name, p: Mat.from_rows([moved]) if (name, p) == ("del", 1)
-            else kernel(name, p),
+            "closed", lambda p: Mat.from_rows([moved]) if p == 1 else closed(p),
             TheoremViolation, "does not vanish on a del-closed class"),
     }
 
