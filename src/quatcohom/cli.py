@@ -166,11 +166,13 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 def _cmd_pairing(args: argparse.Namespace) -> int:
     spec, bindings = _load(args)
-    session = ReportSession(spec, bindings)
-    n2 = 2 * session.cx.n
+    # the degree is checked against the spec, before the structure is
+    # validated and its complex built: 2n is half the real dimension
+    n2 = 2 * (spec.dimension // 4)
     if not 0 <= args.p <= n2:
         _error(f"--p {args.p}: expected a degree in 0..{n2}")
         return EXIT_PARSE
+    session = ReportSession(spec, bindings)
     doc = pairing_document(session, session.sl.pairing_matrix(args.p))
     print(f"pairing of H_BC({doc['p']}) with H_AE({n2 - doc['p']}): "
           + ("invertible" if doc["invertible"] else "SINGULAR"))

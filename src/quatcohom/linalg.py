@@ -8,8 +8,9 @@ left out, and gcd(d, every re, every im) = 1.  That form is canonical, so
 entries it touches: at real dimension 20 the operators hold one or two
 nonzero entries per row.  `data`, `row`, `col` and `[i, j]` are read-only
 dense views in Gaussian rationals, built on demand, for printing and for
-the few callers that index entries.  Rows are never changed once they are
-in a matrix, so matrices share them freely.
+the few callers that index entries; `row_terms` gives one row's nonzero
+entries alone.  Rows are never changed once they are in a matrix, so
+matrices share them freely.
 
 Elimination goes through two routines, both on Gaussian integers and both
 taking the rows as they are, the integer row of row (d, entries) being its
@@ -18,12 +19,12 @@ The pivot of each column comes from the sparsest row that can supply it,
 and an update touches only the rows nonzero in the pivot column, and only
 their nonzero entries; each updated row is divided by its content in Z[i],
 which keeps the integers as small as Bareiss elimination's.  `rref`,
-`rank`, `pivot_columns`, `kernel_basis`, `solve`, `inverse`, `row_basis`
-and `complement_basis` are read off it; `rank`, `pivot_columns` and the
-complement pick need only the pivots, so they skip the reduction above the
-pivots and build no reduced matrix.  Which row supplies a pivot does not
-change the pivot columns or the reduced echelon form, which is unique, so
-the reduced form is canonical.
+`rank`, `pivot_columns`, `kernel_basis`, `solve`, `inverse`, `row_basis`,
+`kernel_and_row_basis` and `complement_basis` are read off it; `rank`,
+`pivot_columns` and the complement pick need only the pivots, so they
+skip the reduction above the pivots and build no reduced matrix.  Which
+row supplies a pivot does not change the pivot columns or the reduced
+echelon form, which is unique, so the reduced form is canonical.
 
 `det` and `leading_principal_minors` are read off `_diagonal_pass`, Bareiss
 elimination down the diagonal.  The minors need the natural pivot order:
@@ -44,6 +45,10 @@ column, is a `SignedPermutation`: two tuples of ints, no scalars.  It
 composes, inverts (its inverse is its transpose) and multiplies a `Mat`
 from either side by moving and negating rows or entries, with no
 arithmetic; `mat()` gives its `Mat` form for the callers that need one.
+
+`bilinear_rows` evaluates a bilinear map with integer coefficients over
+one denominator, such as a Lie bracket, on pairs of rows, summing
+Gaussian integers and returning the values as the rows of one matrix.
 
 Gaussian rationals are read as integers through `GaussianRational.numerator`
 (the Gaussian integer a + b*i) and `denominator` (the positive d of
@@ -237,6 +242,11 @@ class Mat:
 
     def row(self, i: int) -> Row:
         return _dense_row(self._rows[i], self.ncols)
+
+    def row_terms(self, i: int) -> List[Tuple[int, GaussianRational]]:
+        """The nonzero entries of row i, as (column, value) in column order."""
+        d, entries = self._rows[i]
+        return [(j, _from_integers(x, y, d)) for j, (x, y) in sorted(entries.items())]
 
     def col(self, j: int) -> Row:
         return tuple(self[i, j] for i in range(self.nrows))
@@ -546,6 +556,45 @@ class SignedPermutation:
 
 
 # ---------------------------------------------------------------------------
+# Bilinear maps with integer coefficients, on the integer rows.
+# ---------------------------------------------------------------------------
+
+
+def bilinear_rows(table: Sequence[Sequence[Tuple[int, int, int]]], den: int,
+                  left: Mat, right: Mat, pairs: Iterable[Tuple[int, int]]) -> Mat:
+    """The values of a bilinear map on pairs of rows, one row per pair.
+
+    `table[a]` lists the (k, j, c), c an integer, with beta(e_a, e_j)_k =
+    c / den summed over the list, so beta(x, y)_k is the sum of
+    x_a c y_j / den over every a and every (k, j, c) of `table[a]`; the
+    output has len(table) columns.  Row n of the result is beta(left_s,
+    right_t) for the n-th pair (s, t).  Rows (d, X) and (f, Y) give it as
+    the Gaussian-integer sum of X_a c Y_j over den * d * f, so no scalar is
+    built.
+    """
+    if left.ncols != len(table) or right.ncols != len(table):
+        raise ValueError(f"a bilinear map on {len(table)} coordinates applied to "
+                         f"rows of length {left.ncols} and {right.ncols}")
+    lrows, rrows = left._rows, right._rows
+    rows = []
+    for s, t in pairs:
+        (d, x), (f, y) = lrows[s], rrows[t]
+        acc: Dict[int, _GaussInt] = {}
+        get, y_get = acc.get, y.get
+        for a, (xr, xi) in x.items():
+            for k, j, c in table[a]:
+                w = y_get(j)
+                if w is not None:
+                    yr, yi = w
+                    re, im = c * (xr * yr - xi * yi), c * (xr * yi + xi * yr)
+                    old = get(k)
+                    acc[k] = (re, im) if old is None else (old[0] + re, old[1] + im)
+        rows.append(_lowest_terms(den * d * f, {
+            k: v for k, v in acc.items() if v[0] or v[1]}))
+    return _new_mat(len(rows), len(table), tuple(rows))
+
+
+# ---------------------------------------------------------------------------
 # Elimination.  Every routine below that reduces a matrix goes through
 # `_eliminate`, which works on the integer rows of the matrix, copied into
 # dicts of its own.
@@ -797,7 +846,22 @@ def kernel_basis(matrix: Mat) -> Mat:
     (`last_nonzero_columns` reads them).  So v -> v[free columns] is
     injective on the kernel, and the rows are the identity there.
     """
+    return _kernel_rows(*rref(matrix))
+
+
+def kernel_and_row_basis(matrix: Mat) -> Tuple[Mat, Mat]:
+    """`kernel_basis` and `row_basis` of one matrix, read off one rref.
+
+    With the bilinear pairing the row space is exactly the set of vectors
+    that every kernel vector annihilates.
+    """
     reduced, pivots = rref(matrix)
+    return (_kernel_rows(reduced, pivots),
+            reduced.block(range(len(pivots)), range(matrix.ncols)))
+
+
+def _kernel_rows(reduced: Mat, pivots: List[int]) -> Mat:
+    """The kernel basis read off a reduced echelon form and its pivots."""
     pivot_set = set(pivots)
     hits: Dict[int, List[Tuple[int, _GaussInt, int]]] = {}
     for (d, entries), pcol in zip(reduced._rows, pivots):
@@ -805,7 +869,7 @@ def kernel_basis(matrix: Mat) -> Mat:
             if j not in pivot_set:
                 hits.setdefault(j, []).append((pcol, value, d))
     rows = []
-    for j in range(matrix.ncols):
+    for j in range(reduced.ncols):
         if j in pivot_set:
             continue
         found = hits.get(j, ())
@@ -814,7 +878,7 @@ def kernel_basis(matrix: Mat) -> Mat:
         for pcol, (x, y), d in found:
             vector[pcol] = (-x * (den // d), -y * (den // d))
         rows.append(_lowest_terms(den, vector))
-    return _new_mat(len(rows), matrix.ncols, tuple(rows))
+    return _new_mat(len(rows), reduced.ncols, tuple(rows))
 
 
 def last_nonzero_columns(matrix: Mat) -> List[int]:

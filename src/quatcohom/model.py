@@ -10,22 +10,30 @@ usually tabulated and avoids the sign ambiguity of the dual action.
 K is always derived as I∘J; a K table in the input is checked against the
 derived one, never trusted.
 
-The structural checks read the structure constants through one kernel,
-beta(x, y)_k = sum c^k_ij (x_i y_j - x_j y_i), evaluated term by term from
-per-generator lists of the terms each generator occurs in.  On vectors it
-is minus the Lie bracket: the lower central series brackets each
-generator with the current term, and integrability applies the
-(1,0)-forms to the brackets of pairs of vectors they all annihilate.  On
-two columns of the inverse of a basis change it is the coefficient of a
-wedge of two new covectors in each de^k, so d of every new covector is
-one matrix product away: `quaternionic` splits d of each coframe
-generator by bidegree, and a failed integrability check names the (0,2)
-part of the first failing (1,0)-form this way.  The Jacobi identity is
-d^2 = 0 on the generators, read off the same lists by the Leibniz rule:
-d^2 e^k = sum of c de^a ^ e^z over the terms (k, z, c) of generator a,
-whose coefficient on e^xyz is the Jacobiator of e_x, e_y, e_z.  Both
-checks hold a form as its (monomial, coefficient) terms, and print one in
-e labels, e124 for e^1 ^ e^2 ^ e^4, only to name a failure in a message.
+The structural checks read the structure constants through one bracket
+kernel, beta(x, y)_k = sum c^k_ij (x_i y_j - x_j y_i), on linalg's integer
+sparse rows.  The constants are held once over one integer denominator D,
+as per-generator lists of the terms each generator occurs in: (k, j, n)
+in the list of a when beta(e_a, e_j)_k = n / D.  Vectors go in as the rows
+of a `Mat`, and the brackets of the requested pairs of rows come back as
+the rows of one `Mat` (`linalg.bilinear_rows`), summed in Gaussian
+integers with no scalar built.  On vectors beta is minus the Lie bracket.
+Step one of the lower central series is read straight off the terms,
+since the brackets of generator pairs are the structure constants; each
+later step brackets the generators with the current term.  Integrability
+applies the (1,0)-forms of I, J and K, each the kernel basis of M - i, to
+the brackets of pairs of vectors they all annihilate.  On two columns of
+the inverse of a basis change beta is the coefficient of a wedge of two
+new covectors in each de^k, so d of every new covector is one matrix
+product away: `quaternionic` splits d of each coframe generator by
+bidegree this way.  A failed integrability check builds the canonical
+eigenbasis of its structure only then, to name the (0,2) part of its
+first failing (1,0)-form.  The Jacobi identity is d^2 = 0 on the
+generators, read off the same integer lists by the Leibniz rule: d^2 e^k
+= sum of c de^a ^ e^z over the terms (k, z, c) of generator a, whose
+coefficient on e^xyz is the Jacobiator of e_x, e_y, e_z.  Both checks
+hold a form as its (monomial, coefficient) terms, and print one in e
+labels, e124 for e^1 ^ e^2 ^ e^4, only to name a failure in a message.
 """
 
 from __future__ import annotations
@@ -33,8 +41,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from itertools import combinations, product
+from math import lcm
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import (
     CoefficientParseError,
@@ -43,18 +52,11 @@ from .errors import (
     SchemaError,
 )
 from .exterior import Mono, merge_monomials, render_terms
-from .linalg import Mat, inverse, kernel_basis, rank, row_basis
-from .scalars import (
-    I_UNIT,
-    ONE,
-    ZERO,
-    GaussianRational,
-    ParamExpr,
-    RationalLike,
-)
+from .linalg import Mat, bilinear_rows, inverse, kernel_and_row_basis, rank, row_basis
+from .scalars import I_UNIT, ZERO, GaussianRational, ParamExpr, RationalLike
 
-Row = Tuple[GaussianRational, ...]
 Term = Tuple[int, int, GaussianRational]
+IntTerm = Tuple[int, int, int]
 CoeffLike = Union[int, Fraction, GaussianRational, ParamExpr, str]
 StructureTerm = Tuple[int, int, ParamExpr]
 
@@ -77,7 +79,10 @@ class AlgebraSpec:
 
     `create` merges the terms of a pair listed twice in one de^k into one
     term, their sum, where the pair first occurs, so a spec serializes to
-    a file that loads: the file format lists each pair once.
+    a file that loads: the file format lists each pair once.  It reads
+    each distinct plain coefficient, keyed on its type and value as the
+    file reader keys table entries, into one shared expression, which
+    `instantiate` then evaluates once.
     """
 
     dimension: int
@@ -102,20 +107,30 @@ class AlgebraSpec:
         description: str = "",
     ) -> "AlgebraSpec":
         params = tuple(parameters)
+        read: Dict[Tuple[type, object], ParamExpr] = {}
+
+        def as_expr(value: CoeffLike) -> ParamExpr:
+            if isinstance(value, ParamExpr):
+                return _as_expr(value, params)
+            key = (type(value), value)
+            expr = read.get(key)
+            if expr is None:
+                expr = read[key] = _as_expr(value, params)
+            return expr
 
         def table(rows: Sequence[Sequence[CoeffLike]]) -> Tuple[Tuple[ParamExpr, ...], ...]:
             if len(rows) != dimension or any(len(r) != dimension for r in rows):
                 raise DimensionMismatch(
                     f"endomorphism table must be {dimension}x{dimension}"
                 )
-            return tuple(tuple(_as_expr(x, params) for x in r) for r in rows)
+            return tuple(tuple(map(as_expr, r)) for r in rows)
 
         packed = []
         for k in sorted(structure):
             # a repeated pair is one term, the sum, where it first occurs
             merged: Dict[Tuple[int, int], ParamExpr] = {}
             for i, j, c in structure[k]:
-                expr = _as_expr(c, params)
+                expr = as_expr(c)
                 merged[i, j] = merged[i, j] + expr if (i, j) in merged else expr
             packed.append((k, tuple((i, j, c) for (i, j), c in merged.items())))
         return cls(
@@ -145,7 +160,9 @@ class InstantiatedAlgebra:
     mat_k_given: Optional[Mat]
     name: str
     bindings: Tuple[Tuple[str, Fraction], ...]
-    _eigenspaces: Dict[str, Tuple[Row, ...]] = field(
+    _eigenspaces: Dict[str, Tuple[Mat, Mat]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _eigenbases: Dict[str, Mat] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
@@ -153,63 +170,81 @@ class InstantiatedAlgebra:
         return self.mat_i @ self.mat_j
 
     @cached_property
-    def ad(self) -> Tuple[Tuple[Term, ...], ...]:
-        """Per generator a, the (k, j, c) with beta(e_a, y)_k = sum c y_j.
+    def denominator(self) -> int:
+        """The one denominator D of the integer terms `ad` is held over:
+        the lcm of the denominators of the structure constants."""
+        return lcm(*(c.denominator for terms in self.structure for _, _, c in terms))
 
-        A term c e^i ^ e^j of de^k gives (k, j, c) to i and (k, i, -c) to j,
-        so each list holds only the terms its generator occurs in.
+    @cached_property
+    def integer_structure(self) -> Tuple[Tuple[IntTerm, ...], ...]:
+        """`structure` over D: the terms (i, j, n) of de^k = sum n/D e^i ^ e^j."""
+        den = self.denominator
+        return tuple(tuple((i, j, c.numerator[0] * (den // c.denominator)) for i, j, c in terms)
+                     for terms in self.structure)
+
+    @cached_property
+    def ad(self) -> Tuple[Tuple[IntTerm, ...], ...]:
+        """Per generator a, the (k, j, n) with beta(e_a, y)_k = sum n y_j / D.
+
+        A term n/D e^i ^ e^j of de^k gives (k, j, n) to i and (k, i, -n) to
+        j, so each list holds only the terms its generator occurs in.
         """
-        ad: List[List[Term]] = [[] for _ in range(self.dimension)]
-        for k, terms in enumerate(self.structure):
-            for i, j, c in terms:
-                ad[i].append((k, j, c))
-                ad[j].append((k, i, -c))
+        ad: List[List[IntTerm]] = [[] for _ in range(self.dimension)]
+        for k, terms in enumerate(self.integer_structure):
+            for i, j, n in terms:
+                ad[i].append((k, j, n))
+                ad[j].append((k, i, -n))
         return tuple(tuple(terms) for terms in ad)
 
-    def bracket(self, x: Mapping[int, GaussianRational],
-                y: Mapping[int, GaussianRational]) -> Dict[int, GaussianRational]:
-        """beta(x, y)_k = sum c (x_i y_j - x_j y_i) over the terms c e^i ^ e^j
-        of de^k.  Vectors, in and out, are maps of their nonzero entries.
+    def brackets(self, left: Mat, right: Mat, pairs: Iterable[Tuple[int, int]]) -> Mat:
+        """One row beta(left_s, right_t) for each pair (s, t), beta(x, y)_k =
+        sum c (x_i y_j - x_j y_i) over the terms c e^i ^ e^j of de^k.
 
         On vectors it is minus the Lie bracket, since de^k(X, Y) =
         -e^k([X, Y]).  On the columns s and t of the inverse C of a basis
         change (row j of C is e^j over the new covectors psi) it is the
         coefficient of psi^s ^ psi^t in each de^k.
         """
-        out: Dict[int, GaussianRational] = {}
-        for a, xa in x.items():
-            for k, j, c in self.ad[a]:
-                yj = y.get(j)
-                if yj is not None:
-                    out[k] = out.get(k, ZERO) + xa * c * yj
-        return {k: value for k, value in out.items() if value}
+        return bilinear_rows(self.ad, self.denominator, left, right, pairs)
 
-    def eigen_rows(self, label: str) -> Tuple[Row, ...]:
-        """Canonical basis of the +i eigenspace of I, J or K on the coframe.
-
-        Computed once per structure: validation and the coframe both need
-        the one of I.
-        """
+    def eigenspace(self, label: str) -> Tuple[Mat, Mat]:
+        """The +i eigenspace of I, J or K on the coframe, as the rows of the
+        kernel basis of M - i, and a basis of the vectors all its forms
+        annihilate, the row space of M - i: both read off one elimination,
+        once per structure."""
         if label not in self._eigenspaces:
             mat = {"I": self.mat_i, "J": self.mat_j, "K": self.mat_k}[label]
-            self._eigenspaces[label] = _eigen_rows(mat)
+            m = self.dimension
+            forms, vectors = kernel_and_row_basis(mat - Mat.identity(m).scale(I_UNIT))
+            if 2 * forms.nrows != m:
+                raise EigenspaceDimensionError(
+                    f"+i eigenspace has dimension {forms.nrows}, expected {m // 2}"
+                )
+            self._eigenspaces[label] = forms, vectors
         return self._eigenspaces[label]
 
+    def eigen_rows(self, label: str) -> Mat:
+        """Canonical basis of the +i eigenspace of I, J or K on the coframe,
+        as rows: the reduced echelon form of `eigenspace`, computed once.
 
-def _nonzero(vector: Sequence[GaussianRational]) -> Dict[int, GaussianRational]:
-    return {j: x for j, x in enumerate(vector) if x}
+        The coframe is built from the one of I; those of J and K are built
+        only to name an integrability defect.
+        """
+        if label not in self._eigenbases:
+            self._eigenbases[label] = row_basis(self.eigenspace(label)[0])
+        return self._eigenbases[label]
 
 
 def _eval_real(expr: ParamExpr, bindings: Mapping[str, RationalLike],
-               where: Callable[[], str]) -> GaussianRational:
+               where: str) -> GaussianRational:
     """The value of a coefficient that must be real; `where` names it in
-    an error message, and is called only to raise one."""
+    an error message."""
     try:
         value = expr.evaluate(bindings)
     except CoefficientParseError as exc:
-        raise CoefficientParseError(f"{where()}: {exc}") from None
+        raise CoefficientParseError(f"{where}: {exc}") from None
     if not value.is_real():
-        raise SchemaError(f"{where()} must be real, got {value}")
+        raise SchemaError(f"{where} must be real, got {value}")
     return value
 
 
@@ -219,19 +254,15 @@ def instantiate(spec: AlgebraSpec,
     """Evaluate all coefficients at the given parameter values.
 
     Structure constants and endomorphism entries describe real objects, so
-    any imaginary part surviving evaluation is rejected.  Each distinct
-    coefficient is evaluated once; only values are kept, so the first
-    failing coefficient raises, with its own position.
+    any imaginary part surviving evaluation is rejected.  Each coefficient
+    object is evaluated once, looked up by identity: `AlgebraSpec.create`
+    and the file reader share one object among equal entries.  Only values
+    are kept, so the first failing coefficient raises, with its own
+    position, which is written out only then.
     """
     bindings = dict(bindings or {})
     m = spec.dimension
-    values: Dict[ParamExpr, GaussianRational] = {}
-
-    def evaluate(expr: ParamExpr, where: Callable[[], str]) -> GaussianRational:
-        value = values.get(expr)
-        if value is None:
-            value = values[expr] = _eval_real(expr, bindings, where)
-        return value
+    values: Dict[int, GaussianRational] = {}  # by id of the expression
 
     structure: List[Tuple[Term, ...]] = [() for _ in range(m)]
     for k, terms in spec.structure:
@@ -243,7 +274,10 @@ def instantiate(spec: AlgebraSpec,
                 raise IndexError(
                     f"structure term ({i},{j}) in de^{k} must satisfy 1 <= i < j <= {m}"
                 )
-            value = evaluate(coeff, lambda: f"coefficient of e^{i}^e^{j} in de^{k}")
+            value = values.get(id(coeff))
+            if value is None:
+                value = values[id(coeff)] = _eval_real(
+                    coeff, bindings, f"coefficient of e^{i}^e^{j} in de^{k}")
             value = total.get((i - 1, j - 1), ZERO) + value
             if value.is_zero():
                 total.pop((i - 1, j - 1), None)
@@ -255,7 +289,10 @@ def instantiate(spec: AlgebraSpec,
         entries = {}
         for r, row in enumerate(rows):
             for c, entry in enumerate(row):
-                value = evaluate(entry, lambda: f"{label}[{r + 1}][{c + 1}]")
+                value = values.get(id(entry))
+                if value is None:
+                    value = values[id(entry)] = _eval_real(
+                        entry, bindings, f"{label}[{r + 1}][{c + 1}]")
                 if value:
                     entries[r, c] = value
         return Mat.from_entries(m, m, entries)
@@ -320,17 +357,19 @@ def _validate_lie_algebra(inst: InstantiatedAlgebra) -> ValidationReport:
 
     # Lower central series, spanned by the brackets of generators with the
     # current term; terminates iff nilpotent.
-    generators = [{a: ONE} for a in range(m)]
-    current = Mat.identity(m)  # canonical basis of the current term
+    generators = Mat.identity(m)
+    current = generators  # canonical basis of the current term
     step = 0
     while current.nrows:
         step += 1
         if step > m:
             break
-        rows = [_nonzero(v) for v in current.data]
-        produced = [inst.bracket(u, v) for v in rows for u in generators]
-        nxt = row_basis(Mat.from_entries(len(produced), m, {
-            (r, k): value for r, row in enumerate(produced) for k, value in row.items()}))
+        if current is generators:
+            produced = _structure_rows(inst)
+        else:
+            produced = inst.brackets(generators, current,
+                                     product(range(m), range(current.nrows)))
+        nxt = row_basis(produced)
         if nxt.nrows == current.nrows:
             # series stabilized at a nonzero term
             step = None
@@ -346,6 +385,18 @@ def _validate_lie_algebra(inst: InstantiatedAlgebra) -> ValidationReport:
     return report
 
 
+def _structure_rows(inst: InstantiatedAlgebra) -> Mat:
+    """One row per pair (i, j) with a term in some de^k, holding each such
+    c^k_ij in column k: minus the bracket of e_i and e_j, so the rows span
+    the second term of the lower central series."""
+    rows: Dict[Mono, Dict[int, GaussianRational]] = {}
+    for k, terms in enumerate(inst.structure):
+        for i, j, c in terms:
+            rows.setdefault((i, j), {})[k] = c
+    return Mat.from_entries(len(rows), inst.dimension, {
+        (r, k): c for r, row in enumerate(rows.values()) for k, c in row.items()})
+
+
 def _e_label(mono: Mono) -> str:
     return "e" + "".join(str(k + 1) for k in mono)
 
@@ -356,49 +407,31 @@ def _square_of_d(inst: InstantiatedAlgebra) -> List[Dict[Mono, GaussianRational]
     d e^k = sum c e^x ^ e^y gives d^2 e^k = sum c (de^x ^ e^y - de^y ^ e^x),
     which is sum c de^a ^ e^z over the terms (k, z, c) of `ad[a]`; a term
     c' e^x ^ e^y of de^a with z in {x, y} wedges to zero.  The coefficient
-    of e^xyz is the Jacobiator sum_cyc beta(beta(e_x, e_y), e_z)_k.
+    of e^xyz is the Jacobiator sum_cyc beta(beta(e_x, e_y), e_z)_k.  Both
+    factors are integers over D, so each sum is an integer over D^2.
     """
-    squares: List[Dict[Mono, GaussianRational]] = [{} for _ in range(inst.dimension)]
+    squares: List[Dict[Mono, int]] = [{} for _ in range(inst.dimension)]
     for a, terms in enumerate(inst.ad):
-        for k, z, c in terms:
+        for k, z, n in terms:
             acc = squares[k]
-            for x, y, c_a in inst.structure[a]:
+            for x, y, n_a in inst.integer_structure[a]:
                 sign, mono = merge_monomials((x, y), (z,))
                 if sign:
-                    acc[mono] = acc.get(mono, ZERO) + c * c_a * sign
-    return squares
+                    acc[mono] = acc.get(mono, 0) + n * n_a * sign
+    square = inst.denominator ** 2
+    return [{mono: GaussianRational.from_integers(x, 0, square) for mono, x in acc.items()}
+            for acc in squares]
 
 
-def _eigen_rows(mat: Mat) -> Tuple[Row, ...]:
-    """Canonical basis of the +i eigenspace of a coframe action."""
-    m = mat.nrows
-    space = row_basis(kernel_basis(mat - Mat.identity(m).scale(I_UNIT)))
-    if 2 * space.nrows != m:
-        raise EigenspaceDimensionError(
-            f"+i eigenspace has dimension {space.nrows}, expected {m // 2}"
-        )
-    return space.data
-
-
-def _basis_change(rows: Sequence[Row], m: int) -> Tuple[Mat, Mat]:
-    """(B, B^-1) for the basis (rows, conj rows) of the complexified dual."""
-    conj_rows = [tuple(x.conjugate() for x in r) for r in rows]
-    b = Mat.from_rows(list(rows) + conj_rows, ncols=m)
+def _basis_change(forms: Mat) -> Tuple[Mat, Mat]:
+    """(B, B^-1) for the basis (forms, conj forms) of the complexified dual."""
+    b = forms.vstack(forms.conj())
     try:
         return b, inverse(b)
     except ValueError:
         raise EigenspaceDimensionError(
             "eigenbasis and its conjugate do not span the complexified dual"
         ) from None
-
-
-def _pair_brackets(inst: InstantiatedAlgebra, vectors: Sequence[Mapping[int, GaussianRational]],
-                   pairs: Sequence[Mono]) -> Mat:
-    """The m x len(pairs) matrix whose column for (s, t) is beta(vectors[s], vectors[t])."""
-    return Mat.from_entries(inst.dimension, len(pairs), {
-        (k, col): value
-        for col, (s, t) in enumerate(pairs)
-        for k, value in inst.bracket(vectors[s], vectors[t]).items()})
 
 
 def _coframe_differentials(inst: InstantiatedAlgebra, b: Mat, c: Mat, count: int,
@@ -408,37 +441,48 @@ def _coframe_differentials(inst: InstantiatedAlgebra, b: Mat, c: Mat, count: int
 
     Row r of `b` is psi^r over the real coframe and `c` is its inverse, so
     d psi^r = sum_k b[r][k] de^k and the coefficient of psi^s ^ psi^t in
-    de^k is beta(C_s, C_t)_k, for C_s column s of c: one matrix product.
-    Each list keeps the order of `pairs` and only nonzero coefficients.
+    de^k is beta(C_s, C_t)_k, for C_s column s of c: the brackets of the
+    rows of c^T, and one matrix product, whose row for (s, t) holds the
+    coefficient of psi^s ^ psi^t in each d psi^r.  Each list keeps the
+    order of `pairs` and only nonzero coefficients.
     """
-    columns = [_nonzero(col) for col in c.columns()]
-    d_psi = b.block(range(count), range(inst.dimension)) @ _pair_brackets(inst, columns, pairs)
-    return [[(pairs[col], value) for col, value in enumerate(d_psi.row(r)) if value]
-            for r in range(count)]
+    columns = c.transpose()
+    by_pair = (inst.brackets(columns, columns, pairs)
+               @ b.block(range(count), range(inst.dimension)).transpose())
+    d_psi: List[List[Tuple[Mono, GaussianRational]]] = [[] for _ in range(count)]
+    for n, pair in enumerate(pairs):
+        for r, value in by_pair.row_terms(n):
+            d_psi[r].append((pair, value))
+    return d_psi
 
 
-def _antihol_defect(inst: InstantiatedAlgebra, rows: Sequence[Row],
+def _integrable(inst: InstantiatedAlgebra, forms: Mat, vectors: Mat) -> bool:
+    """Whether d of no form in the span of the rows of `forms` has a (0,2)
+    component; the rows of `vectors` are a basis of the vectors all the
+    forms annihilate.
+
+    The (0,2) part of d psi vanishes exactly when d psi vanishes on every
+    pair of those vectors, and d psi(X, Y) is psi(beta(X, Y)): one product
+    of the brackets of the vectors with the forms, for any bases of both.
+    """
+    brackets = inst.brackets(vectors, vectors, combinations(range(vectors.nrows), 2))
+    return (brackets @ forms.transpose()).is_zero()
+
+
+def _antihol_defect(inst: InstantiatedAlgebra, forms: Mat,
                     ) -> Optional[Tuple[int, List[Tuple[Mono, GaussianRational]]]]:
-    """First (1,0)-form whose differential has a (0,2) component, if any.
+    """First (1,0)-form among the rows of `forms` whose differential has a
+    (0,2) component, if any, with that component's nonzero terms.
 
-    The (0,2) part of d psi^r vanishes exactly when d psi^r vanishes on
-    every pair of vectors that all the (1,0)-forms `rows` annihilate, and
-    d psi^r(X, Y) is psi^r(beta(X, Y)): one product with the brackets of a
-    kernel basis of the rows.  The defect of a failing form is written in
-    the basis (rows, conj rows), where the (0,2) terms are the monomials
-    with both indices in the upper half, and returned as its nonzero terms.
+    The defect is written in the basis (forms, conj forms), where the (0,2)
+    terms are the monomials with both indices in the upper half.
     """
     m = inst.dimension
     half = m // 2
-    forms = Mat.from_rows(list(rows), ncols=m)
-    vectors = [_nonzero(v) for v in kernel_basis(forms).data]
-    values = forms @ _pair_brackets(inst, vectors, list(combinations(range(len(vectors)), 2)))
-    if values.is_zero():
-        return None
-    a = next(r for r in range(half) if any(values.row(r)))
-    b, c = _basis_change(rows, m)
+    b, c = _basis_change(forms)
     upper = list(combinations(range(half, m), 2))
-    return a, _coframe_differentials(inst, b, c, a + 1, upper)[a]
+    return next(((a, terms) for a, terms in enumerate(
+        _coframe_differentials(inst, b, c, half, upper)) if terms), None)
 
 
 def validate_hypercomplex(spec: AlgebraSpec,
@@ -449,9 +493,12 @@ def validate_hypercomplex(spec: AlgebraSpec,
 
     K := I∘J is derived on the coframe; a K table in the spec is compared
     against it.  Integrability of each structure A requires d of every
-    (1,0)-form of A, over an eigenbasis, to have no (0,2) component; the
-    bracket kernel tests it without writing the forms out.  `instance` is
-    `instantiate(spec, bindings)`, when the caller has it already.
+    (1,0)-form of A to have no (0,2) component; the bracket kernel tests
+    it on the kernel basis of A - i and the row space of A - i, the
+    vectors those forms annihilate, without writing the forms out, and
+    only a failure builds A's canonical eigenbasis, to name the first
+    failing form.  `instance` is `instantiate(spec, bindings)`, when the
+    caller has it already.
     """
     inst = instantiate(spec, bindings) if instance is None else instance
     report = _validate_lie_algebra(inst)
@@ -474,21 +521,19 @@ def validate_hypercomplex(spec: AlgebraSpec,
 
     for label in ("I", "J", "K"):
         try:
-            rows = inst.eigen_rows(label)
-            defect = _antihol_defect(inst, rows)
+            if _integrable(inst, *inst.eigenspace(label)):
+                report.integrability[label] = True
+                continue
+            index, bad = _antihol_defect(inst, inst.eigen_rows(label))
         except EigenspaceDimensionError as exc:
             report.integrability[label] = False
             report.messages.append(f"structure {label}: {exc}")
             continue
-        if defect is None:
-            report.integrability[label] = True
-        else:
-            index, bad = defect
-            report.integrability[label] = False
-            report.messages.append(
-                f"structure {label}: d of (1,0)-form number {index + 1} "
-                f"has (0,2) component {render_terms(bad, _e_label)}"
-            )
+        report.integrability[label] = False
+        report.messages.append(
+            f"structure {label}: d of (1,0)-form number {index + 1} "
+            f"has (0,2) component {render_terms(bad, _e_label)}"
+        )
     return report
 
 
@@ -501,11 +546,12 @@ def validate_hypercomplex(spec: AlgebraSpec,
 class QuaternionicCoframe:
     """2n (1,0)-forms for I, paired so that J(conj(phi^{2k-1})) = phi^{2k}.
 
-    Each row holds the coefficients of one phi over the real coframe.
+    Each row of `forms` holds the coefficients of one phi over the real
+    coframe.
     """
 
     dimension: int
-    rows: Tuple[Row, ...]
+    forms: Mat
 
 
 def _build_coframe(inst: InstantiatedAlgebra) -> QuaternionicCoframe:
@@ -515,7 +561,8 @@ def _build_coframe(inst: InstantiatedAlgebra) -> QuaternionicCoframe:
     consumed in order, each unseen row contributing the pair
     (row, J(conj(row))).  Echelon rows already reached by an earlier pair
     are skipped, so the output is a basis whenever the input is a genuine
-    hypercomplex structure.
+    hypercomplex structure.  The partners of all the rows are one product:
+    J(conj(row)) is the row conj(row) J^T.
     """
     m = inst.dimension
     if m % 4:
@@ -523,19 +570,17 @@ def _build_coframe(inst: InstantiatedAlgebra) -> QuaternionicCoframe:
             f"hypercomplex structures need dimension divisible by 4, got {m}"
         )
     eigen = inst.eigen_rows("I")
-    chosen: List[Row] = []
-    span = Mat.zeros(0, m)  # the chosen rows
-    for row in eigen:
+    partners = eigen.conj() @ inst.mat_j.transpose()
+    span = Mat.zeros(0, m)  # the chosen rows, each followed by its partner
+    for r in range(eigen.nrows):
+        row = eigen.block([r], range(m))
         # while the chosen rows are independent, this is containment; once
         # they are not, they never become a basis and the check below fails
-        if rank(span.vstack(Mat(1, m, [row]))) == span.nrows:
+        if rank(span.vstack(row)) == span.nrows:
             continue
-        partner = inst.mat_j.apply_conjugated(row)
-        chosen.append(row)
-        chosen.append(partner)
-        span = span.vstack(Mat(2, m, [row, partner]))
-    if len(chosen) != len(eigen) or rank(span) != len(eigen):
+        span = span.vstack(row).vstack(partners.block([r], range(m)))
+    if span.nrows != eigen.nrows or rank(span) != eigen.nrows:
         raise EigenspaceDimensionError(
             "J-pairing did not produce a basis of the (1,0)-forms"
         )
-    return QuaternionicCoframe(dimension=m, rows=tuple(chosen))
+    return QuaternionicCoframe(dimension=m, forms=span)

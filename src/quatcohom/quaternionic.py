@@ -7,9 +7,11 @@ each half.
 
 Each operator is one exact matrix out of the (p,0) basis, built from its
 values on the generators.  d of each generator is read off the structure
-constants through `model`'s bracket kernel, one bracket for each pair of
-generators, once, at construction, which checks integrability and that d
-of each conjugate generator is d of its generator conjugated; only the
+constants through `model`'s bracket kernel on integer rows, once, at
+construction: the brackets of every pair of columns of the inverse basis
+change come back as one matrix, and one product with the coframe gives
+d of every generator.  Construction checks integrability and that d of
+each conjugate generator is d of its generator conjugated; only the
 (2,0) and (1,1) parts of d of the (1,0) generators are kept.  del and
 del_bar are derivations: on a monomial m = phi^{g_0} ^ phi^{g_1} ^ ...,
 the Leibniz rule gives d(m) = sum_k (-1)^k d phi^{g_k} ^ (m without
@@ -86,7 +88,7 @@ class QuaternionicComplex:
         self.name = inst.name
 
         m, half = self.dimension, self.half
-        b, c = _basis_change(coframe.rows, m)
+        b, c = _basis_change(coframe.forms)
         # the (2,0) parts of d of the (1,0) generators give del, the (1,1)
         # parts del_bar; d of each conjugate generator must be d of its
         # generator with indices moved by 2n and coefficients conjugated
@@ -114,8 +116,8 @@ class QuaternionicComplex:
         # are read, since every map is derived from J out of (p,0)
         self._j_gens: List[Tuple[int, int]] = []
         j_rows = b.block(range(half), range(m)) @ inst.mat_j.transpose() @ c
-        for r, row in enumerate(j_rows.data):
-            image = [(s, x) for s, x in enumerate(row) if x]
+        for r in range(half):
+            image = j_rows.row_terms(r)
             if len(image) != 1 or image[0][1] not in (ONE, -ONE):
                 raise InternalInconsistency(
                     f"J does not send coframe generator {r + 1} to a signed generator")

@@ -18,9 +18,9 @@ from quatcohom.fileio import load_spec_file
 from quatcohom.metrics import MAX_SEARCH_SIZE
 from quatcohom.scalars import MAX_TERMS
 
-from support import (coframe_variant, i_nonintegrable_spec, jacobi_broken_spec,
-                     nonintegrable_spec, random_gl, relation_broken_spec,
-                     solvable_spec)
+from support import (coframe_variant, direct_sum_spec, i_nonintegrable_spec,
+                     jacobi_broken_spec, nonintegrable_spec, random_gl,
+                     relation_broken_spec, solvable_spec)
 
 
 def run(capsys, *argv):
@@ -192,6 +192,18 @@ def test_pairing(capsys):
 @pytest.mark.parametrize("degree", ["9", "-1", "5"])
 def test_pairing_degree_out_of_range_exits_two(capsys, degree):
     code, out, err = run(capsys, "pairing", "example1", "--p", degree)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --p {degree}: expected a degree in 0..4\n"
+
+
+@pytest.mark.parametrize("degree", ["9", "-1", "5"])
+def test_pairing_degree_is_checked_before_the_structure(capsys, tmp_path, degree):
+    # J is not integrable, so building the session would exit 1: the
+    # degree is refused first, with the message a valid structure gets
+    path = tmp_path / "invalid.json"
+    path.write_text(serialize_spec(direct_sum_spec(nonintegrable_spec(), nonintegrable_spec())))
+    code, out, err = run(capsys, "pairing", str(path), "--p", degree)
     assert code == 2
     assert out == ""
     assert err == f"error: --p {degree}: expected a degree in 0..4\n"

@@ -3,7 +3,7 @@ from itertools import combinations
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quatcohom import AlgebraSpec, GaussianRational, load_corpus, validate_hypercomplex
 from quatcohom.errors import (
@@ -16,16 +16,17 @@ from quatcohom.errors import (
     ValidationFailure,
 )
 from quatcohom.model import (_antihol_defect, _basis_change, _build_coframe,
-                             _coframe_differentials, _square_of_d, _validate_lie_algebra,
-                             instantiate)
+                             _coframe_differentials, _integrable, _square_of_d,
+                             _validate_lie_algebra, instantiate)
 from quatcohom.quaternionic import QuaternionicComplex
-from quatcohom.linalg import Mat
+from quatcohom.linalg import Mat, kernel_basis, row_basis
 from quatcohom.scalars import MAX_DIGITS, ONE, ZERO, ParamExpr
 
 from support import (I4, J4, Form, affine_complex_spec, coframe_variant, direct_sum_spec,
                      i_nonintegrable_spec, jacobi_broken_spec, nonintegrable_spec,
-                     random_gl, reference_algebra, reference_differentials_in_basis,
-                     reference_nilpotency_step, relation_broken_spec,
+                     random_gl, reference_algebra, reference_bracket,
+                     reference_differentials_in_basis, reference_nilpotency_step,
+                     relation_broken_spec,
                      scaled_variant, solvable_spec)
 
 
@@ -94,8 +95,7 @@ def test_coframe_shape():
     spec = load_corpus("example1")
     coframe = _build_coframe(instantiate(spec))
     # half of the real dimension many rows, each over the 8 real covectors
-    assert len(coframe.rows) == 4
-    assert all(len(r) == 8 for r in coframe.rows)
+    assert (coframe.forms.nrows, coframe.forms.ncols) == (4, 8)
 
 
 def test_k_table_checked_when_given():
@@ -141,9 +141,10 @@ def _as_forms(terms_by_row):
 
 
 def _bases(inst):
-    """The bases whose differentials validation and the complex read: the
-    +i eigenbases of I, J and K, and the J-paired coframe of I."""
-    builders = [("coframe", lambda: _build_coframe(inst).rows)]
+    """The bases whose differentials validation and the complex read, as
+    the rows of a matrix: the +i eigenbases of I, J and K, and the
+    J-paired coframe of I."""
+    builders = [("coframe", lambda: _build_coframe(inst).forms)]
     builders += [(label, lambda label=label: inst.eigen_rows(label)) for label in ("I", "J", "K")]
     for label, build in builders:
         try:
@@ -159,8 +160,8 @@ def test_coframe_differentials_match_the_form_wedge_route(spec, bindings):
     m, half = inst.dimension, inst.dimension // 2
     pairs = list(combinations(range(m), 2))
     upper = list(combinations(range(half, m), 2))
-    for label, rows in _bases(inst):
-        b, c = _basis_change(rows, m)
+    for label, forms in _bases(inst):
+        b, c = _basis_change(forms)
         reference = reference_differentials_in_basis(inst, b, c, m)
         # every d psi^r, and its (0,2) part, which for r < half is the
         # integrability defect of the r-th (1,0)-form
@@ -170,10 +171,17 @@ def test_coframe_differentials_match_the_form_wedge_route(spec, bindings):
         assert _as_forms(_coframe_differentials(inst, b, c, m, upper)) == defects, label
         first = next(((a, form) for a, form in enumerate(defects[:half])
                       if not form.is_zero()), None)
-        defect = _antihol_defect(inst, rows)
+        defect = _antihol_defect(inst, forms)
         if defect is not None:
             defect = defect[0], Form.from_terms(dict(defect[1]))
         assert defect == first, label
+        # the kernel's test needs no basis change and holds for any basis,
+        # and the row space of M - i is what the kernel basis of M - i annihilates
+        assert _integrable(inst, forms, kernel_basis(forms)) is (first is None), label
+        if label != "coframe":
+            space, vectors = inst.eigenspace(label)
+            assert row_basis(kernel_basis(space)) == vectors, label
+            assert _integrable(inst, space, vectors) is (first is None), label
 
 
 # -- the Jacobi check on term lists against d extended to forms --
@@ -217,7 +225,8 @@ def sparse_structures(draw):
     cut = draw(st.integers(2, m - 1)) if two_step else m
     rows = range(cut + 1, m + 1) if two_step else range(1, m + 1)
     pairs = list(combinations(range(1, cut + 1), 2))
-    coeffs = st.sampled_from([1, -1, 2, -2, Fraction(1, 2), Fraction(-3, 4)])
+    coeffs = st.sampled_from([1, -1, 2, -2, Fraction(1, 2), Fraction(-3, 4),
+                              Fraction(2, 3), Fraction(-5, 6)])
     terms = draw(st.lists(st.tuples(st.sampled_from(list(rows)), st.sampled_from(pairs),
                                     coeffs), max_size=8))
     structure = {}
@@ -235,16 +244,52 @@ def test_square_of_d_matches_the_exterior_algebra_on_random_structures(drawn):
     squares = _assert_square_of_d_matches(inst)
     if two_step:
         assert all(square.is_zero() for square in squares)
-    # the coefficient of e^xyz in d^2 e^k is the Jacobiator of e_x, e_y, e_z
+    # the coefficient of e^xyz in d^2 e^k is the Jacobiator of e_x, e_y, e_z,
+    # minus twice over, so the coordinate bracket's
     m = inst.dimension
-    unit = [{a: ONE} for a in range(m)]
+    unit = Mat.identity(m).data
     for x, y, z in combinations(range(m), 3):
-        jacobiator = {}
+        jacobiator = [ZERO] * m
         for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
-            for k, value in inst.bracket(inst.bracket(unit[a], unit[b]), unit[c]).items():
-                jacobiator[k] = jacobiator.get(k, ZERO) + value
+            nested = reference_bracket(inst, reference_bracket(inst, unit[a], unit[b]), unit[c])
+            jacobiator = [s + t for s, t in zip(jacobiator, nested)]
         for k in range(m):
-            assert squares[k].coefficient((x, y, z)) == jacobiator.get(k, ZERO)
+            assert squares[k].coefficient((x, y, z)) == jacobiator[k]
+
+
+gaussian_rationals = st.builds(
+    GaussianRational,
+    st.fractions(min_value=-3, max_value=3, max_denominator=6),
+    st.fractions(min_value=-3, max_value=3, max_denominator=6).filter(bool))
+# one to four vectors of the largest drawn length, 6, cut to the structure's
+# length in the test: entries zero or non-real, whole vectors zero too
+vector_rows = st.lists(st.lists(st.one_of(st.just(ZERO), gaussian_rationals),
+                                min_size=6, max_size=6), min_size=1, max_size=4)
+NO_TERMS = AlgebraSpec.create(5, {}, [[0] * 5] * 5, [[0] * 5] * 5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_structures(), vector_rows, vector_rows)
+@example((False, NO_TERMS), [[GaussianRational(1, 2)] * 6], [[ZERO] * 6, [ONE] * 6])
+def test_bracket_kernel_matches_the_coordinate_bracket(drawn, left, right):
+    inst = instantiate(drawn[1])
+    m = inst.dimension
+    left, right = [row[:m] for row in left], [row[:m] for row in right]
+    pairs = [(s, t) for s in range(len(left)) for t in range(len(right))]
+    brackets = inst.brackets(Mat.from_rows(left), Mat.from_rows(right), pairs)
+    # beta is minus the Lie bracket
+    assert brackets.data == tuple(
+        tuple(-x for x in reference_bracket(inst, left[s], right[t])) for s, t in pairs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_structures())
+@example((False, NO_TERMS))
+def test_nilpotency_step_matches_the_coordinate_bracket_on_random_structures(drawn):
+    # step one is read off the terms, so repeated and cancelling pairs and
+    # structures that are not Lie algebras or not nilpotent are drawn too
+    inst = instantiate(drawn[1])
+    assert _validate_lie_algebra(inst).nilpotency_step == reference_nilpotency_step(inst)
 
 
 def test_structure_terms_are_summed_per_pair():
@@ -253,8 +298,15 @@ def test_structure_terms_are_summed_per_pair():
                               I4, J4)
     inst = instantiate(spec)
     assert inst.structure == ((), (), ((0, 1, GaussianRational(3)),), ())
-    assert inst.ad[0] == ((2, 1, GaussianRational(3)),)
-    assert inst.ad[1] == ((2, 0, GaussianRational(-3)),)
+    assert inst.denominator == 1
+    assert inst.ad[0] == ((2, 1, 3),)
+    assert inst.ad[1] == ((2, 0, -3),)
+    # the kernel's integer terms are held over the lcm of the denominators
+    spec = AlgebraSpec.create(4, {3: [(1, 2, Fraction(1, 2))], 4: [(1, 3, Fraction(-2, 3))]},
+                              I4, J4)
+    inst = instantiate(spec)
+    assert inst.denominator == 6
+    assert inst.ad == (((2, 1, 3), (3, 2, -4)), ((2, 0, -3),), ((3, 0, 4),), ())
 
 
 def test_each_distinct_table_entry_is_evaluated_once_and_fails_first_in_place():

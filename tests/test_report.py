@@ -232,7 +232,6 @@ def test_report_eliminates_each_del_once(monkeypatch):
     # a fresh elimination gives is checked in test_cohomology.py
     import quatcohom.cohomology as cohomology
     import quatcohom.linalg as linalg
-    import quatcohom.model as model
     import quatcohom.quaternionic as quaternionic
     from quatcohom.report import ReportSession, build_report_from_session
 
@@ -242,8 +241,9 @@ def test_report_eliminates_each_del_once(monkeypatch):
         calls.append(matrix)
         return original(matrix)
 
-    # slstructure's kernels, of [del; del_J] and of ddj, are not counted
-    for module in (linalg, cohomology, model, quaternionic):
+    # slstructure's kernels, of [del; del_J] and of ddj, are not counted;
+    # model takes none, its eigenspaces come from `kernel_and_row_basis`
+    for module in (linalg, cohomology, quaternionic):
         monkeypatch.setattr(module, "kernel_basis", counting)
     session = ReportSession(load_corpus("example1"))
     build_report_from_session(session)
