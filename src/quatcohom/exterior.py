@@ -1,10 +1,11 @@
 """Monomials of the exterior algebra over Q(i), and how to print a form.
 
 A monomial is a strictly increasing tuple of generator indices, counted
-from zero.  The engine holds a form as its coordinate tuple on a
-monomial basis, or as a list of (monomial, coefficient) pairs: the d^2
-e^k and the integrability defect a validation message names, the terms
-of d of a generator, the wedge power Omega^{n-1} of a metric candidate.
+from zero.  The engine holds a form as a one-row `linalg.Mat` of its
+coordinates on a monomial basis, or as a list of (monomial, coefficient)
+pairs: the d^2 e^k and the integrability defect a validation message
+names, the terms of d of a generator, the wedge power Omega^{n-1} of a
+metric candidate while it is accumulated.
 There is no differential here: the structural checks read the structure
 constants as term lists in `model`, and the operators of the (p,q)
 complex are exact matrices, built in `quaternionic` from generator data.

@@ -6,11 +6,16 @@ nonzero entry, so that the entry in column j is (re + im*i)/d; zeros are
 left out, and gcd(d, every re, every im) = 1.  That form is canonical, so
 `==` and `hash` compare ints, and every operation costs about the nonzero
 entries it touches: at real dimension 20 the operators hold one or two
-nonzero entries per row.  `data`, `row`, `col` and `[i, j]` are read-only
-dense views in Gaussian rationals, built on demand, for printing and for
-the few callers that index entries; `row_terms` gives one row's nonzero
-entries alone.  Rows are never changed once they are in a matrix, so
-matrices share them freely.
+nonzero entries per row.  `data` and `[i, j]` are read-only dense views in
+Gaussian rationals, built on demand, for printing and for the few callers
+that index entries; `row_terms` gives one row's nonzero entries alone.
+Rows are never changed once they are in a matrix, so matrices share them
+freely.
+
+A form is a one-row matrix of its coordinates, and a list of forms, such
+as a kernel or a class basis, is a matrix with one form per row.  An
+operator acts on forms only by products, or by the relabelling of a
+`SignedPermutation`; there is no separate vector type.
 
 Elimination goes through two routines, both on Gaussian integers and both
 taking the rows as they are, the integer row of row (d, entries) being its
@@ -196,10 +201,6 @@ class Mat:
     def identity(cls, n: int) -> "Mat":
         return _new_mat(n, n, tuple((1, {i: (1, 0)}) for i in range(n)))
 
-    @classmethod
-    def column(cls, entries: Sequence[ScalarLike]) -> "Mat":
-        return cls.from_rows([[x] for x in entries], ncols=1)
-
     # -- immutability, equality and copying ----------------------------------
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -240,19 +241,10 @@ class Mat:
         value = entries.get(j)
         return ZERO if value is None else _from_integers(value[0], value[1], d)
 
-    def row(self, i: int) -> Row:
-        return _dense_row(self._rows[i], self.ncols)
-
     def row_terms(self, i: int) -> List[Tuple[int, GaussianRational]]:
         """The nonzero entries of row i, as (column, value) in column order."""
         d, entries = self._rows[i]
         return [(j, _from_integers(x, y, d)) for j, (x, y) in sorted(entries.items())]
-
-    def col(self, j: int) -> Row:
-        return tuple(self[i, j] for i in range(self.nrows))
-
-    def columns(self) -> List[Row]:
-        return list(self.transpose().data)
 
     # -- structure -------------------------------------------------------------
 
@@ -394,30 +386,6 @@ class Mat:
             rows.append(_lowest_terms(d * den, acc))
         return _new_mat(self.nrows, other.ncols, tuple(rows))
 
-    def apply(self, vector: Sequence[ScalarLike]) -> Tuple[GaussianRational, ...]:
-        if len(vector) != self.ncols:
-            raise ValueError("vector length does not match column count")
-        f, v = _scalar_row(enumerate(vector))
-        get = v.get
-        out = []
-        for d, entries in self._rows:
-            re = im = 0
-            for j, (x, y) in entries.items():
-                w = get(j)
-                if w is not None:
-                    re += x * w[0] - y * w[1]
-                    im += x * w[1] + y * w[0]
-            out.append(_from_integers(re, im, d * f) if re or im else ZERO)
-        return tuple(out)
-
-    def apply_conjugated(self, vector: Sequence[ScalarLike]) -> Tuple[GaussianRational, ...]:
-        """Apply to the entrywise conjugate of the vector.
-
-        Antilinear operators are stored as a plain matrix plus the
-        convention that the input is conjugated first; this is that action.
-        """
-        return self.apply([_coerce_entry(x).conjugate() for x in vector])
-
     # -- display ---------------------------------------------------------------
 
     def __repr__(self) -> str:
@@ -545,14 +513,6 @@ class SignedPermutation:
             (d, {where[k]: (x, y) if signs[k] > 0 else (-x, -y)
                  for k, (x, y) in entries.items()})
             for d, entries in matrix._rows))
-
-    def apply(self, vector: Sequence[ScalarLike]) -> Tuple[GaussianRational, ...]:
-        self._check(len(vector), "a vector")
-        out = [ZERO] * self.size
-        for x, t, s in zip(vector, self.targets, self.signs):
-            x = _coerce_entry(x)
-            out[t] = x if s > 0 else -x
-        return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -894,19 +854,17 @@ def last_nonzero_columns(matrix: Mat) -> List[int]:
     return columns
 
 
-def solve(matrix: Mat, rhs: Sequence[ScalarLike]):
-    """One solution of M x = rhs, or None if the system is inconsistent."""
-    rhs_col = Mat.column(list(rhs))
-    if rhs_col.nrows != matrix.nrows:
-        raise ValueError("right hand side length does not match row count")
+def solve(matrix: Mat, rhs: Mat) -> Optional[Mat]:
+    """One solution of M x = rhs, for a one-column rhs, as a one-column
+    matrix; None if the system is inconsistent."""
+    if rhs.ncols != 1 or rhs.nrows != matrix.nrows:
+        raise ValueError(f"right hand side of shape {rhs.nrows}x{rhs.ncols}, "
+                         f"expected {matrix.nrows}x1")
     n = matrix.ncols
-    reduced, pivots = rref(matrix.hstack(rhs_col))
+    reduced, pivots = rref(matrix.hstack(rhs))
     if n in pivots:
         return None
-    solution = [ZERO] * n
-    for r, pcol in enumerate(pivots):
-        solution[pcol] = reduced[r, n]
-    return tuple(solution)
+    return Mat.from_entries(n, 1, {(pcol, 0): reduced[r, n] for r, pcol in enumerate(pivots)})
 
 
 def inverse(matrix: Mat) -> Mat:
@@ -984,33 +942,28 @@ def complement_basis(big: Mat, small: Mat) -> Mat:
 
 
 # ---------------------------------------------------------------------------
-# Realification.  A vector in C^n becomes (re parts, im parts) in Q^{2n};
+# Realification.  A row in C^n becomes (re parts | im parts) in Q^{2n};
 # complex-linear and antilinear maps become real 2n x 2n block matrices.
 # ---------------------------------------------------------------------------
 
 
-def realify_vector(vector: Sequence[ScalarLike]) -> Tuple[GaussianRational, ...]:
-    vec = [_coerce_entry(x) for x in vector]
-    res = [_from_integers(x.numerator[0], 0, x.denominator) for x in vec]
-    ims = [_from_integers(x.numerator[1], 0, x.denominator) for x in vec]
-    return tuple(res + ims)
+def complexify(matrix: Mat) -> Mat:
+    """The rows (Re | Im) of a realification, as the complex rows Re + Im*i.
 
-
-def complexify_vector(vector: Sequence[ScalarLike]) -> Tuple[GaussianRational, ...]:
-    vec = [_coerce_entry(x) for x in vector]
-    if len(vec) % 2:
-        raise ValueError("realified vectors have even length")
-    half = len(vec) // 2
-    out = []
-    for re_part, im_part in zip(vec[:half], vec[half:]):
-        (a, b), d = re_part.numerator, re_part.denominator
-        (c, e), f = im_part.numerator, im_part.denominator
-        if b or e:
-            raise ValueError("realified vectors must have real entries")
-        # over the lcm of the two denominators a/d + (c/f) i is in lowest terms
-        den = d if d == f else lcm(d, f)
-        out.append(_from_integers(a * (den // d), c * (den // f), den))
-    return tuple(out)
+    Each row keeps its denominator and its integers, so it stays in lowest
+    terms.  An odd width or an entry that is not real is refused.
+    """
+    if matrix.ncols % 2:
+        raise ValueError(f"realified rows have even width, got {matrix.ncols}")
+    n = matrix.ncols // 2
+    rows = []
+    for d, entries in matrix._rows:
+        if any(y for _, y in entries.values()):
+            raise ValueError("realified rows must have real entries")
+        re = {j: x for j, (x, _) in entries.items() if j < n}
+        im = {j - n: x for j, (x, _) in entries.items() if j >= n}
+        rows.append((d, {j: (re.get(j, 0), im.get(j, 0)) for j in re.keys() | im.keys()}))
+    return _new_mat(matrix.nrows, n, tuple(rows))
 
 
 def _realify(matrix: Mat, sign: int) -> Mat:

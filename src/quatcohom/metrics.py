@@ -1,7 +1,8 @@
 """Metric candidates, positivity, and existence verdicts.
 
-A candidate metric is a (2,0)-form, held as its coordinate tuple on the
-(2,0) monomial basis of the complex.  Its Gram matrix with respect to the
+A candidate metric is a (2,0)-form, held as a one-row `Mat` of its
+coordinates on the (2,0) monomial basis of the complex, and every operator
+acts on it by a product.  Its Gram matrix with respect to the
 unitary coframe is linear in the form, so positivity questions reduce to
 exact Sylvester checks, and the vanishing of a diagonal Gram entry on an
 entire candidate space is a linear condition that can rule out positive
@@ -24,36 +25,30 @@ from typing import Callable, Iterator, List, Optional, Tuple
 from .cohomology import MatrixComplex, non_hkt_degrees
 from .errors import NotBidegree20, NotSL2, SearchBoundError, TheoremViolation
 from .exterior import merge_monomials
-from .linalg import (
-    Mat,
-    complexify_vector,
-    leading_principal_minors,
-    rank,
-    realify_vector,
-    solve,
-)
+from .linalg import Mat, complexify, leading_principal_minors, rank, solve
 from .quaternionic import QuaternionicComplex
 from .scalars import ONE, ZERO, GaussianRational
 
-Coords = Tuple[GaussianRational, ...]
 
-
-def standard_omega(cx: QuaternionicComplex) -> Coords:
+def standard_omega(cx: QuaternionicComplex) -> Mat:
     """Sum of the coframe pair monomials; its Gram is half the identity."""
+    basis = cx.hol_basis(2)
     pairs = {(2 * i, 2 * i + 1) for i in range(cx.n)}
-    return tuple(ONE if mono in pairs else ZERO for mono in cx.hol_basis(2))
+    return Mat.from_entries(1, len(basis), {
+        (0, k): 1 for k, mono in enumerate(basis) if mono in pairs})
 
 
-def omega_power(cx: QuaternionicComplex, omega: Coords) -> Coords:
-    """Coordinates of Omega^{n-1} on the (2n-2,0) basis.
+def omega_power(cx: QuaternionicComplex, omega: Mat) -> Mat:
+    """Omega^{n-1}, as a one-row matrix on the (2n-2,0) basis.
 
     The power starts as the unit and takes n-1 wedges with the nonzero
     (2,0) terms of Omega, accumulated per monomial.
     """
     basis = cx.hol_basis(2)
-    if len(omega) != len(basis):
-        raise ValueError("coordinate vector has the wrong length")
-    terms = [(pair, c) for pair, c in zip(basis, omega) if c]
+    if (omega.nrows, omega.ncols) != (1, len(basis)):
+        raise ValueError(f"expected a 1x{len(basis)} (2,0)-form, "
+                         f"got a {omega.nrows}x{omega.ncols} matrix")
+    terms = [(basis[k], c) for k, c in omega.row_terms(0)]
     power = {(): ONE}
     for _ in range(cx.n - 1):
         wedged = {}
@@ -63,10 +58,11 @@ def omega_power(cx: QuaternionicComplex, omega: Coords) -> Coords:
                 if sign:
                     wedged[merged] = wedged.get(merged, ZERO) + a * c * sign
         power = wedged
-    return tuple(power.get(mono, ZERO) for mono in cx.hol_basis(2 * cx.n - 2))
+    index = {mono: k for k, mono in enumerate(cx.hol_basis(2 * cx.n - 2))}
+    return Mat.from_entries(1, len(index), {(0, index[mono]): c for mono, c in power.items()})
 
 
-def gram_matrix(cx: QuaternionicComplex, omega: Coords) -> Mat:
+def gram_matrix(cx: QuaternionicComplex, omega: Mat) -> Mat:
     """Gram matrix of a (2,0)-form on the holomorphic frame.
 
     With A the antisymmetric coefficient matrix of the form and N the
@@ -74,12 +70,14 @@ def gram_matrix(cx: QuaternionicComplex, omega: Coords) -> Mat:
     frame come out as -A N^T / 2.
     """
     half, basis = cx.half, cx.hol_basis(2)
-    if len(omega) != len(basis):
+    if (omega.nrows, omega.ncols) != (1, len(basis)):
         raise NotBidegree20(
-            f"expected the {len(basis)} coordinates of a (2,0)-form, got {len(omega)}"
+            f"expected a (2,0)-form as one row of {len(basis)} coordinates, "
+            f"got a {omega.nrows}x{omega.ncols} matrix"
         )
     entries = {}
-    for (u, v), c in zip(basis, omega):
+    for k, c in omega.row_terms(0):
+        u, v = basis[k]
         entries[u, v] = c
         entries[v, u] = -c
     a_mat = Mat.from_entries(half, half, entries)
@@ -90,9 +88,9 @@ def gram_matrix(cx: QuaternionicComplex, omega: Coords) -> Mat:
 
 @dataclass(frozen=True)
 class MetricCandidate:
-    """A (2,0)-form, by its coordinates, with everything decided about it."""
+    """A (2,0)-form, as a one-row matrix, with everything decided about it."""
 
-    omega: Coords
+    omega: Mat
     gram: Mat
     minors: Tuple[GaussianRational, ...]
     is_real: bool
@@ -104,30 +102,32 @@ class MetricCandidate:
     hyperkahler: bool
 
 
-def classify_metric(cx: QuaternionicComplex, omega: Coords,
+def classify_metric(cx: QuaternionicComplex, omega: Mat,
                     mc: MatrixComplex) -> MetricCandidate:
     """Evaluate every metric property of one candidate form.
 
     All the structural flags presuppose hermitian, which is reality under
     Jbar together with a positive definite Gram matrix.  `gram_matrix`
-    refuses coordinates that are not those of a (2,0)-form.
+    refuses a matrix that is not one row of (2,0) coordinates.  Each
+    operator acts on the form's column, omega transposed.
     """
     gram = gram_matrix(cx, omega)
     minors = tuple(leading_principal_minors(gram))
-    # Jbar is antilinear: the signed permutation of the conjugated coordinates
-    is_real = cx.index_map("Jbar", 2).apply([x.conjugate() for x in omega]) == omega
+    # Jbar is antilinear: on a row it is conj(omega) Jbar^T, a relabelling
+    is_real = cx.index_map("Jbar", 2).inverse().relabel_columns(omega.conj()) == omega
     positive = all(m.is_real() and m.re > 0 for m in minors)
     hermitian = is_real and positive
-    hkt = hermitian and not any(mc.delta(2).apply(omega))
-    hyperkahler = hkt and not any(cx.operator_matrix("del_bar", 2).apply(omega))
+    column = omega.transpose()
+    hkt = hermitian and (mc.delta(2) @ column).is_zero()
+    hyperkahler = hkt and (cx.operator_matrix("del_bar", 2) @ column).is_zero()
     top = 2 * cx.n - 1
-    power = omega_power(cx, omega)
-    del_pow = mc.delta(top - 1).apply(power)
-    gauduchon = hermitian and not any(mc.ddj(top - 1).apply(power))
+    power = omega_power(cx, omega).transpose()
+    del_pow = mc.delta(top - 1) @ power
+    gauduchon = hermitian and (mc.ddj(top - 1) @ power).is_zero()
     strongly = hermitian
-    if hermitian and any(del_pow):
+    if hermitian and not del_pow.is_zero():
         # del_J-exact: adding it as a column to del_J leaves the rank
-        spanned = mc.delta_j(top - 1).hstack(Mat.column(del_pow))
+        spanned = mc.delta_j(top - 1).hstack(del_pow)
         strongly = rank(spanned) == mc.rank("del_J", top - 1)
     return MetricCandidate(
         omega=omega,
@@ -223,24 +223,28 @@ def _diagonal_obstruction(cx: QuaternionicComplex, space: Mat) -> bool:
     """
     if space.nrows == 0:
         return True
+    forms = complexify(space)
+    support = {k for i in range(forms.nrows) for k, _ in forms.row_terms(i)}
     position = {pair: k for k, pair in enumerate(cx.hol_basis(2))}
-    forms = [complexify_vector(row) for row in space.data]
-    return any(
-        all(form[position[min(a, t), max(a, t)]].is_zero() for form in forms)
-        for a, t in enumerate(cx.index_map("J", 1).inverse().targets)
-    )
+    return any(position[min(a, t), max(a, t)] not in support
+               for a, t in enumerate(cx.index_map("J", 1).inverse().targets))
 
 
-def _project_standard(cx: QuaternionicComplex, basis: Mat) -> Optional[Coords]:
-    """Euclidean projection of the standard form onto the candidate space."""
+def _project_standard(cx: QuaternionicComplex, basis: Mat) -> Optional[Mat]:
+    """Euclidean projection of the standard form onto the candidate space.
+
+    The standard form is real, so its realification is (omega | 0); the
+    real coefficients of the projection combine the complexified rows.
+    """
     if basis.nrows == 0:
         return None
-    target = realify_vector(standard_omega(cx))
-    coeffs = solve(basis @ basis.transpose(), basis.apply(target))
+    omega = standard_omega(cx)
+    target = omega.hstack(Mat.zeros(1, omega.ncols)).transpose()
+    coeffs = solve(basis @ basis.transpose(), basis @ target)
     if coeffs is None:
         return None
-    projected = complexify_vector(basis.transpose().apply(coeffs))
-    return projected if any(projected) else None
+    projected = coeffs.transpose() @ complexify(basis)
+    return None if projected.is_zero() else projected
 
 
 def _search_certificate(
@@ -254,7 +258,9 @@ def _search_certificate(
 ) -> Optional[MetricCandidate]:
     """Look for a positive candidate in at most `probe_limit` probes.
 
-    The projected standard form is tried first and costs no probe.
+    The projected standard form is tried first and costs no probe.  Each
+    probe weighs the realified rows of the space with one tuple of values,
+    one product, and complexifies the sum.
     """
     if _diagonal_obstruction(cx, space):
         return None
@@ -270,14 +276,9 @@ def _search_certificate(
             break
         if not any(indices):
             continue
-        coords = [ZERO] * space.ncols
-        for row, idx in zip(space.data, indices):
-            if idx == 0:
-                continue
-            value = values[idx]
-            coords = [c + x * value for c, x in zip(coords, row)]
         probes += 1
-        candidate = classify_metric(cx, complexify_vector(coords), mc)
+        weights = Mat(1, space.nrows, [[values[idx] for idx in indices]])
+        candidate = classify_metric(cx, complexify(weights @ space), mc)
         if wanted(candidate):
             return candidate
     return None

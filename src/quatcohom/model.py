@@ -112,6 +112,9 @@ class AlgebraSpec:
         def as_expr(value: CoeffLike) -> ParamExpr:
             if isinstance(value, ParamExpr):
                 return _as_expr(value, params)
+            if not isinstance(value, (int, Fraction, GaussianRational, str)):
+                raise TypeError(f"a coefficient must be an int, Fraction, "
+                                f"GaussianRational, ParamExpr or string, got {value!r}")
             key = (type(value), value)
             expr = read.get(key)
             if expr is None:

@@ -27,8 +27,9 @@ generators; J^2 = -1 gives the rest by inversion.  J out of (0,p) is
 del_J = J^{-1} del_bar J on (p,0)-forms is J(p+1,0)^{-1} conj(del(p,0))
 J(p,0), with no sign: del out of (p,0) conjugated, with its rows and
 columns relabelled, and no product formed.  Inside the engine a form is
-its coordinate tuple on these bases, read through the matrices, and
-`render_coords` prints one in phi labels.
+a one-row `Mat` of its coordinates on these bases, and a list of forms a
+`Mat` with one form per row; the operators act on them by products, and
+`render_coords` prints one form in phi labels.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from functools import cached_property
 from itertools import combinations, starmap
 from math import comb
 from operator import gt
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from .errors import (
     DimensionBudgetError,
@@ -68,8 +69,8 @@ _INDEX_MAP_NAMES = ("J", "Jbar")
 
 # The largest middle (n,0) basis, C(2n, n), of a structure the engine
 # builds operators for: 12870 at real dimension 32, the largest size
-# measured to finish, where a report takes about 10 to 15 s and 156 MB
-# (Python 3.11, two shared CPUs).
+# measured to finish, where the session build and the report take about
+# 8 to 10 s and 140 MB (Python 3.11, two shared CPUs).
 # Real dimension 36 has 48620 forms in the middle degree.
 MAX_MIDDLE_BASIS = 12870
 
@@ -127,12 +128,13 @@ class QuaternionicComplex:
         self._matrices: Dict[Tuple[str, int], Mat] = {}
         self._index_maps: Dict[Tuple[str, int], SignedPermutation] = {}
 
-        # the top form phi^1 ^ ... ^ phi^2n must be holomorphic and Jbar-real
-        d_top = self.operator_matrix("del_bar", half).col(0)
-        if any(d_top):
+        # the top form phi^1 ^ ... ^ phi^2n must be holomorphic and Jbar-real;
+        # del_bar out of (2n,0) is the one column of its image
+        d_top = self.operator_matrix("del_bar", half)
+        if not d_top.is_zero():
             raise NotHolomorphic(
                 "the coframe top form is not holomorphic: its differential has "
-                f"the (2n,1) component {self.render_coords(d_top, half, 1)}"
+                f"the (2n,1) component {self.render_coords(d_top.transpose(), half, 1)}"
             )
         if self.index_map("Jbar", half) != SignedPermutation.identity(1):
             raise NotReal("the coframe top form is not Jbar-real")
@@ -312,9 +314,10 @@ class QuaternionicComplex:
             return f"phi^{{{hol}}}"
         return f"phi^{{{hol}|{anti}}}"
 
-    def render_coords(self, coords: Sequence, p: int, q: int = 0) -> str:
-        """A form given by its coordinates on the (p,q) basis, printed."""
+    def render_coords(self, form: Mat, p: int, q: int = 0) -> str:
+        """A form, one row of coordinates on the (p,q) basis, printed."""
         basis = self.bidegree_basis(p, q)
-        if len(coords) != len(basis):
-            raise ValueError("coordinate vector has the wrong length")
-        return render_terms(zip(basis, coords), self.render_mono)
+        if (form.nrows, form.ncols) != (1, len(basis)):
+            raise ValueError(f"expected a 1x{len(basis)} form, "
+                             f"got a {form.nrows}x{form.ncols} matrix")
+        return render_terms(((basis[k], c) for k, c in form.row_terms(0)), self.render_mono)

@@ -75,9 +75,6 @@ class ReportSession:
             raise outcome
         return outcome
 
-    def render_class(self, coords: Sequence, p: int) -> str:
-        return self.cx.render_coords(coords, p)
-
 
 # ---------------------------------------------------------------------------
 # Document assembly.  Keys are stable; json.dumps sorts them on output.
@@ -130,10 +127,16 @@ def _matrix_document(matrix: Mat) -> List[List[str]]:
     return [[str(entry) for entry in row] for row in matrix.data]
 
 
+def _forms_document(cx: QuaternionicComplex, forms: Mat, p: int) -> List[str]:
+    """Each row of `forms`, a (p,0)-form, printed."""
+    return [cx.render_coords(forms.block([i], range(forms.ncols)), p)
+            for i in range(forms.nrows)]
+
+
 def certificate_document(session: ReportSession,
                          cand: MetricCandidate) -> dict:
     return {
-        "omega": session.render_class(cand.omega, 2),
+        "omega": session.cx.render_coords(cand.omega, 2),
         "gram": _matrix_document(cand.gram),
         "leading_minors": [str(m) for m in cand.minors],
         "is_real": cand.is_real,
@@ -175,12 +178,8 @@ def decomposition_document(session: ReportSession,
         "complement_dim": rep.complement_dim,
         "pure": rep.pure,
         "full": rep.full,
-        "representatives_plus": [
-            session.render_class(row, 2) for row in rep.representatives_plus
-        ],
-        "representatives_minus": [
-            session.render_class(row, 2) for row in rep.representatives_minus
-        ],
+        "representatives_plus": _forms_document(session.cx, rep.representatives_plus, 2),
+        "representatives_minus": _forms_document(session.cx, rep.representatives_minus, 2),
     }
 
 
@@ -189,14 +188,9 @@ def pairing_document(session: ReportSession, result: PairingResult) -> dict:
         "p": result.p,
         "invertible": result.invertible,
         "matrix": _matrix_document(result.matrix),
-        "bott_chern_classes": [
-            session.render_class(row, result.p)
-            for row in result.bc_basis.data
-        ],
-        "aeppli_classes": [
-            session.render_class(row, 2 * session.cx.n - result.p)
-            for row in result.ae_basis.data
-        ],
+        "bott_chern_classes": _forms_document(session.cx, result.bc_basis, result.p),
+        "aeppli_classes": _forms_document(session.cx, result.ae_basis,
+                                          2 * session.cx.n - result.p),
     }
 
 

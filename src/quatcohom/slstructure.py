@@ -4,8 +4,9 @@ The volume form is the top coframe monomial phi^1 ^ ... ^ phi^2n, which
 the complex checks to be holomorphic and Jbar-real when it is built.
 Integration is normalized so that the volume form against its conjugate
 gives one, so the integral of a (2n,0)-form against the conjugate volume
-form is its one coordinate.  Forms are coordinate tuples on the monomial
-bases of `QuaternionicComplex`, and every wedge product this layer needs
+form is its one coordinate.  A form is a one-row `Mat` of its coordinates
+on the monomial bases of `QuaternionicComplex`, a list of forms a `Mat`
+with one form per row, and every wedge product this layer needs
 into the top degree is the bilinear wedge matrix.  That matrix is a signed
 permutation, built from integer index work as a `SignedPermutation`.  The
 star operator is not implemented by a sign rule: it is solved degree by
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .cohomology import MatrixComplex
 from .errors import (
@@ -48,13 +49,13 @@ from .linalg import (
     Mat,
     SignedPermutation,
     complement_basis,
-    complexify_vector,
+    complexify,
     kernel_basis,
     rank,
     realify_linear,
     row_basis,
 )
-from .metrics import Coords, omega_power
+from .metrics import omega_power
 from .quaternionic import QuaternionicComplex
 from .scalars import GaussianRational
 
@@ -80,7 +81,8 @@ class DecompositionReport:
     The Jbar plus and minus subgroups are real subspaces of H^{2,0}; their
     real dimensions are reported together with the halved values (which
     may be half-integral), while intersection and sum are closed under
-    multiplication by i and are reported in complex dimensions.
+    multiplication by i and are reported in complex dimensions.  The
+    representatives of each locus are the rows of one matrix.
     """
 
     phi_plus_dim: Optional[int]
@@ -95,8 +97,8 @@ class DecompositionReport:
     complement_dim: int
     pure: bool
     full: bool
-    representatives_plus: Tuple[Tuple[GaussianRational, ...], ...]
-    representatives_minus: Tuple[Tuple[GaussianRational, ...], ...]
+    representatives_plus: Mat
+    representatives_minus: Mat
 
     @property
     def pure_and_full(self) -> bool:
@@ -321,14 +323,8 @@ class SLStructure:
             complement_dim=h2 - sum_real // 2,
             pure=inter_real == 0,
             full=sum_real // 2 == h2,
-            representatives_plus=tuple(
-                complexify_vector(v)
-                for v in complement_basis(big_plus, real_del).data
-            ),
-            representatives_minus=tuple(
-                complexify_vector(v)
-                for v in complement_basis(big_minus, real_del).data
-            ),
+            representatives_plus=complexify(complement_basis(big_plus, real_del)),
+            representatives_minus=complexify(complement_basis(big_minus, real_del)),
         )
         if cx.n == 2 and not report.pure_and_full:
             raise TheoremViolation(
@@ -349,52 +345,52 @@ class SLStructure:
 
     # -- the degree map on first Aeppli classes ------------------------------
 
-    def _degree_covector(self, omega: Coords) -> Coords:
-        """The degree map as a covector on the (1,0) basis.
+    def _degree_covector(self, omega: Mat) -> Mat:
+        """The degree map as a one-row covector on the (1,0) basis.
 
         The integral of del(alpha) ^ Omega^{n-1} against the conjugate
         volume form is the bilinear form (D_1 alpha)^T W Omega^{n-1} for
         the wedge matrix W out of degree two, since wedging the (2n,0)
         product with the conjugate volume form keeps its leading
-        coefficient; so the covector is D_1^T W Omega^{n-1}.  Omega must
-        satisfy the Gauduchon equation: on a nilpotent structure that check
-        guards a ddj out of degree 2n-2 that should vanish.
+        coefficient; so the covector is the row Omega^{n-1} W^T D_1, the
+        relabelled power times D_1.  Omega must satisfy the Gauduchon
+        equation: on a nilpotent structure that check guards a ddj out of
+        degree 2n-2 that should vanish.
         """
         power = omega_power(self.cx, omega)
-        if any(self.mc.ddj(2 * self.cx.n - 2).apply(power)):
+        if not (self.mc.ddj(2 * self.cx.n - 2) @ power.transpose()).is_zero():
             raise NotGauduchon(
                 "degree map needs del del_J of Omega^{n-1} to vanish"
             )
-        covector = self.mc.delta(1).transpose().apply(
-            self.wedge_matrix(2).apply(power))
-        if not (Mat.from_rows([covector]) @ _side(self.mc, 0)).is_zero():
+        covector = self.wedge_matrix(2).inverse().relabel_columns(power) @ self.mc.delta(1)
+        if not (covector @ _side(self.mc, 0)).is_zero():
             raise RepresentativeDependence(
                 "degree map moved under a trivial representative shift"
             )
         return covector
 
-    def degree_profile(self, omega: Coords) -> List[Tuple[Coords, GaussianRational]]:
-        """Degree of each first-Aeppli basis class, with the bound check.
+    def degree_profile(self, omega: Mat) -> Tuple[GaussianRational, ...]:
+        """Degree of each first-Aeppli basis class, in the order of the
+        basis rows, with the bound check.
 
         In quaternionic dimension 2 the kernel of the degree map is
         exactly the degree-one del-cohomology, which forces h_AE at degree
         one to exceed h_del by at most one; in higher dimension the map is
         still computed but the exactness statement is not available.  The
-        covector is taken once, and every class's degree, and every
-        del-closed class's, is one product with it.
+        covector is taken once, and the degrees of the classes, and of
+        the del-closed forms, are one product with it each.
         """
         covector = self._degree_covector(omega)
         reps, closed = self._ae_representatives(1), self.mc.closed(1)
         if not (self.mc.ddj(1) @ reps.vstack(closed).transpose()).is_zero():
             raise NotAeppliClosed("representative is not del del_J-closed")
-        values = list(zip(reps.data, reps.apply(covector)))
         h_ae, h_del = self.mc.h_ae(1), self.mc.h_del(1)
         if self.cx.n == 2 and h_ae > h_del + 1:
             raise TheoremViolation(
                 f"h_AE(1) = {h_ae} exceeds h_del(1) + 1 = {h_del + 1}"
             )
-        if any(closed.apply(covector)):
+        if not (covector @ closed.transpose()).is_zero():
             raise TheoremViolation(
                 "degree map does not vanish on a del-closed class"
             )
-        return values
+        return (covector @ reps.transpose()).data[0]

@@ -27,10 +27,9 @@ from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Tuple
 
 from .cohomology import ddj_lemma_holds
 from .errors import EngineError
-from .linalg import (Mat, SignedPermutation, complexify_vector, kernel_basis,
-                     rank, rref)
+from .linalg import Mat, SignedPermutation, complexify, kernel_basis, rank, rref
 from .metrics import classify_metric, standard_omega
-from .scalars import ONE, ZERO, GaussianRational, parse_rational
+from .scalars import GaussianRational, parse_rational
 
 if TYPE_CHECKING:
     from .report import ReportSession
@@ -362,8 +361,7 @@ def run_property_suite(session: "ReportSession") -> List[CheckResult]:
             )
         if not std_candidate.gauduchon:
             return "n/a", "the standard form is not Gauduchon here"
-        values = sl.degree_profile(std)
-        shown = ", ".join(str(v) for _, v in values)
+        shown = ", ".join(str(v) for v in sl.degree_profile(std))
         return "pass", f"degrees of the Aeppli basis classes: {shown}"
 
     add(_run("aeppli-degree-bound",
@@ -373,10 +371,9 @@ def run_property_suite(session: "ReportSession") -> List[CheckResult]:
     def flag_monotonicity() -> Outcome:
         # the standard form, twice it, phi^{12}, and the standard form plus
         # phi^{13}: (0,1) and (0,2) are the first two (2,0) basis forms
-        first = (ONE,) + (ZERO,) * (len(std) - 1)
-        samples = [std, tuple(2 * c for c in std), first]
+        samples = [std, std.scale(2), Mat.from_entries(1, std.ncols, {(0, 0): 1})]
         if half >= 4:
-            samples.append((std[0], std[1] + 1) + std[2:])
+            samples.append(std + Mat.from_entries(1, std.ncols, {(0, 1): 1}))
         for i, omega in enumerate(samples):
             # the standard form, samples[0], was classified above
             cand = classify_metric(cx, omega, mc) if i else std_candidate
@@ -384,7 +381,7 @@ def run_property_suite(session: "ReportSession") -> List[CheckResult]:
                      cand.gauduchon)
             for stronger, weaker in zip(chain, chain[1:]):
                 if stronger and not weaker:
-                    return "fail", session.render_class(omega, 2)
+                    return "fail", cx.render_coords(omega, 2)
         return "pass", f"{len(samples)} sample forms"
 
     add(_run("metric-flag-monotonicity",
@@ -392,13 +389,13 @@ def run_property_suite(session: "ReportSession") -> List[CheckResult]:
              flag_monotonicity))
 
     def flag_decoupling() -> Outcome:
-        space = cx.hkt_space
-        for row in space.data:
-            omega = complexify_vector(row)
+        forms = complexify(cx.hkt_space)
+        for i in range(forms.nrows):
+            omega = forms.block([i], range(forms.ncols))
             cand = classify_metric(cx, omega, mc)
             if cand.hkt != cand.positive:
-                return "fail", session.render_class(omega, 2)
-        return "pass", f"{space.nrows} basis candidates"
+                return "fail", cx.render_coords(omega, 2)
+        return "pass", f"{forms.nrows} basis candidates"
 
     add(_run("hkt-flag-decoupling",
              "on the closed Jbar-real space, the hkt flag is exactly positivity",

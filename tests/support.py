@@ -35,7 +35,7 @@ from quatcohom import AlgebraSpec, CohomologyTable, GaussianRational, MatrixComp
 from quatcohom.errors import (DivisionByZero, IntegrabilityViolation,
                               InternalInconsistency, NotASubspace)
 from quatcohom.exterior import Mono, merge_monomials
-from quatcohom.linalg import (Mat, Row, complexify_vector, inverse, kernel_basis,
+from quatcohom.linalg import (Mat, Row, complexify, inverse, kernel_basis,
                               rank, realify_antilinear, row_basis, solve)
 from quatcohom.model import _basis_change, instantiate
 from quatcohom.scalars import ONE, ZERO, ScalarLike
@@ -776,9 +776,6 @@ class ReferenceMat:
                   for j in range(other.ncols))
             for row in self.data))
 
-    def apply(self, vector) -> Row:
-        return tuple(sum((x * y for x, y in zip(row, vector)), ZERO) for row in self.data)
-
     def hstack(self, other: "ReferenceMat") -> "ReferenceMat":
         return ReferenceMat(self.nrows, self.ncols + other.ncols,
                             tuple(r + s for r, s in zip(self.data, other.data)))
@@ -1069,10 +1066,11 @@ def reference_class_coords(mc: MatrixComplex, vector, p: int,
     if not columns:
         assert not any(x for x in vector)
         return ()
-    solution = solve(Mat.from_rows(columns, ncols=mc.dim(p)).transpose(), vector)
+    solution = solve(Mat.from_rows(columns, ncols=mc.dim(p)).transpose(),
+                     Mat.from_rows([[x] for x in vector], ncols=1))
     if solution is None:
         raise InternalInconsistency("vector outside ker del")
-    return solution[: len(rep_list)]
+    return solution.transpose().data[0][: len(rep_list)]
 
 
 def reference_e2(mc: MatrixComplex, p: int) -> int:
@@ -1086,7 +1084,7 @@ def reference_e2(mc: MatrixComplex, p: int) -> int:
     bottom_block = mc.delta_j(p).hstack(-mc.delta(p))
     stacked = top_block.vstack(bottom_block)
     numerator = span([vec[:dp] for vec in kernel_space(stacked).data], dp)
-    pushed = [mc.delta_j(p - 1).apply(v) for v in ker_del(mc, p - 1).data]
+    pushed = list((ker_del(mc, p - 1) @ mc.delta_j(p - 1).transpose()).data)
     denominator = space_sum(im_del(mc, p), span(pushed, dp))
     return quotient_dim(numerator, denominator)
 
@@ -1209,14 +1207,10 @@ def reference_decomposition(sl: SLStructure) -> DecompositionReport:
         complement_dim=h2 - total,
         pure=inter == 0,
         full=total == h2,
-        representatives_plus=tuple(
-            complexify_vector(v)
-            for v in reference_complement_representatives(big_plus, im_real)
-        ),
-        representatives_minus=tuple(
-            complexify_vector(v)
-            for v in reference_complement_representatives(big_minus, im_real)
-        ),
+        representatives_plus=complexify(Mat.from_rows(
+            reference_complement_representatives(big_plus, im_real), ncols=big_plus.ncols)),
+        representatives_minus=complexify(Mat.from_rows(
+            reference_complement_representatives(big_minus, im_real), ncols=big_minus.ncols)),
     )
 
 
@@ -1303,7 +1297,7 @@ def reference_differentials_in_basis(inst, b: Mat, c: Mat, count: int) -> List[F
     out = []
     for r in range(count):
         d_psi = Form.zero()
-        for j, coeff in enumerate(b.row(r)):
+        for j, coeff in enumerate(b.data[r]):
             if coeff:
                 for k, l, value in inst.structure[j]:
                     d_psi = d_psi + e_in_psi[k].wedge(e_in_psi[l]).scale(coeff * value)
@@ -1360,8 +1354,8 @@ class FormRoute:
             d_psi.append(map_gens(d_e, e_images))
         self.psi = ExteriorAlgebra(m, d_psi)
         self.j_images = []
-        for r in range(m):
-            w = inst.mat_j.apply(b.data[r])
+        # row r of b J^T is J applied to the coefficients of psi^r
+        for w in (b @ inst.mat_j.transpose()).data:
             self.j_images.append(map_gens(
                 Form.from_terms({(j,): w[j] for j in range(m)}), e_images))
         self.conj_images = [Form.generator((r + half) % m) for r in range(m)]

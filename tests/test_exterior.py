@@ -5,6 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from quatcohom import GaussianRational, QuaternionicComplex, load_corpus
 from quatcohom.exterior import merge_monomials, render_terms
+from quatcohom.linalg import Mat
 from quatcohom.model import _e_label
 from quatcohom.scalars import ONE, ZERO
 
@@ -111,5 +112,5 @@ def test_render_terms_matches_both_label_styles(terms):
 def test_render_coords_matches_the_phi_label_renderer(drawn):
     (p, q), coords = drawn
     cx = _example1()
-    assert cx.render_coords(coords, p, q) == _phi_render(
+    assert cx.render_coords(Mat.from_rows([coords]), p, q) == _phi_render(
         from_coords(cx, coords, p, q), cx.render_mono)

@@ -11,7 +11,7 @@ from quatcohom.linalg import (
     SignedPermutation,
     _eliminate,
     complement_basis,
-    complexify_vector,
+    complexify,
     det,
     inverse,
     kernel_basis,
@@ -21,7 +21,6 @@ from quatcohom.linalg import (
     rank,
     realify_antilinear,
     realify_linear,
-    realify_vector,
     row_basis,
     rref,
     solve,
@@ -78,8 +77,7 @@ def test_rref_idempotent_and_rank_nullity(m):
     assert rank(m) == len(pivots)
     null = kernel_basis(m)
     assert rank(m) + null.nrows == m.ncols
-    for vec in null.data:
-        assert all(x.is_zero() for x in m.apply(vec))
+    assert (m @ null.transpose()).is_zero()
 
 
 @settings(max_examples=40)
@@ -121,12 +119,19 @@ def test_leading_principal_minors():
     assert [x.re for x in minors] == [2, 3, 4]
 
 
+def _column(values):
+    return Mat.from_rows([[x] for x in values], ncols=1)
+
+
 def test_solve_consistent_and_inconsistent():
     m = Mat.from_rows([[1, 2], [2, 4]])
-    assert solve(m, [1, 2]) is not None
-    assert solve(m, [1, 3]) is None
-    x = solve(Mat.from_rows([[1, 1], [0, 1]]), [3, 1])
-    assert x == (GaussianRational(2), GaussianRational(1))
+    assert solve(m, _column([1, 2])) is not None
+    assert solve(m, _column([1, 3])) is None
+    x = solve(Mat.from_rows([[1, 1], [0, 1]]), _column([3, 1]))
+    assert x == _column([2, 1])
+    for rhs in (_column([1, 2, 3]), Mat.from_rows([[1, 0], [0, 1]])):
+        with pytest.raises(ValueError, match="right hand side"):
+            solve(m, rhs)
 
 
 @settings(max_examples=40)
@@ -179,8 +184,8 @@ def test_signed_permutation_acts_as_its_matrix(case):
     assert (-p).mat() == -pm
     assert p.relabel_rows(m) == pm @ m
     assert p.relabel_columns(m.transpose()) == m.transpose() @ pm
-    assert p.apply(m.col(0)) == pm.apply(m.col(0))
-    differing = [j for j in range(n) if pm.col(j) != q.mat().col(j)]
+    differing = [j for j in range(n)
+                 if pm.transpose().data[j] != q.mat().transpose().data[j]]
     assert p.first_difference(q) == (differing[0] if differing else None)
 
 
@@ -191,40 +196,48 @@ def test_signed_permutation_refuses_what_is_not_one():
     p = SignedPermutation((1, 0), (1, -1))
     for act in (lambda: p.compose(SignedPermutation.identity(3)),
                 lambda: p.relabel_rows(Mat.identity(3)),
-                lambda: p.relabel_columns(Mat.zeros(2, 3)),
-                lambda: p.apply([1, 2, 3])):
+                lambda: p.relabel_columns(Mat.zeros(2, 3))):
         with pytest.raises(ValueError, match="shape mismatch"):
             act()
 
 
+complex_rows = st.integers(0, 4).flatmap(lambda c: st.lists(
+    st.lists(st.builds(GaussianRational, fractions_wide, fractions_wide),
+             min_size=c, max_size=c), max_size=4,
+).map(lambda rows: Mat.from_rows(rows, ncols=c)))
+
+
 @settings(max_examples=60)
-@given(st.lists(st.builds(GaussianRational, fractions_wide, fractions_wide), max_size=6))
-def test_realify_and_complexify_read_the_parts(vec):
-    real = realify_vector(vec)
-    assert real == tuple(GaussianRational(x.re) for x in vec) + tuple(
-        GaussianRational(x.im) for x in vec)
-    assert complexify_vector(real) == tuple(vec)
-    with pytest.raises(ValueError, match="realified vectors have even length"):
-        complexify_vector(real + (1,))
-    if vec:
-        with pytest.raises(ValueError, match="realified vectors must have real entries"):
-            complexify_vector((GaussianRational(0, 1),) + real[1:])
+@given(complex_rows)
+def test_complexify_inverts_the_top_block_row_of_the_antilinear_realification(x):
+    # the top block row of [[Re, Im], [Im, -Re]] holds each row as (Re | Im)
+    real = realify_antilinear(x)
+    top = real.block(range(x.nrows), range(real.ncols))
+    assert top == Mat.from_rows([[GaussianRational(v.re) for v in row]
+                                 + [GaussianRational(v.im) for v in row]
+                                 for row in x.data], ncols=2 * x.ncols)
+    assert complexify(top) == x
+    with pytest.raises(ValueError, match="realified rows have even width"):
+        complexify(top.hstack(Mat.zeros(x.nrows, 1)))
+    if x.nrows and x.ncols:
+        with pytest.raises(ValueError, match="realified rows must have real entries"):
+            complexify(top + Mat.from_entries(x.nrows, top.ncols, {(0, 0): GaussianRational(0, 1)}))
 
 
 def test_realify_round_trip_and_antilinear_sign():
     rng = Random(7)
-    vec = [GaussianRational(Fraction(rng.randint(-3, 3)),
-                            Fraction(rng.randint(-3, 3))) for _ in range(3)]
-    assert list(complexify_vector(realify_vector(vec))) == vec
+    x = Mat.from_rows([[GaussianRational(Fraction(rng.randint(-3, 3)),
+                                         Fraction(rng.randint(-3, 3))) for _ in range(3)]])
+    assert complexify(realify_antilinear(x).block([0], range(6))) == x
 
     m = Mat.from_rows([[GaussianRational(0, 1)]])
     lin = realify_linear(m)
     # multiplication by i: (re, im) -> (-im, re)
-    assert lin.apply([1, 0]) == (GaussianRational(0), GaussianRational(1))
+    assert lin @ _column([1, 0]) == _column([0, 1])
     anti = realify_antilinear(m)
     # antilinear i*conj: (re, im) -> (im, re)
-    assert anti.apply([1, 0]) == (GaussianRational(0), GaussianRational(1))
-    assert anti.apply([0, 1]) == (GaussianRational(1), GaussianRational(0))
+    assert anti @ _column([1, 0]) == _column([0, 1])
+    assert anti @ _column([0, 1]) == _column([1, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -261,13 +274,13 @@ def matrices(draw, values=sparse_entries, max_side=5, square=False):
 
 
 def _reference_solve(m, rhs):
-    reduced, pivots = reference_rref(m.hstack(Mat.column(rhs)))
+    reduced, pivots = reference_rref(m.hstack(rhs))
     if m.ncols in pivots:
         return None
     solution = [ZERO_ENTRY] * m.ncols
     for r, pcol in enumerate(pivots):
         solution[pcol] = reduced.data[r][m.ncols]
-    return tuple(solution)
+    return _column(solution)
 
 
 def _check_against_reference(m):
@@ -281,7 +294,7 @@ def _check_against_reference(m):
     assert _eliminate(m, reduce_above=False).pivots == expected_pivots
     assert rank(m) == len(expected_pivots)
     assert list(kernel_basis(m).data) == reference_nullspace(expected, expected_pivots)
-    rhs = [sum(row, ZERO_ENTRY) + 1 for row in m.data]
+    rhs = _column([sum(row, ZERO_ENTRY) + 1 for row in m.data])
     assert solve(m, rhs) == _reference_solve(m, rhs)
     if m.nrows == m.ncols:
         d = reference_det(m)
@@ -469,8 +482,6 @@ def products(draw, values=sparse_entries, max_side=5):
 def test_product_matches_reference(pair):
     a, b = pair
     assert a @ b == reference_matmul(a, b)
-    for column in b.columns():
-        assert a.apply(column) == reference_matmul(a, Mat.column(column)).col(0)
 
 
 def vectors(amb, max_size):
@@ -478,12 +489,17 @@ def vectors(amb, max_size):
                     max_size=max_size)
 
 
+def _combination(weights, space):
+    """The combination of the rows of `space` with the given weights."""
+    return (Mat.from_rows([weights], ncols=space.nrows) @ space).data[0]
+
+
 @st.composite
 def nested_subspaces(draw):
     """A subspace, a subspace of it, and an arbitrary one, in one ambient."""
     amb = draw(st.integers(0, 5))
     big = span(draw(vectors(amb, 5)), amb)
-    inner = [big.transpose().apply(w) for w in draw(vectors(big.nrows, 3))]
+    inner = [_combination(w, big) for w in draw(vectors(big.nrows, 3))]
     return big, span(inner, amb), span(draw(vectors(amb, 3)), amb)
 
 
@@ -529,7 +545,7 @@ def test_complement_depends_only_on_the_span_of_the_columns(spaces, data):
     columns = list(small_space.data)
     for _ in range(data.draw(st.integers(0, 3))):
         weights = data.draw(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim))
-        columns.append(small_space.transpose().apply(weights))
+        columns.append(_combination(weights, small_space))
     if dim:
         columns += [columns[i] for i in data.draw(st.lists(st.integers(0, dim - 1),
                                                            max_size=2))]
@@ -543,7 +559,7 @@ def test_complement_depends_only_on_the_span_of_the_columns(spaces, data):
                if not contains_space(big, Mat.from_rows([v], ncols=amb))]
     if outside:
         with pytest.raises(NotASubspace):
-            complement_basis(big, spanning.hstack(Mat.column(outside[0])))
+            complement_basis(big, spanning.hstack(_column(outside[0])))
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +625,7 @@ def test_coordinate_order_does_not_show_in_the_complement(shape, data):
     # pick the complement, so the same rows of big must be picked.
     amb, perm = shape
     big = span(data.draw(vectors(amb, 5)), amb)
-    inner = [big.transpose().apply(w) for w in data.draw(vectors(big.nrows, 3))]
+    inner = [_combination(w, big) for w in data.draw(vectors(big.nrows, 3))]
     small_space = span(inner, amb)
 
     def permuted(space):

@@ -76,14 +76,11 @@ def shaped_pairs(draw):
 def test_views_match_the_reference(case):
     mat, ref = both(*case)
     check(mat, ref)
-    assert mat.columns() == list(ref.transpose().data)
     for i in range(mat.nrows):
-        assert mat.row(i) == ref.data[i]
+        assert mat.row_terms(i) == [(j, x) for j, x in enumerate(ref.data[i]) if x]
         for j in range(mat.ncols):
             assert mat[i, j] == ref.data[i][j]
             assert mat[i, j - mat.ncols] == ref.data[i][j]
-    for j in range(mat.ncols):
-        assert mat.col(j) == tuple(row[j] for row in ref.data)
     if mat.nrows:
         with pytest.raises(IndexError):
             mat[0, mat.ncols]
@@ -107,10 +104,6 @@ def test_unary_operations_match_the_reference(case, factor, data):
     start = data.draw(st.integers(0, mat.ncols))
     cols = range(start, data.draw(st.integers(start, mat.ncols)))
     check(mat.block(rows, cols), ref.block(rows, cols))
-    vector = data.draw(st.lists(values, min_size=mat.ncols, max_size=mat.ncols))
-    assert mat.apply(vector) == ref.apply(vector)
-    assert mat.apply_conjugated(vector) == ref.apply(
-        [GaussianRational._coerce(v).conjugate() for v in vector])
 
 
 @settings(max_examples=100, deadline=None)
@@ -224,9 +217,9 @@ def test_matrices_are_immutable():
         with pytest.raises(AttributeError):
             delattr(m, name)
     assert isinstance(m.data, tuple) and all(isinstance(row, tuple) for row in m.data)
-    columns = m.columns()
-    columns.clear()
-    assert m.columns() == [m.col(0), m.col(1)]
+    terms = m.row_terms(1)
+    terms.clear()
+    assert m.row_terms(1) == [(0, 3), (1, GaussianRational(0, 1))]
     for clone in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
         assert clone == m and hash(clone) == hash(m)
 

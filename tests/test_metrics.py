@@ -21,9 +21,8 @@ from quatcohom import (
 )
 from quatcohom.errors import NotBidegree20, NotSL2
 from quatcohom.scalars import ONE, ZERO
-from quatcohom.linalg import (Mat, complexify_vector, kernel_basis, rank,
-                              realify_antilinear, realify_linear, realify_vector,
-                              row_basis)
+from quatcohom.linalg import (Mat, complexify, kernel_basis, rank,
+                              realify_antilinear, realify_linear, row_basis)
 from quatcohom.metrics import omega_power
 from quatcohom.report import build_report_from_session
 
@@ -64,9 +63,8 @@ def test_flag_chain_is_monotone(corpus_sessions):
         cx = session.cx
         omega = standard_omega(cx)
         # phi^{12} and phi^{13} are the first two (2,0) basis forms
-        first = (ONE,) + (ZERO,) * (len(omega) - 1)
-        for form in (omega, tuple(2 * c for c in omega), first,
-                     (omega[0], omega[1] + 1) + omega[2:]):
+        first, second = (Mat.from_entries(1, omega.ncols, {(0, k): ONE}) for k in (0, 1))
+        for form in (omega, omega.scale(2), first, omega + second):
             cand = classify_metric(cx, form, session.mc)
             assert not cand.hyperkahler or cand.hkt
             assert not cand.hkt or cand.strongly_gauduchon
@@ -99,9 +97,14 @@ def test_every_hermitian_form_is_gauduchon_on_direct_sums(summands):
     _assert_every_hermitian_form_is_gauduchon(ReportSession(spec))
 
 
+def _rows(forms):
+    """Each row of `forms` as a one-row matrix."""
+    return [forms.block([i], range(forms.ncols)) for i in range(forms.nrows)]
+
+
 def _gram_obstruction(cx, space):
     """The diagonal obstruction read off a whole Gram matrix per row."""
-    grams = [gram_matrix(cx, complexify_vector(row)) for row in space.data]
+    grams = [gram_matrix(cx, form) for form in _rows(complexify(space))]
     return any(all(g[a, a].is_zero() for g in grams) for a in range(cx.half))
 
 
@@ -119,17 +122,22 @@ def test_diagonal_obstruction_and_reality_match_the_gram_and_matrix_routes(corpu
                                    for k in range(1, min(3, len(rows)) + 1)]
             for sub in subspaces:
                 assert metrics._diagonal_obstruction(cx, sub) == _gram_obstruction(cx, sub)
-            for row in rows:
-                form = complexify_vector(row)
+            for form in _rows(complexify(space)):
                 cand = classify_metric(cx, form, session.mc)
-                assert cand.is_real == (jbar.apply_conjugated(form) == form)
+                assert cand.is_real == (jbar @ form.conj().transpose() == form.transpose())
         assert metrics._diagonal_obstruction(cx, Mat.zeros(0, 2 * len(cx.hol_basis(2))))
 
 
 def test_classify_rejects_wrong_bidegree(ex1):
-    # the coordinates of a (1,0)-form
-    with pytest.raises(NotBidegree20):
-        classify_metric(ex1.cx, (ONE, ZERO, ZERO, ZERO), ex1.mc)
+    # the coordinates of a (1,0)-form, a wider row, and two (2,0)-forms
+    # stacked: a form is one row of the (2,0) width
+    omega = standard_omega(ex1.cx)
+    for form in (Mat.from_rows([[ONE, ZERO, ZERO, ZERO]]),
+                 omega.hstack(Mat.zeros(1, 1)), omega.vstack(omega)):
+        with pytest.raises(NotBidegree20, match="one row of 6 coordinates"):
+            gram_matrix(ex1.cx, form)
+        with pytest.raises(NotBidegree20, match="one row of 6 coordinates"):
+            classify_metric(ex1.cx, form, ex1.mc)
 
 
 def test_existence_answers(ex1, torus, ex2_third, ex2_half):
@@ -176,8 +184,10 @@ def test_not_sl2_guard(ex3):
 def test_candidate_space_contains_standard_form_when_hkt(torus):
     cx = torus.cx
     space = cx.hkt_space
-    coords = standard_omega(cx)
-    assert rank(space.vstack(Mat.from_rows([realify_vector(coords)]))) == space.nrows
+    omega = standard_omega(cx)
+    # the top block row of the antilinear realification is (Re | Im)
+    realified = realify_antilinear(omega).block([0], range(2 * omega.ncols))
+    assert rank(space.vstack(realified)) == space.nrows
 
 
 def test_jbar_locus_is_reduced_once_for_the_candidates_and_the_decomposition(
@@ -291,9 +301,9 @@ def _power_complexes():
 
 
 def _assert_power_matches_the_form_wedge(cx, omega):
-    power = form_omega_power(cx, omega)
-    assert omega_power(cx, omega) == tuple(
-        power.coefficient(mono) for mono in cx.hol_basis(2 * cx.n - 2))
+    power = form_omega_power(cx, omega.data[0])
+    assert omega_power(cx, omega) == Mat.from_rows(
+        [[power.coefficient(mono) for mono in cx.hol_basis(2 * cx.n - 2)]])
 
 
 @pytest.mark.parametrize("n", range(1, 5))
@@ -302,7 +312,7 @@ def test_omega_power_matches_the_form_wedge_on_the_standard_form(n):
     assert cx.n == n
     omega = standard_omega(cx)
     _assert_power_matches_the_form_wedge(cx, omega)
-    _assert_power_matches_the_form_wedge(cx, (ZERO,) * len(omega))
+    _assert_power_matches_the_form_wedge(cx, Mat.zeros(1, omega.ncols))
 
 
 _parts = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -316,4 +326,4 @@ _coords = st.one_of(st.just(ZERO), st.builds(GaussianRational, _parts, _parts))
                          max_size=len(_power_complexes()[k].hol_basis(2))))))
 def test_omega_power_matches_the_form_wedge_on_drawn_coordinates(drawn):
     k, omega = drawn
-    _assert_power_matches_the_form_wedge(_power_complexes()[k], tuple(omega))
+    _assert_power_matches_the_form_wedge(_power_complexes()[k], Mat.from_rows([omega]))

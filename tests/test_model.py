@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from itertools import combinations
 from random import Random
@@ -89,6 +90,14 @@ def test_coefficient_errors_name_the_entry():
         with pytest.raises(error) as caught:
             instantiate(spec)
         assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("bad", [1.5, None, [1]], ids=repr)
+def test_create_refuses_a_coefficient_of_another_type(bad):
+    # in a table and in a structure term alike, named by its value
+    for args in (({}, [[bad] * 4] * 4, J4), ({4: [(1, 2, bad)]}, I4, J4)):
+        with pytest.raises(TypeError, match=f"got {re.escape(repr(bad))}$"):
+            AlgebraSpec.create(4, *args)
 
 
 def test_coframe_shape():

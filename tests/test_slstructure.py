@@ -29,8 +29,8 @@ def test_star_of_scalars_and_volume(ex1):
     half = ex1.cx.half
     assert sl.star_matrix(0).mat() == Mat.identity(1)
     assert sl.star_matrix(half).mat() == Mat.identity(1)
-    omega = standard_omega(ex1.cx)
-    assert sl.star_matrix(2).apply(omega) == omega
+    omega = standard_omega(ex1.cx).transpose()
+    assert sl.star_matrix(2).relabel_rows(omega) == omega
 
 
 def test_star_monomial_rule(ex1):
@@ -44,7 +44,7 @@ def test_star_monomial_rule(ex1):
             sign, full = merge_monomials(mono, rest)
             assert full == tuple(range(half))
             image = [sign if m == rest else 0 for m in target]
-            assert sl.star_matrix(p).mat().col(col) == tuple(image)
+            assert sl.star_matrix(p).mat().transpose().data[col] == tuple(image)
 
 
 def test_star_squares_to_sign(corpus_sessions):
@@ -124,9 +124,14 @@ def test_pairing_golden_degree_one(ex1):
 
 
 def _first_unit_row_moved(moved):
-    """The unit vector e_i of the first row i where `moved` is nonzero."""
+    """The unit row e_i, a one-row matrix, of the first row i where `moved`
+    is nonzero."""
     i = next(i for i, row in enumerate(moved.data) if any(row))
-    return Mat.identity(moved.nrows).row(i)
+    return Mat.identity(moved.nrows).block([i], range(moved.nrows))
+
+
+def _first_row_replaced(reps, row):
+    return row.vstack(reps.block(range(1, reps.nrows), range(reps.ncols)))
 
 
 def test_pairing_refuses_aeppli_representatives_that_are_not_closed(monkeypatch, ex3):
@@ -137,8 +142,8 @@ def test_pairing_refuses_aeppli_representatives_that_are_not_closed(monkeypatch,
     assert not mc.ddj(p - 2).is_zero()
     reps = sl._ae_representatives(q)
     row = _first_unit_row_moved(sl.wedge_matrix(p).inverse().mat() @ mc.ddj(p - 2))
-    assert any(mc.ddj(q).apply(row))
-    faulty = Mat.from_rows([row] + list(reps.data[1:]), ncols=reps.ncols)
+    assert not (mc.ddj(q) @ row.transpose()).is_zero()
+    faulty = _first_row_replaced(reps, row)
     monkeypatch.setattr(sl, "_ae_representatives", lambda degree: faulty)
     with pytest.raises(RepresentativeDependence, match="representatives by exact forms"):
         sl.pairing_matrix(p)
@@ -152,8 +157,8 @@ def test_pairing_refuses_bott_chern_representatives_that_are_not_closed(monkeypa
     reps = sl._bc_representatives(p)
     side = mc.delta(q - 1).hstack(mc.delta_j(q - 1))
     row = _first_unit_row_moved(sl.wedge_matrix(p).mat() @ side)
-    assert any(mc.delta(p).vstack(mc.delta_j(p)).apply(row))
-    faulty = Mat.from_rows([row] + list(reps.data[1:]), ncols=reps.ncols)
+    assert not (mc.delta(p).vstack(mc.delta_j(p)) @ row.transpose()).is_zero()
+    faulty = _first_row_replaced(reps, row)
     monkeypatch.setattr(sl, "_bc_representatives", lambda degree: faulty)
     with pytest.raises(RepresentativeDependence, match="dual representatives by degenerate forms"):
         sl.pairing_matrix(p)
@@ -274,7 +279,7 @@ def test_jbar_decomposition_example1(ex1):
     assert rep.pure and rep.full
     assert rep.intersection_dim == 0
     assert rep.phi_plus_dim == 2 and rep.phi_minus_dim == 2
-    assert len(rep.representatives_plus) == rep.jbar_plus_real_dim
+    assert rep.representatives_plus.nrows == rep.jbar_plus_real_dim
 
 
 def test_jbar_decomposition_example3(ex3):
@@ -301,8 +306,7 @@ def test_decomposition_matches_subspace_reference(corpus_sessions):
 def test_degree_profile_example1(ex1):
     omega = standard_omega(ex1.cx)
     profile = ex1.sl.degree_profile(omega)
-    degrees = [value for _, value in profile]
-    assert [str(v) for v in degrees] == ["0", "0", "0", "1"]
+    assert [str(v) for v in profile] == ["0", "0", "0", "1"]
 
 
 def test_degree_bound_not_enforced_beyond_dimension_two(ex3):
@@ -315,18 +319,20 @@ def test_degree_bound_not_enforced_beyond_dimension_two(ex3):
 def test_degree_map_matches_the_form_wedge_route(corpus_sessions):
     # the bilinear form (D_1 alpha)^T W Omega^{n-1} against the integral
     # of del(alpha) ^ Omega^{n-1} ^ conj(phi), wedged form by form, on
-    # every Aeppli representative; on every del-closed one the profile
-    # checks that the form vanishes, and so must the wedge
+    # every Aeppli representative, in the order of the basis rows; on
+    # every del-closed one the profile checks that the form vanishes, and
+    # so must the wedge
     for session in corpus_sessions:
         cx, sl = session.cx, session.sl
         route = FormRoute(cx)
         omega = standard_omega(cx)
         profile = sl.degree_profile(omega)
-        assert len(profile) == session.mc.h_ae(1)
-        for rep, value in profile:
-            assert value == form_degree_map(route, omega, rep)
+        reps = sl._ae_representatives(1)
+        assert len(profile) == reps.nrows == session.mc.h_ae(1)
+        for rep, value in zip(reps.data, profile):
+            assert value == form_degree_map(route, omega.data[0], rep)
         for rep in session.mc.closed(1).data:
-            assert form_degree_map(route, omega, rep) == 0
+            assert form_degree_map(route, omega.data[0], rep) == 0
 
 
 def test_degree_profile_takes_one_covector(monkeypatch, ex1):
@@ -340,7 +346,7 @@ def test_degree_profile_takes_one_covector(monkeypatch, ex1):
 
     monkeypatch.setattr(slstructure, "omega_power", counting)
     profile = ex1.sl.degree_profile(standard_omega(ex1.cx))
-    assert [str(v) for _, v in profile] == ["0", "0", "0", "1"]
+    assert [str(v) for v in profile] == ["0", "0", "0", "1"]
     assert len(powers) == 1
 
 
@@ -376,7 +382,9 @@ def _degree_profile_faults(mc, sl):
     it must raise and that error's text."""
     ddj, closed, h_ae = mc.ddj, mc.closed, mc.h_ae
     # a degree-one class of nonzero degree, offered as a del-closed one
-    moved = next(rep for rep, value in sl.degree_profile(standard_omega(sl.cx)) if value)
+    reps = sl._ae_representatives(1)
+    moved = next(reps.block([i], range(reps.ncols)) for i, value
+                  in enumerate(sl.degree_profile(standard_omega(sl.cx))) if value)
     return {
         # del into the top degree vanishes on every structure, so no form
         # fails the Gauduchon equation; a nonzero ddj out of 2n-2 must
@@ -390,7 +398,7 @@ def _degree_profile_faults(mc, sl):
             "h_ae", lambda p: h_ae(p) + 2 * (p == 1),
             TheoremViolation, r"h_AE\(1\) = 6 exceeds h_del\(1\) \+ 1 = 4"),
         "closed-classes": (
-            "closed", lambda p: Mat.from_rows([moved]) if p == 1 else closed(p),
+            "closed", lambda p: moved if p == 1 else closed(p),
             TheoremViolation, "does not vanish on a del-closed class"),
     }
 
