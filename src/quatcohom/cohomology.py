@@ -74,6 +74,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 from .errors import InternalInconsistency, TheoremViolation
 from .linalg import (Mat, kernel_basis, last_nonzero_columns, pivot_columns,
                      rank, rref)
+from .memo import memo
 
 if TYPE_CHECKING:
     from .quaternionic import QuaternionicComplex
@@ -96,10 +97,6 @@ class MatrixComplex:
         self._del = list(del_mats)
         self._delj = list(delj_mats)
         self.quaternionic_dim = quaternionic_dim
-        self._splits: Dict[int, Tuple[Mat, List[int]]] = {}
-        self._ranks: Dict[int, Dict[str, int]] = {}
-        self._pages: Optional[List[int]] = None
-        self._table: Optional["CohomologyTable"] = None
         self._ddj: List[Mat] = []
         self._check_shapes()
 
@@ -155,13 +152,12 @@ class MatrixComplex:
 
     # -- the split of del and the named operators' ranks --------------------
 
+    @memo
     def _split(self, p: int) -> Tuple[Mat, List[int]]:
         """The split of del_p, built once: K_p = `kernel_basis(del_p)`, whose
         rows are a basis of ker del_p, and its free columns F_p."""
-        if p not in self._splits:
-            kernel = kernel_basis(self.delta(p))
-            self._splits[p] = (kernel, last_nonzero_columns(kernel))
-        return self._splits[p]
+        kernel = kernel_basis(self.delta(p))
+        return kernel, last_nonzero_columns(kernel)
 
     def closed(self, p: int) -> Mat:
         """K_p, the split's basis of ker del_p, one vector per row."""
@@ -172,6 +168,7 @@ class MatrixComplex:
         on the kernel basis of del_p, if they lie in that kernel."""
         return matrix.block(self._split(p)[1], range(matrix.ncols))
 
+    @memo
     def _block_ranks(self, p: int) -> Dict[str, int]:
         """The ranks of del_J, side, ddj, stacked and e2_num out of degree p,
         read off the split of del_p and built once.
@@ -180,22 +177,20 @@ class MatrixComplex:
         JK_p is formed once, and [del_p | JK_p] and ddj_p are taken on free
         rows (see the module docstring).
         """
-        if p not in self._ranks:
-            dim, r = self.dim(p), self.rank("del", p)
-            pivots = pivot_columns(self.delta_j(p).hstack(self.delta(p)))
-            jk = self._free_rows(self.delta_j(p), p + 1) @ self._split(p)[0].transpose()
-            e2_pivots = pivot_columns(self._free_rows(self.delta(p), p + 1).hstack(jk))
-            if bisect_left(e2_pivots, dim) != r:
-                raise InternalInconsistency("the pivots and the kernel of del at "
-                                            f"degree {p} disagree on its rank")
-            self._ranks[p] = {
-                "del_J": bisect_left(pivots, dim),
-                "side": len(pivots),
-                "ddj": rank(self._free_rows(self.ddj(p), p + 2)),
-                "stacked": r + rank(jk),
-                "e2_num": r + len(e2_pivots),
-            }
-        return self._ranks[p]
+        dim, r = self.dim(p), self.rank("del", p)
+        pivots = pivot_columns(self.delta_j(p).hstack(self.delta(p)))
+        jk = self._free_rows(self.delta_j(p), p + 1) @ self._split(p)[0].transpose()
+        e2_pivots = pivot_columns(self._free_rows(self.delta(p), p + 1).hstack(jk))
+        if bisect_left(e2_pivots, dim) != r:
+            raise InternalInconsistency("the pivots and the kernel of del at "
+                                        f"degree {p} disagree on its rank")
+        return {
+            "del_J": bisect_left(pivots, dim),
+            "side": len(pivots),
+            "ddj": rank(self._free_rows(self.ddj(p), p + 2)),
+            "stacked": r + rank(jk),
+            "e2_num": r + len(e2_pivots),
+        }
 
     def rank(self, name: str, p: int) -> int:
         """Rank of one operator out of degree p; zero outside 0..top-1, where
@@ -317,6 +312,7 @@ class MatrixComplex:
             )
         return reduced.block(range(k), range(start, start + vectors.ncols))
 
+    @memo
     def e2_pages_all(self) -> List[int]:
         """dim E2 for every degree, by explicit page iteration.
 
@@ -328,8 +324,6 @@ class MatrixComplex:
         rank formula of e2_formula: it never forms JK or the rank route's
         pivot passes, and the two must agree.
         """
-        if self._pages is not None:
-            return self._pages
         page_one = [self._page_one(p) for p in range(self.top + 1)]
         d1: Dict[int, Mat] = {}
         for p in range(self.top + 1):
@@ -340,10 +334,8 @@ class MatrixComplex:
                 # del_J of every representative at once, one per column
                 d1[p] = self._class_coords(self.delta_j(p) @ src, p + 1, page_one[p + 1])
         ranks = [rank(d1[p]) for p in range(self.top + 1)]
-        pages = [page_one[p].ncols - ranks[p] - (ranks[p - 1] if p else 0)
-                 for p in range(self.top + 1)]
-        self._pages = pages
-        return pages
+        return [page_one[p].ncols - ranks[p] - (ranks[p - 1] if p else 0)
+                for p in range(self.top + 1)]
 
     def e2(self, p: int) -> int:
         by_formula = self.e2_formula(p)
@@ -357,9 +349,8 @@ class MatrixComplex:
 
     # -- the full table ------------------------------------------------------
 
+    @memo
     def table(self) -> "CohomologyTable":
-        if self._table is not None:
-            return self._table
         degrees = range(self.top + 1)
         h_del = [self.h_del(p) for p in degrees]
         h_delj = [self.h_delj(p) for p in degrees]
@@ -402,7 +393,7 @@ class MatrixComplex:
                             f"degree-shift identities e(p)=b(p+1), c(p)=d(p+1) "
                             f"fail at degree {p}"
                         )
-        self._table = CohomologyTable(
+        return CohomologyTable(
             top_degree=self.top,
             quaternionic_dim=self.quaternionic_dim,
             h_del=tuple(h_del),
@@ -419,7 +410,6 @@ class MatrixComplex:
             dim_e2=tuple(e2),
             delta=tuple(h_bc[p] + h_ae[p] - 2 * e2[p] for p in degrees),
         )
-        return self._table
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,8 @@ taking the rows as they are, the integer row of row (d, entries) being its
 entries.  `_eliminate` is sparse fraction-free Gauss-Jordan elimination.
 The pivot of each column comes from the sparsest row that can supply it,
 and an update touches only the rows nonzero in the pivot column, and only
-their nonzero entries; each updated row is divided by its content in Z[i],
-which keeps the integers as small as Bareiss elimination's.  `rref`,
+their nonzero entries; each updated row and each pivot is divided by its
+content in Z[i], which keeps the integers as small as Bareiss's.  `rref`,
 `rank`, `pivot_columns`, `kernel_basis`, `solve`, `inverse`, `row_basis`,
 `kernel_and_row_basis` and `complement_basis` are read off it; `rank`,
 `pivot_columns` and the complement pick need only the pivots, so they
@@ -62,6 +62,7 @@ brings them to lowest terms.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -579,26 +580,23 @@ def _gaussian_gcd(ar: int, ai: int, br: int, bi: int) -> _GaussInt:
     return ar, ai
 
 
-def _make_primitive(row: _Entries, norms: int) -> None:
-    """Divide a row by its content in Z[i].
+def _make_primitive(row: _Entries) -> None:
+    """Divide a nonzero row by its content in Z[i], in one Euclid pass.
 
-    `norms` is the gcd of the norms of the entries, which the norm of the
-    content divides.  The integer content g is divided out first, in one
-    gcd.  What is left of the content divides norms / g^2 in Z[i], so
-    Euclid starts from that integer and runs again only for an entry the
-    current candidate does not divide.
+    The candidate starts as the first entry and becomes its gcd with each
+    entry it does not divide, unless their norms are coprime, which shows
+    the row primitive.  A unit candidate ends the pass too.
     """
-    g = gcd(*chain.from_iterable(row.values()))
-    if g != 1:
-        for j, (x, y) in row.items():
-            row[j] = (x // g, y // g)
-    cr, ci = norms // (g * g), 0
-    if cr == 1:
+    entries = iter(row.values())
+    cr, ci = next(entries)
+    n = cr * cr + ci * ci
+    if n == 1:
         return
-    n = cr * cr
-    for x, y in row.values():
+    for x, y in entries:
         # (x + y*i) / (cr + ci*i) is (x + y*i)(cr - ci*i) / n
         if (x * cr + y * ci) % n or (y * cr - x * ci) % n:
+            if gcd(n, x * x + y * y) == 1:
+                return
             cr, ci = _gaussian_gcd(x, y, cr, ci)
             n = cr * cr + ci * ci
             if n == 1:
@@ -619,8 +617,9 @@ def _eliminate(matrix: Mat, reduce_above: bool = True) -> _Reduction:
     p * row - f * pivot_row, where p is the pivot entry and f the row's
     entry in the pivot column, both first divided by their common integer
     factor, and is then divided by its content, the gcd in Z[i] of its
-    entries.  A column index lists the rows nonzero in each column, so a
-    step touches only the rows that hold the pivot column, and only their
+    entries, as is an input row taken as a pivot.  A column index lists
+    the rows nonzero in each column that some row holds, so a step
+    touches only the rows that hold the pivot column, and only their
     nonzero entries.
 
     The content keeps coefficients as small as Bareiss's.  A row not yet
@@ -642,17 +641,19 @@ def _eliminate(matrix: Mat, reduce_above: bool = True) -> _Reduction:
     pivot.
     """
     rows = [dict(entries) for _, entries in matrix._rows]
-    index: List[Set[int]] = [set() for _ in range(matrix.ncols)]
+    index: Dict[int, Set[int]] = defaultdict(set)
     for r, row in enumerate(rows):
         for j in row:
             index[j].add(r)
     live = [True] * len(rows)
+    primitive = [False] * len(rows)  # an input row is not made primitive yet
     remaining = sum(1 for row in rows if row)  # live rows that are nonzero
     pivot_rows: List[_Entries] = []
     pivots: List[int] = []
-    for col, hits in enumerate(index):
+    for col in sorted(index):  # fill-in comes only in columns held already
         if not remaining:
             break
+        hits = index[col]
         candidates = [r for r in hits if live[r]]
         if not candidates:
             continue
@@ -661,6 +662,10 @@ def _eliminate(matrix: Mat, reduce_above: bool = True) -> _Reduction:
         remaining -= 1
         pivot_row = rows[source]
         pr, pi = pivot_row[col]
+        # a row with a unit entry is primitive already
+        if not primitive[source] and pr * pr + pi * pi != 1:
+            _make_primitive(pivot_row)
+            pr, pi = pivot_row[col]
         for r in hits if reduce_above else candidates:
             if r == source:
                 continue
@@ -692,15 +697,11 @@ def _eliminate(matrix: Mat, reduce_above: bool = True) -> _Reduction:
                     else:
                         del row[j]
                         index[j].discard(r)
-            if not row:
-                if live[r]:
-                    remaining -= 1
-                continue
-            # the content's norm divides every entry's norm, so mostly this
-            # one gcd shows that the row is primitive already
-            norms = gcd(*[x * x + y * y for x, y in row.values()])
-            if norms != 1:
-                _make_primitive(row, norms)
+            if row:
+                _make_primitive(row)
+                primitive[r] = True
+            elif live[r]:
+                remaining -= 1
         pivot_rows.append(pivot_row)
         pivots.append(col)
     return _Reduction(pivot_rows, pivots)

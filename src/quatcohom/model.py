@@ -53,6 +53,7 @@ from .errors import (
 )
 from .exterior import Mono, merge_monomials, render_terms
 from .linalg import Mat, bilinear_rows, inverse, kernel_and_row_basis, rank, row_basis
+from .memo import memo
 from .scalars import I_UNIT, ZERO, GaussianRational, ParamExpr, RationalLike
 
 Term = Tuple[int, int, GaussianRational]
@@ -163,10 +164,6 @@ class InstantiatedAlgebra:
     mat_k_given: Optional[Mat]
     name: str
     bindings: Tuple[Tuple[str, Fraction], ...]
-    _eigenspaces: Dict[str, Tuple[Mat, Mat]] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
-    _eigenbases: Dict[str, Mat] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def mat_k(self) -> Mat:
@@ -210,22 +207,22 @@ class InstantiatedAlgebra:
         """
         return bilinear_rows(self.ad, self.denominator, left, right, pairs)
 
+    @memo
     def eigenspace(self, label: str) -> Tuple[Mat, Mat]:
         """The +i eigenspace of I, J or K on the coframe, as the rows of the
         kernel basis of M - i, and a basis of the vectors all its forms
         annihilate, the row space of M - i: both read off one elimination,
         once per structure."""
-        if label not in self._eigenspaces:
-            mat = {"I": self.mat_i, "J": self.mat_j, "K": self.mat_k}[label]
-            m = self.dimension
-            forms, vectors = kernel_and_row_basis(mat - Mat.identity(m).scale(I_UNIT))
-            if 2 * forms.nrows != m:
-                raise EigenspaceDimensionError(
-                    f"+i eigenspace has dimension {forms.nrows}, expected {m // 2}"
-                )
-            self._eigenspaces[label] = forms, vectors
-        return self._eigenspaces[label]
+        mat = {"I": self.mat_i, "J": self.mat_j, "K": self.mat_k}[label]
+        m = self.dimension
+        forms, vectors = kernel_and_row_basis(mat - Mat.identity(m).scale(I_UNIT))
+        if 2 * forms.nrows != m:
+            raise EigenspaceDimensionError(
+                f"+i eigenspace has dimension {forms.nrows}, expected {m // 2}"
+            )
+        return forms, vectors
 
+    @memo
     def eigen_rows(self, label: str) -> Mat:
         """Canonical basis of the +i eigenspace of I, J or K on the coframe,
         as rows: the reduced echelon form of `eigenspace`, computed once.
@@ -233,9 +230,7 @@ class InstantiatedAlgebra:
         The coframe is built from the one of I; those of J and K are built
         only to name an integrability defect.
         """
-        if label not in self._eigenbases:
-            self._eigenbases[label] = row_basis(self.eigenspace(label)[0])
-        return self._eigenbases[label]
+        return row_basis(self.eigenspace(label)[0])
 
 
 def _eval_real(expr: ParamExpr, bindings: Mapping[str, RationalLike],

@@ -51,6 +51,7 @@ from .errors import (
 from .exterior import Mono, merge_monomials, render_terms
 from .linalg import (Mat, SignedPermutation, kernel_basis, realify_antilinear,
                      realify_linear, row_basis)
+from .memo import memo
 from .model import (
     AlgebraSpec,
     InstantiatedAlgebra,
@@ -68,10 +69,10 @@ _MATRIX_NAMES = ("del", "del_bar", "del_J")
 _INDEX_MAP_NAMES = ("J", "Jbar")
 
 # The largest middle (n,0) basis, C(2n, n), of a structure the engine
-# builds operators for: 12870 at real dimension 32, the largest size
-# measured to finish, where the session build and the report take about
-# 8 to 10 s and 140 MB (Python 3.11, two shared CPUs).
-# Real dimension 36 has 48620 forms in the middle degree.
+# builds operators for: 12870 at real dimension 32, where the sparse direct
+# sum example3+example3+torus8 builds in 1.3-2.1 s and reports in 6.5-7.6 s
+# (138 MB).  It counts forms, not work, so it does not bound a dense input
+# (see README).  Real dimension 36 has 48620 forms in the middle degree.
 MAX_MIDDLE_BASIS = 12870
 
 
@@ -123,10 +124,6 @@ class QuaternionicComplex:
                 raise InternalInconsistency(
                     f"J does not send coframe generator {r + 1} to a signed generator")
             self._j_gens.append((image[0][0], 1 if image[0][1] == ONE else -1))
-
-        self._indices: Dict[Tuple[int, int], Dict[Mono, int]] = {}
-        self._matrices: Dict[Tuple[str, int], Mat] = {}
-        self._index_maps: Dict[Tuple[str, int], SignedPermutation] = {}
 
         # the top form phi^1 ^ ... ^ phi^2n must be holomorphic and Jbar-real;
         # del_bar out of (2n,0) is the one column of its image
@@ -181,11 +178,10 @@ class QuaternionicComplex:
         anti = [tuple(c) for c in combinations(range(self.half, self.dimension), q)]
         return [h + a for h in self.hol_basis(p) for a in anti]
 
+    @memo
     def _index(self, p: int, q: int) -> Dict[Mono, int]:
         """Position of each (p,q) monomial in `bidegree_basis(p, q)`."""
-        if (p, q) not in self._indices:
-            self._indices[p, q] = {m: k for k, m in enumerate(self.bidegree_basis(p, q))}
-        return self._indices[p, q]
+        return {m: k for k, m in enumerate(self.bidegree_basis(p, q))}
 
     # -- operator matrices -------------------------------------------------
 
@@ -225,6 +221,7 @@ class QuaternionicComplex:
             signs.append(-1 if sign % 2 else 1)
         return SignedPermutation(tuple(targets), tuple(signs))
 
+    @memo
     def index_map(self, which: str, p: int) -> SignedPermutation:
         """J or Jbar out of the (p,0) monomial basis, built once.
 
@@ -234,40 +231,30 @@ class QuaternionicComplex:
         as a map of (p,0): J^2 = (-1)^p on p-forms makes it J out of (0,p),
         and conjugation keeps each monomial's place.
         """
-        key = (which, p)
-        if key not in self._index_maps:
-            if which == "J":
-                perm = self._j_map(p)
-            elif which == "Jbar":
-                back = self.index_map("J", p).inverse()
-                perm = -back if p % 2 else back
-            else:
-                raise ValueError(f"{which!r} is not a signed permutation; "
-                                 f"choose from {_INDEX_MAP_NAMES}")
-            self._index_maps[key] = perm
-        return self._index_maps[key]
+        if which == "J":
+            return self._j_map(p)
+        if which == "Jbar":
+            back = self.index_map("J", p).inverse()
+            return -back if p % 2 else back
+        raise ValueError(f"{which!r} is not a signed permutation; "
+                         f"choose from {_INDEX_MAP_NAMES}")
 
+    @memo
     def operator_matrix(self, which: str, p: int) -> Mat:
         """Exact matrix of an operator out of the (p,0) monomial basis, built once.
 
         del lands in (p+1,0), del_bar in (p,1) and del_J in (p+1,0).
         """
-        key = (which, p)
-        if key in self._matrices:
-            return self._matrices[key]
         if which == "del":
-            mat = self._derivation(self._del_parts, p, (p + 1, 0))
-        elif which == "del_bar":
-            mat = self._derivation(self._del_bar_parts, p, (p, 1))
-        elif which == "del_J":
+            return self._derivation(self._del_parts, p, (p + 1, 0))
+        if which == "del_bar":
+            return self._derivation(self._del_bar_parts, p, (p, 1))
+        if which == "del_J":
             # J(p+1,0)^{-1} del_bar(0,p) J(p,0), by relabelling, with
             # del_bar out of (0,p) read as del out of (p,0) conjugated
-            mat = self.index_map("J", p + 1).inverse().relabel_rows(
+            return self.index_map("J", p + 1).inverse().relabel_rows(
                 self.index_map("J", p).relabel_columns(self.operator_matrix("del", p).conj()))
-        else:
-            raise ValueError(f"unknown operator {which!r}; choose from {_MATRIX_NAMES}")
-        self._matrices[key] = mat
-        return mat
+        raise ValueError(f"unknown operator {which!r}; choose from {_MATRIX_NAMES}")
 
     @cached_property
     def hkt_space(self) -> Mat:

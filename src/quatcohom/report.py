@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, List, Mapping, Optional, Sequence, Union
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from .cohomology import (
     CohomologyTable,
@@ -22,9 +22,9 @@ from .cohomology import (
     frolicher_degenerate,
     non_hkt_degrees,
 )
-from .errors import EngineError
 from .fileio import document_from_spec
 from .linalg import Mat
+from .memo import memo
 from .metrics import ExistenceVerdict, MetricCandidate, hkt_existence, sg_existence
 from .model import AlgebraSpec, ValidationReport
 from .quaternionic import QuaternionicComplex
@@ -51,29 +51,17 @@ class ReportSession:
         }
         self.cx = QuaternionicComplex.build(spec, bindings)
         self.mc = MatrixComplex.from_quaternionic(self.cx)
-        self._verdicts: Dict[str, Union[ExistenceVerdict, EngineError]] = {}
 
     @cached_property
     def sl(self) -> SLStructure:
         return SLStructure(self.cx, self.mc)
 
+    @memo
     def verdict(self, question: str) -> ExistenceVerdict:
-        """The verdict on "hkt" or "strongly-gauduchon", decided once.
-
-        An engine error of the decision is kept too and raised again, so
-        every reader fails with the same detail.
-        """
-        if question not in self._verdicts:
-            decide = {"hkt": hkt_existence,
-                      "strongly-gauduchon": sg_existence}[question]
-            try:
-                self._verdicts[question] = decide(self.cx, self.mc)
-            except EngineError as exc:
-                self._verdicts[question] = exc
-        outcome = self._verdicts[question]
-        if isinstance(outcome, EngineError):
-            raise outcome
-        return outcome
+        """The verdict on "hkt" or "strongly-gauduchon", decided once; an
+        engine error of the decision is kept and raised again too."""
+        decide = {"hkt": hkt_existence, "strongly-gauduchon": sg_existence}
+        return decide[question](self.cx, self.mc)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from .cohomology import MatrixComplex
 from .errors import (
@@ -55,6 +55,7 @@ from .linalg import (
     realify_linear,
     row_basis,
 )
+from .memo import memo
 from .metrics import omega_power
 from .quaternionic import QuaternionicComplex
 from .scalars import GaussianRational
@@ -116,14 +117,10 @@ class SLStructure:
     def __init__(self, cx: QuaternionicComplex, mc: MatrixComplex):
         self.cx = cx
         self.mc = mc
-        self._wedges: Dict[int, SignedPermutation] = {}
-        self._bc: Dict[int, Mat] = {}
-        self._ae: Dict[int, Mat] = {}
-        self._sd_asd: Optional[Tuple[int, int, bool]] = None
-        self._jbar: Optional[DecompositionReport] = None
 
     # -- the Hodge star ------------------------------------------------------
 
+    @memo
     def wedge_matrix(self, p: int) -> SignedPermutation:
         """W[i][k], the volume coefficient of m_i ^ m'_k.
 
@@ -135,8 +132,6 @@ class SLStructure:
         permutation that sorts the two: W is the signed permutation sending
         column k to that sign times row i.
         """
-        if p in self._wedges:
-            return self._wedges[p]
         if p < 0 or p > self.cx.half:
             raise ValueError(f"no (p,0) forms at p={p}")
         top = set(range(self.cx.half))
@@ -151,9 +146,7 @@ class SLStructure:
             k = tgt[tuple(sorted(top.difference(mono)))]
             targets[k] = i
             signs[k] = -1 if (sum(mono) - shift) % 2 else 1
-        wedge = SignedPermutation(tuple(targets), tuple(signs))
-        self._wedges[p] = wedge
-        return wedge
+        return SignedPermutation(tuple(targets), tuple(signs))
 
     def star_matrix(self, p: int) -> SignedPermutation:
         """Matrix of the star on (p,0), solved from the wedge relation.
@@ -167,23 +160,20 @@ class SLStructure:
 
     # -- duality pairing -----------------------------------------------------
 
+    @memo
     def _bc_representatives(self, p: int) -> Mat:
         """The Bott-Chern class basis at degree p, built once: the rows of
         the canonical basis of ker del ∩ ker del_J that complete Im ddj."""
-        if p not in self._bc:
-            mc = self.mc
-            closed = row_basis(kernel_basis(mc.delta(p).vstack(mc.delta_j(p))))
-            self._bc[p] = complement_basis(closed, mc.ddj(p - 2))
-        return self._bc[p]
+        mc = self.mc
+        closed = row_basis(kernel_basis(mc.delta(p).vstack(mc.delta_j(p))))
+        return complement_basis(closed, mc.ddj(p - 2))
 
+    @memo
     def _ae_representatives(self, p: int) -> Mat:
         """The Aeppli class basis at degree p, built once: the rows of the
         canonical basis of ker ddj that complete Im del + Im del_J."""
-        if p not in self._ae:
-            mc = self.mc
-            closed = row_basis(kernel_basis(mc.ddj(p)))
-            self._ae[p] = complement_basis(closed, _side(mc, p - 1))
-        return self._ae[p]
+        closed = row_basis(kernel_basis(self.mc.ddj(p)))
+        return complement_basis(closed, _side(self.mc, p - 1))
 
     def pairing_matrix(self, p: int) -> PairingResult:
         """Pairing of degree-p against degree-(2n-p) classes by wedging.
@@ -230,6 +220,7 @@ class SLStructure:
 
     # -- self-dual / anti-self-dual decomposition (middle degree, n=2) ------
 
+    @memo
     def sd_asd_decomposition(self) -> Tuple[int, int, bool]:
         """Images of closed (anti-)self-dual forms inside H^{2,0}.
 
@@ -237,11 +228,6 @@ class SLStructure:
         to +1 on (2,0) and splits it into honest complex eigenspaces.
         Computed once per structure.
         """
-        if self._sd_asd is None:
-            self._sd_asd = self._decompose_sd_asd()
-        return self._sd_asd
-
-    def _decompose_sd_asd(self) -> Tuple[int, int, bool]:
         if self.cx.n != 2:
             raise NotSL2(
                 f"the middle self-dual decomposition needs quaternionic "
@@ -274,6 +260,7 @@ class SLStructure:
 
     # -- Jbar-fixed decomposition -------------------------------------------
 
+    @memo
     def jbar_decomposition(self) -> DecompositionReport:
         """Real and imaginary parts of H^{2,0} with respect to Jbar.
 
@@ -281,11 +268,6 @@ class SLStructure:
         have equal real dimension; the supports of purity and fullness are
         the complex intersection and sum.  Computed once per structure.
         """
-        if self._jbar is None:
-            self._jbar = self._decompose_jbar()
-        return self._jbar
-
-    def _decompose_jbar(self) -> DecompositionReport:
         cx = self.cx
         # over the reals: ker and im of the realified del are the realified
         # ker and im of del, so im_real has twice the rank of del; the plus

@@ -339,7 +339,7 @@ def test_page_one_refuses_a_kernel_basis_that_misses_im_del():
     # with ker del at degree 1 given no basis, the image of del out of
     # degree 0, the wedge by e^0, is not inside it
     mc = _hand_built_complex()
-    mc._splits[1] = (Mat.zeros(0, mc.dim(1)), [])
+    MatrixComplex._split.results(mc)[1,] = (Mat.zeros(0, mc.dim(1)), [])
     with pytest.raises(InternalInconsistency, match="Im del is not inside ker del at degree 1"):
         mc.e2_pages_all()
 
@@ -386,7 +386,7 @@ def _assert_caches_match_fresh_work(mc):
     # once at run time, so here they are formed again and compared
     mc.table()
     for p in range(mc.top + 1):
-        assert p in mc._splits
+        assert (p,) in MatrixComplex._split.results(mc)
         kernel = kernel_basis(mc.delta(p))
         assert mc._split(p) == (kernel, last_nonzero_columns(kernel))
         assert mc.ddj(p) == mc.delta(p + 1) @ mc.delta_j(p)
@@ -631,7 +631,8 @@ def _drop_a_kernel_row(mc, p):
     """Replace the split of del_p by K_p without its first row and F_p
     without that row's free column."""
     kernel, free = mc._split(p)
-    mc._splits[p] = (kernel.block(range(1, kernel.nrows), range(kernel.ncols)), free[1:])
+    MatrixComplex._split.results(mc)[p,] = (
+        kernel.block(range(1, kernel.nrows), range(kernel.ncols)), free[1:])
 
 
 def test_pivot_pass_refuses_a_kernel_that_lost_a_row():

@@ -661,11 +661,12 @@ def test_row_basis_depends_only_on_the_row_space(m, seed, data):
 
 
 def test_sparsest_candidate_row_supplies_the_pivot():
-    # rows 0 and 1 both hold column 0; row 1 is sparser and is taken, and
-    # the outputs are those of the first-row rule all the same
+    # rows 0 and 1 both hold column 0; row 1 is sparser and is taken,
+    # divided by its content 3, and the outputs are those of the first-row
+    # rule all the same
     m = Mat.from_rows([[1, 1, 1, 2], [3, 0, 0, 0], [0, 1, 0, 1], [1, 0, 2, 0]])
     reduction = _eliminate(m, reduce_above=False)
-    assert reduction.rows[0] == {0: (3, 0)}
+    assert reduction.rows[0] == {0: (1, 0)}
     assert reference_eliminate(m, reduce_above=False).steps[0] == ((1, 0), False)
     _check_against_reference(m)
     assert det(m) == -6
@@ -689,3 +690,36 @@ def test_coefficients_stay_within_the_hadamard_bound(rows, reduce_above):
     for row in _eliminate(m, reduce_above).rows:
         for x, y in row.values():
             assert x * x + y * y <= bound
+
+
+def _gaussian_content_norm(row):
+    """The norm of the gcd in Z[i] of a row's integer entries: Euclid, with
+    each quotient rounded to the nearest Gaussian integer."""
+    ar = ai = 0
+    for br, bi in row.values():
+        while br or bi:
+            q = GaussianRational(ar, ai) / GaussianRational(br, bi)
+            qr, qi = round(q.re), round(q.im)
+            ar, ai, br, bi = br, bi, ar - qr * br + qi * bi, ai - qr * bi - qi * br
+    return ar * ar + ai * ai
+
+
+non_units = st.sampled_from([GaussianRational(1, 1), GaussianRational(2, 1), GaussianRational(3)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.tuples(st.lists(gaussian_integers, min_size=n, max_size=n), non_units),
+    min_size=1, max_size=6)))
+def test_every_kept_row_is_primitive_after_rows_scaled_by_non_units(scaled_rows):
+    # each input row times 1+i, 2+i or 3 has that non-unit in its content;
+    # the rows the kernel keeps must have none, in either mode, and the
+    # pivots and the reduced form are those of plain Gauss-Jordan
+    m = Mat.from_rows([[x * factor for x in row] for row, factor in scaled_rows])
+    expected, expected_pivots = reference_rref(m)
+    for reduce_above in (False, True):
+        reduction = _eliminate(m, reduce_above)
+        assert reduction.pivots == expected_pivots
+        for row in reduction.rows:
+            assert _gaussian_content_norm(row) == 1
+    assert rref(m) == (expected, expected_pivots)

@@ -207,20 +207,27 @@ def test_suite_draws_the_scalar_triples_once_per_process(monkeypatch, ex1, torus
 
 
 def test_report_decomposes_the_middle_cohomology_once(monkeypatch):
+    from functools import wraps
+
+    from quatcohom.memo import memo
     from quatcohom.report import ReportSession, build_report_from_session
     from quatcohom.slstructure import SLStructure
 
-    calls = {"_decompose_jbar": 0, "_decompose_sd_asd": 0}
+    # each body is counted under the method's own memo
+    calls = {"jbar_decomposition": 0, "sd_asd_decomposition": 0}
     for name in calls:
-        def counted(self, _name=name, _body=getattr(SLStructure, name)):
+        body = getattr(SLStructure, name).__wrapped__
+
+        @wraps(body)
+        def counted(self, _name=name, _body=body):
             calls[_name] += 1
             return _body(self)
 
-        monkeypatch.setattr(SLStructure, name, counted)
+        monkeypatch.setattr(SLStructure, name, memo(counted))
     session = ReportSession(load_corpus("example1"))
     doc = build_report_from_session(session)
     # the suite and the decomposition section read the same results
-    assert calls == {"_decompose_jbar": 1, "_decompose_sd_asd": 1}
+    assert calls == {"jbar_decomposition": 1, "sd_asd_decomposition": 1}
     assert doc["decomposition"]["self_dual"]["plus_dim"] == 2
 
 

@@ -234,10 +234,10 @@ def test_self_dual_split_by_ranks_matches_the_subspace_reference():
         plus, minus, split = reference_sd_asd(sl)
         outcomes.add(split)
         if split:
-            assert sl._decompose_sd_asd() == (plus, minus, True)
+            assert sl.sd_asd_decomposition() == (plus, minus, True)
         else:
             with pytest.raises(DecompositionFailure, match="direct=False, exhausts=True"):
-                sl._decompose_sd_asd()
+                sl.sd_asd_decomposition()
     assert outcomes == {True, False}
 
 
@@ -257,7 +257,7 @@ def test_self_dual_split_takes_no_kernel(monkeypatch):
 
     for module in (linalg, cohomology, slstructure):
         monkeypatch.setattr(module, "kernel_basis", counting, raising=False)
-    assert session.sl._decompose_sd_asd() == (2, 2, True)
+    assert session.sl.sd_asd_decomposition() == (2, 2, True)
     assert taken == []
 
 
@@ -270,7 +270,7 @@ def test_self_dual_split_refuses_loci_that_miss_closed_forms(monkeypatch):
     monkeypatch.setattr(mc, "rank", lambda name, p: original(name, p) + (
         (name, p) == ("del", 2)))
     with pytest.raises(DecompositionFailure, match="direct=True, exhausts=False"):
-        session.sl._decompose_sd_asd()
+        session.sl.sd_asd_decomposition()
 
 
 def test_jbar_decomposition_example1(ex1):
