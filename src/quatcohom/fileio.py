@@ -213,19 +213,19 @@ def serialize_spec(spec: AlgebraSpec) -> str:
 
 # -- the bundled corpus -----------------------------------------------------
 
+_CORPUS = resources.files(__package__) / "corpus"
+
 
 def corpus_names() -> List[str]:
-    root = resources.files(__package__) / "corpus"
     return sorted(
         entry.name[: -len(".json")]
-        for entry in root.iterdir()
+        for entry in _CORPUS.iterdir()
         if entry.name.endswith(".json")
     )
 
 
 def load_corpus(name: str) -> AlgebraSpec:
-    root = resources.files(__package__) / "corpus"
-    entry = root / f"{name}.json"
+    entry = _CORPUS / f"{name}.json"
     if not entry.is_file():
         raise SchemaError(
             f"no bundled description named '{name}'; available: "
@@ -252,8 +252,7 @@ def load_spec_file(path: str) -> AlgebraSpec:
     base = os.path.basename(path)
     if base == path:
         name = base[: -len(".json")] if base.endswith(".json") else base
-        root = resources.files(__package__) / "corpus"
-        if (root / f"{name}.json").is_file():
+        if (_CORPUS / f"{name}.json").is_file():
             return load_corpus(name)
     raise FileNotFoundError(f"no such file: {path}")
 

@@ -64,13 +64,13 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 from math import gcd, lcm, prod
 from typing import (Dict, Iterable, List, Mapping, NamedTuple, Optional,
                     Sequence, Set, Tuple)
 
 from .errors import NotASubspace
+from .memo import memo
 from .scalars import ZERO, GaussianRational, ScalarLike
 
 Row = Tuple[GaussianRational, ...]
@@ -472,12 +472,9 @@ class SignedPermutation:
             tuple(targets[t] for t in other.targets),
             tuple(signs[t] * s for t, s in zip(other.targets, other.signs)))
 
+    @memo
     def inverse(self) -> "SignedPermutation":
         """The inverse, which is the transpose; built once."""
-        return self._inverse
-
-    @cached_property
-    def _inverse(self) -> "SignedPermutation":
         targets = [0] * self.size
         signs = [1] * self.size
         for j, (t, s) in enumerate(zip(self.targets, self.signs)):
@@ -884,6 +881,13 @@ def det(matrix: Mat) -> GaussianRational:
     if matrix.nrows != matrix.ncols:
         raise ValueError("determinant of a non-square matrix")
     pivots, _, sign = _diagonal_pass(matrix)
+    return _last_minor(matrix, pivots, sign)
+
+
+def _last_minor(matrix: Mat, pivots: List[_GaussInt], sign: int) -> GaussianRational:
+    """The determinant from the `_diagonal_pass` of the matrix: 0 if the
+    pass stopped short, else its signed last pivot over the product of
+    the row denominators."""
     if len(pivots) < matrix.nrows:
         return ZERO
     x, y = pivots[-1] if pivots else (1, 0)
@@ -895,21 +899,25 @@ def leading_principal_minors(matrix: Mat) -> List[GaussianRational]:
 
     Up to the first zero diagonal entry of `_diagonal_pass`, the k-th minor
     is the k-th pivot over the product of the first k row denominators.
-    That zero entry is the next minor, and each later minor takes a `det`
-    of its own block, which a positive-definite matrix never needs.
+    That zero entry is the next minor, the last minor is the determinant
+    read off the same pass, and each minor in between takes a `det` of its
+    own block, which a positive-definite matrix never needs.
     """
-    if matrix.nrows != matrix.ncols:
+    n = matrix.nrows
+    if n != matrix.ncols:
         raise ValueError("principal minors of a non-square matrix")
-    pivots, first_zero, _ = _diagonal_pass(matrix)
+    pivots, first_zero, sign = _diagonal_pass(matrix)
     minors = []
     scale = 1
     for (x, y), (d, _) in zip(pivots[:first_zero], matrix._rows):
         scale *= d
         minors.append(_from_integers(x, y, scale))
-    if first_zero < matrix.nrows:
+    if first_zero < n:
         minors.append(ZERO)
         minors.extend(det(matrix.block(range(k), range(k)))
-                      for k in range(first_zero + 2, matrix.nrows + 1))
+                      for k in range(first_zero + 2, n))
+        if first_zero + 1 < n:
+            minors.append(_last_minor(matrix, pivots, sign))
     return minors
 
 

@@ -162,8 +162,6 @@ class InstantiatedAlgebra:
     mat_i: Mat
     mat_j: Mat
     mat_k_given: Optional[Mat]
-    name: str
-    bindings: Tuple[Tuple[str, Fraction], ...]
 
     @cached_property
     def mat_k(self) -> Mat:
@@ -301,8 +299,6 @@ def instantiate(spec: AlgebraSpec,
         mat_i=table(spec.op_i, "I"),
         mat_j=table(spec.op_j, "J"),
         mat_k_given=None if spec.op_k is None else table(spec.op_k, "K"),
-        name=spec.name,
-        bindings=tuple(sorted((k, Fraction(v)) for k, v in bindings.items())),
     )
 
 
@@ -540,20 +536,10 @@ def validate_hypercomplex(spec: AlgebraSpec,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuaternionicCoframe:
-    """2n (1,0)-forms for I, paired so that J(conj(phi^{2k-1})) = phi^{2k}.
-
-    Each row of `forms` holds the coefficients of one phi over the real
-    coframe.
-    """
-
-    dimension: int
-    forms: Mat
-
-
-def _build_coframe(inst: InstantiatedAlgebra) -> QuaternionicCoframe:
-    """Deterministic J-paired eigenbasis of the (1,0)-forms of I.
+def _build_coframe(inst: InstantiatedAlgebra) -> Mat:
+    """Deterministic J-paired eigenbasis of the (1,0)-forms of I: 2n forms,
+    paired so that J(conj(phi^{2k-1})) = phi^{2k}, one row each of their
+    coefficients over the real coframe.
 
     The +i eigenspace of I is put in canonical echelon form; its rows are
     consumed in order, each unseen row contributing the pair
@@ -581,4 +567,4 @@ def _build_coframe(inst: InstantiatedAlgebra) -> QuaternionicCoframe:
         raise EigenspaceDimensionError(
             "J-pairing did not produce a basis of the (1,0)-forms"
         )
-    return QuaternionicCoframe(dimension=m, forms=span)
+    return span

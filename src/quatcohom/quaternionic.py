@@ -55,7 +55,6 @@ from .memo import memo
 from .model import (
     AlgebraSpec,
     InstantiatedAlgebra,
-    QuaternionicCoframe,
     ValidationReport,
     _basis_change,
     _build_coframe,
@@ -79,7 +78,7 @@ MAX_MIDDLE_BASIS = 12870
 class QuaternionicComplex:
     """Operator algebra attached to one validated structure instance."""
 
-    def __init__(self, inst: InstantiatedAlgebra, coframe: QuaternionicCoframe,
+    def __init__(self, inst: InstantiatedAlgebra, coframe: Mat,
                  report: Optional[ValidationReport] = None):
         self.inst = inst
         self.coframe = coframe
@@ -87,10 +86,9 @@ class QuaternionicComplex:
         self.dimension = inst.dimension
         self.half = inst.dimension // 2
         self.n = inst.dimension // 4
-        self.name = inst.name
 
         m, half = self.dimension, self.half
-        b, c = _basis_change(coframe.forms)
+        b, c = _basis_change(coframe)
         # the (2,0) parts of d of the (1,0) generators give del, the (1,1)
         # parts del_bar; d of each conjugate generator must be d of its
         # generator with indices moved by 2n and coefficients conjugated

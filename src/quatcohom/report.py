@@ -11,9 +11,10 @@ scalars are rendered as strings through their canonical str() form.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .cohomology import (
     CohomologyTable,
@@ -83,25 +84,26 @@ def _validation_document(report: Optional[ValidationReport]) -> dict:
     }
 
 
+# The cohomology columns, in table order: the JSON key of each row, the
+# `CohomologyTable` field it is read from and its header in the text grid.
+_COLUMNS = (
+    ("h_del", "h_del", "h_del"),
+    ("h_del_j", "h_delj", "h_del_J"),
+    ("h_bc", "h_bc", "h_BC"),
+    ("h_ae", "h_ae", "h_AE"),
+    *((name, name, name) for name in "abcdef"),
+    ("dim_e1", "dim_e1", "E1"),
+    ("dim_e2", "dim_e2", "E2"),
+    ("delta", "delta", "Delta"),
+)
+
+# The certificate flags, in the order the text mode prints them.
+_FLAGS = ("hermitian", "hkt", "gauduchon", "strongly_gauduchon", "hyperkahler")
+
+
 def _cohomology_document(table: CohomologyTable) -> dict:
-    rows = []
-    for p in table.degrees:
-        rows.append({
-            "p": p,
-            "h_del": table.h_del[p],
-            "h_del_j": table.h_delj[p],
-            "h_bc": table.h_bc[p],
-            "h_ae": table.h_ae[p],
-            "a": table.a[p],
-            "b": table.b[p],
-            "c": table.c[p],
-            "d": table.d[p],
-            "e": table.e[p],
-            "f": table.f[p],
-            "dim_e1": table.dim_e1[p],
-            "dim_e2": table.dim_e2[p],
-            "delta": table.delta[p],
-        })
+    rows = [{"p": p, **{key: getattr(table, field)[p] for key, field, _ in _COLUMNS}}
+            for p in table.degrees]
     return {
         "top_degree": table.top_degree,
         "rows": rows,
@@ -129,11 +131,7 @@ def certificate_document(session: ReportSession,
         "leading_minors": [str(m) for m in cand.minors],
         "is_real": cand.is_real,
         "positive": cand.positive,
-        "hermitian": cand.hermitian,
-        "hkt": cand.hkt,
-        "gauduchon": cand.gauduchon,
-        "strongly_gauduchon": cand.strongly_gauduchon,
-        "hyperkahler": cand.hyperkahler,
+        **{name: getattr(cand, name) for name in _FLAGS},
     }
 
 
@@ -183,15 +181,7 @@ def pairing_document(session: ReportSession, result: PairingResult) -> dict:
 
 
 def suite_document(results: Sequence[CheckResult]) -> List[dict]:
-    return [
-        {
-            "name": r.name,
-            "statement": r.statement,
-            "status": r.status,
-            "detail": r.detail,
-        }
-        for r in results
-    ]
+    return [asdict(r) for r in results]
 
 
 def build_report(spec: AlgebraSpec,
@@ -243,10 +233,13 @@ def to_json(doc: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _grid(header: Sequence[str], rows: Sequence[Sequence[str]]) -> List[str]:
-    """Left column label, right-aligned value columns, pipe separators."""
-    table = [list(header)] + [list(r) for r in rows]
-    widths = [max(len(row[j]) for row in table) for j in range(len(header))]
+def _grid(rows: Sequence[dict], columns: Sequence[Tuple[str, str, str]]) -> List[str]:
+    """The given `_COLUMNS` over the given cohomology rows: a left column of
+    degree labels, right-aligned value columns, pipe separators."""
+    table = [["(p,0)"] + [header for _, _, header in columns]]
+    table += [[f"({r['p']},0)"] + [str(r[key]) for key, _, _ in columns]
+              for r in rows]
+    widths = [max(len(row[j]) for row in table) for j in range(len(table[0]))]
     lines = []
     for idx, row in enumerate(table):
         cells = [row[0].ljust(widths[0])]
@@ -255,45 +248,6 @@ def _grid(header: Sequence[str], rows: Sequence[Sequence[str]]) -> List[str]:
         if idx == 0:
             lines.append("-+-".join("-" * w for w in widths))
     return lines
-
-
-def _interior_rows(doc: dict) -> List[dict]:
-    top = doc["cohomology"]["top_degree"]
-    rows = doc["cohomology"]["rows"]
-    return [rows[p] for p in range(1, top)]
-
-
-def _dimension_table(doc: dict) -> List[str]:
-    header = ["(p,0)", "h_del", "h_del_J", "h_BC", "h_AE"]
-    rows = [
-        [f"({r['p']},0)", str(r["h_del"]), str(r["h_del_j"]),
-         str(r["h_bc"]), str(r["h_ae"])]
-        for r in _interior_rows(doc)
-    ]
-    return _grid(header, rows)
-
-
-def _varouchas_table(doc: dict) -> List[str]:
-    header = ["(p,0)", "a", "b", "c", "d", "e", "f"]
-    rows = [
-        [f"({r['p']},0)"] + [str(r[k]) for k in "abcdef"]
-        for r in _interior_rows(doc)
-    ]
-    return _grid(header, rows)
-
-
-def _full_table(doc: dict) -> List[str]:
-    header = ["(p,0)", "h_del", "h_del_J", "h_BC", "h_AE",
-              "a", "b", "c", "d", "e", "f", "E1", "E2", "Delta"]
-    rows = []
-    for r in doc["cohomology"]["rows"]:
-        rows.append(
-            [f"({r['p']},0)", str(r["h_del"]), str(r["h_del_j"]),
-             str(r["h_bc"]), str(r["h_ae"])]
-            + [str(r[k]) for k in "abcdef"]
-            + [str(r["dim_e1"]), str(r["dim_e2"]), str(r["delta"])]
-        )
-    return _grid(header, rows)
 
 
 def _yesno(flag: bool) -> str:
@@ -306,10 +260,8 @@ def certificate_lines(cert: dict, indent: str = "  ") -> List[str]:
         indent + "leading principal minors: "
         + ", ".join(cert["leading_minors"]),
     ]
-    flags = ["hermitian", "hkt", "gauduchon", "strongly_gauduchon",
-             "hyperkahler"]
     lines.append(indent + "flags: " + ", ".join(
-        f"{name}={_yesno(cert[name])}" for name in flags))
+        f"{name}={_yesno(cert[name])}" for name in _FLAGS))
     return lines
 
 
@@ -379,15 +331,16 @@ def to_table(doc: dict) -> str:
     if doc["bindings"]:
         out.append("bindings: " + ", ".join(
             f"{k} = {v}" for k, v in sorted(doc["bindings"].items())))
+    coh = doc["cohomology"]
+    interior = coh["rows"][1:coh["top_degree"]]
     out.append("")
-    out.extend(_dimension_table(doc))
+    out.extend(_grid(interior, _COLUMNS[:4]))
     out.append("")
-    out.extend(_varouchas_table(doc))
+    out.extend(_grid(interior, _COLUMNS[4:10]))
     out.append("")
     out.append("all degrees:")
-    out.extend(_full_table(doc))
+    out.extend(_grid(coh["rows"], _COLUMNS))
     out.append("")
-    coh = doc["cohomology"]
     out.append("degenerates at first page: "
                + _yesno(coh["degenerate_at_first_page"]))
     out.append("del del_J lemma: " + _yesno(coh["ddj_lemma"]))

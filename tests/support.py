@@ -1342,7 +1342,7 @@ class FormRoute:
     def __init__(self, cx) -> None:
         self.cx = cx
         inst, m, half = cx.inst, cx.dimension, cx.half
-        b, c = _basis_change(cx.coframe.forms)
+        b, c = _basis_change(cx.coframe)
         e_images = [Form.from_terms({(s,): c.data[j][s] for s in range(m)})
                     for j in range(m)]
         d_e_images = reference_algebra(inst).d_images

@@ -386,11 +386,14 @@ def test_minors_past_zero_leading_minors():
     m = Mat.from_rows([[0, 1, 2], [0, 3, 4], [5, 6, GaussianRational(0, 1)]])
     assert leading_principal_minors(m) == reference_minors(m)
     assert [x.is_zero() for x in leading_principal_minors(m)] == [True, True, False]
+    # singular: the diagonal pass stops short, so the last minor is 0
+    m = Mat.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 0]])
+    assert leading_principal_minors(m) == reference_minors(m) == [0, -1, 0]
 
 
 def test_minors_of_a_positive_definite_gram_take_no_det(ex1, torus, monkeypatch):
     # every minor is a pivot of the one diagonal pass; only a zero
-    # diagonal entry sends the later minors to `det`
+    # diagonal entry sends the minors between it and the last to `det`
     calls = []
     plain_det = linalg.det
     monkeypatch.setattr(linalg, "det", lambda m: calls.append(m) or plain_det(m))
@@ -402,7 +405,7 @@ def test_minors_of_a_positive_definite_gram_take_no_det(ex1, torus, monkeypatch)
         assert all(x.im == 0 and x.re > 0 for x in minors)
     assert calls == []
     leading_principal_minors(HERMITIAN_EXAMPLES[3])
-    assert len(calls) == 3  # minors 2 to 4 of the zero-corner matrix
+    assert len(calls) == 2  # minors 2 and 3 of the zero-corner matrix
 
 
 def test_empty_shapes():

@@ -104,7 +104,7 @@ def test_coframe_shape():
     spec = load_corpus("example1")
     coframe = _build_coframe(instantiate(spec))
     # half of the real dimension many rows, each over the 8 real covectors
-    assert (coframe.forms.nrows, coframe.forms.ncols) == (4, 8)
+    assert (coframe.nrows, coframe.ncols) == (4, 8)
 
 
 def test_k_table_checked_when_given():
@@ -153,7 +153,7 @@ def _bases(inst):
     """The bases whose differentials validation and the complex read, as
     the rows of a matrix: the +i eigenbases of I, J and K, and the
     J-paired coframe of I."""
-    builders = [("coframe", lambda: _build_coframe(inst).forms)]
+    builders = [("coframe", lambda: _build_coframe(inst))]
     builders += [(label, lambda label=label: inst.eigen_rows(label)) for label in ("I", "J", "K")]
     for label, build in builders:
         try:
