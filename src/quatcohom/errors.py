@@ -56,10 +56,6 @@ class DimensionBudgetError(InputError):
 class ValidationFailure(InvalidStructure):
     """An algebra failed validation and cannot be used to build a session."""
 
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
-
 
 # -- algebra model ---------------------------------------------------------
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from fractions import Fraction
 from importlib import resources
 from typing import Dict, List, Sequence, Tuple
@@ -40,6 +41,9 @@ def parse_spec(text: str) -> AlgebraSpec:
         ) from None
     except RecursionError:
         raise SchemaError("not valid JSON: nested too deeply") from None
+    except ValueError:  # Python's limit on the digits of an integer it reads
+        raise SchemaError("not valid JSON: an integer has more than "
+                          f"{sys.get_int_max_str_digits()} digits") from None
     return spec_from_document(doc)
 
 
@@ -82,6 +86,11 @@ def spec_from_document(doc: object) -> AlgebraSpec:
         if not isinstance(meta, dict):
             raise SchemaError("metadata: expected an object")
         description = str(meta.get("description", ""))
+    for path, text in (("name", name), ("metadata.description", description)):
+        try:  # a JSON string may hold a lone surrogate, which no output can print
+            text.encode("utf-8")
+        except UnicodeEncodeError:
+            raise SchemaError(f"{path}: holds a lone surrogate, not UTF-8 text") from None
     return AlgebraSpec.create(
         dimension=dim,
         structure=structure,

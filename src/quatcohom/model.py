@@ -18,9 +18,9 @@ in the list of a when beta(e_a, e_j)_k = n / D.  Vectors go in as the rows
 of a `Mat`, and the brackets of the requested pairs of rows come back as
 the rows of one `Mat` (`linalg.bilinear_rows`), summed in Gaussian
 integers with no scalar built.  On vectors beta is minus the Lie bracket.
-Step one of the lower central series is read straight off the terms,
-since the brackets of generator pairs are the structure constants; each
-later step brackets the generators with the current term.  Integrability
+Each step of the lower central series is one call of the kernel: the
+first brackets each unordered pair of generators, each later one the
+generators with the current term.  Integrability
 applies the (1,0)-forms of I, J and K, each the kernel basis of M - i, to
 the brackets of pairs of vectors they all annihilate.  On two columns of
 the inverse of a basis change beta is the coefficient of a wedge of two
@@ -38,7 +38,7 @@ labels, e124 for e^1 ^ e^2 ^ e^4, only to name a failure in a message.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
@@ -54,7 +54,7 @@ from .errors import (
 from .exterior import Mono, merge_monomials, render_terms
 from .linalg import Mat, bilinear_rows, inverse, kernel_and_row_basis, rank, row_basis
 from .memo import memo
-from .scalars import I_UNIT, ZERO, GaussianRational, ParamExpr, RationalLike
+from .scalars import I_UNIT, GaussianRational, ParamExpr, RationalLike, parse_coefficient
 
 Term = Tuple[int, int, GaussianRational]
 IntTerm = Tuple[int, int, int]
@@ -62,25 +62,14 @@ CoeffLike = Union[int, Fraction, GaussianRational, ParamExpr, str]
 StructureTerm = Tuple[int, int, ParamExpr]
 
 
-def _as_expr(value: CoeffLike, parameters: Sequence[str]) -> ParamExpr:
-    if isinstance(value, ParamExpr):
-        if tuple(value.params) != tuple(parameters):
-            raise ValueError("coefficient declared over a different parameter list")
-        return value
-    if isinstance(value, str):
-        from .scalars import parse_coefficient
-
-        return parse_coefficient(value, parameters)
-    return ParamExpr.constant(value, parameters)
-
-
 @dataclass(frozen=True)
 class AlgebraSpec:
     """Immutable description of an algebra plus its I and J tables.
 
-    `create` merges the terms of a pair listed twice in one de^k into one
-    term, their sum, where the pair first occurs, so a spec serializes to
-    a file that loads: the file format lists each pair once.  It reads
+    Every spec, the file reader's too, is built by `create`, the one place
+    that merges the terms of a pair listed twice in one de^k into their
+    sum, where the pair first occurs: the file format lists each pair
+    once, so a spec serializes to a file that loads.  It reads
     each distinct plain coefficient, keyed on its type and value as the
     file reader keys table entries, into one shared expression, which
     `instantiate` then evaluates once.
@@ -112,14 +101,17 @@ class AlgebraSpec:
 
         def as_expr(value: CoeffLike) -> ParamExpr:
             if isinstance(value, ParamExpr):
-                return _as_expr(value, params)
+                if tuple(value.params) != params:
+                    raise ValueError("coefficient declared over a different parameter list")
+                return value
             if not isinstance(value, (int, Fraction, GaussianRational, str)):
                 raise TypeError(f"a coefficient must be an int, Fraction, "
                                 f"GaussianRational, ParamExpr or string, got {value!r}")
             key = (type(value), value)
             expr = read.get(key)
             if expr is None:
-                expr = read[key] = _as_expr(value, params)
+                expr = read[key] = (parse_coefficient(value, params) if isinstance(value, str)
+                                    else ParamExpr.constant(value, params))
             return expr
 
         def table(rows: Sequence[Sequence[CoeffLike]]) -> Tuple[Tuple[ParamExpr, ...], ...]:
@@ -220,16 +212,6 @@ class InstantiatedAlgebra:
             )
         return forms, vectors
 
-    @memo
-    def eigen_rows(self, label: str) -> Mat:
-        """Canonical basis of the +i eigenspace of I, J or K on the coframe,
-        as rows: the reduced echelon form of `eigenspace`, computed once.
-
-        The coframe is built from the one of I; those of J and K are built
-        only to name an integrability defect.
-        """
-        return row_basis(self.eigenspace(label)[0])
-
 
 def _eval_real(expr: ParamExpr, bindings: Mapping[str, RationalLike],
                where: str) -> GaussianRational:
@@ -250,11 +232,11 @@ def instantiate(spec: AlgebraSpec,
     """Evaluate all coefficients at the given parameter values.
 
     Structure constants and endomorphism entries describe real objects, so
-    any imaginary part surviving evaluation is rejected.  Each coefficient
-    object is evaluated once, looked up by identity: `AlgebraSpec.create`
-    and the file reader share one object among equal entries.  Only values
-    are kept, so the first failing coefficient raises, with its own
-    position, which is written out only then.
+    any imaginary part surviving evaluation is rejected; a structure term
+    that is zero is dropped.  Each coefficient object is evaluated once,
+    looked up by identity: `AlgebraSpec.create` shares one object among
+    equal entries.  Only values are kept, so the first failing coefficient
+    raises, with its own position, which is written out only then.
     """
     bindings = dict(bindings or {})
     m = spec.dimension
@@ -264,7 +246,7 @@ def instantiate(spec: AlgebraSpec,
     for k, terms in spec.structure:
         if not 1 <= k <= m:
             raise IndexError(f"structure row index {k} out of range 1..{m}")
-        total: Dict[Mono, GaussianRational] = {}  # repeated pairs add up
+        row: List[Term] = []
         for i, j, coeff in terms:
             if not (1 <= i < j <= m):
                 raise IndexError(
@@ -274,12 +256,9 @@ def instantiate(spec: AlgebraSpec,
             if value is None:
                 value = values[id(coeff)] = _eval_real(
                     coeff, bindings, f"coefficient of e^{i}^e^{j} in de^{k}")
-            value = total.get((i - 1, j - 1), ZERO) + value
-            if value.is_zero():
-                total.pop((i - 1, j - 1), None)
-            else:
-                total[i - 1, j - 1] = value
-        structure[k - 1] = tuple((i, j, c) for (i, j), c in total.items())
+            if not value.is_zero():
+                row.append((i - 1, j - 1, value))
+        structure[k - 1] = tuple(row)
 
     def table(rows: Tuple[Tuple[ParamExpr, ...], ...], label: str) -> Mat:
         entries = {}
@@ -307,88 +286,59 @@ def instantiate(spec: AlgebraSpec,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class ValidationReport:
     """Outcome of the structural checks on an instantiated spec.
 
-    Flags default to None meaning "not checked"; messages collect one human
-    readable line per failure, so messages is nonempty exactly when some
-    flag is False.
+    Every check is run.  `nilpotency_step` is None exactly when the lower
+    central series does not reach zero; `messages` holds one human
+    readable line per failure, so it is nonempty exactly when one fails.
     """
 
-    jacobi_ok: Optional[bool] = None
-    nilpotent_ok: Optional[bool] = None
-    nilpotency_step: Optional[int] = None
-    quaternionic_relations_ok: Optional[bool] = None
-    integrability: Dict[str, bool] = field(default_factory=dict)
-    messages: List[str] = field(default_factory=list)
+    jacobi_ok: bool
+    nilpotency_step: Optional[int]
+    quaternionic_relations_ok: bool
+    integrability: Dict[str, bool]
+    messages: Tuple[str, ...]
+
+    @property
+    def nilpotent_ok(self) -> bool:
+        return self.nilpotency_step is not None
 
     @property
     def ok(self) -> bool:
-        flags = [self.jacobi_ok, self.nilpotent_ok, self.quaternionic_relations_ok]
-        flags.extend(self.integrability.values())
-        return all(f is not False for f in flags)
+        return (self.jacobi_ok and self.nilpotent_ok and self.quaternionic_relations_ok
+                and all(self.integrability.values()))
 
     def summary(self) -> str:
-        if self.ok:
-            return "valid"
-        return "; ".join(self.messages)
+        return "valid" if self.ok else "; ".join(self.messages)
 
 
-def _validate_lie_algebra(inst: InstantiatedAlgebra) -> ValidationReport:
-    """Check the Jacobi identity and nilpotency of the structure equations."""
-    report = ValidationReport()
+def _jacobi_messages(inst: InstantiatedAlgebra) -> List[str]:
+    """One message per generator e^k with d^2 e^k nonzero, so the Jacobi
+    identity holds exactly when there is none."""
+    return [f"d^2 e^{k + 1} = {render_terms(terms.items(), _e_label)}, "
+            "so the Jacobi identity fails"
+            for k, terms in enumerate(_square_of_d(inst)) if any(terms.values())]
+
+
+def _nilpotency_step(inst: InstantiatedAlgebra) -> Optional[int]:
+    """The step at which the lower central series reaches zero, or None.
+    Each term is spanned by the brackets of each unordered pair of
+    generators first, then of the generators with the term before."""
     m = inst.dimension
-
-    report.jacobi_ok = True
-    for k, terms in enumerate(_square_of_d(inst)):
-        if any(terms.values()):
-            report.jacobi_ok = False
-            report.messages.append(
-                f"d^2 e^{k + 1} = {render_terms(terms.items(), _e_label)}, "
-                "so the Jacobi identity fails"
-            )
-
-    # Lower central series, spanned by the brackets of generators with the
-    # current term; terminates iff nilpotent.
-    generators = Mat.identity(m)
-    current = generators  # canonical basis of the current term
+    current = generators = Mat.identity(m)  # current: canonical basis of the term
+    pairs: Iterable[Tuple[int, int]] = combinations(range(m), 2)
     step = 0
     while current.nrows:
+        if step == m:
+            return None
         step += 1
-        if step > m:
-            break
-        if current is generators:
-            produced = _structure_rows(inst)
-        else:
-            produced = inst.brackets(generators, current,
-                                     product(range(m), range(current.nrows)))
-        nxt = row_basis(produced)
+        nxt = row_basis(inst.brackets(generators, current, pairs))
         if nxt.nrows == current.nrows:
-            # series stabilized at a nonzero term
-            step = None
-            break
-        current = nxt
-    if current.nrows == 0 and step is not None:
-        report.nilpotent_ok = True
-        report.nilpotency_step = step
-    else:
-        report.nilpotent_ok = False
-        report.nilpotency_step = None
-        report.messages.append("lower central series does not reach zero")
-    return report
-
-
-def _structure_rows(inst: InstantiatedAlgebra) -> Mat:
-    """One row per pair (i, j) with a term in some de^k, holding each such
-    c^k_ij in column k: minus the bracket of e_i and e_j, so the rows span
-    the second term of the lower central series."""
-    rows: Dict[Mono, Dict[int, GaussianRational]] = {}
-    for k, terms in enumerate(inst.structure):
-        for i, j, c in terms:
-            rows.setdefault((i, j), {})[k] = c
-    return Mat.from_entries(len(rows), inst.dimension, {
-        (r, k): c for r, row in enumerate(rows.values()) for k, c in row.items()})
+            return None  # stabilized at a nonzero term
+        current, pairs = nxt, product(range(m), range(nxt.nrows))
+    return step
 
 
 def _e_label(mono: Mono) -> str:
@@ -495,10 +445,13 @@ def validate_hypercomplex(spec: AlgebraSpec,
     caller has it already.
     """
     inst = instantiate(spec, bindings) if instance is None else instance
-    report = _validate_lie_algebra(inst)
-    m = inst.dimension
+    messages = _jacobi_messages(inst)
+    jacobi_ok = not messages
+    step = _nilpotency_step(inst)
+    if step is None:
+        messages.append("lower central series does not reach zero")
 
-    minus_id = -Mat.identity(m)
+    minus_id = -Mat.identity(inst.dimension)
     relations = [
         ("I^2 = -Id", inst.mat_i @ inst.mat_i == minus_id),
         ("J^2 = -Id", inst.mat_j @ inst.mat_j == minus_id),
@@ -507,28 +460,28 @@ def validate_hypercomplex(spec: AlgebraSpec,
     ]
     if inst.mat_k_given is not None:
         relations.append(("K table equals I∘J", inst.mat_k_given == inst.mat_k))
-    report.quaternionic_relations_ok = True
-    for label, holds in relations:
-        if not holds:
-            report.quaternionic_relations_ok = False
-            report.messages.append(f"quaternionic relation {label} fails")
+    failed = [label for label, holds in relations if not holds]
+    messages += [f"quaternionic relation {label} fails" for label in failed]
 
+    integrability: Dict[str, bool] = {}
     for label in ("I", "J", "K"):
         try:
-            if _integrable(inst, *inst.eigenspace(label)):
-                report.integrability[label] = True
+            forms, vectors = inst.eigenspace(label)
+            integrability[label] = _integrable(inst, forms, vectors)
+            if integrability[label]:
                 continue
-            index, bad = _antihol_defect(inst, inst.eigen_rows(label))
+            index, bad = _antihol_defect(inst, row_basis(forms))
         except EigenspaceDimensionError as exc:
-            report.integrability[label] = False
-            report.messages.append(f"structure {label}: {exc}")
+            integrability[label] = False
+            messages.append(f"structure {label}: {exc}")
             continue
-        report.integrability[label] = False
-        report.messages.append(
+        messages.append(
             f"structure {label}: d of (1,0)-form number {index + 1} "
             f"has (0,2) component {render_terms(bad, _e_label)}"
         )
-    return report
+    return ValidationReport(jacobi_ok=jacobi_ok, nilpotency_step=step,
+                            quaternionic_relations_ok=not failed,
+                            integrability=integrability, messages=tuple(messages))
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +506,7 @@ def _build_coframe(inst: InstantiatedAlgebra) -> Mat:
         raise DimensionMismatch(
             f"hypercomplex structures need dimension divisible by 4, got {m}"
         )
-    eigen = inst.eigen_rows("I")
+    eigen = row_basis(inst.eigenspace("I")[0])
     partners = eigen.conj() @ inst.mat_j.transpose()
     span = Mat.zeros(0, m)  # the chosen rows, each followed by its partner
     for r in range(eigen.nrows):

@@ -79,7 +79,7 @@ class QuaternionicComplex:
     """Operator algebra attached to one validated structure instance."""
 
     def __init__(self, inst: InstantiatedAlgebra, coframe: Mat,
-                 report: Optional[ValidationReport] = None):
+                 report: ValidationReport):
         self.inst = inst
         self.coframe = coframe
         self.report = report
@@ -152,8 +152,7 @@ class QuaternionicComplex:
         if not report.ok:
             raise ValidationFailure(
                 f"structure {spec.name or '<unnamed>'} is invalid: "
-                + report.summary(),
-                report=report,
+                + report.summary()
             )
         return cls(inst, _build_coframe(inst), report)
 

@@ -70,9 +70,7 @@ class ReportSession:
 # ---------------------------------------------------------------------------
 
 
-def _validation_document(report: Optional[ValidationReport]) -> dict:
-    if report is None:
-        return {"checked": False}
+def _validation_document(report: ValidationReport) -> dict:
     return {
         "checked": True,
         "jacobi": report.jacobi_ok,

@@ -4,7 +4,9 @@ Houses `Form`, a form as a sparse map from monomials to coefficients,
 which the engine's coordinate tuples, term lists and wedge power
 Omega^{n-1} are checked against, the deliberately broken structures,
 the generators of validated random variants (coefficient scalings,
-rational coframe changes and direct sums), the brute-force harness producing random double-differential
+rational coframe changes and direct sums), a Hypothesis strategy drawing
+2-step nilpotent hypercomplex structures on H + H from the kernel of
+their integrability constraints, the brute-force harness producing random double-differential
 complexes directly as matrices (Koszul complexes with dense differentials
 among them), the block operators whose ranks the cohomology table reads
 off a split of del, a reference Gaussian rational held as a
@@ -26,10 +28,14 @@ checked against.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import gcd, lcm, prod
 from random import Random
+from types import SimpleNamespace
 from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple, Union
+
+from hypothesis import strategies as st
 
 from quatcohom import AlgebraSpec, CohomologyTable, GaussianRational, MatrixComplex
 from quatcohom.errors import (DivisionByZero, IntegrabilityViolation,
@@ -309,6 +315,118 @@ def direct_sum_spec(*specs: AlgebraSpec) -> AlgebraSpec:
         m, structure, tables["i"], tables["j"],
         name="+".join(spec.name for spec in specs),
     )
+
+
+# ---------------------------------------------------------------------------
+# Drawn 2-step nilpotent structures on H + H: v = span(e_1..e_4) and
+# z = span(e_5..e_8), I and J the standard blocks on both, and de^k nonzero
+# only for k in z and only over pairs in v.  Jacobi holds and the algebra is
+# 2-step nilpotent whatever the constants; the Nijenhuis tensors of I and J
+# are linear in them, so the integrable ones are the kernel of one exact
+# matrix, built here with the reference bracket and elimination.
+# ---------------------------------------------------------------------------
+
+
+def _block_diagonal(table: Sequence[Sequence[int]], copies: int) -> List[List[int]]:
+    n = len(table)
+    return [[table[r % n][c % n] if r // n == c // n else 0 for c in range(n * copies)]
+            for r in range(n * copies)]
+
+
+HH_I = _block_diagonal(I4, 2)
+HH_J = _block_diagonal(J4, 2)
+# the 24 unknowns, (k, i, j) 0-based: the coefficient of e^i ^ e^j in de^k
+HH_UNKNOWNS = [(k, i, j) for k in range(4, 8) for i, j in combinations(range(4), 2)]
+
+
+def hh_algebra(values: Sequence) -> SimpleNamespace:
+    """What `reference_bracket` reads of an instance, for the unknowns set
+    to `values`."""
+    structure: List[List[Tuple[int, int, GaussianRational]]] = [[] for _ in range(8)]
+    for (k, i, j), value in zip(HH_UNKNOWNS, values):
+        if value:
+            structure[k].append((i, j, GaussianRational(value)))
+    return SimpleNamespace(dimension=8, structure=structure)
+
+
+def _vector_action(table: Sequence[Sequence[int]], x: Sequence) -> Row:
+    """The endomorphism on vectors dual to the coframe table: (A x)_j =
+    sum_l table[l][j] x_l."""
+    return tuple(sum((table[l][j] * x[l] for l in range(len(x))), ZERO)
+                 for j in range(len(x)))
+
+
+def _pairs_of_v(table: Sequence[Sequence[int]]):
+    """(x, y, A x, A y) for each pair x, y of basis vectors of v."""
+    unit = Mat.identity(8).data
+    for x, y in combinations(range(4), 2):
+        yield unit[x], unit[y], _vector_action(table, unit[x]), _vector_action(table, unit[y])
+
+
+def hh_abelian_defect(alg, table: Sequence[Sequence[int]]) -> List[Row]:
+    """[A x, A y] - [x, y] for the pairs of basis vectors of v: all zero
+    exactly when the structure A is abelian."""
+    return [tuple(a - b for a, b in zip(reference_bracket(alg, ax, ay),
+                                        reference_bracket(alg, x, y)))
+            for x, y, ax, ay in _pairs_of_v(table)]
+
+
+def _nijenhuis(alg, table: Sequence[Sequence[int]]) -> List[GaussianRational]:
+    """The Nijenhuis tensor of A on the pairs of basis vectors of v, its
+    only nonzero values since z is central and A preserves it."""
+    out: List[GaussianRational] = []
+    for x, y, ax, ay in _pairs_of_v(table):
+        out += [p - q - r - s for p, q, r, s in zip(
+            reference_bracket(alg, ax, ay),
+            _vector_action(table, reference_bracket(alg, ax, y)),
+            _vector_action(table, reference_bracket(alg, x, ay)),
+            reference_bracket(alg, x, y))]
+    return out
+
+
+@cache
+def hh_integrability_matrix() -> Mat:
+    """The Nijenhuis tensors of I and J as a linear map of the unknowns:
+    one column per unknown, its tensors at that unknown one, the rest zero."""
+    columns = [_nijenhuis(alg, HH_I) + _nijenhuis(alg, HH_J)
+               for alg in (hh_algebra([int(n == u) for u in range(len(HH_UNKNOWNS))])
+                           for n in range(len(HH_UNKNOWNS)))]
+    return Mat(len(columns[0]), len(columns), tuple(zip(*columns)))
+
+
+@cache
+def hh_integrable_kernel() -> Tuple[Tuple[int, ...], ...]:
+    """A basis of the integrable constants, each scaled to coprime integers."""
+    basis = []
+    for vector in reference_nullspace(*reference_rref(hh_integrability_matrix())):
+        den = lcm(*(x.re.denominator for x in vector))
+        ints = [int(x.re * den) for x in vector]
+        basis.append(tuple(x // gcd(*ints) for x in ints))
+    return tuple(basis)
+
+
+def hh_constants(spec: AlgebraSpec) -> List[Fraction]:
+    """The unknowns read off a parameter-free spec on H + H."""
+    values = {(k - 1, i - 1, j - 1): Fraction(c.constant_value().re)
+              for k, terms in spec.structure for i, j, c in terms}
+    return [values.get(unknown, Fraction(0)) for unknown in HH_UNKNOWNS]
+
+
+@st.composite
+def hh_structures(draw) -> AlgebraSpec:
+    """An integrable structure on H + H: one to three kernel rows with
+    small integer weights; a row drawn twice may cancel, down to the torus."""
+    kernel = hh_integrable_kernel()
+    rows = draw(st.lists(st.sampled_from(range(len(kernel))), min_size=1, max_size=3))
+    values = [0] * len(HH_UNKNOWNS)
+    for row in rows:
+        weight = draw(st.sampled_from([-2, -1, 1, 2]))
+        values = [v + weight * x for v, x in zip(values, kernel[row])]
+    structure: Dict[int, List[Tuple[int, int, int]]] = {}
+    for (k, i, j), value in zip(HH_UNKNOWNS, values):
+        if value:
+            structure.setdefault(k + 1, []).append((i + 1, j + 1, value))
+    return AlgebraSpec.create(8, structure, HH_I, HH_J, name="hh-drawn")
 
 
 def random_gl(rng: Random, m: int, ops: int = 6) -> Mat:

@@ -511,6 +511,44 @@ def test_integer_literal_beyond_the_digit_limit_exits_two(capsys, tmp_path, coef
                    f"position {position} has 5000 digits, more than 1000\n")
 
 
+def _set_dimension(doc, value):
+    doc["dimension"] = value
+
+
+def _set_i_entry(doc, value):
+    doc["I"][0][1] = value
+
+
+@pytest.mark.parametrize("place", [_set_dimension, _set_i_entry])
+def test_json_integer_beyond_pythons_digit_limit_exits_two(capsys, tmp_path, place):
+    # json.loads itself refuses an integer past Python's 4300-digit limit
+    doc = json.loads(serialize_spec(load_corpus("example1")))
+    place(doc, None)
+    path = tmp_path / "long.json"
+    # written without str(int), which the limit refuses too
+    path.write_text(json.dumps(doc).replace("null", "1" + "0" * 5000))
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("field", ["name", "description"])
+@pytest.mark.parametrize("command", [("report",), ("report", "--format", "json"), ("validate",)])
+def test_lone_surrogate_in_a_free_text_field_exits_two(capsys, tmp_path, field, command):
+    doc = json.loads(serialize_spec(load_corpus("example1")))
+    if field == "name":
+        doc["name"] = "x\ud800"
+    else:
+        doc["metadata"] = {"description": "x\ud800"}
+    path = tmp_path / "surrogate.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command[0], str(path), *command[1:])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_integer_literal_up_to_the_digit_limit_accepted(capsys, tmp_path):
     # 10^999 / 10^999, written out in full
     one = "1" + "0" * 999

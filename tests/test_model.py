@@ -1,3 +1,4 @@
+import dataclasses
 import re
 from fractions import Fraction
 from itertools import combinations
@@ -6,7 +7,8 @@ from random import Random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from quatcohom import AlgebraSpec, GaussianRational, load_corpus, validate_hypercomplex
+from quatcohom import (AlgebraSpec, GaussianRational, ReportSession, load_corpus,
+                       validate_hypercomplex)
 from quatcohom.errors import (
     CoefficientParseError,
     DimensionMismatch,
@@ -17,13 +19,15 @@ from quatcohom.errors import (
     ValidationFailure,
 )
 from quatcohom.model import (_antihol_defect, _basis_change, _build_coframe,
-                             _coframe_differentials, _integrable, _square_of_d,
-                             _validate_lie_algebra, instantiate)
+                             _coframe_differentials, _integrable, _jacobi_messages,
+                             _nilpotency_step, _square_of_d, instantiate)
 from quatcohom.quaternionic import QuaternionicComplex
 from quatcohom.linalg import Mat, kernel_basis, row_basis
 from quatcohom.scalars import MAX_DIGITS, ONE, ZERO, ParamExpr
 
-from support import (I4, J4, Form, affine_complex_spec, coframe_variant, direct_sum_spec,
+from support import (HH_I, I4, J4, Form, affine_complex_spec, coframe_variant,
+                     direct_sum_spec, hh_abelian_defect, hh_algebra, hh_constants,
+                     hh_integrability_matrix, hh_integrable_kernel, hh_structures,
                      i_nonintegrable_spec, jacobi_broken_spec, nonintegrable_spec,
                      random_gl, reference_algebra, reference_bracket,
                      reference_differentials_in_basis, reference_nilpotency_step,
@@ -65,6 +69,17 @@ def test_integrability_failure_names_the_structure():
     assert not report.ok
     with pytest.raises(ValidationFailure):
         QuaternionicComplex.build(nonintegrable_spec())
+
+
+@pytest.mark.parametrize("make", [jacobi_broken_spec, relation_broken_spec, nonintegrable_spec,
+                                  i_nonintegrable_spec, solvable_spec],
+                         ids=lambda make: make.__name__)
+def test_validation_report_is_one_frozen_record(make):
+    report = validate_hypercomplex(make())
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.jacobi_ok = True
+    assert (report.ok is False) == bool(report.messages)
+    assert report.nilpotent_ok == (report.nilpotency_step is not None)
 
 
 def test_unbound_parameter_and_pole():
@@ -142,7 +157,7 @@ KERNEL_IDS = [case[0] for case in KERNEL_CASES]
                          ids=KERNEL_IDS)
 def test_nilpotency_step_matches_the_coordinate_bracket(spec, bindings):
     inst = instantiate(spec, bindings)
-    assert _validate_lie_algebra(inst).nilpotency_step == reference_nilpotency_step(inst)
+    assert _nilpotency_step(inst) == reference_nilpotency_step(inst)
 
 
 def _as_forms(terms_by_row):
@@ -154,7 +169,8 @@ def _bases(inst):
     the rows of a matrix: the +i eigenbases of I, J and K, and the
     J-paired coframe of I."""
     builders = [("coframe", lambda: _build_coframe(inst))]
-    builders += [(label, lambda label=label: inst.eigen_rows(label)) for label in ("I", "J", "K")]
+    builders += [(label, lambda label=label: row_basis(inst.eigenspace(label)[0]))
+                 for label in ("I", "J", "K")]
     for label, build in builders:
         try:
             yield label, build()
@@ -200,9 +216,9 @@ def _assert_square_of_d_matches(inst):
     alg = reference_algebra(inst)
     squares = [Form.from_terms(terms) for terms in _square_of_d(inst)]
     assert squares == [alg.d(alg.d_images[k]) for k in range(inst.dimension)]
-    report = _validate_lie_algebra(inst)
-    assert report.jacobi_ok is all(square.is_zero() for square in squares)
-    assert [msg for msg in report.messages if "Jacobi" in msg] == [
+    messages = _jacobi_messages(inst)
+    assert (not messages) is all(square.is_zero() for square in squares)
+    assert messages == [
         f"d^2 e^{k + 1} = {square}, so the Jacobi identity fails"
         for k, square in enumerate(squares) if not square.is_zero()]
     return squares
@@ -295,10 +311,11 @@ def test_bracket_kernel_matches_the_coordinate_bracket(drawn, left, right):
 @given(sparse_structures())
 @example((False, NO_TERMS))
 def test_nilpotency_step_matches_the_coordinate_bracket_on_random_structures(drawn):
-    # step one is read off the terms, so repeated and cancelling pairs and
-    # structures that are not Lie algebras or not nilpotent are drawn too
+    # step one brackets each unordered pair of generators, so repeated and
+    # cancelling pairs and structures that are not Lie algebras or not
+    # nilpotent are drawn too
     inst = instantiate(drawn[1])
-    assert _validate_lie_algebra(inst).nilpotency_step == reference_nilpotency_step(inst)
+    assert _nilpotency_step(inst) == reference_nilpotency_step(inst)
 
 
 def test_structure_terms_are_summed_per_pair():
@@ -390,3 +407,29 @@ def test_validation_flags_of_a_direct_sum_in_either_order(first, second):
         fa[3] and fb[3],
         {label: fa[4][label] and fb[4][label] for label in ("I", "J", "K")},
     )
+
+
+# -- drawn 2-step structures on H + H --
+
+
+def test_example1_lies_in_the_hh_integrable_kernel():
+    matrix = hh_integrability_matrix()
+    constants = hh_constants(load_corpus("example1"))
+    assert any(constants)
+    assert all(sum((x * c for x, c in zip(row, constants)), ZERO).is_zero()
+               for row in matrix.data)
+    assert len(hh_integrable_kernel()) == 16
+
+
+@settings(max_examples=20, deadline=None)
+@given(hh_structures())
+def test_drawn_hh_structures_validate_and_are_hkt_exactly_when_i_is_abelian(spec):
+    assert validate_hypercomplex(spec).ok
+    # I is abelian, [IX, IY] = [X, Y], exactly when del out of degree 1
+    # vanishes.  The expectation that a hypercomplex nilmanifold is HKT
+    # exactly when its structure is abelian is taken from Barberis, Dotti
+    # and Verbitsky, "Canonical bundles of complex nilmanifolds, with
+    # applications to hypercomplex geometry".
+    abelian = not any(any(row) for row in hh_abelian_defect(
+        hh_algebra(hh_constants(spec)), HH_I))
+    assert ReportSession(spec).verdict("hkt").answer is abelian

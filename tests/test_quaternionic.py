@@ -8,7 +8,7 @@ from quatcohom import (GaussianRational, MatrixComplex, QuaternionicComplex, Rep
 from quatcohom.errors import (IntegrabilityViolation, InternalInconsistency,
                                ValidationFailure)
 from quatcohom.linalg import Mat, SignedPermutation, inverse
-from quatcohom.model import _build_coframe, instantiate
+from quatcohom.model import _build_coframe, instantiate, validate_hypercomplex
 from quatcohom.scalars import ONE
 from quatcohom.suite import run_property_suite
 
@@ -133,11 +133,13 @@ def _operators_out_of(cx, mc, p):
 
 
 def test_integrability_is_checked_on_the_generators():
-    # validation is skipped, so only the constructor's check on the
-    # generators stands between the structure and the operators
-    inst = instantiate(i_nonintegrable_spec())
+    # the constructor does not read the failed report it is given, so only
+    # its check on the generators stands between the structure and the
+    # operators
+    spec = i_nonintegrable_spec()
+    inst = instantiate(spec)
     with pytest.raises(IntegrabilityViolation, match=r"\(0,2\) component"):
-        QuaternionicComplex(inst, _build_coframe(inst))
+        QuaternionicComplex(inst, _build_coframe(inst), validate_hypercomplex(spec))
     with pytest.raises(ValidationFailure):
         QuaternionicComplex.build(i_nonintegrable_spec())
 
@@ -146,8 +148,9 @@ def test_a_nonintegrable_j_is_caught_by_validation_only():
     # the complex is built on I; J's failure shows in validation
     with pytest.raises(ValidationFailure, match="structure J"):
         QuaternionicComplex.build(nonintegrable_spec())
-    inst = instantiate(nonintegrable_spec())
-    QuaternionicComplex(inst, _build_coframe(inst))
+    spec = nonintegrable_spec()
+    inst = instantiate(spec)
+    QuaternionicComplex(inst, _build_coframe(inst), validate_hypercomplex(spec))
 
 
 def test_jbar_checks_name_the_first_failing_basis_form(monkeypatch):

@@ -13,7 +13,7 @@ from quatcohom.errors import (DecompositionFailure, NotAeppliClosed, NotGauducho
                               TheoremViolation)
 from quatcohom.exterior import merge_monomials
 from quatcohom.linalg import Mat, SignedPermutation, inverse, kernel_basis, row_basis
-from quatcohom.model import _build_coframe, instantiate
+from quatcohom.model import _build_coframe, instantiate, validate_hypercomplex
 from quatcohom.quaternionic import QuaternionicComplex
 from quatcohom.slstructure import SLStructure
 from quatcohom.suite import run_property_suite
@@ -416,9 +416,10 @@ def test_degree_profile_refuses_each_fault(monkeypatch, fault):
 def test_volume_form_guard():
     # valid hypercomplex structure, but not nilpotent: the top form
     # picks up a (2n,1) differential and the complex must refuse it
-    inst = instantiate(affine_complex_spec())
+    spec = affine_complex_spec()
+    inst = instantiate(spec)
     with pytest.raises(NotHolomorphic, match=r"the \(2n,1\) component"):
-        QuaternionicComplex(inst, _build_coframe(inst))
+        QuaternionicComplex(inst, _build_coframe(inst), validate_hypercomplex(spec))
 
 
 def test_real_volume_form_guard(monkeypatch):
